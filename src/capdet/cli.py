@@ -198,6 +198,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         params = scorenet.load_checkpoint(args.checkpoint)
     except (OSError, ValueError) as e:
         raise DataError(f"bad checkpoint {args.checkpoint}: {e}") from None
+    header = synthbench.read_dataset_header(args.data)
+    for key, model_value in (("feature_dim", params.feature_dim), ("class_names", list(params.class_names))):
+        if header.get(key) != model_value:
+            raise DataError(f"dataset {args.data} and checkpoint {args.checkpoint} disagree on {key}")
     metrics = trainer.evaluate(params, scenes, config)
     report = trainer.metrics_report(metrics, config)
     trainer.write_metrics(args.out, report)

@@ -54,8 +54,7 @@ def _random_problem(rng: np.random.Generator) -> tuple[ModelParams, RegionSet, L
     }
     params = scorenet.init_params(d, class_names, category_values, num_heads, seed=int(rng.integers(2**31)))
     # move away from the symmetric init so probabilities spread out
-    flat = scorenet.flatten_params(params) + rng.normal(0.0, 0.5, size=scorenet.flatten_params(params).size)
-    params = scorenet.unflatten_params(params, flat)
+    params.flat += rng.normal(0.0, 0.5, size=params.flat.size)
 
     centers = rng.uniform(0.2, 0.8, size=(m, 2))
     sizes = rng.uniform(0.05, 0.2, size=(m, 2))
@@ -88,7 +87,7 @@ def _random_problem(rng: np.random.Generator) -> tuple[ModelParams, RegionSet, L
 def composed_loss(
     params: ModelParams, regions: RegionSet, labels: LabelSet, config: TrainConfig, pseudos
 ) -> float:
-    report, _ = scene_loss(params, regions, labels, config, pseudos=pseudos)
+    report, _, _ = scene_loss(params, regions, labels, config, pseudos=pseudos)
     return report.l_total
 
 
@@ -101,12 +100,13 @@ def check_once(
     coords_per_trial: int,
     step: float,
 ) -> tuple[float, str]:
-    """Max relative error over a coordinate sample for one problem instance."""
-    report, pseudos = scene_loss(params, regions, labels, config)
-    analytic = scorenet.flatten_params(
-        scorenet.param_gradients(params, regions, report.grad)
-    )
-    flat = scorenet.flatten_params(params)
+    """Max relative error over a coordinate sample for one problem instance.
+
+    Probes bump params.flat in place and restore it, leaving params unchanged.
+    """
+    report, pseudos, scores = scene_loss(params, regions, labels, config)
+    analytic = scorenet.param_gradients(params, regions, scores, report.grad).flat
+    flat = params.flat
 
     # name every coordinate so failures are reportable
     names: list[str] = []
@@ -120,11 +120,12 @@ def check_once(
     worst = 0.0
     worst_name = ""
     for idx in coords:
-        bumped = flat.copy()
-        bumped[idx] = flat[idx] + step
-        hi = composed_loss(scorenet.unflatten_params(params, bumped), regions, labels, config, pseudos)
-        bumped[idx] = flat[idx] - step
-        lo = composed_loss(scorenet.unflatten_params(params, bumped), regions, labels, config, pseudos)
+        original = flat[idx]
+        flat[idx] = original + step
+        hi = composed_loss(params, regions, labels, config, pseudos)
+        flat[idx] = original - step
+        lo = composed_loss(params, regions, labels, config, pseudos)
+        flat[idx] = original
         numeric = (hi - lo) / (2.0 * step)
         denom = max(1.0, abs(analytic[idx]), abs(numeric))
         err = abs(analytic[idx] - numeric) / denom
@@ -149,7 +150,7 @@ def run_gradient_check(
         rng = np.random.default_rng([seed, trial])
         params, regions, labels, config = _random_problem(rng)
         err, coord = check_once(params, regions, labels, config, rng, coords_per_trial, step)
-        checked += min(coords_per_trial, scorenet.flatten_params(params).size)
+        checked += min(coords_per_trial, params.flat.size)
         if err > worst:
             worst, worst_trial, worst_coord = err, trial, coord
     return GradCheckResult(

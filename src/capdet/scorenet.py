@@ -8,9 +8,13 @@ class, multiplied elementwise. Summing that product over regions and
 applying a sigmoid gives the per-class image score, which therefore
 always lies in (0.5, 1).
 
+All parameters live in one flat float64 buffer that the optimizer,
+checkpoints and gradient check use directly; every head is an affine view
+into it. Its order (iter_param_arrays) is the checkpoint format.
+
 Forward evaluation and the analytic backward pass are paired; the
-backward pass is checked against central finite differences in the test
-suite rather than trusted by construction.
+backward pass reuses forward's softmaxes and is checked against central
+finite differences in the test suite rather than trusted by construction.
 """
 
 from __future__ import annotations
@@ -57,33 +61,60 @@ class Affine:
         return x @ self.weight + self.bias
 
 
-@dataclass
 class ModelParams:
-    """All trainable parameters plus the layout they were built for.
+    """All trainable parameters: one flat buffer plus the layout it was built for.
 
     category_values fixes the column order of every attribute head, and
     class_names fixes the column order of object and evidence heads, so a
-    checkpoint is self-describing.
+    checkpoint is self-describing. The heads are views into flat: writing
+    through either one changes the other.
     """
 
-    class_names: tuple[str, ...]
-    category_values: dict[str, tuple[str, ...]]
-    object_heads: list[Affine]  # each d -> (C + 1), background last
-    attribute_heads: list[dict[str, Affine]]  # per head, per category: d -> |values|
-    mid_det: Affine  # d -> C
-    mid_cls: Affine  # d -> C
+    def __init__(
+        self,
+        feature_dim: int,
+        class_names: Sequence[str],
+        category_values: Mapping[str, Sequence[str]],
+        num_heads: int,
+        flat: np.ndarray | None = None,
+    ):
+        if feature_dim < 1:
+            raise ValueError(f"feature_dim must be positive, got {feature_dim}")
+        if len(class_names) < 1:
+            raise ValueError("need at least one class")
+        if num_heads < 1:
+            raise ValueError(f"need at least one head, got {num_heads}")
+        self.feature_dim = d = feature_dim
+        self.num_heads = num_heads
+        self.class_names = tuple(str(n) for n in class_names)
+        self.category_values = {str(c): tuple(str(v) for v in vals) for c, vals in category_values.items()}
+        c = len(self.class_names)
+        widths = [c + 1] * num_heads + [len(v) for _ in range(num_heads) for v in self.category_values.values()]
+        widths += [c, c]
+        size = (d + 1) * sum(widths)
+        flat = np.zeros(size) if flat is None else np.asarray(flat, dtype=float)
+        if flat.shape != (size,):
+            raise ValueError(f"flat vector has {flat.size} entries, model needs {size}")
+        self.flat = flat
+        self.blocks: list[Affine] = []  # in buffer order
+        offset = 0
+        for w in widths:
+            end = offset + d * w
+            self.blocks.append(Affine(flat[offset:end].reshape(d, w), flat[end : end + w]))
+            offset = end + w
+        blocks = iter(self.blocks)
+        self.object_heads = [next(blocks) for _ in range(num_heads)]  # each d -> (C + 1), background last
+        # per head, per category: d -> |values|
+        self.attribute_heads = [{cat: next(blocks) for cat in self.category_values} for _ in range(num_heads)]
+        self.mid_det, self.mid_cls = blocks  # each d -> C
 
-    @property
-    def feature_dim(self) -> int:
-        return self.object_heads[0].weight.shape[0]
+    def like(self, flat: np.ndarray) -> "ModelParams":
+        """The same layout as views into flat, which must have the same size."""
+        return ModelParams(self.feature_dim, self.class_names, self.category_values, self.num_heads, flat)
 
     @property
     def num_classes(self) -> int:
         return len(self.class_names)
-
-    @property
-    def num_heads(self) -> int:
-        return len(self.object_heads)
 
 
 @dataclass
@@ -159,34 +190,13 @@ def init_params(
     num_heads: int,
     seed: int,
 ) -> ModelParams:
-    """Centered-uniform weights at scale 1/sqrt(d), zero biases, fixed draw order."""
-    if feature_dim < 1:
-        raise ValueError(f"feature_dim must be positive, got {feature_dim}")
-    if len(class_names) < 1:
-        raise ValueError("need at least one class")
-    if num_heads < 1:
-        raise ValueError(f"need at least one head, got {num_heads}")
+    """Centered-uniform weights at scale 1/sqrt(d), zero biases, drawn in buffer order."""
+    params = ModelParams(feature_dim, class_names, category_values, num_heads)
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(feature_dim)
-    cat_values = {str(c): tuple(str(v) for v in vals) for c, vals in category_values.items()}
-    c_plus_bg = len(class_names) + 1
-
-    def draw(out_dim: int) -> Affine:
-        w = rng.uniform(-scale, scale, size=(feature_dim, out_dim))
-        return Affine(weight=w, bias=np.zeros(out_dim))
-
-    object_heads = [draw(c_plus_bg) for _ in range(num_heads)]
-    attribute_heads = [{cat: draw(len(vals)) for cat, vals in cat_values.items()} for _ in range(num_heads)]
-    mid_det = draw(len(class_names))
-    mid_cls = draw(len(class_names))
-    return ModelParams(
-        class_names=tuple(str(n) for n in class_names),
-        category_values=cat_values,
-        object_heads=object_heads,
-        attribute_heads=attribute_heads,
-        mid_det=mid_det,
-        mid_cls=mid_cls,
-    )
+    for block in params.blocks:
+        block.weight[:] = rng.uniform(-scale, scale, size=block.weight.shape)
+    return params
 
 
 def forward(params: ModelParams, regions: RegionSet) -> tuple[ScoreTensor, MidScores]:
@@ -205,20 +215,6 @@ def forward(params: ModelParams, regions: RegionSet) -> tuple[ScoreTensor, MidSc
     return ScoreTensor(objects, attributes), MidScores(per_region, image_level)
 
 
-def zeros_like_params(params: ModelParams) -> ModelParams:
-    return ModelParams(
-        class_names=params.class_names,
-        category_values=params.category_values,
-        object_heads=[Affine(np.zeros_like(a.weight), np.zeros_like(a.bias)) for a in params.object_heads],
-        attribute_heads=[
-            {c: Affine(np.zeros_like(a.weight), np.zeros_like(a.bias)) for c, a in head.items()}
-            for head in params.attribute_heads
-        ],
-        mid_det=Affine(np.zeros_like(params.mid_det.weight), np.zeros_like(params.mid_det.bias)),
-        mid_cls=Affine(np.zeros_like(params.mid_cls.weight), np.zeros_like(params.mid_cls.bias)),
-    )
-
-
 def _softmax_rows_backward(s: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return s * (grad - (grad * s).sum(axis=1, keepdims=True))
 
@@ -227,35 +223,33 @@ def _softmax_cols_backward(s: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return s * (grad - (grad * s).sum(axis=0, keepdims=True))
 
 
-def param_gradients(params: ModelParams, regions: RegionSet, grads: ScoreGrads) -> ModelParams:
+def param_gradients(
+    params: ModelParams, regions: RegionSet, scores: ScoreTensor, grads: ScoreGrads
+) -> ModelParams:
     """Exact gradient of sum(grads * scores) with respect to every parameter.
 
-    Heads whose upstream gradient is all zero come back with exactly zero
-    parameter gradient; nothing leaks across heads.
+    scores is forward's output for these params and regions; its object
+    and attribute softmaxes are reused, not recomputed. Heads whose
+    upstream gradient is all zero come back with exactly zero parameter
+    gradient; nothing leaks across heads.
     """
     x = regions.features
     if len(grads.objects) != params.num_heads:
         raise ValueError("gradient structure does not match the number of heads")
-    out = zeros_like_params(params)
+    out = params.like(np.zeros_like(params.flat))
 
-    for k, head in enumerate(params.object_heads):
-        g = grads.objects[k]
-        if not np.any(g):
-            continue
-        s = softmax_rows(head.apply(x))
-        dz = _softmax_rows_backward(s, g)
-        out.object_heads[k].weight[:] = x.T @ dz
-        out.object_heads[k].bias[:] = dz.sum(axis=0)
+    def backprop(block: Affine, dz: np.ndarray) -> None:
+        block.weight[:] = x.T @ dz
+        block.bias[:] = dz.sum(axis=0)
 
-    for k, heads in enumerate(params.attribute_heads):
-        for cat, head in heads.items():
-            g = grads.attributes[k][cat]
-            if not np.any(g):
-                continue
-            s = softmax_rows(head.apply(x))
-            dz = _softmax_rows_backward(s, g)
-            out.attribute_heads[k][cat].weight[:] = x.T @ dz
-            out.attribute_heads[k][cat].bias[:] = dz.sum(axis=0)
+    for k, g in enumerate(grads.objects):
+        if np.any(g):
+            backprop(out.object_heads[k], _softmax_rows_backward(scores.objects[k], g))
+
+    for k, heads in enumerate(grads.attributes):
+        for cat, g in heads.items():
+            if np.any(g):
+                backprop(out.attribute_heads[k][cat], _softmax_rows_backward(scores.attributes[k][cat], g))
 
     if np.any(grads.mid_per_region) or np.any(grads.mid_image):
         gate = sigmoid(params.mid_cls.apply(x))
@@ -265,17 +259,13 @@ def param_gradients(params: ModelParams, regions: RegionSet, grads: ScoreGrads) 
         d_per_region = grads.mid_per_region + grads.mid_image * y * (1.0 - y)
         d_gate = d_per_region * region_dist
         d_dist = d_per_region * gate
-        dz_cls = d_gate * gate * (1.0 - gate)
-        dz_det = _softmax_cols_backward(region_dist, d_dist)
-        out.mid_cls.weight[:] = x.T @ dz_cls
-        out.mid_cls.bias[:] = dz_cls.sum(axis=0)
-        out.mid_det.weight[:] = x.T @ dz_det
-        out.mid_det.bias[:] = dz_det.sum(axis=0)
+        backprop(out.mid_cls, d_gate * gate * (1.0 - gate))
+        backprop(out.mid_det, _softmax_cols_backward(region_dist, d_dist))
     return out
 
 
 def iter_param_arrays(params: ModelParams) -> Iterator[tuple[str, np.ndarray]]:
-    """Canonical traversal order shared by the optimizer, checkpoints, and checks."""
+    """Canonical traversal order: the buffer order, shared by checkpoints and checks."""
     for k, head in enumerate(params.object_heads):
         yield f"object[{k}].weight", head.weight
         yield f"object[{k}].bias", head.bias
@@ -289,22 +279,6 @@ def iter_param_arrays(params: ModelParams) -> Iterator[tuple[str, np.ndarray]]:
     yield "mid_cls.bias", params.mid_cls.bias
 
 
-def flatten_params(params: ModelParams) -> np.ndarray:
-    return np.concatenate([arr.ravel() for _, arr in iter_param_arrays(params)])
-
-
-def unflatten_params(template: ModelParams, flat: np.ndarray) -> ModelParams:
-    out = zeros_like_params(template)
-    offset = 0
-    for (_, src), (_, dst) in zip(iter_param_arrays(template), iter_param_arrays(out)):
-        n = src.size
-        dst[:] = flat[offset : offset + n].reshape(src.shape)
-        offset += n
-    if offset != flat.size:
-        raise ValueError(f"flat vector has {flat.size} entries, model needs {offset}")
-    return out
-
-
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
     """Magic line, JSON layout header, then the flat float64 parameter vector."""
     header = {
@@ -314,11 +288,26 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
         "num_heads": params.num_heads,
         "dtype": "<f8",
     }
-    flat = flatten_params(params).astype("<f8")
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        f.write(flat.tobytes())
+        f.write(params.flat.astype("<f8").tobytes())
+
+
+def _str_list(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+# required header keys: (check, what the check expects)
+_HEADER_KEYS = {
+    "feature_dim": (lambda v: type(v) is int and v > 0, "a positive integer"),
+    "class_names": (lambda v: _str_list(v) and len(v) > 0, "a non-empty list of strings"),
+    "category_values": (
+        lambda v: isinstance(v, dict) and all(map(_str_list, v.values())), "a map from category to string lists"
+    ),
+    "num_heads": (lambda v: type(v) is int and v > 0, "a positive integer"),
+    "dtype": (lambda v: v == "<f8", "'<f8'"),
+}
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
@@ -332,15 +321,16 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         except (UnicodeDecodeError, json.JSONDecodeError):
             raise ValueError(f"{path}: corrupt checkpoint header") from None
         blob = f.read()
-    template = init_params(
-        feature_dim=int(header["feature_dim"]),
-        class_names=header["class_names"],
-        category_values=header["category_values"],
-        num_heads=int(header["num_heads"]),
-        seed=0,
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: corrupt checkpoint header (not a JSON object)")
+    header.setdefault("dtype", "<f8")  # v1 files may omit it
+    for key, (valid, expected) in _HEADER_KEYS.items():
+        if key not in header or not valid(header[key]):
+            raise ValueError(f"{path}: checkpoint header needs {key!r} as {expected}")
+    params = ModelParams(
+        header["feature_dim"], header["class_names"], header["category_values"], header["num_heads"]
     )
-    flat = np.frombuffer(blob, dtype=header.get("dtype", "<f8"))
-    expected = flatten_params(template).size
-    if flat.size != expected:
-        raise ValueError(f"{path}: checkpoint holds {flat.size} values, layout needs {expected}")
-    return unflatten_params(template, flat.astype(float))
+    if len(blob) != params.flat.nbytes:
+        raise ValueError(f"{path}: payload has {len(blob)} bytes, layout needs {params.flat.nbytes}")
+    params.flat[:] = np.frombuffer(blob, dtype="<f8")
+    return params

@@ -142,9 +142,10 @@ class Adagrad:
         self.eps = eps
         self.accum = np.zeros(size)
 
-    def step(self, params_flat: np.ndarray, grad_flat: np.ndarray) -> np.ndarray:
+    def step(self, params_flat: np.ndarray, grad_flat: np.ndarray) -> None:
+        """Update params_flat in place."""
         self.accum += grad_flat * grad_flat
-        return params_flat - self.learning_rate * grad_flat / (np.sqrt(self.accum) + self.eps)
+        params_flat -= self.learning_rate * grad_flat / (np.sqrt(self.accum) + self.eps)
 
 
 def scene_loss(
@@ -153,8 +154,8 @@ def scene_loss(
     labels: LabelSet,
     config: TrainConfig,
     pseudos: Sequence[oicr.PseudoLabels | None] | None = None,
-) -> tuple[LossReport, list[oicr.PseudoLabels | None]]:
-    """Assemble the full per-scene loss; optionally reuse frozen refinement supervision."""
+) -> tuple[LossReport, list[oicr.PseudoLabels | None], scorenet.ScoreTensor]:
+    """The per-scene loss, its refinement supervision (reused if given), and forward's scores."""
     scores, mid = scorenet.forward(params, regions)
     ref_cfg = config.refinement_config()
     if pseudos is None:
@@ -171,7 +172,7 @@ def scene_loss(
         oicr_values=values,
         oicr_grads=ref_grads,
     )
-    return report, list(pseudos)
+    return report, list(pseudos), scores
 
 
 def label_scenes(
@@ -205,14 +206,13 @@ def train(
     )
     labels = label_scenes(scenes, vocab, registry)
 
-    flat = scorenet.flatten_params(params)
-    optimizer = Adagrad(flat.size, config.learning_rate)
+    optimizer = Adagrad(params.flat.size, config.learning_rate)
     order_rng = np.random.default_rng(config.seed)
     order = order_rng.permutation(len(scenes))
     cursor = 0
 
     for step in range(config.steps):
-        grad_flat = np.zeros_like(flat)
+        grad_flat = np.zeros_like(params.flat)
         batch_report: dict[str, float] = {"l_obj": 0.0, "l_entang": 0.0, "l_mid": 0.0, "l_total": 0.0}
         batch_oicr = np.zeros(config.num_heads)
         for _ in range(config.batch_size):
@@ -222,13 +222,12 @@ def train(
             scene = scenes[order[cursor]]
             scene_labels = labels[order[cursor]]
             cursor += 1
-            report, _ = scene_loss(params, scene.proposals, scene_labels, config)
+            report, _, scores = scene_loss(params, scene.proposals, scene_labels, config)
             if not np.isfinite(report.l_total):
                 raise NumericalError(
                     f"non-finite loss at step {step} on scene {scene.image_id!r}: {report.l_total}"
                 )
-            grads = scorenet.param_gradients(params, scene.proposals, report.grad)
-            grad_flat += scorenet.flatten_params(grads)
+            grad_flat += scorenet.param_gradients(params, scene.proposals, scores, report.grad).flat
             batch_report["l_obj"] += report.l_obj
             batch_report["l_entang"] += report.l_entang
             batch_report["l_mid"] += report.l_mid
@@ -237,8 +236,7 @@ def train(
         grad_flat /= config.batch_size
         if not np.isfinite(grad_flat).all():
             raise NumericalError(f"non-finite gradient at step {step}")
-        flat = optimizer.step(flat, grad_flat)
-        params = scorenet.unflatten_params(params, flat)
+        optimizer.step(params.flat, grad_flat)
         if log_sink is not None:
             record = {k: v / config.batch_size for k, v in batch_report.items()}
             record["l_oicr"] = (batch_oicr / config.batch_size).tolist()

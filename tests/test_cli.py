@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from capdet import cli
+from capdet import cli, scorenet
+from capdet.textgraph import default_registry
 
 SYNTH_ARGS = [
     "synth",
@@ -217,6 +218,49 @@ class TestTrainEval:
         )
         assert code == 2
         assert "checkpoint" in capsys.readouterr().err
+
+
+# one row per corruption: header edits, or a checkpoint built for another layout
+CORRUPTIONS = {
+    "missing key": {"edit": lambda h: h.pop("num_heads")},
+    "bogus dtype": {"edit": lambda h: h.update(dtype="bogus")},
+    "integer dtype": {"edit": lambda h: h.update(dtype="<i8")},
+    "reordered class_names": {"reorder": True},
+    "feature-dim mismatch": {"extra_dims": 4},
+}
+
+
+class TestCorruptCheckpoint:
+    def _eval(self, data_dir, tmp_path, capsys, **spec):
+        header = json.loads((data_dir / "val.jsonl").read_text().splitlines()[0])
+        names = header["class_names"][::-1] if spec.get("reorder") else header["class_names"]
+        registry = default_registry()
+        cats = {c: tuple(registry.values[c]) for c in registry.categories}
+        params = scorenet.init_params(header["feature_dim"] + spec.get("extra_dims", 0), names, cats, 1, seed=0)
+        ckpt = tmp_path / "m.ckpt"
+        scorenet.save_checkpoint(params, ckpt)
+        if "edit" in spec:
+            line, payload = ckpt.read_bytes()[len(scorenet.CHECKPOINT_MAGIC) :].split(b"\n", 1)
+            fields = json.loads(line)
+            spec["edit"](fields)
+            ckpt.write_bytes(scorenet.CHECKPOINT_MAGIC + json.dumps(fields).encode() + b"\n" + payload)
+        out = tmp_path / "m.json"
+        code = cli.main(["eval", "--data", str(data_dir / "val.jsonl"), "--checkpoint", str(ckpt), "--out", str(out)])
+        return code, capsys.readouterr().err, out
+
+    def test_intact_checkpoint_evaluates(self, data_dir, tmp_path, capsys):
+        code, _, out = self._eval(data_dir, tmp_path, capsys)
+        assert code == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("case", list(CORRUPTIONS))
+    def test_exit_two_with_one_line(self, case, data_dir, tmp_path, capsys):
+        code, err, out = self._eval(data_dir, tmp_path, capsys, **CORRUPTIONS[case])
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith("data error") and "Traceback" not in err
+        assert "checkpoint" in err
+        assert not out.exists()
 
 
 class TestGradcheckCommand:

@@ -1,6 +1,6 @@
 import numpy as np
 
-from capdet import gradcheck, scorenet
+from capdet import gradcheck
 from capdet.trainer import scene_loss
 
 
@@ -19,9 +19,7 @@ class TestRandomProblem:
     def test_deterministic_per_trial(self):
         a = gradcheck._random_problem(np.random.default_rng([7, 3]))
         b = gradcheck._random_problem(np.random.default_rng([7, 3]))
-        assert np.array_equal(
-            scorenet.flatten_params(a[0]), scorenet.flatten_params(b[0])
-        )
+        assert np.array_equal(a[0].flat, b[0].flat)
         assert np.array_equal(a[1].features, b[1].features)
         assert a[2].objects == b[2].objects
 
@@ -30,9 +28,18 @@ class TestComposedLoss:
     def test_matches_scene_loss_with_frozen_pseudos(self):
         rng = np.random.default_rng([11, 0])
         params, regions, labels, config = gradcheck._random_problem(rng)
-        report, pseudos = scene_loss(params, regions, labels, config)
+        report, pseudos, _ = scene_loss(params, regions, labels, config)
         value = gradcheck.composed_loss(params, regions, labels, config, pseudos)
         assert value == report.l_total
+
+
+class TestCheckOnce:
+    def test_leaves_params_bit_identical(self):
+        rng = np.random.default_rng([11, 1])
+        params, regions, labels, config = gradcheck._random_problem(rng)
+        before = params.flat.copy()
+        gradcheck.check_once(params, regions, labels, config, rng, coords_per_trial=1000, step=1e-5)
+        assert params.flat.tobytes() == before.tobytes()
 
 
 class TestRunGradientCheck:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,16 +11,15 @@ from capdet.scorenet import (
     RegionSet,
     ScoreGrads,
     clamp_prob,
-    flatten_params,
     forward,
     init_params,
+    iter_param_arrays,
     load_checkpoint,
     param_gradients,
     save_checkpoint,
     sigmoid,
     softmax_cols,
     softmax_rows,
-    unflatten_params,
 )
 
 CATS = {"color": ("red", "green"), "size": ("small", "large")}
@@ -82,12 +83,12 @@ class TestInit:
     def test_deterministic(self):
         a = init_params(8, ("cat", "dog"), CATS, 3, seed=42)
         b = init_params(8, ("cat", "dog"), CATS, 3, seed=42)
-        assert np.array_equal(flatten_params(a), flatten_params(b))
+        assert np.array_equal(a.flat, b.flat)
 
     def test_seed_changes_weights(self):
         a = init_params(8, ("cat",), CATS, 1, seed=0)
         b = init_params(8, ("cat",), CATS, 1, seed=1)
-        assert not np.array_equal(flatten_params(a), flatten_params(b))
+        assert not np.array_equal(a.flat, b.flat)
 
     def test_shapes(self):
         p = init_params(8, ("cat", "dog", "cup"), CATS, 2, seed=0)
@@ -109,9 +110,7 @@ class TestInit:
 
 
 def zero_params(class_names, cats, d, num_heads=1):
-    p = init_params(d, class_names, cats, num_heads, seed=0)
-    flat = np.zeros_like(flatten_params(p))
-    return unflatten_params(p, flat)
+    return ModelParams(d, class_names, cats, num_heads)  # a fresh buffer is all zeros
 
 
 class TestForward:
@@ -181,16 +180,18 @@ class TestParamGradients:
             total += float((grads.mid_image * mid.image_level).sum())
             return total
 
-        analytic = flatten_params(param_gradients(params, regions, grads))
-        flat = flatten_params(params)
+        scores, _ = forward(params, regions)
+        analytic = param_gradients(params, regions, scores, grads).flat
+        flat = params.flat
         coords = rng.choice(flat.size, size=min(n_coords, flat.size), replace=False)
         h = 1e-6
         for c in coords:
-            bumped = flat.copy()
-            bumped[c] += h
-            up = value(unflatten_params(params, bumped))
-            bumped[c] -= 2 * h
-            down = value(unflatten_params(params, bumped))
+            original = flat[c]
+            flat[c] = original + h
+            up = value(params)
+            flat[c] = original - h
+            down = value(params)
+            flat[c] = original
             numeric = (up - down) / (2 * h)
             denom = max(1.0, abs(analytic[c]), abs(numeric))
             assert abs(analytic[c] - numeric) / denom < 1e-5
@@ -218,7 +219,7 @@ class TestParamGradients:
         scores, mid = forward(p, regions)
         grads = ScoreGrads.zeros_like(scores, mid)
         grads.objects[1][0, 0] = 1.0  # only head 1 receives signal
-        out = param_gradients(p, regions, grads)
+        out = param_gradients(p, regions, scores, grads)
         assert not np.any(out.object_heads[0].weight)
         assert np.any(out.object_heads[1].weight)
         assert not np.any(out.object_heads[2].weight)
@@ -238,23 +239,43 @@ class TestParamGradients:
 
 
 class TestFlatten:
+    """The single buffer: every head is a view into params.flat."""
+
     def test_round_trip(self):
         p = init_params(7, ("a", "b", "c"), CATS, 2, seed=13)
-        flat = flatten_params(p)
-        back = unflatten_params(p, flat)
-        assert np.array_equal(flatten_params(back), flat)
+        back = p.like(p.flat.copy())
+        assert np.array_equal(back.flat, p.flat)
+        # the named views tile the buffer in order, with nothing left over
+        assert np.array_equal(np.concatenate([a.ravel() for _, a in iter_param_arrays(p)]), p.flat)
 
     def test_wrong_size_rejected(self):
         p = init_params(4, ("a",), CATS, 1, seed=0)
         with pytest.raises(ValueError):
-            unflatten_params(p, np.zeros(3))
+            p.like(np.zeros(3))
+        with pytest.raises(ValueError):
+            p.like(np.zeros(p.flat.size + 1))
+
+    def test_writes_through_flat_reach_the_views(self):
+        p = init_params(4, ("a", "b"), CATS, 2, seed=0)
+        p.flat[0] = 123.0
+        assert p.object_heads[0].weight[0, 0] == 123.0
+        p.flat[-1] = -7.0
+        assert p.mid_cls.bias[-1] == -7.0
+        p.attribute_heads[1]["size"].bias[0] = 5.0
+        assert 5.0 in p.flat
+
+    def test_like_shares_the_buffer(self):
+        p = init_params(4, ("a",), CATS, 1, seed=0)
+        buf = np.zeros_like(p.flat)
+        q = p.like(buf)
+        buf[:] = 1.0
+        assert (q.object_heads[0].weight == 1.0).all()
+        assert (p.object_heads[0].weight != 1.0).all()
 
     def test_order_is_stable(self):
         # the traversal order is a file format contract: object heads,
         # then attribute heads per category order, then the two evidence maps
         p = init_params(4, ("a",), {"color": ("red",)}, 1, seed=0)
-        from capdet.scorenet import iter_param_arrays
-
         names = [name for name, _ in iter_param_arrays(p)]
         assert names == [
             "object[0].weight",
@@ -298,5 +319,57 @@ class TestCheckpoint:
     def test_corrupt_header(self, tmp_path):
         path = tmp_path / "hdr.ckpt"
         path.write_bytes(CHECKPOINT_MAGIC + b"{not json\n" + b"\x00" * 64)
+        with pytest.raises(ValueError, match="header"):
+            load_checkpoint(path)
+
+
+def _rewrite_header(path, edit):
+    blob = path.read_bytes()[len(CHECKPOINT_MAGIC):]
+    line, payload = blob.split(b"\n", 1)
+    header = json.loads(line)
+    edit(header)
+    path.write_bytes(CHECKPOINT_MAGIC + json.dumps(header).encode() + b"\n" + payload)
+
+
+class TestCheckpointHeader:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        p = init_params(6, ("cat", "dog"), CATS, 2, seed=5)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(p, path)
+        return p, path
+
+    def test_missing_dtype_reads_as_f8(self, saved):
+        p, path = saved
+        _rewrite_header(path, lambda h: h.pop("dtype"))
+        assert np.array_equal(load_checkpoint(path).flat, p.flat)
+
+    @pytest.mark.parametrize(
+        "key, edit",
+        [
+            ("num_heads", lambda h: h.pop("num_heads")),
+            ("feature_dim", lambda h: h.pop("feature_dim")),
+            ("class_names", lambda h: h.pop("class_names")),
+            ("category_values", lambda h: h.pop("category_values")),
+            ("feature_dim", lambda h: h.update(feature_dim="6")),
+            ("num_heads", lambda h: h.update(num_heads=True)),
+            ("class_names", lambda h: h.update(class_names=["cat", 2])),
+            ("category_values", lambda h: h.update(category_values={"color": "red"})),
+            ("dtype", lambda h: h.update(dtype="bogus")),
+            ("dtype", lambda h: h.update(dtype="<i8")),
+            ("feature_dim", lambda h: h.update(feature_dim=0)),
+        ],
+    )
+    def test_bad_header_names_path_and_key(self, saved, key, edit):
+        _, path = saved
+        _rewrite_header(path, edit)
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+        assert key in str(info.value)
+
+    def test_header_not_an_object(self, tmp_path):
+        path = tmp_path / "list.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + b"[1, 2]\n")
         with pytest.raises(ValueError, match="header"):
             load_checkpoint(path)
