@@ -71,8 +71,6 @@ def build_train_config(args: argparse.Namespace) -> TrainConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    if "lambda2" in values and "loss_mode" in values:
-        pass  # both given; TrainConfig validates their consistency
     try:
         return TrainConfig.from_mapping(values)
     except (TypeError, ValueError) as e:

@@ -78,8 +78,6 @@ def _random_problem(rng: np.random.Generator) -> tuple[ModelParams, RegionSet, L
         num_heads=num_heads,
         lambda2=float(rng.choice([0.01, 0.1])),
         tau=float(rng.uniform(0.3, 0.7)),
-        weighted_refinement=bool(rng.random() < 0.8),
-        entang_seed_source="prev" if rng.random() < 0.8 else "current",
     )
     return params, regions, labels, config
 

@@ -3,10 +3,11 @@
 Head k is supervised by head k-1: for each mentioned class, the region
 where the previous head scores highest becomes a seed, every region that
 overlaps the seed box by at least tau inherits the class label with the
-seed's score as its weight, and everything else is labeled background.
-Head 1's predecessor is the image-evidence block, normalized into a
-distribution over regions per class (a monotone per-class transform, so
-it picks the same seeds as the raw evidence scores).
+seed's score as its weight (OICR's seed-score weighting), and everything
+else is labeled background. Head 1's predecessor is the image-evidence
+block, normalized into a distribution over regions per class (a monotone
+per-class transform, so it picks the same seeds as the raw evidence
+scores).
 
 Attribute heads join the chain one step late: at head 1 each class's
 evidence seed box is labeled with the class's attribute values, trained
@@ -15,6 +16,10 @@ by plain cross-entropy on those boxes only. From head 2 on, each
 head's object-attribute product, propagates by box overlap like the
 object labels, and the cross-entropy at head k applies to both the
 object and the attribute head, keeping the two coupled.
+
+The overlap mask (IoU >= tau between every pair of a scene's boxes) is
+built once per scene-step and shared by every head's seeding; the loss
+terms gather their probabilities with index arrays.
 """
 
 from __future__ import annotations
@@ -34,21 +39,14 @@ from .textgraph import LabelSet
 class RefinementConfig:
     num_heads: int = 3
     tau: float = 0.5
-    # weight propagated labels by the seed's score; uniform weights otherwise
-    weighted: bool = True
     # train attribute heads and the coupled refinement terms at all
     attributes_enabled: bool = True
-    # which head's scores pick the coupled seeds for head k >= 2:
-    # "prev" uses head k-1 (default), "current" uses head k itself
-    entang_seed_source: str = "prev"
 
     def __post_init__(self) -> None:
         if self.num_heads < 1:
             raise ValueError(f"need at least one refinement head, got {self.num_heads}")
         if not 0.0 < self.tau < 1.0:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
-        if self.entang_seed_source not in ("prev", "current"):
-            raise ValueError(f"unknown seed source {self.entang_seed_source!r}")
 
 
 @dataclass
@@ -58,8 +56,8 @@ class PseudoLabels:
     class_labels: np.ndarray  # (m,) class index, background = num_classes
     weights: np.ndarray  # (m,)
     seeds: dict[int, tuple[int, float]] = field(default_factory=dict)  # class -> (region, score)
-    # coupled assignments: (region, class, category, value, weight)
-    attrs: list[tuple[int, int, str, str, float]] = field(default_factory=list)
+    # coupled assignments: (region, class, category, value)
+    attrs: list[tuple[int, int, str, str]] = field(default_factory=list)
 
 
 def initial_scores(mid: MidScores) -> np.ndarray:
@@ -70,17 +68,15 @@ def initial_scores(mid: MidScores) -> np.ndarray:
 def seed_and_assign(
     prev_scores: np.ndarray,
     objects: Iterable[int],
-    boxes: np.ndarray,
-    tau: float,
+    near: np.ndarray,
     num_classes: int,
 ) -> PseudoLabels:
     """Seed each mentioned class at its best previous-head region and propagate by overlap.
 
-    A region claimed by several classes keeps the one whose seed scored
+    near[i, s] says whether region i overlaps region s by at least tau. A
+    region claimed by several classes keeps the one whose seed scored
     highest; regions claimed by none are background with weight one.
     """
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
     prev_scores = np.asarray(prev_scores, dtype=float)
     mentioned = sorted(set(int(c) for c in objects))
     if not mentioned:
@@ -90,37 +86,30 @@ def seed_and_assign(
     weights = np.ones(m, dtype=float)
     best = np.full(m, -np.inf)
     pseudo = PseudoLabels(class_labels=labels, weights=weights)
-    overlaps = iou_matrix(boxes, boxes)
     for c in mentioned:
         if not 0 <= c < num_classes:
             raise ValueError(f"class index {c} out of range for {num_classes} classes")
         seed = int(np.argmax(prev_scores[:, c]))
         score = float(prev_scores[seed, c])
         pseudo.seeds[c] = (seed, score)
-        for i in np.flatnonzero(overlaps[:, seed] >= tau):
-            if score > best[i]:
-                best[i] = score
-                labels[i] = c
-                weights[i] = score
+        claimed = near[:, seed] & (score > best)
+        best[claimed] = score
+        labels[claimed] = c
+        weights[claimed] = score
     return pseudo
 
 
-def refinement_loss(
-    head_scores: np.ndarray, pseudo: PseudoLabels, weighted: bool = True
-) -> tuple[float, np.ndarray]:
+def refinement_loss(head_scores: np.ndarray, pseudo: PseudoLabels) -> tuple[float, np.ndarray]:
     """Weighted cross-entropy over all regions: -(1/m) sum w_i log s[i, label_i]."""
     head_scores = np.asarray(head_scores, dtype=float)
     m = head_scores.shape[0]
     if pseudo.class_labels.shape != (m,):
         raise ValueError(f"pseudo labels cover {pseudo.class_labels.shape[0]} regions, scores have {m}")
-    w = pseudo.weights if weighted else np.ones(m)
+    rows = np.arange(m)
+    p = clamp_prob(head_scores[rows, pseudo.class_labels])
     grad = np.zeros_like(head_scores)
-    total = 0.0
-    for i in range(m):
-        p = float(clamp_prob(head_scores[i, pseudo.class_labels[i]]))
-        total -= w[i] * np.log(p)
-        grad[i, pseudo.class_labels[i]] -= w[i] / (m * p)
-    return float(total / m), grad
+    grad[rows, pseudo.class_labels] = -pseudo.weights / (m * p)
+    return float(-np.sum(pseudo.weights * np.log(p)) / m), grad
 
 
 def attribute_assignments(
@@ -128,39 +117,35 @@ def attribute_assignments(
     prev_obj: np.ndarray,
     prev_attr: Mapping[str, np.ndarray] | None,
     labels: LabelSet,
-    boxes: np.ndarray,
-    tau: float,
+    near: np.ndarray,
     category_values: Mapping[str, Sequence[str]],
     object_seeds: Mapping[int, tuple[int, float]],
-) -> list[tuple[int, int, str, str, float]]:
-    """Build the coupled (region, class, category, value, weight) assignments for one head.
+) -> list[tuple[int, int, str, str]]:
+    """Build the coupled (region, class, category, value) assignments for one head.
 
     head_index is 1-based. At head 1 the object seeds are reused and no
     propagation happens; later heads seed per pair at the best previous
-    product and propagate to overlapping boxes.
+    product and propagate to the regions near that seed.
 
-    Assignments carry weight 1: the coupled term exists to pull a class
+    Assignments carry no weight: the coupled term exists to pull a class
     toward regions its attribute explains, and scaling it by the previous
     product would silence it exactly where the object score has collapsed
     and the rescue is needed.
     """
-    out: list[tuple[int, int, str, str, float]] = []
+    out: list[tuple[int, int, str, str]] = []
     if head_index == 1:
         for c in sorted(labels.objects):
             seed, _ = object_seeds[c]
-            for cat, val in labels.pairs_for(c):
-                out.append((seed, c, cat, val, 1.0))
+            out.extend((seed, c, cat, val) for cat, val in labels.pairs_for(c))
         return out
     if prev_attr is None:
         raise ValueError("coupled seeding beyond head 1 needs previous attribute scores")
-    overlaps = iou_matrix(boxes, boxes)
+    prev_obj = np.asarray(prev_obj, dtype=float)
     for c in sorted(labels.objects):
         for cat, val in labels.pairs_for(c):
-            vi = list(category_values[cat]).index(val)
-            product = np.asarray(prev_obj, dtype=float)[:, c] * np.asarray(prev_attr[cat], dtype=float)[:, vi]
-            seed = int(np.argmax(product))
-            for i in np.flatnonzero(overlaps[:, seed] >= tau):
-                out.append((int(i), c, cat, val, 1.0))
+            vi = category_values[cat].index(val)
+            seed = int(np.argmax(prev_obj[:, c] * np.asarray(prev_attr[cat], dtype=float)[:, vi]))
+            out.extend((int(i), c, cat, val) for i in np.flatnonzero(near[:, seed]))
     return out
 
 
@@ -168,14 +153,14 @@ def coupled_refinement_loss(
     head_index: int,
     obj_scores: np.ndarray,
     attr_scores: Mapping[str, np.ndarray],
-    assignments: Sequence[tuple[int, int, str, str, float]],
+    assignments: Sequence[tuple[int, int, str, str]],
     category_values: Mapping[str, Sequence[str]],
-    weighted: bool = True,
 ) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
     """Cross-entropy over the coupled assignments, averaged per assignment.
 
     At head 1 only the attribute factor is trained (the object head
     already has its own labels there); later heads train both factors.
+    Assignments that share a score cell add up their gradients there.
     """
     obj_scores = np.asarray(obj_scores, dtype=float)
     grad_obj = np.zeros_like(obj_scores)
@@ -183,17 +168,24 @@ def coupled_refinement_loss(
     if not assignments:
         return 0.0, grad_obj, grad_attr
     n = len(assignments)
-    total = 0.0
-    for region, c, cat, val, weight in assignments:
-        w = weight if weighted else 1.0
-        vi = list(category_values[cat]).index(val)
-        p_attr = float(clamp_prob(np.asarray(attr_scores[cat], dtype=float)[region, vi]))
-        total -= w * np.log(p_attr)
-        grad_attr[cat][region, vi] -= w / (n * p_attr)
-        if head_index >= 2:
-            p_obj = float(clamp_prob(obj_scores[region, c]))
-            total -= w * np.log(p_obj)
-            grad_obj[region, c] -= w / (n * p_obj)
+    regions, classes, cats, vals = zip(*assignments)
+    rows = np.array(regions)
+    values = np.array([category_values[cat].index(val) for cat, val in zip(cats, vals)])
+    cat_of = np.array(cats)
+    in_cat = {cat: cat_of == cat for cat in dict.fromkeys(cats)}
+    p_attr = np.empty(n)
+    for cat, sel in in_cat.items():
+        p_attr[sel] = np.asarray(attr_scores[cat], dtype=float)[rows[sel], values[sel]]
+    p_attr = clamp_prob(p_attr)
+    # np.add.at, not fancy-index assignment: cells hit twice must accumulate
+    for cat, sel in in_cat.items():
+        np.add.at(grad_attr[cat], (rows[sel], values[sel]), -1.0 / (n * p_attr[sel]))
+    total = -np.sum(np.log(p_attr))
+    if head_index >= 2:
+        cols = np.array(classes)
+        p_obj = clamp_prob(obj_scores[rows, cols])
+        np.add.at(grad_obj, (rows, cols), -1.0 / (n * p_obj))
+        total -= np.sum(np.log(p_obj))
     return float(total / n), grad_obj, grad_attr
 
 
@@ -213,21 +205,18 @@ def build_pseudo_labels(
     num_classes = mid.per_region.shape[1]
     if not labels.objects:
         return [None] * config.num_heads
+    near = iou_matrix(boxes, boxes) >= config.tau
+    coupled = config.attributes_enabled and bool(labels.attribute_pairs)
     s0 = initial_scores(mid)
     pseudos: list[PseudoLabels | None] = []
     for j in range(config.num_heads):
         prev_obj = s0 if j == 0 else scores.objects[j - 1]
-        pseudo = seed_and_assign(prev_obj, labels.objects, boxes, config.tau, num_classes)
-        if config.attributes_enabled and labels.attribute_pairs:
-            # head 1 always bootstraps from the evidence seeds; the seed
-            # source switch only affects later heads
-            if j == 0 or config.entang_seed_source == "prev":
-                src_obj = prev_obj
-                src_attr = None if j == 0 else scores.attributes[j - 1]
-            else:
-                src_obj, src_attr = scores.objects[j], scores.attributes[j]
+        pseudo = seed_and_assign(prev_obj, labels.objects, near, num_classes)
+        if coupled:
+            # head 1 bootstraps from the evidence seeds, so it has no previous attribute scores
+            prev_attr = None if j == 0 else scores.attributes[j - 1]
             pseudo.attrs = attribute_assignments(
-                j + 1, src_obj, src_attr, labels, boxes, config.tau, category_values, pseudo.seeds
+                j + 1, prev_obj, prev_attr, labels, near, category_values, pseudo.seeds
             )
         pseudos.append(pseudo)
     return pseudos
@@ -237,7 +226,6 @@ def refinement_terms(
     scores: ScoreTensor,
     mid: MidScores,
     pseudos: Sequence[PseudoLabels | None],
-    config: RefinementConfig,
     category_values: Mapping[str, Sequence[str]],
 ) -> tuple[list[float], ScoreGrads]:
     """Per-head loss values plus their gradients with respect to head scores."""
@@ -247,16 +235,11 @@ def refinement_terms(
         if pseudo is None:
             values.append(0.0)
             continue
-        value, g = refinement_loss(scores.objects[j], pseudo, weighted=config.weighted)
+        value, g = refinement_loss(scores.objects[j], pseudo)
         grads.objects[j] += g
         if pseudo.attrs:
             cv, g_obj, g_attr = coupled_refinement_loss(
-                j + 1,
-                scores.objects[j],
-                scores.attributes[j],
-                pseudo.attrs,
-                category_values,
-                weighted=config.weighted,
+                j + 1, scores.objects[j], scores.attributes[j], pseudo.attrs, category_values
             )
             value += cv
             grads.objects[j] += g_obj
@@ -275,5 +258,5 @@ def run_refinement(
     """Forward the model, freeze supervision per head, and score the chain."""
     scores, mid = scorenet.forward(params, regions)
     pseudos = build_pseudo_labels(scores, mid, labels, regions.boxes, config, params.category_values)
-    values, grads = refinement_terms(scores, mid, pseudos, config, params.category_values)
+    values, grads = refinement_terms(scores, mid, pseudos, params.category_values)
     return values, grads, pseudos

@@ -173,14 +173,14 @@ class ScoreGrads:
             mid_image=np.zeros_like(mid.image_level),
         )
 
-    def add_scaled(self, other: "ScoreGrads", scale: float = 1.0) -> None:
+    def add(self, other: "ScoreGrads") -> None:
         for mine, theirs in zip(self.objects, other.objects):
-            mine += scale * theirs
+            mine += theirs
         for mine_h, theirs_h in zip(self.attributes, other.attributes):
             for cat, arr in theirs_h.items():
-                mine_h[cat] += scale * arr
-        self.mid_per_region += scale * other.mid_per_region
-        self.mid_image += scale * other.mid_image
+                mine_h[cat] += arr
+        self.mid_per_region += other.mid_per_region
+        self.mid_image += other.mid_image
 
 
 def init_params(

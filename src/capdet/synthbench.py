@@ -228,11 +228,16 @@ class SyntheticScene:
             boxes=np.asarray(record["boxes"], dtype=float),
             features=np.asarray(record["features"], dtype=float),
         )
+        captions = record["captions"]
+        if not isinstance(captions, list) or not captions:
+            raise ValueError("captions must be a non-empty list")
+        if not all(isinstance(c, str) and c.strip() for c in captions):
+            raise ValueError("every caption must be non-blank text")
         return SyntheticScene(
             image_id=str(record["image_id"]),
             gt=gt,
             proposals=proposals,
-            captions=[str(c) for c in record["captions"]],
+            captions=list(captions),
         )
 
 

@@ -394,7 +394,7 @@ def _parse_caption(
 
 
 def parse_scene_graph(caption: str, vocab: Vocabulary, registry: AttributeRegistry) -> TextualSceneGraph:
-    """Parse one caption. Unparseable text yields an empty graph, never an error."""
+    """Parse one caption. Text with no known object yields an empty graph; blank text is a ValueError."""
     return _parse_caption(caption, vocab, registry, ParseStats())
 
 

@@ -52,9 +52,6 @@ class TrainConfig:
     tau: float = 0.5
     nms_threshold: float = 0.4
     score_floor: float = 0.05
-    weighted_refinement: bool = True
-    per_pair_normalization: bool = False
-    entang_seed_source: str = "prev"
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
@@ -79,19 +76,11 @@ class TrainConfig:
         return self.lambda2 > 0
 
     def loss_weights(self) -> LossWeights:
-        return LossWeights(
-            lambda1=self.lambda1,
-            lambda2=self.lambda2,
-            per_pair_normalization=self.per_pair_normalization,
-        )
+        return LossWeights(lambda1=self.lambda1, lambda2=self.lambda2)
 
     def refinement_config(self) -> RefinementConfig:
         return RefinementConfig(
-            num_heads=self.num_heads,
-            tau=self.tau,
-            weighted=self.weighted_refinement,
-            attributes_enabled=self.attributes_enabled,
-            entang_seed_source=self.entang_seed_source,
+            num_heads=self.num_heads, tau=self.tau, attributes_enabled=self.attributes_enabled
         )
 
     @staticmethod
@@ -108,11 +97,7 @@ class TrainConfig:
         for key, raw in values.items():
             target = known[key]
             if isinstance(raw, str):
-                if target is bool:
-                    if raw.lower() not in ("true", "false", "0", "1"):
-                        raise ValueError(f"config key {key}: expected a boolean, got {raw!r}")
-                    coerced[key] = raw.lower() in ("true", "1")
-                elif target is int:
+                if target is int:
                     coerced[key] = int(raw)
                 elif target is float:
                     coerced[key] = float(raw)
@@ -162,7 +147,7 @@ def scene_loss(
         pseudos = oicr.build_pseudo_labels(
             scores, mid, labels, regions.boxes, ref_cfg, params.category_values
         )
-    values, ref_grads = oicr.refinement_terms(scores, mid, pseudos, ref_cfg, params.category_values)
+    values, ref_grads = oicr.refinement_terms(scores, mid, pseudos, params.category_values)
     report = weakloss.total_loss(
         scores,
         mid,

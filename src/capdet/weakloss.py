@@ -6,8 +6,10 @@ for each mentioned class. A coupled term does the same for each
 one region, so the chosen region must explain the object and its
 attribute simultaneously; its maximizing region can differ from the
 object-only one, which is the entire point of coupling rather than
-summing two independent maxima. An image-evidence term treats the
-per-class image scores as independent binary predictions of mention.
+summing two independent maxima. Both terms are averaged over the
+mentioned classes, so the coupled term sums its pairs and divides by the
+class count. An image-evidence term treats the per-class image scores as
+independent binary predictions of mention.
 
 Every function returns the loss value together with its gradient with
 respect to the score arrays it consumed; parameter gradients are the
@@ -31,9 +33,6 @@ class LossWeights:
 
     lambda1: float = 0.5
     lambda2: float = 0.01
-    # normalize the coupled term by the number of mentioned classes (default)
-    # or by the number of (class, attribute) pairs
-    per_pair_normalization: bool = False
 
     def __post_init__(self) -> None:
         if self.lambda1 < 0 or self.lambda2 < 0:
@@ -74,14 +73,13 @@ def entanglement_loss(
     attr_scores: Mapping[str, np.ndarray],
     labels: LabelSet,
     category_values: Mapping[str, Sequence[str]],
-    per_pair_normalization: bool = False,
 ) -> tuple[float, np.ndarray, dict[str, np.ndarray], dict[tuple[int, str, str], int]]:
     """Coupled object-attribute MIL: per pair, maximize the product at one region.
 
     For each mentioned class c and each of its attribute pairs (a, v),
     the loss is -log max over regions of obj[:, c] * attr_a[:, v]. Both
-    factors receive gradient at the maximizing region. Normalization is
-    by |O| unless per_pair_normalization is set.
+    factors receive gradient at the maximizing region. The sum over pairs
+    is normalized by |O|, the number of mentioned classes.
     """
     obj_scores = np.asarray(obj_scores, dtype=float)
     grad_obj = np.zeros_like(obj_scores)
@@ -109,7 +107,7 @@ def entanglement_loss(
         total -= np.log(p_obj[i]) + np.log(p_attr[i])
         grad_obj[i, c] -= 1.0 / p_obj[i]
         grad_attr[cat][i, vi] -= 1.0 / p_attr[i]
-    denom = float(len(pairs) if per_pair_normalization else len(mentioned))
+    denom = float(len(mentioned))
     total /= denom
     grad_obj /= denom
     for cat in grad_attr:
@@ -191,11 +189,7 @@ def total_loss(
     argmax_pairs: dict[tuple[int, str, str], int] = {}
     if weights.lambda2 > 0.0:
         l_entang, g_eobj, g_eattr, argmax_pairs = entanglement_loss(
-            scores.objects[0],
-            scores.attributes[0],
-            labels,
-            category_values,
-            per_pair_normalization=weights.per_pair_normalization,
+            scores.objects[0], scores.attributes[0], labels, category_values
         )
         grad.objects[0] += weights.lambda2 * g_eobj
         for cat, arr in g_eattr.items():
@@ -205,7 +199,7 @@ def total_loss(
     grad.mid_image += g_y
 
     if oicr_grads is not None:
-        grad.add_scaled(oicr_grads, 1.0)
+        grad.add(oicr_grads)
 
     l_total = l_mid + weights.lambda1 * l_obj + weights.lambda2 * l_entang + float(np.sum(oicr_values))
     return LossReport(

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import pytest
 
 from capdet import cli, scorenet
 from capdet.textgraph import default_registry
+from capdet.trainer import TrainConfig
 
 SYNTH_ARGS = [
     "synth",
@@ -161,18 +163,26 @@ class TestTrainEval:
         assert "key = value" in capsys.readouterr().err
 
     def test_unknown_config_key(self, data_dir, tmp_path, capsys):
-        config = tmp_path / "bad.cfg"
-        config.write_text("momentum = 0.9\n")
-        code = cli.main(
-            [
-                "train",
-                "--data", str(data_dir / "train.jsonl"),
-                "--out", str(tmp_path / "m.ckpt"),
-                "--config", str(config),
-            ]
-        )
-        assert code == 1
-        assert "unknown config key" in capsys.readouterr().err
+        # the last three were config-only ablation switches, since removed
+        for key, value in (
+            ("momentum", "0.9"),
+            ("weighted_refinement", "false"),
+            ("per_pair_normalization", "true"),
+            ("entang_seed_source", "current"),
+        ):
+            config = tmp_path / "bad.cfg"
+            config.write_text(f"{key} = {value}\n")
+            code = cli.main(
+                [
+                    "train",
+                    "--data", str(data_dir / "train.jsonl"),
+                    "--out", str(tmp_path / "m.ckpt"),
+                    "--config", str(config),
+                ]
+            )
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "unknown config key" in err and key in err
 
     def test_conflicting_baseline_flags(self, data_dir, tmp_path, capsys):
         code = cli.main(
@@ -263,6 +273,23 @@ class TestCorruptCheckpoint:
         assert not out.exists()
 
 
+class TestBadCaptions:
+    @pytest.mark.parametrize(
+        "captions", [[], ["   "], "a red cat"], ids=["no captions", "blank caption", "string captions"]
+    )
+    def test_exit_two_naming_file_and_line(self, captions, data_dir, tmp_path, capsys):
+        header, first, *rest = (data_dir / "train.jsonl").read_text().splitlines()
+        record = json.loads(first)
+        record["captions"] = captions
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([header, json.dumps(record), *rest]) + "\n")
+        code = cli.main(["train", "--data", str(bad), "--out", str(tmp_path / "m.ckpt"), "--steps", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert f"{bad}: line 2: bad scene record" in err
+
+
 class TestGradcheckCommand:
     def test_pass_exit_zero(self, capsys):
         code = cli.main(["gradcheck", "--trials", "2", "--coords", "8"])
@@ -289,6 +316,12 @@ class TestArgumentHandling:
 
     def test_unknown_subcommand(self, capsys):
         assert cli.main(["dance"]) == 1
+
+    def test_every_config_field_is_a_flag(self):
+        # a field reachable only through config files would be an untested option
+        p = argparse.ArgumentParser()
+        cli._add_train_config_flags(p)
+        assert set(vars(p.parse_args([]))) - {"config"} == set(TrainConfig.field_types())
 
     def test_installed_entry_point(self):
         result = subprocess.run(

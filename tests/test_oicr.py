@@ -30,6 +30,10 @@ BOXES = np.array(
 )
 
 
+def near(tau):
+    return iou_matrix(BOXES, BOXES) >= tau
+
+
 def labels_for(objects, pairs=None):
     return LabelSet(objects=set(objects), attribute_pairs={k: set(v) for k, v in (pairs or {}).items()})
 
@@ -47,8 +51,6 @@ class TestRefinementConfig:
             RefinementConfig(tau=0.0)
         with pytest.raises(ValueError):
             RefinementConfig(tau=1.0)
-        with pytest.raises(ValueError):
-            RefinementConfig(entang_seed_source="next")
 
 
 class TestInitialScores:
@@ -73,7 +75,7 @@ class TestSeedAndAssign:
         # class 0 seeds at region 0 with score 0.9; region 1 overlaps it
         # at 0.8 >= tau and inherits the label, region 2 stays background
         prev = np.array([[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]])
-        pseudo = seed_and_assign(prev, {0}, BOXES, tau=0.5, num_classes=1)
+        pseudo = seed_and_assign(prev, {0}, near(0.5), num_classes=1)
         assert pseudo.seeds == {0: (0, 0.9)}
         assert pseudo.class_labels.tolist() == [0, 0, 1]
         assert pseudo.weights.tolist() == [0.9, 0.9, 1.0]
@@ -81,7 +83,7 @@ class TestSeedAndAssign:
     def test_background_weight_is_one(self):
         prev = np.array([[0.9], [0.1], [0.1]])
         # tau above the 0.8 overlap: only the seed itself is labeled
-        pseudo = seed_and_assign(prev, {0}, BOXES, tau=0.85, num_classes=1)
+        pseudo = seed_and_assign(prev, {0}, near(0.85), num_classes=1)
         assert pseudo.class_labels.tolist() == [0, 1, 1]
         assert pseudo.weights.tolist() == [0.9, 1.0, 1.0]
 
@@ -89,26 +91,29 @@ class TestSeedAndAssign:
         # both classes seed inside the overlapping pair; the stronger
         # seed (class 1, 0.8) claims the shared region
         prev = np.array([[0.6, 0.1], [0.1, 0.8], [0.0, 0.0]])
-        pseudo = seed_and_assign(prev, {0, 1}, BOXES, tau=0.5, num_classes=2)
+        pseudo = seed_and_assign(prev, {0, 1}, near(0.5), num_classes=2)
         assert pseudo.seeds == {0: (0, 0.6), 1: (1, 0.8)}
         assert pseudo.class_labels.tolist() == [1, 1, 2]
         assert pseudo.weights.tolist() == [0.8, 0.8, 1.0]
 
     def test_tau_boundary_inclusive(self):
-        prev = np.array([[0.9], [0.1], [0.1]])
-        overlap = iou_matrix(BOXES, BOXES)[1, 0]
-        pseudo = seed_and_assign(prev, {0}, BOXES, tau=float(overlap), num_classes=1)
-        assert pseudo.class_labels[1] == 0
-        pseudo = seed_and_assign(prev, {0}, BOXES, tau=float(overlap) + 1e-9, num_classes=1)
-        assert pseudo.class_labels[1] == 1
+        # the overlap mask is built from tau in build_pseudo_labels; the
+        # evidence seeds class 0 at region 0, which region 1 overlaps at 0.8
+        mid = MidScores(per_region=np.array([[0.9], [0.1], [0.1]]), image_level=np.array([0.7]))
+        scores = ScoreTensor(objects=[np.full((3, 2), 0.5)], attributes=[{}])
+        overlap = float(iou_matrix(BOXES, BOXES)[1, 0])
+        for tau, label in ((overlap, 0), (overlap + 1e-9, 1)):
+            cfg = RefinementConfig(num_heads=1, tau=tau)
+            (pseudo,) = build_pseudo_labels(scores, mid, labels_for({0}), BOXES, cfg, CATS)
+            assert pseudo.class_labels[1] == label
 
     def test_empty_objects_rejected(self):
         with pytest.raises(ValueError):
-            seed_and_assign(np.ones((3, 1)), set(), BOXES, 0.5, 1)
+            seed_and_assign(np.ones((3, 1)), set(), near(0.5), 1)
 
     def test_out_of_range_class_rejected(self):
         with pytest.raises(ValueError):
-            seed_and_assign(np.ones((3, 2)), {5}, BOXES, 0.5, 2)
+            seed_and_assign(np.ones((3, 2)), {5}, near(0.5), 2)
 
 
 class TestRefinementLoss:
@@ -130,11 +135,12 @@ class TestRefinementLoss:
         pseudo = PseudoLabels(
             class_labels=np.array([0, 0]), weights=np.array([0.5, 2.0]),
         )
-        value, grad = refinement_loss(scores, pseudo, weighted=True)
+        value, grad = refinement_loss(scores, pseudo)
         expected = -(0.5 * math.log(0.5) + 2.0 * math.log(0.25)) / 2
         assert value == pytest.approx(expected)
-        unweighted, _ = refinement_loss(scores, pseudo, weighted=False)
-        assert unweighted == pytest.approx(1.0397207708399179)
+        assert grad[0, 0] == pytest.approx(-0.5 / (2 * 0.5))
+        assert grad[1, 0] == pytest.approx(-2.0 / (2 * 0.25))
+        assert not np.any(grad[:, 1])
 
     def test_finite_difference(self):
         rng = np.random.default_rng(53)
@@ -155,6 +161,19 @@ class TestRefinementLoss:
                 down, _ = refinement_loss(bumped, pseudo)
                 assert grad[i, c] == pytest.approx((up - down) / (2 * h), abs=1e-5)
 
+    def test_matches_per_region_loop(self):
+        rng = np.random.default_rng(43)
+        scores = rng.uniform(0.01, 1.0, size=(7, 4))
+        pseudo = PseudoLabels(class_labels=rng.integers(0, 4, size=7), weights=rng.uniform(0.2, 1.0, size=7))
+        value, grad = refinement_loss(scores, pseudo)
+        ref_grad = np.zeros_like(scores)
+        ref_value = 0.0
+        for i, (c, w) in enumerate(zip(pseudo.class_labels, pseudo.weights)):
+            ref_value -= w * math.log(scores[i, c])
+            ref_grad[i, c] -= w / (7 * scores[i, c])
+        assert value == pytest.approx(ref_value / 7, rel=1e-12)
+        assert np.array_equal(grad, ref_grad)
+
     def test_shape_mismatch(self):
         pseudo = PseudoLabels(class_labels=np.array([0]), weights=np.array([1.0]))
         with pytest.raises(ValueError):
@@ -165,16 +184,16 @@ class TestAttributeAssignments:
     def test_head_one_reuses_object_seeds(self):
         labels = labels_for({0}, {0: {("color", "red")}})
         out = attribute_assignments(
-            1, np.zeros((3, 2)), None, labels, BOXES, 0.5, CATS,
+            1, np.zeros((3, 2)), None, labels, near(0.5), CATS,
             object_seeds={0: (2, 0.7)},
         )
-        assert out == [(2, 0, "color", "red", 1.0)]
+        assert out == [(2, 0, "color", "red")]
 
     def test_head_one_no_propagation(self):
         # seed sits in the overlapping pair but nothing spreads at head 1
         labels = labels_for({0}, {0: {("color", "red")}})
         out = attribute_assignments(
-            1, np.zeros((3, 2)), None, labels, BOXES, 0.5, CATS,
+            1, np.zeros((3, 2)), None, labels, near(0.5), CATS,
             object_seeds={0: (0, 0.9)},
         )
         assert len(out) == 1
@@ -185,19 +204,18 @@ class TestAttributeAssignments:
         prev_attr = {"color": np.array([[0.1, 0.9], [0.9, 0.1], [0.5, 0.5]])}
         # products for (class 0, red): 0.09, 0.45, 0.05 -> seed region 1
         out = attribute_assignments(
-            2, prev_obj, prev_attr, labels, BOXES, 0.5, CATS, object_seeds={},
+            2, prev_obj, prev_attr, labels, near(0.5), CATS, object_seeds={},
         )
         regions = sorted(r for r, *_ in out)
         assert regions == [0, 1]  # region 0 overlaps the seed at 0.8
-        for _, c, cat, val, w in out:
+        for _, c, cat, val in out:
             assert (c, cat, val) == (0, "color", "red")
-            assert w == 1.0  # coupled CE stays unit-weight so a collapsed object score cannot mute it
 
     def test_later_heads_need_attr_scores(self):
         labels = labels_for({0}, {0: {("color", "red")}})
         with pytest.raises(ValueError):
             attribute_assignments(
-                2, np.zeros((3, 2)), None, labels, BOXES, 0.5, CATS, object_seeds={},
+                2, np.zeros((3, 2)), None, labels, near(0.5), CATS, object_seeds={},
             )
 
 
@@ -205,7 +223,7 @@ class TestCoupledRefinementLoss:
     def test_head_one_trains_attribute_factor_only(self):
         obj = np.array([[0.5, 0.5]])
         attr = {"color": np.array([[0.25, 0.75]])}
-        assignments = [(0, 0, "color", "red", 1.0)]
+        assignments = [(0, 0, "color", "red")]
         value, g_obj, g_attr = coupled_refinement_loss(1, obj, attr, assignments, CATS)
         assert value == pytest.approx(-math.log(0.25))
         assert not np.any(g_obj)
@@ -214,7 +232,7 @@ class TestCoupledRefinementLoss:
     def test_later_heads_train_both_factors(self):
         obj = np.array([[0.5, 0.5]])
         attr = {"color": np.array([[0.25, 0.75]])}
-        assignments = [(0, 0, "color", "red", 1.0)]
+        assignments = [(0, 0, "color", "red")]
         value, g_obj, g_attr = coupled_refinement_loss(2, obj, attr, assignments, CATS)
         assert value == pytest.approx(-(math.log(0.25) + math.log(0.5)))
         assert g_obj[0, 0] == pytest.approx(-1.0 / 0.5)
@@ -223,11 +241,53 @@ class TestCoupledRefinementLoss:
     def test_averaged_per_assignment(self):
         obj = np.array([[0.5, 0.5], [0.5, 0.5]])
         attr = {"color": np.array([[0.25, 0.75], [0.25, 0.75]])}
-        one = [(0, 0, "color", "red", 1.0)]
-        two = one + [(1, 0, "color", "red", 1.0)]
+        one = [(0, 0, "color", "red")]
+        two = one + [(1, 0, "color", "red")]
         v1, *_ = coupled_refinement_loss(2, obj, attr, one, CATS)
         v2, *_ = coupled_refinement_loss(2, obj, attr, two, CATS)
         assert v2 == pytest.approx(v1)  # same per-assignment value, n doubles
+
+    def test_shared_cells_accumulate(self):
+        # two classes share one attribute cell, two pairs of class 0 share
+        # one object cell; each cell must receive both gradients
+        cats = {"color": ("red", "brown"), "size": ("small", "large")}
+        obj = np.array([[0.5, 0.25, 0.25]])
+        attr = {"color": np.array([[0.25, 0.75]]), "size": np.array([[0.5, 0.5]])}
+        assignments = [(0, 0, "color", "red"), (0, 1, "color", "red"), (0, 0, "size", "small")]
+        _, g_obj, g_attr = coupled_refinement_loss(2, obj, attr, assignments, cats)
+        assert g_attr["color"][0, 0] == pytest.approx(-2.0 / (3 * 0.25))
+        assert g_attr["size"][0, 0] == pytest.approx(-1.0 / (3 * 0.5))
+        assert g_obj[0, 0] == pytest.approx(-2.0 / (3 * 0.5))
+        assert g_obj[0, 1] == pytest.approx(-1.0 / (3 * 0.25))
+
+    def test_matches_per_assignment_loop(self):
+        # reference: the per-assignment loop, accumulating in list order
+        cats = {"color": ("red", "brown", "blue"), "size": ("small", "large")}
+        rng = np.random.default_rng(41)
+        obj = rng.uniform(0.01, 1.0, size=(4, 3))
+        attr = {cat: rng.uniform(0.01, 1.0, size=(4, len(vals))) for cat, vals in cats.items()}
+        assignments = []
+        for _ in range(30):
+            cat = ("color", "size")[int(rng.integers(2))]
+            val = cats[cat][int(rng.integers(len(cats[cat])))]
+            assignments.append((int(rng.integers(4)), int(rng.integers(2)), cat, val))
+        for head in (1, 2):
+            n = len(assignments)
+            ref_obj = np.zeros_like(obj)
+            ref_attr = {cat: np.zeros_like(a) for cat, a in attr.items()}
+            ref_value = 0.0
+            for region, c, cat, val in assignments:
+                vi = cats[cat].index(val)
+                ref_value -= math.log(attr[cat][region, vi])
+                ref_attr[cat][region, vi] -= 1.0 / (n * attr[cat][region, vi])
+                if head >= 2:
+                    ref_value -= math.log(obj[region, c])
+                    ref_obj[region, c] -= 1.0 / (n * obj[region, c])
+            value, g_obj, g_attr = coupled_refinement_loss(head, obj, attr, assignments, cats)
+            assert value == pytest.approx(ref_value / n, rel=1e-12)
+            assert np.array_equal(g_obj, ref_obj)
+            for cat in cats:
+                assert np.array_equal(g_attr[cat], ref_attr[cat])
 
     def test_empty_assignments(self):
         value, g_obj, g_attr = coupled_refinement_loss(
@@ -284,33 +344,6 @@ class TestBuildPseudoLabels:
         pseudos = build_pseudo_labels(scores, mid, labels, boxes, cfg, CATS)
         assert all(p.attrs == [] for p in pseudos)
 
-    def test_head_one_bootstrap_ignores_seed_source(self):
-        # the seed-source switch only affects heads >= 2; head 1 always
-        # anchors attributes at the evidence seeds
-        rng = np.random.default_rng(64)
-        scores, mid, boxes = make_inputs(rng)
-        labels = labels_for({0}, {0: {("color", "red")}})
-        prev = build_pseudo_labels(scores, mid, labels, boxes, RefinementConfig(), CATS)
-        cur = build_pseudo_labels(
-            scores, mid, labels, boxes, RefinementConfig(entang_seed_source="current"), CATS,
-        )
-        assert prev[0].attrs == cur[0].attrs
-
-    def test_seed_source_switch_changes_later_heads(self):
-        rng = np.random.default_rng(65)
-        found_difference = False
-        for _ in range(20):
-            scores, mid, boxes = make_inputs(rng)
-            labels = labels_for({0}, {0: {("color", "red")}})
-            prev = build_pseudo_labels(scores, mid, labels, boxes, RefinementConfig(), CATS)
-            cur = build_pseudo_labels(
-                scores, mid, labels, boxes, RefinementConfig(entang_seed_source="current"), CATS,
-            )
-            if prev[1].attrs != cur[1].attrs or prev[2].attrs != cur[2].attrs:
-                found_difference = True
-                break
-        assert found_difference
-
 
 class TestRefinementTerms:
     def test_values_and_grads_line_up(self):
@@ -319,7 +352,7 @@ class TestRefinementTerms:
         labels = labels_for({0}, {0: {("color", "red")}})
         cfg = RefinementConfig()
         pseudos = build_pseudo_labels(scores, mid, labels, boxes, cfg, CATS)
-        values, grads = refinement_terms(scores, mid, pseudos, cfg, CATS)
+        values, grads = refinement_terms(scores, mid, pseudos, CATS)
         assert len(values) == 3
         assert all(v > 0 for v in values)
         for j in range(3):
@@ -330,8 +363,7 @@ class TestRefinementTerms:
     def test_none_pseudo_contributes_zero(self):
         rng = np.random.default_rng(72)
         scores, mid, _ = make_inputs(rng)
-        cfg = RefinementConfig()
-        values, grads = refinement_terms(scores, mid, [None, None, None], cfg, CATS)
+        values, grads = refinement_terms(scores, mid, [None, None, None], CATS)
         assert values == [0.0, 0.0, 0.0]
         assert not np.any(grads.objects[0])
 
@@ -343,10 +375,10 @@ class TestRefinementTerms:
         labels = labels_for({0, 1}, {0: {("color", "red")}})
         cfg = RefinementConfig()
         pseudos = build_pseudo_labels(scores, mid, labels, boxes, cfg, CATS)
-        _, grads = refinement_terms(scores, mid, pseudos, cfg, CATS)
+        _, grads = refinement_terms(scores, mid, pseudos, CATS)
 
         def total(sc):
-            vals, _ = refinement_terms(sc, mid, pseudos, cfg, CATS)
+            vals, _ = refinement_terms(sc, mid, pseudos, CATS)
             return sum(vals)
 
         h = 1e-7

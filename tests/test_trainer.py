@@ -72,11 +72,11 @@ class TestTrainConfig:
 
     def test_from_mapping_coerces_strings(self):
         cfg = TrainConfig.from_mapping(
-            {"steps": "50", "learning_rate": "0.02", "weighted_refinement": "false"}
+            {"steps": "50", "learning_rate": "0.02", "loss_mode": "em+sg"}
         )
         assert cfg.steps == 50
         assert cfg.learning_rate == 0.02
-        assert cfg.weighted_refinement is False
+        assert cfg.loss_mode == "em+sg"
 
     def test_from_mapping_unknown_key(self):
         with pytest.raises(ValueError, match="unknown config key"):
@@ -94,10 +94,6 @@ class TestTrainConfig:
         a = TrainConfig.from_mapping({"loss_mode": "em"})
         b = TrainConfig.from_mapping({"lambda2": "0.0"})
         assert a == b
-
-    def test_bad_bool_string(self):
-        with pytest.raises(ValueError):
-            TrainConfig.from_mapping({"weighted_refinement": "maybe"})
 
 
 class TestAdagrad:

@@ -123,9 +123,9 @@ class TestEntanglementLoss:
         obj, attr, cats, _ = self.example()
         labels = labels_for({0}, {0: {("color", "brown"), ("size", "small")}})
         value_obj, *_ = entanglement_loss(obj, attr, labels, cats)
-        value_pair, *_ = entanglement_loss(obj, attr, labels, cats, per_pair_normalization=True)
-        # one object, two pairs: per-pair halves the value
-        assert value_pair == pytest.approx(value_obj / 2.0)
+        # one object, two pairs (best products 0.40 and 0.45): the pair
+        # losses are summed and divided by |O| = 1, not averaged over pairs
+        assert value_obj == pytest.approx(-(math.log(0.40) + math.log(0.45)))
 
     def test_dominance_over_decoupled_selection(self):
         # the coupled choice maximizes the product, so its loss never
