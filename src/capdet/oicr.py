@@ -17,6 +17,10 @@ head's object-attribute product, propagates by box overlap like the
 object labels, and the cross-entropy at head k applies to both the
 object and the attribute head, keeping the two coupled.
 
+A coupled assignment is a (region, class, column) triple, the column
+indexing the head's (m, V) attribute scores (the model's value_columns),
+so the coupled terms gather and scatter every category in one pass.
+
 The overlap mask (IoU >= tau between every pair of a scene's boxes) is
 built once per scene-step and shared by every head's seeding; the loss
 terms gather their probabilities with index arrays.
@@ -56,8 +60,8 @@ class PseudoLabels:
     class_labels: np.ndarray  # (m,) class index, background = num_classes
     weights: np.ndarray  # (m,)
     seeds: dict[int, tuple[int, float]] = field(default_factory=dict)  # class -> (region, score)
-    # coupled assignments: (region, class, category, value)
-    attrs: list[tuple[int, int, str, str]] = field(default_factory=list)
+    # coupled assignments: (region, class, attribute column)
+    attrs: list[tuple[int, int, int]] = field(default_factory=list)
 
 
 def initial_scores(mid: MidScores) -> np.ndarray:
@@ -115,13 +119,13 @@ def refinement_loss(head_scores: np.ndarray, pseudo: PseudoLabels) -> tuple[floa
 def attribute_assignments(
     head_index: int,
     prev_obj: np.ndarray,
-    prev_attr: Mapping[str, np.ndarray] | None,
+    prev_attr: np.ndarray | None,
     labels: LabelSet,
     near: np.ndarray,
-    category_values: Mapping[str, Sequence[str]],
+    value_columns: Mapping[tuple[str, str], int],
     object_seeds: Mapping[int, tuple[int, float]],
-) -> list[tuple[int, int, str, str]]:
-    """Build the coupled (region, class, category, value) assignments for one head.
+) -> list[tuple[int, int, int]]:
+    """Build the coupled (region, class, column) assignments for one head.
 
     head_index is 1-based. At head 1 the object seeds are reused and no
     propagation happens; later heads seed per pair at the best previous
@@ -132,30 +136,22 @@ def attribute_assignments(
     product would silence it exactly where the object score has collapsed
     and the rescue is needed.
     """
-    out: list[tuple[int, int, str, str]] = []
+    pairs = [(c, value_columns[pair]) for c in sorted(labels.objects) for pair in labels.pairs_for(c)]
     if head_index == 1:
-        for c in sorted(labels.objects):
-            seed, _ = object_seeds[c]
-            out.extend((seed, c, cat, val) for cat, val in labels.pairs_for(c))
-        return out
+        return [(object_seeds[c][0], c, col) for c, col in pairs]
     if prev_attr is None:
         raise ValueError("coupled seeding beyond head 1 needs previous attribute scores")
-    prev_obj = np.asarray(prev_obj, dtype=float)
-    for c in sorted(labels.objects):
-        for cat, val in labels.pairs_for(c):
-            vi = category_values[cat].index(val)
-            seed = int(np.argmax(prev_obj[:, c] * np.asarray(prev_attr[cat], dtype=float)[:, vi]))
-            out.extend((int(i), c, cat, val) for i in np.flatnonzero(near[:, seed]))
-    return out
+    classes, cols = [c for c, _ in pairs], [col for _, col in pairs]
+    seeds = np.argmax(np.asarray(prev_obj)[:, classes] * np.asarray(prev_attr)[:, cols], axis=0)
+    return [(int(i), c, col) for (c, col), seed in zip(pairs, seeds) for i in np.flatnonzero(near[:, seed])]
 
 
 def coupled_refinement_loss(
     head_index: int,
     obj_scores: np.ndarray,
-    attr_scores: Mapping[str, np.ndarray],
-    assignments: Sequence[tuple[int, int, str, str]],
-    category_values: Mapping[str, Sequence[str]],
-) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
+    attr_scores: np.ndarray,
+    assignments: Sequence[tuple[int, int, int]],
+) -> tuple[float, np.ndarray, np.ndarray]:
     """Cross-entropy over the coupled assignments, averaged per assignment.
 
     At head 1 only the attribute factor is trained (the object head
@@ -163,28 +159,20 @@ def coupled_refinement_loss(
     Assignments that share a score cell add up their gradients there.
     """
     obj_scores = np.asarray(obj_scores, dtype=float)
+    attr_scores = np.asarray(attr_scores, dtype=float)
     grad_obj = np.zeros_like(obj_scores)
-    grad_attr = {cat: np.zeros_like(np.asarray(a, dtype=float)) for cat, a in attr_scores.items()}
+    grad_attr = np.zeros_like(attr_scores)
     if not assignments:
         return 0.0, grad_obj, grad_attr
     n = len(assignments)
-    regions, classes, cats, vals = zip(*assignments)
-    rows = np.array(regions)
-    values = np.array([category_values[cat].index(val) for cat, val in zip(cats, vals)])
-    cat_of = np.array(cats)
-    in_cat = {cat: cat_of == cat for cat in dict.fromkeys(cats)}
-    p_attr = np.empty(n)
-    for cat, sel in in_cat.items():
-        p_attr[sel] = np.asarray(attr_scores[cat], dtype=float)[rows[sel], values[sel]]
-    p_attr = clamp_prob(p_attr)
+    rows, classes, cols = np.array(assignments).T
+    p_attr = clamp_prob(attr_scores[rows, cols])
     # np.add.at, not fancy-index assignment: cells hit twice must accumulate
-    for cat, sel in in_cat.items():
-        np.add.at(grad_attr[cat], (rows[sel], values[sel]), -1.0 / (n * p_attr[sel]))
+    np.add.at(grad_attr, (rows, cols), -1.0 / (n * p_attr))
     total = -np.sum(np.log(p_attr))
     if head_index >= 2:
-        cols = np.array(classes)
-        p_obj = clamp_prob(obj_scores[rows, cols])
-        np.add.at(grad_obj, (rows, cols), -1.0 / (n * p_obj))
+        p_obj = clamp_prob(obj_scores[rows, classes])
+        np.add.at(grad_obj, (rows, classes), -1.0 / (n * p_obj))
         total -= np.sum(np.log(p_obj))
     return float(total / n), grad_obj, grad_attr
 
@@ -195,7 +183,7 @@ def build_pseudo_labels(
     labels: LabelSet,
     boxes: np.ndarray,
     config: RefinementConfig,
-    category_values: Mapping[str, Sequence[str]],
+    value_columns: Mapping[tuple[str, str], int],
 ) -> list[PseudoLabels | None]:
     """Freeze each head's supervision from its predecessor's current scores.
 
@@ -216,7 +204,7 @@ def build_pseudo_labels(
             # head 1 bootstraps from the evidence seeds, so it has no previous attribute scores
             prev_attr = None if j == 0 else scores.attributes[j - 1]
             pseudo.attrs = attribute_assignments(
-                j + 1, prev_obj, prev_attr, labels, near, category_values, pseudo.seeds
+                j + 1, prev_obj, prev_attr, labels, near, value_columns, pseudo.seeds
             )
         pseudos.append(pseudo)
     return pseudos
@@ -226,7 +214,6 @@ def refinement_terms(
     scores: ScoreTensor,
     mid: MidScores,
     pseudos: Sequence[PseudoLabels | None],
-    category_values: Mapping[str, Sequence[str]],
 ) -> tuple[list[float], ScoreGrads]:
     """Per-head loss values plus their gradients with respect to head scores."""
     grads = ScoreGrads.zeros_like(scores, mid)
@@ -239,12 +226,11 @@ def refinement_terms(
         grads.objects[j] += g
         if pseudo.attrs:
             cv, g_obj, g_attr = coupled_refinement_loss(
-                j + 1, scores.objects[j], scores.attributes[j], pseudo.attrs, category_values
+                j + 1, scores.objects[j], scores.attributes[j], pseudo.attrs
             )
             value += cv
             grads.objects[j] += g_obj
-            for cat, arr in g_attr.items():
-                grads.attributes[j][cat] += arr
+            grads.attributes[j] += g_attr
         values.append(float(value))
     return values, grads
 
@@ -257,6 +243,6 @@ def run_refinement(
 ) -> tuple[list[float], ScoreGrads, list[PseudoLabels | None]]:
     """Forward the model, freeze supervision per head, and score the chain."""
     scores, mid = scorenet.forward(params, regions)
-    pseudos = build_pseudo_labels(scores, mid, labels, regions.boxes, config, params.category_values)
-    values, grads = refinement_terms(scores, mid, pseudos, params.category_values)
+    pseudos = build_pseudo_labels(scores, mid, labels, regions.boxes, config, params.value_columns)
+    values, grads = refinement_terms(scores, mid, pseudos)
     return values, grads, pseudos

@@ -2,7 +2,8 @@
 
 One model holds K parallel object heads (softmax over classes plus
 background), per-head attribute heads (softmax over each category's
-values), and a two-stream image-evidence block: one affine map squashed
+values, the categories side by side in one attribute column space), and
+a two-stream image-evidence block: one affine map squashed
 per entry by a sigmoid, one turned into a distribution over regions per
 class, multiplied elementwise. Summing that product over regions and
 applying a sigmoid gives the per-class image score, which therefore
@@ -66,8 +67,11 @@ class ModelParams:
 
     category_values fixes the column order of every attribute head, and
     class_names fixes the column order of object and evidence heads, so a
-    checkpoint is self-describing. The heads are views into flat: writing
-    through either one changes the other.
+    checkpoint is self-describing. Each head's attribute scores are one
+    array whose columns hold the categories side by side in that order:
+    category_slices gives each category's columns and value_columns maps
+    (category, value) to its column. The heads are views into flat:
+    writing through either one changes the other.
     """
 
     def __init__(
@@ -88,6 +92,13 @@ class ModelParams:
         self.num_heads = num_heads
         self.class_names = tuple(str(n) for n in class_names)
         self.category_values = {str(c): tuple(str(v) for v in vals) for c, vals in category_values.items()}
+        self.category_slices: dict[str, slice] = {}
+        self.value_columns: dict[tuple[str, str], int] = {}
+        start = 0
+        for cat, vals in self.category_values.items():
+            self.category_slices[cat] = slice(start, start + len(vals))
+            self.value_columns.update({(cat, v): start + j for j, v in enumerate(vals)})
+            start += len(vals)
         c = len(self.class_names)
         widths = [c + 1] * num_heads + [len(v) for _ in range(num_heads) for v in self.category_values.values()]
         widths += [c, c]
@@ -146,7 +157,8 @@ class RegionSet:
 @dataclass
 class ScoreTensor:
     objects: list[np.ndarray]  # per head: (m, C + 1), rows sum to 1
-    attributes: list[dict[str, np.ndarray]]  # per head, per category: (m, |values|)
+    # per head: (m, V), one softmax per category over its column slice
+    attributes: list[np.ndarray]
 
 
 @dataclass
@@ -160,7 +172,7 @@ class ScoreGrads:
     """Gradient of some loss with respect to every score output."""
 
     objects: list[np.ndarray]
-    attributes: list[dict[str, np.ndarray]]
+    attributes: list[np.ndarray]
     mid_per_region: np.ndarray
     mid_image: np.ndarray
 
@@ -168,17 +180,14 @@ class ScoreGrads:
     def zeros_like(scores: ScoreTensor, mid: MidScores) -> "ScoreGrads":
         return ScoreGrads(
             objects=[np.zeros_like(s) for s in scores.objects],
-            attributes=[{c: np.zeros_like(a) for c, a in head.items()} for head in scores.attributes],
+            attributes=[np.zeros_like(a) for a in scores.attributes],
             mid_per_region=np.zeros_like(mid.per_region),
             mid_image=np.zeros_like(mid.image_level),
         )
 
     def add(self, other: "ScoreGrads") -> None:
-        for mine, theirs in zip(self.objects, other.objects):
+        for mine, theirs in zip(self.objects + self.attributes, other.objects + other.attributes):
             mine += theirs
-        for mine_h, theirs_h in zip(self.attributes, other.attributes):
-            for cat, arr in theirs_h.items():
-                mine_h[cat] += arr
         self.mid_per_region += other.mid_per_region
         self.mid_image += other.mid_image
 
@@ -204,8 +213,10 @@ def forward(params: ModelParams, regions: RegionSet) -> tuple[ScoreTensor, MidSc
     if x.shape[1] != params.feature_dim:
         raise ValueError(f"feature dim {x.shape[1]} does not match model dim {params.feature_dim}")
     objects = [softmax_rows(head.apply(x)) for head in params.object_heads]
+    # the empty leading block keeps a model without categories at shape (m, 0)
+    no_columns = np.empty((len(x), 0))
     attributes = [
-        {cat: softmax_rows(head.apply(x)) for cat, head in heads.items()}
+        np.concatenate([no_columns] + [softmax_rows(head.apply(x)) for head in heads.values()], axis=1)
         for heads in params.attribute_heads
     ]
     gate = sigmoid(params.mid_cls.apply(x))
@@ -246,10 +257,11 @@ def param_gradients(
         if np.any(g):
             backprop(out.object_heads[k], _softmax_rows_backward(scores.objects[k], g))
 
-    for k, heads in enumerate(grads.attributes):
-        for cat, g in heads.items():
+    for k, g_head in enumerate(grads.attributes):
+        for cat, cols in params.category_slices.items():
+            g = g_head[:, cols]
             if np.any(g):
-                backprop(out.attribute_heads[k][cat], _softmax_rows_backward(scores.attributes[k][cat], g))
+                backprop(out.attribute_heads[k][cat], _softmax_rows_backward(scores.attributes[k][:, cols], g))
 
     if np.any(grads.mid_per_region) or np.any(grads.mid_image):
         gate = sigmoid(params.mid_cls.apply(x))
@@ -303,7 +315,8 @@ _HEADER_KEYS = {
     "feature_dim": (lambda v: type(v) is int and v > 0, "a positive integer"),
     "class_names": (lambda v: _str_list(v) and len(v) > 0, "a non-empty list of strings"),
     "category_values": (
-        lambda v: isinstance(v, dict) and all(map(_str_list, v.values())), "a map from category to string lists"
+        lambda v: isinstance(v, dict) and all(_str_list(s) and s and len(set(s)) == len(s) for s in v.values()),
+        "a map from category to non-empty lists of distinct strings",
     ),
     "num_heads": (lambda v: type(v) is int and v > 0, "a positive integer"),
     "dtype": (lambda v: v == "<f8", "'<f8'"),

@@ -144,16 +144,14 @@ def scene_loss(
     scores, mid = scorenet.forward(params, regions)
     ref_cfg = config.refinement_config()
     if pseudos is None:
-        pseudos = oicr.build_pseudo_labels(
-            scores, mid, labels, regions.boxes, ref_cfg, params.category_values
-        )
-    values, ref_grads = oicr.refinement_terms(scores, mid, pseudos, params.category_values)
+        pseudos = oicr.build_pseudo_labels(scores, mid, labels, regions.boxes, ref_cfg, params.value_columns)
+    values, ref_grads = oicr.refinement_terms(scores, mid, pseudos)
     report = weakloss.total_loss(
         scores,
         mid,
         labels,
         config.loss_weights(),
-        params.category_values,
+        params.value_columns,
         oicr_values=values,
         oicr_grads=ref_grads,
     )

@@ -11,6 +11,12 @@ mentioned classes, so the coupled term sums its pairs and divides by the
 class count. An image-evidence term treats the per-class image scores as
 independent binary predictions of mention.
 
+Attribute scores are one (m, V) array per head, a pair's column given
+by the model's value_columns. Both maxima run over all classes (or
+pairs) at once: one argmax over the gathered columns, then the coupled
+term scatters its gradients with np.add.at in pair order, so pairs
+meeting in one cell add up.
+
 Every function returns the loss value together with its gradient with
 respect to the score arrays it consumed; parameter gradients are the
 score network's job.
@@ -49,70 +55,63 @@ def object_mil_loss(
     """
     scores = np.asarray(scores, dtype=float)
     grad = np.zeros_like(scores)
-    chosen: dict[int, int] = {}
     mentioned = sorted(set(int(c) for c in objects))
     if not mentioned:
-        return 0.0, grad, chosen
+        return 0.0, grad, {}
     num_classes = scores.shape[1] - 1  # last column is background
-    total = 0.0
-    for c in mentioned:
-        if not 0 <= c < num_classes:
-            raise ValueError(f"class index {c} out of range for {num_classes} classes")
-        col = np.asarray(clamp_prob(scores[:, c]))
-        i = int(np.argmax(col))
-        chosen[c] = i
-        total -= np.log(col[i])
-        grad[i, c] -= 1.0 / col[i]
-    total /= len(mentioned)
+    if not 0 <= mentioned[0] <= mentioned[-1] < num_classes:
+        raise ValueError(f"class index out of range for {num_classes} classes: {mentioned}")
+    p = np.asarray(clamp_prob(scores[:, mentioned]))
+    rows = np.argmax(p, axis=0)
+    best = p[rows, np.arange(len(mentioned))]
+    grad[rows, mentioned] = -1.0 / best  # one cell per class, so none is hit twice
     grad /= len(mentioned)
-    return float(total), grad, chosen
+    chosen = {c: int(i) for c, i in zip(mentioned, rows)}
+    return float(-np.sum(np.log(best)) / len(mentioned)), grad, chosen
 
 
 def entanglement_loss(
     obj_scores: np.ndarray,
-    attr_scores: Mapping[str, np.ndarray],
+    attr_scores: np.ndarray,
     labels: LabelSet,
-    category_values: Mapping[str, Sequence[str]],
-) -> tuple[float, np.ndarray, dict[str, np.ndarray], dict[tuple[int, str, str], int]]:
+    value_columns: Mapping[tuple[str, str], int],
+) -> tuple[float, np.ndarray, np.ndarray, dict[tuple[int, str, str], int]]:
     """Coupled object-attribute MIL: per pair, maximize the product at one region.
 
     For each mentioned class c and each of its attribute pairs (a, v),
-    the loss is -log max over regions of obj[:, c] * attr_a[:, v]. Both
-    factors receive gradient at the maximizing region. The sum over pairs
-    is normalized by |O|, the number of mentioned classes.
+    the loss is -log max over regions of obj[:, c] * attr[:, col(a, v)].
+    Both factors receive gradient at the maximizing region. The sum over
+    pairs is normalized by |O|, the number of mentioned classes.
     """
     obj_scores = np.asarray(obj_scores, dtype=float)
+    attr_scores = np.asarray(attr_scores, dtype=float)
     grad_obj = np.zeros_like(obj_scores)
-    grad_attr = {cat: np.zeros_like(np.asarray(arr, dtype=float)) for cat, arr in attr_scores.items()}
-    chosen: dict[tuple[int, str, str], int] = {}
+    grad_attr = np.zeros_like(attr_scores)
     mentioned = sorted(labels.objects)
     pairs = [(c, cat, val) for c in mentioned for cat, val in labels.pairs_for(c)]
-    if not mentioned or not pairs:
-        return 0.0, grad_obj, grad_attr, chosen
+    if not pairs:
+        return 0.0, grad_obj, grad_attr, {}
     num_classes = obj_scores.shape[1] - 1
-    total = 0.0
     for c, cat, val in pairs:
         if not 0 <= c < num_classes:
             raise ValueError(f"class index {c} out of range for {num_classes} classes")
-        if cat not in attr_scores or cat not in category_values:
-            raise ValueError(f"no attribute scores for category {cat!r}")
-        try:
-            vi = list(category_values[cat]).index(val)
-        except ValueError:
-            raise ValueError(f"unknown value {val!r} for category {cat!r}") from None
-        p_obj = np.asarray(clamp_prob(obj_scores[:, c]))
-        p_attr = np.asarray(clamp_prob(np.asarray(attr_scores[cat], dtype=float)[:, vi]))
-        i = int(np.argmax(p_obj * p_attr))
-        chosen[(c, cat, val)] = i
-        total -= np.log(p_obj[i]) + np.log(p_attr[i])
-        grad_obj[i, c] -= 1.0 / p_obj[i]
-        grad_attr[cat][i, vi] -= 1.0 / p_attr[i]
+        if (cat, val) not in value_columns:
+            raise ValueError(f"no attribute column for {cat!r} = {val!r}")
+    classes = [c for c, _, _ in pairs]
+    cols = [value_columns[cat, val] for _, cat, val in pairs]
+    p_obj = np.asarray(clamp_prob(obj_scores[:, classes]))
+    p_attr = np.asarray(clamp_prob(attr_scores[:, cols]))
+    rows = np.argmax(p_obj * p_attr, axis=0)
+    at = (rows, np.arange(len(pairs)))
+    best_obj, best_attr = p_obj[at], p_attr[at]
+    # np.add.at, not fancy-index assignment: pairs that meet in one cell must accumulate
+    np.add.at(grad_obj, (rows, classes), -1.0 / best_obj)
+    np.add.at(grad_attr, (rows, cols), -1.0 / best_attr)
     denom = float(len(mentioned))
-    total /= denom
     grad_obj /= denom
-    for cat in grad_attr:
-        grad_attr[cat] /= denom
-    return float(total), grad_obj, grad_attr, chosen
+    grad_attr /= denom
+    total = -np.sum(np.log(best_obj) + np.log(best_attr)) / denom
+    return float(total), grad_obj, grad_attr, {pair: int(i) for pair, i in zip(pairs, rows)}
 
 
 def mid_loss(mid: MidScores, objects: Iterable[int], num_classes: int) -> tuple[float, np.ndarray]:
@@ -169,7 +168,7 @@ def total_loss(
     mid: MidScores,
     labels: LabelSet,
     weights: LossWeights,
-    category_values: Mapping[str, Sequence[str]],
+    value_columns: Mapping[tuple[str, str], int],
     oicr_values: Sequence[float] = (),
     oicr_grads: ScoreGrads | None = None,
 ) -> LossReport:
@@ -189,11 +188,10 @@ def total_loss(
     argmax_pairs: dict[tuple[int, str, str], int] = {}
     if weights.lambda2 > 0.0:
         l_entang, g_eobj, g_eattr, argmax_pairs = entanglement_loss(
-            scores.objects[0], scores.attributes[0], labels, category_values
+            scores.objects[0], scores.attributes[0], labels, value_columns
         )
         grad.objects[0] += weights.lambda2 * g_eobj
-        for cat, arr in g_eattr.items():
-            grad.attributes[0][cat] += weights.lambda2 * arr
+        grad.attributes[0] += weights.lambda2 * g_eattr
 
     l_mid, g_y = mid_loss(mid, labels.objects, num_classes)
     grad.mid_image += g_y

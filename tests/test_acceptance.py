@@ -9,7 +9,6 @@ import statistics
 import time
 
 import numpy as np
-import pytest
 
 from capdet import cli
 from capdet.geometry import Box, iou, nms
@@ -64,13 +63,13 @@ def test_criterion_2_coupled_loss_dominates_decoupled_selection():
         num_classes = int(rng.integers(2, 5))
         c = int(rng.integers(0, num_classes))
         obj = rng.uniform(0.01, 1.0, size=(m, num_classes + 1))
-        attr = {"color": rng.uniform(0.01, 1.0, size=(m, 3))}
-        cats = {"color": ("red", "green", "blue")}
+        attr = rng.uniform(0.01, 1.0, size=(m, 3))  # columns: color red, green, blue
+        cols = {("color", "red"): 0, ("color", "green"): 1, ("color", "blue"): 2}
         labels = LabelSet(objects={c}, attribute_pairs={c: {("color", "red")}})
-        coupled, _, _, _ = entanglement_loss(obj, attr, labels, cats)
+        coupled, _, _, _ = entanglement_loss(obj, attr, labels, cols)
         # decoupled: each factor free to pick its own region (|O| = 1)
         p_obj = np.asarray(clamp_prob(obj[:, c]))
-        p_attr = np.asarray(clamp_prob(attr["color"][:, 0]))
+        p_attr = np.asarray(clamp_prob(attr[:, 0]))
         decoupled = -(np.log(p_obj.max()) + np.log(p_attr.max()))
         assert coupled >= decoupled - 1e-12
         if coupled > decoupled + 1e-12:
@@ -79,11 +78,11 @@ def test_criterion_2_coupled_loss_dominates_decoupled_selection():
 
     # reference divergence example: the coupled pick moves off the object-only pick
     obj = np.array([[0.9, 0.1], [0.5, 0.5]])
-    attr = {"color": np.array([[0.1, 0.9], [0.8, 0.2]])}
-    cats = {"color": ("brown", "red")}
+    attr = np.array([[0.1, 0.9], [0.8, 0.2]])  # columns: color brown, red
+    cols = {("color", "brown"): 0, ("color", "red"): 1}
     labels = LabelSet(objects={0}, attribute_pairs={0: {("color", "brown")}})
     _, _, object_pick = object_mil_loss(obj, {0})
-    _, _, _, coupled_pick = entanglement_loss(obj, attr, labels, cats)
+    _, _, _, coupled_pick = entanglement_loss(obj, attr, labels, cols)
     assert object_pick[0] == 0
     assert coupled_pick[(0, "color", "brown")] == 1
     print(
@@ -110,7 +109,8 @@ def test_criterion_3_formulation_invariants():
         scores, mid = forward(params, regions)
         assert np.all(mid.image_level > 0.5) and np.all(mid.image_level < 1.0)
         rows = [h.sum(axis=1) for h in scores.objects]
-        rows += [a.sum(axis=1) for heads in scores.attributes for a in heads.values()]
+        for a in scores.attributes:
+            rows += [a[:, cols].sum(axis=1) for cols in params.category_slices.values()]
         for s in rows:
             np.testing.assert_allclose(s, 1.0, atol=1e-6)
 

@@ -18,7 +18,8 @@ from capdet.oicr import (
 from capdet.scorenet import MidScores, ScoreTensor, softmax_cols
 from capdet.textgraph import LabelSet
 
-CATS = {"color": ("red", "brown")}
+# (category, value) -> attribute column, as ModelParams.value_columns lays them out
+COLS = {("color", "red"): 0, ("color", "brown"): 1}
 
 # two heavily overlapping boxes (IoU 0.8), one off on its own
 BOXES = np.array(
@@ -100,11 +101,11 @@ class TestSeedAndAssign:
         # the overlap mask is built from tau in build_pseudo_labels; the
         # evidence seeds class 0 at region 0, which region 1 overlaps at 0.8
         mid = MidScores(per_region=np.array([[0.9], [0.1], [0.1]]), image_level=np.array([0.7]))
-        scores = ScoreTensor(objects=[np.full((3, 2), 0.5)], attributes=[{}])
+        scores = ScoreTensor(objects=[np.full((3, 2), 0.5)], attributes=[np.zeros((3, 0))])
         overlap = float(iou_matrix(BOXES, BOXES)[1, 0])
         for tau, label in ((overlap, 0), (overlap + 1e-9, 1)):
             cfg = RefinementConfig(num_heads=1, tau=tau)
-            (pseudo,) = build_pseudo_labels(scores, mid, labels_for({0}), BOXES, cfg, CATS)
+            (pseudo,) = build_pseudo_labels(scores, mid, labels_for({0}), BOXES, cfg, COLS)
             assert pseudo.class_labels[1] == label
 
     def test_empty_objects_rejected(self):
@@ -184,16 +185,16 @@ class TestAttributeAssignments:
     def test_head_one_reuses_object_seeds(self):
         labels = labels_for({0}, {0: {("color", "red")}})
         out = attribute_assignments(
-            1, np.zeros((3, 2)), None, labels, near(0.5), CATS,
+            1, np.zeros((3, 2)), None, labels, near(0.5), COLS,
             object_seeds={0: (2, 0.7)},
         )
-        assert out == [(2, 0, "color", "red")]
+        assert out == [(2, 0, 0)]
 
     def test_head_one_no_propagation(self):
         # seed sits in the overlapping pair but nothing spreads at head 1
         labels = labels_for({0}, {0: {("color", "red")}})
         out = attribute_assignments(
-            1, np.zeros((3, 2)), None, labels, near(0.5), CATS,
+            1, np.zeros((3, 2)), None, labels, near(0.5), COLS,
             object_seeds={0: (0, 0.9)},
         )
         assert len(out) == 1
@@ -201,97 +202,90 @@ class TestAttributeAssignments:
     def test_later_heads_seed_at_product_argmax(self):
         labels = labels_for({0}, {0: {("color", "red")}})
         prev_obj = np.array([[0.9, 0.1], [0.5, 0.5], [0.1, 0.9]])
-        prev_attr = {"color": np.array([[0.1, 0.9], [0.9, 0.1], [0.5, 0.5]])}
+        prev_attr = np.array([[0.1, 0.9], [0.9, 0.1], [0.5, 0.5]])
         # products for (class 0, red): 0.09, 0.45, 0.05 -> seed region 1
         out = attribute_assignments(
-            2, prev_obj, prev_attr, labels, near(0.5), CATS, object_seeds={},
+            2, prev_obj, prev_attr, labels, near(0.5), COLS, object_seeds={},
         )
         regions = sorted(r for r, *_ in out)
         assert regions == [0, 1]  # region 0 overlaps the seed at 0.8
-        for _, c, cat, val in out:
-            assert (c, cat, val) == (0, "color", "red")
+        for _, c, col in out:
+            assert (c, col) == (0, COLS["color", "red"])
 
     def test_later_heads_need_attr_scores(self):
         labels = labels_for({0}, {0: {("color", "red")}})
         with pytest.raises(ValueError):
             attribute_assignments(
-                2, np.zeros((3, 2)), None, labels, near(0.5), CATS, object_seeds={},
+                2, np.zeros((3, 2)), None, labels, near(0.5), COLS, object_seeds={},
             )
 
 
 class TestCoupledRefinementLoss:
     def test_head_one_trains_attribute_factor_only(self):
         obj = np.array([[0.5, 0.5]])
-        attr = {"color": np.array([[0.25, 0.75]])}
-        assignments = [(0, 0, "color", "red")]
-        value, g_obj, g_attr = coupled_refinement_loss(1, obj, attr, assignments, CATS)
+        attr = np.array([[0.25, 0.75]])
+        assignments = [(0, 0, 0)]
+        value, g_obj, g_attr = coupled_refinement_loss(1, obj, attr, assignments)
         assert value == pytest.approx(-math.log(0.25))
         assert not np.any(g_obj)
-        assert g_attr["color"][0, 0] == pytest.approx(-1.0 / 0.25)
+        assert g_attr[0, 0] == pytest.approx(-1.0 / 0.25)
 
     def test_later_heads_train_both_factors(self):
         obj = np.array([[0.5, 0.5]])
-        attr = {"color": np.array([[0.25, 0.75]])}
-        assignments = [(0, 0, "color", "red")]
-        value, g_obj, g_attr = coupled_refinement_loss(2, obj, attr, assignments, CATS)
+        attr = np.array([[0.25, 0.75]])
+        assignments = [(0, 0, 0)]
+        value, g_obj, g_attr = coupled_refinement_loss(2, obj, attr, assignments)
         assert value == pytest.approx(-(math.log(0.25) + math.log(0.5)))
         assert g_obj[0, 0] == pytest.approx(-1.0 / 0.5)
-        assert g_attr["color"][0, 0] == pytest.approx(-1.0 / 0.25)
+        assert g_attr[0, 0] == pytest.approx(-1.0 / 0.25)
 
     def test_averaged_per_assignment(self):
         obj = np.array([[0.5, 0.5], [0.5, 0.5]])
-        attr = {"color": np.array([[0.25, 0.75], [0.25, 0.75]])}
-        one = [(0, 0, "color", "red")]
-        two = one + [(1, 0, "color", "red")]
-        v1, *_ = coupled_refinement_loss(2, obj, attr, one, CATS)
-        v2, *_ = coupled_refinement_loss(2, obj, attr, two, CATS)
+        attr = np.array([[0.25, 0.75], [0.25, 0.75]])
+        one = [(0, 0, 0)]
+        two = one + [(1, 0, 0)]
+        v1, *_ = coupled_refinement_loss(2, obj, attr, one)
+        v2, *_ = coupled_refinement_loss(2, obj, attr, two)
         assert v2 == pytest.approx(v1)  # same per-assignment value, n doubles
 
     def test_shared_cells_accumulate(self):
         # two classes share one attribute cell, two pairs of class 0 share
         # one object cell; each cell must receive both gradients
-        cats = {"color": ("red", "brown"), "size": ("small", "large")}
+        # columns: color red, color brown, size small, size large
         obj = np.array([[0.5, 0.25, 0.25]])
-        attr = {"color": np.array([[0.25, 0.75]]), "size": np.array([[0.5, 0.5]])}
-        assignments = [(0, 0, "color", "red"), (0, 1, "color", "red"), (0, 0, "size", "small")]
-        _, g_obj, g_attr = coupled_refinement_loss(2, obj, attr, assignments, cats)
-        assert g_attr["color"][0, 0] == pytest.approx(-2.0 / (3 * 0.25))
-        assert g_attr["size"][0, 0] == pytest.approx(-1.0 / (3 * 0.5))
+        attr = np.array([[0.25, 0.75, 0.5, 0.5]])
+        assignments = [(0, 0, 0), (0, 1, 0), (0, 0, 2)]
+        _, g_obj, g_attr = coupled_refinement_loss(2, obj, attr, assignments)
+        assert g_attr[0, 0] == pytest.approx(-2.0 / (3 * 0.25))
+        assert g_attr[0, 2] == pytest.approx(-1.0 / (3 * 0.5))
         assert g_obj[0, 0] == pytest.approx(-2.0 / (3 * 0.5))
         assert g_obj[0, 1] == pytest.approx(-1.0 / (3 * 0.25))
 
     def test_matches_per_assignment_loop(self):
         # reference: the per-assignment loop, accumulating in list order
-        cats = {"color": ("red", "brown", "blue"), "size": ("small", "large")}
         rng = np.random.default_rng(41)
         obj = rng.uniform(0.01, 1.0, size=(4, 3))
-        attr = {cat: rng.uniform(0.01, 1.0, size=(4, len(vals))) for cat, vals in cats.items()}
-        assignments = []
-        for _ in range(30):
-            cat = ("color", "size")[int(rng.integers(2))]
-            val = cats[cat][int(rng.integers(len(cats[cat])))]
-            assignments.append((int(rng.integers(4)), int(rng.integers(2)), cat, val))
+        attr = rng.uniform(0.01, 1.0, size=(4, 5))
+        assignments = [(int(rng.integers(4)), int(rng.integers(2)), int(rng.integers(5))) for _ in range(30)]
         for head in (1, 2):
             n = len(assignments)
             ref_obj = np.zeros_like(obj)
-            ref_attr = {cat: np.zeros_like(a) for cat, a in attr.items()}
+            ref_attr = np.zeros_like(attr)
             ref_value = 0.0
-            for region, c, cat, val in assignments:
-                vi = cats[cat].index(val)
-                ref_value -= math.log(attr[cat][region, vi])
-                ref_attr[cat][region, vi] -= 1.0 / (n * attr[cat][region, vi])
+            for region, c, col in assignments:
+                ref_value -= math.log(attr[region, col])
+                ref_attr[region, col] -= 1.0 / (n * attr[region, col])
                 if head >= 2:
                     ref_value -= math.log(obj[region, c])
                     ref_obj[region, c] -= 1.0 / (n * obj[region, c])
-            value, g_obj, g_attr = coupled_refinement_loss(head, obj, attr, assignments, cats)
+            value, g_obj, g_attr = coupled_refinement_loss(head, obj, attr, assignments)
             assert value == pytest.approx(ref_value / n, rel=1e-12)
             assert np.array_equal(g_obj, ref_obj)
-            for cat in cats:
-                assert np.array_equal(g_attr[cat], ref_attr[cat])
+            assert np.array_equal(g_attr, ref_attr)
 
     def test_empty_assignments(self):
         value, g_obj, g_attr = coupled_refinement_loss(
-            2, np.ones((2, 2)), {"color": np.ones((2, 2))}, [], CATS,
+            2, np.ones((2, 2)), np.ones((2, 2)), [],
         )
         assert value == 0.0
         assert not np.any(g_obj)
@@ -303,7 +297,7 @@ def make_inputs(rng, m=6, num_classes=2, num_heads=3):
     attrs = []
     for _ in range(num_heads):
         a = rng.uniform(0.05, 1.0, size=(m, 2))
-        attrs.append({"color": a / a.sum(axis=1, keepdims=True)})
+        attrs.append(a / a.sum(axis=1, keepdims=True))
     scores = ScoreTensor(objects=objects, attributes=attrs)
     per_region = rng.uniform(0.0, 0.5, size=(m, num_classes))
     y = 1.0 / (1.0 + np.exp(-per_region.sum(axis=0)))
@@ -321,7 +315,7 @@ class TestBuildPseudoLabels:
         scores, mid, boxes = make_inputs(rng)
         labels = labels_for({0, 1})
         cfg = RefinementConfig(num_heads=3)
-        pseudos = build_pseudo_labels(scores, mid, labels, boxes, cfg, CATS)
+        pseudos = build_pseudo_labels(scores, mid, labels, boxes, cfg, COLS)
         assert len(pseudos) == 3
         s0 = initial_scores(mid)
         for c in (0, 1):
@@ -333,7 +327,7 @@ class TestBuildPseudoLabels:
         rng = np.random.default_rng(62)
         scores, mid, boxes = make_inputs(rng)
         cfg = RefinementConfig()
-        pseudos = build_pseudo_labels(scores, mid, labels_for(set()), boxes, cfg, CATS)
+        pseudos = build_pseudo_labels(scores, mid, labels_for(set()), boxes, cfg, COLS)
         assert pseudos == [None, None, None]
 
     def test_attributes_disabled_leaves_attrs_empty(self):
@@ -341,7 +335,7 @@ class TestBuildPseudoLabels:
         scores, mid, boxes = make_inputs(rng)
         labels = labels_for({0}, {0: {("color", "red")}})
         cfg = RefinementConfig(attributes_enabled=False)
-        pseudos = build_pseudo_labels(scores, mid, labels, boxes, cfg, CATS)
+        pseudos = build_pseudo_labels(scores, mid, labels, boxes, cfg, COLS)
         assert all(p.attrs == [] for p in pseudos)
 
 
@@ -351,8 +345,8 @@ class TestRefinementTerms:
         scores, mid, boxes = make_inputs(rng)
         labels = labels_for({0}, {0: {("color", "red")}})
         cfg = RefinementConfig()
-        pseudos = build_pseudo_labels(scores, mid, labels, boxes, cfg, CATS)
-        values, grads = refinement_terms(scores, mid, pseudos, CATS)
+        pseudos = build_pseudo_labels(scores, mid, labels, boxes, cfg, COLS)
+        values, grads = refinement_terms(scores, mid, pseudos)
         assert len(values) == 3
         assert all(v > 0 for v in values)
         for j in range(3):
@@ -363,7 +357,7 @@ class TestRefinementTerms:
     def test_none_pseudo_contributes_zero(self):
         rng = np.random.default_rng(72)
         scores, mid, _ = make_inputs(rng)
-        values, grads = refinement_terms(scores, mid, [None, None, None], CATS)
+        values, grads = refinement_terms(scores, mid, [None, None, None])
         assert values == [0.0, 0.0, 0.0]
         assert not np.any(grads.objects[0])
 
@@ -374,11 +368,11 @@ class TestRefinementTerms:
         scores, mid, boxes = make_inputs(rng, m=4)
         labels = labels_for({0, 1}, {0: {("color", "red")}})
         cfg = RefinementConfig()
-        pseudos = build_pseudo_labels(scores, mid, labels, boxes, cfg, CATS)
-        _, grads = refinement_terms(scores, mid, pseudos, CATS)
+        pseudos = build_pseudo_labels(scores, mid, labels, boxes, cfg, COLS)
+        _, grads = refinement_terms(scores, mid, pseudos)
 
         def total(sc):
-            vals, _ = refinement_terms(sc, mid, pseudos, CATS)
+            vals, _ = refinement_terms(sc, mid, pseudos)
             return sum(vals)
 
         h = 1e-7
@@ -387,7 +381,7 @@ class TestRefinementTerms:
                 for c in range(3):
                     bumped = ScoreTensor(
                         objects=[o.copy() for o in scores.objects],
-                        attributes=[{k: v.copy() for k, v in h_.items()} for h_ in scores.attributes],
+                        attributes=[a.copy() for a in scores.attributes],
                     )
                     bumped.objects[j][i, c] += h
                     up = total(bumped)

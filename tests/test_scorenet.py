@@ -5,8 +5,6 @@ import pytest
 
 from capdet.scorenet import (
     CHECKPOINT_MAGIC,
-    Affine,
-    MidScores,
     ModelParams,
     RegionSet,
     ScoreGrads,
@@ -21,6 +19,7 @@ from capdet.scorenet import (
     softmax_cols,
     softmax_rows,
 )
+from capdet.trainer import TrainConfig, infer
 
 CATS = {"color": ("red", "green"), "size": ("small", "large")}
 
@@ -100,6 +99,16 @@ class TestInit:
         assert p.mid_det.weight.shape == (8, 3)
         assert (p.object_heads[0].bias == 0).all()
 
+    def test_attribute_columns_follow_category_order(self):
+        p = init_params(8, ("cat",), CATS, 1, seed=0)
+        assert p.category_slices == {"color": slice(0, 2), "size": slice(2, 4)}
+        assert p.value_columns == {
+            ("color", "red"): 0,
+            ("color", "green"): 1,
+            ("size", "small"): 2,
+            ("size", "large"): 3,
+        }
+
     def test_bad_args(self):
         with pytest.raises(ValueError):
             init_params(0, ("cat",), CATS, 1, seed=0)
@@ -155,8 +164,9 @@ class TestForward:
             assert head.shape == (5, 3)
             assert np.allclose(head.sum(axis=1), 1.0, atol=1e-6)
         for head in scores.attributes:
-            for arr in head.values():
-                assert np.allclose(arr.sum(axis=1), 1.0, atol=1e-6)
+            assert head.shape == (5, 4)
+            for cols in p.category_slices.values():
+                assert np.allclose(head[:, cols].sum(axis=1), 1.0, atol=1e-6)
 
     def test_feature_dim_mismatch(self):
         p = init_params(6, ("a",), CATS, 1, seed=0)
@@ -171,11 +181,8 @@ class TestParamGradients:
         def value(p):
             scores, mid = forward(p, regions)
             total = 0.0
-            for g, s in zip(grads.objects, scores.objects):
+            for g, s in zip(grads.objects + grads.attributes, scores.objects + scores.attributes):
                 total += float((g * s).sum())
-            for g_h, s_h in zip(grads.attributes, scores.attributes):
-                for cat, g in g_h.items():
-                    total += float((g * s_h[cat]).sum())
             total += float((grads.mid_per_region * mid.per_region).sum())
             total += float((grads.mid_image * mid.image_level).sum())
             return total
@@ -203,10 +210,7 @@ class TestParamGradients:
         scores, mid = forward(p, regions)
         grads = ScoreGrads(
             objects=[rng.normal(size=s.shape) for s in scores.objects],
-            attributes=[
-                {cat: rng.normal(size=a.shape) for cat, a in head.items()}
-                for head in scores.attributes
-            ],
+            attributes=[rng.normal(size=a.shape) for a in scores.attributes],
             mid_per_region=rng.normal(size=mid.per_region.shape),
             mid_image=rng.normal(size=mid.image_level.shape),
         )
@@ -347,17 +351,27 @@ class TestCheckpointHeader:
     @pytest.mark.parametrize(
         "key, edit",
         [
-            ("num_heads", lambda h: h.pop("num_heads")),
-            ("feature_dim", lambda h: h.pop("feature_dim")),
-            ("class_names", lambda h: h.pop("class_names")),
-            ("category_values", lambda h: h.pop("category_values")),
-            ("feature_dim", lambda h: h.update(feature_dim="6")),
-            ("num_heads", lambda h: h.update(num_heads=True)),
-            ("class_names", lambda h: h.update(class_names=["cat", 2])),
-            ("category_values", lambda h: h.update(category_values={"color": "red"})),
-            ("dtype", lambda h: h.update(dtype="bogus")),
-            ("dtype", lambda h: h.update(dtype="<i8")),
-            ("feature_dim", lambda h: h.update(feature_dim=0)),
+            pytest.param("num_heads", lambda h: h.pop("num_heads"), id="no-num_heads"),
+            pytest.param("feature_dim", lambda h: h.pop("feature_dim"), id="no-feature_dim"),
+            pytest.param("class_names", lambda h: h.pop("class_names"), id="no-class_names"),
+            pytest.param("category_values", lambda h: h.pop("category_values"), id="no-category_values"),
+            pytest.param("feature_dim", lambda h: h.update(feature_dim="6"), id="feature_dim-str"),
+            pytest.param("num_heads", lambda h: h.update(num_heads=True), id="num_heads-bool"),
+            pytest.param("class_names", lambda h: h.update(class_names=["cat", 2]), id="class_names-int-item"),
+            pytest.param(
+                "category_values", lambda h: h.update(category_values={"color": "red"}), id="category_values-str"
+            ),
+            pytest.param(
+                "category_values", lambda h: h.update(category_values={"color": []}), id="category_values-empty"
+            ),
+            pytest.param(
+                "category_values",
+                lambda h: h.update(category_values={"color": ["red", "red"]}),
+                id="category_values-dup",
+            ),
+            pytest.param("dtype", lambda h: h.update(dtype="bogus"), id="dtype-bogus"),
+            pytest.param("dtype", lambda h: h.update(dtype="<i8"), id="dtype-i8"),
+            pytest.param("feature_dim", lambda h: h.update(feature_dim=0), id="feature_dim-zero"),
         ],
     )
     def test_bad_header_names_path_and_key(self, saved, key, edit):
@@ -373,3 +387,24 @@ class TestCheckpointHeader:
         path.write_bytes(CHECKPOINT_MAGIC + b"[1, 2]\n")
         with pytest.raises(ValueError, match="header"):
             load_checkpoint(path)
+
+
+class TestNoAttributeCategories:
+    """A model without attribute categories has (m, 0) attribute score arrays."""
+
+    def test_checkpoint_forward_backward_and_infer(self, tmp_path):
+        rng = np.random.default_rng(31)
+        path = tmp_path / "plain.ckpt"
+        save_checkpoint(init_params(5, ("a", "b"), {}, 2, seed=3), path)
+        p = load_checkpoint(path)
+        assert p.category_values == {} and p.value_columns == {}
+        regions = make_regions(rng, 4, 5)
+        scores, mid = forward(p, regions)
+        assert [a.shape for a in scores.attributes] == [(4, 0), (4, 0)]
+        grads = ScoreGrads.zeros_like(scores, mid)
+        grads.objects[1][:] = rng.normal(size=grads.objects[1].shape)
+        out = param_gradients(p, regions, scores, grads)
+        assert np.any(out.object_heads[1].weight)
+        assert not np.any(out.object_heads[0].weight)
+        detections = infer(p, regions, TrainConfig(score_floor=0.0))
+        assert detections and all(0 <= det.class_index < 2 for det in detections)

@@ -17,7 +17,6 @@ from capdet.synthbench import (
     read_dataset_header,
     round_sig,
     round_sig_array,
-    write_dataset,
 )
 from capdet.textgraph import default_registry, extract_labels
 

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from capdet.scorenet import MidScores, ScoreGrads, ScoreTensor
 from capdet.textgraph import LabelSet
@@ -14,11 +17,14 @@ from capdet.weakloss import (
     total_loss,
 )
 
-CATS = {"color": ("red", "brown"), "size": ("small", "large")}
-
-
 def labels_for(objects, pairs=None):
     return LabelSet(objects=set(objects), attribute_pairs={k: set(v) for k, v in (pairs or {}).items()})
+
+
+def columns_for(cats):
+    """(category, value) -> column, the categories side by side as ModelParams lays them out."""
+    flat = [(cat, val) for cat, vals in cats.items() for val in vals]
+    return {pair: j for j, pair in enumerate(flat)}
 
 
 class TestObjectMilLoss:
@@ -87,42 +93,40 @@ class TestEntanglementLoss:
         # coupled choice (region 1, product 0.40) differs from the
         # object-only argmax (region 0)
         obj = np.array([[0.9, 0.1], [0.5, 0.5]])
-        attr = {
-            "color": np.array([[0.1, 0.9], [0.8, 0.2]]),
-            "size": np.array([[0.5, 0.5], [0.5, 0.5]]),
-        }
-        cats = {"color": ("brown", "red"), "size": ("small", "large")}
+        # columns: color brown, color red, size small, size large
+        attr = np.array([[0.1, 0.9, 0.5, 0.5], [0.8, 0.2, 0.5, 0.5]])
+        cols = columns_for({"color": ("brown", "red"), "size": ("small", "large")})
         labels = labels_for({0}, {0: {("color", "brown")}})
-        return obj, attr, cats, labels
+        return obj, attr, cols, labels
 
     def test_reference_example(self):
-        obj, attr, cats, labels = self.example()
-        value, grad_obj, grad_attr, chosen = entanglement_loss(obj, attr, labels, cats)
+        obj, attr, cols, labels = self.example()
+        value, grad_obj, grad_attr, chosen = entanglement_loss(obj, attr, labels, cols)
         assert chosen == {(0, "color", "brown"): 1}
         assert value == pytest.approx(0.916290731874155, abs=1e-12)
         assert grad_obj[1, 0] == pytest.approx(-2.0)  # -1 / 0.5
-        assert grad_attr["color"][1, 0] == pytest.approx(-1.25)  # -1 / 0.8
+        assert grad_attr[1, 0] == pytest.approx(-1.25)  # -1 / 0.8
         assert grad_obj[0, 0] == 0.0
-        assert not np.any(grad_attr["size"])
+        assert not np.any(grad_attr[:, 2:])  # the size columns
 
     def test_coupled_argmax_differs_from_object_argmax(self):
-        obj, attr, cats, labels = self.example()
+        obj, attr, cols, labels = self.example()
         _, _, object_chosen = object_mil_loss(obj, labels.objects)
-        _, _, _, coupled_chosen = entanglement_loss(obj, attr, labels, cats)
+        _, _, _, coupled_chosen = entanglement_loss(obj, attr, labels, cols)
         assert object_chosen[0] == 0
         assert coupled_chosen[(0, "color", "brown")] == 1
 
     def test_no_pairs_short_circuits(self):
-        obj, attr, cats, _ = self.example()
-        value, g_obj, g_attr, chosen = entanglement_loss(obj, attr, labels_for({0}), cats)
+        obj, attr, cols, _ = self.example()
+        value, g_obj, g_attr, chosen = entanglement_loss(obj, attr, labels_for({0}), cols)
         assert value == 0.0
         assert not np.any(g_obj)
         assert chosen == {}
 
     def test_object_normalization_default(self):
-        obj, attr, cats, _ = self.example()
+        obj, attr, cols, _ = self.example()
         labels = labels_for({0}, {0: {("color", "brown"), ("size", "small")}})
-        value_obj, *_ = entanglement_loss(obj, attr, labels, cats)
+        value_obj, *_ = entanglement_loss(obj, attr, labels, cols)
         # one object, two pairs (best products 0.40 and 0.45): the pair
         # losses are summed and divided by |O| = 1, not averaged over pairs
         assert value_obj == pytest.approx(-(math.log(0.40) + math.log(0.45)))
@@ -140,8 +144,8 @@ class TestEntanglementLoss:
             color = rng.uniform(0.01, 1.0, size=(m, 2))
             color /= color.sum(axis=1, keepdims=True)
             labels = labels_for({0}, {0: {("color", "red")}})
-            cats = {"color": ("red", "brown")}
-            value, *_ = entanglement_loss(obj, {"color": color}, labels, cats)
+            cols = columns_for({"color": ("red", "brown")})
+            value, *_ = entanglement_loss(obj, color, labels, cols)
             i_obj = int(np.argmax(obj[:, 0]))
             decoupled = -(math.log(obj[i_obj, 0]) + math.log(color[i_obj, 0]))
             assert value <= decoupled + 1e-12
@@ -150,48 +154,150 @@ class TestEntanglementLoss:
         assert strict > 0
 
     def test_unknown_category_rejected(self):
-        obj, attr, cats, _ = self.example()
+        obj, attr, cols, _ = self.example()
         labels = labels_for({0}, {0: {("texture", "rough")}})
         with pytest.raises(ValueError):
-            entanglement_loss(obj, attr, labels, cats)
+            entanglement_loss(obj, attr, labels, cols)
 
     def test_unknown_value_rejected(self):
-        obj, attr, cats, _ = self.example()
+        obj, attr, cols, _ = self.example()
         labels = labels_for({0}, {0: {("color", "purple")}})
         with pytest.raises(ValueError):
-            entanglement_loss(obj, attr, labels, cats)
+            entanglement_loss(obj, attr, labels, cols)
 
     def test_finite_difference(self):
         rng = np.random.default_rng(41)
         m = 5
         obj = rng.uniform(0.05, 1.0, size=(m, 3))
         obj /= obj.sum(axis=1, keepdims=True)
-        attr = {"color": rng.uniform(0.05, 1.0, size=(m, 2))}
-        attr["color"] /= attr["color"].sum(axis=1, keepdims=True)
-        cats = {"color": ("red", "brown")}
+        attr = rng.uniform(0.05, 1.0, size=(m, 2))
+        attr /= attr.sum(axis=1, keepdims=True)
+        cols = columns_for({"color": ("red", "brown")})
         labels = labels_for({0, 1}, {0: {("color", "red")}, 1: {("color", "brown")}})
-        _, grad_obj, grad_attr, _ = entanglement_loss(obj, attr, labels, cats)
+        _, grad_obj, grad_attr, _ = entanglement_loss(obj, attr, labels, cols)
         h = 1e-7
 
         def value_at(o, a):
-            v, *_ = entanglement_loss(o, {"color": a}, labels, cats)
+            v, *_ = entanglement_loss(o, a, labels, cols)
             return v
 
         for i in range(m):
             for c in range(3):
                 bumped = obj.copy()
                 bumped[i, c] += h
-                up = value_at(bumped, attr["color"])
+                up = value_at(bumped, attr)
                 bumped[i, c] -= 2 * h
-                down = value_at(bumped, attr["color"])
+                down = value_at(bumped, attr)
                 assert grad_obj[i, c] == pytest.approx((up - down) / (2 * h), abs=1e-5)
             for v in range(2):
-                bumped = attr["color"].copy()
+                bumped = attr.copy()
                 bumped[i, v] += h
                 up = value_at(obj, bumped)
                 bumped[i, v] -= 2 * h
                 down = value_at(obj, bumped)
-                assert grad_attr["color"][i, v] == pytest.approx((up - down) / (2 * h), abs=1e-5)
+                assert grad_attr[i, v] == pytest.approx((up - down) / (2 * h), abs=1e-5)
+
+
+# loop references: the per-class and per-pair loops the vectorised losses replace
+def mil_reference(scores, objects):
+    grad = np.zeros_like(scores)
+    chosen = {}
+    mentioned = sorted(objects)
+    total = 0.0
+    for c in mentioned:
+        col = np.clip(scores[:, c], 1e-12, 1.0 - 1e-12)
+        i = int(np.argmax(col))
+        chosen[c] = i
+        total -= math.log(col[i])
+        grad[i, c] -= 1.0 / col[i]
+    if mentioned:
+        total /= len(mentioned)
+        grad /= len(mentioned)
+    return total, grad, chosen
+
+
+def entanglement_reference(obj, attr, labels, cols):
+    grad_obj = np.zeros_like(obj)
+    grad_attr = np.zeros_like(attr)
+    chosen = {}
+    mentioned = sorted(labels.objects)
+    total = 0.0
+    for c in mentioned:
+        for cat, val in labels.pairs_for(c):
+            j = cols[cat, val]
+            p_obj = np.clip(obj[:, c], 1e-12, 1.0 - 1e-12)
+            p_attr = np.clip(attr[:, j], 1e-12, 1.0 - 1e-12)
+            i = int(np.argmax(p_obj * p_attr))
+            chosen[(c, cat, val)] = i
+            total -= math.log(p_obj[i]) + math.log(p_attr[i])
+            grad_obj[i, c] -= 1.0 / p_obj[i]
+            grad_attr[i, j] -= 1.0 / p_attr[i]
+    if chosen:
+        total /= len(mentioned)
+        grad_obj /= len(mentioned)
+        grad_attr /= len(mentioned)
+    return total, grad_obj, grad_attr, chosen
+
+
+PROPERTY_COLS = columns_for({"color": ("red", "green", "blue"), "size": ("small", "large")})
+
+
+@st.composite
+def loss_inputs(draw):
+    """Scores in [0, 0.99] (zeros exercise the clamp), mentioned classes and their pairs.
+
+    With shared set, the first two mentioned classes both carry (color, red)
+    and region r holds a 1.0 in both object columns and the red column, so
+    both pairs' maxima land on the attribute cell (r, red).
+    """
+    m = draw(st.integers(1, 6))
+    num_classes = draw(st.integers(2, 4))
+    scores = st.floats(0.0, 0.99, allow_subnormal=False)
+    obj = draw(arrays(np.float64, (m, num_classes + 1), elements=scores))
+    attr = draw(arrays(np.float64, (m, len(PROPERTY_COLS)), elements=scores))
+    mentioned = draw(st.sets(st.integers(0, num_classes - 1), max_size=num_classes))
+    pairs = {c: draw(st.sets(st.sampled_from(sorted(PROPERTY_COLS)), max_size=3)) for c in mentioned}
+    if draw(st.booleans()) and len(mentioned) >= 2:
+        r = draw(st.integers(0, m - 1))
+        first, second = sorted(mentioned)[:2]
+        for c in (first, second):
+            pairs[c].add(("color", "red"))
+            obj[r, c] = 1.0
+        attr[r, PROPERTY_COLS["color", "red"]] = 1.0
+    return obj, attr, labels_for(mentioned, pairs)
+
+
+class TestLossesMatchLoops:
+    @settings(max_examples=200, deadline=None)
+    @given(loss_inputs())
+    def test_object_mil_loss(self, inputs):
+        obj, _, labels = inputs
+        value, grad, chosen = object_mil_loss(obj, labels.objects)
+        ref_value, ref_grad, ref_chosen = mil_reference(obj, labels.objects)
+        assert chosen == ref_chosen
+        assert np.array_equal(grad, ref_grad)
+        assert np.allclose(value, ref_value, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(loss_inputs())
+    def test_entanglement_loss(self, inputs):
+        obj, attr, labels = inputs
+        value, grad_obj, grad_attr, chosen = entanglement_loss(obj, attr, labels, PROPERTY_COLS)
+        ref_value, ref_obj, ref_attr, ref_chosen = entanglement_reference(obj, attr, labels, PROPERTY_COLS)
+        assert chosen == ref_chosen
+        assert np.array_equal(grad_obj, ref_obj)
+        assert np.array_equal(grad_attr, ref_attr)
+        assert np.allclose(value, ref_value, rtol=1e-12, atol=0.0)
+
+    def test_pairs_meeting_in_one_cell_add_up(self):
+        # classes 0 and 1 both carry (color, red) and both maxima sit at
+        # region 0, so the red cell there collects two contributions
+        obj = np.array([[0.8, 0.8, 0.1], [0.1, 0.1, 0.8]])
+        attr = np.array([[0.5, 0.25, 0.25, 0.5, 0.5], [0.1, 0.8, 0.1, 0.5, 0.5]])
+        labels = labels_for({0, 1}, {0: {("color", "red")}, 1: {("color", "red")}})
+        _, _, grad_attr, chosen = entanglement_loss(obj, attr, labels, PROPERTY_COLS)
+        assert chosen == {(0, "color", "red"): 0, (1, "color", "red"): 0}
+        assert grad_attr[0, 0] == pytest.approx(-2.0)  # two times -1 / 0.5, over |O| = 2
 
 
 class TestMidLoss:
@@ -258,60 +364,59 @@ def exact_component_setup():
     evidence term of 1.0.
     """
     obj = np.array([[math.exp(-0.4), 1.0 - math.exp(-0.4)]])
-    attr = {"color": np.array([[math.exp(-1.6), 1.0 - math.exp(-1.6)]])}
+    attr = np.array([[math.exp(-1.6), 1.0 - math.exp(-1.6)]])
     scores = ScoreTensor(objects=[obj], attributes=[attr])
     mid = MidScores(per_region=np.zeros((1, 1)), image_level=np.array([math.exp(-1.0)]))
     labels = labels_for({0}, {0: {("color", "red")}})
-    cats = {"color": ("red", "green")}
-    return scores, mid, labels, cats
+    cols = columns_for({"color": ("red", "green")})
+    return scores, mid, labels, cols
 
 
 class TestTotalLoss:
     def test_mixing_arithmetic(self):
-        scores, mid, labels, cats = exact_component_setup()
-        report = total_loss(scores, mid, labels, LossWeights(lambda1=0.5, lambda2=0.01), cats)
+        scores, mid, labels, cols = exact_component_setup()
+        report = total_loss(scores, mid, labels, LossWeights(lambda1=0.5, lambda2=0.01), cols)
         assert report.l_mid == pytest.approx(1.0, abs=1e-12)
         assert report.l_obj == pytest.approx(0.4, abs=1e-12)
         assert report.l_entang == pytest.approx(2.0, abs=1e-12)
         assert report.l_total == pytest.approx(1.22, abs=1e-12)
 
     def test_refinement_values_added_unweighted(self):
-        scores, mid, labels, cats = exact_component_setup()
+        scores, mid, labels, cols = exact_component_setup()
         report = total_loss(
-            scores, mid, labels, LossWeights(), cats, oicr_values=(0.1, 0.2, 0.3),
+            scores, mid, labels, LossWeights(), cols, oicr_values=(0.1, 0.2, 0.3),
         )
         assert report.l_oicr == (0.1, 0.2, 0.3)
         assert report.l_total == pytest.approx(1.22 + 0.6, abs=1e-12)
 
     def test_lambda2_zero_skips_coupled_term(self):
-        scores, mid, labels, cats = exact_component_setup()
-        report = total_loss(scores, mid, labels, LossWeights(lambda2=0.0), cats)
+        scores, mid, labels, cols = exact_component_setup()
+        report = total_loss(scores, mid, labels, LossWeights(lambda2=0.0), cols)
         assert report.l_entang == 0.0
         assert report.argmax_pairs == {}
         for head in report.grad.attributes:
-            for arr in head.values():
-                assert not np.any(arr)
+            assert not np.any(head)
         assert report.l_total == pytest.approx(1.0 + 0.5 * 0.4, abs=1e-12)
 
     def test_gradients_scaled_by_weights(self):
-        scores, mid, labels, cats = exact_component_setup()
-        heavy = total_loss(scores, mid, labels, LossWeights(lambda1=1.0, lambda2=0.0), cats)
-        light = total_loss(scores, mid, labels, LossWeights(lambda1=0.5, lambda2=0.0), cats)
+        scores, mid, labels, cols = exact_component_setup()
+        heavy = total_loss(scores, mid, labels, LossWeights(lambda1=1.0, lambda2=0.0), cols)
+        light = total_loss(scores, mid, labels, LossWeights(lambda1=0.5, lambda2=0.0), cols)
         # evidence gradient identical, object gradient scales with lambda1
         assert np.allclose(heavy.grad.mid_image, light.grad.mid_image)
         assert np.allclose(heavy.grad.objects[0], 2.0 * light.grad.objects[0])
 
     def test_oicr_grads_added(self):
-        scores, mid, labels, cats = exact_component_setup()
-        base = total_loss(scores, mid, labels, LossWeights(), cats)
+        scores, mid, labels, cols = exact_component_setup()
+        base = total_loss(scores, mid, labels, LossWeights(), cols)
         extra = ScoreGrads.zeros_like(scores, mid)
         extra.objects[0][0, 0] = 5.0
-        with_extra = total_loss(scores, mid, labels, LossWeights(), cats, oicr_grads=extra)
+        with_extra = total_loss(scores, mid, labels, LossWeights(), cols, oicr_grads=extra)
         assert with_extra.grad.objects[0][0, 0] == pytest.approx(base.grad.objects[0][0, 0] + 5.0)
 
     def test_report_is_json_serializable(self):
-        scores, mid, labels, cats = exact_component_setup()
-        report = total_loss(scores, mid, labels, LossWeights(), cats)
+        scores, mid, labels, cols = exact_component_setup()
+        report = total_loss(scores, mid, labels, LossWeights(), cols)
         record = report.to_record()
         text = json.dumps(record)
         assert "l_total" in json.loads(text)
