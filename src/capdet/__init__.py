@@ -9,7 +9,7 @@ training/evaluation loop (trainer), and a command-line front end (cli).
 
 __version__ = "0.1.0"
 
-from .geometry import Box, iou, nms
+from .geometry import iou_matrix, nms
 from .textgraph import (
     AttributeRegistry,
     LabelSet,
@@ -20,8 +20,7 @@ from .textgraph import (
 )
 
 __all__ = [
-    "Box",
-    "iou",
+    "iou_matrix",
     "nms",
     "AttributeRegistry",
     "LabelSet",

@@ -1,53 +1,36 @@
-"""Axis-aligned box arithmetic: IoU and greedy non-maximum suppression.
+"""Axis-aligned box arithmetic on (m, 4) arrays: validation, IoU and greedy NMS.
 
-Boxes are closed real rectangles in scene units. There is no pixel
-grid, so no +1 width/height convention anywhere.
+A box is one row (x_min, y_min, x_max, y_max) of a float array; there is
+no box object. Boxes are closed real rectangles in scene units. There is
+no pixel grid, so no +1 width/height convention anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Box:
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
-
-    def __post_init__(self) -> None:
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ValueError(f"degenerate box: ({self.x_min}, {self.y_min}, {self.x_max}, {self.y_max})")
-
-    @property
-    def area(self) -> float:
-        return (self.x_max - self.x_min) * (self.y_max - self.y_min)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x_min, self.y_min, self.x_max, self.y_max], dtype=float)
-
-    @staticmethod
-    def from_array(arr: Sequence[float]) -> "Box":
-        x0, y0, x1, y1 = (float(v) for v in arr)
-        return Box(x0, y0, x1, y1)
-
-
-def iou(a: Box, b: Box) -> float:
-    """Intersection over union of two boxes; 0.0 when they are disjoint."""
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    return inter / (a.area + b.area - inter)
+def check_boxes(boxes: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
+    """boxes as a float (m, 4) array; ValueError unless every box is finite and non-degenerate."""
+    arr = np.asarray(boxes, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 4:
+        raise ValueError(f"boxes must be (m, 4), got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("non-finite box coordinate")
+    degenerate = ~((arr[:, 0] < arr[:, 2]) & (arr[:, 1] < arr[:, 3]))
+    if degenerate.any():
+        raise ValueError(f"degenerate box: {tuple(arr[np.argmax(degenerate)].tolist())}")
+    return arr
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU between (m, 4) and (n, 4) arrays in (x_min, y_min, x_max, y_max) order."""
+    """Pairwise IoU between (m, 4) and (n, 4) arrays in (x_min, y_min, x_max, y_max) order.
+
+    Disjoint pairs get exactly 0.0, and iou_matrix(b, a) is exactly the
+    transpose of iou_matrix(a, b).
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 2 or a.shape[1] != 4 or b.ndim != 2 or b.shape[1] != 4:
@@ -60,19 +43,22 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter / (area_a[:, None] + area_b[None, :] - inter)
 
 
-def nms(boxes: Sequence[Box], scores: Sequence[float], threshold: float) -> list[int]:
+def nms(boxes: np.ndarray, scores: Sequence[float] | np.ndarray, threshold: float) -> list[int]:
     """Greedy NMS: keep the highest-scoring box, suppress boxes with IoU >= threshold, repeat.
 
     Returns kept indices in descending score order; equal scores are
     visited lower-index first, so ties are broken deterministically.
     """
+    scores = np.asarray(scores, dtype=float)
     if len(boxes) != len(scores):
         raise ValueError(f"got {len(boxes)} boxes but {len(scores)} scores")
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
-    order = sorted(range(len(boxes)), key=lambda i: (-float(scores[i]), i))
+    overlapping = iou_matrix(boxes, boxes) >= threshold
+    alive = np.ones(len(scores), dtype=bool)
     kept: list[int] = []
-    for i in order:
-        if all(iou(boxes[i], boxes[j]) < threshold for j in kept):
+    for i in np.argsort(-scores, kind="stable").tolist():
+        if alive[i]:
             kept.append(i)
+            alive &= ~overlapping[i]
     return kept

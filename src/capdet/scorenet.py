@@ -27,6 +27,8 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .geometry import check_boxes
+
 # probabilities are clamped to [PROB_FLOOR, 1 - PROB_FLOOR] before any log
 PROB_FLOOR = 1e-12
 
@@ -136,18 +138,14 @@ class RegionSet:
     features: np.ndarray  # (m, d)
 
     def __post_init__(self) -> None:
-        self.boxes = np.asarray(self.boxes, dtype=float)
+        self.boxes = check_boxes(self.boxes)
         self.features = np.asarray(self.features, dtype=float)
-        if self.boxes.ndim != 2 or self.boxes.shape[1] != 4:
-            raise ValueError("boxes must be (m, 4)")
         if self.features.ndim != 2 or self.features.shape[0] != self.boxes.shape[0]:
             raise ValueError("features must be (m, d) with one row per box")
         if self.boxes.shape[0] < 1:
             raise ValueError("need at least one region")
-        if not np.isfinite(self.features).all() or not np.isfinite(self.boxes).all():
-            raise ValueError("non-finite region data")
-        if not ((self.boxes[:, 0] < self.boxes[:, 2]) & (self.boxes[:, 1] < self.boxes[:, 3])).all():
-            raise ValueError("degenerate box in region set")
+        if not np.isfinite(self.features).all():
+            raise ValueError("non-finite region features")
 
     @property
     def size(self) -> int:

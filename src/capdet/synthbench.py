@@ -14,7 +14,9 @@ Scenes are deterministic in (master seed, scene index): each scene draws
 from its own stream, so generation order or parallelism cannot change
 the data. Serialization keeps nine significant digits; the in-memory
 scenes hold exactly the serialized values, so a generate/load round trip
-is an identity.
+is an identity. A ground-truth box is a plain (x_min, y_min, x_max, y_max)
+tuple of floats; loading checks it, like the proposal boxes, with
+geometry.check_boxes.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Box, iou
+from .geometry import check_boxes, iou_matrix
 from .scorenet import RegionSet
 from .textgraph import AttributeRegistry, Vocabulary
 
@@ -186,7 +188,7 @@ def make_universe(config: SynthConfig, registry: AttributeRegistry, seed: int) -
 
 @dataclass
 class GroundTruth:
-    box: Box
+    box: tuple[float, float, float, float]  # (x_min, y_min, x_max, y_max)
     class_index: int
     attributes: list[tuple[str, str]]
 
@@ -203,7 +205,7 @@ class SyntheticScene:
             "image_id": self.image_id,
             "gt": [
                 {
-                    "box": list(g.box.as_array()),
+                    "box": list(g.box),
                     "class": g.class_index,
                     "attributes": [list(p) for p in g.attributes],
                 }
@@ -215,11 +217,14 @@ class SyntheticScene:
         }
 
     @staticmethod
-    def from_record(record: Mapping) -> "SyntheticScene":
+    def from_record(record: Mapping, num_classes: int) -> "SyntheticScene":
+        for g in record["gt"]:
+            if type(g["class"]) is not int or not 0 <= g["class"] < num_classes:
+                raise ValueError(f"GT class {g['class']!r} is not an index into the {num_classes} classes")
         gt = [
             GroundTruth(
-                box=Box.from_array(g["box"]),
-                class_index=int(g["class"]),
+                box=tuple(check_boxes([g["box"]])[0].tolist()),
+                class_index=g["class"],
                 attributes=[(str(c), str(v)) for c, v in g["attributes"]],
             )
             for g in record["gt"]
@@ -275,18 +280,19 @@ def _sample_classes(rng: np.random.Generator, config: SynthConfig) -> list[str]:
     return chosen
 
 
-def _sample_gt_box(rng: np.random.Generator) -> Box:
+def _sample_gt_box(rng: np.random.Generator) -> tuple[float, float, float, float]:
     w = float(rng.uniform(0.18, 0.38))
     h = float(rng.uniform(0.18, 0.38))
     x0 = float(rng.uniform(0.35 * w, 1.0 - 1.35 * w))
     y0 = float(rng.uniform(0.35 * h, 1.0 - 1.35 * h))
-    return Box(x0, y0, x0 + w, y0 + h)
+    return (x0, y0, x0 + w, y0 + h)
 
 
-def _jitter_box(rng: np.random.Generator, gt: Box, target_iou: float) -> Box:
+def _jitter_box(rng: np.random.Generator, gt: Sequence[float], target_iou: float) -> tuple[float, ...]:
     """Shift a copy of gt so its IoU with gt is exactly target_iou."""
-    w = gt.x_max - gt.x_min
-    h = gt.y_max - gt.y_min
+    x_min, y_min, x_max, y_max = gt
+    w = x_max - x_min
+    h = y_max - y_min
     mode = int(rng.integers(3)) if target_iou >= 0.5 else 0
     if mode == 0:  # shift both axes equally
         alpha = 1.0 - np.sqrt(2.0 * target_iou / (1.0 + target_iou))
@@ -300,7 +306,7 @@ def _jitter_box(rng: np.random.Generator, gt: Box, target_iou: float) -> Box:
         else:
             dx = 0.0
             dy = alpha * h * (1 if rng.random() < 0.5 else -1)
-    return Box(gt.x_min + dx, gt.y_min + dy, gt.x_max + dx, gt.y_max + dy)
+    return (x_min + dx, y_min + dy, x_max + dx, y_max + dy)
 
 
 def _article(word: str) -> str:
@@ -379,7 +385,7 @@ def generate_scene(
     boxes: list[list[float]] = []
     features: list[np.ndarray] = []
     for name, c_idx, attrs in objects:
-        gt_box = Box(*[round_sig(v) for v in _sample_gt_box(rng).as_array()])
+        gt_box = tuple(round_sig(v) for v in _sample_gt_box(rng))
         gt.append(GroundTruth(box=gt_box, class_index=c_idx, attributes=list(attrs)))
         base = universe.class_prototypes[c_idx].copy()
         for cat, val in attrs:
@@ -387,7 +393,7 @@ def generate_scene(
         for j in range(config.jitters_per_gt):
             target = float(rng.uniform(0.55, 0.85)) if j == 0 else float(rng.uniform(0.3, 0.9))
             jittered = _jitter_box(rng, gt_box, target)
-            boxes.append([round_sig(v) for v in jittered.as_array()])
+            boxes.append([round_sig(v) for v in jittered])
             noise = config.noise_sigma * rng.standard_normal(config.feature_dim)
             features.append(base + noise)
     for _ in range(config.background_boxes):
@@ -449,7 +455,7 @@ def write_dataset(path: str | Path, scenes: Iterable[SyntheticScene], universe: 
 
 
 def read_dataset_header(path: str | Path) -> dict | None:
-    """The header record, or None for an empty file."""
+    """The checked header record, or None for an empty file."""
     with open(path, encoding="utf-8") as f:
         for line in f:
             if not line.strip():
@@ -458,10 +464,24 @@ def read_dataset_header(path: str | Path) -> dict | None:
                 header = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DataError(f"{path}: line 1: bad header: {e}") from None
-            if header.get("schema") != SCHEMA_NAME or header.get("version") != SCHEMA_VERSION:
+            if (
+                not isinstance(header, dict)
+                or header.get("schema") != SCHEMA_NAME
+                or header.get("version") != SCHEMA_VERSION
+            ):
                 raise DataError(
                     f"{path}: line 1: expected schema {SCHEMA_NAME!r} version {SCHEMA_VERSION}"
                 )
+            feature_dim, names = header.get("feature_dim"), header.get("class_names")
+            if type(feature_dim) is not int or feature_dim < 1:
+                raise DataError(f"{path}: line 1: feature_dim must be a positive integer, got {feature_dim!r}")
+            if (
+                not isinstance(names, list)
+                or not names
+                or not all(isinstance(n, str) for n in names)
+                or len(set(names)) < len(names)
+            ):
+                raise DataError(f"{path}: line 1: class_names must be a non-empty list of distinct strings")
             return header
     return None
 
@@ -476,7 +496,7 @@ def load_dataset(path: str | Path) -> list[SyntheticScene]:
     if header is None:
         return []
     scenes: list[SyntheticScene] = []
-    feature_dim = int(header["feature_dim"])
+    feature_dim = header["feature_dim"]
     with open(path, encoding="utf-8") as f:
         saw_header = False
         for lineno, line in enumerate(f, start=1):
@@ -490,7 +510,7 @@ def load_dataset(path: str | Path) -> list[SyntheticScene]:
             except json.JSONDecodeError as e:
                 raise DataError(f"{path}: line {lineno}: truncated or corrupt record: {e}") from None
             try:
-                scene = SyntheticScene.from_record(record)
+                scene = SyntheticScene.from_record(record, len(header["class_names"]))
             except (KeyError, TypeError, ValueError) as e:
                 raise DataError(f"{path}: line {lineno}: bad scene record: {e}") from None
             if scene.proposals.features.shape[1] != feature_dim:
@@ -509,7 +529,5 @@ def benchmark_vocabulary(class_names: Sequence[str]) -> Vocabulary:
 
 def proposal_hit_exists(scene: SyntheticScene, threshold: float = 0.5) -> bool:
     """True when every GT box has at least one proposal overlapping it by >= threshold."""
-    proposal_boxes = [Box.from_array(b) for b in scene.proposals.boxes]
-    return all(
-        any(iou(g.box, pb) >= threshold for pb in proposal_boxes) for g in scene.gt
-    )
+    gt_boxes = np.reshape([g.box for g in scene.gt], (-1, 4))
+    return bool((iou_matrix(gt_boxes, scene.proposals.boxes) >= threshold).any(axis=1).all())

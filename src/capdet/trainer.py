@@ -8,10 +8,13 @@ that would otherwise feed gradients into later object heads; that is the
 exact-match baseline, and the two spellings of it (loss_mode="em",
 lambda2=0) are required to produce identical checkpoints.
 
-Inference averages the refinement heads' class scores, drops the
-background column, and applies per-class NMS with a score floor.
+Inference runs only the object heads, averages the refinement heads'
+class scores, drops the background column, and applies per-class NMS
+with a score floor; a detection names its proposal's row, not a box.
 Evaluation reports all-point average precision at IoU 0.5 per class,
-their mean over classes present in the ground truth, and CorLoc.
+their mean over classes present in the ground truth, and CorLoc. It
+computes one IoU matrix per scene, proposals against ground-truth
+boxes, and both AP matching and CorLoc read rows of it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Callable, Mapping, Sequence, get_type_hints
 import numpy as np
 
 from . import oicr, scorenet, weakloss
-from .geometry import Box, iou, nms
+from .geometry import iou_matrix, nms
 from .oicr import RefinementConfig
 from .scorenet import ModelParams, RegionSet
 from .synthbench import SyntheticScene
@@ -114,7 +117,7 @@ class TrainConfig:
 
 @dataclass
 class Detection:
-    box: Box
+    region: int  # row of the scene's proposal boxes
     class_index: int
     score: float
 
@@ -229,47 +232,47 @@ def train(
 
 
 def infer(params: ModelParams, regions: RegionSet, config: TrainConfig) -> list[Detection]:
-    """Mean class scores over heads, background dropped, per-class NMS, score floor."""
-    scores, _ = scorenet.forward(params, regions)
+    """Mean class scores over heads, background dropped, per-class NMS, score floor.
+
+    Only the object heads are evaluated; inference reads no attribute scores.
+    """
     num_classes = params.num_classes
-    mean_scores = np.mean([s[:, :num_classes] for s in scores.objects], axis=0)
-    boxes = [Box.from_array(b) for b in regions.boxes]
+    mean_scores = np.mean(
+        [scorenet.softmax_rows(head.apply(regions.features))[:, :num_classes] for head in params.object_heads],
+        axis=0,
+    )
     detections: list[Detection] = []
     for c in range(num_classes):
-        kept = nms(boxes, mean_scores[:, c].tolist(), config.nms_threshold)
-        for i in kept:
+        for i in nms(regions.boxes, mean_scores[:, c], config.nms_threshold):
             score = float(mean_scores[i, c])
             if score >= config.score_floor:
-                detections.append(Detection(box=boxes[i], class_index=c, score=score))
+                detections.append(Detection(region=i, class_index=c, score=score))
     return detections
 
 
 def average_precision(
-    detections: Sequence[tuple[str, float, Box]],
-    gt_boxes: Mapping[str, Sequence[Box]],
+    detections: Sequence[tuple[str, float, int, float]],
+    gt_counts: Mapping[str, int],
     iou_threshold: float = 0.5,
 ) -> float:
     """All-point interpolated AP for one class.
 
-    Detections are (scene id, score, box); each GT box can match at most
-    one detection, visited in descending score order.
+    Detections are (scene id, score, GT index, IoU): the index, among its
+    scene's GT boxes of the class, of the first box it overlaps most (-1
+    when there is none), and that overlap. gt_counts holds the number of
+    those GT boxes per scene. Each GT box can match at most one
+    detection, visited in descending score order.
     """
-    total_gt = sum(len(v) for v in gt_boxes.values())
+    total_gt = sum(gt_counts.values())
     if total_gt == 0:
         return 0.0
     order = sorted(range(len(detections)), key=lambda i: (-detections[i][1], i))
-    matched: dict[str, list[bool]] = {k: [False] * len(v) for k, v in gt_boxes.items()}
+    matched = {k: [False] * n for k, n in gt_counts.items()}
     tp = np.zeros(len(order))
     fp = np.zeros(len(order))
     for rank, i in enumerate(order):
-        scene_id, _, box = detections[i]
-        candidates = gt_boxes.get(scene_id, ())
-        best_iou, best_j = 0.0, -1
-        for j, g in enumerate(candidates):
-            v = iou(box, g)
-            if v > best_iou:
-                best_iou, best_j = v, j
-        if best_j >= 0 and best_iou >= iou_threshold and not matched[scene_id][best_j]:
+        scene_id, _, best_j, overlap = detections[i]
+        if best_j >= 0 and overlap >= iou_threshold and not matched[scene_id][best_j]:
             matched[scene_id][best_j] = True
             tp[rank] = 1.0
         else:
@@ -295,28 +298,28 @@ def evaluate(
 ) -> dict:
     """Per-class AP at IoU 0.5 over classes present in GT, their mean, and CorLoc."""
     num_classes = params.num_classes
-    per_class_dets: list[list[tuple[str, float, Box]]] = [[] for _ in range(num_classes)]
-    per_class_gt: list[dict[str, list[Box]]] = [dict() for _ in range(num_classes)]
+    per_class_dets: list[list[tuple[str, float, int, float]]] = [[] for _ in range(num_classes)]
+    per_class_gt: list[dict[str, int]] = [dict() for _ in range(num_classes)]
     top_hits = np.zeros(num_classes)
     top_total = np.zeros(num_classes)
 
     for scene in scenes:
-        detections = infer(params, scene.proposals, config)
-        for det in detections:
-            per_class_dets[det.class_index].append((scene.image_id, det.score, det.box))
-        classes_here: set[int] = set()
-        for g in scene.gt:
-            per_class_gt[g.class_index].setdefault(scene.image_id, []).append(g.box)
-            classes_here.add(g.class_index)
-        for c in classes_here:
+        by_class: dict[int, list[Detection]] = {}
+        for det in infer(params, scene.proposals, config):
+            by_class.setdefault(det.class_index, []).append(det)
+        gt_classes = np.array([g.class_index for g in scene.gt], dtype=int)
+        # rows are proposals (every detection is one), columns GT boxes
+        overlaps = iou_matrix(scene.proposals.boxes, np.reshape([g.box for g in scene.gt], (-1, 4)))
+        for c, dets in by_class.items():
+            rows = overlaps[[d.region for d in dets]][:, gt_classes == c]
+            best = rows.argmax(axis=1).tolist() if rows.size else [-1] * len(dets)
+            best_iou = rows.max(axis=1).tolist() if rows.size else [0.0] * len(dets)
+            per_class_dets[c] += [(scene.image_id, d.score, j, v) for d, j, v in zip(dets, best, best_iou)]
+        for c in np.unique(gt_classes).tolist():
+            per_class_gt[c][scene.image_id] = int(np.count_nonzero(gt_classes == c))
             top_total[c] += 1
-            best = None
-            for det in detections:
-                if det.class_index == c and (best is None or det.score > best.score):
-                    best = det
-            if best is not None and any(
-                iou(best.box, g.box) >= 0.5 for g in scene.gt if g.class_index == c
-            ):
+            dets = by_class.get(c)
+            if dets and overlaps[max(dets, key=lambda d: d.score).region, gt_classes == c].max() >= 0.5:
                 top_hits[c] += 1
 
     present = [c for c in range(num_classes) if per_class_gt[c]]

@@ -290,6 +290,50 @@ class TestBadCaptions:
         assert f"{bad}: line 2: bad scene record" in err
 
 
+# case -> (line the error names, edit of the header and of the first scene's first GT record)
+BAD_DATASETS = {
+    "no feature_dim": (1, lambda header, gt: header.pop("feature_dim")),
+    "no class_names": (1, lambda header, gt: header.pop("class_names")),
+    "class -1": (2, lambda header, gt: gt.update({"class": -1})),
+    "class 99": (2, lambda header, gt: gt.update({"class": 99})),
+    "class 1.7": (2, lambda header, gt: gt.update({"class": 1.7})),
+    "infinite box": (2, lambda header, gt: gt.update(box=[0.1, 0.1, float("inf"), 0.5])),
+}
+
+
+@pytest.fixture(scope="module")
+def train_checkpoint(data_dir, tmp_path_factory):
+    """An untrained checkpoint that matches the train split's header."""
+    header = json.loads((data_dir / "train.jsonl").read_text().splitlines()[0])
+    registry = default_registry()
+    cats = {c: tuple(registry.values[c]) for c in registry.categories}
+    params = scorenet.init_params(header["feature_dim"], header["class_names"], cats, 1, seed=0)
+    path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+    scorenet.save_checkpoint(params, path)
+    return path
+
+
+class TestBadDatasetRecords:
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("case", list(BAD_DATASETS))
+    def test_exit_two_naming_file_and_line(self, case, command, data_dir, train_checkpoint, tmp_path, capsys):
+        line, edit = BAD_DATASETS[case]
+        header_line, first, *rest = (data_dir / "train.jsonl").read_text().splitlines()
+        header, record = json.loads(header_line), json.loads(first)
+        edit(header, record["gt"][0])
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([json.dumps(header), json.dumps(record), *rest]) + "\n")
+        if command == "train":
+            args = ["train", "--data", str(bad), "--out", str(tmp_path / "m.ckpt"), "--steps", "1"]
+        else:
+            args = ["eval", "--data", str(bad), "--checkpoint", str(train_checkpoint), "--out", str(tmp_path / "m.json")]
+        code = cli.main(args)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert f"{bad}: line {line}: " in err
+
+
 class TestGradcheckCommand:
     def test_pass_exit_zero(self, capsys):
         code = cli.main(["gradcheck", "--trials", "2", "--coords", "8"])

@@ -1,104 +1,131 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from capdet.geometry import Box, iou, iou_matrix, nms
+from box_reference import greedy_nms, pair_iou
+from capdet.geometry import check_boxes, iou_matrix, nms
 
 
-class TestBox:
+def one_iou(a, b):
+    return iou_matrix([a], [b])[0, 0]
+
+
+# grid coordinates make repeated boxes and exact IoU values such as 1/3 and 1/2 common
+_start = st.one_of(st.integers(0, 4).map(float), st.floats(0.0, 4.0))
+_size = st.one_of(st.integers(1, 3).map(float), st.floats(0.01, 3.0))
+_box = st.tuples(_start, _start, _size, _size).map(lambda t: (t[0], t[1], t[0] + t[2], t[1] + t[3]))
+
+
+@st.composite
+def box_lists(draw, max_size=12):
+    """Boxes drawn from a small pool, so the same box often appears more than once."""
+    pool = draw(st.lists(_box, min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=max_size))
+    return [pool[i] for i in picks]
+
+
+def as_array(boxes):
+    return np.reshape(np.array(boxes, dtype=float), (-1, 4))
+
+
+class TestCheckBoxes:
     def test_rejects_degenerate(self):
-        with pytest.raises(ValueError):
-            Box(1.0, 0.0, 1.0, 2.0)
-        with pytest.raises(ValueError):
-            Box(0.0, 3.0, 2.0, 1.0)
+        with pytest.raises(ValueError, match="degenerate"):
+            check_boxes([[1.0, 0.0, 1.0, 2.0]])
+        with pytest.raises(ValueError, match="degenerate"):
+            check_boxes([[0.0, 0.0, 1.0, 1.0], [0.0, 3.0, 2.0, 1.0]])
 
-    def test_area(self):
-        assert Box(0.0, 0.0, 2.0, 3.0).area == 6.0
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            check_boxes([[0.1, 0.1, np.inf, 0.5]])
+        with pytest.raises(ValueError, match="non-finite"):
+            check_boxes([[np.nan, 0.1, 0.3, 0.5]])
+
+    @pytest.mark.parametrize("boxes", [[0.0, 0.0, 1.0, 1.0], [[0.0, 0.0, 1.0]], np.zeros((1, 2, 4))])
+    def test_rejects_wrong_shape(self, boxes):
+        with pytest.raises(ValueError, match=r"\(m, 4\)"):
+            check_boxes(boxes)
+
+    def test_returns_float_array(self):
+        out = check_boxes([[0, 0, 1, 2]])
+        assert out.dtype == float
+        assert out.tolist() == [[0.0, 0.0, 1.0, 2.0]]
 
 
 class TestIou:
     def test_identical_boxes(self):
-        b = Box(0.1, 0.2, 0.5, 0.9)
-        assert iou(b, b) == 1.0
+        b = (0.1, 0.2, 0.5, 0.9)
+        assert one_iou(b, b) == 1.0
 
     def test_disjoint_boxes(self):
-        assert iou(Box(0, 0, 1, 1), Box(2, 2, 3, 3)) == 0.0
+        assert one_iou((0, 0, 1, 1), (2, 2, 3, 3)) == 0.0
 
     def test_touching_edges_are_disjoint(self):
         # closed rectangles sharing only an edge have zero intersection area
-        assert iou(Box(0, 0, 1, 1), Box(1, 0, 2, 1)) == 0.0
+        assert one_iou((0, 0, 1, 1), (1, 0, 2, 1)) == 0.0
 
     def test_unit_offset_overlap(self):
         # intersection 1, union 4 + 4 - 1 = 7
-        assert iou(Box(0, 0, 2, 2), Box(1, 1, 3, 3)) == pytest.approx(1.0 / 7.0)
+        assert one_iou((0, 0, 2, 2), (1, 1, 3, 3)) == pytest.approx(1.0 / 7.0)
 
-    def test_symmetry_and_range(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            x0, y0 = rng.uniform(0, 1, 2)
-            a = Box(x0, y0, x0 + rng.uniform(0.1, 1), y0 + rng.uniform(0.1, 1))
-            x0, y0 = rng.uniform(0, 1, 2)
-            b = Box(x0, y0, x0 + rng.uniform(0.1, 1), y0 + rng.uniform(0.1, 1))
-            v = iou(a, b)
-            assert v == iou(b, a)
-            assert 0.0 <= v <= 1.0
+    @settings(max_examples=200, deadline=None)
+    @given(box_lists(), box_lists())
+    def test_symmetry_and_range(self, boxes_a, boxes_b):
+        a, b = as_array(boxes_a), as_array(boxes_b)
+        mat = iou_matrix(a, b)
+        assert np.array_equal(mat, iou_matrix(b, a).T)
+        square = iou_matrix(a, a)
+        assert np.array_equal(square, square.T)
+        assert ((mat >= 0.0) & (mat <= 1.0)).all()
 
     def test_containment(self):
-        outer = Box(0, 0, 4, 4)
-        inner = Box(1, 1, 3, 3)
-        assert iou(outer, inner) == pytest.approx(4.0 / 16.0)
+        assert one_iou((0, 0, 4, 4), (1, 1, 3, 3)) == pytest.approx(4.0 / 16.0)
 
-    def test_matrix_matches_scalar(self):
-        rng = np.random.default_rng(11)
-        boxes_a = []
-        boxes_b = []
-        for _ in range(6):
-            x0, y0 = rng.uniform(0, 1, 2)
-            boxes_a.append(Box(x0, y0, x0 + rng.uniform(0.1, 0.5), y0 + rng.uniform(0.1, 0.5)))
-            x0, y0 = rng.uniform(0, 1, 2)
-            boxes_b.append(Box(x0, y0, x0 + rng.uniform(0.1, 0.5), y0 + rng.uniform(0.1, 0.5)))
-        mat = iou_matrix(
-            np.array([b.as_array() for b in boxes_a]),
-            np.array([b.as_array() for b in boxes_b]),
-        )
+    @settings(max_examples=200, deadline=None)
+    @given(box_lists(), box_lists())
+    def test_matrix_matches_scalar(self, boxes_a, boxes_b):
+        mat = iou_matrix(as_array(boxes_a), as_array(boxes_b))
+        assert mat.shape == (len(boxes_a), len(boxes_b))
         for i, a in enumerate(boxes_a):
             for j, b in enumerate(boxes_b):
-                assert mat[i, j] == pytest.approx(iou(a, b))
+                assert mat[i, j] == pair_iou(a, b)
 
 
 class TestNms:
     def test_empty(self):
-        assert nms([], [], 0.5) == []
+        assert nms(np.empty((0, 4)), [], 0.5) == []
 
     def test_single_box(self):
-        assert nms([Box(0, 0, 1, 1)], [0.9], 0.5) == [0]
+        assert nms(as_array([(0, 0, 1, 1)]), [0.9], 0.5) == [0]
 
     def test_identical_boxes_keep_highest(self):
-        b = Box(0, 0, 1, 1)
-        assert nms([b, b, b], [0.2, 0.9, 0.5], 0.5) == [1]
+        b = (0, 0, 1, 1)
+        assert nms(as_array([b, b, b]), [0.2, 0.9, 0.5], 0.5) == [1]
 
     def test_tie_goes_to_lower_index(self):
-        b = Box(0, 0, 1, 1)
-        assert nms([b, b], [0.7, 0.7], 0.5) == [0]
+        b = (0, 0, 1, 1)
+        assert nms(as_array([b, b]), [0.7, 0.7], 0.5) == [0]
 
     def test_disjoint_all_kept_in_score_order(self):
-        boxes = [Box(0, 0, 1, 1), Box(2, 2, 3, 3), Box(4, 4, 5, 5)]
+        boxes = as_array([(0, 0, 1, 1), (2, 2, 3, 3), (4, 4, 5, 5)])
         assert nms(boxes, [0.1, 0.9, 0.5], 0.3) == [1, 2, 0]
 
     def test_suppression_at_threshold_boundary(self):
         # IoU of these two is exactly 1/3; threshold equal to it suppresses
-        a = Box(0, 0, 2, 1)
-        b = Box(1, 0, 3, 1)
-        assert iou(a, b) == pytest.approx(1.0 / 3.0)
-        assert nms([a, b], [0.9, 0.8], 1.0 / 3.0) == [0]
-        assert nms([a, b], [0.9, 0.8], 0.34) == [0, 1]
+        a = (0, 0, 2, 1)
+        b = (1, 0, 3, 1)
+        assert one_iou(a, b) == pytest.approx(1.0 / 3.0)
+        assert nms(as_array([a, b]), [0.9, 0.8], 1.0 / 3.0) == [0]
+        assert nms(as_array([a, b]), [0.9, 0.8], 0.34) == [0, 1]
 
     def test_chain_suppression_is_greedy(self):
         # b overlaps a, c overlaps b but not a: greedy keeps a and c
-        a = Box(0.0, 0.0, 1.0, 1.0)
-        b = Box(0.5, 0.0, 1.5, 1.0)
-        c = Box(1.2, 0.0, 2.2, 1.0)
-        assert iou(a, c) == 0.0
-        kept = nms([a, b, c], [0.9, 0.8, 0.7], 0.25)
+        a = (0.0, 0.0, 1.0, 1.0)
+        b = (0.5, 0.0, 1.5, 1.0)
+        c = (1.2, 0.0, 2.2, 1.0)
+        assert one_iou(a, c) == 0.0
+        kept = nms(as_array([a, b, c]), [0.9, 0.8, 0.7], 0.25)
         assert kept == [0, 2]
 
     def test_kept_pairs_below_threshold(self):
@@ -107,26 +134,37 @@ class TestNms:
             boxes = []
             for _ in range(20):
                 x0, y0 = rng.uniform(0, 1, 2)
-                boxes.append(Box(x0, y0, x0 + rng.uniform(0.05, 0.6), y0 + rng.uniform(0.05, 0.6)))
+                boxes.append((x0, y0, x0 + rng.uniform(0.05, 0.6), y0 + rng.uniform(0.05, 0.6)))
             scores = rng.uniform(0, 1, 20).tolist()
-            kept = nms(boxes, scores, 0.4)
+            kept = nms(as_array(boxes), scores, 0.4)
             for i_pos, i in enumerate(kept):
                 for j in kept[i_pos + 1 :]:
-                    assert iou(boxes[i], boxes[j]) < 0.4
+                    assert pair_iou(boxes[i], boxes[j]) < 0.4
 
     def test_score_monotone_transform_invariance(self):
         rng = np.random.default_rng(5)
         boxes = []
         for _ in range(15):
             x0, y0 = rng.uniform(0, 1, 2)
-            boxes.append(Box(x0, y0, x0 + rng.uniform(0.1, 0.5), y0 + rng.uniform(0.1, 0.5)))
+            boxes.append((x0, y0, x0 + rng.uniform(0.1, 0.5), y0 + rng.uniform(0.1, 0.5)))
         scores = rng.uniform(0.1, 0.9, 15)
-        assert nms(boxes, scores.tolist(), 0.4) == nms(boxes, (scores**3).tolist(), 0.4)
+        assert nms(as_array(boxes), scores.tolist(), 0.4) == nms(as_array(boxes), (scores**3).tolist(), 0.4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        box_lists(),
+        st.data(),
+        st.one_of(st.sampled_from([1.0, 0.5, 1.0 / 3.0, 0.25, 1.0 / 7.0]), st.floats(0.01, 1.0)),
+    )
+    def test_matches_greedy_loop_reference(self, boxes, data, threshold):
+        # few distinct scores, so ties are common; grid boxes put pairs exactly at 1/2, 1/3, 1/7
+        scores = data.draw(st.lists(st.sampled_from([0.1, 0.5, 0.9]), min_size=len(boxes), max_size=len(boxes)))
+        assert nms(as_array(boxes), scores, threshold) == greedy_nms(boxes, scores, threshold)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            nms([Box(0, 0, 1, 1)], [0.5, 0.4], 0.5)
+            nms(as_array([(0, 0, 1, 1)]), [0.5, 0.4], 0.5)
 
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValueError):
-            nms([Box(0, 0, 1, 1)], [0.5], 0.0)
+            nms(as_array([(0, 0, 1, 1)]), [0.5], 0.0)

@@ -1,14 +1,22 @@
 import json
 import math
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from capdet.geometry import Box, iou
-from capdet.synthbench import SynthConfig, gen_dataset, make_universe
+from box_reference import pair_iou
+from capdet import trainer
+from capdet.geometry import iou_matrix
+from capdet.scorenet import RegionSet
+from capdet.synthbench import GroundTruth, SynthConfig, SyntheticScene, gen_dataset, make_universe
 from capdet.textgraph import Vocabulary, default_registry
 from capdet.trainer import (
     Adagrad,
+    Detection,
     TrainConfig,
     average_precision,
     evaluate,
@@ -230,63 +238,155 @@ class TestInfer:
             for det in detections:
                 assert det.score >= cfg.score_floor
                 assert 0 <= det.class_index < len(vocab.class_names)
-                per_class.setdefault(det.class_index, []).append(det.box)
+                per_class.setdefault(det.class_index, []).append(tuple(scene.proposals.boxes[det.region]))
             for boxes in per_class.values():
                 for i in range(len(boxes)):
                     for j in range(i + 1, len(boxes)):
-                        assert iou(boxes[i], boxes[j]) < cfg.nms_threshold
+                        assert pair_iou(boxes[i], boxes[j]) < cfg.nms_threshold
+
+
+def box_ap(detections, gt_boxes):
+    """average_precision over (scene id, score, box) detections and per-scene GT box lists."""
+    matches = []
+    for scene_id, score, box in detections:
+        row = iou_matrix([box], np.reshape(gt_boxes.get(scene_id, []), (-1, 4)))[0]
+        best = int(np.argmax(row)) if len(row) else -1
+        matches.append((scene_id, score, best, row[best] if len(row) else 0.0))
+    return average_precision(matches, {scene_id: len(boxes) for scene_id, boxes in gt_boxes.items()})
+
+
+def reference_ap(detections, gt_boxes):
+    """The all-point AP, matching each detection against its scene's GT boxes one pair at a time."""
+    total_gt = sum(len(v) for v in gt_boxes.values())
+    if total_gt == 0:
+        return 0.0
+    order = sorted(range(len(detections)), key=lambda i: (-detections[i][1], i))
+    matched = {k: [False] * len(v) for k, v in gt_boxes.items()}
+    tp = []
+    for i in order:
+        scene_id, _, box = detections[i]
+        best_iou, best_j = 0.0, -1
+        for j, g in enumerate(gt_boxes.get(scene_id, ())):
+            v = pair_iou(box, g)
+            if v > best_iou:
+                best_iou, best_j = v, j
+        hit = best_j >= 0 and best_iou >= 0.5 and not matched[scene_id][best_j]
+        if hit:
+            matched[scene_id][best_j] = True
+        tp.append(hit)
+    ap, prev_recall, hits = 0.0, 0.0, 0
+    precisions = [sum(tp[: r + 1]) / (r + 1) for r in range(len(tp))]
+    for r, hit in enumerate(tp):
+        if hit:
+            hits += 1
+            recall = hits / total_gt
+            ap += (recall - prev_recall) * max(precisions[r:])
+            prev_recall = recall
+    return ap
+
+
+# a small grid of boxes, so detections and GT boxes often coincide or overlap at exactly 1/2
+_grid_box = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 2), st.integers(1, 2)).map(
+    lambda t: (float(t[0]), float(t[1]), float(t[0] + t[2]), float(t[1] + t[3]))
+)
+_score = st.sampled_from([0.2, 0.5, 0.9])
+
+
+def eval_scene(k, proposals, gt):
+    """Scene s<k> with the given proposal boxes and (box, class) GT records."""
+    return SyntheticScene(
+        image_id=f"s{k}",
+        gt=[GroundTruth(box=b, class_index=c, attributes=[]) for b, c in gt],
+        proposals=RegionSet(boxes=proposals, features=np.zeros((len(proposals), 1))),
+        captions=["a cat."],
+    )
+
+
+@st.composite
+def eval_scenes(draw, num_classes=3):
+    """Scenes with proposals, GT records and detections over those proposals, all on the box grid."""
+    scenes = []
+    for k in range(draw(st.integers(1, 3))):
+        proposals = draw(st.lists(_grid_box, min_size=1, max_size=6))
+        gt = draw(st.lists(st.tuples(_grid_box, st.integers(0, num_classes - 1)), max_size=4))
+        detections = draw(
+            st.lists(
+                st.builds(Detection, st.integers(0, len(proposals) - 1), st.integers(0, num_classes - 1), _score),
+                max_size=8,
+            )
+        )
+        scenes.append((eval_scene(k, proposals, gt), detections))
+    return scenes
+
+
+# the first detection overlaps both GT boxes by 1/2 and takes the first; the second detection,
+# which overlaps only that box, is then a false positive
+TIED_OVERLAP = [
+    (
+        eval_scene(0, [(0.0, 0.0, 2.0, 1.0), (0.0, 0.0, 1.0, 1.0)], [((0.0, 0.0, 1.0, 1.0), 0), ((1.0, 0.0, 2.0, 1.0), 0)]),
+        [Detection(0, 0, 0.9), Detection(1, 0, 0.5)],
+    )
+]
 
 
 class TestAveragePrecision:
     def test_reference_example(self):
         # hit at 0.9, miss at 0.8, hit at 0.7 against two GT boxes:
         # precision envelope gives 0.5 * 1 + 0.5 * (2/3)
-        gt = {"s": [Box(0, 0, 1, 1), Box(5, 5, 6, 6)]}
+        gt = {"s": [(0, 0, 1, 1), (5, 5, 6, 6)]}
         detections = [
-            ("s", 0.9, Box(0, 0, 1, 1)),
-            ("s", 0.8, Box(10, 10, 11, 11)),
-            ("s", 0.7, Box(5, 5, 6, 6)),
+            ("s", 0.9, (0, 0, 1, 1)),
+            ("s", 0.8, (10, 10, 11, 11)),
+            ("s", 0.7, (5, 5, 6, 6)),
         ]
-        assert average_precision(detections, gt) == pytest.approx(0.5 + 0.5 * (2.0 / 3.0))
+        assert box_ap(detections, gt) == pytest.approx(0.5 + 0.5 * (2.0 / 3.0))
 
     def test_perfect_detection(self):
-        gt = {"s": [Box(0, 0, 1, 1)]}
-        assert average_precision([("s", 0.9, Box(0, 0, 1, 1))], gt) == 1.0
+        gt = {"s": [(0, 0, 1, 1)]}
+        assert box_ap([("s", 0.9, (0, 0, 1, 1))], gt) == 1.0
 
     def test_no_detections(self):
-        assert average_precision([], {"s": [Box(0, 0, 1, 1)]}) == 0.0
+        assert box_ap([], {"s": [(0, 0, 1, 1)]}) == 0.0
 
     def test_no_gt(self):
-        assert average_precision([("s", 0.9, Box(0, 0, 1, 1))], {}) == 0.0
+        assert box_ap([("s", 0.9, (0, 0, 1, 1))], {}) == 0.0
 
     def test_double_detection_counts_one_tp(self):
         # second detection of the same GT box is a false positive
-        gt = {"s": [Box(0, 0, 1, 1)]}
+        gt = {"s": [(0, 0, 1, 1)]}
         detections = [
-            ("s", 0.9, Box(0, 0, 1, 1)),
-            ("s", 0.8, Box(0.01, 0.0, 1.01, 1.0)),
+            ("s", 0.9, (0, 0, 1, 1)),
+            ("s", 0.8, (0.01, 0.0, 1.01, 1.0)),
         ]
-        value = average_precision(detections, gt)
+        value = box_ap(detections, gt)
         assert value == pytest.approx(1.0)  # the fp comes after full recall
 
     def test_threshold_boundary(self):
-        gt = {"s": [Box(0, 0, 2, 2)]}
-        half = Box(0, 0, 2, 1.0)  # IoU exactly 0.5
-        assert iou(half, Box(0, 0, 2, 2)) == pytest.approx(0.5)
-        assert average_precision([("s", 0.9, half)], gt) == pytest.approx(1.0)
+        gt = {"s": [(0, 0, 2, 2)]}
+        half = (0, 0, 2, 1.0)  # IoU exactly 0.5
+        assert pair_iou(half, (0, 0, 2, 2)) == pytest.approx(0.5)
+        assert box_ap([("s", 0.9, half)], gt) == pytest.approx(1.0)
 
     def test_wrong_scene_is_fp(self):
-        gt = {"a": [Box(0, 0, 1, 1)]}
-        assert average_precision([("b", 0.9, Box(0, 0, 1, 1))], gt) == 0.0
+        gt = {"a": [(0, 0, 1, 1)]}
+        assert box_ap([("b", 0.9, (0, 0, 1, 1))], gt) == 0.0
 
     def test_score_order_matters(self):
         # fp ranked above the tp caps the envelope at 1/2
-        gt = {"s": [Box(0, 0, 1, 1)]}
+        gt = {"s": [(0, 0, 1, 1)]}
         detections = [
-            ("s", 0.9, Box(10, 10, 11, 11)),
-            ("s", 0.8, Box(0, 0, 1, 1)),
+            ("s", 0.9, (10, 10, 11, 11)),
+            ("s", 0.8, (0, 0, 1, 1)),
         ]
-        assert average_precision(detections, gt) == pytest.approx(0.5)
+        assert box_ap(detections, gt) == pytest.approx(0.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from("abc"), _score, _grid_box), max_size=12),
+        st.dictionaries(st.sampled_from("abc"), st.lists(_grid_box, max_size=3)),
+    )
+    def test_matches_loop_reference(self, detections, gt_boxes):
+        assert box_ap(detections, gt_boxes) == pytest.approx(reference_ap(detections, gt_boxes), abs=1e-12)
 
 
 class TestEvaluate:
@@ -304,6 +404,42 @@ class TestEvaluate:
         # only classes present in the slice's GT are reported
         present = {universe.class_names[g.class_index] for s in scenes[:8] for g in s.gt}
         assert set(metrics["per_class_ap"]) == present
+
+    @settings(max_examples=150, deadline=None)
+    @given(eval_scenes())
+    @example(TIED_OVERLAP)
+    def test_ap_and_corloc_match_loop_reference(self, scenes_and_detections):
+        class_names = ("c0", "c1", "c2")
+        params = SimpleNamespace(num_classes=3, class_names=class_names)
+        scenes = [scene for scene, _ in scenes_and_detections]
+        by_regions = {id(scene.proposals): dets for scene, dets in scenes_and_detections}
+        with mock.patch.object(trainer, "infer", lambda _, regions, __: by_regions[id(regions)]):
+            metrics = evaluate(params, scenes, TrainConfig())
+
+        expected_ap, expected_corloc = {}, {}
+        for c, name in enumerate(class_names):
+            gt_boxes = {}
+            detections = []
+            hits = total = 0
+            for scene, dets in scenes_and_detections:
+                gt_here = [g.box for g in scene.gt if g.class_index == c]
+                if gt_here:
+                    gt_boxes[scene.image_id] = gt_here
+                ours = [d for d in dets if d.class_index == c]
+                detections += [(scene.image_id, d.score, tuple(scene.proposals.boxes[d.region])) for d in ours]
+                if gt_here:
+                    total += 1
+                    best = None
+                    for d in ours:
+                        if best is None or d.score > best.score:
+                            best = d
+                    box = None if best is None else tuple(scene.proposals.boxes[best.region])
+                    hits += box is not None and any(pair_iou(box, g) >= 0.5 for g in gt_here)
+            if gt_boxes:
+                expected_ap[name] = reference_ap(detections, gt_boxes)
+                expected_corloc[name] = hits / total
+        assert metrics["per_class_ap"] == pytest.approx(expected_ap, abs=1e-12)
+        assert metrics["per_class_corloc"] == expected_corloc
 
     def test_metrics_report_echoes_config(self):
         cfg = TrainConfig(steps=5, seed=9)
