@@ -158,20 +158,20 @@ def cmd_parse(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_scenes(path: str) -> list[synthbench.SyntheticScene]:
+def _load_scenes(path: str) -> tuple[dict, list[synthbench.SyntheticScene]]:
+    """The dataset's header and scenes, read once."""
     try:
-        scenes = synthbench.load_dataset(path)
+        header, scenes = synthbench.read_dataset(path)
     except OSError as e:
         raise DataError(f"cannot read dataset {path}: {e}") from None
     if not scenes:
         raise DataError(f"dataset {path} is empty")
-    return scenes
+    return header, scenes
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = build_train_config(args)
-    scenes = _load_scenes(args.data)
-    header = synthbench.read_dataset_header(args.data)
+    header, scenes = _load_scenes(args.data)
     vocab, registry = _load_vocab_registry(args)
     if vocab is None:
         vocab = Vocabulary(header["class_names"])
@@ -191,12 +191,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     config = build_train_config(args)
-    scenes = _load_scenes(args.data)
+    header, scenes = _load_scenes(args.data)
     try:
         params = scorenet.load_checkpoint(args.checkpoint)
     except (OSError, ValueError) as e:
         raise DataError(f"bad checkpoint {args.checkpoint}: {e}") from None
-    header = synthbench.read_dataset_header(args.data)
     for key, model_value in (("feature_dim", params.feature_dim), ("class_names", list(params.class_names))):
         if header.get(key) != model_value:
             raise DataError(f"dataset {args.data} and checkpoint {args.checkpoint} disagree on {key}")

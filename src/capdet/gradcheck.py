@@ -103,7 +103,7 @@ def check_once(
     Probes bump params.flat in place and restore it, leaving params unchanged.
     """
     report, pseudos, scores = scene_loss(params, regions, labels, config)
-    analytic = scorenet.param_gradients(params, regions, scores, report.grad).flat
+    analytic = scorenet.param_gradients(params, regions, scores, report.grad, report.grad_image)
     flat = params.flat
 
     # name every coordinate so failures are reportable

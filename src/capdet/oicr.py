@@ -35,7 +35,7 @@ import numpy as np
 
 from . import scorenet
 from .geometry import iou_matrix
-from .scorenet import MidScores, ModelParams, RegionSet, ScoreGrads, ScoreTensor, clamp_prob, softmax_cols
+from .scorenet import ModelParams, RegionSet, Scores, clamp_prob, softmax_cols
 from .textgraph import LabelSet
 
 
@@ -64,9 +64,9 @@ class PseudoLabels:
     attrs: list[tuple[int, int, int]] = field(default_factory=list)
 
 
-def initial_scores(mid: MidScores) -> np.ndarray:
+def initial_scores(per_region: np.ndarray) -> np.ndarray:
     """Head 0: the evidence product normalized over regions per class."""
-    return softmax_cols(mid.per_region)
+    return softmax_cols(per_region)
 
 
 def seed_and_assign(
@@ -178,8 +178,7 @@ def coupled_refinement_loss(
 
 
 def build_pseudo_labels(
-    scores: ScoreTensor,
-    mid: MidScores,
+    scores: Scores,
     labels: LabelSet,
     boxes: np.ndarray,
     config: RefinementConfig,
@@ -190,12 +189,12 @@ def build_pseudo_labels(
     The result is pure data: recomputing losses against it involves no
     argmax over live scores, which is what a gradient check needs.
     """
-    num_classes = mid.per_region.shape[1]
+    num_classes = scores.per_region.shape[1]
     if not labels.objects:
         return [None] * config.num_heads
     near = iou_matrix(boxes, boxes) >= config.tau
     coupled = config.attributes_enabled and bool(labels.attribute_pairs)
-    s0 = initial_scores(mid)
+    s0 = initial_scores(scores.per_region)
     pseudos: list[PseudoLabels | None] = []
     for j in range(config.num_heads):
         prev_obj = s0 if j == 0 else scores.objects[j - 1]
@@ -211,28 +210,28 @@ def build_pseudo_labels(
 
 
 def refinement_terms(
-    scores: ScoreTensor,
-    mid: MidScores,
+    scores: Scores,
     pseudos: Sequence[PseudoLabels | None],
-) -> tuple[list[float], ScoreGrads]:
-    """Per-head loss values plus their gradients with respect to head scores."""
-    grads = ScoreGrads.zeros_like(scores, mid)
+) -> tuple[list[float], np.ndarray]:
+    """Per-head loss values plus their gradient with respect to scores.heads."""
+    grad = np.zeros_like(scores.heads)
+    grad_objects, grad_attributes = scores.split(grad)
     values: list[float] = []
     for j, pseudo in enumerate(pseudos):
         if pseudo is None:
             values.append(0.0)
             continue
         value, g = refinement_loss(scores.objects[j], pseudo)
-        grads.objects[j] += g
+        grad_objects[j] += g
         if pseudo.attrs:
             cv, g_obj, g_attr = coupled_refinement_loss(
                 j + 1, scores.objects[j], scores.attributes[j], pseudo.attrs
             )
             value += cv
-            grads.objects[j] += g_obj
-            grads.attributes[j] += g_attr
+            grad_objects[j] += g_obj
+            grad_attributes[j] += g_attr
         values.append(float(value))
-    return values, grads
+    return values, grad
 
 
 def run_refinement(
@@ -240,9 +239,9 @@ def run_refinement(
     regions: RegionSet,
     labels: LabelSet,
     config: RefinementConfig,
-) -> tuple[list[float], ScoreGrads, list[PseudoLabels | None]]:
+) -> tuple[list[float], np.ndarray, list[PseudoLabels | None]]:
     """Forward the model, freeze supervision per head, and score the chain."""
-    scores, mid = scorenet.forward(params, regions)
-    pseudos = build_pseudo_labels(scores, mid, labels, regions.boxes, config, params.value_columns)
-    values, grads = refinement_terms(scores, mid, pseudos)
-    return values, grads, pseudos
+    scores = scorenet.forward(params, regions)
+    pseudos = build_pseudo_labels(scores, labels, regions.boxes, config, params.value_columns)
+    values, grad = refinement_terms(scores, pseudos)
+    return values, grad, pseudos

@@ -1,27 +1,42 @@
-"""Affine score heads over region descriptors.
+"""Score heads over region descriptors, packed into one affine map.
 
 One model holds K parallel object heads (softmax over classes plus
 background), per-head attribute heads (softmax over each category's
-values, the categories side by side in one attribute column space), and
-a two-stream image-evidence block: one affine map squashed
-per entry by a sigmoid, one turned into a distribution over regions per
+values), and a two-stream image-evidence block: one stream squashed per
+entry by a sigmoid, one turned into a distribution over regions per
 class, multiplied elementwise. Summing that product over regions and
 applying a sigmoid gives the per-class image score, which therefore
 always lies in (0.5, 1).
 
-All parameters live in one flat float64 buffer that the optimizer,
-checkpoints and gradient check use directly; every head is an affine view
-into it. Its order (iter_param_arrays) is the checkpoint format.
+Every head reads the same region feature, so all of them together are
+one affine map from d to P = K(C+1) + K*V + 2C columns, in this order:
 
-Forward evaluation and the analytic backward pass are paired; the
-backward pass reuses forward's softmaxes and is checked against central
-finite differences in the test suite rather than trusted by construction.
+    object     K(C+1)  head by head: the C classes, then background
+    attribute  K*V     head by head: the categories side by side
+    det        C       the stream normalized over regions
+    cls        C       the sigmoid gate
+
+Forward is one matmul, one softmax over the (m, K, C+1) view of the
+object columns and one per category over the (m, K, V) view of the
+attribute columns. Backward builds one (m, P) gradient of the map's
+outputs and pulls it back through one matmul.
+
+All parameters live in one flat float64 buffer that the optimizer,
+checkpoints and gradient check use directly. Its order (iter_param_arrays)
+is the checkpoint format: column block by column block in the order
+above, each block's (d, width) weight and then its bias; weight_index and
+bias_index map the packed (d, P) weight and (P,) bias onto it.
+
+The backward pass reuses forward's softmaxes and evidence and is checked
+against central finite differences in the test suite rather than trusted
+by construction.
 """
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -40,9 +55,10 @@ def clamp_prob(p: np.ndarray | float) -> np.ndarray | float:
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
+    """Softmax over the last axis."""
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_cols(z: np.ndarray) -> np.ndarray:
@@ -55,25 +71,19 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
 
 
-@dataclass
-class Affine:
-    weight: np.ndarray  # (d, out)
-    bias: np.ndarray  # (out,)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.weight + self.bias
-
-
 class ModelParams:
     """All trainable parameters: one flat buffer plus the layout it was built for.
 
     category_values fixes the column order of every attribute head, and
     class_names fixes the column order of object and evidence heads, so a
-    checkpoint is self-describing. Each head's attribute scores are one
-    array whose columns hold the categories side by side in that order:
+    checkpoint is self-describing. Within one head's V attribute columns,
     category_slices gives each category's columns and value_columns maps
-    (category, value) to its column. The heads are views into flat:
-    writing through either one changes the other.
+    (category, value) to its column.
+
+    The layout is built once and shared by like: segments names every
+    block's (name, width) in buffer order, weight_index (d, P) and
+    bias_index (P,) locate the packed map's entries in flat, and
+    object_cols, attribute_cols, det_cols and cls_cols slice its columns.
     """
 
     def __init__(
@@ -82,7 +92,6 @@ class ModelParams:
         class_names: Sequence[str],
         category_values: Mapping[str, Sequence[str]],
         num_heads: int,
-        flat: np.ndarray | None = None,
     ):
         if feature_dim < 1:
             raise ValueError(f"feature_dim must be positive, got {feature_dim}")
@@ -96,34 +105,41 @@ class ModelParams:
         self.category_values = {str(c): tuple(str(v) for v in vals) for c, vals in category_values.items()}
         self.category_slices: dict[str, slice] = {}
         self.value_columns: dict[tuple[str, str], int] = {}
-        start = 0
+        v = 0
         for cat, vals in self.category_values.items():
-            self.category_slices[cat] = slice(start, start + len(vals))
-            self.value_columns.update({(cat, v): start + j for j, v in enumerate(vals)})
-            start += len(vals)
+            self.category_slices[cat] = slice(v, v + len(vals))
+            self.value_columns.update({(cat, val): v + j for j, val in enumerate(vals)})
+            v += len(vals)
         c = len(self.class_names)
-        widths = [c + 1] * num_heads + [len(v) for _ in range(num_heads) for v in self.category_values.values()]
-        widths += [c, c]
-        size = (d + 1) * sum(widths)
-        flat = np.zeros(size) if flat is None else np.asarray(flat, dtype=float)
-        if flat.shape != (size,):
-            raise ValueError(f"flat vector has {flat.size} entries, model needs {size}")
-        self.flat = flat
-        self.blocks: list[Affine] = []  # in buffer order
-        offset = 0
-        for w in widths:
-            end = offset + d * w
-            self.blocks.append(Affine(flat[offset:end].reshape(d, w), flat[end : end + w]))
-            offset = end + w
-        blocks = iter(self.blocks)
-        self.object_heads = [next(blocks) for _ in range(num_heads)]  # each d -> (C + 1), background last
-        # per head, per category: d -> |values|
-        self.attribute_heads = [{cat: next(blocks) for cat in self.category_values} for _ in range(num_heads)]
-        self.mid_det, self.mid_cls = blocks  # each d -> C
+        cats = self.category_values.items()
+        self.segments = (
+            [(f"object[{k}]", c + 1) for k in range(num_heads)]
+            + [(f"attribute[{k}][{cat}]", len(vals)) for k in range(num_heads) for cat, vals in cats]
+            + [("mid_det", c), ("mid_cls", c)]
+        )
+        n_obj, n_attr = num_heads * (c + 1), num_heads * v
+        self.object_cols = slice(0, n_obj)
+        self.attribute_cols = slice(n_obj, n_obj + n_attr)
+        self.det_cols = slice(n_obj + n_attr, n_obj + n_attr + c)
+        self.cls_cols = slice(n_obj + n_attr + c, n_obj + n_attr + 2 * c)
+        # packed column j lies in a block of width w whose first column is f;
+        # the block starts at (d + 1) * f in flat, so row r of column j sits
+        # at d * f + j + r * w and its bias at d * f + j + d * w
+        widths = np.array([w for _, w in self.segments])
+        width = np.repeat(widths, widths)
+        start = d * np.repeat(np.cumsum(widths) - widths, widths) + np.arange(width.size)
+        self.weight_index = start + np.arange(d)[:, None] * width
+        self.bias_index = start + d * width
+        self.flat = np.zeros((d + 1) * width.size)
 
     def like(self, flat: np.ndarray) -> "ModelParams":
-        """The same layout as views into flat, which must have the same size."""
-        return ModelParams(self.feature_dim, self.class_names, self.category_values, self.num_heads, flat)
+        """The same layout over flat, which must have the same size."""
+        flat = np.asarray(flat, dtype=float)
+        if flat.shape != self.flat.shape:
+            raise ValueError(f"flat vector has {flat.size} entries, model needs {self.flat.size}")
+        other = copy.copy(self)
+        other.flat = flat
+        return other
 
     @property
     def num_classes(self) -> int:
@@ -153,41 +169,35 @@ class RegionSet:
 
 
 @dataclass
-class ScoreTensor:
-    objects: list[np.ndarray]  # per head: (m, C + 1), rows sum to 1
-    # per head: (m, V), one softmax per category over its column slice
-    attributes: list[np.ndarray]
+class Scores:
+    """Forward's output for one region set.
 
+    heads holds every head's probabilities in the packed column order,
+    the K object blocks and then the K attribute blocks; objects and
+    attributes are views into it, and split takes the same views of any
+    array laid out like it, such as a gradient. The evidence block's
+    streams are kept for the backward pass.
+    """
 
-@dataclass
-class MidScores:
+    heads: np.ndarray  # (m, K(C + 1) + K * V)
+    num_heads: int
+    gate: np.ndarray  # (m, C) sigmoid stream
+    region_dist: np.ndarray  # (m, C) softmax over regions per class
     per_region: np.ndarray  # (m, C) product of the two streams
     image_level: np.ndarray  # (C,) sigmoid of per-class sums, in (0.5, 1)
+    objects: np.ndarray = field(init=False)  # (K, m, C + 1), rows sum to 1
+    attributes: np.ndarray = field(init=False)  # (K, m, V), one softmax per category
 
+    def __post_init__(self) -> None:
+        self.objects, self.attributes = self.split(self.heads)
 
-@dataclass
-class ScoreGrads:
-    """Gradient of some loss with respect to every score output."""
-
-    objects: list[np.ndarray]
-    attributes: list[np.ndarray]
-    mid_per_region: np.ndarray
-    mid_image: np.ndarray
-
-    @staticmethod
-    def zeros_like(scores: ScoreTensor, mid: MidScores) -> "ScoreGrads":
-        return ScoreGrads(
-            objects=[np.zeros_like(s) for s in scores.objects],
-            attributes=[np.zeros_like(a) for a in scores.attributes],
-            mid_per_region=np.zeros_like(mid.per_region),
-            mid_image=np.zeros_like(mid.image_level),
-        )
-
-    def add(self, other: "ScoreGrads") -> None:
-        for mine, theirs in zip(self.objects + self.attributes, other.objects + other.attributes):
-            mine += theirs
-        self.mid_per_region += other.mid_per_region
-        self.mid_image += other.mid_image
+    def split(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(K, m, C + 1) and (K, m, V) views of the head columns of a, laid out like heads."""
+        m, k = len(a), self.num_heads
+        n_obj = k * (self.image_level.size + 1)
+        v = (self.heads.shape[1] - n_obj) // k
+        objects = a[:, :n_obj].reshape(m, k, -1).transpose(1, 0, 2)
+        return objects, a[:, n_obj : n_obj + k * v].reshape(m, k, v).transpose(1, 0, 2)
 
 
 def init_params(
@@ -201,31 +211,30 @@ def init_params(
     params = ModelParams(feature_dim, class_names, category_values, num_heads)
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(feature_dim)
-    for block in params.blocks:
-        block.weight[:] = rng.uniform(-scale, scale, size=block.weight.shape)
+    weights = np.sort(params.weight_index, axis=None)
+    params.flat[weights] = rng.uniform(-scale, scale, size=weights.size)
     return params
 
 
-def forward(params: ModelParams, regions: RegionSet) -> tuple[ScoreTensor, MidScores]:
+def forward(params: ModelParams, regions: RegionSet) -> Scores:
     x = regions.features
     if x.shape[1] != params.feature_dim:
         raise ValueError(f"feature dim {x.shape[1]} does not match model dim {params.feature_dim}")
-    objects = [softmax_rows(head.apply(x)) for head in params.object_heads]
-    # the empty leading block keeps a model without categories at shape (m, 0)
-    no_columns = np.empty((len(x), 0))
-    attributes = [
-        np.concatenate([no_columns] + [softmax_rows(head.apply(x)) for head in heads.values()], axis=1)
-        for heads in params.attribute_heads
-    ]
-    gate = sigmoid(params.mid_cls.apply(x))
-    region_dist = softmax_cols(params.mid_det.apply(x))
+    z = x @ params.flat[params.weight_index] + params.flat[params.bias_index]
+    gate = sigmoid(z[:, params.cls_cols])
+    region_dist = softmax_cols(z[:, params.det_cols])
     per_region = gate * region_dist
-    image_level = sigmoid(per_region.sum(axis=0))
-    return ScoreTensor(objects, attributes), MidScores(per_region, image_level)
+    heads = np.empty((len(x), params.attribute_cols.stop))
+    scores = Scores(heads, params.num_heads, gate, region_dist, per_region, sigmoid(per_region.sum(axis=0)))
+    z_objects, z_attributes = scores.split(z)
+    scores.objects[:] = softmax_rows(z_objects)
+    for cols in params.category_slices.values():
+        scores.attributes[:, :, cols] = softmax_rows(z_attributes[:, :, cols])
+    return scores
 
 
 def _softmax_rows_backward(s: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    return s * (grad - (grad * s).sum(axis=1, keepdims=True))
+    return s * (grad - (grad * s).sum(axis=-1, keepdims=True))
 
 
 def _softmax_cols_backward(s: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -233,60 +242,42 @@ def _softmax_cols_backward(s: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 def param_gradients(
-    params: ModelParams, regions: RegionSet, scores: ScoreTensor, grads: ScoreGrads
-) -> ModelParams:
-    """Exact gradient of sum(grads * scores) with respect to every parameter.
+    params: ModelParams, regions: RegionSet, scores: Scores, grad: np.ndarray, grad_image: np.ndarray
+) -> np.ndarray:
+    """Gradient of sum(grad * scores.heads) + sum(grad_image * scores.image_level), laid out like params.flat.
 
-    scores is forward's output for these params and regions; its object
-    and attribute softmaxes are reused, not recomputed. Heads whose
-    upstream gradient is all zero come back with exactly zero parameter
-    gradient; nothing leaks across heads.
+    scores is forward's output for these params and regions; its
+    softmaxes and evidence streams are reused, not recomputed. Columns
+    whose upstream gradient is all zero come back with exactly zero
+    parameter gradient; nothing leaks across heads.
     """
     x = regions.features
-    if len(grads.objects) != params.num_heads:
-        raise ValueError("gradient structure does not match the number of heads")
-    out = params.like(np.zeros_like(params.flat))
-
-    def backprop(block: Affine, dz: np.ndarray) -> None:
-        block.weight[:] = x.T @ dz
-        block.bias[:] = dz.sum(axis=0)
-
-    for k, g in enumerate(grads.objects):
-        if np.any(g):
-            backprop(out.object_heads[k], _softmax_rows_backward(scores.objects[k], g))
-
-    for k, g_head in enumerate(grads.attributes):
-        for cat, cols in params.category_slices.items():
-            g = g_head[:, cols]
-            if np.any(g):
-                backprop(out.attribute_heads[k][cat], _softmax_rows_backward(scores.attributes[k][:, cols], g))
-
-    if np.any(grads.mid_per_region) or np.any(grads.mid_image):
-        gate = sigmoid(params.mid_cls.apply(x))
-        region_dist = softmax_cols(params.mid_det.apply(x))
-        per_region = gate * region_dist
-        y = sigmoid(per_region.sum(axis=0))
-        d_per_region = grads.mid_per_region + grads.mid_image * y * (1.0 - y)
-        d_gate = d_per_region * region_dist
-        d_dist = d_per_region * gate
-        backprop(out.mid_cls, d_gate * gate * (1.0 - gate))
-        backprop(out.mid_det, _softmax_cols_backward(region_dist, d_dist))
+    if grad.shape != scores.heads.shape:
+        raise ValueError(f"score gradient has shape {grad.shape}, scores have {scores.heads.shape}")
+    dz = np.empty((len(x), params.bias_index.size))
+    d_objects, d_attributes = scores.split(dz)
+    g_objects, g_attributes = scores.split(grad)
+    d_objects[:] = _softmax_rows_backward(scores.objects, g_objects)
+    for cols in params.category_slices.values():
+        d_attributes[:, :, cols] = _softmax_rows_backward(scores.attributes[:, :, cols], g_attributes[:, :, cols])
+    y, gate = scores.image_level, scores.gate
+    d_per_region = grad_image * y * (1.0 - y)
+    dz[:, params.det_cols] = _softmax_cols_backward(scores.region_dist, d_per_region * gate)
+    dz[:, params.cls_cols] = d_per_region * scores.region_dist * gate * (1.0 - gate)
+    out = np.empty_like(params.flat)
+    out[params.weight_index] = x.T @ dz
+    out[params.bias_index] = dz.sum(axis=0)
     return out
 
 
 def iter_param_arrays(params: ModelParams) -> Iterator[tuple[str, np.ndarray]]:
     """Canonical traversal order: the buffer order, shared by checkpoints and checks."""
-    for k, head in enumerate(params.object_heads):
-        yield f"object[{k}].weight", head.weight
-        yield f"object[{k}].bias", head.bias
-    for k, heads in enumerate(params.attribute_heads):
-        for cat in params.category_values:
-            yield f"attribute[{k}][{cat}].weight", heads[cat].weight
-            yield f"attribute[{k}][{cat}].bias", heads[cat].bias
-    yield "mid_det.weight", params.mid_det.weight
-    yield "mid_det.bias", params.mid_det.bias
-    yield "mid_cls.weight", params.mid_cls.weight
-    yield "mid_cls.bias", params.mid_cls.bias
+    d, offset = params.feature_dim, 0
+    for name, width in params.segments:
+        end = offset + d * width
+        yield f"{name}.weight", params.flat[offset:end].reshape(d, width)
+        yield f"{name}.bias", params.flat[end : end + width]
+        offset = end + width
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:

@@ -454,72 +454,63 @@ def write_dataset(path: str | Path, scenes: Iterable[SyntheticScene], universe: 
             f.write(json.dumps(scene.to_record(), sort_keys=True) + "\n")
 
 
-def read_dataset_header(path: str | Path) -> dict | None:
-    """The checked header record, or None for an empty file."""
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            if not line.strip():
-                continue
-            try:
-                header = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{path}: line 1: bad header: {e}") from None
-            if (
-                not isinstance(header, dict)
-                or header.get("schema") != SCHEMA_NAME
-                or header.get("version") != SCHEMA_VERSION
-            ):
-                raise DataError(
-                    f"{path}: line 1: expected schema {SCHEMA_NAME!r} version {SCHEMA_VERSION}"
-                )
-            feature_dim, names = header.get("feature_dim"), header.get("class_names")
-            if type(feature_dim) is not int or feature_dim < 1:
-                raise DataError(f"{path}: line 1: feature_dim must be a positive integer, got {feature_dim!r}")
-            if (
-                not isinstance(names, list)
-                or not names
-                or not all(isinstance(n, str) for n in names)
-                or len(set(names)) < len(names)
-            ):
-                raise DataError(f"{path}: line 1: class_names must be a non-empty list of distinct strings")
-            return header
-    return None
+def _checked_header(line: str, where: str) -> dict:
+    try:
+        header = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise DataError(f"{where}: bad header: {e}") from None
+    if not isinstance(header, dict) or header.get("schema") != SCHEMA_NAME or header.get("version") != SCHEMA_VERSION:
+        raise DataError(f"{where}: expected schema {SCHEMA_NAME!r} version {SCHEMA_VERSION}")
+    feature_dim, names = header.get("feature_dim"), header.get("class_names")
+    if type(feature_dim) is not int or feature_dim < 1:
+        raise DataError(f"{where}: feature_dim must be a positive integer, got {feature_dim!r}")
+    if (
+        not isinstance(names, list)
+        or not names
+        or not all(isinstance(n, str) for n in names)
+        or len(set(names)) < len(names)
+    ):
+        raise DataError(f"{where}: class_names must be a non-empty list of distinct strings")
+    return header
 
 
-def load_dataset(path: str | Path) -> list[SyntheticScene]:
-    """Parse a dataset file; an empty file is an empty dataset.
+def read_dataset(path: str | Path) -> tuple[dict | None, list[SyntheticScene]]:
+    """The checked header and the scenes of a dataset file, in one pass; an empty file gives (None, []).
 
-    Any malformed line fails with its line number; a generate/load round
-    trip reproduces the in-memory scenes exactly.
+    Blank lines are skipped, and any malformed line fails with its line
+    number; a generate/load round trip reproduces the in-memory scenes
+    exactly.
     """
-    header = read_dataset_header(path)
-    if header is None:
-        return []
+    header: dict | None = None
     scenes: list[SyntheticScene] = []
-    feature_dim = header["feature_dim"]
     with open(path, encoding="utf-8") as f:
-        saw_header = False
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
-            if not saw_header:
-                saw_header = True
+            where = f"{path}: line {lineno}"
+            if header is None:
+                header = _checked_header(line, where)
                 continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as e:
-                raise DataError(f"{path}: line {lineno}: truncated or corrupt record: {e}") from None
+                raise DataError(f"{where}: truncated or corrupt record: {e}") from None
             try:
                 scene = SyntheticScene.from_record(record, len(header["class_names"]))
             except (KeyError, TypeError, ValueError) as e:
-                raise DataError(f"{path}: line {lineno}: bad scene record: {e}") from None
-            if scene.proposals.features.shape[1] != feature_dim:
+                raise DataError(f"{where}: bad scene record: {e}") from None
+            width = scene.proposals.features.shape[1]
+            if width != header["feature_dim"]:
                 raise DataError(
-                    f"{path}: line {lineno}: feature width {scene.proposals.features.shape[1]} "
-                    f"does not match header feature_dim {feature_dim}"
+                    f"{where}: feature width {width} does not match header feature_dim {header['feature_dim']}"
                 )
             scenes.append(scene)
-    return scenes
+    return header, scenes
+
+
+def load_dataset(path: str | Path) -> list[SyntheticScene]:
+    """The scenes of a dataset file (see read_dataset); an empty file is an empty dataset."""
+    return read_dataset(path)[1]
 
 
 def benchmark_vocabulary(class_names: Sequence[str]) -> Vocabulary:

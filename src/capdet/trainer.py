@@ -142,21 +142,20 @@ def scene_loss(
     labels: LabelSet,
     config: TrainConfig,
     pseudos: Sequence[oicr.PseudoLabels | None] | None = None,
-) -> tuple[LossReport, list[oicr.PseudoLabels | None], scorenet.ScoreTensor]:
+) -> tuple[LossReport, list[oicr.PseudoLabels | None], scorenet.Scores]:
     """The per-scene loss, its refinement supervision (reused if given), and forward's scores."""
-    scores, mid = scorenet.forward(params, regions)
+    scores = scorenet.forward(params, regions)
     ref_cfg = config.refinement_config()
     if pseudos is None:
-        pseudos = oicr.build_pseudo_labels(scores, mid, labels, regions.boxes, ref_cfg, params.value_columns)
-    values, ref_grads = oicr.refinement_terms(scores, mid, pseudos)
+        pseudos = oicr.build_pseudo_labels(scores, labels, regions.boxes, ref_cfg, params.value_columns)
+    values, ref_grad = oicr.refinement_terms(scores, pseudos)
     report = weakloss.total_loss(
         scores,
-        mid,
         labels,
         config.loss_weights(),
         params.value_columns,
         oicr_values=values,
-        oicr_grads=ref_grads,
+        oicr_grads=ref_grad,
     )
     return report, list(pseudos), scores
 
@@ -213,7 +212,7 @@ def train(
                 raise NumericalError(
                     f"non-finite loss at step {step} on scene {scene.image_id!r}: {report.l_total}"
                 )
-            grad_flat += scorenet.param_gradients(params, scene.proposals, scores, report.grad).flat
+            grad_flat += scorenet.param_gradients(params, scene.proposals, scores, report.grad, report.grad_image)
             batch_report["l_obj"] += report.l_obj
             batch_report["l_entang"] += report.l_entang
             batch_report["l_mid"] += report.l_mid
@@ -237,10 +236,10 @@ def infer(params: ModelParams, regions: RegionSet, config: TrainConfig) -> list[
     Only the object heads are evaluated; inference reads no attribute scores.
     """
     num_classes = params.num_classes
-    mean_scores = np.mean(
-        [scorenet.softmax_rows(head.apply(regions.features))[:, :num_classes] for head in params.object_heads],
-        axis=0,
-    )
+    cols = params.object_cols
+    z = regions.features @ params.flat[params.weight_index[:, cols]] + params.flat[params.bias_index[cols]]
+    heads = scorenet.softmax_rows(z.reshape(len(z), params.num_heads, -1))
+    mean_scores = heads[:, :, :num_classes].mean(axis=1)
     detections: list[Detection] = []
     for c in range(num_classes):
         for i in nms(regions.boxes, mean_scores[:, c], config.nms_threshold):

@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .scorenet import MidScores, ScoreGrads, ScoreTensor, clamp_prob
+from .scorenet import Scores, clamp_prob
 from .textgraph import LabelSet
 
 
@@ -114,14 +114,14 @@ def entanglement_loss(
     return float(total), grad_obj, grad_attr, {pair: int(i) for pair, i in zip(pairs, rows)}
 
 
-def mid_loss(mid: MidScores, objects: Iterable[int], num_classes: int) -> tuple[float, np.ndarray]:
+def mid_loss(image_level: np.ndarray, objects: Iterable[int], num_classes: int) -> tuple[float, np.ndarray]:
     """Binary cross-entropy of the image-level scores against mention labels.
 
     Returns the gradient with respect to the image-level scores; pushing
     it back through the sigmoid, the region sum, and both streams is done
     by the score network's backward pass.
     """
-    y = np.asarray(clamp_prob(mid.image_level))
+    y = np.asarray(clamp_prob(image_level))
     if y.shape != (num_classes,):
         raise ValueError(f"expected {num_classes} image-level scores, got shape {y.shape}")
     mentioned = set(int(c) for c in objects)
@@ -145,7 +145,8 @@ class LossReport:
     l_total: float
     lambda1: float
     lambda2: float
-    grad: ScoreGrads
+    grad: np.ndarray  # (m, K(C + 1) + K * V), laid out like Scores.heads
+    grad_image: np.ndarray  # (C,) with respect to the image-level scores
     argmax_objects: dict[int, int] = field(default_factory=dict)
     argmax_pairs: dict[tuple[int, str, str], int] = field(default_factory=dict)
 
@@ -164,13 +165,12 @@ class LossReport:
 
 
 def total_loss(
-    scores: ScoreTensor,
-    mid: MidScores,
+    scores: Scores,
     labels: LabelSet,
     weights: LossWeights,
     value_columns: Mapping[tuple[str, str], int],
     oicr_values: Sequence[float] = (),
-    oicr_grads: ScoreGrads | None = None,
+    oicr_grads: np.ndarray | None = None,
 ) -> LossReport:
     """Mix the terms: evidence + lambda1 * MIL + lambda2 * coupled + refinement terms.
 
@@ -178,11 +178,12 @@ def total_loss(
     terms for every head arrive precomputed. lambda2 == 0 skips the
     coupled term entirely rather than multiplying it by zero.
     """
-    num_classes = mid.image_level.shape[0]
-    grad = ScoreGrads.zeros_like(scores, mid)
+    num_classes = scores.image_level.shape[0]
+    grad = np.zeros_like(scores.heads)
+    grad_objects, grad_attributes = scores.split(grad)
 
     l_obj, g_obj, argmax_objects = object_mil_loss(scores.objects[0], labels.objects)
-    grad.objects[0] += weights.lambda1 * g_obj
+    grad_objects[0] += weights.lambda1 * g_obj
 
     l_entang = 0.0
     argmax_pairs: dict[tuple[int, str, str], int] = {}
@@ -190,14 +191,13 @@ def total_loss(
         l_entang, g_eobj, g_eattr, argmax_pairs = entanglement_loss(
             scores.objects[0], scores.attributes[0], labels, value_columns
         )
-        grad.objects[0] += weights.lambda2 * g_eobj
-        grad.attributes[0] += weights.lambda2 * g_eattr
+        grad_objects[0] += weights.lambda2 * g_eobj
+        grad_attributes[0] += weights.lambda2 * g_eattr
 
-    l_mid, g_y = mid_loss(mid, labels.objects, num_classes)
-    grad.mid_image += g_y
+    l_mid, grad_image = mid_loss(scores.image_level, labels.objects, num_classes)
 
     if oicr_grads is not None:
-        grad.add(oicr_grads)
+        grad += oicr_grads
 
     l_total = l_mid + weights.lambda1 * l_obj + weights.lambda2 * l_entang + float(np.sum(oicr_values))
     return LossReport(
@@ -209,6 +209,7 @@ def total_loss(
         lambda1=weights.lambda1,
         lambda2=weights.lambda2,
         grad=grad,
+        grad_image=grad_image,
         argmax_objects=argmax_objects,
         argmax_pairs=argmax_pairs,
     )

@@ -106,8 +106,8 @@ def test_criterion_3_formulation_invariants():
         params = init_params(d, names, cats, num_heads=3, seed=trial)
         boxes = _random_boxes(rng, m)
         regions = RegionSet(boxes=boxes, features=rng.normal(scale=2.0, size=(m, d)))
-        scores, mid = forward(params, regions)
-        assert np.all(mid.image_level > 0.5) and np.all(mid.image_level < 1.0)
+        scores = forward(params, regions)
+        assert np.all(scores.image_level > 0.5) and np.all(scores.image_level < 1.0)
         rows = [h.sum(axis=1) for h in scores.objects]
         for a in scores.attributes:
             rows += [a[:, cols].sum(axis=1) for cols in params.category_slices.values()]

@@ -333,6 +333,24 @@ class TestBadDatasetRecords:
         assert len(err.splitlines()) == 1
         assert f"{bad}: line {line}: " in err
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_bad_header_after_a_blank_line_names_line_two(self, command, data_dir, train_checkpoint, tmp_path, capsys):
+        header_line, *rest = (data_dir / "train.jsonl").read_text().splitlines()
+        header = json.loads(header_line)
+        header["feature_dim"] = 0
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(["", json.dumps(header), *rest]) + "\n")
+        args = ["--data", str(bad), "--out", str(tmp_path / "out")]
+        if command == "train":
+            args = ["train", *args, "--steps", "1"]
+        else:
+            args = ["eval", *args, "--checkpoint", str(train_checkpoint)]
+        code = cli.main(args)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert f"{bad}: line 2: feature_dim must be a positive integer, got 0" in err
+
 
 class TestGradcheckCommand:
     def test_pass_exit_zero(self, capsys):

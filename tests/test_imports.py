@@ -1,8 +1,14 @@
-"""Every imported name is used: a stdlib-only lint over src/ and tests/.
+"""Two stdlib-only lints: every imported name is used, and every definition is referenced.
 
-A name counts as used when the module reads it anywhere (a bare name or
-the base of an attribute chain) or lists it in ``__all__``. Imports from
-``__future__`` are exempt.
+An imported name counts as used when the module reads it anywhere (a bare
+name or the base of an attribute chain) or lists it in ``__all__``.
+Imports from ``__future__`` are exempt; src/ and tests/ are checked.
+
+A module-level function or class in src/ counts as referenced when some
+module in src/, tests/ or perfbench/ reads its name as a bare name or an
+attribute, or spells it in a string constant, whole or as one part of a
+dotted name: perfbench wraps functions it names by string, and
+``__all__`` lists names as strings.
 """
 
 import ast
@@ -11,7 +17,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+SOURCES = sorted((ROOT / "src").rglob("*.py"))
+MODULES = SOURCES + sorted((ROOT / "tests").glob("*.py"))
 
 
 def imported_names(tree):
@@ -47,3 +54,42 @@ def test_flags_an_unused_import():
                      "__all__ = ['c']\nnp.zeros(1)\n")
     unused = {name for name, _ in imported_names(tree)} - used_names(tree)
     assert unused == {"os", "b"}
+
+
+def module_definitions(tree):
+    """(name, line) for every function and class defined at module level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+
+
+def referenced_names(tree):
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(node.value.split("."))
+    return names
+
+
+def test_no_dead_definitions():
+    referenced = set()
+    for path in MODULES + sorted((ROOT / "perfbench").glob("*.py")):
+        referenced |= referenced_names(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    dead = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in SOURCES
+        for name, line in module_definitions(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if name not in referenced
+    ]
+    assert not dead, f"defined but referenced nowhere: {', '.join(dead)}"
+
+
+def test_flags_an_unused_definition():
+    tree = ast.parse("def used():\n    def inner(): pass\ndef unused(): pass\nclass Named: pass\nclass Gone: pass\n"
+                     "def _helper(): pass\nused()\ntarget = 'Named.step'\nvalue = obj._helper\n")
+    dead = {name for name, _ in module_definitions(tree)} - referenced_names(tree)
+    assert dead == {"unused", "Gone"}

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from head_reference import packed_scores
 
 from capdet.geometry import iou_matrix
 from capdet.oicr import (
@@ -15,7 +17,7 @@ from capdet.oicr import (
     refinement_terms,
     seed_and_assign,
 )
-from capdet.scorenet import MidScores, ScoreTensor, softmax_cols
+from capdet.scorenet import softmax_cols
 from capdet.textgraph import LabelSet
 
 # (category, value) -> attribute column, as ModelParams.value_columns lays them out
@@ -58,16 +60,14 @@ class TestInitialScores:
     def test_column_normalization(self):
         rng = np.random.default_rng(2)
         per_region = rng.uniform(0.0, 1.0, size=(5, 3))
-        mid = MidScores(per_region=per_region, image_level=np.full(3, 0.7))
-        s0 = initial_scores(mid)
+        s0 = initial_scores(per_region)
         assert np.allclose(s0.sum(axis=0), 1.0)
 
     def test_argmax_preserved_per_class(self):
         # normalization is monotone per class, so seeds match raw evidence
         rng = np.random.default_rng(3)
         per_region = rng.uniform(0.0, 1.0, size=(6, 4))
-        mid = MidScores(per_region=per_region, image_level=np.full(4, 0.7))
-        s0 = initial_scores(mid)
+        s0 = initial_scores(per_region)
         assert np.array_equal(np.argmax(s0, axis=0), np.argmax(per_region, axis=0))
 
 
@@ -100,12 +100,11 @@ class TestSeedAndAssign:
     def test_tau_boundary_inclusive(self):
         # the overlap mask is built from tau in build_pseudo_labels; the
         # evidence seeds class 0 at region 0, which region 1 overlaps at 0.8
-        mid = MidScores(per_region=np.array([[0.9], [0.1], [0.1]]), image_level=np.array([0.7]))
-        scores = ScoreTensor(objects=[np.full((3, 2), 0.5)], attributes=[np.zeros((3, 0))])
+        scores = packed_scores([np.full((3, 2), 0.5)], [np.zeros((3, 0))], [[0.9], [0.1], [0.1]], [0.7])
         overlap = float(iou_matrix(BOXES, BOXES)[1, 0])
         for tau, label in ((overlap, 0), (overlap + 1e-9, 1)):
             cfg = RefinementConfig(num_heads=1, tau=tau)
-            (pseudo,) = build_pseudo_labels(scores, mid, labels_for({0}), BOXES, cfg, COLS)
+            (pseudo,) = build_pseudo_labels(scores, labels_for({0}), BOXES, cfg, COLS)
             assert pseudo.class_labels[1] == label
 
     def test_empty_objects_rejected(self):
@@ -298,26 +297,25 @@ def make_inputs(rng, m=6, num_classes=2, num_heads=3):
     for _ in range(num_heads):
         a = rng.uniform(0.05, 1.0, size=(m, 2))
         attrs.append(a / a.sum(axis=1, keepdims=True))
-    scores = ScoreTensor(objects=objects, attributes=attrs)
     per_region = rng.uniform(0.0, 0.5, size=(m, num_classes))
     y = 1.0 / (1.0 + np.exp(-per_region.sum(axis=0)))
-    mid = MidScores(per_region=per_region, image_level=y)
+    scores = packed_scores(objects, attrs, per_region, y)
     boxes = []
     for _ in range(m):
         x0, y0 = rng.uniform(0, 2, 2)
         boxes.append([x0, y0, x0 + rng.uniform(0.2, 1.0), y0 + rng.uniform(0.2, 1.0)])
-    return scores, mid, np.array(boxes)
+    return scores, np.array(boxes)
 
 
 class TestBuildPseudoLabels:
     def test_chain_uses_previous_head(self):
         rng = np.random.default_rng(61)
-        scores, mid, boxes = make_inputs(rng)
+        scores, boxes = make_inputs(rng)
         labels = labels_for({0, 1})
         cfg = RefinementConfig(num_heads=3)
-        pseudos = build_pseudo_labels(scores, mid, labels, boxes, cfg, COLS)
+        pseudos = build_pseudo_labels(scores, labels, boxes, cfg, COLS)
         assert len(pseudos) == 3
-        s0 = initial_scores(mid)
+        s0 = initial_scores(scores.per_region)
         for c in (0, 1):
             assert pseudos[0].seeds[c][0] == int(np.argmax(s0[:, c]))
             assert pseudos[1].seeds[c][0] == int(np.argmax(scores.objects[0][:, c]))
@@ -325,68 +323,67 @@ class TestBuildPseudoLabels:
 
     def test_no_objects_gives_none_per_head(self):
         rng = np.random.default_rng(62)
-        scores, mid, boxes = make_inputs(rng)
+        scores, boxes = make_inputs(rng)
         cfg = RefinementConfig()
-        pseudos = build_pseudo_labels(scores, mid, labels_for(set()), boxes, cfg, COLS)
+        pseudos = build_pseudo_labels(scores, labels_for(set()), boxes, cfg, COLS)
         assert pseudos == [None, None, None]
 
     def test_attributes_disabled_leaves_attrs_empty(self):
         rng = np.random.default_rng(63)
-        scores, mid, boxes = make_inputs(rng)
+        scores, boxes = make_inputs(rng)
         labels = labels_for({0}, {0: {("color", "red")}})
         cfg = RefinementConfig(attributes_enabled=False)
-        pseudos = build_pseudo_labels(scores, mid, labels, boxes, cfg, COLS)
+        pseudos = build_pseudo_labels(scores, labels, boxes, cfg, COLS)
         assert all(p.attrs == [] for p in pseudos)
 
 
 class TestRefinementTerms:
     def test_values_and_grads_line_up(self):
         rng = np.random.default_rng(71)
-        scores, mid, boxes = make_inputs(rng)
+        scores, boxes = make_inputs(rng)
         labels = labels_for({0}, {0: {("color", "red")}})
         cfg = RefinementConfig()
-        pseudos = build_pseudo_labels(scores, mid, labels, boxes, cfg, COLS)
-        values, grads = refinement_terms(scores, mid, pseudos)
+        pseudos = build_pseudo_labels(scores, labels, boxes, cfg, COLS)
+        values, grad = refinement_terms(scores, pseudos)
         assert len(values) == 3
         assert all(v > 0 for v in values)
+        grad_objects, _ = scores.split(grad)
         for j in range(3):
-            assert np.any(grads.objects[j])
-        assert not np.any(grads.mid_per_region)
-        assert not np.any(grads.mid_image)
+            assert np.any(grad_objects[j])
+        # the gradient covers the head columns only: no evidence gradient
+        assert grad.shape == scores.heads.shape
 
     def test_none_pseudo_contributes_zero(self):
         rng = np.random.default_rng(72)
-        scores, mid, _ = make_inputs(rng)
-        values, grads = refinement_terms(scores, mid, [None, None, None])
+        scores, _ = make_inputs(rng)
+        values, grad = refinement_terms(scores, [None, None, None])
         assert values == [0.0, 0.0, 0.0]
-        assert not np.any(grads.objects[0])
+        assert not np.any(scores.split(grad)[0][0])
 
     def test_finite_difference_with_frozen_pseudos(self):
         # supervision frozen, scores free: the analytic gradient of the
         # summed head values must match central differences
         rng = np.random.default_rng(73)
-        scores, mid, boxes = make_inputs(rng, m=4)
+        scores, boxes = make_inputs(rng, m=4)
         labels = labels_for({0, 1}, {0: {("color", "red")}})
         cfg = RefinementConfig()
-        pseudos = build_pseudo_labels(scores, mid, labels, boxes, cfg, COLS)
-        _, grads = refinement_terms(scores, mid, pseudos)
+        pseudos = build_pseudo_labels(scores, labels, boxes, cfg, COLS)
+        _, grad = refinement_terms(scores, pseudos)
+        grad_objects, _ = scores.split(grad)
 
         def total(sc):
-            vals, _ = refinement_terms(sc, mid, pseudos)
+            vals, _ = refinement_terms(sc, pseudos)
             return sum(vals)
 
         h = 1e-7
         for j in range(3):
             for i in range(4):
                 for c in range(3):
-                    bumped = ScoreTensor(
-                        objects=[o.copy() for o in scores.objects],
-                        attributes=[a.copy() for a in scores.attributes],
-                    )
+                    bumped = dataclasses.replace(scores, heads=scores.heads.copy())
                     bumped.objects[j][i, c] += h
                     up = total(bumped)
                     bumped.objects[j][i, c] -= 2 * h
                     down = total(bumped)
-                    assert grads.objects[j][i, c] == pytest.approx(
+                    assert grad_objects[j][i, c] == pytest.approx(
                         (up - down) / (2 * h), abs=1e-4,
                     )

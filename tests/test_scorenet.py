@@ -1,13 +1,17 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from head_reference import loop_forward, loop_gradients
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from capdet import scorenet
 from capdet.scorenet import (
     CHECKPOINT_MAGIC,
     ModelParams,
     RegionSet,
-    ScoreGrads,
     clamp_prob,
     forward,
     init_params,
@@ -19,9 +23,15 @@ from capdet.scorenet import (
     softmax_cols,
     softmax_rows,
 )
+from capdet.textgraph import default_registry
 from capdet.trainer import TrainConfig, infer
 
 CATS = {"color": ("red", "green"), "size": ("small", "large")}
+
+
+def named(params):
+    """name -> view into params.flat, for every block's weight and bias."""
+    return dict(iter_param_arrays(params))
 
 
 def make_regions(rng, m, d):
@@ -94,10 +104,11 @@ class TestInit:
         assert p.num_classes == 3
         assert p.num_heads == 2
         assert p.feature_dim == 8
-        assert p.object_heads[0].weight.shape == (8, 4)  # classes + background
-        assert p.attribute_heads[0]["color"].weight.shape == (8, 2)
-        assert p.mid_det.weight.shape == (8, 3)
-        assert (p.object_heads[0].bias == 0).all()
+        arrays = named(p)
+        assert arrays["object[0].weight"].shape == (8, 4)  # classes + background
+        assert arrays["attribute[0][color].weight"].shape == (8, 2)
+        assert arrays["mid_det.weight"].shape == (8, 3)
+        assert (arrays["object[0].bias"] == 0).all()
 
     def test_attribute_columns_follow_category_order(self):
         p = init_params(8, ("cat",), CATS, 1, seed=0)
@@ -133,33 +144,33 @@ class TestForward:
             np.array([[0, 0, 1, 1], [1, 1, 2, 2]], dtype=float),
             np.ones((2, 4)),
         )
-        scores, mid = forward(p, regions)
-        assert np.allclose(mid.per_region, 0.25)
-        assert mid.image_level[0] == pytest.approx(0.6224593312018546, abs=1e-12)
+        scores = forward(p, regions)
+        assert np.allclose(scores.per_region, 0.25)
+        assert scores.image_level[0] == pytest.approx(0.6224593312018546, abs=1e-12)
         assert np.allclose(scores.objects[0], 0.5)  # 2 columns: class + bg
 
     def test_zero_params_single_region(self):
         # softmax over a single region is 1, so evidence is the gate alone
         p = zero_params(("cat",), CATS, d=4)
         regions = RegionSet(np.array([[0, 0, 1, 1]], dtype=float), np.zeros((1, 4)))
-        _, mid = forward(p, regions)
-        assert mid.per_region[0, 0] == pytest.approx(0.5)
-        assert mid.image_level[0] == pytest.approx(sigmoid(np.array([0.5]))[0])
+        scores = forward(p, regions)
+        assert scores.per_region[0, 0] == pytest.approx(0.5)
+        assert scores.image_level[0] == pytest.approx(sigmoid(np.array([0.5]))[0])
 
     def test_image_level_open_interval(self):
         rng = np.random.default_rng(9)
         p = init_params(6, ("a", "b", "c"), CATS, 1, seed=3)
         for _ in range(20):
             regions = make_regions(rng, rng.integers(1, 9), 6)
-            _, mid = forward(p, regions)
-            assert (mid.image_level > 0.5).all()
-            assert (mid.image_level < 1.0).all()
+            scores = forward(p, regions)
+            assert (scores.image_level > 0.5).all()
+            assert (scores.image_level < 1.0).all()
 
     def test_rows_are_distributions(self):
         rng = np.random.default_rng(10)
         p = init_params(6, ("a", "b"), CATS, 2, seed=4)
         regions = make_regions(rng, 5, 6)
-        scores, _ = forward(p, regions)
+        scores = forward(p, regions)
         for head in scores.objects:
             assert head.shape == (5, 3)
             assert np.allclose(head.sum(axis=1), 1.0, atol=1e-6)
@@ -174,72 +185,139 @@ class TestForward:
             forward(p, RegionSet(np.array([[0, 0, 1, 1]], dtype=float), np.zeros((1, 5))))
 
 
+def fd_errors(params, regions, grad, grad_image, coords, h=1e-6):
+    """Relative errors of param_gradients against central differences.
+
+    The differentiated value is sum(grad * heads) + sum(grad_image * image_level).
+    """
+
+    def value():
+        scores = forward(params, regions)
+        return float((grad * scores.heads).sum() + (grad_image * scores.image_level).sum())
+
+    analytic = param_gradients(params, regions, forward(params, regions), grad, grad_image)
+    flat = params.flat
+    errors = []
+    for c in coords:
+        original = flat[c]
+        flat[c] = original + h
+        up = value()
+        flat[c] = original - h
+        down = value()
+        flat[c] = original
+        numeric = (up - down) / (2 * h)
+        errors.append(abs(analytic[c] - numeric) / max(1.0, abs(analytic[c]), abs(numeric)))
+    return np.array(errors)
+
+
+@st.composite
+def random_models(draw):
+    """A perturbed random model and region set: K 1-3, C 1-4, 0-3 categories of 1-9 values, m 1-8, d 1-8."""
+    d, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    num_classes, num_heads = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    widths = draw(st.lists(st.integers(1, 9), max_size=3))
+    cats = {f"cat{a}": tuple(f"v{a}{j}" for j in range(w)) for a, w in enumerate(widths)}
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = init_params(d, [f"c{i}" for i in range(num_classes)], cats, num_heads, seed=int(rng.integers(2**31)))
+    params.flat += rng.normal(0.0, 1.0, size=params.flat.size)
+    return params, make_regions(rng, m, d), rng
+
+
 class TestParamGradients:
-    def _fd_check(self, params, regions, grads, rng, n_coords=60):
-        """Finite-difference check of d/dtheta sum(grads * outputs)."""
-
-        def value(p):
-            scores, mid = forward(p, regions)
-            total = 0.0
-            for g, s in zip(grads.objects + grads.attributes, scores.objects + scores.attributes):
-                total += float((g * s).sum())
-            total += float((grads.mid_per_region * mid.per_region).sum())
-            total += float((grads.mid_image * mid.image_level).sum())
-            return total
-
-        scores, _ = forward(params, regions)
-        analytic = param_gradients(params, regions, scores, grads).flat
-        flat = params.flat
-        coords = rng.choice(flat.size, size=min(n_coords, flat.size), replace=False)
-        h = 1e-6
-        for c in coords:
-            original = flat[c]
-            flat[c] = original + h
-            up = value(params)
-            flat[c] = original - h
-            down = value(params)
-            flat[c] = original
-            numeric = (up - down) / (2 * h)
-            denom = max(1.0, abs(analytic[c]), abs(numeric))
-            assert abs(analytic[c] - numeric) / denom < 1e-5
-
     def test_against_finite_differences(self):
         rng = np.random.default_rng(21)
         p = init_params(5, ("a", "b"), CATS, 2, seed=8)
         regions = make_regions(rng, 4, 5)
-        scores, mid = forward(p, regions)
-        grads = ScoreGrads(
-            objects=[rng.normal(size=s.shape) for s in scores.objects],
-            attributes=[rng.normal(size=a.shape) for a in scores.attributes],
-            mid_per_region=rng.normal(size=mid.per_region.shape),
-            mid_image=rng.normal(size=mid.image_level.shape),
-        )
-        self._fd_check(p, regions, grads, rng)
+        scores = forward(p, regions)
+        grad, grad_image = rng.normal(size=scores.heads.shape), rng.normal(size=scores.image_level.shape)
+        coords = rng.choice(p.flat.size, size=60, replace=False)
+        assert fd_errors(p, regions, grad, grad_image, coords).max() < 1e-5
 
     def test_zero_upstream_gives_zero_param_grad(self):
         rng = np.random.default_rng(22)
         p = init_params(5, ("a", "b"), CATS, 3, seed=9)
         regions = make_regions(rng, 4, 5)
-        scores, mid = forward(p, regions)
-        grads = ScoreGrads.zeros_like(scores, mid)
-        grads.objects[1][0, 0] = 1.0  # only head 1 receives signal
-        out = param_gradients(p, regions, scores, grads)
-        assert not np.any(out.object_heads[0].weight)
-        assert np.any(out.object_heads[1].weight)
-        assert not np.any(out.object_heads[2].weight)
-        assert not np.any(out.mid_det.weight)
-        for head in out.attribute_heads:
-            for aff in head.values():
-                assert not np.any(aff.weight)
+        scores = forward(p, regions)
+        grad = np.zeros_like(scores.heads)
+        scores.split(grad)[0][1][0, 0] = 1.0  # only object head 1 receives signal
+        out = named(p.like(param_gradients(p, regions, scores, grad, np.zeros(2))))
+        assert not np.any(out["object[0].weight"])
+        assert np.any(out["object[1].weight"])
+        assert not np.any(out["object[2].weight"])
+        assert not np.any(out["mid_det.weight"])
+        for name, array in out.items():
+            if name.startswith("attribute["):
+                assert not np.any(array)
 
     def test_mid_image_gradient_only(self):
         rng = np.random.default_rng(23)
         p = init_params(5, ("a", "b"), CATS, 1, seed=10)
         regions = make_regions(rng, 3, 5)
-        scores, mid = forward(p, regions)
-        grads = ScoreGrads.zeros_like(scores, mid)
-        grads.mid_image[:] = rng.normal(size=2)
-        self._fd_check(p, regions, grads, rng, n_coords=40)
+        scores = forward(p, regions)
+        coords = rng.choice(p.flat.size, size=40, replace=False)
+        errors = fd_errors(p, regions, np.zeros_like(scores.heads), rng.normal(size=2), coords)
+        assert errors.max() < 1e-5
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_models())
+    def test_property_matches_central_differences(self, model):
+        params, regions, rng = model
+        scores = forward(params, regions)
+        grad, grad_image = rng.normal(size=scores.heads.shape), rng.normal(size=scores.image_level.shape)
+        assert fd_errors(params, regions, grad, grad_image, range(params.flat.size)).max() < 1e-6
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_models())
+    def test_property_matches_per_head_reference(self, model):
+        params, regions, rng = model
+        scores = forward(params, regions)
+        grad, grad_image = rng.normal(size=scores.heads.shape), rng.normal(size=scores.image_level.shape)
+        grad_objects, grad_attributes = scores.split(grad)
+        expected = loop_gradients(params, regions.features, list(grad_objects), list(grad_attributes), grad_image)
+        got = param_gradients(params, regions, scores, grad, grad_image)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_rejects_a_gradient_of_the_wrong_shape(self):
+        rng = np.random.default_rng(24)
+        p = init_params(5, ("a", "b"), CATS, 2, seed=11)
+        regions = make_regions(rng, 3, 5)
+        scores = forward(p, regions)
+        with pytest.raises(ValueError):
+            param_gradients(p, regions, scores, np.zeros((3, scores.heads.shape[1] + 1)), np.zeros(2))
+
+
+class TestPackedForward:
+    @settings(max_examples=100, deadline=None)
+    @given(random_models())
+    def test_property_matches_per_head_reference(self, model):
+        params, regions, _ = model
+        scores = forward(params, regions)
+        objects, attributes, gate, region_dist, per_region, image_level = loop_forward(params, regions.features)
+        close = dict(rtol=0, atol=1e-12)
+        assert scores.objects.shape == (params.num_heads, regions.size, params.num_classes + 1)
+        assert scores.attributes.shape == (params.num_heads, regions.size, len(params.value_columns))
+        for k in range(params.num_heads):
+            np.testing.assert_allclose(scores.objects[k], objects[k], **close)
+            np.testing.assert_allclose(scores.attributes[k], attributes[k], **close)
+        for got, expected in (
+            (scores.gate, gate),
+            (scores.region_dist, region_dist),
+            (scores.per_region, per_region),
+            (scores.image_level, image_level),
+        ):
+            np.testing.assert_allclose(got, expected, **close)
+
+    def test_default_model_runs_one_softmax_pass_per_group(self, monkeypatch):
+        # one pass over every object head, one per attribute category
+        registry = default_registry()
+        cats = {cat: tuple(registry.values[cat]) for cat in registry.categories}
+        p = init_params(64, [f"c{i}" for i in range(8)], cats, 3, seed=0)
+        assert p.bias_index.size == 100  # K(C + 1) + K * V + 2C
+        calls = []
+        real = scorenet.softmax_rows
+        monkeypatch.setattr(scorenet, "softmax_rows", lambda z: calls.append(z.shape) or real(z))
+        forward(p, make_regions(np.random.default_rng(25), 34, 64))
+        assert len(calls) == 1 + len(cats) == 5
 
 
 class TestFlatten:
@@ -261,11 +339,12 @@ class TestFlatten:
 
     def test_writes_through_flat_reach_the_views(self):
         p = init_params(4, ("a", "b"), CATS, 2, seed=0)
+        arrays = named(p)
         p.flat[0] = 123.0
-        assert p.object_heads[0].weight[0, 0] == 123.0
+        assert arrays["object[0].weight"][0, 0] == 123.0
         p.flat[-1] = -7.0
-        assert p.mid_cls.bias[-1] == -7.0
-        p.attribute_heads[1]["size"].bias[0] = 5.0
+        assert arrays["mid_cls.bias"][-1] == -7.0
+        arrays["attribute[1][size].bias"][0] = 5.0
         assert 5.0 in p.flat
 
     def test_like_shares_the_buffer(self):
@@ -273,8 +352,20 @@ class TestFlatten:
         buf = np.zeros_like(p.flat)
         q = p.like(buf)
         buf[:] = 1.0
-        assert (q.object_heads[0].weight == 1.0).all()
-        assert (p.object_heads[0].weight != 1.0).all()
+        assert (named(q)["object[0].weight"] == 1.0).all()
+        assert (named(p)["object[0].weight"] != 1.0).all()
+        # the layout is built once and shared, not rebuilt
+        assert q.weight_index is p.weight_index and q.bias_index is p.bias_index
+
+    def test_packed_map_reads_every_entry_once(self):
+        p = init_params(3, ("a", "b"), CATS, 2, seed=0)
+        positions = np.concatenate([p.weight_index.ravel(), p.bias_index])
+        assert np.array_equal(np.sort(positions), np.arange(p.flat.size))
+        # packed columns follow the block order: head 1's object block, then attributes
+        arrays = named(p)
+        assert np.array_equal(p.flat[p.weight_index[:, 3:6]], arrays["object[1].weight"])
+        attribute = p.attribute_cols.start
+        assert np.array_equal(p.flat[p.bias_index[attribute + 4 : attribute + 6]], arrays["attribute[1][color].bias"])
 
     def test_order_is_stable(self):
         # the traversal order is a file format contract: object heads,
@@ -291,6 +382,38 @@ class TestFlatten:
             "mid_cls.weight",
             "mid_cls.bias",
         ]
+
+    def test_golden_v1_layout(self, tmp_path):
+        # the checkpoint bytes and buffer layout of a fixed model, recorded
+        # before the heads were packed: they pin the index mapping and the
+        # order of the initial draws
+        cats = {"color": ("red", "green"), "size": ("small", "medium", "large")}
+        p = init_params(5, ("a", "b", "c"), cats, 2, seed=7)
+        path = tmp_path / "golden.ckpt"
+        save_checkpoint(p, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "2596b3cab0b1fb43ee410f00079ec00d0505891ea2d899b9f6813f1462d94818"
+        )
+        layout = [(name, (a.ctypes.data - p.flat.ctypes.data) // 8, a.shape) for name, a in iter_param_arrays(p)]
+        assert layout == [
+            ("object[0].weight", 0, (5, 4)),
+            ("object[0].bias", 20, (4,)),
+            ("object[1].weight", 24, (5, 4)),
+            ("object[1].bias", 44, (4,)),
+            ("attribute[0][color].weight", 48, (5, 2)),
+            ("attribute[0][color].bias", 58, (2,)),
+            ("attribute[0][size].weight", 60, (5, 3)),
+            ("attribute[0][size].bias", 75, (3,)),
+            ("attribute[1][color].weight", 78, (5, 2)),
+            ("attribute[1][color].bias", 88, (2,)),
+            ("attribute[1][size].weight", 90, (5, 3)),
+            ("attribute[1][size].bias", 105, (3,)),
+            ("mid_det.weight", 108, (5, 3)),
+            ("mid_det.bias", 123, (3,)),
+            ("mid_cls.weight", 126, (5, 3)),
+            ("mid_cls.bias", 141, (3,)),
+        ]
+        assert p.flat.size == 144
 
 
 class TestCheckpoint:
@@ -399,12 +522,13 @@ class TestNoAttributeCategories:
         p = load_checkpoint(path)
         assert p.category_values == {} and p.value_columns == {}
         regions = make_regions(rng, 4, 5)
-        scores, mid = forward(p, regions)
+        scores = forward(p, regions)
         assert [a.shape for a in scores.attributes] == [(4, 0), (4, 0)]
-        grads = ScoreGrads.zeros_like(scores, mid)
-        grads.objects[1][:] = rng.normal(size=grads.objects[1].shape)
-        out = param_gradients(p, regions, scores, grads)
-        assert np.any(out.object_heads[1].weight)
-        assert not np.any(out.object_heads[0].weight)
+        grad = np.zeros_like(scores.heads)
+        grad_objects, _ = scores.split(grad)
+        grad_objects[1] = rng.normal(size=grad_objects[1].shape)
+        out = named(p.like(param_gradients(p, regions, scores, grad, np.zeros(2))))
+        assert np.any(out["object[1].weight"])
+        assert not np.any(out["object[0].weight"])
         detections = infer(p, regions, TrainConfig(score_floor=0.0))
         assert detections and all(0 <= det.class_index < 2 for det in detections)

@@ -14,7 +14,7 @@ from capdet.synthbench import (
     load_dataset,
     make_universe,
     proposal_hit_exists,
-    read_dataset_header,
+    read_dataset,
     round_sig,
     round_sig_array,
 )
@@ -248,14 +248,14 @@ class TestDatasetIO:
     def test_header_contents(self, universe, tmp_path):
         path = tmp_path / "data.jsonl"
         gen_dataset(universe, 1, [0, 0], path=path)
-        header = read_dataset_header(path)
+        header, _ = read_dataset(path)
         assert header["feature_dim"] == universe.config.feature_dim
         assert tuple(header["class_names"]) == universe.class_names
 
     def test_empty_file_is_empty_dataset(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        assert read_dataset_header(path) is None
+        assert read_dataset(path) == (None, [])
         assert load_dataset(path) == []
 
     def test_wrong_schema_rejected(self, tmp_path):
@@ -271,6 +271,18 @@ class TestDatasetIO:
         lines[2] = lines[2][: len(lines[2]) // 2]  # truncate the second scene
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="line 3"):
+            load_dataset(path)
+
+    def test_blank_lines_before_the_header_keep_line_numbers(self, universe, tmp_path):
+        path = tmp_path / "blank.jsonl"
+        gen_dataset(universe, 2, [0, 0], path=path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n\n" + "\n".join(lines) + "\n")
+        header, scenes = read_dataset(path)
+        assert tuple(header["class_names"]) == universe.class_names and len(scenes) == 2
+        lines[2] = lines[2][: len(lines[2]) // 2]  # truncate the second scene, now on line 5
+        path.write_text("\n\n" + "\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="line 5"):
             load_dataset(path)
 
     def test_feature_width_mismatch(self, universe, tmp_path):

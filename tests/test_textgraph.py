@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capdet.textgraph import (
     AttributeRegistry,
@@ -312,3 +314,42 @@ class TestLabelSet:
     def test_missing_object_empty(self):
         ls = LabelSet(objects={1}, attribute_pairs={})
         assert ls.pairs_for(1) == []
+
+
+# caption text: arbitrary unicode, or words that steer the parser into its
+# matching, modifier and preposition paths, joined by assorted separators
+_REGISTRY = default_registry()
+_WORDS = sorted(
+    {w for name in default_vocabulary().class_names for w in name.split()}
+    | {v for values in _REGISTRY.values.values() for v in values}
+    | {"apples", "is", "are", "a", "the", "and", "very", "on", "next", "to", "of", "in", "front", "glossy", "Red"}
+)
+_CAPTIONS = st.one_of(
+    st.text(min_size=1),
+    st.lists(st.one_of(st.sampled_from(_WORDS), st.text(max_size=3)), min_size=1, max_size=12).flatmap(
+        lambda words: st.sampled_from([" ", ",", "-", "\t", " . "]).map(lambda sep: sep.join(words))
+    ),
+).filter(lambda text: text.strip())
+
+
+class TestParserNeverRaises:
+    @settings(max_examples=300, deadline=None)
+    @given(_CAPTIONS)
+    def test_parse_scene_graph(self, caption):
+        vocab = default_vocabulary()
+        graph = parse_scene_graph(caption, vocab, _REGISTRY)
+        assert all(idx is None or 0 <= idx < vocab.num_classes for _, idx in graph.objects)
+        for pos, cat, val in graph.attributes:
+            assert 0 <= pos < len(graph.objects) and val in _REGISTRY.values[cat]
+        for subject, _, obj in graph.relations:
+            assert 0 <= subject < len(graph.objects) and 0 <= obj < len(graph.objects)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_CAPTIONS, min_size=1, max_size=4))
+    def test_extract_labels(self, captions):
+        vocab = default_vocabulary()
+        labels = extract_labels(captions, vocab, _REGISTRY)
+        assert all(0 <= c < vocab.num_classes for c in labels.objects)
+        assert set(labels.attribute_pairs) <= labels.objects
+        for pairs in labels.attribute_pairs.values():
+            assert all(val in _REGISTRY.values[cat] for cat, val in pairs)

@@ -199,20 +199,20 @@ class TestTrain:
         # exactly at initialization
         universe, scenes, vocab = small_world
         cfg = TrainConfig(steps=10, loss_mode="em", lambda2=0.0)
-        from capdet.scorenet import init_params
+        from capdet.scorenet import init_params, iter_param_arrays
 
-        trained = train(scenes, vocab, registry, cfg)
-        virgin = init_params(
+        trained = dict(iter_param_arrays(train(scenes, vocab, registry, cfg)))
+        virgin = dict(iter_param_arrays(init_params(
             16, vocab.class_names,
             {c: tuple(registry.values[c]) for c in registry.categories},
             cfg.num_heads, seed=cfg.seed,
-        )
-        for t_head, v_head in zip(trained.attribute_heads, virgin.attribute_heads):
-            for cat in t_head:
-                assert np.array_equal(t_head[cat].weight, v_head[cat].weight)
-                assert np.array_equal(t_head[cat].bias, v_head[cat].bias)
+        )))
+        attribute_names = [name for name in trained if name.startswith("attribute[")]
+        assert len(attribute_names) == 2 * cfg.num_heads * len(registry.categories)
+        for name in attribute_names:
+            assert np.array_equal(trained[name], virgin[name])
         # object heads did move
-        assert not np.array_equal(trained.object_heads[0].weight, virgin.object_heads[0].weight)
+        assert not np.array_equal(trained["object[0].weight"], virgin["object[0].weight"])
 
     def test_empty_dataset_rejected(self, registry):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from capdet.scorenet import MidScores, ScoreGrads, ScoreTensor
+from head_reference import packed_scores
 from capdet.textgraph import LabelSet
 from capdet.weakloss import (
     LossWeights,
@@ -305,8 +305,7 @@ class TestMidLoss:
         # evidence sums 0.7 and 0.2 pass through the sigmoid; class 0 is
         # mentioned, class 1 is not
         y = 1.0 / (1.0 + np.exp(-np.array([0.7, 0.2])))
-        mid = MidScores(per_region=np.zeros((3, 2)), image_level=y)
-        value, grad = mid_loss(mid, {0}, num_classes=2)
+        value, grad = mid_loss(y, {0}, num_classes=2)
         assert value == pytest.approx(1.2013249182670498, abs=1e-12)
         assert grad[0] == pytest.approx(-1.0 / y[0])
         assert grad[1] == pytest.approx(1.0 / (1.0 - y[1]))
@@ -314,31 +313,26 @@ class TestMidLoss:
     def test_no_mentions_all_negative(self):
         # a single unmentioned class at image score sigmoid(0.25)
         y = np.array([0.5621765008857981])
-        mid = MidScores(per_region=np.zeros((1, 1)), image_level=y)
-        value, grad = mid_loss(mid, set(), num_classes=1)
+        value, grad = mid_loss(y, set(), num_classes=1)
         assert value == pytest.approx(0.8259394198788435, abs=1e-12)
         assert grad[0] == pytest.approx(1.0 / (1.0 - y[0]))
 
     def test_all_mentioned(self):
         y = np.array([0.9, 0.8])
-        mid = MidScores(per_region=np.zeros((1, 2)), image_level=y)
-        value, grad = mid_loss(mid, {0, 1}, num_classes=2)
+        value, grad = mid_loss(y, {0, 1}, num_classes=2)
         assert value == pytest.approx(-(math.log(0.9) + math.log(0.8)))
         assert (grad < 0).all()
 
     def test_out_of_range_class(self):
-        mid = MidScores(per_region=np.zeros((1, 2)), image_level=np.array([0.6, 0.6]))
         with pytest.raises(ValueError):
-            mid_loss(mid, {2}, num_classes=2)
+            mid_loss(np.array([0.6, 0.6]), {2}, num_classes=2)
 
     def test_shape_mismatch(self):
-        mid = MidScores(per_region=np.zeros((1, 2)), image_level=np.array([0.6, 0.6]))
         with pytest.raises(ValueError):
-            mid_loss(mid, {0}, num_classes=3)
+            mid_loss(np.array([0.6, 0.6]), {0}, num_classes=3)
 
     def test_saturated_scores_finite(self):
-        mid = MidScores(per_region=np.zeros((1, 2)), image_level=np.array([1.0, 0.0]))
-        value, grad = mid_loss(mid, {1}, num_classes=2)
+        value, grad = mid_loss(np.array([1.0, 0.0]), {1}, num_classes=2)
         assert np.isfinite(value)
         assert np.isfinite(grad).all()
 
@@ -365,58 +359,57 @@ def exact_component_setup():
     """
     obj = np.array([[math.exp(-0.4), 1.0 - math.exp(-0.4)]])
     attr = np.array([[math.exp(-1.6), 1.0 - math.exp(-1.6)]])
-    scores = ScoreTensor(objects=[obj], attributes=[attr])
-    mid = MidScores(per_region=np.zeros((1, 1)), image_level=np.array([math.exp(-1.0)]))
+    scores = packed_scores([obj], [attr], np.zeros((1, 1)), [math.exp(-1.0)])
     labels = labels_for({0}, {0: {("color", "red")}})
     cols = columns_for({"color": ("red", "green")})
-    return scores, mid, labels, cols
+    return scores, labels, cols
 
 
 class TestTotalLoss:
     def test_mixing_arithmetic(self):
-        scores, mid, labels, cols = exact_component_setup()
-        report = total_loss(scores, mid, labels, LossWeights(lambda1=0.5, lambda2=0.01), cols)
+        scores, labels, cols = exact_component_setup()
+        report = total_loss(scores, labels, LossWeights(lambda1=0.5, lambda2=0.01), cols)
         assert report.l_mid == pytest.approx(1.0, abs=1e-12)
         assert report.l_obj == pytest.approx(0.4, abs=1e-12)
         assert report.l_entang == pytest.approx(2.0, abs=1e-12)
         assert report.l_total == pytest.approx(1.22, abs=1e-12)
 
     def test_refinement_values_added_unweighted(self):
-        scores, mid, labels, cols = exact_component_setup()
+        scores, labels, cols = exact_component_setup()
         report = total_loss(
-            scores, mid, labels, LossWeights(), cols, oicr_values=(0.1, 0.2, 0.3),
+            scores, labels, LossWeights(), cols, oicr_values=(0.1, 0.2, 0.3),
         )
         assert report.l_oicr == (0.1, 0.2, 0.3)
         assert report.l_total == pytest.approx(1.22 + 0.6, abs=1e-12)
 
     def test_lambda2_zero_skips_coupled_term(self):
-        scores, mid, labels, cols = exact_component_setup()
-        report = total_loss(scores, mid, labels, LossWeights(lambda2=0.0), cols)
+        scores, labels, cols = exact_component_setup()
+        report = total_loss(scores, labels, LossWeights(lambda2=0.0), cols)
         assert report.l_entang == 0.0
         assert report.argmax_pairs == {}
-        for head in report.grad.attributes:
+        for head in scores.split(report.grad)[1]:
             assert not np.any(head)
         assert report.l_total == pytest.approx(1.0 + 0.5 * 0.4, abs=1e-12)
 
     def test_gradients_scaled_by_weights(self):
-        scores, mid, labels, cols = exact_component_setup()
-        heavy = total_loss(scores, mid, labels, LossWeights(lambda1=1.0, lambda2=0.0), cols)
-        light = total_loss(scores, mid, labels, LossWeights(lambda1=0.5, lambda2=0.0), cols)
+        scores, labels, cols = exact_component_setup()
+        heavy = total_loss(scores, labels, LossWeights(lambda1=1.0, lambda2=0.0), cols)
+        light = total_loss(scores, labels, LossWeights(lambda1=0.5, lambda2=0.0), cols)
         # evidence gradient identical, object gradient scales with lambda1
-        assert np.allclose(heavy.grad.mid_image, light.grad.mid_image)
-        assert np.allclose(heavy.grad.objects[0], 2.0 * light.grad.objects[0])
+        assert np.allclose(heavy.grad_image, light.grad_image)
+        assert np.allclose(scores.split(heavy.grad)[0][0], 2.0 * scores.split(light.grad)[0][0])
 
     def test_oicr_grads_added(self):
-        scores, mid, labels, cols = exact_component_setup()
-        base = total_loss(scores, mid, labels, LossWeights(), cols)
-        extra = ScoreGrads.zeros_like(scores, mid)
-        extra.objects[0][0, 0] = 5.0
-        with_extra = total_loss(scores, mid, labels, LossWeights(), cols, oicr_grads=extra)
-        assert with_extra.grad.objects[0][0, 0] == pytest.approx(base.grad.objects[0][0, 0] + 5.0)
+        scores, labels, cols = exact_component_setup()
+        base = total_loss(scores, labels, LossWeights(), cols)
+        extra = np.zeros_like(scores.heads)
+        scores.split(extra)[0][0][0, 0] = 5.0
+        with_extra = total_loss(scores, labels, LossWeights(), cols, oicr_grads=extra)
+        assert with_extra.grad[0, 0] == pytest.approx(base.grad[0, 0] + 5.0)
 
     def test_report_is_json_serializable(self):
-        scores, mid, labels, cols = exact_component_setup()
-        report = total_loss(scores, mid, labels, LossWeights(), cols)
+        scores, labels, cols = exact_component_setup()
+        report = total_loss(scores, labels, LossWeights(), cols)
         record = report.to_record()
         text = json.dumps(record)
         assert "l_total" in json.loads(text)
