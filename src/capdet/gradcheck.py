@@ -25,7 +25,8 @@ import numpy as np
 from . import scorenet
 from .scorenet import ModelParams, RegionSet
 from .textgraph import LabelSet
-from .trainer import TrainConfig, scene_loss
+from .trainer import TrainConfig, compile_labels, scene_loss
+from .weakloss import Supervision
 
 
 @dataclass
@@ -83,9 +84,9 @@ def _random_problem(rng: np.random.Generator) -> tuple[ModelParams, RegionSet, L
 
 
 def composed_loss(
-    params: ModelParams, regions: RegionSet, labels: LabelSet, config: TrainConfig, pseudos
+    params: ModelParams, regions: RegionSet, sup: Supervision, config: TrainConfig, pseudo
 ) -> float:
-    report, _, _ = scene_loss(params, regions, labels, config, pseudos=pseudos)
+    report, _, _ = scene_loss(params, regions, sup, config, pseudo=pseudo)
     return report.l_total
 
 
@@ -102,7 +103,8 @@ def check_once(
 
     Probes bump params.flat in place and restore it, leaving params unchanged.
     """
-    report, pseudos, scores = scene_loss(params, regions, labels, config)
+    sup = compile_labels(labels, params, config)
+    report, pseudo, scores = scene_loss(params, regions, sup, config)
     analytic = scorenet.param_gradients(params, regions, scores, report.grad, report.grad_image)
     flat = params.flat
 
@@ -120,9 +122,9 @@ def check_once(
     for idx in coords:
         original = flat[idx]
         flat[idx] = original + step
-        hi = composed_loss(params, regions, labels, config, pseudos)
+        hi = composed_loss(params, regions, sup, config, pseudo)
         flat[idx] = original - step
-        lo = composed_loss(params, regions, labels, config, pseudos)
+        lo = composed_loss(params, regions, sup, config, pseudo)
         flat[idx] = original
         numeric = (hi - lo) / (2.0 * step)
         denom = max(1.0, abs(analytic[idx]), abs(numeric))

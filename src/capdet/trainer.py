@@ -2,10 +2,12 @@
 
 Training is plain adaptive-gradient descent over per-scene losses: the
 image-evidence term, the first head's MIL and coupled terms, and one
-refinement term per head. Setting lambda2 to zero removes every
-attribute-dependent computation, including the coupled refinement terms
-that would otherwise feed gradients into later object heads; that is the
-exact-match baseline, and the two spellings of it (loss_mode="em",
+refinement term per head. Each scene's caption labels are compiled once,
+before the first step, into the Supervision every loss reads. Setting
+lambda2 to zero compiles them without attribute pairs, which removes
+every attribute-dependent computation, including the coupled refinement
+terms that would otherwise feed gradients into later object heads; that
+is the exact-match baseline, and the two spellings of it (loss_mode="em",
 lambda2=0) are required to produce identical checkpoints.
 
 Inference runs only the object heads, averages the refinement heads'
@@ -28,11 +30,10 @@ import numpy as np
 
 from . import oicr, scorenet, weakloss
 from .geometry import iou_matrix, nms
-from .oicr import RefinementConfig
 from .scorenet import ModelParams, RegionSet
 from .synthbench import SyntheticScene
 from .textgraph import AttributeRegistry, LabelSet, Vocabulary, extract_labels
-from .weakloss import LossReport, LossWeights
+from .weakloss import LossReport, LossWeights, Supervision
 
 
 class NumericalError(RuntimeError):
@@ -61,6 +62,8 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.batch_size < 1 or self.steps < 1 or self.num_heads < 1:
             raise ValueError("batch_size, steps, and num_heads must be positive")
+        if not 0.0 < self.tau < 1.0:
+            raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
         if self.loss_mode not in LOSS_MODES:
             raise ValueError(f"loss_mode must be one of {LOSS_MODES}, got {self.loss_mode!r}")
         if self.lambda1 < 0 or self.lambda2 < 0:
@@ -80,11 +83,6 @@ class TrainConfig:
 
     def loss_weights(self) -> LossWeights:
         return LossWeights(lambda1=self.lambda1, lambda2=self.lambda2)
-
-    def refinement_config(self) -> RefinementConfig:
-        return RefinementConfig(
-            num_heads=self.num_heads, tau=self.tau, attributes_enabled=self.attributes_enabled
-        )
 
     @staticmethod
     def field_types() -> dict[str, type]:
@@ -136,28 +134,27 @@ class Adagrad:
         params_flat -= self.learning_rate * grad_flat / (np.sqrt(self.accum) + self.eps)
 
 
+def compile_labels(labels: LabelSet, params: ModelParams, config: TrainConfig) -> Supervision:
+    """A scene's supervision for params; the exact-match baseline compiles no attribute pairs."""
+    return weakloss.compile_supervision(
+        labels, params.num_classes, params.value_columns, pairs=config.attributes_enabled
+    )
+
+
 def scene_loss(
     params: ModelParams,
     regions: RegionSet,
-    labels: LabelSet,
+    sup: Supervision,
     config: TrainConfig,
-    pseudos: Sequence[oicr.PseudoLabels | None] | None = None,
-) -> tuple[LossReport, list[oicr.PseudoLabels | None], scorenet.Scores]:
+    pseudo: oicr.PseudoLabels | None = None,
+) -> tuple[LossReport, oicr.PseudoLabels | None, scorenet.Scores]:
     """The per-scene loss, its refinement supervision (reused if given), and forward's scores."""
     scores = scorenet.forward(params, regions)
-    ref_cfg = config.refinement_config()
-    if pseudos is None:
-        pseudos = oicr.build_pseudo_labels(scores, labels, regions.boxes, ref_cfg, params.value_columns)
-    values, ref_grad = oicr.refinement_terms(scores, pseudos)
-    report = weakloss.total_loss(
-        scores,
-        labels,
-        config.loss_weights(),
-        params.value_columns,
-        oicr_values=values,
-        oicr_grads=ref_grad,
-    )
-    return report, list(pseudos), scores
+    if pseudo is None:
+        pseudo = oicr.build_pseudo_labels(scores, sup, regions.boxes, config.tau)
+    values, ref_grad = oicr.refinement_terms(scores, pseudo)
+    report = weakloss.total_loss(scores, sup, config.loss_weights(), oicr_values=values, oicr_grads=ref_grad)
+    return report, pseudo, scores
 
 
 def label_scenes(
@@ -189,7 +186,7 @@ def train(
         num_heads=config.num_heads,
         seed=config.seed,
     )
-    labels = label_scenes(scenes, vocab, registry)
+    sups = [compile_labels(labels, params, config) for labels in label_scenes(scenes, vocab, registry)]
 
     optimizer = Adagrad(params.flat.size, config.learning_rate)
     order_rng = np.random.default_rng(config.seed)
@@ -205,9 +202,9 @@ def train(
                 order = order_rng.permutation(len(scenes))
                 cursor = 0
             scene = scenes[order[cursor]]
-            scene_labels = labels[order[cursor]]
+            sup = sups[order[cursor]]
             cursor += 1
-            report, _, scores = scene_loss(params, scene.proposals, scene_labels, config)
+            report, _, scores = scene_loss(params, scene.proposals, sup, config)
             if not np.isfinite(report.l_total):
                 raise NumericalError(
                     f"non-finite loss at step {step} on scene {scene.image_id!r}: {report.l_total}"

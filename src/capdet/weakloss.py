@@ -11,11 +11,16 @@ mentioned classes, so the coupled term sums its pairs and divides by the
 class count. An image-evidence term treats the per-class image scores as
 independent binary predictions of mention.
 
-Attribute scores are one (m, V) array per head, a pair's column given
-by the model's value_columns. Both maxima run over all classes (or
-pairs) at once: one argmax over the gathered columns, then the coupled
-term scatters its gradients with np.add.at in pair order, so pairs
-meeting in one cell add up.
+A scene's caption labels are compiled once into a Supervision: the
+sorted class array and the pair-class and pair-column arrays, validated
+against the model's class count and attribute columns. Every caption
+loss and the refinement chain read those arrays; none of them sorts or
+checks labels again. Compiling without pairs is the exact-match
+baseline: with no pairs there is no coupled term anywhere.
+
+Both maxima run over all classes (or pairs) at once: one argmax over the
+gathered columns, then the coupled term scatters its gradients with
+np.add.at in pair order, so pairs meeting in one cell add up.
 
 Every function returns the loss value together with its gradient with
 respect to the score arrays it consumed; parameter gradients are the
@@ -25,7 +30,7 @@ score network's job.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -35,7 +40,7 @@ from .textgraph import LabelSet
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Mixing weights for the total loss; the coupled term may be switched off entirely."""
+    """Mixing weights for the total loss."""
 
     lambda1: float = 0.5
     lambda2: float = 0.01
@@ -45,36 +50,63 @@ class LossWeights:
             raise ValueError(f"loss weights must be non-negative, got ({self.lambda1}, {self.lambda2})")
 
 
-def object_mil_loss(
-    scores: np.ndarray, objects: Iterable[int]
-) -> tuple[float, np.ndarray, dict[int, int]]:
+@dataclass(frozen=True)
+class Supervision:
+    """One scene's caption labels as validated index arrays.
+
+    The pairs are ordered by class and then by (category, value); a pair's
+    column indexes the model's (m, V) attribute scores, and pair_keys names
+    it as (class, category, value).
+    """
+
+    num_classes: int
+    classes: np.ndarray  # (|O|,) mentioned classes, ascending
+    pair_classes: np.ndarray  # (P,)
+    pair_columns: np.ndarray  # (P,)
+    pair_keys: tuple[tuple[int, str, str], ...]
+
+
+def compile_supervision(
+    labels: LabelSet, num_classes: int, value_columns: Mapping[tuple[str, str], int], pairs: bool = True
+) -> Supervision:
+    """Sort, validate and index a scene's labels; pairs=False keeps the classes only."""
+    classes = sorted(labels.objects)
+    for c in classes:
+        if not 0 <= c < num_classes:
+            raise ValueError(f"class index {c} out of range for {num_classes} classes")
+    keys = [(c, cat, val) for c in classes for cat, val in labels.pairs_for(c)] if pairs else []
+    for c, cat, val in keys:
+        if (cat, val) not in value_columns:
+            raise ValueError(f"class {c}: no attribute column for {cat!r} = {val!r}")
+    return Supervision(
+        num_classes=num_classes,
+        classes=np.array(classes, dtype=int),
+        pair_classes=np.array([c for c, _, _ in keys], dtype=int),
+        pair_columns=np.array([value_columns[cat, val] for _, cat, val in keys], dtype=int),
+        pair_keys=tuple(keys),
+    )
+
+
+def object_mil_loss(scores: np.ndarray, sup: Supervision) -> tuple[float, np.ndarray, dict[int, int]]:
     """-(1/|O|) sum over mentioned classes of log of the best region score.
 
     Gradient is nonzero only at each class's maximizing region; ties go to
     the lowest region index. Empty O short-circuits to zero.
     """
-    scores = np.asarray(scores, dtype=float)
     grad = np.zeros_like(scores)
-    mentioned = sorted(set(int(c) for c in objects))
-    if not mentioned:
+    classes = sup.classes
+    if not classes.size:
         return 0.0, grad, {}
-    num_classes = scores.shape[1] - 1  # last column is background
-    if not 0 <= mentioned[0] <= mentioned[-1] < num_classes:
-        raise ValueError(f"class index out of range for {num_classes} classes: {mentioned}")
-    p = np.asarray(clamp_prob(scores[:, mentioned]))
+    p = np.asarray(clamp_prob(scores[:, classes]))
     rows = np.argmax(p, axis=0)
-    best = p[rows, np.arange(len(mentioned))]
-    grad[rows, mentioned] = -1.0 / best  # one cell per class, so none is hit twice
-    grad /= len(mentioned)
-    chosen = {c: int(i) for c, i in zip(mentioned, rows)}
-    return float(-np.sum(np.log(best)) / len(mentioned)), grad, chosen
+    best = p[rows, np.arange(classes.size)]
+    grad[rows, classes] = -1.0 / best  # one cell per class, so none is hit twice
+    grad /= classes.size
+    return float(-np.sum(np.log(best)) / classes.size), grad, dict(zip(classes.tolist(), rows.tolist()))
 
 
 def entanglement_loss(
-    obj_scores: np.ndarray,
-    attr_scores: np.ndarray,
-    labels: LabelSet,
-    value_columns: Mapping[tuple[str, str], int],
+    obj_scores: np.ndarray, attr_scores: np.ndarray, sup: Supervision
 ) -> tuple[float, np.ndarray, np.ndarray, dict[tuple[int, str, str], int]]:
     """Coupled object-attribute MIL: per pair, maximize the product at one region.
 
@@ -83,38 +115,27 @@ def entanglement_loss(
     Both factors receive gradient at the maximizing region. The sum over
     pairs is normalized by |O|, the number of mentioned classes.
     """
-    obj_scores = np.asarray(obj_scores, dtype=float)
-    attr_scores = np.asarray(attr_scores, dtype=float)
     grad_obj = np.zeros_like(obj_scores)
     grad_attr = np.zeros_like(attr_scores)
-    mentioned = sorted(labels.objects)
-    pairs = [(c, cat, val) for c in mentioned for cat, val in labels.pairs_for(c)]
-    if not pairs:
+    classes, cols = sup.pair_classes, sup.pair_columns
+    if not classes.size:
         return 0.0, grad_obj, grad_attr, {}
-    num_classes = obj_scores.shape[1] - 1
-    for c, cat, val in pairs:
-        if not 0 <= c < num_classes:
-            raise ValueError(f"class index {c} out of range for {num_classes} classes")
-        if (cat, val) not in value_columns:
-            raise ValueError(f"no attribute column for {cat!r} = {val!r}")
-    classes = [c for c, _, _ in pairs]
-    cols = [value_columns[cat, val] for _, cat, val in pairs]
     p_obj = np.asarray(clamp_prob(obj_scores[:, classes]))
     p_attr = np.asarray(clamp_prob(attr_scores[:, cols]))
     rows = np.argmax(p_obj * p_attr, axis=0)
-    at = (rows, np.arange(len(pairs)))
+    at = (rows, np.arange(classes.size))
     best_obj, best_attr = p_obj[at], p_attr[at]
     # np.add.at, not fancy-index assignment: pairs that meet in one cell must accumulate
     np.add.at(grad_obj, (rows, classes), -1.0 / best_obj)
     np.add.at(grad_attr, (rows, cols), -1.0 / best_attr)
-    denom = float(len(mentioned))
+    denom = float(sup.classes.size)
     grad_obj /= denom
     grad_attr /= denom
     total = -np.sum(np.log(best_obj) + np.log(best_attr)) / denom
-    return float(total), grad_obj, grad_attr, {pair: int(i) for pair, i in zip(pairs, rows)}
+    return float(total), grad_obj, grad_attr, dict(zip(sup.pair_keys, rows.tolist()))
 
 
-def mid_loss(image_level: np.ndarray, objects: Iterable[int], num_classes: int) -> tuple[float, np.ndarray]:
+def mid_loss(image_level: np.ndarray, sup: Supervision) -> tuple[float, np.ndarray]:
     """Binary cross-entropy of the image-level scores against mention labels.
 
     Returns the gradient with respect to the image-level scores; pushing
@@ -122,13 +143,10 @@ def mid_loss(image_level: np.ndarray, objects: Iterable[int], num_classes: int) 
     by the score network's backward pass.
     """
     y = np.asarray(clamp_prob(image_level))
-    if y.shape != (num_classes,):
-        raise ValueError(f"expected {num_classes} image-level scores, got shape {y.shape}")
-    mentioned = set(int(c) for c in objects)
-    if any(not 0 <= c < num_classes for c in mentioned):
-        raise ValueError(f"class index out of range for {num_classes} classes: {sorted(mentioned)}")
-    positive = np.zeros(num_classes, dtype=bool)
-    positive[sorted(mentioned)] = True
+    if y.shape != (sup.num_classes,):
+        raise ValueError(f"expected {sup.num_classes} image-level scores, got shape {y.shape}")
+    positive = np.zeros(sup.num_classes, dtype=bool)
+    positive[sup.classes] = True
     total = -(np.log(y[positive]).sum() + np.log1p(-y[~positive]).sum())
     grad = np.where(positive, -1.0 / y, 1.0 / (1.0 - y))
     return float(total), grad
@@ -166,35 +184,28 @@ class LossReport:
 
 def total_loss(
     scores: Scores,
-    labels: LabelSet,
+    sup: Supervision,
     weights: LossWeights,
-    value_columns: Mapping[tuple[str, str], int],
     oicr_values: Sequence[float] = (),
     oicr_grads: np.ndarray | None = None,
 ) -> LossReport:
     """Mix the terms: evidence + lambda1 * MIL + lambda2 * coupled + refinement terms.
 
     The MIL and coupled terms read the first head's scores; refinement
-    terms for every head arrive precomputed. lambda2 == 0 skips the
-    coupled term entirely rather than multiplying it by zero.
+    terms for every head arrive precomputed. Supervision compiled without
+    pairs has no coupled term: its value and gradient are exact zeros.
     """
-    num_classes = scores.image_level.shape[0]
     grad = np.zeros_like(scores.heads)
     grad_objects, grad_attributes = scores.split(grad)
 
-    l_obj, g_obj, argmax_objects = object_mil_loss(scores.objects[0], labels.objects)
+    l_obj, g_obj, argmax_objects = object_mil_loss(scores.objects[0], sup)
     grad_objects[0] += weights.lambda1 * g_obj
 
-    l_entang = 0.0
-    argmax_pairs: dict[tuple[int, str, str], int] = {}
-    if weights.lambda2 > 0.0:
-        l_entang, g_eobj, g_eattr, argmax_pairs = entanglement_loss(
-            scores.objects[0], scores.attributes[0], labels, value_columns
-        )
-        grad_objects[0] += weights.lambda2 * g_eobj
-        grad_attributes[0] += weights.lambda2 * g_eattr
+    l_entang, g_eobj, g_eattr, argmax_pairs = entanglement_loss(scores.objects[0], scores.attributes[0], sup)
+    grad_objects[0] += weights.lambda2 * g_eobj
+    grad_attributes[0] += weights.lambda2 * g_eattr
 
-    l_mid, grad_image = mid_loss(scores.image_level, labels.objects, num_classes)
+    l_mid, grad_image = mid_loss(scores.image_level, sup)
 
     if oicr_grads is not None:
         grad += oicr_grads

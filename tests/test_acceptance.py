@@ -13,7 +13,7 @@ import numpy as np
 from capdet import cli
 from capdet.geometry import iou_matrix, nms
 from capdet.gradcheck import run_gradient_check
-from capdet.oicr import RefinementConfig, run_refinement
+from capdet.oicr import build_pseudo_labels
 from capdet.scorenet import RegionSet, clamp_prob, forward, init_params
 from capdet.synthbench import (
     SynthConfig,
@@ -29,8 +29,8 @@ from capdet.textgraph import (
     extract_labels,
     parse_scene_graph,
 )
-from capdet.trainer import TrainConfig, evaluate, train
-from capdet.weakloss import entanglement_loss, object_mil_loss
+from capdet.trainer import TrainConfig, compile_labels, evaluate, train
+from capdet.weakloss import compile_supervision, entanglement_loss, object_mil_loss
 
 
 def _random_boxes(rng, count):
@@ -66,7 +66,7 @@ def test_criterion_2_coupled_loss_dominates_decoupled_selection():
         attr = rng.uniform(0.01, 1.0, size=(m, 3))  # columns: color red, green, blue
         cols = {("color", "red"): 0, ("color", "green"): 1, ("color", "blue"): 2}
         labels = LabelSet(objects={c}, attribute_pairs={c: {("color", "red")}})
-        coupled, _, _, _ = entanglement_loss(obj, attr, labels, cols)
+        coupled, _, _, _ = entanglement_loss(obj, attr, compile_supervision(labels, num_classes, cols))
         # decoupled: each factor free to pick its own region (|O| = 1)
         p_obj = np.asarray(clamp_prob(obj[:, c]))
         p_attr = np.asarray(clamp_prob(attr[:, 0]))
@@ -81,8 +81,9 @@ def test_criterion_2_coupled_loss_dominates_decoupled_selection():
     attr = np.array([[0.1, 0.9], [0.8, 0.2]])  # columns: color brown, red
     cols = {("color", "brown"): 0, ("color", "red"): 1}
     labels = LabelSet(objects={0}, attribute_pairs={0: {("color", "brown")}})
-    _, _, object_pick = object_mil_loss(obj, {0})
-    _, _, _, coupled_pick = entanglement_loss(obj, attr, labels, cols)
+    sup = compile_supervision(labels, 1, cols)
+    _, _, object_pick = object_mil_loss(obj, sup)
+    _, _, _, coupled_pick = entanglement_loss(obj, attr, sup)
     assert object_pick[0] == 0
     assert coupled_pick[(0, "color", "brown")] == 1
     print(
@@ -132,19 +133,19 @@ def test_criterion_3_formulation_invariants():
     vocab = benchmark_vocabulary(universe.class_names)
     category_values = {cat: tuple(registry.values[cat]) for cat in registry.categories}
     params = init_params(16, universe.class_names, category_values, num_heads=3, seed=1)
-    rc = RefinementConfig()
+    rc = TrainConfig()
     num_classes = len(universe.class_names)
     labeled_regions = 0
     for scene in scenes:
-        labels = extract_labels(scene.captions, vocab, registry)
-        _, _, pseudos = run_refinement(params, scene.proposals, labels, rc)
-        for pseudo in pseudos:
-            if pseudo is None:
-                continue
-            for i, c in enumerate(pseudo.class_labels):
+        sup = compile_labels(extract_labels(scene.captions, vocab, registry), params, rc)
+        pseudo = build_pseudo_labels(forward(params, scene.proposals), sup, scene.proposals.boxes, rc.tau)
+        if pseudo is None:
+            continue
+        for head_labels, head_seeds in zip(pseudo.labels, pseudo.seeds):
+            for i, c in enumerate(head_labels):
                 if c >= num_classes:
                     continue
-                seed_region = pseudo.seeds[int(c)][0]
+                seed_region = head_seeds[np.searchsorted(sup.classes, c)]
                 assert iou_matrix(scene.proposals.boxes[[i]], scene.proposals.boxes[[seed_region]])[0, 0] >= rc.tau
                 labeled_regions += 1
     assert labeled_regions > 0

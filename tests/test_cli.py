@@ -230,6 +230,20 @@ class TestTrainEval:
         assert "checkpoint" in capsys.readouterr().err
 
 
+class TestOutOfRangeTau:
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("tau", ["0", "1", "1.5"])
+    def test_usage_error_before_the_dataset_is_read(self, command, tau, tmp_path, capsys):
+        # neither the dataset nor the checkpoint exists: reading either would exit 2
+        args = [command, "--data", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "out"), "--tau", tau]
+        if command == "eval":
+            args += ["--checkpoint", str(tmp_path / "missing.ckpt")]
+        code = cli.main(args)
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"usage error: tau must lie in (0, 1), got {float(tau)}"]
+        assert not (tmp_path / "out").exists()
+
+
 # one row per corruption: header edits, or a checkpoint built for another layout
 CORRUPTIONS = {
     "missing key": {"edit": lambda h: h.pop("num_heads")},

@@ -1,7 +1,7 @@
 import numpy as np
 
 from capdet import gradcheck
-from capdet.trainer import scene_loss
+from capdet.trainer import compile_labels, scene_loss
 
 
 class TestRandomProblem:
@@ -28,8 +28,9 @@ class TestComposedLoss:
     def test_matches_scene_loss_with_frozen_pseudos(self):
         rng = np.random.default_rng([11, 0])
         params, regions, labels, config = gradcheck._random_problem(rng)
-        report, pseudos, _ = scene_loss(params, regions, labels, config)
-        value = gradcheck.composed_loss(params, regions, labels, config, pseudos)
+        sup = compile_labels(labels, params, config)
+        report, pseudo, _ = scene_loss(params, regions, sup, config)
+        value = gradcheck.composed_loss(params, regions, sup, config, pseudo)
         assert value == report.l_total
 
 

@@ -3,22 +3,18 @@ import math
 
 import numpy as np
 import pytest
+import refinement_reference as reference
 from head_reference import packed_scores
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from capdet.geometry import iou_matrix
-from capdet.oicr import (
-    PseudoLabels,
-    RefinementConfig,
-    attribute_assignments,
-    build_pseudo_labels,
-    coupled_refinement_loss,
-    initial_scores,
-    refinement_loss,
-    refinement_terms,
-    seed_and_assign,
-)
+from capdet.oicr import PseudoLabels, build_pseudo_labels, initial_scores, refinement_terms
 from capdet.scorenet import softmax_cols
 from capdet.textgraph import LabelSet
+from capdet.trainer import TrainConfig
+from capdet.weakloss import compile_supervision
 
 # (category, value) -> attribute column, as ModelParams.value_columns lays them out
 COLS = {("color", "red"): 0, ("color", "brown"): 1}
@@ -33,27 +29,55 @@ BOXES = np.array(
 )
 
 
-def near(tau):
-    return iou_matrix(BOXES, BOXES) >= tau
-
-
 def labels_for(objects, pairs=None):
     return LabelSet(objects=set(objects), attribute_pairs={k: set(v) for k, v in (pairs or {}).items()})
 
 
+def compiled(objects, pairs=None, num_classes=2, cols=COLS, with_pairs=True):
+    return compile_supervision(labels_for(objects, pairs), num_classes, cols, pairs=with_pairs)
+
+
+def with_background(class_scores):
+    """(m, C) class scores plus a background column, as a head's (m, C + 1) object scores."""
+    class_scores = np.asarray(class_scores, dtype=float)
+    return np.column_stack([class_scores, 1.0 - class_scores.sum(axis=1)])
+
+
+def frozen(labels, weights, coupled=()):
+    """PseudoLabels from (K, m) labels and weights and (head, region, class, column) tuples."""
+    heads, regions, classes, columns = np.array(list(coupled), dtype=int).reshape(-1, 4).T
+    return PseudoLabels(
+        labels=np.asarray(labels), weights=np.asarray(weights, dtype=float),
+        seeds=np.zeros((len(labels), 0), dtype=int),
+        heads=heads, regions=regions, classes=classes, columns=columns,
+    )
+
+
+def second_head(class_scores, objects, tau=0.5):
+    """Head 2's labels, weights and seeds, seeded from head 1's class scores over BOXES."""
+    prev = with_background(class_scores)
+    num_classes = prev.shape[1] - 1
+    m = len(prev)
+    scores = packed_scores(
+        [prev, np.full_like(prev, 0.5)], [np.zeros((m, 0))] * 2,
+        np.full((m, num_classes), 0.5), np.full(num_classes, 0.7),
+    )
+    pseudo = build_pseudo_labels(scores, compiled(objects, num_classes=num_classes), BOXES, tau)
+    return pseudo.labels[1], pseudo.weights[1], pseudo.seeds[1]
+
+
 class TestRefinementConfig:
+    """The refinement chain's settings are TrainConfig's num_heads and tau."""
+
     def test_defaults(self):
-        cfg = RefinementConfig()
+        cfg = TrainConfig()
         assert cfg.num_heads == 3
         assert cfg.tau == 0.5
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RefinementConfig(num_heads=0)
-        with pytest.raises(ValueError):
-            RefinementConfig(tau=0.0)
-        with pytest.raises(ValueError):
-            RefinementConfig(tau=1.0)
+        for bad in ({"num_heads": 0}, {"tau": 0.0}, {"tau": 1.0}, {"tau": 1.5}, {"tau": -0.5}):
+            with pytest.raises(ValueError):
+                TrainConfig(**bad)
 
 
 class TestInitialScores:
@@ -75,156 +99,151 @@ class TestSeedAndAssign:
     def test_propagation_by_overlap(self):
         # class 0 seeds at region 0 with score 0.9; region 1 overlaps it
         # at 0.8 >= tau and inherits the label, region 2 stays background
-        prev = np.array([[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]])
-        pseudo = seed_and_assign(prev, {0}, near(0.5), num_classes=1)
-        assert pseudo.seeds == {0: (0, 0.9)}
-        assert pseudo.class_labels.tolist() == [0, 0, 1]
-        assert pseudo.weights.tolist() == [0.9, 0.9, 1.0]
+        labels, weights, seeds = second_head([[0.9], [0.5], [0.2]], {0})
+        assert seeds.tolist() == [0]
+        assert labels.tolist() == [0, 0, 1]
+        assert weights.tolist() == [0.9, 0.9, 1.0]
 
     def test_background_weight_is_one(self):
-        prev = np.array([[0.9], [0.1], [0.1]])
         # tau above the 0.8 overlap: only the seed itself is labeled
-        pseudo = seed_and_assign(prev, {0}, near(0.85), num_classes=1)
-        assert pseudo.class_labels.tolist() == [0, 1, 1]
-        assert pseudo.weights.tolist() == [0.9, 1.0, 1.0]
+        labels, weights, _ = second_head([[0.9], [0.1], [0.1]], {0}, tau=0.85)
+        assert labels.tolist() == [0, 1, 1]
+        assert weights.tolist() == [0.9, 1.0, 1.0]
 
     def test_conflict_resolved_by_seed_score(self):
         # both classes seed inside the overlapping pair; the stronger
         # seed (class 1, 0.8) claims the shared region
-        prev = np.array([[0.6, 0.1], [0.1, 0.8], [0.0, 0.0]])
-        pseudo = seed_and_assign(prev, {0, 1}, near(0.5), num_classes=2)
-        assert pseudo.seeds == {0: (0, 0.6), 1: (1, 0.8)}
-        assert pseudo.class_labels.tolist() == [1, 1, 2]
-        assert pseudo.weights.tolist() == [0.8, 0.8, 1.0]
+        labels, weights, seeds = second_head([[0.6, 0.1], [0.1, 0.8], [0.0, 0.0]], {0, 1})
+        assert seeds.tolist() == [0, 1]
+        assert labels.tolist() == [1, 1, 2]
+        assert weights.tolist() == [0.8, 0.8, 1.0]
+
+    def test_tied_seeds_go_to_lowest_class(self):
+        labels, weights, seeds = second_head([[0.4, 0.4], [0.1, 0.1], [0.0, 0.0]], {0, 1})
+        assert seeds.tolist() == [0, 0]
+        assert labels.tolist() == [0, 0, 2]
+        assert weights.tolist() == [0.4, 0.4, 1.0]
 
     def test_tau_boundary_inclusive(self):
-        # the overlap mask is built from tau in build_pseudo_labels; the
-        # evidence seeds class 0 at region 0, which region 1 overlaps at 0.8
+        # the evidence seeds class 0 at region 0, which region 1 overlaps at 0.8
         scores = packed_scores([np.full((3, 2), 0.5)], [np.zeros((3, 0))], [[0.9], [0.1], [0.1]], [0.7])
         overlap = float(iou_matrix(BOXES, BOXES)[1, 0])
         for tau, label in ((overlap, 0), (overlap + 1e-9, 1)):
-            cfg = RefinementConfig(num_heads=1, tau=tau)
-            (pseudo,) = build_pseudo_labels(scores, labels_for({0}), BOXES, cfg, COLS)
-            assert pseudo.class_labels[1] == label
-
-    def test_empty_objects_rejected(self):
-        with pytest.raises(ValueError):
-            seed_and_assign(np.ones((3, 1)), set(), near(0.5), 1)
+            pseudo = build_pseudo_labels(scores, compiled({0}, num_classes=1), BOXES, tau)
+            assert pseudo.labels[0, 1] == label
 
     def test_out_of_range_class_rejected(self):
-        with pytest.raises(ValueError):
-            seed_and_assign(np.ones((3, 2)), {5}, near(0.5), 2)
+        with pytest.raises(ValueError, match="class index 5"):
+            compiled({5}, num_classes=2)
+
+
+def object_term(head_scores, labels, weights):
+    """One head's refinement value and object gradient for frozen labels and weights."""
+    m = len(head_scores)
+    num_classes = head_scores.shape[1] - 1
+    scores = packed_scores([head_scores], [np.zeros((m, 0))], np.zeros((m, num_classes)), np.full(num_classes, 0.7))
+    values, grad = refinement_terms(scores, frozen([labels], [weights]))
+    return values[0], scores.split(grad)[0][0]
 
 
 class TestRefinementLoss:
     def test_two_region_example(self):
         # unit weights, picked scores 0.5 and 0.25:
         # -(log 0.5 + log 0.25) / 2
-        scores = np.array([[0.5, 0.5], [0.25, 0.75]])
-        pseudo = PseudoLabels(
-            class_labels=np.array([0, 0]), weights=np.array([1.0, 1.0]),
-        )
-        value, grad = refinement_loss(scores, pseudo)
+        value, grad = object_term(np.array([[0.5, 0.5], [0.25, 0.75]]), [0, 0], [1.0, 1.0])
         assert value == pytest.approx(1.0397207708399179, abs=1e-12)
         assert grad[0, 0] == pytest.approx(-1.0 / (2 * 0.5))
         assert grad[1, 0] == pytest.approx(-1.0 / (2 * 0.25))
         assert not np.any(grad[:, 1])
 
     def test_weights_scale_values_not_grad_positions(self):
-        scores = np.array([[0.5, 0.5], [0.25, 0.75]])
-        pseudo = PseudoLabels(
-            class_labels=np.array([0, 0]), weights=np.array([0.5, 2.0]),
-        )
-        value, grad = refinement_loss(scores, pseudo)
+        value, grad = object_term(np.array([[0.5, 0.5], [0.25, 0.75]]), [0, 0], [0.5, 2.0])
         expected = -(0.5 * math.log(0.5) + 2.0 * math.log(0.25)) / 2
         assert value == pytest.approx(expected)
         assert grad[0, 0] == pytest.approx(-0.5 / (2 * 0.5))
         assert grad[1, 0] == pytest.approx(-2.0 / (2 * 0.25))
         assert not np.any(grad[:, 1])
 
-    def test_finite_difference(self):
-        rng = np.random.default_rng(53)
-        scores = rng.uniform(0.05, 1.0, size=(4, 3))
-        scores /= scores.sum(axis=1, keepdims=True)
-        pseudo = PseudoLabels(
-            class_labels=np.array([0, 2, 1, 2]),
-            weights=rng.uniform(0.2, 1.0, size=4),
-        )
-        _, grad = refinement_loss(scores, pseudo)
-        h = 1e-7
-        for i in range(4):
-            for c in range(3):
-                bumped = scores.copy()
-                bumped[i, c] += h
-                up, _ = refinement_loss(bumped, pseudo)
-                bumped[i, c] -= 2 * h
-                down, _ = refinement_loss(bumped, pseudo)
-                assert grad[i, c] == pytest.approx((up - down) / (2 * h), abs=1e-5)
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_finite_difference(self, data):
+        # every head's weighted cross-entropy against frozen labels and weights
+        k, m, num_classes = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+        heads = data.draw(arrays(np.float64, (k, m, num_classes + 1), elements=st.floats(0.05, 0.95)))
+        labels = data.draw(arrays(np.int64, (k, m), elements=st.integers(0, num_classes)))
+        weights = data.draw(arrays(np.float64, (k, m), elements=st.floats(0.1, 1.0)))
+        scores = packed_scores(list(heads), [np.zeros((m, 0))] * k, np.zeros((m, num_classes)), np.full(num_classes, 0.7))
+        assert_central_differences(scores, frozen(labels, weights))
 
     def test_matches_per_region_loop(self):
         rng = np.random.default_rng(43)
-        scores = rng.uniform(0.01, 1.0, size=(7, 4))
-        pseudo = PseudoLabels(class_labels=rng.integers(0, 4, size=7), weights=rng.uniform(0.2, 1.0, size=7))
-        value, grad = refinement_loss(scores, pseudo)
-        ref_grad = np.zeros_like(scores)
-        ref_value = 0.0
-        for i, (c, w) in enumerate(zip(pseudo.class_labels, pseudo.weights)):
-            ref_value -= w * math.log(scores[i, c])
-            ref_grad[i, c] -= w / (7 * scores[i, c])
-        assert value == pytest.approx(ref_value / 7, rel=1e-12)
-        assert np.array_equal(grad, ref_grad)
+        heads = rng.uniform(0.01, 1.0, size=(2, 7, 4))
+        labels = rng.integers(0, 4, size=(2, 7))
+        weights = rng.uniform(0.2, 1.0, size=(2, 7))
+        scores = packed_scores(list(heads), [np.zeros((7, 0))] * 2, np.zeros((7, 3)), np.full(3, 0.7))
+        values, grad = refinement_terms(scores, frozen(labels, weights))
+        for j in range(2):
+            ref_grad = np.zeros_like(heads[j])
+            ref_value = 0.0
+            for i, (c, w) in enumerate(zip(labels[j], weights[j])):
+                ref_value -= w * math.log(heads[j][i, c])
+                ref_grad[i, c] -= w / (7 * heads[j][i, c])
+            assert values[j] == pytest.approx(ref_value / 7, rel=1e-12)
+            assert np.array_equal(scores.split(grad)[0][j], ref_grad)
 
     def test_shape_mismatch(self):
-        pseudo = PseudoLabels(class_labels=np.array([0]), weights=np.array([1.0]))
         with pytest.raises(ValueError):
-            refinement_loss(np.ones((2, 2)), pseudo)
+            object_term(np.ones((2, 2)), [0], [1.0])
 
 
 class TestAttributeAssignments:
     def test_head_one_reuses_object_seeds(self):
-        labels = labels_for({0}, {0: {("color", "red")}})
-        out = attribute_assignments(
-            1, np.zeros((3, 2)), None, labels, near(0.5), COLS,
-            object_seeds={0: (2, 0.7)},
-        )
-        assert out == [(2, 0, 0)]
+        # the evidence seeds class 0 at region 2; head 1's pair sits there
+        scores = packed_scores([np.full((3, 2), 0.5)], [np.full((3, 2), 0.5)], [[0.1], [0.1], [0.7]], [0.7])
+        pseudo = build_pseudo_labels(scores, compiled({0}, {0: {("color", "red")}}, num_classes=1), BOXES, 0.5)
+        assert pseudo.seeds[0].tolist() == [2]
+        coupled = np.stack([pseudo.heads, pseudo.regions, pseudo.classes, pseudo.columns], axis=1)
+        assert coupled.tolist() == [[0, 2, 0, 0]]
 
     def test_head_one_no_propagation(self):
         # seed sits in the overlapping pair but nothing spreads at head 1
-        labels = labels_for({0}, {0: {("color", "red")}})
-        out = attribute_assignments(
-            1, np.zeros((3, 2)), None, labels, near(0.5), COLS,
-            object_seeds={0: (0, 0.9)},
-        )
-        assert len(out) == 1
+        scores = packed_scores([np.full((3, 2), 0.5)], [np.full((3, 2), 0.5)], [[0.9], [0.1], [0.1]], [0.7])
+        pseudo = build_pseudo_labels(scores, compiled({0}, {0: {("color", "red")}}, num_classes=1), BOXES, 0.5)
+        assert pseudo.heads.size == 1
 
     def test_later_heads_seed_at_product_argmax(self):
-        labels = labels_for({0}, {0: {("color", "red")}})
         prev_obj = np.array([[0.9, 0.1], [0.5, 0.5], [0.1, 0.9]])
         prev_attr = np.array([[0.1, 0.9], [0.9, 0.1], [0.5, 0.5]])
-        # products for (class 0, red): 0.09, 0.45, 0.05 -> seed region 1
-        out = attribute_assignments(
-            2, prev_obj, prev_attr, labels, near(0.5), COLS, object_seeds={},
+        scores = packed_scores(
+            [prev_obj, prev_obj], [prev_attr, prev_attr], np.full((3, 1), 0.5), [0.7]
         )
-        regions = sorted(r for r, *_ in out)
-        assert regions == [0, 1]  # region 0 overlaps the seed at 0.8
-        for _, c, col in out:
-            assert (c, col) == (0, COLS["color", "red"])
+        pseudo = build_pseudo_labels(scores, compiled({0}, {0: {("color", "red")}}, num_classes=1), BOXES, 0.5)
+        # products for (class 0, red): 0.09, 0.45, 0.05 -> seed region 1
+        later = pseudo.heads == 1
+        assert sorted(pseudo.regions[later].tolist()) == [0, 1]  # region 0 overlaps the seed at 0.8
+        assert set(pseudo.classes[later].tolist()) == {0}
+        assert set(pseudo.columns[later].tolist()) == {COLS["color", "red"]}
 
-    def test_later_heads_need_attr_scores(self):
-        labels = labels_for({0}, {0: {("color", "red")}})
-        with pytest.raises(ValueError):
-            attribute_assignments(
-                2, np.zeros((3, 2)), None, labels, near(0.5), COLS, object_seeds={},
-            )
+
+def coupled_term(head, obj, attr, assignments):
+    """The 1-based head's coupled value and gradients for (region, class, column) assignments.
+
+    The object term is silenced with zero weights, so the head's value and
+    gradients are the coupled term's alone.
+    """
+    m, num_classes = len(obj), obj.shape[1] - 1
+    scores = packed_scores([obj] * head, [attr] * head, np.zeros((m, num_classes)), np.full(num_classes, 0.7))
+    pseudo = frozen(np.zeros((head, m), dtype=int), np.zeros((head, m)), [(head - 1, *a) for a in assignments])
+    values, grad = refinement_terms(scores, pseudo)
+    grad_objects, grad_attributes = scores.split(grad)
+    return values[-1], grad_objects[-1], grad_attributes[-1]
 
 
 class TestCoupledRefinementLoss:
     def test_head_one_trains_attribute_factor_only(self):
         obj = np.array([[0.5, 0.5]])
         attr = np.array([[0.25, 0.75]])
-        assignments = [(0, 0, 0)]
-        value, g_obj, g_attr = coupled_refinement_loss(1, obj, attr, assignments)
+        value, g_obj, g_attr = coupled_term(1, obj, attr, [(0, 0, 0)])
         assert value == pytest.approx(-math.log(0.25))
         assert not np.any(g_obj)
         assert g_attr[0, 0] == pytest.approx(-1.0 / 0.25)
@@ -232,8 +251,7 @@ class TestCoupledRefinementLoss:
     def test_later_heads_train_both_factors(self):
         obj = np.array([[0.5, 0.5]])
         attr = np.array([[0.25, 0.75]])
-        assignments = [(0, 0, 0)]
-        value, g_obj, g_attr = coupled_refinement_loss(2, obj, attr, assignments)
+        value, g_obj, g_attr = coupled_term(2, obj, attr, [(0, 0, 0)])
         assert value == pytest.approx(-(math.log(0.25) + math.log(0.5)))
         assert g_obj[0, 0] == pytest.approx(-1.0 / 0.5)
         assert g_attr[0, 0] == pytest.approx(-1.0 / 0.25)
@@ -243,8 +261,8 @@ class TestCoupledRefinementLoss:
         attr = np.array([[0.25, 0.75], [0.25, 0.75]])
         one = [(0, 0, 0)]
         two = one + [(1, 0, 0)]
-        v1, *_ = coupled_refinement_loss(2, obj, attr, one)
-        v2, *_ = coupled_refinement_loss(2, obj, attr, two)
+        v1, *_ = coupled_term(2, obj, attr, one)
+        v2, *_ = coupled_term(2, obj, attr, two)
         assert v2 == pytest.approx(v1)  # same per-assignment value, n doubles
 
     def test_shared_cells_accumulate(self):
@@ -253,8 +271,7 @@ class TestCoupledRefinementLoss:
         # columns: color red, color brown, size small, size large
         obj = np.array([[0.5, 0.25, 0.25]])
         attr = np.array([[0.25, 0.75, 0.5, 0.5]])
-        assignments = [(0, 0, 0), (0, 1, 0), (0, 0, 2)]
-        _, g_obj, g_attr = coupled_refinement_loss(2, obj, attr, assignments)
+        _, g_obj, g_attr = coupled_term(2, obj, attr, [(0, 0, 0), (0, 1, 0), (0, 0, 2)])
         assert g_attr[0, 0] == pytest.approx(-2.0 / (3 * 0.25))
         assert g_attr[0, 2] == pytest.approx(-1.0 / (3 * 0.5))
         assert g_obj[0, 0] == pytest.approx(-2.0 / (3 * 0.5))
@@ -277,17 +294,16 @@ class TestCoupledRefinementLoss:
                 if head >= 2:
                     ref_value -= math.log(obj[region, c])
                     ref_obj[region, c] -= 1.0 / (n * obj[region, c])
-            value, g_obj, g_attr = coupled_refinement_loss(head, obj, attr, assignments)
+            value, g_obj, g_attr = coupled_term(head, obj, attr, assignments)
             assert value == pytest.approx(ref_value / n, rel=1e-12)
             assert np.array_equal(g_obj, ref_obj)
             assert np.array_equal(g_attr, ref_attr)
 
     def test_empty_assignments(self):
-        value, g_obj, g_attr = coupled_refinement_loss(
-            2, np.ones((2, 2)), np.ones((2, 2)), [],
-        )
+        value, g_obj, g_attr = coupled_term(2, np.ones((2, 2)), np.ones((2, 2)), [])
         assert value == 0.0
         assert not np.any(g_obj)
+        assert not np.any(g_attr)
 
 
 def make_inputs(rng, m=6, num_classes=2, num_heads=3):
@@ -311,40 +327,87 @@ class TestBuildPseudoLabels:
     def test_chain_uses_previous_head(self):
         rng = np.random.default_rng(61)
         scores, boxes = make_inputs(rng)
-        labels = labels_for({0, 1})
-        cfg = RefinementConfig(num_heads=3)
-        pseudos = build_pseudo_labels(scores, labels, boxes, cfg, COLS)
-        assert len(pseudos) == 3
+        pseudo = build_pseudo_labels(scores, compiled({0, 1}), boxes, 0.5)
+        assert pseudo.labels.shape == (3, 6)
         s0 = initial_scores(scores.per_region)
         for c in (0, 1):
-            assert pseudos[0].seeds[c][0] == int(np.argmax(s0[:, c]))
-            assert pseudos[1].seeds[c][0] == int(np.argmax(scores.objects[0][:, c]))
-            assert pseudos[2].seeds[c][0] == int(np.argmax(scores.objects[1][:, c]))
+            assert pseudo.seeds[0, c] == int(np.argmax(s0[:, c]))
+            assert pseudo.seeds[1, c] == int(np.argmax(scores.objects[0][:, c]))
+            assert pseudo.seeds[2, c] == int(np.argmax(scores.objects[1][:, c]))
 
     def test_no_objects_gives_none_per_head(self):
         rng = np.random.default_rng(62)
         scores, boxes = make_inputs(rng)
-        cfg = RefinementConfig()
-        pseudos = build_pseudo_labels(scores, labels_for(set()), boxes, cfg, COLS)
-        assert pseudos == [None, None, None]
+        assert build_pseudo_labels(scores, compiled(set()), boxes, 0.5) is None
 
     def test_attributes_disabled_leaves_attrs_empty(self):
         rng = np.random.default_rng(63)
         scores, boxes = make_inputs(rng)
-        labels = labels_for({0}, {0: {("color", "red")}})
-        cfg = RefinementConfig(attributes_enabled=False)
-        pseudos = build_pseudo_labels(scores, labels, boxes, cfg, COLS)
-        assert all(p.attrs == [] for p in pseudos)
+        sup = compiled({0}, {0: {("color", "red")}}, with_pairs=False)
+        pseudo = build_pseudo_labels(scores, sup, boxes, 0.5)
+        assert pseudo.heads.size == pseudo.regions.size == pseudo.classes.size == pseudo.columns.size == 0
+
+
+def assert_central_differences(scores, pseudo, h=1e-6):
+    """The analytic gradient of the summed head values against central differences in every score."""
+    _, grad = refinement_terms(scores, pseudo)
+
+    def total(heads):
+        values, _ = refinement_terms(dataclasses.replace(scores, heads=heads), pseudo)
+        return sum(values)
+
+    for index in np.ndindex(scores.heads.shape):
+        bumped = scores.heads.copy()
+        bumped[index] += h
+        up = total(bumped)
+        bumped[index] -= 2 * h
+        numeric = (up - total(bumped)) / (2 * h)
+        assert grad[index] == pytest.approx(numeric, rel=1e-6, abs=1e-6), index
+
+
+PAIR_COLS = {("color", "red"): 0, ("color", "green"): 1, ("color", "blue"): 2, ("size", "small"): 3, ("size", "large"): 4}
+
+# the first box overlaps the others at exactly 0.8, 0.5 and 1/3; the last is apart
+BOX_POOL = np.array(
+    [
+        [0.0, 0.0, 1.0, 1.0],
+        [0.0, 0.0, 1.0, 0.8],
+        [0.0, 0.0, 0.5, 1.0],
+        [0.5, 0.0, 1.5, 1.0],
+        [2.0, 2.0, 3.0, 3.0],
+    ]
+)
+
+
+@st.composite
+def chains(draw, score_values=None):
+    """A scene for the refinement chain: stacked scores, boxes, labels, tau.
+
+    With score_values unset, every score comes from a few values, zeros
+    among them, so seeds tie and clamps bite; boxes are drawn from BOX_POOL
+    with repeats, and tau is often one of the drawn boxes' own overlaps.
+    """
+    k, m, num_classes = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    values = st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]) if score_values is None else score_values
+    objects = draw(arrays(np.float64, (k, m, num_classes + 1), elements=values))
+    attributes = draw(arrays(np.float64, (k, m, len(PAIR_COLS)), elements=values))
+    per_region = draw(arrays(np.float64, (m, num_classes), elements=values))
+    scores = packed_scores(list(objects), list(attributes), per_region, np.full(num_classes, 0.7))
+    boxes = BOX_POOL[draw(st.lists(st.integers(0, len(BOX_POOL) - 1), min_size=m, max_size=m))]
+    overlaps = sorted({float(v) for v in iou_matrix(boxes, boxes).ravel() if 0.0 < v < 1.0})
+    taus = st.floats(0.05, 0.95)
+    tau = draw(st.sampled_from(overlaps) | taus if overlaps else taus)
+    mentioned = draw(st.sets(st.integers(0, num_classes - 1)))
+    pairs = {c: draw(st.sets(st.sampled_from(sorted(PAIR_COLS)), max_size=3)) for c in mentioned}
+    return scores, boxes, labels_for(mentioned, pairs), tau, draw(st.booleans())
 
 
 class TestRefinementTerms:
     def test_values_and_grads_line_up(self):
         rng = np.random.default_rng(71)
         scores, boxes = make_inputs(rng)
-        labels = labels_for({0}, {0: {("color", "red")}})
-        cfg = RefinementConfig()
-        pseudos = build_pseudo_labels(scores, labels, boxes, cfg, COLS)
-        values, grad = refinement_terms(scores, pseudos)
+        pseudo = build_pseudo_labels(scores, compiled({0}, {0: {("color", "red")}}), boxes, 0.5)
+        values, grad = refinement_terms(scores, pseudo)
         assert len(values) == 3
         assert all(v > 0 for v in values)
         grad_objects, _ = scores.split(grad)
@@ -356,34 +419,39 @@ class TestRefinementTerms:
     def test_none_pseudo_contributes_zero(self):
         rng = np.random.default_rng(72)
         scores, _ = make_inputs(rng)
-        values, grad = refinement_terms(scores, [None, None, None])
+        values, grad = refinement_terms(scores, None)
         assert values == [0.0, 0.0, 0.0]
-        assert not np.any(scores.split(grad)[0][0])
+        assert not np.any(grad)
 
-    def test_finite_difference_with_frozen_pseudos(self):
+    @settings(max_examples=60, deadline=None)
+    @given(chains(score_values=st.floats(0.05, 0.95)))
+    def test_finite_difference_with_frozen_pseudos(self, chain):
         # supervision frozen, scores free: the analytic gradient of the
-        # summed head values must match central differences
-        rng = np.random.default_rng(73)
-        scores, boxes = make_inputs(rng, m=4)
-        labels = labels_for({0, 1}, {0: {("color", "red")}})
-        cfg = RefinementConfig()
-        pseudos = build_pseudo_labels(scores, labels, boxes, cfg, COLS)
-        _, grad = refinement_terms(scores, pseudos)
-        grad_objects, _ = scores.split(grad)
+        # summed head values must match central differences; the scores
+        # keep clear of the clamp, where the loss has a kink
+        scores, boxes, labels, tau, _ = chain
+        sup = compile_supervision(labels, scores.per_region.shape[1], PAIR_COLS)
+        assert_central_differences(scores, build_pseudo_labels(scores, sup, boxes, tau))
 
-        def total(sc):
-            vals, _ = refinement_terms(sc, pseudos)
-            return sum(vals)
 
-        h = 1e-7
-        for j in range(3):
-            for i in range(4):
-                for c in range(3):
-                    bumped = dataclasses.replace(scores, heads=scores.heads.copy())
-                    bumped.objects[j][i, c] += h
-                    up = total(bumped)
-                    bumped.objects[j][i, c] -= 2 * h
-                    down = total(bumped)
-                    assert grad_objects[j][i, c] == pytest.approx(
-                        (up - down) / (2 * h), abs=1e-4,
-                    )
+class TestMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(chains())
+    def test_stacked_chain_equals_per_head_loop(self, chain):
+        scores, boxes, labels, tau, coupled = chain
+        num_classes = scores.per_region.shape[1]
+        sup = compile_supervision(labels, num_classes, PAIR_COLS, pairs=coupled)
+        pseudo = build_pseudo_labels(scores, sup, boxes, tau)
+        expected = reference.build_pseudo_labels(scores, labels, boxes, tau, PAIR_COLS, coupled)
+        values, grad = refinement_terms(scores, pseudo)
+        ref_values, ref_grad = reference.refinement_terms(scores, expected)
+        assert np.array_equal(values, ref_values)
+        assert np.array_equal(grad, ref_grad)
+        if pseudo is None:
+            assert expected == [None] * scores.num_heads
+            return
+        assert np.array_equal(pseudo.labels, [head["labels"] for head in expected])
+        assert np.array_equal(pseudo.weights, [head["weights"] for head in expected])
+        assert pseudo.seeds.tolist() == [[head["seeds"][c][0] for c in sorted(labels.objects)] for head in expected]
+        coupled_rows = np.stack([pseudo.heads, pseudo.regions, pseudo.classes, pseudo.columns], axis=1).tolist()
+        assert coupled_rows == [[j, *a] for j, head in enumerate(expected) for a in head["attrs"]]

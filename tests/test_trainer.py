@@ -19,6 +19,7 @@ from capdet.trainer import (
     Detection,
     TrainConfig,
     average_precision,
+    compile_labels,
     evaluate,
     infer,
     label_scenes,
@@ -148,10 +149,10 @@ class TestSceneLoss:
             {c: tuple(registry.values[c]) for c in registry.categories},
             cfg.num_heads, seed=0,
         )
-        report, pseudos, _ = scene_loss(params, scenes[0].proposals, labels[0], cfg)
+        report, pseudo, _ = scene_loss(params, scenes[0].proposals, compile_labels(labels[0], params, cfg), cfg)
         assert np.isfinite(report.l_total)
         assert len(report.l_oicr) == cfg.num_heads
-        assert len(pseudos) == cfg.num_heads
+        assert pseudo.labels.shape == (cfg.num_heads, scenes[0].proposals.size)
         assert report.l_mid > 0
 
     def test_frozen_pseudos_reused(self, small_world, registry):
@@ -165,8 +166,9 @@ class TestSceneLoss:
             {c: tuple(registry.values[c]) for c in registry.categories},
             cfg.num_heads, seed=0,
         )
-        report1, pseudos, _ = scene_loss(params, scenes[0].proposals, labels[0], cfg)
-        report2, _, _ = scene_loss(params, scenes[0].proposals, labels[0], cfg, pseudos=pseudos)
+        sup = compile_labels(labels[0], params, cfg)
+        report1, pseudo, _ = scene_loss(params, scenes[0].proposals, sup, cfg)
+        report2, _, _ = scene_loss(params, scenes[0].proposals, sup, cfg, pseudo=pseudo)
         assert report1.l_total == pytest.approx(report2.l_total, abs=1e-12)
 
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -11,11 +11,13 @@ from head_reference import packed_scores
 from capdet.textgraph import LabelSet
 from capdet.weakloss import (
     LossWeights,
+    compile_supervision,
     entanglement_loss,
     mid_loss,
     object_mil_loss,
     total_loss,
 )
+
 
 def labels_for(objects, pairs=None):
     return LabelSet(objects=set(objects), attribute_pairs={k: set(v) for k, v in (pairs or {}).items()})
@@ -27,11 +29,66 @@ def columns_for(cats):
     return {pair: j for j, pair in enumerate(flat)}
 
 
+def sup_for(objects, num_classes, pairs=None, cols=None, with_pairs=True):
+    return compile_supervision(labels_for(objects, pairs), num_classes, cols or {}, pairs=with_pairs)
+
+
+def central_differences(f, x, h=1e-6):
+    """Numeric gradient of the scalar f at x, one coordinate at a time."""
+    out = np.zeros_like(x)
+    for index in np.ndindex(x.shape):
+        bumped = x.copy()
+        bumped[index] += h
+        up = f(bumped)
+        bumped[index] -= 2 * h
+        out[index] = (up - f(bumped)) / (2 * h)
+    return out
+
+
+@st.composite
+def separated_scores(draw, shape):
+    """Scores in (0, 1) on a 0.01 grid, no two alike, so a maximum never sits within 0.01 of a rival."""
+    return draw(arrays(np.int64, shape, elements=st.integers(1, 99), unique=True)) / 100.0
+
+
+class TestCompileSupervision:
+    def test_arrays_ordered_by_class_then_pair(self):
+        cols = columns_for({"color": ("red", "brown"), "size": ("small", "large")})
+        pairs = {2: {("size", "small"), ("color", "red")}, 0: {("color", "brown")}}
+        sup = sup_for({2, 0, 1}, 3, pairs, cols)
+        assert sup.classes.tolist() == [0, 1, 2]
+        assert sup.pair_keys == ((0, "color", "brown"), (2, "color", "red"), (2, "size", "small"))
+        assert sup.pair_classes.tolist() == [0, 2, 2]
+        assert sup.pair_columns.tolist() == [1, 0, 2]
+
+    def test_without_pairs_keeps_the_classes(self):
+        cols = columns_for({"color": ("red",)})
+        sup = sup_for({1}, 2, {1: {("color", "red")}}, cols, with_pairs=False)
+        assert sup.classes.tolist() == [1]
+        assert sup.pair_classes.size == sup.pair_columns.size == 0
+        assert sup.pair_keys == ()
+
+    def test_pairs_of_unmentioned_classes_are_ignored(self):
+        cols = columns_for({"color": ("red",)})
+        sup = sup_for({0}, 2, {1: {("color", "red")}}, cols)
+        assert sup.pair_keys == ()
+
+    def test_bad_pair_is_one_value_error_naming_class_and_pair(self):
+        cols = columns_for({"color": ("red",)})
+        for pair in (("texture", "rough"), ("color", "purple")):
+            with pytest.raises(ValueError, match=f"class 1: no attribute column for '{pair[0]}' = '{pair[1]}'"):
+                sup_for({1}, 2, {1: {pair}}, cols)
+
+    def test_out_of_range_class_names_it(self):
+        with pytest.raises(ValueError, match="class index 2 out of range for 2 classes"):
+            sup_for({0, 2}, 2)
+
+
 class TestObjectMilLoss:
     def test_two_region_example(self):
         # class column (0.25, 0.5): best region is 1, loss -log(0.5)
         scores = np.array([[0.25, 0.75], [0.5, 0.5]])
-        value, grad, chosen = object_mil_loss(scores, {0})
+        value, grad, chosen = object_mil_loss(scores, sup_for({0}, 1))
         assert value == pytest.approx(0.6931471805599453, abs=1e-12)
         assert chosen == {0: 1}
         assert grad[1, 0] == pytest.approx(-2.0)  # -1 / 0.5
@@ -40,51 +97,43 @@ class TestObjectMilLoss:
 
     def test_empty_objects_short_circuits(self):
         scores = np.array([[0.25, 0.75]])
-        value, grad, chosen = object_mil_loss(scores, set())
+        value, grad, chosen = object_mil_loss(scores, sup_for(set(), 1))
         assert value == 0.0
         assert not np.any(grad)
         assert chosen == {}
 
     def test_normalized_by_class_count(self):
         scores = np.array([[0.5, 0.25, 0.25], [0.1, 0.5, 0.4]])
-        value, grad, _ = object_mil_loss(scores, {0, 1})
+        value, grad, _ = object_mil_loss(scores, sup_for({0, 1}, 2))
         assert value == pytest.approx(-(math.log(0.5) + math.log(0.5)) / 2)
         assert grad[0, 0] == pytest.approx(-1.0)  # -1/(2 * 0.5)
         assert grad[1, 1] == pytest.approx(-1.0)
 
     def test_tie_goes_to_lowest_region(self):
         scores = np.array([[0.4, 0.6], [0.4, 0.6]])
-        _, _, chosen = object_mil_loss(scores, {0})
+        _, _, chosen = object_mil_loss(scores, sup_for({0}, 1))
         assert chosen == {0: 0}
 
     def test_background_column_never_selected(self):
         # class index equal to the background column is rejected
-        scores = np.array([[0.3, 0.7]])
         with pytest.raises(ValueError):
-            object_mil_loss(scores, {1})
+            sup_for({1}, 1)
 
     def test_zero_score_is_clamped(self):
         scores = np.array([[0.0, 1.0]])
-        value, grad, _ = object_mil_loss(scores, {0})
+        value, grad, _ = object_mil_loss(scores, sup_for({0}, 1))
         assert np.isfinite(value)
         assert np.isfinite(grad).all()
 
-    def test_finite_difference(self):
-        rng = np.random.default_rng(31)
-        raw = rng.uniform(0.05, 1.0, size=(5, 4))
-        scores = raw / raw.sum(axis=1, keepdims=True)
-        objects = {0, 2}
-        _, grad, _ = object_mil_loss(scores, objects)
-        h = 1e-7
-        for i in range(5):
-            for c in range(4):
-                bumped = scores.copy()
-                bumped[i, c] += h
-                up, _, _ = object_mil_loss(bumped, objects)
-                bumped[i, c] -= 2 * h
-                down, _, _ = object_mil_loss(bumped, objects)
-                numeric = (up - down) / (2 * h)
-                assert grad[i, c] == pytest.approx(numeric, abs=1e-5)
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_finite_difference(self, data):
+        m, num_classes = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+        scores = data.draw(separated_scores((m, num_classes + 1)))
+        sup = sup_for(data.draw(st.sets(st.integers(0, num_classes - 1))), num_classes)
+        _, grad, _ = object_mil_loss(scores, sup)
+        numeric = central_differences(lambda s: object_mil_loss(s, sup)[0], scores)
+        np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-6)
 
 
 class TestEntanglementLoss:
@@ -101,7 +150,7 @@ class TestEntanglementLoss:
 
     def test_reference_example(self):
         obj, attr, cols, labels = self.example()
-        value, grad_obj, grad_attr, chosen = entanglement_loss(obj, attr, labels, cols)
+        value, grad_obj, grad_attr, chosen = entanglement_loss(obj, attr, compile_supervision(labels, 1, cols))
         assert chosen == {(0, "color", "brown"): 1}
         assert value == pytest.approx(0.916290731874155, abs=1e-12)
         assert grad_obj[1, 0] == pytest.approx(-2.0)  # -1 / 0.5
@@ -111,14 +160,15 @@ class TestEntanglementLoss:
 
     def test_coupled_argmax_differs_from_object_argmax(self):
         obj, attr, cols, labels = self.example()
-        _, _, object_chosen = object_mil_loss(obj, labels.objects)
-        _, _, _, coupled_chosen = entanglement_loss(obj, attr, labels, cols)
+        sup = compile_supervision(labels, 1, cols)
+        _, _, object_chosen = object_mil_loss(obj, sup)
+        _, _, _, coupled_chosen = entanglement_loss(obj, attr, sup)
         assert object_chosen[0] == 0
         assert coupled_chosen[(0, "color", "brown")] == 1
 
     def test_no_pairs_short_circuits(self):
         obj, attr, cols, _ = self.example()
-        value, g_obj, g_attr, chosen = entanglement_loss(obj, attr, labels_for({0}), cols)
+        value, g_obj, g_attr, chosen = entanglement_loss(obj, attr, sup_for({0}, 1, cols=cols))
         assert value == 0.0
         assert not np.any(g_obj)
         assert chosen == {}
@@ -126,7 +176,7 @@ class TestEntanglementLoss:
     def test_object_normalization_default(self):
         obj, attr, cols, _ = self.example()
         labels = labels_for({0}, {0: {("color", "brown"), ("size", "small")}})
-        value_obj, *_ = entanglement_loss(obj, attr, labels, cols)
+        value_obj, *_ = entanglement_loss(obj, attr, compile_supervision(labels, 1, cols))
         # one object, two pairs (best products 0.40 and 0.45): the pair
         # losses are summed and divided by |O| = 1, not averaged over pairs
         assert value_obj == pytest.approx(-(math.log(0.40) + math.log(0.45)))
@@ -145,7 +195,7 @@ class TestEntanglementLoss:
             color /= color.sum(axis=1, keepdims=True)
             labels = labels_for({0}, {0: {("color", "red")}})
             cols = columns_for({"color": ("red", "brown")})
-            value, *_ = entanglement_loss(obj, color, labels, cols)
+            value, *_ = entanglement_loss(obj, color, compile_supervision(labels, 2, cols))
             i_obj = int(np.argmax(obj[:, 0]))
             decoupled = -(math.log(obj[i_obj, 0]) + math.log(color[i_obj, 0]))
             assert value <= decoupled + 1e-12
@@ -154,48 +204,33 @@ class TestEntanglementLoss:
         assert strict > 0
 
     def test_unknown_category_rejected(self):
-        obj, attr, cols, _ = self.example()
-        labels = labels_for({0}, {0: {("texture", "rough")}})
-        with pytest.raises(ValueError):
-            entanglement_loss(obj, attr, labels, cols)
+        _, _, cols, _ = self.example()
+        with pytest.raises(ValueError, match="'texture' = 'rough'"):
+            sup_for({0}, 1, {0: {("texture", "rough")}}, cols)
 
     def test_unknown_value_rejected(self):
-        obj, attr, cols, _ = self.example()
-        labels = labels_for({0}, {0: {("color", "purple")}})
-        with pytest.raises(ValueError):
-            entanglement_loss(obj, attr, labels, cols)
+        _, _, cols, _ = self.example()
+        with pytest.raises(ValueError, match="'color' = 'purple'"):
+            sup_for({0}, 1, {0: {("color", "purple")}}, cols)
 
-    def test_finite_difference(self):
-        rng = np.random.default_rng(41)
-        m = 5
-        obj = rng.uniform(0.05, 1.0, size=(m, 3))
-        obj /= obj.sum(axis=1, keepdims=True)
-        attr = rng.uniform(0.05, 1.0, size=(m, 2))
-        attr /= attr.sum(axis=1, keepdims=True)
-        cols = columns_for({"color": ("red", "brown")})
-        labels = labels_for({0, 1}, {0: {("color", "red")}, 1: {("color", "brown")}})
-        _, grad_obj, grad_attr, _ = entanglement_loss(obj, attr, labels, cols)
-        h = 1e-7
-
-        def value_at(o, a):
-            v, *_ = entanglement_loss(o, a, labels, cols)
-            return v
-
-        for i in range(m):
-            for c in range(3):
-                bumped = obj.copy()
-                bumped[i, c] += h
-                up = value_at(bumped, attr)
-                bumped[i, c] -= 2 * h
-                down = value_at(bumped, attr)
-                assert grad_obj[i, c] == pytest.approx((up - down) / (2 * h), abs=1e-5)
-            for v in range(2):
-                bumped = attr.copy()
-                bumped[i, v] += h
-                up = value_at(obj, bumped)
-                bumped[i, v] -= 2 * h
-                down = value_at(obj, bumped)
-                assert grad_attr[i, v] == pytest.approx((up - down) / (2 * h), abs=1e-5)
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_finite_difference(self, data):
+        m, num_classes = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+        obj = data.draw(separated_scores((m, num_classes + 1)))
+        attr = data.draw(separated_scores((m, len(PROPERTY_COLS))))
+        mentioned = data.draw(st.sets(st.integers(0, num_classes - 1)))
+        pairs = {c: data.draw(st.sets(st.sampled_from(sorted(PROPERTY_COLS)), max_size=3)) for c in mentioned}
+        sup = sup_for(mentioned, num_classes, pairs, PROPERTY_COLS)
+        # keep every pair's best product clear of its runner-up (the grid makes it exact)
+        products = np.rint(obj[:, sup.pair_classes] * attr[:, sup.pair_columns] * 1e4)
+        top = np.sort(products, axis=0)
+        assume(m == 1 or np.all(top[-1] > top[-2]))
+        _, grad_obj, grad_attr, _ = entanglement_loss(obj, attr, sup)
+        numeric_obj = central_differences(lambda o: entanglement_loss(o, attr, sup)[0], obj)
+        numeric_attr = central_differences(lambda a: entanglement_loss(obj, a, sup)[0], attr)
+        np.testing.assert_allclose(grad_obj, numeric_obj, rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(grad_attr, numeric_attr, rtol=1e-6, atol=1e-6)
 
 
 # loop references: the per-class and per-pair loops the vectorised losses replace
@@ -272,7 +307,7 @@ class TestLossesMatchLoops:
     @given(loss_inputs())
     def test_object_mil_loss(self, inputs):
         obj, _, labels = inputs
-        value, grad, chosen = object_mil_loss(obj, labels.objects)
+        value, grad, chosen = object_mil_loss(obj, compile_supervision(labels, obj.shape[1] - 1, PROPERTY_COLS))
         ref_value, ref_grad, ref_chosen = mil_reference(obj, labels.objects)
         assert chosen == ref_chosen
         assert np.array_equal(grad, ref_grad)
@@ -282,7 +317,8 @@ class TestLossesMatchLoops:
     @given(loss_inputs())
     def test_entanglement_loss(self, inputs):
         obj, attr, labels = inputs
-        value, grad_obj, grad_attr, chosen = entanglement_loss(obj, attr, labels, PROPERTY_COLS)
+        sup = compile_supervision(labels, obj.shape[1] - 1, PROPERTY_COLS)
+        value, grad_obj, grad_attr, chosen = entanglement_loss(obj, attr, sup)
         ref_value, ref_obj, ref_attr, ref_chosen = entanglement_reference(obj, attr, labels, PROPERTY_COLS)
         assert chosen == ref_chosen
         assert np.array_equal(grad_obj, ref_obj)
@@ -295,7 +331,7 @@ class TestLossesMatchLoops:
         obj = np.array([[0.8, 0.8, 0.1], [0.1, 0.1, 0.8]])
         attr = np.array([[0.5, 0.25, 0.25, 0.5, 0.5], [0.1, 0.8, 0.1, 0.5, 0.5]])
         labels = labels_for({0, 1}, {0: {("color", "red")}, 1: {("color", "red")}})
-        _, _, grad_attr, chosen = entanglement_loss(obj, attr, labels, PROPERTY_COLS)
+        _, _, grad_attr, chosen = entanglement_loss(obj, attr, compile_supervision(labels, 2, PROPERTY_COLS))
         assert chosen == {(0, "color", "red"): 0, (1, "color", "red"): 0}
         assert grad_attr[0, 0] == pytest.approx(-2.0)  # two times -1 / 0.5, over |O| = 2
 
@@ -305,7 +341,7 @@ class TestMidLoss:
         # evidence sums 0.7 and 0.2 pass through the sigmoid; class 0 is
         # mentioned, class 1 is not
         y = 1.0 / (1.0 + np.exp(-np.array([0.7, 0.2])))
-        value, grad = mid_loss(y, {0}, num_classes=2)
+        value, grad = mid_loss(y, sup_for({0}, 2))
         assert value == pytest.approx(1.2013249182670498, abs=1e-12)
         assert grad[0] == pytest.approx(-1.0 / y[0])
         assert grad[1] == pytest.approx(1.0 / (1.0 - y[1]))
@@ -313,28 +349,37 @@ class TestMidLoss:
     def test_no_mentions_all_negative(self):
         # a single unmentioned class at image score sigmoid(0.25)
         y = np.array([0.5621765008857981])
-        value, grad = mid_loss(y, set(), num_classes=1)
+        value, grad = mid_loss(y, sup_for(set(), 1))
         assert value == pytest.approx(0.8259394198788435, abs=1e-12)
         assert grad[0] == pytest.approx(1.0 / (1.0 - y[0]))
 
     def test_all_mentioned(self):
         y = np.array([0.9, 0.8])
-        value, grad = mid_loss(y, {0, 1}, num_classes=2)
+        value, grad = mid_loss(y, sup_for({0, 1}, 2))
         assert value == pytest.approx(-(math.log(0.9) + math.log(0.8)))
         assert (grad < 0).all()
 
     def test_out_of_range_class(self):
         with pytest.raises(ValueError):
-            mid_loss(np.array([0.6, 0.6]), {2}, num_classes=2)
+            sup_for({2}, 2)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            mid_loss(np.array([0.6, 0.6]), {0}, num_classes=3)
+            mid_loss(np.array([0.6, 0.6]), sup_for({0}, 3))
 
     def test_saturated_scores_finite(self):
-        value, grad = mid_loss(np.array([1.0, 0.0]), {1}, num_classes=2)
+        value, grad = mid_loss(np.array([1.0, 0.0]), sup_for({1}, 2))
         assert np.isfinite(value)
         assert np.isfinite(grad).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_finite_difference(self, data):
+        num_classes = data.draw(st.integers(1, 5))
+        y = data.draw(arrays(np.float64, num_classes, elements=st.floats(0.05, 0.95)))
+        sup = sup_for(data.draw(st.sets(st.integers(0, num_classes - 1))), num_classes)
+        _, grad = mid_loss(y, sup)
+        np.testing.assert_allclose(grad, central_differences(lambda v: mid_loss(v, sup)[0], y), rtol=1e-6, atol=1e-6)
 
 
 class TestLossWeights:
@@ -362,29 +407,28 @@ def exact_component_setup():
     scores = packed_scores([obj], [attr], np.zeros((1, 1)), [math.exp(-1.0)])
     labels = labels_for({0}, {0: {("color", "red")}})
     cols = columns_for({"color": ("red", "green")})
-    return scores, labels, cols
+    return scores, compile_supervision(labels, 1, cols), compile_supervision(labels, 1, cols, pairs=False)
 
 
 class TestTotalLoss:
     def test_mixing_arithmetic(self):
-        scores, labels, cols = exact_component_setup()
-        report = total_loss(scores, labels, LossWeights(lambda1=0.5, lambda2=0.01), cols)
+        scores, sup, _ = exact_component_setup()
+        report = total_loss(scores, sup, LossWeights(lambda1=0.5, lambda2=0.01))
         assert report.l_mid == pytest.approx(1.0, abs=1e-12)
         assert report.l_obj == pytest.approx(0.4, abs=1e-12)
         assert report.l_entang == pytest.approx(2.0, abs=1e-12)
         assert report.l_total == pytest.approx(1.22, abs=1e-12)
 
     def test_refinement_values_added_unweighted(self):
-        scores, labels, cols = exact_component_setup()
-        report = total_loss(
-            scores, labels, LossWeights(), cols, oicr_values=(0.1, 0.2, 0.3),
-        )
+        scores, sup, _ = exact_component_setup()
+        report = total_loss(scores, sup, LossWeights(), oicr_values=(0.1, 0.2, 0.3))
         assert report.l_oicr == (0.1, 0.2, 0.3)
         assert report.l_total == pytest.approx(1.22 + 0.6, abs=1e-12)
 
     def test_lambda2_zero_skips_coupled_term(self):
-        scores, labels, cols = exact_component_setup()
-        report = total_loss(scores, labels, LossWeights(lambda2=0.0), cols)
+        # the baseline's supervision is compiled without pairs
+        scores, _, baseline = exact_component_setup()
+        report = total_loss(scores, baseline, LossWeights(lambda2=0.0))
         assert report.l_entang == 0.0
         assert report.argmax_pairs == {}
         for head in scores.split(report.grad)[1]:
@@ -392,24 +436,24 @@ class TestTotalLoss:
         assert report.l_total == pytest.approx(1.0 + 0.5 * 0.4, abs=1e-12)
 
     def test_gradients_scaled_by_weights(self):
-        scores, labels, cols = exact_component_setup()
-        heavy = total_loss(scores, labels, LossWeights(lambda1=1.0, lambda2=0.0), cols)
-        light = total_loss(scores, labels, LossWeights(lambda1=0.5, lambda2=0.0), cols)
+        scores, _, baseline = exact_component_setup()
+        heavy = total_loss(scores, baseline, LossWeights(lambda1=1.0, lambda2=0.0))
+        light = total_loss(scores, baseline, LossWeights(lambda1=0.5, lambda2=0.0))
         # evidence gradient identical, object gradient scales with lambda1
         assert np.allclose(heavy.grad_image, light.grad_image)
         assert np.allclose(scores.split(heavy.grad)[0][0], 2.0 * scores.split(light.grad)[0][0])
 
     def test_oicr_grads_added(self):
-        scores, labels, cols = exact_component_setup()
-        base = total_loss(scores, labels, LossWeights(), cols)
+        scores, sup, _ = exact_component_setup()
+        base = total_loss(scores, sup, LossWeights())
         extra = np.zeros_like(scores.heads)
         scores.split(extra)[0][0][0, 0] = 5.0
-        with_extra = total_loss(scores, labels, LossWeights(), cols, oicr_grads=extra)
+        with_extra = total_loss(scores, sup, LossWeights(), oicr_grads=extra)
         assert with_extra.grad[0, 0] == pytest.approx(base.grad[0, 0] + 5.0)
 
     def test_report_is_json_serializable(self):
-        scores, labels, cols = exact_component_setup()
-        report = total_loss(scores, labels, LossWeights(), cols)
+        scores, sup, _ = exact_component_setup()
+        report = total_loss(scores, sup, LossWeights())
         record = report.to_record()
         text = json.dumps(record)
         assert "l_total" in json.loads(text)
