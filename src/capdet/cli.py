@@ -79,17 +79,9 @@ def build_train_config(args: argparse.Namespace) -> TrainConfig:
 
 def _add_train_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key-value config file; flags override it")
-    p.add_argument("--seed", type=int, dest="seed")
-    p.add_argument("--steps", type=int, dest="steps")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--lambda1", type=float, dest="lambda1")
-    p.add_argument("--lambda2", type=float, dest="lambda2")
-    p.add_argument("--loss-mode", choices=trainer.LOSS_MODES, dest="loss_mode")
-    p.add_argument("--num-heads", type=int, dest="num_heads")
-    p.add_argument("--tau", type=float, dest="tau")
-    p.add_argument("--nms-threshold", type=float, dest="nms_threshold")
-    p.add_argument("--score-floor", type=float, dest="score_floor")
+    for key, kind in TrainConfig.field_types().items():
+        choices = trainer.LOSS_MODES if key == "loss_mode" else None
+        p.add_argument("--" + key.replace("_", "-"), type=kind, choices=choices, dest=key)
 
 
 def _load_vocab_registry(args: argparse.Namespace) -> tuple[Vocabulary | None, AttributeRegistry]:
@@ -284,10 +276,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as e:
+    except (DataError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as e:

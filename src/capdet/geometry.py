@@ -1,4 +1,4 @@
-"""Axis-aligned box arithmetic on (m, 4) arrays: validation, IoU and greedy NMS.
+"""Axis-aligned box arithmetic on (m, 4) arrays: validation, IoU and multi-class greedy NMS.
 
 A box is one row (x_min, y_min, x_max, y_max) of a float array; there is
 no box object. Boxes are closed real rectangles in scene units. There is
@@ -43,22 +43,28 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter / (area_a[:, None] + area_b[None, :] - inter)
 
 
-def nms(boxes: np.ndarray, scores: Sequence[float] | np.ndarray, threshold: float) -> list[int]:
-    """Greedy NMS: keep the highest-scoring box, suppress boxes with IoU >= threshold, repeat.
+def nms(boxes: np.ndarray, scores: np.ndarray, threshold: float) -> np.ndarray:
+    """Greedy NMS per class: keep the highest-scoring box, suppress boxes with IoU >= threshold, repeat.
 
-    Returns kept indices in descending score order; equal scores are
-    visited lower-index first, so ties are broken deterministically.
+    scores is (m, C), one column per class; all classes are suppressed
+    together from one IoU matrix, walking the m ranks. Returns the kept
+    (class, region) rows as a (k, 2) int array, class by class; within a
+    class, rows are in descending score order, and equal scores are
+    visited lower region first, so ties are broken deterministically.
     """
     scores = np.asarray(scores, dtype=float)
-    if len(boxes) != len(scores):
-        raise ValueError(f"got {len(boxes)} boxes but {len(scores)} scores")
+    if scores.ndim != 2 or len(boxes) != len(scores):
+        raise ValueError(f"need ({len(boxes)}, C) scores for {len(boxes)} boxes, got shape {scores.shape}")
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
     overlapping = iou_matrix(boxes, boxes) >= threshold
-    alive = np.ones(len(scores), dtype=bool)
-    kept: list[int] = []
-    for i in np.argsort(-scores, kind="stable").tolist():
-        if alive[i]:
-            kept.append(i)
-            alive &= ~overlapping[i]
-    return kept
+    order = np.argsort(-scores, axis=0, kind="stable")  # (rank, class) -> region
+    classes = np.arange(scores.shape[1])
+    alive = np.ones(scores.T.shape, dtype=bool)  # (class, region)
+    kept = np.zeros(scores.T.shape, dtype=bool)  # (class, rank)
+    for rank, regions in enumerate(order):
+        hit = alive[classes, regions]
+        kept[:, rank] = hit
+        alive[hit] &= ~overlapping[regions[hit]]
+    kept_classes, kept_ranks = np.nonzero(kept)
+    return np.stack([kept_classes, order[kept_ranks, kept_classes]], axis=1)

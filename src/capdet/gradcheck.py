@@ -38,10 +38,6 @@ class GradCheckResult:
     worst_coord: str
     elapsed_seconds: float
 
-    @property
-    def ok(self) -> bool:
-        return np.isfinite(self.max_rel_error)
-
 
 def _random_problem(rng: np.random.Generator) -> tuple[ModelParams, RegionSet, LabelSet, TrainConfig]:
     d = int(rng.integers(4, 17))

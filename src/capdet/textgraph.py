@@ -125,9 +125,6 @@ class Vocabulary:
     def background_index(self) -> int:
         return len(self.class_names)
 
-    def class_index(self, name: str) -> int:
-        return self._index[name]
-
     def match_phrase(self, lemmas: tuple[str, ...]) -> int | None:
         return self._phrase_index.get(lemmas)
 

@@ -11,12 +11,13 @@ is the exact-match baseline, and the two spellings of it (loss_mode="em",
 lambda2=0) are required to produce identical checkpoints.
 
 Inference runs only the object heads, averages the refinement heads'
-class scores, drops the background column, and applies per-class NMS
-with a score floor; a detection names its proposal's row, not a box.
-Evaluation reports all-point average precision at IoU 0.5 per class,
-their mean over classes present in the ground truth, and CorLoc. It
-computes one IoU matrix per scene, proposals against ground-truth
-boxes, and both AP matching and CorLoc read rows of it.
+class scores, drops the background column, and applies NMS to every
+class at once, then a score floor. A scene's detections are three
+parallel arrays: proposal row (not a box), class and score. They stay
+arrays through evaluation, which reports all-point average precision at
+IoU 0.5 per class, their mean over classes present in the ground truth,
+and CorLoc. Per scene it computes one IoU matrix, detections against
+ground-truth boxes, and both AP matching and CorLoc read it.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ class NumericalError(RuntimeError):
 
 
 LOSS_MODES = ("em", "em+sg")
+IOU_THRESHOLD = 0.5  # a detection localises a GT box at this IoU or more, for AP and CorLoc
 
 
 @dataclass(frozen=True)
@@ -111,13 +113,6 @@ class TrainConfig:
         if "lambda2" in coerced and "loss_mode" not in coerced and float(coerced["lambda2"]) == 0.0:
             coerced["loss_mode"] = "em"
         return TrainConfig(**coerced)  # type: ignore[arg-type]
-
-
-@dataclass
-class Detection:
-    region: int  # row of the scene's proposal boxes
-    class_index: int
-    score: float
 
 
 class Adagrad:
@@ -227,100 +222,91 @@ def train(
     return params
 
 
-def infer(params: ModelParams, regions: RegionSet, config: TrainConfig) -> list[Detection]:
-    """Mean class scores over heads, background dropped, per-class NMS, score floor.
+def infer(
+    params: ModelParams, regions: RegionSet, config: TrainConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Detections as parallel (region, class, score) arrays.
 
-    Only the object heads are evaluated; inference reads no attribute scores.
+    Mean class scores over heads, background dropped, NMS per class, then
+    the score floor. A region is a row of the scene's proposal boxes; rows
+    come class by class, by descending score within a class. Only the
+    object heads are evaluated; inference reads no attribute scores.
     """
-    num_classes = params.num_classes
     cols = params.object_cols
     z = regions.features @ params.flat[params.weight_index[:, cols]] + params.flat[params.bias_index[cols]]
     heads = scorenet.softmax_rows(z.reshape(len(z), params.num_heads, -1))
-    mean_scores = heads[:, :, :num_classes].mean(axis=1)
-    detections: list[Detection] = []
-    for c in range(num_classes):
-        for i in nms(regions.boxes, mean_scores[:, c], config.nms_threshold):
-            score = float(mean_scores[i, c])
-            if score >= config.score_floor:
-                detections.append(Detection(region=i, class_index=c, score=score))
-    return detections
+    mean_scores = heads[:, :, : params.num_classes].mean(axis=1)
+    classes, rows = nms(regions.boxes, mean_scores, config.nms_threshold).T
+    scores = mean_scores[rows, classes]
+    keep = scores >= config.score_floor
+    return rows[keep], classes[keep], scores[keep]
 
 
-def average_precision(
-    detections: Sequence[tuple[str, float, int, float]],
-    gt_counts: Mapping[str, int],
-    iou_threshold: float = 0.5,
-) -> float:
-    """All-point interpolated AP for one class.
+def average_precision(scores: np.ndarray, matches: np.ndarray, num_gt: int) -> float:
+    """All-point interpolated AP for one class over num_gt GT boxes.
 
-    Detections are (scene id, score, GT index, IoU): the index, among its
-    scene's GT boxes of the class, of the first box it overlaps most (-1
-    when there is none), and that overlap. gt_counts holds the number of
-    those GT boxes per scene. Each GT box can match at most one
-    detection, visited in descending score order.
+    matches[i] is the GT box that detection i overlaps most (the first on
+    ties) when that overlap is at least IOU_THRESHOLD, and -1 otherwise;
+    any id unique across scenes names a box. Detections are visited by
+    descending score, in input order on ties, and each GT box matches at
+    most one: a detection whose box is already taken is a false positive.
     """
-    total_gt = sum(gt_counts.values())
-    if total_gt == 0:
+    if num_gt == 0:
         return 0.0
-    order = sorted(range(len(detections)), key=lambda i: (-detections[i][1], i))
-    matched = {k: [False] * n for k, n in gt_counts.items()}
-    tp = np.zeros(len(order))
-    fp = np.zeros(len(order))
-    for rank, i in enumerate(order):
-        scene_id, _, best_j, overlap = detections[i]
-        if best_j >= 0 and overlap >= iou_threshold and not matched[scene_id][best_j]:
-            matched[scene_id][best_j] = True
-            tp[rank] = 1.0
-        else:
-            fp[rank] = 1.0
+    ranked = matches[np.argsort(-scores, kind="stable")]
+    _, first = np.unique(ranked, return_index=True)
+    tp = np.zeros(len(ranked), dtype=bool)
+    tp[first] = True
+    tp &= ranked >= 0
     tp_cum = np.cumsum(tp)
-    fp_cum = np.cumsum(fp)
-    recall = tp_cum / total_gt
-    precision = tp_cum / np.maximum(tp_cum + fp_cum, 1e-12)
-    # precision envelope (running max from the right), then the exact
-    # area under the recall steps
-    envelope = np.maximum.accumulate(precision[::-1])[::-1] if len(order) else precision
-    ap = 0.0
-    prev_recall = 0.0
-    for r in range(len(order)):
-        if tp[r] > 0:
-            ap += (recall[r] - prev_recall) * envelope[r]
-            prev_recall = recall[r]
-    return float(ap)
+    recall = tp_cum / num_gt
+    precision = tp_cum / np.arange(1, len(tp) + 1)
+    # precision envelope (running max from the right), then the exact area
+    # under the recall steps, added in rank order
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    areas = np.diff(recall[tp], prepend=0.0) * envelope[tp]
+    return float(np.cumsum(np.append(0.0, areas))[-1])
 
 
 def evaluate(
     params: ModelParams, scenes: Sequence[SyntheticScene], config: TrainConfig
 ) -> dict:
-    """Per-class AP at IoU 0.5 over classes present in GT, their mean, and CorLoc."""
+    """Per-class AP at IOU_THRESHOLD over classes present in GT, their mean, and CorLoc."""
     num_classes = params.num_classes
-    per_class_dets: list[list[tuple[str, float, int, float]]] = [[] for _ in range(num_classes)]
-    per_class_gt: list[dict[str, int]] = [dict() for _ in range(num_classes)]
+    # an empty first part keeps the concatenation below defined without scenes
+    det_classes = [np.zeros(0, dtype=int)]
+    det_scores = [np.zeros(0)]
+    det_matches = [np.zeros(0, dtype=int)]
+    gt_counts = np.zeros(num_classes, dtype=int)
     top_hits = np.zeros(num_classes)
     top_total = np.zeros(num_classes)
 
     for scene in scenes:
-        by_class: dict[int, list[Detection]] = {}
-        for det in infer(params, scene.proposals, config):
-            by_class.setdefault(det.class_index, []).append(det)
+        rows, classes, scores = infer(params, scene.proposals, config)
         gt_classes = np.array([g.class_index for g in scene.gt], dtype=int)
-        # rows are proposals (every detection is one), columns GT boxes
-        overlaps = iou_matrix(scene.proposals.boxes, np.reshape([g.box for g in scene.gt], (-1, 4)))
-        for c, dets in by_class.items():
-            rows = overlaps[[d.region for d in dets]][:, gt_classes == c]
-            best = rows.argmax(axis=1).tolist() if rows.size else [-1] * len(dets)
-            best_iou = rows.max(axis=1).tolist() if rows.size else [0.0] * len(dets)
-            per_class_dets[c] += [(scene.image_id, d.score, j, v) for d, j, v in zip(dets, best, best_iou)]
-        for c in np.unique(gt_classes).tolist():
-            per_class_gt[c][scene.image_id] = int(np.count_nonzero(gt_classes == c))
-            top_total[c] += 1
-            dets = by_class.get(c)
-            if dets and overlaps[max(dets, key=lambda d: d.score).region, gt_classes == c].max() >= 0.5:
-                top_hits[c] += 1
+        overlaps = iou_matrix(scene.proposals.boxes[rows], np.reshape([g.box for g in scene.gt], (-1, 4)))
+        # IoU with GT boxes of the detection's own class, 0 elsewhere; the
+        # trailing zero column keeps argmax defined in a scene without GT
+        same_class = classes[:, None] == gt_classes
+        own = np.concatenate([np.where(same_class, overlaps, 0.0), np.zeros((len(rows), 1))], axis=1)
+        hit = own.max(axis=1) >= IOU_THRESHOLD
+        # GT boxes of earlier scenes shift the ids, so ids are unique across scenes
+        det_matches.append(np.where(hit, gt_counts.sum() + own.argmax(axis=1), -1))
+        det_classes.append(classes)
+        det_scores.append(scores)
+        scene_counts = np.bincount(gt_classes, minlength=num_classes)
+        gt_counts += scene_counts
+        top_total += scene_counts > 0
+        # CorLoc reads each class's top-scoring detection, the first on ties
+        by_score = np.lexsort((-scores, classes))
+        _, first = np.unique(classes[by_score], return_index=True)
+        top = by_score[first]
+        top_hits[classes[top[hit[top]]]] += 1
 
-    present = [c for c in range(num_classes) if per_class_gt[c]]
+    classes, scores, matches = (np.concatenate(parts) for parts in (det_classes, det_scores, det_matches))
+    present = np.flatnonzero(gt_counts).tolist()
     per_class_ap = {
-        params.class_names[c]: average_precision(per_class_dets[c], per_class_gt[c])
+        params.class_names[c]: average_precision(scores[classes == c], matches[classes == c], int(gt_counts[c]))
         for c in present
     }
     per_class_corloc = {

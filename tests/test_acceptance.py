@@ -119,7 +119,7 @@ def test_criterion_3_formulation_invariants():
     nms_draws = 60
     for _ in range(nms_draws):
         boxes = _random_boxes(rng, int(rng.integers(2, 25)))
-        keep = nms(boxes, rng.uniform(size=len(boxes)).tolist(), 0.4)
+        keep = nms(boxes, rng.uniform(size=(len(boxes), 1)), 0.4)[:, 1]
         kept_overlaps = iou_matrix(boxes[keep], boxes[keep])
         for a in range(len(keep)):
             for b in range(a + 1, len(keep)):

@@ -399,6 +399,24 @@ class TestArgumentHandling:
         cli._add_train_config_flags(p)
         assert set(vars(p.parse_args([]))) - {"config"} == set(TrainConfig.field_types())
 
+    def test_config_flag_spellings_and_types(self):
+        p = cli._Parser()
+        cli._add_train_config_flags(p)
+        args = p.parse_args(
+            [
+                "--learning-rate", "0.5", "--batch-size", "3", "--steps", "4", "--seed", "5",
+                "--lambda1", "0.25", "--lambda2", "0", "--loss-mode", "em", "--num-heads", "2",
+                "--tau", "0.6", "--nms-threshold", "0.3", "--score-floor", "0.1",
+            ]
+        )
+        expected = {
+            "config": None, "learning_rate": 0.5, "batch_size": 3, "steps": 4, "seed": 5, "lambda1": 0.25,
+            "lambda2": 0.0, "loss_mode": "em", "num_heads": 2, "tau": 0.6, "nms_threshold": 0.3, "score_floor": 0.1,
+        }
+        assert {k: (v, type(v)) for k, v in vars(args).items()} == {k: (v, type(v)) for k, v in expected.items()}
+        with pytest.raises(cli.UsageError, match="invalid choice"):
+            p.parse_args(["--loss-mode", "sg"])
+
     def test_installed_entry_point(self):
         result = subprocess.run(
             [sys.executable, "-m", "capdet.cli", "--help"],

@@ -92,32 +92,40 @@ class TestIou:
                 assert mat[i, j] == pair_iou(a, b)
 
 
+def kept_regions(boxes, scores, threshold):
+    """nms over one class: the kept regions, in the order nms returns them."""
+    kept = nms(as_array(boxes), np.asarray(scores, dtype=float)[:, None], threshold)
+    assert kept.shape == (len(kept), 2) and not kept[:, 0].any()
+    return kept[:, 1].tolist()
+
+
 class TestNms:
     def test_empty(self):
-        assert nms(np.empty((0, 4)), [], 0.5) == []
+        assert kept_regions([], [], 0.5) == []
+        assert nms(np.empty((0, 4)), np.empty((0, 3)), 0.5).shape == (0, 2)
 
     def test_single_box(self):
-        assert nms(as_array([(0, 0, 1, 1)]), [0.9], 0.5) == [0]
+        assert kept_regions([(0, 0, 1, 1)], [0.9], 0.5) == [0]
 
     def test_identical_boxes_keep_highest(self):
         b = (0, 0, 1, 1)
-        assert nms(as_array([b, b, b]), [0.2, 0.9, 0.5], 0.5) == [1]
+        assert kept_regions([b, b, b], [0.2, 0.9, 0.5], 0.5) == [1]
 
     def test_tie_goes_to_lower_index(self):
         b = (0, 0, 1, 1)
-        assert nms(as_array([b, b]), [0.7, 0.7], 0.5) == [0]
+        assert kept_regions([b, b], [0.7, 0.7], 0.5) == [0]
 
     def test_disjoint_all_kept_in_score_order(self):
-        boxes = as_array([(0, 0, 1, 1), (2, 2, 3, 3), (4, 4, 5, 5)])
-        assert nms(boxes, [0.1, 0.9, 0.5], 0.3) == [1, 2, 0]
+        boxes = [(0, 0, 1, 1), (2, 2, 3, 3), (4, 4, 5, 5)]
+        assert kept_regions(boxes, [0.1, 0.9, 0.5], 0.3) == [1, 2, 0]
 
     def test_suppression_at_threshold_boundary(self):
         # IoU of these two is exactly 1/3; threshold equal to it suppresses
         a = (0, 0, 2, 1)
         b = (1, 0, 3, 1)
         assert one_iou(a, b) == pytest.approx(1.0 / 3.0)
-        assert nms(as_array([a, b]), [0.9, 0.8], 1.0 / 3.0) == [0]
-        assert nms(as_array([a, b]), [0.9, 0.8], 0.34) == [0, 1]
+        assert kept_regions([a, b], [0.9, 0.8], 1.0 / 3.0) == [0]
+        assert kept_regions([a, b], [0.9, 0.8], 0.34) == [0, 1]
 
     def test_chain_suppression_is_greedy(self):
         # b overlaps a, c overlaps b but not a: greedy keeps a and c
@@ -125,7 +133,7 @@ class TestNms:
         b = (0.5, 0.0, 1.5, 1.0)
         c = (1.2, 0.0, 2.2, 1.0)
         assert one_iou(a, c) == 0.0
-        kept = nms(as_array([a, b, c]), [0.9, 0.8, 0.7], 0.25)
+        kept = kept_regions([a, b, c], [0.9, 0.8, 0.7], 0.25)
         assert kept == [0, 2]
 
     def test_kept_pairs_below_threshold(self):
@@ -136,7 +144,7 @@ class TestNms:
                 x0, y0 = rng.uniform(0, 1, 2)
                 boxes.append((x0, y0, x0 + rng.uniform(0.05, 0.6), y0 + rng.uniform(0.05, 0.6)))
             scores = rng.uniform(0, 1, 20).tolist()
-            kept = nms(as_array(boxes), scores, 0.4)
+            kept = kept_regions(boxes, scores, 0.4)
             for i_pos, i in enumerate(kept):
                 for j in kept[i_pos + 1 :]:
                     assert pair_iou(boxes[i], boxes[j]) < 0.4
@@ -148,7 +156,7 @@ class TestNms:
             x0, y0 = rng.uniform(0, 1, 2)
             boxes.append((x0, y0, x0 + rng.uniform(0.1, 0.5), y0 + rng.uniform(0.1, 0.5)))
         scores = rng.uniform(0.1, 0.9, 15)
-        assert nms(as_array(boxes), scores.tolist(), 0.4) == nms(as_array(boxes), (scores**3).tolist(), 0.4)
+        assert kept_regions(boxes, scores.tolist(), 0.4) == kept_regions(boxes, (scores**3).tolist(), 0.4)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -159,12 +167,29 @@ class TestNms:
     def test_matches_greedy_loop_reference(self, boxes, data, threshold):
         # few distinct scores, so ties are common; grid boxes put pairs exactly at 1/2, 1/3, 1/7
         scores = data.draw(st.lists(st.sampled_from([0.1, 0.5, 0.9]), min_size=len(boxes), max_size=len(boxes)))
-        assert nms(as_array(boxes), scores, threshold) == greedy_nms(boxes, scores, threshold)
+        assert kept_regions(boxes, scores, threshold) == greedy_nms(boxes, scores, threshold)
+
+    @settings(max_examples=300, deadline=None)
+    @given(box_lists(), st.integers(1, 4), st.data(), st.sampled_from([0.5, 1.0 / 3.0, 1.0 / 7.0, 1.0]))
+    def test_every_class_matches_greedy_loop_reference(self, boxes, num_classes, data, threshold):
+        # tied scores within and across columns; rows come class by class
+        scores = data.draw(
+            st.lists(
+                st.lists(st.sampled_from([0.1, 0.5, 0.9]), min_size=num_classes, max_size=num_classes),
+                min_size=len(boxes),
+                max_size=len(boxes),
+            )
+        )
+        scores = np.reshape(np.array(scores, dtype=float), (len(boxes), num_classes))
+        expected = [[c, i] for c in range(num_classes) for i in greedy_nms(boxes, scores[:, c], threshold)]
+        assert nms(as_array(boxes), scores, threshold).tolist() == expected
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            nms(as_array([(0, 0, 1, 1)]), [0.5, 0.4], 0.5)
+            nms(as_array([(0, 0, 1, 1)]), np.array([[0.5], [0.4]]), 0.5)
+        with pytest.raises(ValueError):
+            nms(as_array([(0, 0, 1, 1)]), np.array([0.5]), 0.5)
 
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValueError):
-            nms(as_array([(0, 0, 1, 1)]), [0.5], 0.0)
+            nms(as_array([(0, 0, 1, 1)]), np.array([[0.5]]), 0.0)

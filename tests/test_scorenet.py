@@ -530,5 +530,5 @@ class TestNoAttributeCategories:
         out = named(p.like(param_gradients(p, regions, scores, grad, np.zeros(2))))
         assert np.any(out["object[1].weight"])
         assert not np.any(out["object[0].weight"])
-        detections = infer(p, regions, TrainConfig(score_floor=0.0))
-        assert detections and all(0 <= det.class_index < 2 for det in detections)
+        _, classes, _ = infer(p, regions, TrainConfig(score_floor=0.0))
+        assert len(classes) and all(0 <= c < 2 for c in classes.tolist())

@@ -8,15 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from box_reference import pair_iou
+from box_reference import greedy_nms, pair_iou
 from capdet import trainer
-from capdet.geometry import iou_matrix
-from capdet.scorenet import RegionSet
+from capdet.geometry import iou_matrix, nms
+from capdet.scorenet import RegionSet, forward
 from capdet.synthbench import GroundTruth, SynthConfig, SyntheticScene, gen_dataset, make_universe
 from capdet.textgraph import Vocabulary, default_registry
 from capdet.trainer import (
+    IOU_THRESHOLD,
     Adagrad,
-    Detection,
     TrainConfig,
     average_precision,
     compile_labels,
@@ -235,26 +235,54 @@ class TestInfer:
         cfg = TrainConfig(steps=30)
         params = train(scenes, vocab, registry, cfg)
         for scene in scenes[:8]:
-            detections = infer(params, scene.proposals, cfg)
+            regions, classes, scores = infer(params, scene.proposals, cfg)
+            assert len(regions) == len(classes) == len(scores)
             per_class = {}
-            for det in detections:
-                assert det.score >= cfg.score_floor
-                assert 0 <= det.class_index < len(vocab.class_names)
-                per_class.setdefault(det.class_index, []).append(tuple(scene.proposals.boxes[det.region]))
+            for i, c, score in zip(regions.tolist(), classes.tolist(), scores.tolist()):
+                assert score >= cfg.score_floor
+                assert 0 <= c < len(vocab.class_names)
+                per_class.setdefault(c, []).append(tuple(scene.proposals.boxes[i]))
             for boxes in per_class.values():
                 for i in range(len(boxes)):
                     for j in range(i + 1, len(boxes)):
                         assert pair_iou(boxes[i], boxes[j]) < cfg.nms_threshold
 
+    # this 30-step model's detection scores lie in about (0.07, 0.17); 0.11 drops about half
+    @pytest.mark.parametrize("score_floor", [0.0, 0.05, 0.11])
+    def test_matches_per_class_loop(self, small_world, registry, score_floor):
+        # one nms call per scene; its kept rows, floored, are a per-class greedy loop in the same order
+        universe, scenes, vocab = small_world
+        params = train(scenes, vocab, registry, TrainConfig(steps=30))
+        cfg = TrainConfig(steps=30, score_floor=score_floor)
+        for scene in scenes[:8]:
+            calls = []
+            spy = lambda boxes, scores, threshold: calls.append(scores) or nms(boxes, scores, threshold)
+            with mock.patch.object(trainer, "nms", spy):
+                regions, classes, scores = infer(params, scene.proposals, cfg)
+            (mean_scores,) = calls
+            objects = forward(params, scene.proposals).objects
+            np.testing.assert_allclose(mean_scores, np.mean([h[:, :-1] for h in objects], axis=0), atol=1e-12)
+            boxes = scene.proposals.boxes.tolist()
+            expected = [
+                (i, c)
+                for c in range(params.num_classes)
+                for i in greedy_nms(boxes, mean_scores[:, c], cfg.nms_threshold)
+                if mean_scores[i, c] >= score_floor
+            ]
+            assert list(zip(regions.tolist(), classes.tolist())) == expected
+            assert scores.tolist() == [mean_scores[i, c] for i, c in expected]
+
 
 def box_ap(detections, gt_boxes):
     """average_precision over (scene id, score, box) detections and per-scene GT box lists."""
+    # a GT box's id is its position in this list, so ids are unique across scenes
+    ids = [(scene_id, j) for scene_id, boxes in gt_boxes.items() for j in range(len(boxes))]
     matches = []
-    for scene_id, score, box in detections:
+    for scene_id, _, box in detections:
         row = iou_matrix([box], np.reshape(gt_boxes.get(scene_id, []), (-1, 4)))[0]
         best = int(np.argmax(row)) if len(row) else -1
-        matches.append((scene_id, score, best, row[best] if len(row) else 0.0))
-    return average_precision(matches, {scene_id: len(boxes) for scene_id, boxes in gt_boxes.items()})
+        matches.append(ids.index((scene_id, best)) if best >= 0 and row[best] >= IOU_THRESHOLD else -1)
+    return average_precision(np.array([score for _, score, _ in detections]), np.array(matches, dtype=int), len(ids))
 
 
 def reference_ap(detections, gt_boxes):
@@ -294,6 +322,12 @@ _grid_box = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 2), s
 _score = st.sampled_from([0.2, 0.5, 0.9])
 
 
+def detection_arrays(detections):
+    """(region, class, score) tuples as infer's three parallel arrays."""
+    rows = np.reshape(np.array(detections, dtype=float), (-1, 3))
+    return rows[:, 0].astype(int), rows[:, 1].astype(int), rows[:, 2]
+
+
 def eval_scene(k, proposals, gt):
     """Scene s<k> with the given proposal boxes and (box, class) GT records."""
     return SyntheticScene(
@@ -306,14 +340,14 @@ def eval_scene(k, proposals, gt):
 
 @st.composite
 def eval_scenes(draw, num_classes=3):
-    """Scenes with proposals, GT records and detections over those proposals, all on the box grid."""
+    """Scenes with proposals, GT records and (region, class, score) detections, all on the box grid."""
     scenes = []
     for k in range(draw(st.integers(1, 3))):
         proposals = draw(st.lists(_grid_box, min_size=1, max_size=6))
         gt = draw(st.lists(st.tuples(_grid_box, st.integers(0, num_classes - 1)), max_size=4))
         detections = draw(
             st.lists(
-                st.builds(Detection, st.integers(0, len(proposals) - 1), st.integers(0, num_classes - 1), _score),
+                st.tuples(st.integers(0, len(proposals) - 1), st.integers(0, num_classes - 1), _score),
                 max_size=8,
             )
         )
@@ -326,7 +360,7 @@ def eval_scenes(draw, num_classes=3):
 TIED_OVERLAP = [
     (
         eval_scene(0, [(0.0, 0.0, 2.0, 1.0), (0.0, 0.0, 1.0, 1.0)], [((0.0, 0.0, 1.0, 1.0), 0), ((1.0, 0.0, 2.0, 1.0), 0)]),
-        [Detection(0, 0, 0.9), Detection(1, 0, 0.5)],
+        [(0, 0, 0.9), (1, 0, 0.5)],
     )
 ]
 
@@ -415,7 +449,7 @@ class TestEvaluate:
         params = SimpleNamespace(num_classes=3, class_names=class_names)
         scenes = [scene for scene, _ in scenes_and_detections]
         by_regions = {id(scene.proposals): dets for scene, dets in scenes_and_detections}
-        with mock.patch.object(trainer, "infer", lambda _, regions, __: by_regions[id(regions)]):
+        with mock.patch.object(trainer, "infer", lambda _, regions, __: detection_arrays(by_regions[id(regions)])):
             metrics = evaluate(params, scenes, TrainConfig())
 
         expected_ap, expected_corloc = {}, {}
@@ -427,21 +461,31 @@ class TestEvaluate:
                 gt_here = [g.box for g in scene.gt if g.class_index == c]
                 if gt_here:
                     gt_boxes[scene.image_id] = gt_here
-                ours = [d for d in dets if d.class_index == c]
-                detections += [(scene.image_id, d.score, tuple(scene.proposals.boxes[d.region])) for d in ours]
+                ours = [(region, score) for region, det_class, score in dets if det_class == c]
+                detections += [(scene.image_id, score, tuple(scene.proposals.boxes[region])) for region, score in ours]
                 if gt_here:
                     total += 1
                     best = None
-                    for d in ours:
-                        if best is None or d.score > best.score:
-                            best = d
-                    box = None if best is None else tuple(scene.proposals.boxes[best.region])
+                    for region, score in ours:
+                        if best is None or score > best[1]:
+                            best = (region, score)
+                    box = None if best is None else tuple(scene.proposals.boxes[best[0]])
                     hits += box is not None and any(pair_iou(box, g) >= 0.5 for g in gt_here)
             if gt_boxes:
                 expected_ap[name] = reference_ap(detections, gt_boxes)
                 expected_corloc[name] = hits / total
         assert metrics["per_class_ap"] == pytest.approx(expected_ap, abs=1e-12)
         assert metrics["per_class_corloc"] == expected_corloc
+
+    def test_scenes_sharing_an_id_are_scored_apart(self):
+        # both scenes are named s0; only the first one's GT box is found, so recall stops at 1/2
+        found = eval_scene(0, [(0.0, 0.0, 1.0, 1.0)], [((0.0, 0.0, 1.0, 1.0), 0)])
+        missed = eval_scene(0, [(2.0, 2.0, 3.0, 3.0)], [((0.0, 0.0, 1.0, 1.0), 0)])
+        params = SimpleNamespace(num_classes=1, class_names=("c0",))
+        with mock.patch.object(trainer, "infer", lambda *_: detection_arrays([(0, 0, 0.9)])):
+            metrics = evaluate(params, [found, missed], TrainConfig())
+        assert metrics["per_class_ap"] == {"c0": 0.5}
+        assert metrics["per_class_corloc"] == {"c0": 0.5}
 
     def test_metrics_report_echoes_config(self):
         cfg = TrainConfig(steps=5, seed=9)
