@@ -23,6 +23,7 @@ from .textgraph import (
     AttributeRegistry,
     ParseStats,
     Vocabulary,
+    check_captions,
     default_registry,
     default_vocabulary,
     extract_labels,
@@ -102,6 +103,10 @@ def _load_vocab_registry(args: argparse.Namespace) -> tuple[Vocabulary | None, A
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    sizes = {"train": args.train, "val": args.val, "test": args.test}
+    for split, size in sizes.items():
+        if size < 1:
+            raise UsageError(f"--{split} must be positive, got {size}")
     out_dir = Path(args.out)
     if not out_dir.exists():
         out_dir.mkdir(parents=True)
@@ -113,10 +118,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         attr_mention_prob=args.attr_mention_prob,
     )
     universe = synthbench.make_universe(config, registry, seed=args.seed)
-    sizes = {"train": args.train, "val": args.val, "test": args.test}
     for split_index, (split, size) in enumerate(sizes.items()):
-        if size < 1:
-            raise UsageError(f"--{split} must be positive, got {size}")
         path = out_dir / f"{split}.jsonl"
         # each split draws from a disjoint stream keyed by (seed, split)
         synthbench.gen_dataset(universe, size, [args.seed, split_index], path, id_prefix=split)
@@ -135,10 +137,10 @@ def cmd_parse(args: argparse.Namespace) -> int:
     stats = ParseStats()
     out_records = []
     for i, record in enumerate(records, start=1):
-        if "image_id" not in record or "captions" not in record:
-            raise DataError(f"{args.captions}: record {i}: needs image_id and captions")
+        if not isinstance(record, dict) or "image_id" not in record or "captions" not in record:
+            raise DataError(f"{args.captions}: record {i}: needs to be an object with image_id and captions")
         try:
-            labels = extract_labels(record["captions"], vocab, registry, stats)
+            labels = extract_labels(check_captions(record["captions"]), vocab, registry, stats)
         except ValueError as e:
             raise DataError(f"{args.captions}: record {i}: {e}") from None
         out_records.append(labels.to_record(record["image_id"]))
@@ -253,8 +255,6 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True, help="metrics report path")
-    p.add_argument("--vocab")
-    p.add_argument("--registry")
     _add_train_config_flags(p)
     p.set_defaults(func=cmd_eval)
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .geometry import check_boxes, iou_matrix
 from .scorenet import RegionSet
-from .textgraph import AttributeRegistry, Vocabulary
+from .textgraph import AttributeRegistry, Vocabulary, check_captions
 
 
 class DataError(ValueError):
@@ -233,16 +233,11 @@ class SyntheticScene:
             boxes=np.asarray(record["boxes"], dtype=float),
             features=np.asarray(record["features"], dtype=float),
         )
-        captions = record["captions"]
-        if not isinstance(captions, list) or not captions:
-            raise ValueError("captions must be a non-empty list")
-        if not all(isinstance(c, str) and c.strip() for c in captions):
-            raise ValueError("every caption must be non-blank text")
         return SyntheticScene(
             image_id=str(record["image_id"]),
             gt=gt,
             proposals=proposals,
-            captions=list(captions),
+            captions=list(check_captions(record["captions"])),
         )
 
 

@@ -121,10 +121,6 @@ class Vocabulary:
     def num_classes(self) -> int:
         return len(self.class_names)
 
-    @property
-    def background_index(self) -> int:
-        return len(self.class_names)
-
     def match_phrase(self, lemmas: tuple[str, ...]) -> int | None:
         return self._phrase_index.get(lemmas)
 
@@ -140,12 +136,6 @@ class Vocabulary:
     def from_file(path: str | Path) -> "Vocabulary":
         with open(path, encoding="utf-8") as f:
             return Vocabulary.from_dict(json.load(f))
-
-    def to_dict(self) -> dict:
-        inv = {
-            surface: self.class_names[idx] for surface, idx in sorted(self.synonyms.items())
-        }
-        return {"classes": list(self.class_names), "synonyms": inv}
 
 
 class AttributeRegistry:
@@ -185,9 +175,6 @@ class AttributeRegistry:
                 raise ValueError(f"alias {word!r} collides with an existing attribute word")
             self.word_map[word] = (cat, val)
 
-    def value_index(self, category: str, value: str) -> int:
-        return self.values[category].index(value)
-
     def lookup(self, word: str) -> tuple[str, str] | None:
         return self.word_map.get(word)
 
@@ -204,13 +191,6 @@ class AttributeRegistry:
     def from_file(path: str | Path) -> "AttributeRegistry":
         with open(path, encoding="utf-8") as f:
             return AttributeRegistry.from_dict(json.load(f))
-
-    def to_dict(self) -> dict:
-        cats = [{"name": n, "values": list(self.values[n])} for n in self.categories]
-        aliases = {
-            w: list(t) for w, t in sorted(self.word_map.items()) if t[1] != w
-        }
-        return {"categories": cats, "aliases": aliases}
 
 
 def default_vocabulary() -> Vocabulary:
@@ -393,6 +373,15 @@ def _parse_caption(
 def parse_scene_graph(caption: str, vocab: Vocabulary, registry: AttributeRegistry) -> TextualSceneGraph:
     """Parse one caption. Text with no known object yields an empty graph; blank text is a ValueError."""
     return _parse_caption(caption, vocab, registry, ParseStats())
+
+
+def check_captions(captions: object) -> list[str]:
+    """A record's captions field, which must be a non-empty list of non-blank strings."""
+    if not isinstance(captions, list) or not captions:
+        raise ValueError("captions must be a non-empty list")
+    if not all(isinstance(c, str) and c.strip() for c in captions):
+        raise ValueError("every caption must be non-blank text")
+    return captions
 
 
 def extract_labels(

@@ -34,7 +34,7 @@ from .geometry import iou_matrix, nms
 from .scorenet import ModelParams, RegionSet
 from .synthbench import SyntheticScene
 from .textgraph import AttributeRegistry, LabelSet, Vocabulary, extract_labels
-from .weakloss import LossReport, LossWeights, Supervision
+from .weakloss import LossReport, Supervision
 
 
 class NumericalError(RuntimeError):
@@ -82,9 +82,6 @@ class TrainConfig:
     @property
     def attributes_enabled(self) -> bool:
         return self.lambda2 > 0
-
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(lambda1=self.lambda1, lambda2=self.lambda2)
 
     @staticmethod
     def field_types() -> dict[str, type]:
@@ -147,8 +144,8 @@ def scene_loss(
     scores = scorenet.forward(params, regions)
     if pseudo is None:
         pseudo = oicr.build_pseudo_labels(scores, sup, regions.boxes, config.tau)
-    values, ref_grad = oicr.refinement_terms(scores, pseudo)
-    report = weakloss.total_loss(scores, sup, config.loss_weights(), oicr_values=values, oicr_grads=ref_grad)
+    values, grad = oicr.refinement_terms(scores, pseudo)
+    report = weakloss.total_loss(scores, sup, config.lambda1, config.lambda2, values, grad)
     return report, pseudo, scores
 
 

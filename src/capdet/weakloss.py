@@ -22,9 +22,16 @@ Both maxima run over all classes (or pairs) at once: one argmax over the
 gathered columns, then the coupled term scatters its gradients with
 np.add.at in pair order, so pairs meeting in one cell add up.
 
-Every function returns the loss value together with its gradient with
+Every loss function returns its value together with its gradient with
 respect to the score arrays it consumed; parameter gradients are the
 score network's job.
+
+total_loss is the one place the terms are mixed: the evidence term, plus
+lambda1 times the MIL term, plus lambda2 times the coupled term, plus the
+refinement terms unweighted. The weights come straight from TrainConfig,
+which checks them. The weighted first-head caption gradients are added in
+place into the refinement gradient that oicr.refinement_terms returned,
+so a scene-step fills one heads-sized gradient array, not two.
 """
 
 from __future__ import annotations
@@ -36,18 +43,6 @@ import numpy as np
 
 from .scorenet import Scores, clamp_prob
 from .textgraph import LabelSet
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Mixing weights for the total loss."""
-
-    lambda1: float = 0.5
-    lambda2: float = 0.01
-
-    def __post_init__(self) -> None:
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError(f"loss weights must be non-negative, got ({self.lambda1}, {self.lambda2})")
 
 
 @dataclass(frozen=True)
@@ -161,64 +156,43 @@ class LossReport:
     l_mid: float
     l_oicr: tuple[float, ...]
     l_total: float
-    lambda1: float
-    lambda2: float
     grad: np.ndarray  # (m, K(C + 1) + K * V), laid out like Scores.heads
     grad_image: np.ndarray  # (C,) with respect to the image-level scores
     argmax_objects: dict[int, int] = field(default_factory=dict)
     argmax_pairs: dict[tuple[int, str, str], int] = field(default_factory=dict)
 
-    def to_record(self) -> dict:
-        return {
-            "l_obj": self.l_obj,
-            "l_entang": self.l_entang,
-            "l_mid": self.l_mid,
-            "l_oicr": list(self.l_oicr),
-            "l_total": self.l_total,
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "argmax_objects": {str(c): i for c, i in sorted(self.argmax_objects.items())},
-            "argmax_pairs": {f"{c}:{cat}:{val}": i for (c, cat, val), i in sorted(self.argmax_pairs.items())},
-        }
-
 
 def total_loss(
     scores: Scores,
     sup: Supervision,
-    weights: LossWeights,
-    oicr_values: Sequence[float] = (),
-    oicr_grads: np.ndarray | None = None,
+    lambda1: float,
+    lambda2: float,
+    oicr_values: Sequence[float],
+    grad: np.ndarray,
 ) -> LossReport:
     """Mix the terms: evidence + lambda1 * MIL + lambda2 * coupled + refinement terms.
 
-    The MIL and coupled terms read the first head's scores; refinement
-    terms for every head arrive precomputed. Supervision compiled without
-    pairs has no coupled term: its value and gradient are exact zeros.
+    grad is the refinement gradient, laid out like scores.heads; the
+    weighted first-head MIL and coupled gradients are added into it in
+    place, and the report holds that same array. The weights are checked
+    by TrainConfig. Supervision compiled without pairs has no coupled
+    term: its value and gradient are exact zeros.
     """
-    grad = np.zeros_like(scores.heads)
     grad_objects, grad_attributes = scores.split(grad)
-
     l_obj, g_obj, argmax_objects = object_mil_loss(scores.objects[0], sup)
-    grad_objects[0] += weights.lambda1 * g_obj
-
     l_entang, g_eobj, g_eattr, argmax_pairs = entanglement_loss(scores.objects[0], scores.attributes[0], sup)
-    grad_objects[0] += weights.lambda2 * g_eobj
-    grad_attributes[0] += weights.lambda2 * g_eattr
+    # caption terms summed first: two separate += onto the refinement gradient would round differently
+    grad_objects[0] += lambda1 * g_obj + lambda2 * g_eobj
+    grad_attributes[0] += lambda2 * g_eattr
 
     l_mid, grad_image = mid_loss(scores.image_level, sup)
-
-    if oicr_grads is not None:
-        grad += oicr_grads
-
-    l_total = l_mid + weights.lambda1 * l_obj + weights.lambda2 * l_entang + float(np.sum(oicr_values))
+    l_total = l_mid + lambda1 * l_obj + lambda2 * l_entang + float(np.sum(oicr_values))
     return LossReport(
         l_obj=l_obj,
         l_entang=l_entang,
         l_mid=l_mid,
         l_oicr=tuple(float(v) for v in oicr_values),
         l_total=float(l_total),
-        lambda1=weights.lambda1,
-        lambda2=weights.lambda2,
         grad=grad,
         grad_image=grad_image,
         argmax_objects=argmax_objects,

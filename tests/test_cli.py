@@ -57,6 +57,12 @@ class TestSynth:
         code = cli.main(["synth", "--out", str(tmp_path / "x"), "--feature-dim", "4"])
         assert code == 1
 
+    def test_bad_split_size_writes_nothing(self, tmp_path, capsys):
+        code = cli.main(["synth", "--out", str(tmp_path), "--train", "3", "--val", "2", "--test", "0"])
+        assert code == 1
+        assert "--test must be positive" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.jsonl"))
+
 
 class TestParse:
     def test_captions_to_labels(self, tmp_path, capsys):
@@ -86,6 +92,22 @@ class TestParse:
         captions.write_text('{"captions": ["a cat"]}\n')
         code = cli.main(["parse", "--captions", str(captions), "--out", str(tmp_path / "o")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "line",
+        ["5", '{"image_id": "a", "captions": [5]}', '{"image_id": "a", "captions": "apple"}'],
+        ids=["number record", "number caption", "string captions"],
+    )
+    def test_malformed_record_exits_two_naming_it(self, line, tmp_path, capsys):
+        captions = tmp_path / "captions.jsonl"
+        captions.write_text('{"image_id": "ok", "captions": ["a cat"]}\n' + line + "\n")
+        out = tmp_path / "o"
+        code = cli.main(["parse", "--captions", str(captions), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert f"{captions}: record 2: " in err
+        assert not out.exists()
 
 
 class TestTrainEval:
@@ -392,6 +414,12 @@ class TestArgumentHandling:
 
     def test_unknown_subcommand(self, capsys):
         assert cli.main(["dance"]) == 1
+
+    @pytest.mark.parametrize("flag", ["--vocab", "--registry"])
+    def test_eval_has_no_vocab_or_registry(self, flag, tmp_path, capsys):
+        args = ["eval", "--data", "d", "--checkpoint", "c", "--out", str(tmp_path / "m.json"), flag, "x"]
+        assert cli.main(args) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_every_config_field_is_a_flag(self):
         # a field reachable only through config files would be an untested option

@@ -4,11 +4,12 @@ An imported name counts as used when the module reads it anywhere (a bare
 name or the base of an attribute chain) or lists it in ``__all__``.
 Imports from ``__future__`` are exempt; src/ and tests/ are checked.
 
-A module-level function or class in src/ counts as referenced when some
-module in src/, tests/ or perfbench/ reads its name as a bare name or an
-attribute, or spells it in a string constant, whole or as one part of a
-dotted name: perfbench wraps functions it names by string, and
-``__all__`` lists names as strings.
+A module-level function or class in src/, or a non-dunder method or
+property of such a class, counts as referenced when some module in src/,
+tests/ or perfbench/ reads its name as a bare name or an attribute, or
+spells it in a string constant, whole or as one part of a dotted name:
+perfbench wraps functions it names by string, and ``__all__`` lists names
+as strings. Methods that a base class calls are exempt (BASE_CLASS_HOOKS).
 """
 
 import ast
@@ -56,11 +57,29 @@ def test_flags_an_unused_import():
     assert unused == {"os", "b"}
 
 
+# methods that only a base class calls, so no module spells their name
+BASE_CLASS_HOOKS = {"_Parser.error"}  # argparse calls error() on a bad command line
+
+
 def module_definitions(tree):
-    """(name, line) for every function and class defined at module level."""
+    """(name, line) for every module-level function and class, and as Class.name each non-dunder method of such a class."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(node, functions + (ast.ClassDef,)):
             yield node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, functions) and not (item.name.startswith("__") and item.name.endswith("__")):
+                    yield f"{node.name}.{item.name}", item.lineno
+
+
+def dead_definitions(tree, referenced):
+    """{name: line} for the definitions whose name, or method name, is not in referenced."""
+    return {
+        name: line
+        for name, line in module_definitions(tree)
+        if name not in BASE_CLASS_HOOKS and name.rsplit(".", 1)[-1] not in referenced
+    }
 
 
 def referenced_names(tree):
@@ -79,17 +98,23 @@ def test_no_dead_definitions():
     referenced = set()
     for path in MODULES + sorted((ROOT / "perfbench").glob("*.py")):
         referenced |= referenced_names(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-    dead = [
-        f"{path.relative_to(ROOT)}:{line}: {name}"
-        for path in SOURCES
-        for name, line in module_definitions(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-        if name not in referenced
-    ]
+    dead = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        dead += [f"{path.relative_to(ROOT)}:{line}: {name}" for name, line in dead_definitions(tree, referenced).items()]
     assert not dead, f"defined but referenced nowhere: {', '.join(dead)}"
 
 
 def test_flags_an_unused_definition():
     tree = ast.parse("def used():\n    def inner(): pass\ndef unused(): pass\nclass Named: pass\nclass Gone: pass\n"
                      "def _helper(): pass\nused()\ntarget = 'Named.step'\nvalue = obj._helper\n")
-    dead = {name for name, _ in module_definitions(tree)} - referenced_names(tree)
-    assert dead == {"unused", "Gone"}
+    assert set(dead_definitions(tree, referenced_names(tree))) == {"unused", "Gone"}
+
+
+def test_flags_an_unused_method():
+    tree = ast.parse("class Named:\n    def __init__(self): pass\n    def step(self): pass\n    def gone(self): pass\n"
+                     "    @property\n    def size(self): return 1\n    @property\n    def unread(self): return 2\n"
+                     "    @staticmethod\n    def build(): return Named()\n"
+                     "class _Parser:\n    def error(self, message): pass\n"
+                     "parser = _Parser()\nNamed.build().step()\ntarget = 'Named.size'\n")
+    assert set(dead_definitions(tree, referenced_names(tree))) == {"Named.gone", "Named.unread"}

@@ -63,6 +63,12 @@ class TestTrainConfig:
             TrainConfig(lambda2=0.0)  # default mode expects a coupled term
         TrainConfig(loss_mode="em", lambda2=0.0)
 
+    def test_negative_loss_weights_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            TrainConfig(lambda1=-0.1)
+        with pytest.raises(ValueError, match="non-negative"):
+            TrainConfig(lambda2=-1.0)
+
     def test_attributes_enabled_tracks_lambda2(self):
         assert TrainConfig().attributes_enabled
         assert not TrainConfig(loss_mode="em", lambda2=0.0).attributes_enabled

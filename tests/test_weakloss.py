@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -10,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from head_reference import packed_scores
 from capdet.textgraph import LabelSet
 from capdet.weakloss import (
-    LossWeights,
     compile_supervision,
     entanglement_loss,
     mid_loss,
@@ -382,19 +380,6 @@ class TestMidLoss:
         np.testing.assert_allclose(grad, central_differences(lambda v: mid_loss(v, sup)[0], y), rtol=1e-6, atol=1e-6)
 
 
-class TestLossWeights:
-    def test_defaults(self):
-        w = LossWeights()
-        assert w.lambda1 == 0.5
-        assert w.lambda2 == 0.01
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            LossWeights(lambda1=-0.1)
-        with pytest.raises(ValueError):
-            LossWeights(lambda2=-1.0)
-
-
 def exact_component_setup():
     """Scores engineered so each component is an exact round number.
 
@@ -410,10 +395,14 @@ def exact_component_setup():
     return scores, compile_supervision(labels, 1, cols), compile_supervision(labels, 1, cols, pairs=False)
 
 
+def no_refinement(scores):
+    return np.zeros_like(scores.heads)
+
+
 class TestTotalLoss:
     def test_mixing_arithmetic(self):
         scores, sup, _ = exact_component_setup()
-        report = total_loss(scores, sup, LossWeights(lambda1=0.5, lambda2=0.01))
+        report = total_loss(scores, sup, 0.5, 0.01, (), no_refinement(scores))
         assert report.l_mid == pytest.approx(1.0, abs=1e-12)
         assert report.l_obj == pytest.approx(0.4, abs=1e-12)
         assert report.l_entang == pytest.approx(2.0, abs=1e-12)
@@ -421,14 +410,14 @@ class TestTotalLoss:
 
     def test_refinement_values_added_unweighted(self):
         scores, sup, _ = exact_component_setup()
-        report = total_loss(scores, sup, LossWeights(), oicr_values=(0.1, 0.2, 0.3))
+        report = total_loss(scores, sup, 0.5, 0.01, (0.1, 0.2, 0.3), no_refinement(scores))
         assert report.l_oicr == (0.1, 0.2, 0.3)
         assert report.l_total == pytest.approx(1.22 + 0.6, abs=1e-12)
 
     def test_lambda2_zero_skips_coupled_term(self):
         # the baseline's supervision is compiled without pairs
         scores, _, baseline = exact_component_setup()
-        report = total_loss(scores, baseline, LossWeights(lambda2=0.0))
+        report = total_loss(scores, baseline, 0.5, 0.0, (), no_refinement(scores))
         assert report.l_entang == 0.0
         assert report.argmax_pairs == {}
         for head in scores.split(report.grad)[1]:
@@ -437,23 +426,17 @@ class TestTotalLoss:
 
     def test_gradients_scaled_by_weights(self):
         scores, _, baseline = exact_component_setup()
-        heavy = total_loss(scores, baseline, LossWeights(lambda1=1.0, lambda2=0.0))
-        light = total_loss(scores, baseline, LossWeights(lambda1=0.5, lambda2=0.0))
+        heavy = total_loss(scores, baseline, 1.0, 0.0, (), no_refinement(scores))
+        light = total_loss(scores, baseline, 0.5, 0.0, (), no_refinement(scores))
         # evidence gradient identical, object gradient scales with lambda1
         assert np.allclose(heavy.grad_image, light.grad_image)
         assert np.allclose(scores.split(heavy.grad)[0][0], 2.0 * scores.split(light.grad)[0][0])
 
     def test_oicr_grads_added(self):
         scores, sup, _ = exact_component_setup()
-        base = total_loss(scores, sup, LossWeights())
+        base = total_loss(scores, sup, 0.5, 0.01, (), no_refinement(scores))
         extra = np.zeros_like(scores.heads)
         scores.split(extra)[0][0][0, 0] = 5.0
-        with_extra = total_loss(scores, sup, LossWeights(), oicr_grads=extra)
+        with_extra = total_loss(scores, sup, 0.5, 0.01, (), extra)
+        assert with_extra.grad is extra
         assert with_extra.grad[0, 0] == pytest.approx(base.grad[0, 0] + 5.0)
-
-    def test_report_is_json_serializable(self):
-        scores, sup, _ = exact_component_setup()
-        report = total_loss(scores, sup, LossWeights())
-        record = report.to_record()
-        text = json.dumps(record)
-        assert "l_total" in json.loads(text)
