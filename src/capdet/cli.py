@@ -136,13 +136,13 @@ def cmd_parse(args: argparse.Namespace) -> int:
         raise DataError(str(e)) from None
     stats = ParseStats()
     out_records = []
-    for i, record in enumerate(records, start=1):
+    for lineno, record in records:
         if not isinstance(record, dict) or "image_id" not in record or "captions" not in record:
-            raise DataError(f"{args.captions}: record {i}: needs to be an object with image_id and captions")
+            raise DataError(f"{args.captions}: line {lineno}: needs to be an object with image_id and captions")
         try:
             labels = extract_labels(check_captions(record["captions"]), vocab, registry, stats)
         except ValueError as e:
-            raise DataError(f"{args.captions}: record {i}: {e}") from None
+            raise DataError(f"{args.captions}: line {lineno}: {e}") from None
         out_records.append(labels.to_record(record["image_id"]))
     save_labels(args.out, out_records)
     print(

@@ -51,7 +51,7 @@ def _random_problem(rng: np.random.Generator) -> tuple[ModelParams, RegionSet, L
     }
     params = scorenet.init_params(d, class_names, category_values, num_heads, seed=int(rng.integers(2**31)))
     # move away from the symmetric init so probabilities spread out
-    params.flat += rng.normal(0.0, 0.5, size=params.flat.size)
+    params.flat[params.checkpoint_order] += rng.normal(0.0, 0.5, size=params.flat.size)
 
     centers = rng.uniform(0.2, 0.8, size=(m, 2))
     sizes = rng.uniform(0.05, 0.2, size=(m, 2))
@@ -97,25 +97,21 @@ def check_once(
 ) -> tuple[float, str]:
     """Max relative error over a coordinate sample for one problem instance.
 
-    Probes bump params.flat in place and restore it, leaving params unchanged.
+    Coordinates are numbered in checkpoint order. Probes bump params.flat
+    in place and restore it, leaving params unchanged.
     """
     sup = compile_labels(labels, params, config)
     report, pseudo, scores = scene_loss(params, regions, sup, config)
     analytic = scorenet.param_gradients(params, regions, scores, report.grad, report.grad_image)
-    flat = params.flat
-
-    # name every coordinate so failures are reportable
-    names: list[str] = []
-    for name, arr in scorenet.iter_param_arrays(params):
-        names.extend(f"{name}[{i}]" for i in range(arr.size))
+    flat, order = params.flat, params.checkpoint_order
 
     if coords_per_trial >= flat.size:
         coords = np.arange(flat.size)
     else:
         coords = rng.choice(flat.size, size=coords_per_trial, replace=False)
-    worst = 0.0
-    worst_name = ""
-    for idx in coords:
+    worst, worst_coord = 0.0, -1
+    for coord in coords:
+        idx = order[coord]
         original = flat[idx]
         flat[idx] = original + step
         hi = composed_loss(params, regions, sup, config, pseudo)
@@ -127,8 +123,13 @@ def check_once(
         err = abs(analytic[idx] - numeric) / denom
         if err > worst:
             worst = err
-            worst_name = names[idx]
-    return worst, worst_name
+            worst_coord = coord
+    # name only the worst coordinate, such as object[1].weight[13]
+    for name, arr in scorenet.iter_param_arrays(params):
+        if 0 <= worst_coord < arr.size:
+            return worst, f"{name}[{worst_coord}]"
+        worst_coord -= arr.size
+    return worst, ""
 
 
 def run_gradient_check(

@@ -21,11 +21,11 @@ object columns and one per category over the (m, K, V) view of the
 attribute columns. Backward builds one (m, P) gradient of the map's
 outputs and pulls it back through one matmul.
 
-All parameters live in one flat float64 buffer that the optimizer,
-checkpoints and gradient check use directly. Its order (iter_param_arrays)
-is the checkpoint format: column block by column block in the order
-above, each block's (d, width) weight and then its bias; weight_index and
-bias_index map the packed (d, P) weight and (P,) bias onto it.
+All parameters live in one flat float64 buffer, the packed map row by
+row: d weight rows, then the bias row (packed is its (d + 1, P) view).
+Checkpoints (iter_param_arrays) store it block by block in the column
+order above, each block's (d, width) weight and then its bias;
+checkpoint_order applies that order only at save and load.
 
 The backward pass reuses forward's softmaxes and evidence and is checked
 against central finite differences in the test suite rather than trusted
@@ -34,7 +34,6 @@ by construction.
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -72,7 +71,7 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 class ModelParams:
-    """All trainable parameters: one flat buffer plus the layout it was built for.
+    """All trainable parameters: one flat buffer holding the packed (d + 1, P) map.
 
     category_values fixes the column order of every attribute head, and
     class_names fixes the column order of object and evidence heads, so a
@@ -80,10 +79,10 @@ class ModelParams:
     category_slices gives each category's columns and value_columns maps
     (category, value) to its column.
 
-    The layout is built once and shared by like: segments names every
-    block's (name, width) in buffer order, weight_index (d, P) and
-    bias_index (P,) locate the packed map's entries in flat, and
-    object_cols, attribute_cols, det_cols and cls_cols slice its columns.
+    segments names every column block's (name, width) in column order;
+    object_cols, attribute_cols, det_cols and cls_cols slice the columns;
+    checkpoint_order holds the position in flat of each checkpoint entry,
+    in file order.
     """
 
     def __init__(
@@ -122,24 +121,16 @@ class ModelParams:
         self.attribute_cols = slice(n_obj, n_obj + n_attr)
         self.det_cols = slice(n_obj + n_attr, n_obj + n_attr + c)
         self.cls_cols = slice(n_obj + n_attr + c, n_obj + n_attr + 2 * c)
-        # packed column j lies in a block of width w whose first column is f;
-        # the block starts at (d + 1) * f in flat, so row r of column j sits
-        # at d * f + j + r * w and its bias at d * f + j + d * w
-        widths = np.array([w for _, w in self.segments])
-        width = np.repeat(widths, widths)
-        start = d * np.repeat(np.cumsum(widths) - widths, widths) + np.arange(width.size)
-        self.weight_index = start + np.arange(d)[:, None] * width
-        self.bias_index = start + d * width
-        self.flat = np.zeros((d + 1) * width.size)
+        # each block is stored as its (d + 1, width) column block of packed, raveled
+        index = np.arange((d + 1) * self.cls_cols.stop).reshape(d + 1, -1)
+        blocks = np.split(index, np.cumsum([w for _, w in self.segments])[:-1], axis=1)
+        self.checkpoint_order = np.concatenate([block.ravel() for block in blocks])
+        self.flat = np.zeros(index.size)
 
-    def like(self, flat: np.ndarray) -> "ModelParams":
-        """The same layout over flat, which must have the same size."""
-        flat = np.asarray(flat, dtype=float)
-        if flat.shape != self.flat.shape:
-            raise ValueError(f"flat vector has {flat.size} entries, model needs {self.flat.size}")
-        other = copy.copy(self)
-        other.flat = flat
-        return other
+    @property
+    def packed(self) -> np.ndarray:
+        """The (d + 1, P) view of flat: d weight rows, then the bias row."""
+        return self.flat.reshape(self.feature_dim + 1, -1)
 
     @property
     def num_classes(self) -> int:
@@ -207,11 +198,12 @@ def init_params(
     num_heads: int,
     seed: int,
 ) -> ModelParams:
-    """Centered-uniform weights at scale 1/sqrt(d), zero biases, drawn in buffer order."""
+    """Centered-uniform weights at scale 1/sqrt(d), zero biases, drawn in checkpoint order."""
     params = ModelParams(feature_dim, class_names, category_values, num_heads)
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(feature_dim)
-    weights = np.sort(params.weight_index, axis=None)
+    order = params.checkpoint_order
+    weights = order[order < params.packed[:-1].size]
     params.flat[weights] = rng.uniform(-scale, scale, size=weights.size)
     return params
 
@@ -220,7 +212,8 @@ def forward(params: ModelParams, regions: RegionSet) -> Scores:
     x = regions.features
     if x.shape[1] != params.feature_dim:
         raise ValueError(f"feature dim {x.shape[1]} does not match model dim {params.feature_dim}")
-    z = x @ params.flat[params.weight_index] + params.flat[params.bias_index]
+    w = params.packed
+    z = x @ w[:-1] + w[-1]
     gate = sigmoid(z[:, params.cls_cols])
     region_dist = softmax_cols(z[:, params.det_cols])
     per_region = gate * region_dist
@@ -254,7 +247,7 @@ def param_gradients(
     x = regions.features
     if grad.shape != scores.heads.shape:
         raise ValueError(f"score gradient has shape {grad.shape}, scores have {scores.heads.shape}")
-    dz = np.empty((len(x), params.bias_index.size))
+    dz = np.empty((len(x), params.packed.shape[1]))
     d_objects, d_attributes = scores.split(dz)
     g_objects, g_attributes = scores.split(grad)
     d_objects[:] = _softmax_rows_backward(scores.objects, g_objects)
@@ -264,24 +257,21 @@ def param_gradients(
     d_per_region = grad_image * y * (1.0 - y)
     dz[:, params.det_cols] = _softmax_cols_backward(scores.region_dist, d_per_region * gate)
     dz[:, params.cls_cols] = d_per_region * scores.region_dist * gate * (1.0 - gate)
-    out = np.empty_like(params.flat)
-    out[params.weight_index] = x.T @ dz
-    out[params.bias_index] = dz.sum(axis=0)
-    return out
+    return np.vstack([x.T @ dz, dz.sum(axis=0)]).ravel()
 
 
 def iter_param_arrays(params: ModelParams) -> Iterator[tuple[str, np.ndarray]]:
-    """Canonical traversal order: the buffer order, shared by checkpoints and checks."""
-    d, offset = params.feature_dim, 0
+    """Canonical traversal order: the checkpoint order, as views of the packed map."""
+    packed, start = params.packed, 0
     for name, width in params.segments:
-        end = offset + d * width
-        yield f"{name}.weight", params.flat[offset:end].reshape(d, width)
-        yield f"{name}.bias", params.flat[end : end + width]
-        offset = end + width
+        block = packed[:, start : start + width]
+        yield f"{name}.weight", block[:-1]
+        yield f"{name}.bias", block[-1]
+        start += width
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
-    """Magic line, JSON layout header, then the flat float64 parameter vector."""
+    """Magic line, JSON layout header, then the float64 parameters in checkpoint order."""
     header = {
         "feature_dim": params.feature_dim,
         "class_names": list(params.class_names),
@@ -292,7 +282,7 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        f.write(params.flat.astype("<f8").tobytes())
+        f.write(params.flat[params.checkpoint_order].astype("<f8").tobytes())
 
 
 def _str_list(value: object) -> bool:
@@ -334,5 +324,7 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     )
     if len(blob) != params.flat.nbytes:
         raise ValueError(f"{path}: payload has {len(blob)} bytes, layout needs {params.flat.nbytes}")
-    params.flat[:] = np.frombuffer(blob, dtype="<f8")
+    params.flat[params.checkpoint_order] = np.frombuffer(blob, dtype="<f8")
+    if not np.isfinite(params.flat).all():
+        raise ValueError(f"{path}: checkpoint holds non-finite parameters")
     return params

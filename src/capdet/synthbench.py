@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import check_boxes, iou_matrix
+from .geometry import check_boxes
 from .scorenet import RegionSet
 from .textgraph import AttributeRegistry, Vocabulary, check_captions
 
@@ -511,9 +511,3 @@ def load_dataset(path: str | Path) -> list[SyntheticScene]:
 def benchmark_vocabulary(class_names: Sequence[str]) -> Vocabulary:
     """Vocabulary over the benchmark's canonical class names, no synonyms."""
     return Vocabulary(class_names)
-
-
-def proposal_hit_exists(scene: SyntheticScene, threshold: float = 0.5) -> bool:
-    """True when every GT box has at least one proposal overlapping it by >= threshold."""
-    gt_boxes = np.reshape([g.box for g in scene.gt], (-1, 4))
-    return bool((iou_matrix(gt_boxes, scene.proposals.boxes) >= threshold).any(axis=1).all())

@@ -238,13 +238,6 @@ class LabelSet:
             ],
         }
 
-    @staticmethod
-    def from_record(record: Mapping) -> "LabelSet":
-        labels = LabelSet(objects=set(int(c) for c in record["objects"]))
-        for c, cat, val in record.get("attributes", ()):
-            labels.attribute_pairs.setdefault(int(c), set()).add((str(cat), str(val)))
-        return labels
-
 
 @dataclass
 class ParseStats:
@@ -427,14 +420,15 @@ def save_labels(path: str | Path, records: Iterable[dict]) -> None:
             f.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def load_labels(path: str | Path) -> list[dict]:
+def load_labels(path: str | Path) -> list[tuple[int, object]]:
+    """(line number, record) for every non-blank line of a JSON-lines file, counting every line."""
     records = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
             try:
-                records.append(json.loads(line))
+                records.append((lineno, json.loads(line)))
             except json.JSONDecodeError as e:
-                raise ValueError(f"{path}: line {lineno}: bad label record: {e}") from None
+                raise ValueError(f"{path}: line {lineno}: not a JSON record: {e}") from None
     return records

@@ -23,6 +23,7 @@ ground-truth boxes, and both AP matching and CorLoc read it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, get_type_hints
@@ -38,7 +39,7 @@ from .weakloss import LossReport, Supervision
 
 
 class NumericalError(RuntimeError):
-    """Training produced a non-finite loss and cannot continue."""
+    """A loss, gradient or score came out non-finite, so the run cannot continue."""
 
 
 LOSS_MODES = ("em", "em+sg")
@@ -60,6 +61,9 @@ class TrainConfig:
     score_floor: float = 0.05
 
     def __post_init__(self) -> None:
+        for name in ("learning_rate", "lambda1", "lambda2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.batch_size < 1 or self.steps < 1 or self.num_heads < 1:
@@ -228,10 +232,14 @@ def infer(
     the score floor. A region is a row of the scene's proposal boxes; rows
     come class by class, by descending score within a class. Only the
     object heads are evaluated; inference reads no attribute scores.
+    Non-finite object scores raise NumericalError, without a warning.
     """
-    cols = params.object_cols
-    z = regions.features @ params.flat[params.weight_index[:, cols]] + params.flat[params.bias_index[cols]]
-    heads = scorenet.softmax_rows(z.reshape(len(z), params.num_heads, -1))
+    w = params.packed[:, params.object_cols]
+    with np.errstate(all="ignore"):
+        z = regions.features @ w[:-1] + w[-1]
+        heads = scorenet.softmax_rows(z.reshape(len(z), params.num_heads, -1))
+    if not np.isfinite(heads).all():
+        raise NumericalError("non-finite object scores")
     mean_scores = heads[:, :, : params.num_classes].mean(axis=1)
     classes, rows = nms(regions.boxes, mean_scores, config.nms_threshold).T
     scores = mean_scores[rows, classes]
@@ -279,7 +287,10 @@ def evaluate(
     top_total = np.zeros(num_classes)
 
     for scene in scenes:
-        rows, classes, scores = infer(params, scene.proposals, config)
+        try:
+            rows, classes, scores = infer(params, scene.proposals, config)
+        except NumericalError as e:
+            raise NumericalError(f"scene {scene.image_id!r}: {e}") from None
         gt_classes = np.array([g.class_index for g in scene.gt], dtype=int)
         overlaps = iou_matrix(scene.proposals.boxes[rows], np.reshape([g.box for g in scene.gt], (-1, 4)))
         # IoU with GT boxes of the detection's own class, 0 elsewhere; the

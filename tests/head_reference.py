@@ -8,7 +8,7 @@ reference to check the packed forward and backward against.
 
 import numpy as np
 
-from capdet.scorenet import Scores, iter_param_arrays
+from capdet.scorenet import ModelParams, Scores, iter_param_arrays
 
 
 def _softmax(z, axis):
@@ -63,7 +63,7 @@ def loop_forward(params, x):
 def loop_gradients(params, x, grad_objects, grad_attributes, grad_image):
     """Flat gradient of sum(grad * scores) over loop_forward's outputs, one block at a time."""
     objects, attributes, gate, region_dist, _, y = loop_forward(params, x)
-    out = params.like(np.zeros_like(params.flat))
+    out = ModelParams(params.feature_dim, params.class_names, params.category_values, params.num_heads)
     maps = _maps(out)
 
     def backprop(name, dz):

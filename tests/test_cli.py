@@ -106,7 +106,22 @@ class TestParse:
         err = capsys.readouterr().err
         assert code == 2
         assert len(err.splitlines()) == 1
-        assert f"{captions}: record 2: " in err
+        assert f"{captions}: line 2: " in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [('{"image_id": "b", "captions": [5]}', "every caption must be"), ('{"image_id": "b",', "not a JSON record")],
+        ids=["bad record", "bad json"],
+    )
+    def test_errors_count_every_line(self, line, message, tmp_path, capsys):
+        # a blank line 2 is skipped but counted, so both checks name line 3
+        captions = tmp_path / "captions.jsonl"
+        captions.write_text('{"image_id": "a", "captions": ["a cat"]}\n\n' + line + "\n")
+        out = tmp_path / "o"
+        assert cli.main(["parse", "--captions", str(captions), "--out", str(out)]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"data error: {captions}: line 3: {message}")
         assert not out.exists()
 
 
@@ -386,6 +401,47 @@ class TestBadDatasetRecords:
         assert code == 2
         assert len(err.splitlines()) == 1
         assert f"{bad}: line 2: feature_dim must be a positive integer, got 0" in err
+
+
+class TestNonFiniteNumbers:
+    """No NaN or infinity reaches a checkpoint or a metrics file; each case is one stderr line."""
+
+    @pytest.mark.parametrize(
+        "key, value", [("learning_rate", "nan"), ("learning_rate", "inf"), ("lambda1", "nan"), ("lambda2", "inf")]
+    )
+    def test_train_setting_is_a_usage_error(self, key, value, data_dir, tmp_path, capsys, recwarn):
+        out = tmp_path / "m.ckpt"
+        flag = "--" + key.replace("_", "-")
+        code = cli.main(["train", "--data", str(data_dir / "train.jsonl"), "--out", str(out), "--steps", "1", flag, value])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"usage error: {key} must be finite, got {float(value)}"]
+        assert not out.exists()
+        assert not recwarn.list
+
+    @pytest.mark.parametrize(
+        "value, code, message",
+        [
+            pytest.param(float("nan"), 2, "checkpoint holds non-finite parameters", id="nan"),
+            pytest.param(float("inf"), 2, "checkpoint holds non-finite parameters", id="inf"),
+            pytest.param(1e308, 3, "non-finite object scores", id="huge"),
+        ],
+    )
+    def test_eval_checkpoint_payload(self, value, code, message, data_dir, tmp_path, capsys, recwarn):
+        data = data_dir / "val.jsonl"
+        header, first = (json.loads(line) for line in data.read_text().splitlines()[:2])
+        registry = default_registry()
+        cats = {c: tuple(registry.values[c]) for c in registry.categories}
+        params = scorenet.init_params(header["feature_dim"], header["class_names"], cats, 1, seed=0)
+        params.flat[:] = value
+        ckpt, out = tmp_path / "m.ckpt", tmp_path / "m.json"
+        scorenet.save_checkpoint(params, ckpt)
+        assert cli.main(["eval", "--data", str(data), "--checkpoint", str(ckpt), "--out", str(out)]) == code
+        (err,) = capsys.readouterr().err.splitlines()
+        assert message in err and "Traceback" not in err
+        # a load error names the file, a numerical one the scene
+        assert (str(ckpt) if code == 2 else repr(first["image_id"])) in err
+        assert not out.exists()
+        assert not recwarn.list
 
 
 class TestGradcheckCommand:

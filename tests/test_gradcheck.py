@@ -58,3 +58,10 @@ class TestRunGradientCheck:
         assert a.max_rel_error == b.max_rel_error
         assert a.worst_trial == b.worst_trial
         assert a.worst_coord == b.worst_coord
+
+    def test_pinned_result(self):
+        # coordinates are drawn and named in checkpoint order, so the result
+        # does not depend on how the parameters are laid out in memory
+        result = gradcheck.run_gradient_check(trials=20, seed=20240601, coords_per_trial=80)
+        assert result.max_rel_error == 3.267314196975235e-10
+        assert (result.worst_trial, result.worst_coord, result.coords_checked) == (18, "object[1].weight[13]", 1600)

@@ -34,6 +34,13 @@ def named(params):
     return dict(iter_param_arrays(params))
 
 
+def named_flat(params, flat):
+    """name -> block of flat, a vector laid out like params.flat."""
+    out = zero_params(params.class_names, params.category_values, params.feature_dim, params.num_heads)
+    out.flat[:] = flat
+    return named(out)
+
+
 def make_regions(rng, m, d):
     boxes = []
     for _ in range(m):
@@ -240,7 +247,7 @@ class TestParamGradients:
         scores = forward(p, regions)
         grad = np.zeros_like(scores.heads)
         scores.split(grad)[0][1][0, 0] = 1.0  # only object head 1 receives signal
-        out = named(p.like(param_gradients(p, regions, scores, grad, np.zeros(2))))
+        out = named_flat(p, param_gradients(p, regions, scores, grad, np.zeros(2)))
         assert not np.any(out["object[0].weight"])
         assert np.any(out["object[1].weight"])
         assert not np.any(out["object[2].weight"])
@@ -312,7 +319,7 @@ class TestPackedForward:
         registry = default_registry()
         cats = {cat: tuple(registry.values[cat]) for cat in registry.categories}
         p = init_params(64, [f"c{i}" for i in range(8)], cats, 3, seed=0)
-        assert p.bias_index.size == 100  # K(C + 1) + K * V + 2C
+        assert p.packed.shape[1] == 100  # K(C + 1) + K * V + 2C
         calls = []
         real = scorenet.softmax_rows
         monkeypatch.setattr(scorenet, "softmax_rows", lambda z: calls.append(z.shape) or real(z))
@@ -321,21 +328,26 @@ class TestPackedForward:
 
 
 class TestFlatten:
-    """The single buffer: every head is a view into params.flat."""
+    """The single buffer: flat holds the packed map, and every head is a view into it."""
 
     def test_round_trip(self):
         p = init_params(7, ("a", "b", "c"), CATS, 2, seed=13)
-        back = p.like(p.flat.copy())
+        stored = p.flat[p.checkpoint_order]
+        back = zero_params(p.class_names, p.category_values, p.feature_dim, p.num_heads)
+        back.flat[back.checkpoint_order] = stored
         assert np.array_equal(back.flat, p.flat)
-        # the named views tile the buffer in order, with nothing left over
-        assert np.array_equal(np.concatenate([a.ravel() for _, a in iter_param_arrays(p)]), p.flat)
+        # the named views tile the checkpoint in order, with nothing left over
+        assert np.array_equal(np.concatenate([a.ravel() for _, a in iter_param_arrays(p)]), stored)
 
-    def test_wrong_size_rejected(self):
+    def test_wrong_size_rejected(self, tmp_path):
         p = init_params(4, ("a",), CATS, 1, seed=0)
-        with pytest.raises(ValueError):
-            p.like(np.zeros(3))
-        with pytest.raises(ValueError):
-            p.like(np.zeros(p.flat.size + 1))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(p, path)
+        head = path.read_bytes()[: -p.flat.nbytes]
+        for size in (3, p.flat.size + 1):
+            path.write_bytes(head + np.zeros(size).tobytes())
+            with pytest.raises(ValueError):
+                load_checkpoint(path)
 
     def test_writes_through_flat_reach_the_views(self):
         p = init_params(4, ("a", "b"), CATS, 2, seed=0)
@@ -349,23 +361,21 @@ class TestFlatten:
 
     def test_like_shares_the_buffer(self):
         p = init_params(4, ("a",), CATS, 1, seed=0)
-        buf = np.zeros_like(p.flat)
-        q = p.like(buf)
-        buf[:] = 1.0
+        q = zero_params(p.class_names, p.category_values, p.feature_dim, p.num_heads)
+        q.flat[:] = 1.0
         assert (named(q)["object[0].weight"] == 1.0).all()
         assert (named(p)["object[0].weight"] != 1.0).all()
-        # the layout is built once and shared, not rebuilt
-        assert q.weight_index is p.weight_index and q.bias_index is p.bias_index
+        # the packed map is a view of flat, not a copy
+        assert np.shares_memory(p.packed, p.flat) and p.packed.shape == (5, p.flat.size // 5)
 
     def test_packed_map_reads_every_entry_once(self):
         p = init_params(3, ("a", "b"), CATS, 2, seed=0)
-        positions = np.concatenate([p.weight_index.ravel(), p.bias_index])
-        assert np.array_equal(np.sort(positions), np.arange(p.flat.size))
+        assert np.array_equal(np.sort(p.checkpoint_order), np.arange(p.flat.size))
         # packed columns follow the block order: head 1's object block, then attributes
         arrays = named(p)
-        assert np.array_equal(p.flat[p.weight_index[:, 3:6]], arrays["object[1].weight"])
+        assert np.array_equal(p.packed[:-1, 3:6], arrays["object[1].weight"])
         attribute = p.attribute_cols.start
-        assert np.array_equal(p.flat[p.bias_index[attribute + 4 : attribute + 6]], arrays["attribute[1][color].bias"])
+        assert np.array_equal(p.packed[-1, attribute + 4 : attribute + 6], arrays["attribute[1][color].bias"])
 
     def test_order_is_stable(self):
         # the traversal order is a file format contract: object heads,
@@ -384,9 +394,9 @@ class TestFlatten:
         ]
 
     def test_golden_v1_layout(self, tmp_path):
-        # the checkpoint bytes and buffer layout of a fixed model, recorded
-        # before the heads were packed: they pin the index mapping and the
-        # order of the initial draws
+        # the checkpoint bytes and layout of a fixed model, recorded before
+        # the heads were packed: they pin the checkpoint order and the order
+        # of the initial draws
         cats = {"color": ("red", "green"), "size": ("small", "medium", "large")}
         p = init_params(5, ("a", "b", "c"), cats, 2, seed=7)
         path = tmp_path / "golden.ckpt"
@@ -394,7 +404,14 @@ class TestFlatten:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "2596b3cab0b1fb43ee410f00079ec00d0505891ea2d899b9f6813f1462d94818"
         )
-        layout = [(name, (a.ctypes.data - p.flat.ctypes.data) // 8, a.shape) for name, a in iter_param_arrays(p)]
+        # each named block is read from its run of checkpoint_order positions
+        positions = zero_params(p.class_names, cats, p.feature_dim, p.num_heads)
+        positions.flat[:] = np.arange(p.flat.size)
+        layout, offset = [], 0
+        for name, a in iter_param_arrays(positions):
+            assert np.array_equal(p.checkpoint_order[offset : offset + a.size], a.ravel())
+            layout.append((name, offset, a.shape))
+            offset += a.size
         assert layout == [
             ("object[0].weight", 0, (5, 4)),
             ("object[0].bias", 20, (4,)),
@@ -527,7 +544,7 @@ class TestNoAttributeCategories:
         grad = np.zeros_like(scores.heads)
         grad_objects, _ = scores.split(grad)
         grad_objects[1] = rng.normal(size=grad_objects[1].shape)
-        out = named(p.like(param_gradients(p, regions, scores, grad, np.zeros(2))))
+        out = named_flat(p, param_gradients(p, regions, scores, grad, np.zeros(2)))
         assert np.any(out["object[1].weight"])
         assert not np.any(out["object[0].weight"])
         _, classes, _ = infer(p, regions, TrainConfig(score_floor=0.0))

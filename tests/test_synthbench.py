@@ -13,12 +13,17 @@ from capdet.synthbench import (
     generate_scene,
     load_dataset,
     make_universe,
-    proposal_hit_exists,
     read_dataset,
     round_sig,
     round_sig_array,
 )
 from capdet.textgraph import default_registry, extract_labels
+
+
+def proposal_hit_exists(scene, threshold=0.5):
+    """True when every GT box has at least one proposal overlapping it by >= threshold."""
+    gt_boxes = np.reshape([g.box for g in scene.gt], (-1, 4))
+    return bool((iou_matrix(gt_boxes, scene.proposals.boxes) >= threshold).any(axis=1).all())
 
 
 @pytest.fixture(scope="module")

@@ -275,6 +275,13 @@ class TestExtractLabels:
         assert labels.objects == set()
 
 
+def label_set_from_record(record):
+    labels = LabelSet(objects=set(int(c) for c in record["objects"]))
+    for c, cat, val in record.get("attributes", ()):
+        labels.attribute_pairs.setdefault(int(c), set()).add((str(cat), str(val)))
+    return labels
+
+
 class TestLabelSerialization:
     def test_round_trip(self, vocab, registry, tmp_path):
         sets = [
@@ -284,9 +291,9 @@ class TestLabelSerialization:
         path = tmp_path / "labels.jsonl"
         save_labels(path, [ls.to_record(img) for img, ls in sets])
         loaded = load_labels(path)
-        assert [r["image_id"] for r in loaded] == ["img0", "img1"]
-        for (_, a), record in zip(sets, loaded):
-            b = LabelSet.from_record(record)
+        assert [(lineno, r["image_id"]) for lineno, r in loaded] == [(1, "img0"), (2, "img1")]
+        for (_, a), (_, record) in zip(sets, loaded):
+            b = label_set_from_record(record)
             assert a.objects == b.objects
             assert a.attribute_pairs == b.attribute_pairs
 
