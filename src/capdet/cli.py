@@ -188,8 +188,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     header, scenes = _load_scenes(args.data)
     try:
         params = scorenet.load_checkpoint(args.checkpoint)
-    except (OSError, ValueError) as e:
-        raise DataError(f"bad checkpoint {args.checkpoint}: {e}") from None
+    except OSError as e:
+        raise DataError(f"bad checkpoint {args.checkpoint}: {e.strerror or e}") from None
+    except ValueError as e:
+        raise DataError(str(e)) from None  # load_checkpoint's messages start with the path
     for key, model_value in (("feature_dim", params.feature_dim), ("class_names", list(params.class_names))):
         if header.get(key) != model_value:
             raise DataError(f"dataset {args.data} and checkpoint {args.checkpoint} disagree on {key}")

@@ -271,7 +271,12 @@ def iter_param_arrays(params: ModelParams) -> Iterator[tuple[str, np.ndarray]]:
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
-    """Magic line, JSON layout header, then the float64 parameters in checkpoint order."""
+    """Magic line, JSON layout header, then the float64 parameters in checkpoint order.
+
+    Non-finite parameters are a ValueError, and no file is written.
+    """
+    if not np.isfinite(params.flat).all():
+        raise ValueError(f"{path}: refusing to write non-finite parameters")
     header = {
         "feature_dim": params.feature_dim,
         "class_names": list(params.class_names),

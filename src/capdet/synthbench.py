@@ -14,9 +14,11 @@ Scenes are deterministic in (master seed, scene index): each scene draws
 from its own stream, so generation order or parallelism cannot change
 the data. Serialization keeps nine significant digits; the in-memory
 scenes hold exactly the serialized values, so a generate/load round trip
-is an identity. A ground-truth box is a plain (x_min, y_min, x_max, y_max)
-tuple of floats; loading checks it, like the proposal boxes, with
-geometry.check_boxes.
+is an identity. A scene's features are rounded in one vectorised pass
+(round_sig_array), bit-identical to the scalar round_sig, which it falls
+back to near half-way points. A ground-truth box is a plain (x_min,
+y_min, x_max, y_max) tuple of floats; loading checks it, like the
+proposal boxes, with geometry.check_boxes.
 """
 
 from __future__ import annotations
@@ -62,9 +64,38 @@ def round_sig(value: float) -> float:
     return float(f"{value:.9g}")
 
 
+# 10**k for k = 0..22, the powers of ten that are exact doubles
+_POW10 = np.array([float(10**k) for k in range(23)])
+
+
 def round_sig_array(arr: np.ndarray) -> np.ndarray:
-    flat = np.asarray(arr, dtype=float).ravel()
-    return np.array([float(f"{v:.9g}") for v in flat]).reshape(np.shape(arr))
+    """round_sig of every entry, bit for bit, in one array pass.
+
+    With k = 8 - floor(log10|v|), the nine-digit decimal is n * 10**-k for
+    n = rint(v * 10**k). For |k| <= 22, 10**k is an exact double, so n / 10**k
+    (or n * 10**-k) is one correctly rounded operation on exact numbers: the
+    double float() reads from that decimal, also when n carries to 1e9. Only
+    t = v * 10**k is inexact, by half an ulp (below 6e-8 for |t| < 1e9), so n
+    can be wrong only when t lies near a half-way point. Those entries,
+    entries whose t falls outside [1e8, 1e9) (a wrong exponent guess), and
+    entries with |k| > 22 (zeros, subnormals, non-finite and extreme
+    magnitudes) go through round_sig, which stays the definition.
+    """
+    values = np.asarray(arr, dtype=float)
+    flat = values.ravel()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        k = 8.0 - np.floor(np.log10(np.abs(flat)))
+        fast = np.abs(k) <= 22
+        k = np.where(fast, k, 0.0).astype(np.int64)
+        scale = _POW10[np.abs(k)]
+        up = k >= 0
+        t = np.where(up, flat * scale, flat / scale)
+        n = np.rint(t)
+        out = np.where(up, n / scale, n * scale)
+        fast &= (np.abs(t) >= 1e8) & (np.abs(t) < 1e9) & (np.abs(np.abs(t - n) - 0.5) > 1e-6)
+    for i in np.flatnonzero(~fast):
+        out[i] = round_sig(float(flat[i]))
+    return out.reshape(values.shape)
 
 
 @dataclass(frozen=True)

@@ -169,7 +169,8 @@ def train(
     """Run the optimization; deterministic in (scenes, config).
 
     Scene order is reshuffled per epoch from the config seed. A non-finite
-    loss aborts immediately, naming the offending scene.
+    loss aborts immediately, naming the offending scene; a non-finite
+    gradient or parameter after an optimizer step aborts naming the step.
     """
     if not scenes:
         raise ValueError("cannot train on an empty dataset")
@@ -215,6 +216,8 @@ def train(
         if not np.isfinite(grad_flat).all():
             raise NumericalError(f"non-finite gradient at step {step}")
         optimizer.step(params.flat, grad_flat)
+        if not np.isfinite(params.flat).all():
+            raise NumericalError(f"non-finite parameters after step {step}")
         if log_sink is not None:
             record = {k: v / config.batch_size for k, v in batch_report.items()}
             record["l_oicr"] = (batch_oicr / config.batch_size).tolist()

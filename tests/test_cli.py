@@ -2,10 +2,12 @@ import argparse
 import json
 import subprocess
 import sys
+from unittest import mock
 
+import numpy as np
 import pytest
 
-from capdet import cli, scorenet
+from capdet import cli, scorenet, trainer
 from capdet.textgraph import default_registry
 from capdet.trainer import TrainConfig
 
@@ -432,16 +434,40 @@ class TestNonFiniteNumbers:
         registry = default_registry()
         cats = {c: tuple(registry.values[c]) for c in registry.categories}
         params = scorenet.init_params(header["feature_dim"], header["class_names"], cats, 1, seed=0)
-        params.flat[:] = value
         ckpt, out = tmp_path / "m.ckpt", tmp_path / "m.json"
         scorenet.save_checkpoint(params, ckpt)
+        # save_checkpoint refuses non-finite parameters, so overwrite the payload
+        payload = np.full(params.flat.size, value).astype("<f8").tobytes()
+        ckpt.write_bytes(ckpt.read_bytes()[: -len(payload)] + payload)
         assert cli.main(["eval", "--data", str(data), "--checkpoint", str(ckpt), "--out", str(out)]) == code
         (err,) = capsys.readouterr().err.splitlines()
         assert message in err and "Traceback" not in err
-        # a load error names the file, a numerical one the scene
-        assert (str(ckpt) if code == 2 else repr(first["image_id"])) in err
+        # a load error names the file once, a numerical one the scene
+        if code == 2:
+            assert err.count(str(ckpt)) == 1
+        else:
+            assert repr(first["image_id"]) in err
         assert not out.exists()
         assert not recwarn.list
+
+    def test_missing_checkpoint_named_once(self, data_dir, tmp_path, capsys):
+        ckpt = tmp_path / "missing.ckpt"
+        args = ["eval", "--data", str(data_dir / "val.jsonl"), "--checkpoint", str(ckpt), "--out", str(tmp_path / "m.json")]
+        assert cli.main(args) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err == f"data error: bad checkpoint {ckpt}: No such file or directory"
+
+    def test_non_finite_parameters_in_training_exit_three(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "m.ckpt"
+
+        def overflowing_step(self, params_flat, grad_flat):
+            params_flat[0] = np.inf
+
+        with mock.patch.object(trainer.Adagrad, "step", overflowing_step):
+            code = cli.main(["train", "--data", str(data_dir / "train.jsonl"), "--out", str(out), "--steps", "2"])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == ["numerical failure: non-finite parameters after step 0"]
+        assert not out.exists()
 
 
 class TestGradcheckCommand:

@@ -445,6 +445,15 @@ class TestCheckpoint:
         assert loaded.class_names == p.class_names
         assert loaded.category_values == p.category_values
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_are_not_written(self, value, tmp_path):
+        p = init_params(6, ("cat",), CATS, 1, seed=0)
+        p.flat[3] = value
+        path = tmp_path / "bad.ckpt"
+        with pytest.raises(ValueError, match="non-finite parameters"):
+            save_checkpoint(p, path)
+        assert not path.exists()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"something else entirely\n")

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +38,30 @@ def universe(registry):
     return make_universe(SynthConfig(), registry, seed=0)
 
 
+def round_sig_loop(arr):
+    """The reference for round_sig_array: round_sig of each entry, one at a time."""
+    values = np.asarray(arr, dtype=float)
+    return np.array([round_sig(float(v)) for v in values.ravel()]).reshape(values.shape)
+
+
+def assert_same_bits(out, ref):
+    """Equal bit patterns, NaN positions compared with isnan."""
+    assert out.dtype == ref.dtype == np.float64 and out.shape == ref.shape
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(out), nan)
+    mismatch = out[~nan].view(np.int64) != ref[~nan].view(np.int64)
+    assert not mismatch.any(), f"{mismatch.sum()} mismatches, first at {out[~nan][mismatch][:3]} vs {ref[~nan][mismatch][:3]}"
+
+
+# decimals exactly half-way between two nine-digit neighbours, and values
+# whose rounding carries into the next power of ten
+HALF_WAY_AND_CARRIES = [
+    "0.1234567885", "-0.1234567885", "123456789.5", "-123456789.5", "1.000000005",
+    "9.9999999995", "9.9999999996", "-9.9999999996", "99999999.96", "999999999.6",
+    "0.99999999995", "9.999999995e30", "1.2345678905e-14", "4.4999999995e22",
+]
+
+
 class TestRoundSig:
     def test_nine_significant_digits(self):
         assert round_sig(0.123456789123) == 0.123456789
@@ -52,7 +78,46 @@ class TestRoundSig:
         arr = np.arange(12, dtype=float).reshape(3, 4) / 7.0
         out = round_sig_array(arr)
         assert out.shape == (3, 4)
-        assert np.allclose(out, arr, atol=1e-8)
+        assert_same_bits(out, round_sig_loop(arr))
+
+
+class TestRoundSigArray:
+    def test_bitwise_equal_to_scalar_loop_over_a_million_draws(self):
+        rng = np.random.default_rng(20201)
+        n = 1_000_000
+        draws = rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 10.0, n) * 10.0 ** rng.uniform(-12.0, 12.0, n)
+        assert_same_bits(round_sig_array(draws), round_sig_loop(draws))
+
+    def test_edge_cases(self):
+        tiny = np.finfo(float).tiny
+        powers = [10.0**p for p in range(-20, 21)] + [float(f"1e{p}") for p in range(-20, 21)]
+        neighbours = [np.nextafter(p, d) for p in powers for d in (0.0, np.inf)]
+        edges = np.array(
+            [0.0, -0.0, 5e-324, -5e-324, tiny / 2, tiny, -tiny, np.inf, -np.inf, np.nan, np.finfo(float).max]
+            + powers
+            + [-p for p in powers]
+            + neighbours
+            + [float(s) for s in HALF_WAY_AND_CARRIES]
+        )
+        assert_same_bits(round_sig_array(edges), round_sig_loop(edges))
+
+    @pytest.mark.parametrize("error", [-1.0, 1.0])
+    def test_wrong_exponent_guess_falls_back(self, error):
+        # a log10 off by one puts every t outside [1e8, 1e9)
+        values = np.random.default_rng(3).standard_normal(1000) * 10.0 ** np.arange(-12, 13).repeat(40)
+        log10 = np.log10
+        with mock.patch.object(np, "log10", lambda x: log10(x) + error):
+            out = round_sig_array(values)
+        assert_same_bits(out, round_sig_loop(values))
+
+    def test_half_way_decimals(self):
+        # every value is a ten-digit decimal ending in 5, so the rounding of
+        # its nearest double depends on which side of half-way that double lies
+        rng = np.random.default_rng(7)
+        digits = rng.integers(10**8, 10**9, 5000)
+        exponents = rng.integers(-20, 21, 5000)
+        values = np.array([float(f"{m}5e{e}") for m, e in zip(digits, exponents)])
+        assert_same_bits(round_sig_array(values), round_sig_loop(values))
 
 
 class TestSynthConfig:
@@ -249,6 +314,13 @@ class TestDatasetIO:
         gen_dataset(universe, 4, [1, 0], path=p1)
         gen_dataset(universe, 4, [1, 0], path=p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_seed0_test_stream_bytes_pinned(self, universe, tmp_path):
+        # the first 20 scenes of the seed-0 test stream, byte for byte
+        path = tmp_path / "test.jsonl"
+        gen_dataset(universe, 20, [0, 2], path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "27621102b06c97a745398c5a9b25ede71fadb71838db13790fbde8b22a1ad889"
 
     def test_header_contents(self, universe, tmp_path):
         path = tmp_path / "data.jsonl"

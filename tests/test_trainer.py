@@ -222,6 +222,22 @@ class TestTrain:
         # object heads did move
         assert not np.array_equal(trained["object[0].weight"], virgin["object[0].weight"])
 
+    def test_non_finite_parameters_abort_naming_the_step(self, small_world, registry):
+        universe, scenes, vocab = small_world
+        real_step = Adagrad.step
+        steps = []
+
+        def overflowing_step(self, params_flat, grad_flat):
+            real_step(self, params_flat, grad_flat)
+            steps.append(None)
+            if len(steps) == 3:
+                params_flat[7] = np.inf  # as when lr * g overflows
+
+        with mock.patch.object(Adagrad, "step", overflowing_step):
+            with pytest.raises(trainer.NumericalError, match="non-finite parameters after step 2"):
+                train(scenes, vocab, registry, TrainConfig(steps=5))
+        assert len(steps) == 3
+
     def test_empty_dataset_rejected(self, registry):
         with pytest.raises(ValueError):
             train([], Vocabulary(("cat",)), registry, TrainConfig(steps=1))
