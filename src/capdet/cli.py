@@ -107,9 +107,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     for split, size in sizes.items():
         if size < 1:
             raise UsageError(f"--{split} must be positive, got {size}")
-    out_dir = Path(args.out)
-    if not out_dir.exists():
-        out_dir.mkdir(parents=True)
     _, registry = _load_vocab_registry(args)
     config = SynthConfig(
         feature_dim=args.feature_dim,
@@ -117,7 +114,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
         cooccur_prob=args.cooccur_prob,
         attr_mention_prob=args.attr_mention_prob,
     )
-    universe = synthbench.make_universe(config, registry, seed=args.seed)
+    try:
+        universe = synthbench.make_universe(config, registry, seed=args.seed)
+    except DataError as e:  # only a --registry file can lack a pool value
+        raise DataError(f"{args.registry}: {e}") from None
+    out_dir = Path(args.out)
+    if not out_dir.exists():
+        out_dir.mkdir(parents=True)
     for split_index, (split, size) in enumerate(sizes.items()):
         path = out_dir / f"{split}.jsonl"
         # each split draws from a disjoint stream keyed by (seed, split)

@@ -10,15 +10,22 @@ confusable partners draw from disjoint color pools, the attribute part
 of the descriptor is what makes them separable; captions are the only
 place that information is spelled out.
 
+The universe is fixed: eight classes, the confusable pairs apple/pear and
+cup/bowl, their attribute pools, the prototype geometry and the shape of
+a scene are constants on SynthConfig. Four settings remain, the ones
+`capdet synth` exposes: feature_dim, noise_sigma, attr_mention_prob and
+cooccur_prob.
+
 Scenes are deterministic in (master seed, scene index): each scene draws
 from its own stream, so generation order or parallelism cannot change
 the data. Serialization keeps nine significant digits; the in-memory
 scenes hold exactly the serialized values, so a generate/load round trip
-is an identity. A scene's features are rounded in one vectorised pass
-(round_sig_array), bit-identical to the scalar round_sig, which it falls
-back to near half-way points. A ground-truth box is a plain (x_min,
-y_min, x_max, y_max) tuple of floats; loading checks it, like the
-proposal boxes, with geometry.check_boxes.
+is an identity. A scene's proposal boxes and features are rounded in
+one vectorised pass each (round_sig_array), bit-identical to the scalar
+round_sig, which it falls back to near half-way points. A ground-truth
+box is a plain (x_min, y_min, x_max, y_max) tuple of floats, rounded
+with round_sig as it is drawn; loading checks it, like the proposal
+boxes, with geometry.check_boxes.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -44,20 +51,6 @@ SCHEMA_VERSION = 1
 
 # prenominal word order used by the caption templates
 _CATEGORY_ORDER = ("size", "shape", "color", "material")
-
-_DEFAULT_CLASSES = ("apple", "pear", "cup", "bowl", "cat", "dog", "chair", "stop sign")
-_DEFAULT_CONFUSABLE = (("apple", "pear"), ("cup", "bowl"))
-_DEFAULT_POOLS: dict[str, dict[str, tuple[str, ...]]] = {
-    "apple": {"color": ("red", "yellow"), "size": ("small", "large")},
-    "pear": {"color": ("green", "brown"), "size": ("small", "large")},
-    "cup": {"color": ("white", "blue"), "size": ("small", "large")},
-    "bowl": {"color": ("black", "orange"), "size": ("small", "large")},
-    "cat": {"color": ("black", "white", "brown"), "size": ("small", "large")},
-    "dog": {"color": ("brown", "black", "white"), "size": ("small", "large")},
-    "chair": {"color": ("blue", "green"), "material": ("wooden", "plastic")},
-    "stop sign": {"color": ("red",), "shape": ("square", "round")},
-}
-
 
 def round_sig(value: float) -> float:
     """Nine significant digits, the precision everything on disk carries."""
@@ -100,50 +93,50 @@ def round_sig_array(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """The four settings `capdet synth` exposes; everything else about the universe is fixed.
+
+    The fixed part (classes, confusable pairs, attribute pools, prototype
+    geometry and scene shape) is class-level constants, readable on any
+    instance.
+    """
+
     feature_dim: int = 64
     noise_sigma: float = 0.1
-    confusable_distance: float = 0.05  # delta
-    attribute_norm: float = 0.35
-    class_names: tuple[str, ...] = _DEFAULT_CLASSES
-    confusable_pairs: tuple[tuple[str, str], ...] = _DEFAULT_CONFUSABLE
-    attribute_pools: Mapping[str, Mapping[str, tuple[str, ...]]] = field(
-        default_factory=lambda: _DEFAULT_POOLS
-    )
-    max_objects: int = 4
-    jitters_per_gt: int = 6
-    background_boxes: int = 10
     attr_mention_prob: float = 0.7  # rho
-    extra_attr_prob: float = 0.4
     cooccur_prob: float = 0.9
-    captions_min: int = 1
-    captions_max: int = 3
+
+    class_names: ClassVar[tuple[str, ...]] = ("apple", "pear", "cup", "bowl", "cat", "dog", "chair", "stop sign")
+    confusable_pairs: ClassVar[tuple[tuple[str, str], ...]] = (("apple", "pear"), ("cup", "bowl"))
+    partners: ClassVar[dict[str, str]] = {a: b for pair in confusable_pairs for a, b in (pair, pair[::-1])}
+    # confusable partners draw from disjoint color pools
+    attribute_pools: ClassVar[dict[str, dict[str, tuple[str, ...]]]] = {
+        "apple": {"color": ("red", "yellow"), "size": ("small", "large")},
+        "pear": {"color": ("green", "brown"), "size": ("small", "large")},
+        "cup": {"color": ("white", "blue"), "size": ("small", "large")},
+        "bowl": {"color": ("black", "orange"), "size": ("small", "large")},
+        "cat": {"color": ("black", "white", "brown"), "size": ("small", "large")},
+        "dog": {"color": ("brown", "black", "white"), "size": ("small", "large")},
+        "chair": {"color": ("blue", "green"), "material": ("wooden", "plastic")},
+        "stop sign": {"color": ("red",), "shape": ("square", "round")},
+    }
+    confusable_distance: ClassVar[float] = 0.05  # delta
+    attribute_norm: ClassVar[float] = 0.35
+    max_objects: ClassVar[int] = 4
+    jitters_per_gt: ClassVar[int] = 6
+    background_boxes: ClassVar[int] = 10
+    extra_attr_prob: ClassVar[float] = 0.4
+    captions_min: ClassVar[int] = 1
+    captions_max: ClassVar[int] = 3
 
     def __post_init__(self) -> None:
         if self.feature_dim < 8:
             raise ValueError(f"feature_dim must be at least 8, got {self.feature_dim}")
-        if len(self.class_names) < 2:
-            raise ValueError("need at least two classes")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
-        if not 0.0 <= self.attr_mention_prob <= 1.0:
-            raise ValueError("attr_mention_prob must lie in [0, 1]")
-        names = set(self.class_names)
-        for a, b in self.confusable_pairs:
-            if a not in names or b not in names or a == b:
-                raise ValueError(f"bad confusable pair ({a!r}, {b!r})")
-        for name in self.class_names:
-            if name not in self.attribute_pools or "color" not in self.attribute_pools[name]:
-                raise ValueError(f"class {name!r} needs an attribute pool with at least a color entry")
-        if not 1 <= self.captions_min <= self.captions_max <= 5:
-            raise ValueError("caption count bounds must satisfy 1 <= min <= max <= 5")
-
-    def partner(self, name: str) -> str | None:
-        for a, b in self.confusable_pairs:
-            if name == a:
-                return b
-            if name == b:
-                return a
-        return None
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and non-negative, got {self.noise_sigma}")
+        for name in ("attr_mention_prob", "cooccur_prob"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
 @dataclass
@@ -164,8 +157,14 @@ def make_universe(config: SynthConfig, registry: AttributeRegistry, seed: int) -
     Confusable partners end up delta/2 apart; every other class pair (and
     the background) must clear 4*delta. Anchors are unit vectors redrawn
     until they are comfortably spread, which a small feature_dim may make
-    impossible.
+    impossible. A registry that lacks a value the attribute pools draw is
+    a DataError.
     """
+    for pools in config.attribute_pools.values():
+        for cat, vals in pools.items():
+            for val in vals:
+                if val not in registry.values.get(cat, ()):
+                    raise DataError(f"registry lacks {(cat, val)}, which the synthetic attribute pools draw")
     rng = np.random.default_rng(seed)
     delta = config.confusable_distance
     names = config.class_names
@@ -285,7 +284,7 @@ def _sample_attributes(rng: np.random.Generator, config: SynthConfig, name: str)
     color_pool = pools["color"]
     attrs = [("color", str(color_pool[rng.integers(len(color_pool))]))]
     extras = [c for c in _CATEGORY_ORDER if c != "color" and c in pools]
-    if extras and rng.random() < config.extra_attr_prob:
+    if rng.random() < config.extra_attr_prob:
         cat = extras[int(rng.integers(len(extras)))]
         pool = pools[cat]
         attrs.append((cat, str(pool[rng.integers(len(pool))])))
@@ -296,10 +295,10 @@ def _sample_classes(rng: np.random.Generator, config: SynthConfig) -> list[str]:
     count = int(rng.integers(1, config.max_objects + 1))
     pool = list(config.class_names)
     chosen: list[str] = []
-    while len(chosen) < count and pool:
+    while len(chosen) < count:
         name = pool.pop(int(rng.integers(len(pool))))
         chosen.append(name)
-        partner = config.partner(name)
+        partner = config.partners.get(name)
         if partner in pool and len(chosen) < count and rng.random() < config.cooccur_prob:
             pool.remove(partner)
             chosen.append(partner)
@@ -390,27 +389,18 @@ def generate_scene(
     rng = np.random.default_rng(list(stream_key))
     class_index = {n: i for i, n in enumerate(config.class_names)}
 
-    chosen = _sample_classes(rng, config)
-    objects: list[tuple[str, int, list[tuple[str, str]]]] = []
-    for name in chosen:
-        objects.append((name, class_index[name], _sample_attributes(rng, config, name)))
-    # confusable partners present together must disagree on color
-    by_name = {name: attrs for name, _, attrs in objects}
-    cooccurring: set[str] = set()
-    for a, b in config.confusable_pairs:
-        if a in by_name and b in by_name:
-            cooccurring.update((a, b))
-            color_a = dict(by_name[a])["color"]
-            pool_b = [v for v in config.attribute_pools[b]["color"] if v != color_a]
-            if pool_b and dict(by_name[b])["color"] == color_a:
-                value = pool_b[int(rng.integers(len(pool_b)))]
-                attrs_b = by_name[b]
-                attrs_b[[c for c, _ in attrs_b].index("color")] = ("color", value)
+    objects = [
+        (name, class_index[name], _sample_attributes(rng, config, name)) for name in _sample_classes(rng, config)
+    ]
+    # confusable partners present together; their captions always state the color, which the disjoint pools make differ
+    present = {name for name, _, _ in objects}
+    cooccurring = {name for name in present if config.partners.get(name) in present}
 
     gt: list[GroundTruth] = []
-    boxes: list[list[float]] = []
+    boxes: list[Sequence[float]] = []  # rounded in one pass below
     features: list[np.ndarray] = []
     for name, c_idx, attrs in objects:
+        # rounded now, not with the proposals: the jitters start from the box as written
         gt_box = tuple(round_sig(v) for v in _sample_gt_box(rng))
         gt.append(GroundTruth(box=gt_box, class_index=c_idx, attributes=list(attrs)))
         base = universe.class_prototypes[c_idx].copy()
@@ -418,8 +408,7 @@ def generate_scene(
             base = base + universe.attribute_prototypes[(cat, val)]
         for j in range(config.jitters_per_gt):
             target = float(rng.uniform(0.55, 0.85)) if j == 0 else float(rng.uniform(0.3, 0.9))
-            jittered = _jitter_box(rng, gt_box, target)
-            boxes.append([round_sig(v) for v in jittered])
+            boxes.append(_jitter_box(rng, gt_box, target))
             noise = config.noise_sigma * rng.standard_normal(config.feature_dim)
             features.append(base + noise)
     for _ in range(config.background_boxes):
@@ -427,14 +416,14 @@ def generate_scene(
         h = float(rng.uniform(0.08, 0.25))
         x0 = float(rng.uniform(0.0, 1.0 - w))
         y0 = float(rng.uniform(0.0, 1.0 - h))
-        boxes.append([round_sig(v) for v in (x0, y0, x0 + w, y0 + h)])
+        boxes.append((x0, y0, x0 + w, y0 + h))
         noise = config.noise_sigma * rng.standard_normal(config.feature_dim)
         features.append(universe.background_prototype + noise)
 
     facts = CaptionFacts()
     captions = _build_captions(rng, config, objects, cooccurring, facts)
     proposals = RegionSet(
-        boxes=np.asarray(boxes, dtype=float),
+        boxes=round_sig_array(np.asarray(boxes, dtype=float)),
         features=round_sig_array(np.stack(features)),
     )
     return SyntheticScene(image_id=image_id, gt=gt, proposals=proposals, captions=captions), facts

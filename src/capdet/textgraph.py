@@ -39,6 +39,8 @@ _MULTIWORD_PREPOSITIONS = (
 )
 # Tokens that neither stop nor contribute to an adjective scan.
 _CONNECTORS = frozenset("and very quite really".split())
+# An adjective scan looks at most this many tokens away from its noun.
+_MAX_MODIFIER_SPAN = 4
 
 _LEMMA_EXCEPTIONS = {
     "men": "man",
@@ -207,12 +209,13 @@ def default_registry() -> AttributeRegistry:
 class TextualSceneGraph:
     """Parsed view of one caption.
 
-    objects holds (surface form, class index or None) per mention, in
-    caption order. attributes and relations refer to objects by position.
-    Relations are inert metadata; nothing downstream trains on them.
+    objects holds (surface form, class index) per matched mention, in
+    caption order; text that matches no class makes no entry. attributes
+    and relations refer to objects by position. Relations are inert
+    metadata; nothing downstream trains on them.
     """
 
-    objects: list[tuple[str, int | None]] = field(default_factory=list)
+    objects: list[tuple[str, int]] = field(default_factory=list)
     attributes: list[tuple[int, str, str]] = field(default_factory=list)
     relations: list[tuple[int, str, int]] = field(default_factory=list)
 
@@ -276,7 +279,6 @@ def _scan_modifiers(
     step: int,
     registry: AttributeRegistry,
     stats: ParseStats,
-    max_span: int = 4,
 ) -> list[tuple[str, str]]:
     """Collect registry words walking from `start` in direction `step`.
 
@@ -287,7 +289,7 @@ def _scan_modifiers(
     found: list[tuple[str, str]] = []
     k = start
     span = 0
-    while 0 <= k < len(lemmas) and span < max_span:
+    while 0 <= k < len(lemmas) and span < _MAX_MODIFIER_SPAN:
         if occupied[k]:
             break
         raw, lemma = tokens[k], lemmas[k]
@@ -385,7 +387,7 @@ def extract_labels(
 ) -> LabelSet:
     """Union of per-caption graphs, reduced to class-level supervision.
 
-    Unmatched mentions are discarded. Within each (class, category) the
+    Text that matches no vocabulary class yields no label. Within each (class, category) the
     first value seen wins, scanning captions in order; later conflicting
     mentions are dropped.
     """
@@ -397,16 +399,9 @@ def extract_labels(
     claimed: set[tuple[int, str]] = set()
     for caption in captions:
         graph = _parse_caption(caption, vocab, registry, stats)
-        class_of: dict[int, int] = {}
-        for pos, (_, idx) in enumerate(graph.objects):
-            if idx is None:
-                continue
-            class_of[pos] = idx
-            labels.objects.add(idx)
+        labels.objects.update(idx for _, idx in graph.objects)
         for pos, cat, val in graph.attributes:
-            if pos not in class_of:
-                continue
-            c = class_of[pos]
+            c = graph.objects[pos][1]
             if (c, cat) in claimed:
                 continue
             claimed.add((c, cat))

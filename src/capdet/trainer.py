@@ -117,17 +117,18 @@ class TrainConfig:
 
 
 class Adagrad:
-    """Accumulate squared gradients; scale each step by 1 / (sqrt(accum) + eps)."""
+    """Accumulate squared gradients; scale each step by 1 / (sqrt(accum) + EPS)."""
 
-    def __init__(self, size: int, learning_rate: float, eps: float = 1e-8):
+    EPS = 1e-8
+
+    def __init__(self, size: int, learning_rate: float):
         self.learning_rate = learning_rate
-        self.eps = eps
         self.accum = np.zeros(size)
 
     def step(self, params_flat: np.ndarray, grad_flat: np.ndarray) -> None:
         """Update params_flat in place."""
         self.accum += grad_flat * grad_flat
-        params_flat -= self.learning_rate * grad_flat / (np.sqrt(self.accum) + self.eps)
+        params_flat -= self.learning_rate * grad_flat / (np.sqrt(self.accum) + self.EPS)
 
 
 def compile_labels(labels: LabelSet, params: ModelParams, config: TrainConfig) -> Supervision:
@@ -170,7 +171,8 @@ def train(
 
     Scene order is reshuffled per epoch from the config seed. A non-finite
     loss aborts immediately, naming the offending scene; a non-finite
-    gradient or parameter after an optimizer step aborts naming the step.
+    gradient or parameter after an optimizer step aborts naming the step;
+    the steps run without numpy floating-point warnings.
     """
     if not scenes:
         raise ValueError("cannot train on an empty dataset")
@@ -190,39 +192,41 @@ def train(
     order = order_rng.permutation(len(scenes))
     cursor = 0
 
-    for step in range(config.steps):
-        grad_flat = np.zeros_like(params.flat)
-        batch_report: dict[str, float] = {"l_obj": 0.0, "l_entang": 0.0, "l_mid": 0.0, "l_total": 0.0}
-        batch_oicr = np.zeros(config.num_heads)
-        for _ in range(config.batch_size):
-            if cursor >= len(order):
-                order = order_rng.permutation(len(scenes))
-                cursor = 0
-            scene = scenes[order[cursor]]
-            sup = sups[order[cursor]]
-            cursor += 1
-            report, _, scores = scene_loss(params, scene.proposals, sup, config)
-            if not np.isfinite(report.l_total):
-                raise NumericalError(
-                    f"non-finite loss at step {step} on scene {scene.image_id!r}: {report.l_total}"
-                )
-            grad_flat += scorenet.param_gradients(params, scene.proposals, scores, report.grad, report.grad_image)
-            batch_report["l_obj"] += report.l_obj
-            batch_report["l_entang"] += report.l_entang
-            batch_report["l_mid"] += report.l_mid
-            batch_report["l_total"] += report.l_total
-            batch_oicr += np.asarray(report.l_oicr)
-        grad_flat /= config.batch_size
-        if not np.isfinite(grad_flat).all():
-            raise NumericalError(f"non-finite gradient at step {step}")
-        optimizer.step(params.flat, grad_flat)
-        if not np.isfinite(params.flat).all():
-            raise NumericalError(f"non-finite parameters after step {step}")
-        if log_sink is not None:
-            record = {k: v / config.batch_size for k, v in batch_report.items()}
-            record["l_oicr"] = (batch_oicr / config.batch_size).tolist()
-            record["step"] = step
-            log_sink(record)
+    # overflow ends the run through the checks below, with one message and no warnings
+    with np.errstate(all="ignore"):
+        for step in range(config.steps):
+            grad_flat = np.zeros_like(params.flat)
+            batch_report: dict[str, float] = {"l_obj": 0.0, "l_entang": 0.0, "l_mid": 0.0, "l_total": 0.0}
+            batch_oicr = np.zeros(config.num_heads)
+            for _ in range(config.batch_size):
+                if cursor >= len(order):
+                    order = order_rng.permutation(len(scenes))
+                    cursor = 0
+                scene = scenes[order[cursor]]
+                sup = sups[order[cursor]]
+                cursor += 1
+                report, _, scores = scene_loss(params, scene.proposals, sup, config)
+                if not np.isfinite(report.l_total):
+                    raise NumericalError(
+                        f"non-finite loss at step {step} on scene {scene.image_id!r}: {report.l_total}"
+                    )
+                grad_flat += scorenet.param_gradients(params, scene.proposals, scores, report.grad, report.grad_image)
+                batch_report["l_obj"] += report.l_obj
+                batch_report["l_entang"] += report.l_entang
+                batch_report["l_mid"] += report.l_mid
+                batch_report["l_total"] += report.l_total
+                batch_oicr += np.asarray(report.l_oicr)
+            grad_flat /= config.batch_size
+            if not np.isfinite(grad_flat).all():
+                raise NumericalError(f"non-finite gradient at step {step}")
+            optimizer.step(params.flat, grad_flat)
+            if not np.isfinite(params.flat).all():
+                raise NumericalError(f"non-finite parameters after step {step}")
+            if log_sink is not None:
+                record = {k: v / config.batch_size for k, v in batch_report.items()}
+                record["l_oicr"] = (batch_oicr / config.batch_size).tolist()
+                record["step"] = step
+                log_sink(record)
     return params
 
 

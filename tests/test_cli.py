@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -64,6 +65,49 @@ class TestSynth:
         assert code == 1
         assert "--test must be positive" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.jsonl"))
+
+    def test_four_settings_pinned(self, tmp_path):
+        # every setting off its default; any change to the fixed universe or to the draw order shows here
+        out = tmp_path / "out"
+        args = ["synth", "--out", str(out), "--seed", "3", "--train", "10", "--val", "3", "--test", "3"]
+        args += ["--feature-dim", "16", "--noise-sigma", "0.2", "--cooccur-prob", "0.5", "--attr-mention-prob", "0.4"]
+        assert cli.main(args) == 0
+        digests = {s: hashlib.sha256((out / f"{s}.jsonl").read_bytes()).hexdigest() for s in ("train", "val", "test")}
+        assert digests == {
+            "train": "b9d428cb9030053f8a8ef6d02115344604b87821dd728e7c8ac98ece7d84cfb6",
+            "val": "3a0545d970503631621b96dd610cbf8316fe5996dd3345545e6c562a3660d55f",
+            "test": "25b5c06ce6c0e43a7c0d29b60c7df7da512b27f27206c7db023143883989af39",
+        }
+
+    def test_registry_without_a_pool_value_is_a_data_error(self, tmp_path, capsys):
+        registry = default_registry()
+        categories = [{"name": c, "values": [v for v in registry.values[c] if v != "brown"]} for c in registry.categories]
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({"categories": categories}))
+        out = tmp_path / "out"
+        assert cli.main(["synth", "--out", str(out), "--registry", str(path)]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"data error: {path}: ") and "('color', 'brown')" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--cooccur-prob", "2"),
+            ("--cooccur-prob", "-0.1"),
+            ("--cooccur-prob", "nan"),
+            ("--attr-mention-prob", "1.5"),
+            ("--noise-sigma", "-1"),
+            ("--noise-sigma", "nan"),
+            ("--noise-sigma", "inf"),
+        ],
+    )
+    def test_out_of_range_setting_is_a_usage_error(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["synth", "--out", str(out), flag, value]) == 1
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith("usage error: " + flag[2:].replace("-", "_") + " must ")
+        assert not out.exists()
 
 
 class TestParse:
@@ -467,6 +511,16 @@ class TestNonFiniteNumbers:
             code = cli.main(["train", "--data", str(data_dir / "train.jsonl"), "--out", str(out), "--steps", "2"])
         assert code == 3
         assert capsys.readouterr().err.splitlines() == ["numerical failure: non-finite parameters after step 0"]
+        assert not out.exists()
+
+    def test_overflowing_learning_rate_is_one_line(self, data_dir, tmp_path):
+        # a real process, so numpy warnings would reach its stderr
+        out = tmp_path / "m.ckpt"
+        args = ["train", "--data", str(data_dir / "train.jsonl"), "--out", str(out), "--steps", "5", "--learning-rate", "1e308"]
+        result = subprocess.run([sys.executable, "-m", "capdet.cli", *args], capture_output=True, text=True)
+        assert result.returncode == 3
+        (err,) = result.stderr.splitlines()
+        assert err.startswith("numerical failure: non-finite loss at step 1 ")
         assert not out.exists()
 
 

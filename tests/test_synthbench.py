@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from unittest import mock
@@ -125,27 +126,21 @@ class TestSynthConfig:
         SynthConfig()
 
     def test_partner_lookup(self):
-        cfg = SynthConfig()
-        assert cfg.partner("apple") == "pear"
-        assert cfg.partner("pear") == "apple"
-        assert cfg.partner("cat") is None
+        partners = SynthConfig.partners
+        assert partners["apple"] == "pear"
+        assert partners["pear"] == "apple"
+        assert "cat" not in partners
 
     def test_small_feature_dim_rejected(self):
         with pytest.raises(ValueError):
             SynthConfig(feature_dim=4)
 
-    def test_confusable_pair_must_use_known_classes(self):
-        with pytest.raises(ValueError):
-            SynthConfig(confusable_pairs=(("apple", "zebra"),))
-
-    def test_every_class_needs_color_pool(self):
-        pools = {"apple": {"size": ("small",)}, "pear": {"color": ("green",)}}
-        with pytest.raises(ValueError):
-            SynthConfig(
-                class_names=("apple", "pear"),
-                confusable_pairs=(),
-                attribute_pools=pools,
-            )
+    def test_only_the_four_settings_are_constructor_fields(self):
+        assert [f.name for f in dataclasses.fields(SynthConfig)] == [
+            "feature_dim", "noise_sigma", "attr_mention_prob", "cooccur_prob",
+        ]
+        with pytest.raises(TypeError):
+            SynthConfig(max_objects=2)
 
 
 class TestMakeUniverse:
@@ -177,19 +172,13 @@ class TestMakeUniverse:
                 norm = np.linalg.norm(universe.attribute_prototypes[(cat, val)])
                 assert norm == pytest.approx(cfg.attribute_norm)
 
-    def test_infeasible_raises(self, registry):
-        # ten classes cannot sit pairwise >= 1 apart on the unit sphere in
-        # tiny dimension with comfortable margin every time; the loop gives up
-        cfg = SynthConfig(
-            feature_dim=8,
-            confusable_distance=0.3,
-            class_names=tuple(f"c{i}" for i in range(10)),
-            confusable_pairs=(),
-            attribute_pools={f"c{i}": {"color": ("red",)} for i in range(10)},
-        )
-        # 5.5 * 0.3 = 1.65 min gap over 10 anchors in R^8 is out of reach
+    def test_infeasible_raises(self, registry, monkeypatch):
+        # six anchors (one per pair, one per free class) plus the background
+        # need a pairwise gap of 5.5 * 0.3 = 1.65 on the unit sphere; seven
+        # unit vectors can be at most sqrt(7/3) ~ 1.53 apart, so every draw fails
+        monkeypatch.setattr(SynthConfig, "confusable_distance", 0.3)
         with pytest.raises(ValueError, match="separation"):
-            make_universe(cfg, registry, seed=0)
+            make_universe(SynthConfig(feature_dim=8), registry, seed=0)
 
 
 class TestJitterBox:

@@ -133,7 +133,7 @@ class TestParseCaption:
         graph = parse_scene_graph(
             "a red apple next to the pear", vocab, registry,
         )
-        names = [vocab.class_names[i] for _, i in graph.objects if i is not None]
+        names = [vocab.class_names[i] for _, i in graph.objects]
         assert names == ["apple", "pear"]
         apple_pos = names.index("apple")
         assert (apple_pos, "color", "red") in graph.attributes
@@ -144,7 +144,7 @@ class TestParseCaption:
 
     def test_reference_caption_two(self, vocab, registry):
         graph = parse_scene_graph("the stop sign is red", vocab, registry)
-        names = [vocab.class_names[i] for _, i in graph.objects if i is not None]
+        names = [vocab.class_names[i] for _, i in graph.objects]
         assert names == ["stop sign"]
         assert graph.attributes == [(0, "color", "red")]
         assert graph.relations == []
@@ -197,7 +197,7 @@ class TestParseCaption:
     def test_determiner_blocks_scan(self, vocab, registry):
         # "red" belongs to apple, not pear: determiner stops the backward scan
         graph = parse_scene_graph("a red apple and a pear", vocab, registry)
-        names = [vocab.class_names[i] for _, i in graph.objects if i is not None]
+        names = [vocab.class_names[i] for _, i in graph.objects]
         pear_pos = names.index("pear")
         assert not any(pos == pear_pos for pos, _, _ in graph.attributes)
 
@@ -215,7 +215,7 @@ class TestParseCaption:
     def test_bigram_takes_priority(self, vocab, registry):
         # "stop sign" must not leave a stray unmatched "sign" token
         graph = parse_scene_graph("a red stop sign", vocab, registry)
-        names = [vocab.class_names[i] for _, i in graph.objects if i is not None]
+        names = [vocab.class_names[i] for _, i in graph.objects]
         assert names == ["stop sign"]
         assert (0, "color", "red") in graph.attributes
 
@@ -225,7 +225,7 @@ class TestParseCaption:
 
     def test_unmatched_nouns_do_not_create_objects(self, vocab, registry):
         graph = parse_scene_graph("a zebra near the dog", vocab, registry)
-        matched = [i for _, i in graph.objects if i is not None]
+        matched = [i for _, i in graph.objects]
         assert len(matched) == 1
 
 
@@ -339,7 +339,7 @@ class TestParserNeverRaises:
     def test_parse_scene_graph(self, caption):
         vocab = default_vocabulary()
         graph = parse_scene_graph(caption, vocab, _REGISTRY)
-        assert all(idx is None or 0 <= idx < vocab.num_classes for _, idx in graph.objects)
+        assert all(0 <= idx < vocab.num_classes for _, idx in graph.objects)
         for pos, cat, val in graph.attributes:
             assert 0 <= pos < len(graph.objects) and val in _REGISTRY.values[cat]
         for subject, _, obj in graph.relations:
