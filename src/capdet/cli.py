@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -206,6 +207,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise UsageError(f"--tolerance must be finite and positive, got {args.tolerance}")
     result = gradcheck.run_gradient_check(
         trials=args.trials, seed=args.seed, coords_per_trial=args.coords, step=args.step
     )

@@ -23,6 +23,8 @@ at once from the stacked previous-head scores, and the refinement terms
 of all heads are one gather for the object term and one np.add.at per
 coupled factor. The overlap mask (IoU >= tau between every pair of a
 scene's boxes) is built once per scene-step and shared by every head.
+The refinement terms also score stacked scores (leading axes, as
+weakloss describes) against one frozen PseudoLabels.
 """
 
 from __future__ import annotations
@@ -98,46 +100,54 @@ def build_pseudo_labels(scores: Scores, sup: Supervision, boxes: np.ndarray, tau
     )
 
 
-def refinement_terms(scores: Scores, pseudo: PseudoLabels | None) -> tuple[list[float], np.ndarray]:
-    """Per-head loss values plus their gradient with respect to scores.heads.
+def refinement_terms(scores: Scores, pseudo: PseudoLabels | None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-head loss values (..., K) plus their gradient with respect to scores.heads.
 
     Head k's value is the weighted cross-entropy -(1/m) sum w_i log s[i, label_i]
     plus, when it has coupled assignments, their cross-entropy averaged per
     assignment: the attribute factor at every head, the object factor from
     head 2 on (head 1's object head already has its own labels). Assignments
-    sharing a score cell add up their gradients there.
+    sharing a score cell add up their gradients there. Scores with leading
+    axes are scored slice by slice against the same frozen supervision.
     """
     grad = np.zeros_like(scores.heads)
     grad_objects, grad_attributes = scores.split(grad)
-    k, m, _ = scores.objects.shape
+    *lead, k, m, _ = scores.objects.shape
     if pseudo is None:
-        return [0.0] * k, grad
+        return np.zeros((*lead, k)), grad
     if pseudo.labels.shape != (k, m):
         raise ValueError(f"pseudo-labels cover {pseudo.labels.shape} (head, region) cells, scores have {(k, m)}")
-    heads, rows = np.arange(k)[:, None], np.arange(m)
-    p = clamp_prob(scores.objects[heads, rows, pseudo.labels])
-    grad_objects[heads, rows, pseudo.labels] += -pseudo.weights / (m * p)  # one cell per (head, region)
-    values = -np.sum(pseudo.weights * np.log(p), axis=1) / m
+    cells = (..., np.arange(k)[:, None], np.arange(m), pseudo.labels)
+    # a gather behind a leading ... puts that axis innermost in memory; in C
+    # order, every sum below adds each slice's terms as it would alone
+    p = np.ascontiguousarray(clamp_prob(scores.objects[cells]))
+    grad_objects[cells] += -pseudo.weights / (m * p)  # one cell per (head, region)
+    values = -np.sum(pseudo.weights * np.log(p), axis=-1) / m
 
     h, r = pseudo.heads, pseudo.regions
     if h.size:
         counts = np.bincount(h, minlength=k)
         n = counts[h]
-        p_attr = clamp_prob(scores.attributes[h, r, pseudo.columns])
+        at = (..., h, r, pseudo.columns)
+        p_attr = np.ascontiguousarray(clamp_prob(scores.attributes[at]))
         # np.add.at, not fancy-index assignment: cells hit twice must accumulate
-        np.add.at(grad_attributes, (h, r, pseudo.columns), -1.0 / (n * p_attr))
+        np.add.at(grad_attributes, at, -1.0 / (n * p_attr))
         both = h > 0
-        at = (h[both], r[both], pseudo.classes[both])
-        p_obj = clamp_prob(scores.objects[at])
+        at = (..., h[both], r[both], pseudo.classes[both])
+        p_obj = np.ascontiguousarray(clamp_prob(scores.objects[at]))
         # summed in its own zero array and added once: accumulating straight
         # onto the refinement gradient would round differently
         coupled_objects = np.zeros_like(grad_objects)
         np.add.at(coupled_objects, at, -1.0 / (n[both] * p_obj))
         grad_objects += coupled_objects
         log_attr, log_obj = np.log(p_attr), np.log(p_obj)
+        # assignments come head by head, so each head's are one slice; the
+        # object factors skip head 1's
+        ends = np.cumsum(counts)
         for j in np.flatnonzero(counts):
-            total = -log_attr[h == j].sum()
+            start, end = ends[j] - counts[j], ends[j]
+            total = -log_attr[..., start:end].sum(axis=-1)
             if j > 0:
-                total -= log_obj[h[both] == j].sum()
-            values[j] += total / counts[j]
-    return values.tolist(), grad
+                total -= log_obj[..., start - counts[0] : end - counts[0]].sum(axis=-1)
+            values[..., j] += total / counts[j]
+    return values, grad

@@ -16,9 +16,12 @@ one affine map from d to P = K(C+1) + K*V + 2C columns, in this order:
     det        C       the stream normalized over regions
     cls        C       the sigmoid gate
 
-Forward is one matmul, one softmax over the (m, K, C+1) view of the
-object columns and one per category over the (m, K, V) view of the
-attribute columns. Backward builds one (m, P) gradient of the map's
+Forward is one matmul (logits), then head_scores: one softmax over the
+(m, K, C+1) view of the object columns and one per category over the
+(m, K, V) view of the attribute columns. head_scores also takes a stack
+of logit arrays over the same regions, (..., m, P), and scores each
+slice exactly as it would alone; the gradient check scores all its
+probes that way. Backward builds one (m, P) gradient of the map's
 outputs and pulls it back through one matmul.
 
 All parameters live in one flat float64 buffer, the packed map row by
@@ -61,9 +64,10 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
 
 
 def softmax_cols(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=0, keepdims=True)
+    """Softmax over axis -2, the regions of an (..., m, C) array."""
+    z = z - z.max(axis=-2, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=0, keepdims=True)
+    return e / e.sum(axis=-2, keepdims=True)
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -161,13 +165,15 @@ class RegionSet:
 
 @dataclass
 class Scores:
-    """Forward's output for one region set.
+    """Forward's output for one region set, or for a stack of logit arrays over it.
 
     heads holds every head's probabilities in the packed column order,
     the K object blocks and then the K attribute blocks; objects and
     attributes are views into it, and split takes the same views of any
     array laid out like it, such as a gradient. The evidence block's
-    streams are kept for the backward pass.
+    streams are kept for the backward pass. Every array may carry
+    leading axes (...) ahead of the shapes below, one per stacked logit
+    array; a single scene has none.
     """
 
     heads: np.ndarray  # (m, K(C + 1) + K * V)
@@ -183,12 +189,13 @@ class Scores:
         self.objects, self.attributes = self.split(self.heads)
 
     def split(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(K, m, C + 1) and (K, m, V) views of the head columns of a, laid out like heads."""
-        m, k = len(a), self.num_heads
-        n_obj = k * (self.image_level.size + 1)
-        v = (self.heads.shape[1] - n_obj) // k
-        objects = a[:, :n_obj].reshape(m, k, -1).transpose(1, 0, 2)
-        return objects, a[:, n_obj : n_obj + k * v].reshape(m, k, v).transpose(1, 0, 2)
+        """(..., K, m, C + 1) and (..., K, m, V) views of the head columns of a, laid out like heads."""
+        k = self.num_heads
+        n_obj = k * (self.image_level.shape[-1] + 1)
+        v = (self.heads.shape[-1] - n_obj) // k
+        lead = a.shape[:-1]
+        objects = a[..., :n_obj].reshape(lead + (k, -1)).swapaxes(-3, -2)
+        return objects, a[..., n_obj : n_obj + k * v].reshape(lead + (k, v)).swapaxes(-3, -2)
 
 
 def init_params(
@@ -208,22 +215,36 @@ def init_params(
     return params
 
 
-def forward(params: ModelParams, regions: RegionSet) -> Scores:
+def logits(params: ModelParams, regions: RegionSet) -> np.ndarray:
+    """The packed map's (m, P) outputs for a region set."""
     x = regions.features
     if x.shape[1] != params.feature_dim:
         raise ValueError(f"feature dim {x.shape[1]} does not match model dim {params.feature_dim}")
     w = params.packed
-    z = x @ w[:-1] + w[-1]
-    gate = sigmoid(z[:, params.cls_cols])
-    region_dist = softmax_cols(z[:, params.det_cols])
+    return x @ w[:-1] + w[-1]
+
+
+def head_scores(params: ModelParams, z: np.ndarray) -> Scores:
+    """Every head's scores from logits z of shape (..., m, P).
+
+    Leading axes stack independent logit arrays over the same regions;
+    region reductions run over axis -2, so each (m, P) slice scores
+    exactly as it would alone.
+    """
+    gate = sigmoid(z[..., params.cls_cols])
+    region_dist = softmax_cols(z[..., params.det_cols])
     per_region = gate * region_dist
-    heads = np.empty((len(x), params.attribute_cols.stop))
-    scores = Scores(heads, params.num_heads, gate, region_dist, per_region, sigmoid(per_region.sum(axis=0)))
+    heads = np.empty(z.shape[:-1] + (params.attribute_cols.stop,))
+    scores = Scores(heads, params.num_heads, gate, region_dist, per_region, sigmoid(per_region.sum(axis=-2)))
     z_objects, z_attributes = scores.split(z)
     scores.objects[:] = softmax_rows(z_objects)
     for cols in params.category_slices.values():
-        scores.attributes[:, :, cols] = softmax_rows(z_attributes[:, :, cols])
+        scores.attributes[..., cols] = softmax_rows(z_attributes[..., cols])
     return scores
+
+
+def forward(params: ModelParams, regions: RegionSet) -> Scores:
+    return head_scores(params, logits(params, regions))
 
 
 def _softmax_rows_backward(s: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -231,7 +252,7 @@ def _softmax_rows_backward(s: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 def _softmax_cols_backward(s: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    return s * (grad - (grad * s).sum(axis=0, keepdims=True))
+    return s * (grad - (grad * s).sum(axis=-2, keepdims=True))
 
 
 def param_gradients(

@@ -127,12 +127,18 @@ class SynthConfig:
     extra_attr_prob: ClassVar[float] = 0.4
     captions_min: ClassVar[int] = 1
     captions_max: ClassVar[int] = 3
+    # prototypes are unit vectors (confusable partners 0.025 apart): noise this
+    # large has long erased the signal, yet keeps training far from overflow
+    max_noise_sigma: ClassVar[float] = 1e3
 
     def __post_init__(self) -> None:
         if self.feature_dim < 8:
             raise ValueError(f"feature_dim must be at least 8, got {self.feature_dim}")
-        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ValueError(f"noise_sigma must be finite and non-negative, got {self.noise_sigma}")
+        if not 0 <= self.noise_sigma <= self.max_noise_sigma:
+            raise ValueError(
+                f"noise_sigma must lie in [0, {self.max_noise_sigma:g}] (class prototypes are unit vectors, "
+                f"so noise hides them long before features overflow), got {self.noise_sigma}"
+            )
         for name in ("attr_mention_prob", "cooccur_prob"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:

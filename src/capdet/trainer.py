@@ -149,9 +149,15 @@ def scene_loss(
     scores = scorenet.forward(params, regions)
     if pseudo is None:
         pseudo = oicr.build_pseudo_labels(scores, sup, regions.boxes, config.tau)
+    return frozen_loss(scores, sup, config, pseudo), pseudo, scores
+
+
+def frozen_loss(
+    scores: scorenet.Scores, sup: Supervision, config: TrainConfig, pseudo: oicr.PseudoLabels | None
+) -> LossReport:
+    """The loss of scores against frozen refinement supervision; stacked scores give a value per slice."""
     values, grad = oicr.refinement_terms(scores, pseudo)
-    report = weakloss.total_loss(scores, sup, config.lambda1, config.lambda2, values, grad)
-    return report, pseudo, scores
+    return weakloss.total_loss(scores, sup, config.lambda1, config.lambda2, values, grad)
 
 
 def label_scenes(

@@ -100,6 +100,8 @@ class TestSynth:
             ("--noise-sigma", "-1"),
             ("--noise-sigma", "nan"),
             ("--noise-sigma", "inf"),
+            ("--noise-sigma", "1e308"),
+            ("--noise-sigma", "1e300"),
         ],
     )
     def test_out_of_range_setting_is_a_usage_error(self, flag, value, tmp_path, capsys):
@@ -539,6 +541,33 @@ class TestGradcheckCommand:
         assert captured.out.startswith("FAIL")
         assert "numerical failure" in captured.err
 
+    def test_non_finite_error_fails(self, capsys):
+        original = scorenet.param_gradients
+
+        def broken(*args):
+            grad = original(*args)
+            grad[0] = np.nan  # packed[0, 0], the first weight of object head 0
+            return grad
+
+        with mock.patch.object(scorenet, "param_gradients", broken):
+            code = cli.main(["gradcheck", "--trials", "2", "--coords", "1000000"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out.startswith("FAIL: 2 configs, ")
+        assert "max relative error nan (worst: trial 0, object[0].weight[0])" in captured.out
+        (err,) = captured.err.splitlines()
+        assert err == "numerical failure: gradient check failed: nan >= 1.0e-04"
+
+    def test_overflowing_step_is_one_line(self):
+        # a real process, so numpy warnings would reach its stderr
+        args = ["gradcheck", "--trials", "2", "--coords", "8", "--step", "1e308"]
+        result = subprocess.run([sys.executable, "-m", "capdet.cli", *args], capture_output=True, text=True)
+        assert result.returncode == 3
+        (out,) = result.stdout.splitlines()
+        assert out.startswith("FAIL")
+        (err,) = result.stderr.splitlines()
+        assert err.startswith("numerical failure: ")
+
 
 class TestArgumentHandling:
     def test_no_subcommand_is_usage_error(self, capsys):
@@ -547,6 +576,29 @@ class TestArgumentHandling:
 
     def test_unknown_flag(self, capsys):
         assert cli.main(["gradcheck", "--frobnicate"]) == 1
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--step", "0"),
+            ("--step", "-1e-5"),
+            ("--step", "nan"),
+            ("--step", "inf"),
+            ("--trials", "0"),
+            ("--trials", "-3"),
+            ("--coords", "0"),
+            ("--tolerance", "nan"),
+            ("--tolerance", "0"),
+            ("--tolerance", "inf"),
+        ],
+    )
+    def test_bad_gradcheck_setting_is_a_usage_error(self, flag, value, capsys):
+        assert cli.main(["gradcheck", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (err,) = captured.err.splitlines()
+        assert err.startswith("usage error: ")
+        assert flag[2:] in err
 
     def test_unknown_subcommand(self, capsys):
         assert cli.main(["dance"]) == 1

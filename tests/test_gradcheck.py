@@ -1,7 +1,27 @@
-import numpy as np
+import dataclasses
 
-from capdet import gradcheck
-from capdet.trainer import compile_labels, scene_loss
+import gradcheck_reference as reference
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from capdet import gradcheck, scorenet
+from capdet.scorenet import ModelParams
+from capdet.textgraph import LabelSet
+from capdet.trainer import compile_labels, frozen_loss, scene_loss
+
+
+def relative(a, b):
+    """The check's own measure: |a - b| / max(1, |a|, |b|)."""
+    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
+
+
+def shifted_copy(params, rng):
+    """The same layout as params, every parameter moved by a standard normal draw."""
+    other = ModelParams(params.feature_dim, params.class_names, params.category_values, params.num_heads)
+    other.flat[:] = params.flat + rng.normal(0.0, 1.0, size=params.flat.size)
+    return other
 
 
 class TestRandomProblem:
@@ -30,8 +50,34 @@ class TestComposedLoss:
         params, regions, labels, config = gradcheck._random_problem(rng)
         sup = compile_labels(labels, params, config)
         report, pseudo, _ = scene_loss(params, regions, sup, config)
-        value = gradcheck.composed_loss(params, regions, sup, config, pseudo)
-        assert value == report.l_total
+        z = scorenet.logits(params, regions)
+        assert gradcheck.composed_loss(params, z, sup, config, pseudo) == report.l_total
+        (stacked,) = gradcheck.composed_loss(params, z[None], sup, config, pseudo)
+        assert stacked == report.l_total
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), em=st.booleans(), unlabeled=st.booleans())
+    def test_each_slice_is_the_scene_loss(self, seed, n, em, unlabeled):
+        # n parameter sets over one region set: the leading-axis loss of
+        # their stacked logits is, slice by slice, the per-scene loss
+        rng = np.random.default_rng(seed)
+        params, regions, labels, config = gradcheck._random_problem(rng)
+        if em:
+            config = dataclasses.replace(config, loss_mode="em", lambda2=0.0)
+        if unlabeled:
+            labels = LabelSet()
+        sup = compile_labels(labels, params, config)
+        _, pseudo, _ = scene_loss(params, regions, sup, config)
+        others = [shifted_copy(params, rng) for _ in range(n)]
+        stack = np.stack([scorenet.logits(other, regions) for other in others])
+        values = gradcheck.composed_loss(params, stack, sup, config, pseudo)
+        stacked = frozen_loss(scorenet.head_scores(params, stack), sup, config, pseudo)
+        for i, other in enumerate(others):
+            report, _, _ = scene_loss(other, regions, sup, config, pseudo=pseudo)
+            assert values[i] == report.l_total
+            assert stacked.l_total[i] == report.l_total
+            assert np.array_equal(stacked.grad[i], report.grad)
+            assert np.array_equal(stacked.grad_image[i], report.grad_image)
 
 
 class TestCheckOnce:
@@ -41,6 +87,30 @@ class TestCheckOnce:
         before = params.flat.copy()
         gradcheck.check_once(params, regions, labels, config, rng, coords_per_trial=1000, step=1e-5)
         assert params.flat.tobytes() == before.tobytes()
+
+
+class TestMatchesReference:
+    def test_stacked_probes_match_per_probe_loop(self):
+        seed, coords_per_trial, step = 20240601, 80, 1e-5
+        worst_stacked = worst_loop = 0.0
+        for trial in range(20):
+            # the draws check_once makes, so the sample is the one it checks
+            rng = np.random.default_rng([seed, trial])
+            params, regions, labels, config = gradcheck._random_problem(rng)
+            coords = rng.choice(params.flat.size, size=coords_per_trial, replace=False)
+            sup = compile_labels(labels, params, config)
+            report, pseudo, scores = scene_loss(params, regions, sup, config)
+            analytic = scorenet.param_gradients(params, regions, scores, report.grad, report.grad_image)
+            analytic = analytic[params.checkpoint_order[coords]]
+            stacked = gradcheck.numeric_gradient(params, regions, sup, config, pseudo, coords, step)
+            loop = reference.numeric_gradient(params, regions, sup, config, pseudo, coords, step)
+            assert relative(stacked, loop).max() < 1e-8
+            worst_stacked = max(worst_stacked, relative(analytic, stacked).max())
+            worst_loop = max(worst_loop, relative(analytic, loop).max())
+        assert worst_stacked < 1e-4
+        assert worst_loop < 1e-4
+        result = gradcheck.run_gradient_check(trials=20, seed=seed, coords_per_trial=coords_per_trial, step=step)
+        assert result.max_rel_error == worst_stacked
 
 
 class TestRunGradientCheck:
@@ -65,3 +135,34 @@ class TestRunGradientCheck:
         result = gradcheck.run_gradient_check(trials=20, seed=20240601, coords_per_trial=80)
         assert result.max_rel_error == 3.267314196975235e-10
         assert (result.worst_trial, result.worst_coord, result.coords_checked) == (18, "object[1].weight[13]", 1600)
+
+    def test_one_loss_evaluation_per_trial(self, monkeypatch):
+        # every probe of a trial is scored in one call; per-probe evaluation would multiply this
+        calls = []
+        original = gradcheck.composed_loss
+
+        def spy(*args):
+            calls.append(args[1].shape)
+            return original(*args)
+
+        monkeypatch.setattr(gradcheck, "composed_loss", spy)
+        gradcheck.run_gradient_check(trials=4, seed=3, coords_per_trial=80)
+        assert len(calls) == 4
+        assert all(shape[:2] == (2, 80) for shape in calls)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_is_the_worst(self, bad, monkeypatch):
+        original = scorenet.param_gradients
+        calls = []
+
+        def broken(*args):
+            grad = original(*args)
+            calls.append(None)
+            if len(calls) == 2:
+                grad[0] = bad  # packed[0, 0], the first weight of object head 0
+            return grad
+
+        monkeypatch.setattr(scorenet, "param_gradients", broken)
+        result = gradcheck.run_gradient_check(trials=4, seed=3, coords_per_trial=10**6)
+        assert not np.isfinite(result.max_rel_error)
+        assert (result.worst_trial, result.worst_coord) == (1, "object[0].weight[0]")

@@ -420,7 +420,7 @@ class TestRefinementTerms:
         rng = np.random.default_rng(72)
         scores, _ = make_inputs(rng)
         values, grad = refinement_terms(scores, None)
-        assert values == [0.0, 0.0, 0.0]
+        assert values.tolist() == [0.0, 0.0, 0.0]
         assert not np.any(grad)
 
     @settings(max_examples=60, deadline=None)
