@@ -10,13 +10,17 @@ terms that would otherwise feed gradients into later object heads; that
 is the exact-match baseline, and the two spellings of it (loss_mode="em",
 lambda2=0) are required to produce identical checkpoints.
 
-Inference runs only the object heads, averages the refinement heads'
-class scores, drops the background column, and applies NMS to every
-class at once, then a score floor. A scene's detections are three
-parallel arrays: proposal row (not a box), class and score. They stay
-arrays through evaluation, which reports all-point average precision at
-IoU 0.5 per class, their mean over classes present in the ground truth,
-and CorLoc. Per scene it computes one IoU matrix, detections against
+Inference and evaluation run on chunks of EVAL_CHUNK scenes, each packed
+into one SceneBatch: proposals padded to the chunk's largest proposal
+count, with a mask of each scene's own rows. Inference runs only the
+object heads, in one matmul over the chunk, averages the refinement
+heads' class scores, drops the background column, and applies NMS to
+every scene and class of the chunk at once, then a score floor. A
+chunk's detections are four parallel arrays: scene, proposal row (not a
+box), class and score. They stay arrays through evaluation, which
+reports all-point average precision at IoU 0.5 per class, their mean
+over classes present in the ground truth, and CorLoc. Per chunk it
+computes one IoU array, every detection against its own scene's
 ground-truth boxes, and both AP matching and CorLoc read it.
 """
 
@@ -44,6 +48,9 @@ class NumericalError(RuntimeError):
 
 LOSS_MODES = ("em", "em+sg")
 IOU_THRESHOLD = 0.5  # a detection localises a GT box at this IoU or more, for AP and CorLoc
+# scenes per padded evaluation chunk: a chunk's arrays, and so peak memory,
+# grow with it, while larger chunks save little more time than 16 does
+EVAL_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -236,28 +243,60 @@ def train(
     return params
 
 
-def infer(
-    params: ModelParams, regions: RegionSet, config: TrainConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Detections as parallel (region, class, score) arrays.
+@dataclass(frozen=True)
+class SceneBatch:
+    """Scenes' proposals padded to the batch's largest proposal count M.
 
-    Mean class scores over heads, background dropped, NMS per class, then
-    the score floor. A region is a row of the scene's proposal boxes; rows
-    come class by class, by descending score within a class. Only the
+    Row i of scene n is the scene's own proposal where valid[n, i]; the
+    rows past a scene's count have zero features and the unit box, a real
+    box, so IoU never divides 0 by 0.
+    """
+
+    image_ids: tuple[str, ...]
+    features: np.ndarray  # (N, M, d)
+    boxes: np.ndarray  # (N, M, 4)
+    valid: np.ndarray  # (N, M) bool
+
+    @staticmethod
+    def pack(scenes: Sequence[SyntheticScene]) -> "SceneBatch":
+        sizes = np.array([scene.proposals.size for scene in scenes], dtype=int)
+        width = int(sizes.max(initial=0))
+        dim = scenes[0].proposals.features.shape[1] if scenes else 0
+        features = np.zeros((len(scenes), width, dim))
+        boxes = np.tile([0.0, 0.0, 1.0, 1.0], (len(scenes), width, 1))
+        for n, scene in enumerate(scenes):
+            features[n, : sizes[n]] = scene.proposals.features
+            boxes[n, : sizes[n]] = scene.proposals.boxes
+        valid = np.arange(width) < sizes[:, None]
+        return SceneBatch(tuple(scene.image_id for scene in scenes), features, boxes, valid)
+
+
+def infer(
+    params: ModelParams, batch: SceneBatch, config: TrainConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Detections as parallel (scene, region, class, score) arrays.
+
+    Mean class scores over heads, background dropped, NMS per scene and
+    class, then the score floor. A scene is an index into the batch and a
+    region a row of that scene's proposal boxes; rows come scene by
+    scene, class by class, by descending score within a class. Only the
     object heads are evaluated; inference reads no attribute scores.
-    Non-finite object scores raise NumericalError, without a warning.
+    Non-finite object scores on a scene's own rows raise NumericalError
+    naming the first such scene, without a warning.
     """
     w = params.packed[:, params.object_cols]
     with np.errstate(all="ignore"):
-        z = regions.features @ w[:-1] + w[-1]
-        heads = scorenet.softmax_rows(z.reshape(len(z), params.num_heads, -1))
-    if not np.isfinite(heads).all():
-        raise NumericalError("non-finite object scores")
-    mean_scores = heads[:, :, : params.num_classes].mean(axis=1)
-    classes, rows = nms(regions.boxes, mean_scores, config.nms_threshold).T
-    scores = mean_scores[rows, classes]
+        z = batch.features @ w[:-1] + w[-1]
+        heads = scorenet.softmax_rows(z.reshape(*z.shape[:-1], params.num_heads, -1))
+        mean_scores = heads[..., : params.num_classes].mean(axis=-2)
+    finite = np.isfinite(heads).all(axis=(-2, -1)) | ~batch.valid
+    if not finite.all():
+        first = np.argmin(finite.all(axis=-1))
+        raise NumericalError(f"scene {batch.image_ids[first]!r}: non-finite object scores")
+    scenes, classes, rows = nms(batch.boxes, mean_scores, config.nms_threshold, batch.valid).T
+    scores = mean_scores[scenes, rows, classes]
     keep = scores >= config.score_floor
-    return rows[keep], classes[keep], scores[keep]
+    return scenes[keep], rows[keep], classes[keep], scores[keep]
 
 
 def average_precision(scores: np.ndarray, matches: np.ndarray, num_gt: int) -> float:
@@ -289,7 +328,10 @@ def average_precision(scores: np.ndarray, matches: np.ndarray, num_gt: int) -> f
 def evaluate(
     params: ModelParams, scenes: Sequence[SyntheticScene], config: TrainConfig
 ) -> dict:
-    """Per-class AP at IOU_THRESHOLD over classes present in GT, their mean, and CorLoc."""
+    """Per-class AP at IOU_THRESHOLD over classes present in GT, their mean, and CorLoc.
+
+    Scenes are inferred and matched EVAL_CHUNK at a time, in input order.
+    """
     num_classes = params.num_classes
     # an empty first part keeps the concatenation below defined without scenes
     det_classes = [np.zeros(0, dtype=int)]
@@ -299,30 +341,36 @@ def evaluate(
     top_hits = np.zeros(num_classes)
     top_total = np.zeros(num_classes)
 
-    for scene in scenes:
-        try:
-            rows, classes, scores = infer(params, scene.proposals, config)
-        except NumericalError as e:
-            raise NumericalError(f"scene {scene.image_id!r}: {e}") from None
-        gt_classes = np.array([g.class_index for g in scene.gt], dtype=int)
-        overlaps = iou_matrix(scene.proposals.boxes[rows], np.reshape([g.box for g in scene.gt], (-1, 4)))
-        # IoU with GT boxes of the detection's own class, 0 elsewhere; the
-        # trailing zero column keeps argmax defined in a scene without GT
-        same_class = classes[:, None] == gt_classes
-        own = np.concatenate([np.where(same_class, overlaps, 0.0), np.zeros((len(rows), 1))], axis=1)
+    for start in range(0, len(scenes), EVAL_CHUNK):
+        chunk = scenes[start : start + EVAL_CHUNK]
+        batch = SceneBatch.pack(chunk)
+        det_scenes, rows, classes, scores = infer(params, batch, config)
+        # each scene's GT boxes, padded with class -1, which no detection has
+        gt_sizes = np.array([len(scene.gt) for scene in chunk])
+        gt_valid = np.arange(max(1, gt_sizes.max())) < gt_sizes[:, None]
+        gt_boxes = np.zeros(gt_valid.shape + (4,))
+        gt_classes = np.full(gt_valid.shape, -1)
+        gt_boxes[gt_valid] = np.reshape([g.box for scene in chunk for g in scene.gt], (-1, 4))
+        gt_classes[gt_valid] = [g.class_index for scene in chunk for g in scene.gt]
+        scene_counts = (gt_classes[:, :, None] == np.arange(num_classes)).sum(axis=1)
+        # IoU with GT boxes of the detection's own scene and class, 0 elsewhere
+        overlaps = iou_matrix(batch.boxes[det_scenes, rows][:, None], gt_boxes[det_scenes])[:, 0]
+        own = np.where(classes[:, None] == gt_classes[det_scenes], overlaps, 0.0)
         hit = own.max(axis=1) >= IOU_THRESHOLD
         # GT boxes of earlier scenes shift the ids, so ids are unique across scenes
-        det_matches.append(np.where(hit, gt_counts.sum() + own.argmax(axis=1), -1))
+        scene_totals = scene_counts.sum(axis=1)
+        first_ids = gt_counts.sum() + np.cumsum(scene_totals) - scene_totals
+        det_matches.append(np.where(hit, first_ids[det_scenes] + own.argmax(axis=1), -1))
         det_classes.append(classes)
         det_scores.append(scores)
-        scene_counts = np.bincount(gt_classes, minlength=num_classes)
-        gt_counts += scene_counts
-        top_total += scene_counts > 0
-        # CorLoc reads each class's top-scoring detection, the first on ties
-        by_score = np.lexsort((-scores, classes))
-        _, first = np.unique(classes[by_score], return_index=True)
+        gt_counts += scene_counts.sum(axis=0)
+        top_total += (scene_counts > 0).sum(axis=0)
+        # CorLoc reads each scene's top-scoring detection of each class, the first on ties
+        groups = det_scenes * num_classes + classes
+        by_score = np.lexsort((-scores, groups))
+        _, first = np.unique(groups[by_score], return_index=True)
         top = by_score[first]
-        top_hits[classes[top[hit[top]]]] += 1
+        top_hits += np.bincount(classes[top[hit[top]]], minlength=num_classes)
 
     classes, scores, matches = (np.concatenate(parts) for parts in (det_classes, det_scores, det_matches))
     present = np.flatnonzero(gt_counts).tolist()

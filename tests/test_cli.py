@@ -1,16 +1,23 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import math
 import subprocess
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from capdet import cli, scorenet, trainer
+from capdet import cli, scorenet, synthbench, trainer
 from capdet.textgraph import default_registry
-from capdet.trainer import TrainConfig
+from capdet.trainer import NumericalError, TrainConfig
+from eval_reference import infer_scene
 
 SYNTH_ARGS = [
     "synth",
@@ -524,6 +531,138 @@ class TestNonFiniteNumbers:
         (err,) = result.stderr.splitlines()
         assert err.startswith("numerical failure: non-finite loss at step 1 ")
         assert not out.exists()
+
+
+def json_paths(node, path=()):
+    """The path of every value inside a JSON document, keys and list positions alike."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from json_paths(child, path + (key,))
+
+
+def json_get(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+# values that stand in for a number, and a value of another type for anything
+NUMBER_STAND_INS = [float("nan"), float("inf"), float("-inf"), 1e308, -1e308, "0.5"]
+RETYPED = ["x", None, [], {}, True, 1.5, 7]
+
+
+@st.composite
+def json_mutation(draw, doc):
+    """doc with one key dropped, one value retyped, or one number made NaN, inf, huge or a string."""
+    doc = json.loads(json.dumps(doc))
+    paths = list(json_paths(doc))
+    keyed = [p for p in paths if isinstance(json_get(doc, p[:-1]), dict)]
+    numbers = [p for p in paths if type(json_get(doc, p)) in (int, float)]
+    kind = draw(st.sampled_from(["drop", "retype", "number"]))
+    if kind == "drop" and keyed:
+        path = draw(st.sampled_from(keyed))
+        del json_get(doc, path[:-1])[path[-1]]
+    elif kind == "retype" and paths:
+        path = draw(st.sampled_from(paths))
+        old = json_get(doc, path)
+        json_get(doc, path[:-1])[path[-1]] = draw(st.sampled_from([v for v in RETYPED if type(v) is not type(old)]))
+    elif numbers:
+        path = draw(st.sampled_from(numbers))
+        json_get(doc, path[:-1])[path[-1]] = draw(st.sampled_from(NUMBER_STAND_INS))
+    return doc
+
+
+@st.composite
+def dataset_mutation(draw, text):
+    lines = text.splitlines(keepends=True)
+    kind = draw(st.sampled_from(["truncate", "json", "blank lines"]))
+    if kind == "truncate":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    if kind == "blank lines":
+        for _ in range(draw(st.integers(1, 3))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["\n", "  \n", "\t\n"])))
+        return "".join(lines)
+    k = draw(st.integers(0, len(lines) - 1))
+    lines[k] = json.dumps(draw(json_mutation(json.loads(lines[k])))) + "\n"
+    return "".join(lines)
+
+
+@st.composite
+def checkpoint_mutation(draw, blob):
+    magic_end = len(scorenet.CHECKPOINT_MAGIC)
+    header_end = blob.index(b"\n", magic_end) + 1
+    kind = draw(st.sampled_from(["truncate", "header", "payload", "blank lines"]))
+    if kind == "truncate":
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    if kind == "blank lines":
+        at = draw(st.integers(0, len(blob)))
+        return blob[:at] + b"\n" * draw(st.integers(1, 3)) + blob[at:]
+    if kind == "header":
+        header = draw(json_mutation(json.loads(blob[magic_end:header_end])))
+        return blob[:magic_end] + json.dumps(header).encode() + b"\n" + blob[header_end:]
+    # one entry or a run of them, up to the whole payload, so that huge weights can overflow a score
+    payload = np.frombuffer(blob[header_end:], dtype="<f8").copy()
+    start = draw(st.integers(0, len(payload) - 1))
+    stop = draw(st.one_of(st.just(start + 1), st.integers(start + 1, len(payload))))
+    payload[start:stop] = draw(st.sampled_from(NUMBER_STAND_INS[:-1]))
+    return blob[:header_end] + payload.tobytes()
+
+
+@pytest.fixture(scope="module")
+def eval_inputs(data_dir, tmp_path_factory):
+    """A 3-step checkpoint trained on the train split, the val split it evaluates, and a work directory."""
+    work = tmp_path_factory.mktemp("fuzz")
+    ckpt = work / "trained.ckpt"
+    assert cli.main(["train", "--data", str(data_dir / "train.jsonl"), "--out", str(ckpt), "--steps", "3"]) == 0
+    return (data_dir / "val.jsonl").read_text(), ckpt.read_bytes(), work
+
+
+def run_quietly(args):
+    """cli.main's exit code, stderr lines and caught warnings."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(args)
+    return code, err.getvalue().splitlines(), caught
+
+
+class TestEvalInputFuzz:
+    """Mutated dataset and checkpoint files: one clean exit each, never a success from non-finite scores."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_eval_exits_cleanly(self, eval_inputs, data):
+        text, blob, work = eval_inputs
+        data_path, ckpt_path, out = work / "data.jsonl", work / "m.ckpt", work / "metrics.json"
+        if data.draw(st.booleans(), label="mutate the checkpoint"):
+            blob = data.draw(checkpoint_mutation(blob))
+        else:
+            text = data.draw(dataset_mutation(text))
+        data_path.write_text(text)
+        ckpt_path.write_bytes(blob)
+        out.unlink(missing_ok=True)
+        code, err, caught = run_quietly(
+            ["eval", "--data", str(data_path), "--checkpoint", str(ckpt_path), "--out", str(out)]
+        )
+        assert caught == []
+        assert code in (0, 1, 2, 3)
+        if code != 0:
+            (line,) = err
+            assert line.startswith(("usage error: ", "data error: ", "numerical failure: "))
+            assert not out.exists()
+            return
+        assert err == []
+        # a success read finite scores on every scene, and wrote finite metrics
+        params = scorenet.load_checkpoint(ckpt_path)
+        for scene in synthbench.load_dataset(data_path):
+            try:
+                infer_scene(params, scene.proposals, TrainConfig())
+            except NumericalError:
+                pytest.fail(f"exit 0 although scene {scene.image_id!r} scores non-finite")
+        metrics = json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(f"{c} in the metrics"))
+        assert all(math.isfinite(v) for v in (metrics["map"], metrics["corloc"]))
 
 
 class TestGradcheckCommand:

@@ -193,3 +193,98 @@ class TestNms:
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValueError):
             nms(as_array([(0, 0, 1, 1)]), np.array([[0.5]]), 0.0)
+
+
+# integer corners on a 4x4 grid: many repeated boxes and IoUs of exactly 1/2, 1/3 and 1/7
+GRID_BOXES = [(x, y, x + w, y + h) for x in range(3) for y in range(3) for w in (1.0, 2.0) for h in (1.0, 2.0)]
+
+
+@st.composite
+def padded_stacks(draw, max_scenes=4):
+    """Scenes of 1-6 grid boxes and 1-3 classes of tied scores, padded with the unit box to a common m."""
+    num_classes = draw(st.integers(1, 3))
+    scenes = []
+    for _ in range(draw(st.integers(1, max_scenes))):
+        boxes = draw(st.lists(st.sampled_from(GRID_BOXES), min_size=1, max_size=6))
+        scores = draw(
+            st.lists(
+                st.lists(st.sampled_from([0.1, 0.5, 0.9]), min_size=num_classes, max_size=num_classes),
+                min_size=len(boxes),
+                max_size=len(boxes),
+            )
+        )
+        scenes.append((boxes, np.array(scores, dtype=float)))
+    width = max(len(boxes) for boxes, _ in scenes)
+    stacked_boxes = np.tile([0.0, 0.0, 1.0, 1.0], (len(scenes), width, 1))
+    # padded rows score highest, so nms has to skip them rather than rank them last
+    stacked_scores = np.ones((len(scenes), width, num_classes))
+    valid = np.zeros((len(scenes), width), dtype=bool)
+    for n, (boxes, scores) in enumerate(scenes):
+        stacked_boxes[n, : len(boxes)] = boxes
+        stacked_scores[n, : len(boxes)] = scores
+        valid[n, : len(boxes)] = True
+    return scenes, stacked_boxes, stacked_scores, valid
+
+
+class TestLeadingAxes:
+    @settings(max_examples=200, deadline=None)
+    @given(padded_stacks(), st.sampled_from([0.5, 1.0 / 3.0, 1.0 / 7.0, 1.0]))
+    def test_nms_per_scene_matches_greedy_loop_and_one_scene_call(self, stack, threshold):
+        scenes, boxes, scores, valid = stack
+        kept = nms(boxes, scores, threshold, valid)
+        assert kept.shape == (len(kept), 3)
+        # scene by scene, and never a padded row
+        assert np.array_equal(kept[:, 0], np.sort(kept[:, 0], kind="stable"))
+        assert valid[kept[:, 0], kept[:, 2]].all()
+        for n, (scene_boxes, scene_scores) in enumerate(scenes):
+            mine = kept[kept[:, 0] == n, 1:].tolist()
+            expected = [
+                [c, i]
+                for c in range(scene_scores.shape[1])
+                for i in greedy_nms(scene_boxes, scene_scores[:, c], threshold)
+            ]
+            assert mine == expected
+            assert mine == nms(as_array(scene_boxes), scene_scores, threshold).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(padded_stacks(), padded_stacks())
+    def test_iou_matrix_slices_match_one_scene_calls(self, stack_a, stack_b):
+        _, a, _, _ = stack_a
+        _, b, _, _ = stack_b
+        n = min(len(a), len(b))
+        a, b = a[:n], b[:n]
+        mat = iou_matrix(a, b)
+        assert mat.shape == (n, a.shape[1], b.shape[1])
+        assert np.array_equal(iou_matrix(b, a), mat.transpose(0, 2, 1))
+        for k in range(n):
+            assert np.array_equal(mat[k], iou_matrix(a[k], b[k]))
+            for i, box_a in enumerate(a[k].tolist()):
+                for j, box_b in enumerate(b[k].tolist()):
+                    assert mat[k, i, j] == pair_iou(box_a, box_b)
+        # disjoint pairs give exactly 0.0, never a tiny or negative value
+        overlapping = (
+            (np.minimum(a[:, :, None, 2], b[:, None, :, 2]) > np.maximum(a[:, :, None, 0], b[:, None, :, 0]))
+            & (np.minimum(a[:, :, None, 3], b[:, None, :, 3]) > np.maximum(a[:, :, None, 1], b[:, None, :, 1]))
+        )
+        assert (mat[~overlapping] == 0.0).all()
+        assert (mat[overlapping] > 0.0).all()
+
+    def test_leading_axes_broadcast(self):
+        a = np.array([[[0.0, 0.0, 2.0, 2.0]], [[1.0, 1.0, 3.0, 3.0]]])
+        b = np.array([[0.0, 0.0, 2.0, 2.0], [5.0, 5.0, 6.0, 6.0]])
+        assert iou_matrix(a, b).tolist() == [[[1.0, 0.0]], [[1.0 / 7.0, 0.0]]]
+
+    def test_padded_rows_never_suppress(self):
+        # the padded row overlaps the real one and scores higher, yet the real one is kept
+        boxes = np.array([[[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0]]])
+        scores = np.array([[[0.2], [0.9]]])
+        assert nms(boxes, scores, 0.5, np.array([[True, False]])).tolist() == [[0, 0, 0]]
+        assert nms(boxes, scores, 0.5).tolist() == [[0, 0, 1]]
+
+    def test_empty_stack(self):
+        assert nms(np.empty((3, 0, 4)), np.empty((3, 0, 2)), 0.5, np.empty((3, 0), dtype=bool)).shape == (0, 3)
+        assert nms(np.empty((0, 5, 4)), np.empty((0, 5, 2)), 0.5).shape == (0, 3)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            nms(np.zeros((2, 3, 4)), np.zeros((3, 3, 1)), 0.5)

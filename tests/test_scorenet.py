@@ -23,8 +23,9 @@ from capdet.scorenet import (
     softmax_cols,
     softmax_rows,
 )
+from capdet.synthbench import SyntheticScene
 from capdet.textgraph import default_registry
-from capdet.trainer import TrainConfig, infer
+from capdet.trainer import SceneBatch, TrainConfig, infer
 
 CATS = {"color": ("red", "green"), "size": ("small", "large")}
 
@@ -556,5 +557,6 @@ class TestNoAttributeCategories:
         out = named_flat(p, param_gradients(p, regions, scores, grad, np.zeros(2)))
         assert np.any(out["object[1].weight"])
         assert not np.any(out["object[0].weight"])
-        _, classes, _ = infer(p, regions, TrainConfig(score_floor=0.0))
+        batch = SceneBatch.pack([SyntheticScene(image_id="s", gt=[], proposals=regions, captions=[])])
+        _, _, classes, _ = infer(p, batch, TrainConfig(score_floor=0.0))
         assert len(classes) and all(0 <= c < 2 for c in classes.tolist())

@@ -1,5 +1,8 @@
+import dataclasses
+import hashlib
 import json
 import math
+import warnings
 from types import SimpleNamespace
 from unittest import mock
 
@@ -10,13 +13,24 @@ from hypothesis import strategies as st
 
 from box_reference import greedy_nms, pair_iou
 from capdet import trainer
+from eval_reference import evaluate_loop, infer_scene
 from capdet.geometry import iou_matrix, nms
 from capdet.scorenet import RegionSet, forward
-from capdet.synthbench import GroundTruth, SynthConfig, SyntheticScene, gen_dataset, make_universe
+from capdet.synthbench import (
+    GroundTruth,
+    SynthConfig,
+    SyntheticScene,
+    benchmark_vocabulary,
+    gen_dataset,
+    make_universe,
+)
 from capdet.textgraph import Vocabulary, default_registry
 from capdet.trainer import (
+    EVAL_CHUNK,
     IOU_THRESHOLD,
     Adagrad,
+    NumericalError,
+    SceneBatch,
     TrainConfig,
     average_precision,
     compile_labels,
@@ -251,18 +265,50 @@ class TestTrain:
             assert set(record) >= {"step", "l_total", "l_obj", "l_mid", "l_oicr"}
 
 
+def scene_detections(dets, n):
+    """Scene n's (region, class, score) arrays out of infer's four parallel arrays."""
+    scenes, regions, classes, scores = dets
+    mine = scenes == n
+    return regions[mine], classes[mine], scores[mine]
+
+
+class TestSceneBatch:
+    def test_pads_to_the_largest_scene(self, small_world):
+        _, scenes, _ = small_world
+        chunk = scenes[:5]
+        batch = SceneBatch.pack(chunk)
+        width = max(scene.proposals.size for scene in chunk)
+        assert batch.features.shape == (5, width, 16) and batch.boxes.shape == (5, width, 4)
+        assert batch.image_ids == tuple(scene.image_id for scene in chunk)
+        for n, scene in enumerate(chunk):
+            m = scene.proposals.size
+            assert batch.valid[n].tolist() == [True] * m + [False] * (width - m)
+            assert np.array_equal(batch.features[n, :m], scene.proposals.features)
+            assert np.array_equal(batch.boxes[n, :m], scene.proposals.boxes)
+            assert not batch.features[n, m:].any()
+            assert (batch.boxes[n, m:] == [0.0, 0.0, 1.0, 1.0]).all()
+
+    def test_empty(self):
+        batch = SceneBatch.pack([])
+        assert batch.features.shape == (0, 0, 0) and batch.boxes.shape == (0, 0, 4) and batch.valid.shape == (0, 0)
+        assert batch.image_ids == ()
+
+
 class TestInfer:
     def test_nms_and_floor_respected(self, small_world, registry):
         universe, scenes, vocab = small_world
         cfg = TrainConfig(steps=30)
         params = train(scenes, vocab, registry, cfg)
-        for scene in scenes[:8]:
-            regions, classes, scores = infer(params, scene.proposals, cfg)
-            assert len(regions) == len(classes) == len(scores)
+        dets = infer(params, SceneBatch.pack(scenes[:8]), cfg)
+        assert len({len(a) for a in dets}) == 1
+        assert set(dets[0].tolist()) <= set(range(8))
+        for n, scene in enumerate(scenes[:8]):
+            regions, classes, scores = scene_detections(dets, n)
             per_class = {}
             for i, c, score in zip(regions.tolist(), classes.tolist(), scores.tolist()):
                 assert score >= cfg.score_floor
                 assert 0 <= c < len(vocab.class_names)
+                assert i < scene.proposals.size
                 per_class.setdefault(c, []).append(tuple(scene.proposals.boxes[i]))
             for boxes in per_class.values():
                 for i in range(len(boxes)):
@@ -272,27 +318,47 @@ class TestInfer:
     # this 30-step model's detection scores lie in about (0.07, 0.17); 0.11 drops about half
     @pytest.mark.parametrize("score_floor", [0.0, 0.05, 0.11])
     def test_matches_per_class_loop(self, small_world, registry, score_floor):
-        # one nms call per scene; its kept rows, floored, are a per-class greedy loop in the same order
+        # one nms call per chunk; each scene's kept rows, floored, are a per-class greedy loop in the same order
         universe, scenes, vocab = small_world
         params = train(scenes, vocab, registry, TrainConfig(steps=30))
         cfg = TrainConfig(steps=30, score_floor=score_floor)
-        for scene in scenes[:8]:
-            calls = []
-            spy = lambda boxes, scores, threshold: calls.append(scores) or nms(boxes, scores, threshold)
-            with mock.patch.object(trainer, "nms", spy):
-                regions, classes, scores = infer(params, scene.proposals, cfg)
-            (mean_scores,) = calls
+        calls = []
+        spy = lambda boxes, scores, threshold, valid: calls.append(scores) or nms(boxes, scores, threshold, valid)
+        with mock.patch.object(trainer, "nms", spy):
+            dets = infer(params, SceneBatch.pack(scenes[:8]), cfg)
+        (mean_scores,) = calls
+        assert np.array_equal(dets[0], np.sort(dets[0], kind="stable"))
+        for n, scene in enumerate(scenes[:8]):
+            regions, classes, scores = scene_detections(dets, n)
+            m = scene.proposals.size
             objects = forward(params, scene.proposals).objects
-            np.testing.assert_allclose(mean_scores, np.mean([h[:, :-1] for h in objects], axis=0), atol=1e-12)
+            np.testing.assert_allclose(mean_scores[n, :m], np.mean([h[:, :-1] for h in objects], axis=0), atol=1e-12)
             boxes = scene.proposals.boxes.tolist()
             expected = [
                 (i, c)
                 for c in range(params.num_classes)
-                for i in greedy_nms(boxes, mean_scores[:, c], cfg.nms_threshold)
-                if mean_scores[i, c] >= score_floor
+                for i in greedy_nms(boxes, mean_scores[n, :m, c], cfg.nms_threshold)
+                if mean_scores[n, i, c] >= score_floor
             ]
             assert list(zip(regions.tolist(), classes.tolist())) == expected
-            assert scores.tolist() == [mean_scores[i, c] for i, c in expected]
+            assert scores.tolist() == [mean_scores[n, i, c] for i, c in expected]
+
+    def test_padded_rows_are_not_checked(self, small_world, registry):
+        # NaN features on a padded row are never scored as a detection, and raise nothing
+        universe, scenes, vocab = small_world
+        cfg = TrainConfig(steps=5)
+        params = train(scenes, vocab, registry, cfg)
+        batch = SceneBatch.pack(scenes[:4])
+        clean = infer(params, batch, cfg)
+        padded = ~batch.valid
+        assert padded.any(), "the fixture's scenes should differ in size"
+        batch.features[padded] = np.nan
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            dirty = infer(params, batch, cfg)
+        assert caught == []
+        for a, b in zip(clean, dirty):
+            assert np.array_equal(a, b)
 
 
 def box_ap(detections, gt_boxes):
@@ -344,10 +410,10 @@ _grid_box = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 2), s
 _score = st.sampled_from([0.2, 0.5, 0.9])
 
 
-def detection_arrays(detections):
-    """(region, class, score) tuples as infer's three parallel arrays."""
-    rows = np.reshape(np.array(detections, dtype=float), (-1, 3))
-    return rows[:, 0].astype(int), rows[:, 1].astype(int), rows[:, 2]
+def batch_detections(per_scene):
+    """Each scene's (region, class, score) tuples as infer's four parallel (scene, region, class, score) arrays."""
+    rows = np.reshape(np.array([(n, *d) for n, dets in enumerate(per_scene) for d in dets], dtype=float), (-1, 4))
+    return rows[:, 0].astype(int), rows[:, 1].astype(int), rows[:, 2].astype(int), rows[:, 3]
 
 
 def eval_scene(k, proposals, gt):
@@ -385,6 +451,36 @@ TIED_OVERLAP = [
         [(0, 0, 0.9), (1, 0, 0.5)],
     )
 ]
+
+
+@pytest.fixture(scope="module")
+def test_pool(small_world):
+    universe, _, _ = small_world
+    return gen_dataset(universe, 2 * EVAL_CHUNK + 1, [0, 2], id_prefix="test")
+
+
+# "blank" zeroes a scene's features, so every row scores the bias row alone and, with
+# weights scaled up against the bias, falls below a 0.3 floor that plain scenes pass
+SCENE_KINDS = ("plain", "no_gt", "blank", "shared_id", "plain")
+
+
+def scene_variant(scene, kind):
+    if kind == "no_gt":
+        return dataclasses.replace(scene, gt=[])
+    if kind == "blank":
+        features = np.zeros_like(scene.proposals.features)
+        return dataclasses.replace(scene, proposals=RegionSet(scene.proposals.boxes, features))
+    if kind == "shared_id":
+        return dataclasses.replace(scene, image_id="shared")
+    return scene
+
+
+def small_model(small_world, registry, seed, steps, weight_scale):
+    """A briefly trained model whose weight rows, not its bias row, are scaled by weight_scale."""
+    universe, scenes, vocab = small_world
+    params = train(scenes, vocab, registry, TrainConfig(seed=seed, steps=steps))
+    params.packed[:-1] *= weight_scale
+    return params
 
 
 class TestAveragePrecision:
@@ -470,8 +566,9 @@ class TestEvaluate:
         class_names = ("c0", "c1", "c2")
         params = SimpleNamespace(num_classes=3, class_names=class_names)
         scenes = [scene for scene, _ in scenes_and_detections]
-        by_regions = {id(scene.proposals): dets for scene, dets in scenes_and_detections}
-        with mock.patch.object(trainer, "infer", lambda _, regions, __: detection_arrays(by_regions[id(regions)])):
+        by_id = {scene.image_id: dets for scene, dets in scenes_and_detections}
+        fake_infer = lambda _, batch, __: batch_detections([by_id[image_id] for image_id in batch.image_ids])
+        with mock.patch.object(trainer, "infer", fake_infer):
             metrics = evaluate(params, scenes, TrainConfig())
 
         expected_ap, expected_corloc = {}, {}
@@ -504,10 +601,98 @@ class TestEvaluate:
         found = eval_scene(0, [(0.0, 0.0, 1.0, 1.0)], [((0.0, 0.0, 1.0, 1.0), 0)])
         missed = eval_scene(0, [(2.0, 2.0, 3.0, 3.0)], [((0.0, 0.0, 1.0, 1.0), 0)])
         params = SimpleNamespace(num_classes=1, class_names=("c0",))
-        with mock.patch.object(trainer, "infer", lambda *_: detection_arrays([(0, 0, 0.9)])):
+        fake_infer = lambda _, batch, __: batch_detections([[(0, 0, 0.9)]] * len(batch.image_ids))
+        with mock.patch.object(trainer, "infer", fake_infer):
             metrics = evaluate(params, [found, missed], TrainConfig())
         assert metrics["per_class_ap"] == {"c0": 0.5}
         assert metrics["per_class_corloc"] == {"c0": 0.5}
+
+    def test_no_scenes(self):
+        params = SimpleNamespace(num_classes=3, class_names=("c0", "c1", "c2"))
+        assert evaluate(params, [], TrainConfig()) == {
+            "per_class_ap": {},
+            "map": 0.0,
+            "per_class_corloc": {},
+            "corloc": 0.0,
+            "num_scenes": 0,
+        }
+
+    @pytest.mark.parametrize("good_before", [1, EVAL_CHUNK])
+    def test_first_non_finite_scene_is_named(self, small_world, registry, good_before):
+        # every object logit of an overflowing scene is +inf, so its softmax is NaN; the
+        # good scenes score finitely, and the first bad scene in input order is named
+        universe, scenes, vocab = small_world
+        params = train(scenes, vocab, registry, TrainConfig(steps=1))
+        params.flat[:] = 1.0
+        overflowing = [
+            dataclasses.replace(
+                scene,
+                image_id=f"bad{k}",
+                proposals=RegionSet(scene.proposals.boxes, np.full_like(scene.proposals.features, 1e308)),
+            )
+            for k, scene in enumerate(scenes[:2])
+        ]
+        chunked = [scenes[k % len(scenes)] for k in range(good_before)] + overflowing
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericalError, match=r"^scene 'bad0': non-finite object scores$"):
+                evaluate(params, chunked, TrainConfig())
+            with pytest.raises(NumericalError, match=r"^scene 'bad1': non-finite object scores$"):
+                evaluate(params, [scenes[0], overflowing[1]], TrainConfig())
+            # the same message as the loop reference's
+            with pytest.raises(NumericalError, match=r"^scene 'bad0': non-finite object scores$"):
+                evaluate_loop(params, chunked, TrainConfig())
+        assert caught == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_scene_loop(self, small_world, registry, test_pool, data):
+        # exact equality with the one-scene loop, over chunk boundaries, scenes without GT,
+        # scenes whose detections all fall below the floor and scenes that share an image_id
+        count = data.draw(
+            st.one_of(st.sampled_from([1, EVAL_CHUNK, EVAL_CHUNK + 1]), st.integers(1, 2 * EVAL_CHUNK + 1))
+        )
+        picks = data.draw(st.lists(st.integers(0, len(test_pool) - 1), min_size=count, max_size=count))
+        kinds = data.draw(st.lists(st.sampled_from(SCENE_KINDS), min_size=count, max_size=count))
+        scenes = [scene_variant(test_pool[i], kind) for i, kind in zip(picks, kinds)]
+        params = small_model(
+            small_world,
+            registry,
+            data.draw(st.integers(0, 2), label="seed"),
+            data.draw(st.integers(1, 6), label="steps"),
+            data.draw(st.sampled_from([1.0, 20.0]), label="weight scale"),
+        )
+        config = TrainConfig(
+            score_floor=data.draw(st.sampled_from([0.0, 0.05, 0.11, 0.3]), label="floor"),
+            nms_threshold=data.draw(st.sampled_from([0.4, 1.0 / 3.0, 0.7]), label="nms"),
+        )
+        assert evaluate(params, scenes, config) == evaluate_loop(params, scenes, config)
+
+    @pytest.mark.parametrize("count", [1, EVAL_CHUNK, EVAL_CHUNK + 1])
+    def test_matches_scene_loop_at_chunk_sizes(self, small_world, registry, test_pool, count):
+        params = small_model(small_world, registry, 0, 6, 20.0)
+        config = TrainConfig(score_floor=0.3)
+        kinds = [SCENE_KINDS[k % len(SCENE_KINDS)] for k in range(count)]
+        scenes = [scene_variant(test_pool[k], kind) for k, kind in enumerate(kinds)]
+        assert evaluate(params, scenes, config) == evaluate_loop(params, scenes, config)
+        if count > len(SCENE_KINDS):
+            # the cases the scene kinds stand for all occur
+            counts = [len(infer_scene(params, scene.proposals, config)[0]) for scene in scenes]
+            assert 0 in counts and max(counts) > 0
+            assert any(not scene.gt for scene in scenes)
+            assert len({scene.image_id for scene in scenes}) < count
+
+    def test_seed0_metrics_bytes_pinned(self, registry, tmp_path):
+        # 60 seed-0 training scenes for 50 steps, then 40 test scenes at the default floor and NMS
+        universe = make_universe(SynthConfig(), registry, seed=0)
+        config = TrainConfig(seed=0, steps=50)
+        vocab = benchmark_vocabulary(universe.class_names)
+        params = train(gen_dataset(universe, 60, [0, 0]), vocab, registry, config)
+        metrics = evaluate(params, gen_dataset(universe, 40, [0, 2], id_prefix="test"), config)
+        path = tmp_path / "metrics.json"
+        write_metrics(path, metrics_report(metrics, config))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "55a7f074d8baa8268561bba587d4fda942b55d6c6ae8cd7958b836a5e1ad465a"
 
     def test_metrics_report_echoes_config(self):
         cfg = TrainConfig(steps=5, seed=9)
