@@ -25,6 +25,14 @@ coupled factor. The overlap mask (IoU >= tau between every pair of a
 scene's boxes) is built once per scene-step and shared by every head.
 The refinement terms also score stacked scores (leading axes, as
 weakloss describes) against one frozen PseudoLabels.
+
+Over a padded batch of scenes, the supervision is concatenated
+(Supervision.concat) and each mentioned class seeds in its own scene:
+padded rows are never seeded and never overlap anything, and a row is
+claimed only by its own scene's classes. Labels and weights gain the
+scene axis, (N, K, M); padded rows, and every row of a scene that
+mentions no class, weigh 0, so each scene's refinement term is the one
+it would have alone, divided by its own proposal count.
 """
 
 from __future__ import annotations
@@ -35,29 +43,34 @@ import numpy as np
 
 from .geometry import iou_matrix
 from .scorenet import Scores, clamp_prob, softmax_cols
-from .weakloss import Supervision
+from .weakloss import Supervision, best_regions, gather_entries, slice_index
 
 
 @dataclass(frozen=True)
 class PseudoLabels:
-    """Every head's frozen supervision, head first.
+    """Every head's frozen supervision, head first; a batch's carries its scene axis first.
 
     A coupled assignment (head, region, class, column) asks the head to
     explain the class and the attribute column at the region; they are
-    ordered by head, then by pair, then by region.
+    ordered by head, then by pair, then by region. In a batch, scenes
+    names each assignment's scene, and a head's assignments run scene
+    after scene.
     """
 
-    labels: np.ndarray  # (K, m) class index, background = num_classes
-    weights: np.ndarray  # (K, m)
+    labels: np.ndarray  # (K, m) class index, background = num_classes; (N, K, M) in a batch
+    weights: np.ndarray  # (K, m); (N, K, M) in a batch, 0 at padded rows and in scenes without a mention
     seeds: np.ndarray  # (K, |O|) seed region of each mentioned class
     heads: np.ndarray  # (n,) per coupled assignment: its head,
     regions: np.ndarray  # region,
     classes: np.ndarray  # class
     columns: np.ndarray  # and attribute column
+    scenes: np.ndarray | None = None  # and, in a batch, scene
 
 
-def initial_scores(per_region: np.ndarray) -> np.ndarray:
-    """Head 0: the evidence product normalized over regions per class."""
+def initial_scores(per_region: np.ndarray, valid: np.ndarray | None = None) -> np.ndarray:
+    """Head 0: the evidence product normalized over regions per class; a batch's padded rows get 0."""
+    if valid is not None:
+        per_region = np.where(valid[..., None], per_region, -np.inf)
     return softmax_cols(per_region)
 
 
@@ -66,37 +79,66 @@ def build_pseudo_labels(scores: Scores, sup: Supervision, boxes: np.ndarray, tau
 
     The result is pure data: recomputing losses against it involves no
     argmax over live scores, which is what a gradient check needs. A scene
-    with no mentioned class has no refinement supervision (None).
+    with no mentioned class has no refinement supervision (None), and
+    neither has a batch none of whose scenes mentions one. A batch's boxes
+    are (N, M, 4), its supervision is concatenated (Supervision.concat),
+    and its padded rows are never seeded and never reached.
     """
-    classes = sup.classes
+    classes, scenes, valid = sup.classes, sup.class_scenes, scores.valid
     if not classes.size:
         return None
+
+    def heads_first(a: np.ndarray) -> np.ndarray:
+        return a if scenes is None else a.swapaxes(0, 1)
+
     near = iou_matrix(boxes, boxes) >= tau
-    # (K, m, |O|): head k's predecessor scores for the mentioned classes
-    prev = np.concatenate([initial_scores(scores.per_region)[None], scores.objects[:-1, :, : sup.num_classes]])
-    prev = prev[:, :, classes]
-    seeds = np.argmax(prev, axis=1)
+    if valid is not None:
+        near &= valid[..., :, None]
+    # reach[..., i] of a seed is near[i, seed]: the seed's column, read as a row
+    near_t = near.swapaxes(-1, -2)
+    # (K, [N,] m, C): head k's predecessor scores, head axis first
+    prev = np.concatenate(
+        [initial_scores(scores.per_region, valid)[..., None, :, :], scores.objects[..., :-1, :, : sup.num_classes]],
+        axis=-3,
+    )
+    # (K, |O|, m): each mentioned class's column of its own scene
+    candidates = gather_entries(heads_first(prev), scenes, classes)
+    if valid is not None:
+        candidates = np.where(valid[scenes], candidates, -np.inf)
+    seeds = candidates.argmax(axis=-1)
+    seed_scores = candidates[np.arange(len(seeds))[:, None], np.arange(classes.size), seeds]
     # claims[k, o, i]: head k's seed score of class o where region i overlaps
     # that seed; argmax keeps the first maximum, so the lowest class wins a tie
-    reach = near.T[seeds]
-    claims = np.where(reach, prev.max(axis=1)[:, :, None], -np.inf)
-    claimed = reach.any(axis=1)  # (K, m)
-    labels = np.where(claimed, classes[np.argmax(claims, axis=1)], sup.num_classes)
-    weights = np.where(claimed, claims.max(axis=1), 1.0)
+    reach = near_t[seeds] if scenes is None else near_t[scenes, seeds]
+    claims = np.where(reach, seed_scores[..., None], -np.inf)
+    if scenes is not None:
+        # (K, N, |O|, M): each scene's rows are claimed by its own classes only
+        own = (scenes == np.arange(len(sup.positive))[:, None])[:, :, None]
+        reach = reach[:, None] & own
+        claims = np.where(own, claims[:, None], -np.inf)
+    claimed = reach.any(axis=-2)
+    labels = np.where(claimed, classes[np.argmax(claims, axis=-2)], sup.num_classes)
+    # unclaimed rows are background with weight 1, except in a batch: padded
+    # rows, and every row of a scene that mentions no class, get weight 0
+    unclaimed = 1.0 if scenes is None else valid & own.any(axis=1)
+    weights = np.where(claimed, claims.max(axis=-2), unclaimed)
 
     # head 1 labels each pair at its class's evidence seed; later heads seed
     # each pair at the previous head's best product and spread it by overlap
-    pair_classes, pair_columns = sup.pair_classes, sup.pair_columns
-    product = scores.objects[:-1, :, pair_classes] * scores.attributes[:-1, :, pair_columns]
-    later, pair, region = np.nonzero(near.T[np.argmax(product, axis=1)])
+    pair_classes, pair_columns, pair_scenes = sup.pair_classes, sup.pair_columns, sup.pair_scenes
+    product = gather_entries(heads_first(scores.objects[..., :-1, :, :]), pair_scenes, pair_classes)
+    product = product * gather_entries(heads_first(scores.attributes[..., :-1, :, :]), pair_scenes, pair_columns)
+    pair_seeds = best_regions(product, pair_scenes, valid)
+    later, pair, region = np.nonzero(near_t[pair_seeds] if pair_scenes is None else near_t[pair_scenes, pair_seeds])
     return PseudoLabels(
-        labels=labels,
-        weights=weights,
+        labels=labels if scenes is None else labels.swapaxes(0, 1),
+        weights=weights if scenes is None else weights.swapaxes(0, 1),
         seeds=seeds,
         heads=np.concatenate([np.zeros(pair_classes.size, dtype=int), later + 1]),
-        regions=np.concatenate([seeds[0, np.searchsorted(classes, pair_classes)], region]),
+        regions=np.concatenate([seeds[0, sup.pair_entries], region]),
         classes=np.concatenate([pair_classes, pair_classes[pair]]),
         columns=np.concatenate([pair_columns, pair_columns[pair]]),
+        scenes=None if scenes is None else np.concatenate([pair_scenes, pair_scenes[pair]]),
     )
 
 
@@ -108,46 +150,58 @@ def refinement_terms(scores: Scores, pseudo: PseudoLabels | None) -> tuple[np.nd
     assignment: the attribute factor at every head, the object factor from
     head 2 on (head 1's object head already has its own labels). Assignments
     sharing a score cell add up their gradients there. Scores with leading
-    axes are scored slice by slice against the same frozen supervision.
+    axes are scored slice by slice against the same frozen supervision. A
+    batch's values are (N, K): each scene sums its own rows and divides by
+    its own m, and its padded rows, weighted 0, get no gradient.
     """
-    grad = np.zeros_like(scores.heads)
+    grad = np.zeros(scores.heads.shape)
     grad_objects, grad_attributes = scores.split(grad)
-    *lead, k, m, _ = scores.objects.shape
+    shape = scores.objects.shape[:-1]  # (..., [N,] K, m)
     if pseudo is None:
-        return np.zeros((*lead, k)), grad
-    if pseudo.labels.shape != (k, m):
-        raise ValueError(f"pseudo-labels cover {pseudo.labels.shape} (head, region) cells, scores have {(k, m)}")
-    cells = (..., np.arange(k)[:, None], np.arange(m), pseudo.labels)
+        return np.zeros(shape[:-1]), grad
+    labels = pseudo.labels
+    if labels.shape != shape[-labels.ndim :]:
+        raise ValueError(f"pseudo-labels cover {labels.shape} (head, region) cells, scores have {shape}")
+    k = shape[-2]
+    m = shape[-1] if scores.valid is None else scores.valid.sum(axis=-1)[:, None, None]
+    cells = (..., *slice_index(labels.shape[:-1]), np.arange(labels.shape[-1]), labels)
     # a gather behind a leading ... puts that axis innermost in memory; in C
     # order, every sum below adds each slice's terms as it would alone
     p = np.ascontiguousarray(clamp_prob(scores.objects[cells]))
-    grad_objects[cells] += -pseudo.weights / (m * p)  # one cell per (head, region)
-    values = -np.sum(pseudo.weights * np.log(p), axis=-1) / m
+    grad_objects[cells] = -pseudo.weights / (m * p)  # one cell per (head, region), and grad is still zero
+    values = (-np.sum(pseudo.weights * np.log(p), axis=-1, keepdims=True) / m)[..., 0]
 
     h, r = pseudo.heads, pseudo.regions
     if h.size:
-        counts = np.bincount(h, minlength=k)
-        n = counts[h]
-        at = (..., h, r, pseudo.columns)
+        scene = () if pseudo.scenes is None else (pseudo.scenes,)
+        num_scenes = 1 if pseudo.scenes is None else pseudo.labels.shape[0]
+        # assignments come head by head, scene by scene: group (head, scene) is one slice
+        group = h * num_scenes + (pseudo.scenes if scene else 0)
+        counts = np.bincount(group, minlength=k * num_scenes)
+        n = counts[group]
+        at = (..., *scene, h, r, pseudo.columns)
         p_attr = np.ascontiguousarray(clamp_prob(scores.attributes[at]))
         # np.add.at, not fancy-index assignment: cells hit twice must accumulate
         np.add.at(grad_attributes, at, -1.0 / (n * p_attr))
         both = h > 0
-        at = (..., h[both], r[both], pseudo.classes[both])
+        at = (..., *(s[both] for s in scene), h[both], r[both], pseudo.classes[both])
         p_obj = np.ascontiguousarray(clamp_prob(scores.objects[at]))
         # summed in its own zero array and added once: accumulating straight
         # onto the refinement gradient would round differently
-        coupled_objects = np.zeros_like(grad_objects)
+        coupled_objects = np.zeros(grad_objects.shape)
         np.add.at(coupled_objects, at, -1.0 / (n[both] * p_obj))
         grad_objects += coupled_objects
         log_attr, log_obj = np.log(p_attr), np.log(p_obj)
-        # assignments come head by head, so each head's are one slice; the
-        # object factors skip head 1's
-        ends = np.cumsum(counts)
-        for j in np.flatnonzero(counts):
-            start, end = ends[j] - counts[j], ends[j]
+        # the object factors skip head 1's assignments, which come first
+        counts = counts.tolist()
+        skipped, end = sum(counts[:num_scenes]), 0
+        for g, count in enumerate(counts):
+            start, end = end, end + count
+            if not count:
+                continue
+            j, s = divmod(g, num_scenes)
             total = -log_attr[..., start:end].sum(axis=-1)
             if j > 0:
-                total -= log_obj[..., start - counts[0] : end - counts[0]].sum(axis=-1)
-            values[..., j] += total / counts[j]
+                total -= log_obj[..., start - skipped : end - skipped].sum(axis=-1)
+            values[(..., s, j) if scene else (..., j)] += total / count
     return values, grad

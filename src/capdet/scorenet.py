@@ -16,13 +16,25 @@ one affine map from d to P = K(C+1) + K*V + 2C columns, in this order:
     det        C       the stream normalized over regions
     cls        C       the sigmoid gate
 
-Forward is one matmul (logits), then head_scores: one softmax over the
-(m, K, C+1) view of the object columns and one per category over the
-(m, K, V) view of the attribute columns. head_scores also takes a stack
+Forward is one matmul (logits), then head_scores: one softmax pass over
+the (m, K, C+1) view of the object columns and one over all categories of
+the (m, K, V) view of the attribute columns. head_scores also takes a stack
 of logit arrays over the same regions, (..., m, P), and scores each
 slice exactly as it would alone; the gradient check scores all its
 probes that way. Backward builds one (m, P) gradient of the map's
 outputs and pulls it back through one matmul.
+
+A training step runs forward and backward once over a padded batch of
+scenes (trainer.SceneBatch): (N, M, d) features and an (N, M) mask of
+each scene's own rows. The scene axis is one more leading axis, so each
+scene scores as it would alone; padded rows get -inf before the softmax
+over regions, so they carry no evidence, and they get zero gradient.
+Backward multiplies each scene's features with its own gradient, one
+stacked matmul, and sums the scenes' parameter gradients in order. A
+step whose supervision names no attribute leaves the attribute heads
+out: forward skips their softmaxes, so Scores holds an empty attribute
+block, and backward leaves their gradient columns zero. The matmul keeps
+every column, since a narrower product rounds some columns differently.
 
 All parameters live in one flat float64 buffer, the packed map row by
 row: d weight rows, then the bias row (packed is its (d + 1, P) view).
@@ -53,14 +65,62 @@ CHECKPOINT_MAGIC = b"capdet-checkpoint-v1\n"
 
 
 def clamp_prob(p: np.ndarray | float) -> np.ndarray | float:
-    return np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    # np.clip's bits from two ufunc calls, without its Python layers
+    return np.minimum(np.maximum(p, PROB_FLOOR), 1.0 - PROB_FLOOR)
 
 
-def softmax_rows(z: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis."""
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+def pairwise_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 with the bits of numpy's pairwise sum along a contiguous last axis.
+
+    Below 8 entries numpy adds in order; from 8 on it keeps 8 interleaved
+    partial sums and combines them pairwise, and past 128 it splits the
+    row in halves.
+    """
+    n = len(a)
+    if n < 8:
+        return a.sum(axis=0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return pairwise_sum(a[:half]) + pairwise_sum(a[half:])
+    partial = a[:8]
+    for i in range(8, n - n % 8, 8):
+        partial = partial + a[i : i + 8]
+    total = partial.reshape((2, 2, 2) + a.shape[1:]).sum(axis=2).sum(axis=1).sum(axis=0)
+    for i in range(n - n % 8, n):
+        total = total + a[i]
+    return total
+
+
+def _last_first(a: np.ndarray) -> np.ndarray:
+    """A C-ordered copy of a with its last axis moved to the front, always a new array."""
+    return a.transpose((a.ndim - 1,) + tuple(range(a.ndim - 1))).copy()
+
+
+def _last_back(t: np.ndarray) -> np.ndarray:
+    """The view of t that undoes _last_first."""
+    return t.transpose(tuple(range(1, t.ndim)) + (0,))
+
+
+WHOLE_ROW = (slice(None),)
+
+
+def softmax_rows(z: np.ndarray, segments: Sequence[slice] = WHOLE_ROW, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis, or over each column slice of it in segments; into out if given.
+
+    The rows are many and short (a head's classes, a category's values),
+    and numpy reduces each row in its own inner loop. So the work runs on
+    a copy with the last axis first, one vector operation per column. Maxima
+    and exponentials are exact in any order, and pairwise_sum repeats the
+    row sum, so the result has the bits of the row-wise formula.
+    """
+    t = _last_first(z)
+    for s in segments:
+        e = np.exp(t[s] - t[s].max(axis=0))
+        t[s] = e / pairwise_sum(e)
+    if out is None:
+        return np.ascontiguousarray(_last_back(t))
+    out[...] = _last_back(t)
+    return out
 
 
 def softmax_cols(z: np.ndarray) -> np.ndarray:
@@ -71,7 +131,7 @@ def softmax_cols(z: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -500.0), 500.0)))
 
 
 class ModelParams:
@@ -162,18 +222,24 @@ class RegionSet:
     def size(self) -> int:
         return self.boxes.shape[0]
 
+    @property
+    def valid(self) -> None:
+        """Every row of a region set is its own; a padded batch masks the rows it adds."""
+        return None
+
 
 @dataclass
 class Scores:
-    """Forward's output for one region set, or for a stack of logit arrays over it.
+    """Forward's output for one region set, a padded batch, or a stack of logit arrays.
 
     heads holds every head's probabilities in the packed column order,
-    the K object blocks and then the K attribute blocks; objects and
-    attributes are views into it, and split takes the same views of any
-    array laid out like it, such as a gradient. The evidence block's
-    streams are kept for the backward pass. Every array may carry
-    leading axes (...) ahead of the shapes below, one per stacked logit
-    array; a single scene has none.
+    the K object blocks and then the K attribute blocks (V is 0 when
+    forward left the attribute heads out); objects and attributes are
+    views into it, and split takes the same views of any array laid out
+    like it, such as a gradient. The evidence block's streams are kept
+    for the backward pass. Every array may carry leading axes (...) ahead
+    of the shapes below: a padded batch's scene axis, or one per stacked
+    logit array; a single scene has none. valid marks a batch's own rows.
     """
 
     heads: np.ndarray  # (m, K(C + 1) + K * V)
@@ -182,6 +248,7 @@ class Scores:
     region_dist: np.ndarray  # (m, C) softmax over regions per class
     per_region: np.ndarray  # (m, C) product of the two streams
     image_level: np.ndarray  # (C,) sigmoid of per-class sums, in (0.5, 1)
+    valid: np.ndarray | None = None  # (N, m) in a padded batch, None when every row is real
     objects: np.ndarray = field(init=False)  # (K, m, C + 1), rows sum to 1
     attributes: np.ndarray = field(init=False)  # (K, m, V), one softmax per category
 
@@ -216,39 +283,55 @@ def init_params(
 
 
 def logits(params: ModelParams, regions: RegionSet) -> np.ndarray:
-    """The packed map's (m, P) outputs for a region set."""
+    """The packed map's (m, P) outputs for a region set, (N, M, P) for a padded batch."""
     x = regions.features
-    if x.shape[1] != params.feature_dim:
-        raise ValueError(f"feature dim {x.shape[1]} does not match model dim {params.feature_dim}")
+    if x.shape[-1] != params.feature_dim:
+        raise ValueError(f"feature dim {x.shape[-1]} does not match model dim {params.feature_dim}")
     w = params.packed
     return x @ w[:-1] + w[-1]
 
 
-def head_scores(params: ModelParams, z: np.ndarray) -> Scores:
+def head_scores(
+    params: ModelParams, z: np.ndarray, valid: np.ndarray | None = None, attributes: bool = True
+) -> Scores:
     """Every head's scores from logits z of shape (..., m, P).
 
-    Leading axes stack independent logit arrays over the same regions;
-    region reductions run over axis -2, so each (m, P) slice scores
-    exactly as it would alone.
+    Leading axes stack independent logit arrays, or a padded batch's
+    scenes; region reductions run over axis -2, so each (m, P) slice
+    scores exactly as it would alone. valid (..., m) masks a batch's
+    padded rows out of the softmax over regions. With attributes False
+    the attribute block of heads is empty and its softmaxes are skipped.
     """
     gate = sigmoid(z[..., params.cls_cols])
-    region_dist = softmax_cols(z[..., params.det_cols])
+    z_det = z[..., params.det_cols]
+    if valid is not None:
+        z_det = np.where(valid[..., None], z_det, -np.inf)
+    region_dist = softmax_cols(z_det)
     per_region = gate * region_dist
-    heads = np.empty(z.shape[:-1] + (params.attribute_cols.stop,))
-    scores = Scores(heads, params.num_heads, gate, region_dist, per_region, sigmoid(per_region.sum(axis=-2)))
+    cols = params.attribute_cols
+    heads = np.empty(z.shape[:-1] + ((cols.stop if attributes else cols.start),))
+    scores = Scores(heads, params.num_heads, gate, region_dist, per_region, sigmoid(per_region.sum(axis=-2)), valid)
     z_objects, z_attributes = scores.split(z)
-    scores.objects[:] = softmax_rows(z_objects)
-    for cols in params.category_slices.values():
-        scores.attributes[..., cols] = softmax_rows(z_attributes[..., cols])
+    softmax_rows(z_objects, out=scores.objects)
+    if attributes:
+        softmax_rows(z_attributes, tuple(params.category_slices.values()), out=scores.attributes)
     return scores
 
 
-def forward(params: ModelParams, regions: RegionSet) -> Scores:
-    return head_scores(params, logits(params, regions))
+def forward(params: ModelParams, regions: RegionSet, attributes: bool = True) -> Scores:
+    """Scores for a region set, or for a padded batch (anything with features and valid, such as a SceneBatch)."""
+    return head_scores(params, logits(params, regions), regions.valid, attributes)
 
 
-def _softmax_rows_backward(s: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    return s * (grad - (grad * s).sum(axis=-1, keepdims=True))
+def _softmax_rows_backward(s: np.ndarray, grad: np.ndarray, segments: Sequence[slice] = WHOLE_ROW) -> np.ndarray:
+    """s * (grad - sum(grad * s)) over each segment of the last axis, laid out as softmax_rows computes."""
+    s, grad = _last_first(s), _last_first(grad)
+    t = grad * s
+    for seg in segments:
+        t[seg] = pairwise_sum(t[seg])
+    grad -= t
+    grad *= s
+    return _last_back(grad)
 
 
 def _softmax_cols_backward(s: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -263,22 +346,27 @@ def param_gradients(
     scores is forward's output for these params and regions; its
     softmaxes and evidence streams are reused, not recomputed. Columns
     whose upstream gradient is all zero come back with exactly zero
-    parameter gradient; nothing leaks across heads.
+    parameter gradient; nothing leaks across heads. For a padded batch
+    the result is the sum of its scenes' gradients, added in scene order;
+    padded rows must get zero grad, and then their dz is zero too.
     """
     x = regions.features
     if grad.shape != scores.heads.shape:
         raise ValueError(f"score gradient has shape {grad.shape}, scores have {scores.heads.shape}")
-    dz = np.empty((len(x), params.packed.shape[1]))
+    # zeros: the attribute columns stay zero when forward left them out
+    dz = np.zeros(x.shape[:-1] + (params.packed.shape[1],))
     d_objects, d_attributes = scores.split(dz)
     g_objects, g_attributes = scores.split(grad)
     d_objects[:] = _softmax_rows_backward(scores.objects, g_objects)
-    for cols in params.category_slices.values():
-        d_attributes[:, :, cols] = _softmax_rows_backward(scores.attributes[:, :, cols], g_attributes[:, :, cols])
+    if d_attributes.shape[-1]:
+        d_attributes[:] = _softmax_rows_backward(scores.attributes, g_attributes, tuple(params.category_slices.values()))
     y, gate = scores.image_level, scores.gate
-    d_per_region = grad_image * y * (1.0 - y)
-    dz[:, params.det_cols] = _softmax_cols_backward(scores.region_dist, d_per_region * gate)
-    dz[:, params.cls_cols] = d_per_region * scores.region_dist * gate * (1.0 - gate)
-    return np.vstack([x.T @ dz, dz.sum(axis=0)]).ravel()
+    d_per_region = (grad_image * y * (1.0 - y))[..., None, :]
+    dz[..., params.det_cols] = _softmax_cols_backward(scores.region_dist, d_per_region * gate)
+    dz[..., params.cls_cols] = d_per_region * scores.region_dist * gate * (1.0 - gate)
+    # one matmul per scene, then the scenes added in order: the bits of summing per-scene calls
+    g = np.concatenate([np.matmul(x.swapaxes(-1, -2), dz), dz.sum(axis=-2)[..., None, :]], axis=-2)
+    return (g if g.ndim == 2 else g.sum(axis=0)).ravel()
 
 
 def iter_param_arrays(params: ModelParams) -> Iterator[tuple[str, np.ndarray]]:
@@ -345,11 +433,16 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     for key, (valid, expected) in _HEADER_KEYS.items():
         if key not in header or not valid(header[key]):
             raise ValueError(f"{path}: checkpoint header needs {key!r} as {expected}")
+    # the payload size is checked against the header's numbers before any of
+    # the layout is built, so a header cannot make this allocate
+    num_classes, num_values = len(header["class_names"]), sum(map(len, header["category_values"].values()))
+    columns = header["num_heads"] * (num_classes + 1 + num_values) + 2 * num_classes
+    needed = (header["feature_dim"] + 1) * columns * 8
+    if len(blob) != needed:
+        raise ValueError(f"{path}: payload has {len(blob)} bytes, layout needs {needed}")
     params = ModelParams(
         header["feature_dim"], header["class_names"], header["category_values"], header["num_heads"]
     )
-    if len(blob) != params.flat.nbytes:
-        raise ValueError(f"{path}: payload has {len(blob)} bytes, layout needs {params.flat.nbytes}")
     params.flat[params.checkpoint_order] = np.frombuffer(blob, dtype="<f8")
     if not np.isfinite(params.flat).all():
         raise ValueError(f"{path}: checkpoint holds non-finite parameters")

@@ -3,12 +3,18 @@
 Training is plain adaptive-gradient descent over per-scene losses: the
 image-evidence term, the first head's MIL and coupled terms, and one
 refinement term per head. Each scene's caption labels are compiled once,
-before the first step, into the Supervision every loss reads. Setting
+before the first step, into the Supervision every loss reads. A step
+packs its batch_size scenes into one padded SceneBatch, concatenates
+their supervision, and runs forward, pseudo-labels, losses and backward
+once over the batch; each scene's gradient has the bits of a one-scene
+call, and the scenes' gradients are added in batch order. Setting
 lambda2 to zero compiles them without attribute pairs, which removes
 every attribute-dependent computation, including the coupled refinement
 terms that would otherwise feed gradients into later object heads; that
 is the exact-match baseline, and the two spellings of it (loss_mode="em",
-lambda2=0) are required to produce identical checkpoints.
+lambda2=0) are required to produce identical checkpoints. A batch without
+attribute pairs, which is every baseline batch, leaves the attribute heads
+out of forward and backward; their gradient would be exactly zero.
 
 Inference and evaluation run on chunks of EVAL_CHUNK scenes, each packed
 into one SceneBatch: proposals padded to the chunk's largest proposal
@@ -47,6 +53,7 @@ class NumericalError(RuntimeError):
 
 
 LOSS_MODES = ("em", "em+sg")
+LOGGED_LOSSES = ("l_obj", "l_entang", "l_mid", "l_total")  # LossReport fields a step logs, with l_oicr
 IOU_THRESHOLD = 0.5  # a detection localises a GT box at this IoU or more, for AP and CorLoc
 # scenes per padded evaluation chunk: a chunk's arrays, and so peak memory,
 # grow with it, while larger chunks save little more time than 16 does
@@ -208,27 +215,26 @@ def train(
     # overflow ends the run through the checks below, with one message and no warnings
     with np.errstate(all="ignore"):
         for step in range(config.steps):
-            grad_flat = np.zeros_like(params.flat)
-            batch_report: dict[str, float] = {"l_obj": 0.0, "l_entang": 0.0, "l_mid": 0.0, "l_total": 0.0}
-            batch_oicr = np.zeros(config.num_heads)
+            picks = []
             for _ in range(config.batch_size):
                 if cursor >= len(order):
                     order = order_rng.permutation(len(scenes))
                     cursor = 0
-                scene = scenes[order[cursor]]
-                sup = sups[order[cursor]]
+                picks.append(order[cursor])
                 cursor += 1
-                report, _, scores = scene_loss(params, scene.proposals, sup, config)
-                if not np.isfinite(report.l_total):
-                    raise NumericalError(
-                        f"non-finite loss at step {step} on scene {scene.image_id!r}: {report.l_total}"
-                    )
-                grad_flat += scorenet.param_gradients(params, scene.proposals, scores, report.grad, report.grad_image)
-                batch_report["l_obj"] += report.l_obj
-                batch_report["l_entang"] += report.l_entang
-                batch_report["l_mid"] += report.l_mid
-                batch_report["l_total"] += report.l_total
-                batch_oicr += np.asarray(report.l_oicr)
+            batch = SceneBatch.pack([scenes[i] for i in picks])
+            sup = Supervision.concat([sups[i] for i in picks])
+            # a batch whose captions name no attribute never reads the attribute heads
+            scores = scorenet.forward(params, batch, attributes=sup.pair_classes.size > 0)
+            pseudo = oicr.build_pseudo_labels(scores, sup, batch.boxes, config.tau)
+            report = frozen_loss(scores, sup, config, pseudo)
+            finite = np.isfinite(report.l_total)
+            if not finite.all():
+                first = int(np.argmin(finite))
+                raise NumericalError(
+                    f"non-finite loss at step {step} on scene {batch.image_ids[first]!r}: {report.l_total[first]}"
+                )
+            grad_flat = scorenet.param_gradients(params, batch, scores, report.grad, report.grad_image)
             grad_flat /= config.batch_size
             if not np.isfinite(grad_flat).all():
                 raise NumericalError(f"non-finite gradient at step {step}")
@@ -236,8 +242,8 @@ def train(
             if not np.isfinite(params.flat).all():
                 raise NumericalError(f"non-finite parameters after step {step}")
             if log_sink is not None:
-                record = {k: v / config.batch_size for k, v in batch_report.items()}
-                record["l_oicr"] = (batch_oicr / config.batch_size).tolist()
+                record = {key: float(getattr(report, key).sum()) / config.batch_size for key in LOGGED_LOSSES}
+                record["l_oicr"] = (report.l_oicr.sum(axis=0) / config.batch_size).tolist()
                 record["step"] = step
                 log_sink(record)
     return params
@@ -259,15 +265,16 @@ class SceneBatch:
 
     @staticmethod
     def pack(scenes: Sequence[SyntheticScene]) -> "SceneBatch":
-        sizes = np.array([scene.proposals.size for scene in scenes], dtype=int)
-        width = int(sizes.max(initial=0))
+        sizes = [scene.proposals.size for scene in scenes]
+        width = max(sizes, default=0)
         dim = scenes[0].proposals.features.shape[1] if scenes else 0
         features = np.zeros((len(scenes), width, dim))
-        boxes = np.tile([0.0, 0.0, 1.0, 1.0], (len(scenes), width, 1))
+        boxes = np.empty((len(scenes), width, 4))
+        boxes[...] = (0.0, 0.0, 1.0, 1.0)
         for n, scene in enumerate(scenes):
             features[n, : sizes[n]] = scene.proposals.features
             boxes[n, : sizes[n]] = scene.proposals.boxes
-        valid = np.arange(width) < sizes[:, None]
+        valid = np.arange(width) < np.array(sizes, dtype=int)[:, None]
         return SceneBatch(tuple(scene.image_id for scene in scenes), features, boxes, valid)
 
 

@@ -30,6 +30,14 @@ logit array over the scene's regions: maxima run over the region axis
 slice as an array. Sums run in C order, so every slice's value has the
 bits of a one-scene call, which returns plain floats.
 
+A training step's padded batch puts its scene axis last among the
+leading axes, and its Supervision (Supervision.concat) names each
+class's and pair's scene: an entry reads its own scene's column, the
+valid mask keeps padded rows out of every maximum, and each scene is
+averaged over its own classes. Its gradients have the bits of one-scene
+calls; its values may differ in the last bits, since a scene's terms are
+summed next to the zeros that stand for the other scenes' entries.
+
 total_loss is the one place the terms are mixed: the evidence term, plus
 lambda1 times the MIL term, plus lambda2 times the coupled term, plus the
 refinement terms unweighted. The weights come straight from TrainConfig,
@@ -40,6 +48,7 @@ so a scene-step fills one heads-sized gradient array, not two.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -51,18 +60,57 @@ from .textgraph import LabelSet
 
 @dataclass(frozen=True)
 class Supervision:
-    """One scene's caption labels as validated index arrays.
+    """Caption labels as validated index arrays: one scene's, or a padded batch's.
 
     The pairs are ordered by class and then by (category, value); a pair's
-    column indexes the model's (m, V) attribute scores, and pair_keys names
-    it as (class, category, value).
+    column indexes the model's (m, V) attribute scores, its entry indexes
+    classes, and pair_keys names it as (class, category, value). positive
+    marks the mentioned classes, and divisor is the number of them (at
+    least 1), which the MIL and coupled terms average over.
+
+    A batch's supervision (concat) lists its scenes' classes and pairs
+    scene after scene. class_scenes and pair_scenes give each one's scene,
+    an index into the scene axis of the batch's scores; positive gains
+    that axis, (N, C), and divisor becomes (N,). Its pair_keys lead with
+    the scene. A single scene's class_scenes and pair_scenes are None.
     """
 
     num_classes: int
-    classes: np.ndarray  # (|O|,) mentioned classes, ascending
+    classes: np.ndarray  # (|O|,) mentioned classes, ascending within a scene
     pair_classes: np.ndarray  # (P,)
     pair_columns: np.ndarray  # (P,)
-    pair_keys: tuple[tuple[int, str, str], ...]
+    pair_entries: np.ndarray  # (P,) index into classes of each pair's class
+    pair_keys: tuple[tuple, ...]
+    positive: np.ndarray  # (C,) bool
+    divisor: float | np.ndarray
+    class_scenes: np.ndarray | None = None
+    pair_scenes: np.ndarray | None = None
+
+    @staticmethod
+    def concat(sups: Sequence["Supervision"]) -> "Supervision":
+        """The supervision of a batch of single scenes, scene n being row n of the batch's scene axis."""
+        counts = [sup.classes.size for sup in sups]
+        offsets = itertools.accumulate(counts[:-1], initial=0)
+        scenes = np.arange(len(sups))
+        return Supervision(
+            num_classes=sups[0].num_classes,
+            classes=np.concatenate([sup.classes for sup in sups]),
+            pair_classes=np.concatenate([sup.pair_classes for sup in sups]),
+            pair_columns=np.concatenate([sup.pair_columns for sup in sups]),
+            pair_entries=np.concatenate([sup.pair_entries + offset for sup, offset in zip(sups, offsets)]),
+            pair_keys=tuple((n, *key) for n, sup in enumerate(sups) for key in sup.pair_keys),
+            positive=np.array([sup.positive for sup in sups]),
+            divisor=np.array([sup.divisor for sup in sups]),
+            class_scenes=np.repeat(scenes, counts),
+            pair_scenes=np.repeat(scenes, [sup.pair_classes.size for sup in sups]),
+        )
+
+    @property
+    def class_keys(self) -> list:
+        """Each mentioned class, as (scene, class) in a batch."""
+        if self.class_scenes is None:
+            return self.classes.tolist()
+        return list(zip(self.class_scenes.tolist(), self.classes.tolist()))
 
 
 def compile_supervision(
@@ -77,57 +125,84 @@ def compile_supervision(
     for c, cat, val in keys:
         if (cat, val) not in value_columns:
             raise ValueError(f"class {c}: no attribute column for {cat!r} = {val!r}")
+    pair_classes = np.array([c for c, _, _ in keys], dtype=int)
+    positive = np.zeros(num_classes, dtype=bool)
+    positive[classes] = True
     return Supervision(
         num_classes=num_classes,
         classes=np.array(classes, dtype=int),
-        pair_classes=np.array([c for c, _, _ in keys], dtype=int),
+        pair_classes=pair_classes,
         pair_columns=np.array([value_columns[cat, val] for _, cat, val in keys], dtype=int),
+        pair_entries=np.searchsorted(classes, pair_classes),
         pair_keys=tuple(keys),
+        positive=positive,
+        divisor=float(max(1, len(classes))),
     )
 
 
 def _value(v: np.ndarray) -> float | np.ndarray:
-    """One scene's loss value as a float; a stack's as an array over its leading axes."""
+    """One scene's loss value as a float; a stack's or a batch's as an array over its leading axes."""
     return float(v) if v.ndim == 0 else v
 
 
 def _chosen(keys: Sequence, rows: np.ndarray) -> dict:
     """Each key's chosen region, or its list of regions along the leading axes."""
-    return {key: rows[..., i].tolist() for i, key in enumerate(keys)}
+    return dict(zip(keys, rows.transpose((rows.ndim - 1,) + tuple(range(rows.ndim - 1))).tolist()))
 
 
-def _argmax_cells(p: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Index of each column's maximizing cell in an (..., m, n) array, ties to the lowest region.
-
-    Its second-to-last entry holds the chosen regions; any array laid
-    out like p can be read or scattered through it.
-    """
-    rows = np.argmax(p, axis=-2)
-    lead = (i[..., None] for i in np.indices(rows.shape[:-1], sparse=True))
-    return (*lead, rows, np.arange(p.shape[-1]))
+def gather_entries(a: np.ndarray, scenes: np.ndarray | None, columns: np.ndarray) -> np.ndarray:
+    """(..., n, m): entry i is column columns[i] of a (..., m, c), of scene scenes[i] of a batch's (..., N, m, c)."""
+    t = a.swapaxes(-1, -2)
+    return t[..., columns, :] if scenes is None else t[..., scenes, columns, :]
 
 
-def object_mil_loss(scores: np.ndarray, sup: Supervision) -> tuple[float, np.ndarray, dict[int, int]]:
+def best_regions(p: np.ndarray, scenes: np.ndarray | None, valid: np.ndarray | None) -> np.ndarray:
+    """Each entry's maximizing region of p (..., n, m), ties to the lowest; a batch's padded rows never win."""
+    if valid is not None:
+        p = np.where(valid[scenes], p, -np.inf)
+    return p.argmax(axis=-1)
+
+
+def slice_index(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Index arrays that address every slice of leading axes of this shape, broadcasting against (..., n)."""
+    return tuple(np.arange(size).reshape((size,) + (1,) * (len(shape) - i)) for i, size in enumerate(shape))
+
+
+def _scene_sums(terms: np.ndarray, scenes: np.ndarray | None, sup: Supervision) -> np.ndarray:
+    """Sum (..., n) terms over a scene's entries; per scene (..., N) in a batch."""
+    if scenes is None:
+        return np.sum(terms, axis=-1)
+    owner = scenes == np.arange(len(sup.positive))[:, None]
+    return np.where(owner, terms[..., None, :], 0.0).sum(axis=-1)
+
+
+def object_mil_loss(
+    scores: np.ndarray, sup: Supervision, valid: np.ndarray | None = None
+) -> tuple[float, np.ndarray, dict[int, int]]:
     """-(1/|O|) sum over mentioned classes of log of the best region score.
 
     Gradient is nonzero only at each class's maximizing region; ties go to
     the lowest region index. Empty O short-circuits to zero. scores is
-    (..., m, C + 1); leading axes give a value per slice.
+    (..., m, C + 1); leading axes give a value per slice. A batch's
+    scores carry the scene axis at -3, valid (N, m) masks its padded rows,
+    and every scene is averaged over its own classes.
     """
-    grad = np.zeros_like(scores)
-    classes = sup.classes
+    grad = np.zeros(scores.shape)
+    classes, scenes = sup.classes, sup.class_scenes
     if not classes.size:
         return _value(np.zeros(scores.shape[:-2])), grad, {}
-    p = np.asarray(clamp_prob(scores[..., classes]))
-    at = _argmax_cells(p)
-    best = p[at]
-    grad[(*at[:-1], classes)] = -1.0 / best  # one cell per class, so none is hit twice
-    grad /= classes.size
-    return _value(-np.sum(np.log(best), axis=-1) / classes.size), grad, _chosen(classes.tolist(), at[-2])
+    p = clamp_prob(gather_entries(scores, scenes, classes))
+    rows = best_regions(p, scenes, valid)
+    lead = slice_index(rows.shape[:-1])
+    best = p[(*lead, np.arange(classes.size), rows)]
+    scene = () if scenes is None else (scenes,)
+    grad[(*lead, *scene, rows, classes)] = -1.0 / best  # one cell per class, so none is hit twice
+    grad /= np.asarray(sup.divisor)[..., None, None]
+    return _value(-_scene_sums(np.log(best), scenes, sup) / sup.divisor), grad, _chosen(sup.class_keys, rows)
 
 
 def entanglement_loss(
-    obj_scores: np.ndarray, attr_scores: np.ndarray, sup: Supervision
+    obj_scores: np.ndarray, attr_scores: np.ndarray, sup: Supervision, valid: np.ndarray | None = None
 ) -> tuple[float, np.ndarray, np.ndarray, dict[tuple[int, str, str], int]]:
     """Coupled object-attribute MIL: per pair, maximize the product at one region.
 
@@ -135,25 +210,29 @@ def entanglement_loss(
     the loss is -log max over regions of obj[:, c] * attr[:, col(a, v)].
     Both factors receive gradient at the maximizing region. The sum over
     pairs is normalized by |O|, the number of mentioned classes. Leading
-    axes of (..., m, C + 1) and (..., m, V) scores give a value per slice.
+    axes of (..., m, C + 1) and (..., m, V) scores give a value per slice;
+    a batch's scene axis and valid mask work as in object_mil_loss.
     """
-    grad_obj = np.zeros_like(obj_scores)
-    grad_attr = np.zeros_like(attr_scores)
-    classes, cols = sup.pair_classes, sup.pair_columns
+    grad_obj = np.zeros(obj_scores.shape)
+    grad_attr = np.zeros(attr_scores.shape)
+    classes, cols, scenes = sup.pair_classes, sup.pair_columns, sup.pair_scenes
     if not classes.size:
         return _value(np.zeros(obj_scores.shape[:-2])), grad_obj, grad_attr, {}
-    p_obj = np.asarray(clamp_prob(obj_scores[..., classes]))
-    p_attr = np.asarray(clamp_prob(attr_scores[..., cols]))
-    at = _argmax_cells(p_obj * p_attr)
+    p_obj = clamp_prob(gather_entries(obj_scores, scenes, classes))
+    p_attr = clamp_prob(gather_entries(attr_scores, scenes, cols))
+    rows = best_regions(p_obj * p_attr, scenes, valid)
+    lead = slice_index(rows.shape[:-1])
+    at = (*lead, np.arange(classes.size), rows)
     best_obj, best_attr = p_obj[at], p_attr[at]
+    scene = () if scenes is None else (scenes,)
     # np.add.at, not fancy-index assignment: pairs that meet in one cell must accumulate
-    np.add.at(grad_obj, (*at[:-1], classes), -1.0 / best_obj)
-    np.add.at(grad_attr, (*at[:-1], cols), -1.0 / best_attr)
-    denom = float(sup.classes.size)
-    grad_obj /= denom
-    grad_attr /= denom
-    total = -np.sum(np.log(best_obj) + np.log(best_attr), axis=-1) / denom
-    return _value(total), grad_obj, grad_attr, _chosen(sup.pair_keys, at[-2])
+    np.add.at(grad_obj, (*lead, *scene, rows, classes), -1.0 / best_obj)
+    np.add.at(grad_attr, (*lead, *scene, rows, cols), -1.0 / best_attr)
+    divisor = np.asarray(sup.divisor)[..., None, None]
+    grad_obj /= divisor
+    grad_attr /= divisor
+    total = -_scene_sums(np.log(best_obj) + np.log(best_attr), scenes, sup) / sup.divisor
+    return _value(total), grad_obj, grad_attr, _chosen(sup.pair_keys, rows)
 
 
 def mid_loss(image_level: np.ndarray, sup: Supervision) -> tuple[float, np.ndarray]:
@@ -162,16 +241,16 @@ def mid_loss(image_level: np.ndarray, sup: Supervision) -> tuple[float, np.ndarr
     Returns the gradient with respect to the image-level scores; pushing
     it back through the sigmoid, the region sum, and both streams is done
     by the score network's backward pass. image_level is (..., C); leading
-    axes give a value per slice.
+    axes, a batch's scene axis among them, give a value per slice.
     """
-    y = np.asarray(clamp_prob(image_level))
+    y = clamp_prob(np.asarray(image_level))
     if y.shape[-1:] != (sup.num_classes,):
         raise ValueError(f"expected {sup.num_classes} image-level scores, got shape {y.shape}")
-    positive = np.zeros(sup.num_classes, dtype=bool)
-    positive[sup.classes] = True
-    # compress keeps C order where y[..., positive] would not, so each slice sums as it would alone
-    log_positive = np.log(y.compress(positive, axis=-1))
-    log_negative = np.log1p(-y.compress(~positive, axis=-1))
+    positive = sup.positive
+    # the masked terms are exact zeros, so under 8 classes each sum has the
+    # bits of summing only the scene's own positive (negative) terms
+    log_positive = np.where(positive, np.log(y), 0.0)
+    log_negative = np.where(positive, 0.0, np.log1p(-y))
     total = -(log_positive.sum(axis=-1) + log_negative.sum(axis=-1))
     grad = np.where(positive, -1.0 / y, 1.0 / (1.0 - y))
     return _value(total), grad
@@ -216,8 +295,8 @@ def total_loss(
     """
     grad_objects, grad_attributes = scores.split(grad)
     first_objects, first_attributes = scores.objects[..., 0, :, :], scores.attributes[..., 0, :, :]
-    l_obj, g_obj, argmax_objects = object_mil_loss(first_objects, sup)
-    l_entang, g_eobj, g_eattr, argmax_pairs = entanglement_loss(first_objects, first_attributes, sup)
+    l_obj, g_obj, argmax_objects = object_mil_loss(first_objects, sup, scores.valid)
+    l_entang, g_eobj, g_eattr, argmax_pairs = entanglement_loss(first_objects, first_attributes, sup, scores.valid)
     # caption terms summed first: two separate += onto the refinement gradient would round differently
     grad_objects[..., 0, :, :] += lambda1 * g_obj + lambda2 * g_eobj
     grad_attributes[..., 0, :, :] += lambda2 * g_eattr

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +67,46 @@ class TestActivations:
     def test_softmax_shift_invariance(self):
         z = np.array([[1.0, 2.0, 3.0]])
         assert np.allclose(softmax_rows(z), softmax_rows(z + 1000.0))
+
+    def test_softmax_rows_leaves_its_input_alone(self):
+        z = np.array([[1.0, 2.0, 3.0]])
+        softmax_rows(z)
+        assert z.tolist() == [[1.0, 2.0, 3.0]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_pairwise_sum_has_the_bits_of_a_row_sum(self, data):
+        # numpy adds a short row in order, 8 interleaved partial sums from 8
+        # entries on, and halves past 128
+        width = data.draw(st.sampled_from([1, 2, 7, 8, 9, 15, 16, 17, 64, 127, 128, 129, 300]))
+        lead = data.draw(st.sampled_from([(), (3,), (2, 5)]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        rows = rng.normal(size=lead + (width,)) * 10.0 ** rng.integers(-8, 9, size=lead + (width,))
+        column_first = np.moveaxis(rows, -1, 0).copy()
+        assert np.array_equal(scorenet.pairwise_sum(column_first), rows.sum(axis=-1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_segments_have_the_bits_of_row_softmaxes(self, data):
+        widths = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # a strided view, as head_scores passes the attribute block of its logits
+        z = rng.normal(scale=5.0, size=(2, 4, sum(widths) + 3))[..., 1 : sum(widths) + 1]
+        grad = rng.normal(size=z.shape)
+        ends = np.cumsum(widths)
+        segments = tuple(slice(end - w, end) for w, end in zip(widths, ends))
+
+        def row_softmax(v):
+            e = np.exp(v - v.max(axis=-1, keepdims=True))
+            return e / e.sum(axis=-1, keepdims=True)
+
+        s = softmax_rows(z, segments)
+        expected = np.concatenate([row_softmax(z[..., seg]) for seg in segments], axis=-1)
+        assert np.array_equal(s, expected)
+        back = scorenet._softmax_rows_backward(s, grad, segments)
+        for seg in segments:
+            g, p = grad[..., seg], s[..., seg]
+            assert np.array_equal(back[..., seg], p * (g - (g * p).sum(axis=-1, keepdims=True)))
 
     def test_sigmoid_extremes_finite(self):
         v = sigmoid(np.array([-1e9, 0.0, 1e9]))
@@ -316,16 +357,19 @@ class TestPackedForward:
             np.testing.assert_allclose(got, expected, **close)
 
     def test_default_model_runs_one_softmax_pass_per_group(self, monkeypatch):
-        # one pass over every object head, one per attribute category
+        # one pass over every object head, one over every attribute head's categories
         registry = default_registry()
         cats = {cat: tuple(registry.values[cat]) for cat in registry.categories}
         p = init_params(64, [f"c{i}" for i in range(8)], cats, 3, seed=0)
         assert p.packed.shape[1] == 100  # K(C + 1) + K * V + 2C
         calls = []
         real = scorenet.softmax_rows
-        monkeypatch.setattr(scorenet, "softmax_rows", lambda z: calls.append(z.shape) or real(z))
+        monkeypatch.setattr(
+            scorenet, "softmax_rows", lambda z, *args, **kwargs: calls.append((z.shape, args)) or real(z, *args, **kwargs)
+        )
         forward(p, make_regions(np.random.default_rng(25), 34, 64))
-        assert len(calls) == 1 + len(cats) == 5
+        assert calls == [((3, 34, 9), ()), ((3, 34, 19), (tuple(p.category_slices.values()),))]
+        assert len(cats) == 4
 
 
 class TestFlatten:
@@ -475,6 +519,20 @@ class TestCheckpoint:
         path.write_bytes(CHECKPOINT_MAGIC + b"{not json\n" + b"\x00" * 64)
         with pytest.raises(ValueError, match="header"):
             load_checkpoint(path)
+
+    def test_header_sizes_are_checked_before_allocating(self, tmp_path):
+        # the layout would take 5.6 MB, and its index as much again; the 8-byte payload is refused first
+        header = {"feature_dim": 100000, "class_names": ["a", "b"], "category_values": {}, "num_heads": 1}
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + json.dumps(header).encode() + b"\n" + b"\x00" * 8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"payload has 8 bytes, layout needs 5600056\b"):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def _rewrite_header(path, edit):

@@ -12,10 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from box_reference import greedy_nms, pair_iou
-from capdet import trainer
+from capdet import oicr, scorenet, trainer, weakloss
 from eval_reference import evaluate_loop, infer_scene
+from train_reference import train_loop
 from capdet.geometry import iou_matrix, nms
-from capdet.scorenet import RegionSet, forward
+from capdet.scorenet import RegionSet, forward, init_params
 from capdet.synthbench import (
     GroundTruth,
     SynthConfig,
@@ -24,7 +25,7 @@ from capdet.synthbench import (
     gen_dataset,
     make_universe,
 )
-from capdet.textgraph import Vocabulary, default_registry
+from capdet.textgraph import LabelSet, Vocabulary, default_registry
 from capdet.trainer import (
     EVAL_CHUNK,
     IOU_THRESHOLD,
@@ -42,6 +43,7 @@ from capdet.trainer import (
     train,
     write_metrics,
 )
+from capdet.weakloss import Supervision
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +265,150 @@ class TestTrain:
         for record in log:
             json.dumps(record)
             assert set(record) >= {"step", "l_total", "l_obj", "l_mid", "l_oicr"}
+
+
+def unmentioned(scene):
+    """The scene with a caption that names no class."""
+    return dataclasses.replace(scene, captions=["there is something here."])
+
+
+def random_batch(rng, num_scenes, num_classes=3, num_heads=2, d=6, sizes=None):
+    """A small model, a ragged padded batch of random scenes, their concatenated labels and a config.
+
+    The model's weights are spread like the gradient check's, so its
+    probabilities spread out; about one scene in four mentions no class.
+    """
+    categories = {"color": ("red", "green", "blue"), "size": ("small", "large")}
+    params = init_params(d, [f"c{i}" for i in range(num_classes)], categories, num_heads, seed=int(rng.integers(2**31)))
+    params.flat[params.checkpoint_order] += rng.normal(0.0, 0.5, size=params.flat.size)
+    scenes, sups = [], []
+    config = TrainConfig(steps=1, num_heads=num_heads, tau=float(rng.uniform(0.3, 0.7)))
+    for n in range(num_scenes):
+        m = int(rng.integers(1, 9)) if sizes is None else sizes[n]
+        centers, half = rng.uniform(0.2, 0.8, size=(m, 2)), rng.uniform(0.05, 0.2, size=(m, 2))
+        boxes = np.hstack([centers - half, centers + half])
+        scenes.append(SyntheticScene(f"s{n}", [], RegionSet(boxes, rng.normal(size=(m, d))), []))
+        mentioned = [] if rng.random() < 0.25 else rng.choice(num_classes, int(rng.integers(1, num_classes + 1)), replace=False)
+        labels = LabelSet(objects={int(c) for c in mentioned})
+        for c in labels.objects:
+            if rng.random() < 0.7:
+                cat = ("color", "size")[int(rng.integers(2))]
+                labels.attribute_pairs[c] = {(cat, categories[cat][int(rng.integers(len(categories[cat])))])}
+        sups.append(compile_labels(labels, params, config))
+    return params, SceneBatch.pack(scenes), Supervision.concat(sups), config
+
+
+def batch_step(params, batch, sup, config, pseudo=None):
+    """The training step's loss report, pseudo-labels and parameter gradient over one batch."""
+    scores = scorenet.forward(params, batch, attributes=sup.pair_classes.size > 0)
+    if pseudo is None:
+        pseudo = oicr.build_pseudo_labels(scores, sup, batch.boxes, config.tau)
+    report = trainer.frozen_loss(scores, sup, config, pseudo)
+    return report, pseudo, scorenet.param_gradients(params, batch, scores, report.grad, report.grad_image)
+
+
+class TestBatchedStep:
+    """train runs one padded batch per step; tests/train_reference.py runs its scenes one by one."""
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 3])
+    @pytest.mark.parametrize("loss_mode", ["em+sg", "em"])
+    def test_matches_per_scene_loop(self, small_world, registry, loss_mode, batch_size):
+        universe, scenes, vocab = small_world
+        # ragged proposal counts, and scenes whose captions name no class
+        mixed = [unmentioned(scene) if n % 3 == 1 else scene for n, scene in enumerate(scenes)]
+        assert len({scene.proposals.size for scene in mixed}) > 1
+        cfg = TrainConfig(steps=15, batch_size=batch_size, loss_mode=loss_mode, lambda2=0.01 if loss_mode == "em+sg" else 0.0)
+        log, reference_log = [], []
+        params = train(mixed, vocab, registry, cfg, log_sink=log.append)
+        reference = train_loop(mixed, vocab, registry, cfg, log_sink=reference_log.append)
+        assert params.flat.tobytes() == reference.flat.tobytes()
+        # loss values only reach the log; a batch sums a scene's padded terms in another grouping
+        assert [r["step"] for r in log] == [r["step"] for r in reference_log]
+        for record, expected in zip(log, reference_log):
+            for key in ("l_obj", "l_entang", "l_mid", "l_total", "l_oicr"):
+                np.testing.assert_allclose(record[key], expected[key], rtol=1e-12, atol=1e-300)
+
+    def test_matches_per_scene_loop_without_any_mention(self, small_world, registry):
+        universe, scenes, vocab = small_world
+        silent = [unmentioned(scene) for scene in scenes[:5]]
+        cfg = TrainConfig(steps=4, batch_size=2)
+        params = train(silent, vocab, registry, cfg)
+        assert params.flat.tobytes() == train_loop(silent, vocab, registry, cfg).flat.tobytes()
+
+    @pytest.mark.parametrize("loss_mode", ["em+sg", "em"])
+    def test_one_call_per_layer_per_step(self, small_world, registry, loss_mode):
+        universe, scenes, vocab = small_world
+        cfg = TrainConfig(steps=7, batch_size=2, loss_mode=loss_mode, lambda2=0.01 if loss_mode == "em+sg" else 0.0)
+        with (
+            mock.patch.object(scorenet, "forward", wraps=scorenet.forward) as forward,
+            mock.patch.object(oicr, "build_pseudo_labels", wraps=oicr.build_pseudo_labels) as pseudo,
+            mock.patch.object(weakloss, "total_loss", wraps=weakloss.total_loss) as loss,
+            mock.patch.object(scorenet, "param_gradients", wraps=scorenet.param_gradients) as backward,
+        ):
+            train(scenes, vocab, registry, cfg)
+        assert [spy.call_count for spy in (forward, pseudo, loss, backward)] == [cfg.steps] * 4
+        # the exact-match baseline never computes the attribute heads
+        skipped = [not call.kwargs["attributes"] for call in forward.call_args_list]
+        assert all(skipped) if loss_mode == "em" else not any(skipped)
+
+    def test_non_finite_loss_names_its_scene(self, small_world, registry):
+        universe, scenes, vocab = small_world
+        real = weakloss.total_loss
+
+        def second_scene_diverges(*args, **kwargs):
+            report = real(*args, **kwargs)
+            report.l_total[1] = np.inf
+            return report
+
+        second = scenes[np.random.default_rng(0).permutation(len(scenes))[1]].image_id
+        with mock.patch.object(weakloss, "total_loss", second_scene_diverges):
+            with pytest.raises(NumericalError, match=rf"^non-finite loss at step 0 on scene '{second}': inf$"):
+                train(scenes, vocab, registry, TrainConfig(steps=3, batch_size=3))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_gradient_matches_central_differences(self, seed):
+        # the batch's summed loss over ragged scenes, refinement supervision frozen
+        rng = np.random.default_rng([20240601, seed])
+        params, batch, sup, config = random_batch(rng, num_scenes=3, num_heads=1 + seed % 3, sizes=[2, 7, 4])
+        report, pseudo, analytic = batch_step(params, batch, sup, config)
+        base = params.flat.copy()
+
+        def loss(flat):
+            params.flat[:] = flat
+            return float(batch_step(params, batch, sup, config, pseudo)[0].l_total.sum())
+
+        step = 1e-5
+        numeric = np.empty_like(base)
+        for i in range(base.size):
+            bumped = base.copy()
+            bumped[i] += step
+            up = loss(bumped)
+            bumped[i] -= 2 * step
+            numeric[i] = (up - loss(bumped)) / (2 * step)
+        params.flat[:] = base
+        errors = np.abs(analytic - numeric) / np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1.0)
+        assert errors.max() < 1e-6
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.01, 10.0))
+    def test_padded_rows_change_nothing(self, seed, scale):
+        rng = np.random.default_rng(seed)
+        params, batch, sup, config = random_batch(rng, num_scenes=int(rng.integers(2, 4)))
+        padded = ~batch.valid
+        features, boxes = batch.features.copy(), batch.boxes.copy()
+        features[padded] = rng.normal(0.0, scale, size=(padded.sum(), features.shape[-1]))
+        # copies of the scene's own boxes: each overlaps a real row, maybe a seed, at IoU 1
+        for n, row in zip(*np.nonzero(padded)):
+            boxes[n, row] = boxes[n, rng.integers(batch.valid[n].sum())]
+        moved = dataclasses.replace(batch, features=features, boxes=boxes)
+        report, pseudo, grad = batch_step(params, batch, sup, config)
+        moved_report, moved_pseudo, moved_grad = batch_step(params, moved, sup, config)
+        assert np.array_equal(report.l_total, moved_report.l_total)
+        assert np.array_equal(grad, moved_grad)
+        if pseudo is not None:
+            assert np.array_equal(pseudo.labels, moved_pseudo.labels)
+            assert np.array_equal(pseudo.weights, moved_pseudo.weights)
+            assert not pseudo.weights[np.broadcast_to(padded[:, None], pseudo.weights.shape)].any()
 
 
 def scene_detections(dets, n):
