@@ -143,6 +143,9 @@ def cmd_parse(args: argparse.Namespace) -> int:
     for lineno, record in records:
         if not isinstance(record, dict) or "image_id" not in record or "captions" not in record:
             raise DataError(f"{args.captions}: line {lineno}: needs to be an object with image_id and captions")
+        # the id is echoed into the label record, so it must be one JSON can carry back
+        if type(record["image_id"]) not in (str, int):
+            raise DataError(f"{args.captions}: line {lineno}: image_id must be a string or an integer")
         try:
             labels = extract_labels(check_captions(record["captions"]), vocab, registry, stats)
         except ValueError as e:

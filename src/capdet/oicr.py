@@ -22,7 +22,10 @@ Nothing orders the heads' seeding within a step, so every head is seeded
 at once from the stacked previous-head scores, and the refinement terms
 of all heads are one gather for the object term and one np.add.at per
 coupled factor. The overlap mask (IoU >= tau between every pair of a
-scene's boxes) is built once per scene-step and shared by every head.
+scene's boxes, overlap_masks) depends on the proposals alone, so its
+caller builds it once, train before its first step and a gradient check
+once per trial, and every head of every step reads it. Supervision
+without an attribute pair seeds no pair and gets no coupled assignment.
 The refinement terms also score stacked scores (leading axes, as
 weakloss describes) against one frozen PseudoLabels.
 
@@ -74,35 +77,43 @@ def initial_scores(per_region: np.ndarray, valid: np.ndarray | None = None) -> n
     return softmax_cols(per_region)
 
 
-def build_pseudo_labels(scores: Scores, sup: Supervision, boxes: np.ndarray, tau: float) -> PseudoLabels | None:
+def overlap_masks(boxes: np.ndarray, tau: float, valid: np.ndarray | None = None) -> np.ndarray:
+    """near[..., i, j]: box i overlaps box j by IoU >= tau; a padded row or column of valid (..., m) is False.
+
+    Each slice of leading axes is the mask a lone (m, 4) call gives, bit
+    for bit, so a scene's block of a padded chunk is the scene's own mask.
+    """
+    near = iou_matrix(boxes, boxes) >= tau
+    if valid is not None:
+        near &= valid[..., :, None] & valid[..., None, :]
+    return near
+
+
+def build_pseudo_labels(scores: Scores, sup: Supervision, near: np.ndarray) -> PseudoLabels | None:
     """Freeze every head's supervision from its predecessor's current scores.
 
-    The result is pure data: recomputing losses against it involves no
-    argmax over live scores, which is what a gradient check needs. A scene
-    with no mentioned class has no refinement supervision (None), and
-    neither has a batch none of whose scenes mentions one. A batch's boxes
-    are (N, M, 4), its supervision is concatenated (Supervision.concat),
-    and its padded rows are never seeded and never reached.
+    near is overlap_masks of the scores' boxes at the refinement tau. The
+    result is pure data: recomputing losses against it involves no argmax
+    over live scores, which is what a gradient check needs. A scene with
+    no mentioned class has no refinement supervision (None), and neither
+    has a batch none of whose scenes mentions one. A batch's near is
+    (N, M, M), False at its padded rows, and its supervision is
+    concatenated (Supervision.concat); its padded rows are never seeded
+    and never reached.
     """
     classes, scenes, valid = sup.classes, sup.class_scenes, scores.valid
     if not classes.size:
         return None
 
-    def heads_first(a: np.ndarray) -> np.ndarray:
-        return a if scenes is None else a.swapaxes(0, 1)
-
-    near = iou_matrix(boxes, boxes) >= tau
-    if valid is not None:
-        near &= valid[..., :, None]
     # reach[..., i] of a seed is near[i, seed]: the seed's column, read as a row
     near_t = near.swapaxes(-1, -2)
-    # (K, [N,] m, C): head k's predecessor scores, head axis first
+    # ([N,] K, m, C): head k's predecessor scores
     prev = np.concatenate(
         [initial_scores(scores.per_region, valid)[..., None, :, :], scores.objects[..., :-1, :, : sup.num_classes]],
         axis=-3,
     )
     # (K, |O|, m): each mentioned class's column of its own scene
-    candidates = gather_entries(heads_first(prev), scenes, classes)
+    candidates = gather_entries(prev if scenes is None else prev.swapaxes(0, 1), scenes, classes)
     if valid is not None:
         candidates = np.where(valid[scenes], candidates, -np.inf)
     seeds = candidates.argmax(axis=-1)
@@ -122,23 +133,40 @@ def build_pseudo_labels(scores: Scores, sup: Supervision, boxes: np.ndarray, tau
     # rows, and every row of a scene that mentions no class, get weight 0
     unclaimed = 1.0 if scenes is None else valid & own.any(axis=1)
     weights = np.where(claimed, claims.max(axis=-2), unclaimed)
+    if scenes is not None:
+        labels, weights = labels.swapaxes(0, 1), weights.swapaxes(0, 1)
+    if sup.pair_classes.size:
+        coupled = coupled_assignments(scores, sup, near, seeds)
+    else:
+        # no pair to seed: every baseline step, and any batch whose captions name no attribute
+        none = np.zeros(0, dtype=int)
+        coupled = (none, none, none, none, None if scenes is None else none)
+    return PseudoLabels(labels, weights, seeds, *coupled)
 
-    # head 1 labels each pair at its class's evidence seed; later heads seed
-    # each pair at the previous head's best product and spread it by overlap
+
+def coupled_assignments(
+    scores: Scores, sup: Supervision, near: np.ndarray, seeds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """PseudoLabels' heads, regions, classes, columns and scenes, given the classes' (K, |O|) seeds.
+
+    Head 1 labels each pair at its class's evidence seed; later heads seed
+    each pair at the previous head's best product and spread it by overlap.
+    """
     pair_classes, pair_columns, pair_scenes = sup.pair_classes, sup.pair_columns, sup.pair_scenes
-    product = gather_entries(heads_first(scores.objects[..., :-1, :, :]), pair_scenes, pair_classes)
-    product = product * gather_entries(heads_first(scores.attributes[..., :-1, :, :]), pair_scenes, pair_columns)
-    pair_seeds = best_regions(product, pair_scenes, valid)
+    objects, attributes = scores.objects[..., :-1, :, :], scores.attributes[..., :-1, :, :]
+    if pair_scenes is not None:
+        objects, attributes = objects.swapaxes(0, 1), attributes.swapaxes(0, 1)  # head axis first
+    product = gather_entries(objects, pair_scenes, pair_classes) * gather_entries(attributes, pair_scenes, pair_columns)
+    pair_seeds = best_regions(product, pair_scenes, scores.valid)
+    # a pair reaches region i where near[i, seed]: the seed's column, read as a row
+    near_t = near.swapaxes(-1, -2)
     later, pair, region = np.nonzero(near_t[pair_seeds] if pair_scenes is None else near_t[pair_scenes, pair_seeds])
-    return PseudoLabels(
-        labels=labels if scenes is None else labels.swapaxes(0, 1),
-        weights=weights if scenes is None else weights.swapaxes(0, 1),
-        seeds=seeds,
-        heads=np.concatenate([np.zeros(pair_classes.size, dtype=int), later + 1]),
-        regions=np.concatenate([seeds[0, sup.pair_entries], region]),
-        classes=np.concatenate([pair_classes, pair_classes[pair]]),
-        columns=np.concatenate([pair_columns, pair_columns[pair]]),
-        scenes=None if scenes is None else np.concatenate([pair_scenes, pair_scenes[pair]]),
+    return (
+        np.concatenate([np.zeros(pair_classes.size, dtype=int), later + 1]),
+        np.concatenate([seeds[0, sup.pair_entries], region]),
+        np.concatenate([pair_classes, pair_classes[pair]]),
+        np.concatenate([pair_columns, pair_columns[pair]]),
+        None if pair_scenes is None else np.concatenate([pair_scenes, pair_scenes[pair]]),
     )
 
 

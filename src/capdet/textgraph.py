@@ -7,7 +7,8 @@ The rules are a deliberate approximation: lowercase tokens, a small
 suffix-stripping lemmatizer, bigram-then-unigram matching against the
 class vocabulary, and two adjective attachment patterns (prenominal
 sequences and "X is/are ADJ" copulas). Words outside the attribute
-registry never produce labels.
+registry never produce labels. Only parse_scene_graph finds relations;
+label extraction skips them.
 """
 
 from __future__ import annotations
@@ -329,9 +330,10 @@ def _find_prepositions(tokens: list[str]) -> list[tuple[int, int, str]]:
     return spans
 
 
-def _parse_caption(
+def _parse_mentions(
     caption: str, vocab: Vocabulary, registry: AttributeRegistry, stats: ParseStats
-) -> TextualSceneGraph:
+) -> tuple[TextualSceneGraph, list[str], list[tuple[int, int, str, int]]]:
+    """A caption's graph without relations, plus its tokens and object matches, which relations read."""
     if not caption or not caption.strip():
         raise ValueError("caption must be non-empty")
     tokens = tokenize(caption)
@@ -351,7 +353,12 @@ def _parse_caption(
             if cat not in taken[obj_pos]:
                 taken[obj_pos].add(cat)
                 graph.attributes.append((obj_pos, cat, val))
+    return graph, tokens, matches
 
+
+def _find_relations(tokens: list[str], matches: list[tuple[int, int, str, int]]) -> list[tuple[int, str, int]]:
+    """(subject, predicate, object) per preposition between the nearest mention before it and the first after it."""
+    relations = []
     for p_start, p_end, predicate in _find_prepositions(tokens):
         subject = None
         obj = None
@@ -361,13 +368,15 @@ def _parse_caption(
             if obj is None and start >= p_end:
                 obj = pos
         if subject is not None and obj is not None and subject != obj:
-            graph.relations.append((subject, predicate, obj))
-    return graph
+            relations.append((subject, predicate, obj))
+    return relations
 
 
 def parse_scene_graph(caption: str, vocab: Vocabulary, registry: AttributeRegistry) -> TextualSceneGraph:
     """Parse one caption. Text with no known object yields an empty graph; blank text is a ValueError."""
-    return _parse_caption(caption, vocab, registry, ParseStats())
+    graph, tokens, matches = _parse_mentions(caption, vocab, registry, ParseStats())
+    graph.relations = _find_relations(tokens, matches)
+    return graph
 
 
 def check_captions(captions: object) -> list[str]:
@@ -389,7 +398,7 @@ def extract_labels(
 
     Text that matches no vocabulary class yields no label. Within each (class, category) the
     first value seen wins, scanning captions in order; later conflicting
-    mentions are dropped.
+    mentions are dropped. Relations supervise nothing, so they are not parsed.
     """
     captions = list(captions)
     if not captions:
@@ -398,7 +407,7 @@ def extract_labels(
     labels = LabelSet()
     claimed: set[tuple[int, str]] = set()
     for caption in captions:
-        graph = _parse_caption(caption, vocab, registry, stats)
+        graph, _, _ = _parse_mentions(caption, vocab, registry, stats)
         labels.objects.update(idx for _, idx in graph.objects)
         for pos, cat, val in graph.attributes:
             c = graph.objects[pos][1]

@@ -2,19 +2,23 @@
 
 Training is plain adaptive-gradient descent over per-scene losses: the
 image-evidence term, the first head's MIL and coupled terms, and one
-refinement term per head. Each scene's caption labels are compiled once,
-before the first step, into the Supervision every loss reads. A step
-packs its batch_size scenes into one padded SceneBatch, concatenates
-their supervision, and runs forward, pseudo-labels, losses and backward
-once over the batch; each scene's gradient has the bits of a one-scene
-call, and the scenes' gradients are added in batch order. Setting
-lambda2 to zero compiles them without attribute pairs, which removes
-every attribute-dependent computation, including the coupled refinement
-terms that would otherwise feed gradients into later object heads; that
-is the exact-match baseline, and the two spellings of it (loss_mode="em",
-lambda2=0) are required to produce identical checkpoints. A batch without
-attribute pairs, which is every baseline batch, leaves the attribute heads
-out of forward and backward; their gradient would be exactly zero.
+refinement term per head. Before the first step, train does the work
+no parameter changes: it compiles each scene's caption labels into the
+Supervision every loss reads, and builds each scene's overlap mask, which
+the refinement chain reads, over padded chunks of EVAL_CHUNK scenes. A
+step packs its batch_size scenes into one padded SceneBatch, stacks their
+masks, concatenates their supervision, and runs forward, pseudo-labels,
+losses and backward once over the batch; each scene's gradient has the
+bits of a one-scene call, and the scenes' gradients are added in batch
+order. Setting lambda2 to zero compiles the labels without attribute
+pairs, which removes every attribute-dependent computation, including
+the coupled refinement terms that would otherwise feed gradients into
+later object heads; that is the exact-match baseline, and the two
+spellings of it (loss_mode="em", lambda2=0) are required to produce
+identical checkpoints. A batch without attribute pairs, which is every
+baseline batch, leaves the attribute heads out of forward and backward,
+where their gradient would be exactly zero, and seeds no pair in the
+refinement chain.
 
 Inference and evaluation run on chunks of EVAL_CHUNK scenes, each packed
 into one SceneBatch: proposals padded to the chunk's largest proposal
@@ -162,7 +166,7 @@ def scene_loss(
     """The per-scene loss, its refinement supervision (reused if given), and forward's scores."""
     scores = scorenet.forward(params, regions)
     if pseudo is None:
-        pseudo = oicr.build_pseudo_labels(scores, sup, regions.boxes, config.tau)
+        pseudo = oicr.build_pseudo_labels(scores, sup, oicr.overlap_masks(regions.boxes, config.tau))
     return frozen_loss(scores, sup, config, pseudo), pseudo, scores
 
 
@@ -206,6 +210,8 @@ def train(
         seed=config.seed,
     )
     sups = [compile_labels(labels, params, config) for labels in label_scenes(scenes, vocab, registry)]
+    # proposals never change, so neither does any scene's overlap mask
+    blocks = overlap_blocks(scenes, config.tau)
 
     optimizer = Adagrad(params.flat.size, config.learning_rate)
     order_rng = np.random.default_rng(config.seed)
@@ -224,9 +230,10 @@ def train(
                 cursor += 1
             batch = SceneBatch.pack([scenes[i] for i in picks])
             sup = Supervision.concat([sups[i] for i in picks])
+            near = stack_masks([blocks[i] for i in picks], batch.valid.shape[1])
             # a batch whose captions name no attribute never reads the attribute heads
             scores = scorenet.forward(params, batch, attributes=sup.pair_classes.size > 0)
-            pseudo = oicr.build_pseudo_labels(scores, sup, batch.boxes, config.tau)
+            pseudo = oicr.build_pseudo_labels(scores, sup, near)
             report = frozen_loss(scores, sup, config, pseudo)
             finite = np.isfinite(report.l_total)
             if not finite.all():
@@ -265,17 +272,41 @@ class SceneBatch:
 
     @staticmethod
     def pack(scenes: Sequence[SyntheticScene]) -> "SceneBatch":
-        sizes = [scene.proposals.size for scene in scenes]
-        width = max(sizes, default=0)
+        boxes, valid = pad_boxes(scenes)
         dim = scenes[0].proposals.features.shape[1] if scenes else 0
-        features = np.zeros((len(scenes), width, dim))
-        boxes = np.empty((len(scenes), width, 4))
-        boxes[...] = (0.0, 0.0, 1.0, 1.0)
+        features = np.zeros(valid.shape + (dim,))
         for n, scene in enumerate(scenes):
-            features[n, : sizes[n]] = scene.proposals.features
-            boxes[n, : sizes[n]] = scene.proposals.boxes
-        valid = np.arange(width) < np.array(sizes, dtype=int)[:, None]
+            features[n, : scene.proposals.size] = scene.proposals.features
         return SceneBatch(tuple(scene.image_id for scene in scenes), features, boxes, valid)
+
+
+def pad_boxes(scenes: Sequence[SyntheticScene]) -> tuple[np.ndarray, np.ndarray]:
+    """The scenes' (N, M, 4) proposal boxes, padded with the unit box, and their (N, M) valid mask."""
+    sizes = [scene.proposals.size for scene in scenes]
+    boxes = np.empty((len(scenes), max(sizes, default=0), 4))
+    boxes[...] = (0.0, 0.0, 1.0, 1.0)
+    for n, scene in enumerate(scenes):
+        boxes[n, : sizes[n]] = scene.proposals.boxes
+    return boxes, np.arange(boxes.shape[1]) < np.array(sizes, dtype=int)[:, None]
+
+
+def overlap_blocks(scenes: Sequence[SyntheticScene], tau: float) -> list[np.ndarray]:
+    """Each scene's (m, m) oicr.overlap_masks at tau, computed over padded chunks of EVAL_CHUNK scenes."""
+    blocks = []
+    for start in range(0, len(scenes), EVAL_CHUNK):
+        chunk = scenes[start : start + EVAL_CHUNK]
+        boxes, valid = pad_boxes(chunk)
+        near = oicr.overlap_masks(boxes, tau, valid)
+        blocks += [near[n, : scene.proposals.size, : scene.proposals.size].copy() for n, scene in enumerate(chunk)]
+    return blocks
+
+
+def stack_masks(blocks: Sequence[np.ndarray], width: int) -> np.ndarray:
+    """Scenes' (m, m) overlap masks as one (N, width, width) batch mask, False at the padded rows and columns."""
+    near = np.zeros((len(blocks), width, width), dtype=bool)
+    for n, block in enumerate(blocks):
+        near[n, : len(block), : len(block)] = block
+    return near
 
 
 def infer(

@@ -49,7 +49,7 @@ so a scene-step fills one heads-sized gradient array, not two.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -105,13 +105,6 @@ class Supervision:
             pair_scenes=np.repeat(scenes, [sup.pair_classes.size for sup in sups]),
         )
 
-    @property
-    def class_keys(self) -> list:
-        """Each mentioned class, as (scene, class) in a batch."""
-        if self.class_scenes is None:
-            return self.classes.tolist()
-        return list(zip(self.class_scenes.tolist(), self.classes.tolist()))
-
 
 def compile_supervision(
     labels: LabelSet, num_classes: int, value_columns: Mapping[tuple[str, str], int], pairs: bool = True
@@ -145,9 +138,9 @@ def _value(v: np.ndarray) -> float | np.ndarray:
     return float(v) if v.ndim == 0 else v
 
 
-def _chosen(keys: Sequence, rows: np.ndarray) -> dict:
-    """Each key's chosen region, or its list of regions along the leading axes."""
-    return dict(zip(keys, rows.transpose((rows.ndim - 1,) + tuple(range(rows.ndim - 1))).tolist()))
+def _no_rows(scores: np.ndarray, scenes: np.ndarray | None) -> np.ndarray:
+    """The chosen rows of no entry: (..., 0) over scores' leading axes, a batch's scene axis not among them."""
+    return np.zeros(scores.shape[: -2 if scenes is None else -3] + (0,), dtype=int)
 
 
 def gather_entries(a: np.ndarray, scenes: np.ndarray | None, columns: np.ndarray) -> np.ndarray:
@@ -178,19 +171,20 @@ def _scene_sums(terms: np.ndarray, scenes: np.ndarray | None, sup: Supervision) 
 
 def object_mil_loss(
     scores: np.ndarray, sup: Supervision, valid: np.ndarray | None = None
-) -> tuple[float, np.ndarray, dict[int, int]]:
+) -> tuple[float, np.ndarray, np.ndarray]:
     """-(1/|O|) sum over mentioned classes of log of the best region score.
 
     Gradient is nonzero only at each class's maximizing region; ties go to
     the lowest region index. Empty O short-circuits to zero. scores is
     (..., m, C + 1); leading axes give a value per slice. A batch's
     scores carry the scene axis at -3, valid (N, m) masks its padded rows,
-    and every scene is averaged over its own classes.
+    and every scene is averaged over its own classes. The chosen regions
+    come back as (..., |O|) rows, entry i for class sup.classes[i].
     """
     grad = np.zeros(scores.shape)
     classes, scenes = sup.classes, sup.class_scenes
     if not classes.size:
-        return _value(np.zeros(scores.shape[:-2])), grad, {}
+        return _value(np.zeros(scores.shape[:-2])), grad, _no_rows(scores, scenes)
     p = clamp_prob(gather_entries(scores, scenes, classes))
     rows = best_regions(p, scenes, valid)
     lead = slice_index(rows.shape[:-1])
@@ -198,12 +192,12 @@ def object_mil_loss(
     scene = () if scenes is None else (scenes,)
     grad[(*lead, *scene, rows, classes)] = -1.0 / best  # one cell per class, so none is hit twice
     grad /= np.asarray(sup.divisor)[..., None, None]
-    return _value(-_scene_sums(np.log(best), scenes, sup) / sup.divisor), grad, _chosen(sup.class_keys, rows)
+    return _value(-_scene_sums(np.log(best), scenes, sup) / sup.divisor), grad, rows
 
 
 def entanglement_loss(
     obj_scores: np.ndarray, attr_scores: np.ndarray, sup: Supervision, valid: np.ndarray | None = None
-) -> tuple[float, np.ndarray, np.ndarray, dict[tuple[int, str, str], int]]:
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Coupled object-attribute MIL: per pair, maximize the product at one region.
 
     For each mentioned class c and each of its attribute pairs (a, v),
@@ -211,13 +205,14 @@ def entanglement_loss(
     Both factors receive gradient at the maximizing region. The sum over
     pairs is normalized by |O|, the number of mentioned classes. Leading
     axes of (..., m, C + 1) and (..., m, V) scores give a value per slice;
-    a batch's scene axis and valid mask work as in object_mil_loss.
+    a batch's scene axis and valid mask work as in object_mil_loss. The
+    chosen regions come back as (..., P) rows, entry i for sup.pair_keys[i].
     """
     grad_obj = np.zeros(obj_scores.shape)
     grad_attr = np.zeros(attr_scores.shape)
     classes, cols, scenes = sup.pair_classes, sup.pair_columns, sup.pair_scenes
     if not classes.size:
-        return _value(np.zeros(obj_scores.shape[:-2])), grad_obj, grad_attr, {}
+        return _value(np.zeros(obj_scores.shape[:-2])), grad_obj, grad_attr, _no_rows(obj_scores, scenes)
     p_obj = clamp_prob(gather_entries(obj_scores, scenes, classes))
     p_attr = clamp_prob(gather_entries(attr_scores, scenes, cols))
     rows = best_regions(p_obj * p_attr, scenes, valid)
@@ -232,7 +227,7 @@ def entanglement_loss(
     grad_obj /= divisor
     grad_attr /= divisor
     total = -_scene_sums(np.log(best_obj) + np.log(best_attr), scenes, sup) / sup.divisor
-    return _value(total), grad_obj, grad_attr, _chosen(sup.pair_keys, rows)
+    return _value(total), grad_obj, grad_attr, rows
 
 
 def mid_loss(image_level: np.ndarray, sup: Supervision) -> tuple[float, np.ndarray]:
@@ -260,8 +255,10 @@ def mid_loss(image_level: np.ndarray, sup: Supervision) -> tuple[float, np.ndarr
 class LossReport:
     """One training step's loss breakdown, score-space gradients, and region choices.
 
-    For stacked scores every value is an array over the leading axes and
-    every region choice a list along them.
+    For stacked scores every value is an array over the leading axes. The
+    region choices are object_mil_loss's and entanglement_loss's rows:
+    entry i names the region chosen for sup.classes[i] (sup.pair_keys[i]),
+    with the leading axes first.
     """
 
     l_obj: float
@@ -271,8 +268,8 @@ class LossReport:
     l_total: float
     grad: np.ndarray  # (m, K(C + 1) + K * V), laid out like Scores.heads
     grad_image: np.ndarray  # (C,) with respect to the image-level scores
-    argmax_objects: dict[int, int] = field(default_factory=dict)
-    argmax_pairs: dict[tuple[int, str, str], int] = field(default_factory=dict)
+    argmax_objects: np.ndarray  # (..., |O|)
+    argmax_pairs: np.ndarray  # (..., P)
 
 
 def total_loss(

@@ -13,7 +13,7 @@ import numpy as np
 from capdet import cli
 from capdet.geometry import iou_matrix, nms
 from capdet.gradcheck import run_gradient_check
-from capdet.oicr import build_pseudo_labels
+from capdet.oicr import build_pseudo_labels, overlap_masks
 from capdet.scorenet import RegionSet, clamp_prob, forward, init_params
 from capdet.synthbench import (
     SynthConfig,
@@ -82,8 +82,10 @@ def test_criterion_2_coupled_loss_dominates_decoupled_selection():
     cols = {("color", "brown"): 0, ("color", "red"): 1}
     labels = LabelSet(objects={0}, attribute_pairs={0: {("color", "brown")}})
     sup = compile_supervision(labels, 1, cols)
-    _, _, object_pick = object_mil_loss(obj, sup)
-    _, _, _, coupled_pick = entanglement_loss(obj, attr, sup)
+    _, _, object_rows = object_mil_loss(obj, sup)
+    _, _, _, coupled_rows = entanglement_loss(obj, attr, sup)
+    object_pick = dict(zip(sup.classes.tolist(), object_rows.tolist()))
+    coupled_pick = dict(zip(sup.pair_keys, coupled_rows.tolist()))
     assert object_pick[0] == 0
     assert coupled_pick[(0, "color", "brown")] == 1
     print(
@@ -138,7 +140,8 @@ def test_criterion_3_formulation_invariants():
     labeled_regions = 0
     for scene in scenes:
         sup = compile_labels(extract_labels(scene.captions, vocab, registry), params, rc)
-        pseudo = build_pseudo_labels(forward(params, scene.proposals), sup, scene.proposals.boxes, rc.tau)
+        near = overlap_masks(scene.proposals.boxes, rc.tau)
+        pseudo = build_pseudo_labels(forward(params, scene.proposals), sup, near)
         if pseudo is None:
             continue
         for head_labels, head_seeds in zip(pseudo.labels, pseudo.seeds):

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from capdet import cli, scorenet, synthbench, trainer
-from capdet.textgraph import default_registry
+from capdet.textgraph import default_registry, default_vocabulary
 from capdet.trainer import NumericalError, TrainConfig
 from eval_reference import infer_scene
 
@@ -150,8 +150,14 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "line",
-        ["5", '{"image_id": "a", "captions": [5]}', '{"image_id": "a", "captions": "apple"}'],
-        ids=["number record", "number caption", "string captions"],
+        [
+            "5",
+            '{"image_id": "a", "captions": [5]}',
+            '{"image_id": "a", "captions": "apple"}',
+            '{"image_id": null, "captions": ["a cat"]}',
+            '{"image_id": NaN, "captions": ["a cat"]}',
+        ],
+        ids=["number record", "number caption", "string captions", "null id", "NaN id"],
     )
     def test_malformed_record_exits_two_naming_it(self, line, tmp_path, capsys):
         captions = tmp_path / "captions.jsonl"
@@ -628,8 +634,43 @@ def run_quietly(args):
     return code, err.getvalue().splitlines(), caught
 
 
+def exited_cleanly(code, err, caught, out):
+    """Whether cli.main succeeded; either way it warned nothing, and a failure wrote one line and no output file."""
+    assert caught == []
+    assert code in (0, 1, 2, 3)
+    if code != 0:
+        (line,) = err
+        assert line.startswith(("usage error: ", "data error: ", "numerical failure: "))
+        assert not out.exists()
+        return False
+    assert err == []
+    return True
+
+
+@st.composite
+def config_mutation(draw, text):
+    """A key = value config text truncated, given blank lines, or with one entry mutated as json_mutation does."""
+    kind = draw(st.sampled_from(["truncate", "entry", "blank lines"]))
+    if kind == "truncate":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    lines = text.splitlines(keepends=True)
+    if kind == "blank lines":
+        for _ in range(draw(st.integers(1, 3))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["\n", "  \n", "\t\n"])))
+        return "".join(lines)
+    values = {}
+    for line in lines:
+        key, value = (part.strip() for part in line.split("#")[0].split("="))
+        values[key] = json.loads(value) if value[0].isdigit() else value
+    return "".join(f"{key} = {value}\n" for key, value in draw(json_mutation(values)).items())
+
+
 class TestEvalInputFuzz:
-    """Mutated dataset and checkpoint files: one clean exit each, never a success from non-finite scores."""
+    """Mutated input files through cli.main: one clean exit each, never a success from non-finite numbers.
+
+    The readers fuzzed: the dataset and checkpoint (capdet eval), the caption
+    file (capdet parse) and the config file (capdet train --config).
+    """
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())
@@ -646,14 +687,8 @@ class TestEvalInputFuzz:
         code, err, caught = run_quietly(
             ["eval", "--data", str(data_path), "--checkpoint", str(ckpt_path), "--out", str(out)]
         )
-        assert caught == []
-        assert code in (0, 1, 2, 3)
-        if code != 0:
-            (line,) = err
-            assert line.startswith(("usage error: ", "data error: ", "numerical failure: "))
-            assert not out.exists()
+        if not exited_cleanly(code, err, caught, out):
             return
-        assert err == []
         # a success read finite scores on every scene, and wrote finite metrics
         params = scorenet.load_checkpoint(ckpt_path)
         for scene in synthbench.load_dataset(data_path):
@@ -663,6 +698,44 @@ class TestEvalInputFuzz:
                 pytest.fail(f"exit 0 although scene {scene.image_id!r} scores non-finite")
         metrics = json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(f"{c} in the metrics"))
         assert all(math.isfinite(v) for v in (metrics["map"], metrics["corloc"]))
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_parse_exits_cleanly(self, data_dir, tmp_path_factory, data):
+        work = tmp_path_factory.getbasetemp()
+        captions, out = work / "fuzz-captions.jsonl", work / "fuzz-labels.jsonl"
+        scenes = synthbench.load_dataset(data_dir / "train.jsonl")
+        text = "".join(json.dumps({"image_id": s.image_id, "captions": s.captions}) + "\n" for s in scenes)
+        captions.write_text(data.draw(dataset_mutation(text)))
+        out.unlink(missing_ok=True)
+        code, err, caught = run_quietly(["parse", "--captions", str(captions), "--out", str(out)])
+        if not exited_cleanly(code, err, caught, out):
+            return
+        # a success wrote one strict-JSON label record per caption record
+        records = [line for line in captions.read_text().splitlines() if line.strip()]
+        labels = [
+            json.loads(line, parse_constant=lambda c: pytest.fail(f"{c} in the labels"))
+            for line in out.read_text().splitlines()
+        ]
+        assert len(labels) == len(records)
+        for record in labels:
+            assert type(record["image_id"]) in (str, int)
+            assert all(type(c) is int and 0 <= c < default_vocabulary().num_classes for c in record["objects"])
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_train_config_exits_cleanly(self, data_dir, tmp_path_factory, data):
+        work = tmp_path_factory.getbasetemp()
+        config, out = work / "fuzz.cfg", work / "fuzz.ckpt"
+        text = "steps = 3\nbatch_size = 2\nlearning_rate = 0.02  # aggressive\nlambda1 = 0.5\ntau = 0.5\nloss_mode = em+sg\n"
+        config.write_text(data.draw(config_mutation(text)))
+        out.unlink(missing_ok=True)
+        code, err, caught = run_quietly(
+            ["train", "--data", str(data_dir / "train.jsonl"), "--config", str(config), "--out", str(out)]
+        )
+        if not exited_cleanly(code, err, caught, out):
+            return
+        assert np.isfinite(scorenet.load_checkpoint(out).flat).all()
 
 
 class TestGradcheckCommand:

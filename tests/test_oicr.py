@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from capdet.geometry import iou_matrix
-from capdet.oicr import PseudoLabels, build_pseudo_labels, initial_scores, refinement_terms
+from capdet.oicr import PseudoLabels, build_pseudo_labels, initial_scores, overlap_masks, refinement_terms
 from capdet.scorenet import softmax_cols
 from capdet.textgraph import LabelSet
 from capdet.trainer import TrainConfig
@@ -62,7 +62,7 @@ def second_head(class_scores, objects, tau=0.5):
         [prev, np.full_like(prev, 0.5)], [np.zeros((m, 0))] * 2,
         np.full((m, num_classes), 0.5), np.full(num_classes, 0.7),
     )
-    pseudo = build_pseudo_labels(scores, compiled(objects, num_classes=num_classes), BOXES, tau)
+    pseudo = build_pseudo_labels(scores, compiled(objects, num_classes=num_classes), overlap_masks(BOXES, tau))
     return pseudo.labels[1], pseudo.weights[1], pseudo.seeds[1]
 
 
@@ -129,7 +129,7 @@ class TestSeedAndAssign:
         scores = packed_scores([np.full((3, 2), 0.5)], [np.zeros((3, 0))], [[0.9], [0.1], [0.1]], [0.7])
         overlap = float(iou_matrix(BOXES, BOXES)[1, 0])
         for tau, label in ((overlap, 0), (overlap + 1e-9, 1)):
-            pseudo = build_pseudo_labels(scores, compiled({0}, num_classes=1), BOXES, tau)
+            pseudo = build_pseudo_labels(scores, compiled({0}, num_classes=1), overlap_masks(BOXES, tau))
             assert pseudo.labels[0, 1] == label
 
     def test_out_of_range_class_rejected(self):
@@ -200,7 +200,7 @@ class TestAttributeAssignments:
     def test_head_one_reuses_object_seeds(self):
         # the evidence seeds class 0 at region 2; head 1's pair sits there
         scores = packed_scores([np.full((3, 2), 0.5)], [np.full((3, 2), 0.5)], [[0.1], [0.1], [0.7]], [0.7])
-        pseudo = build_pseudo_labels(scores, compiled({0}, {0: {("color", "red")}}, num_classes=1), BOXES, 0.5)
+        pseudo = build_pseudo_labels(scores, compiled({0}, {0: {("color", "red")}}, num_classes=1), overlap_masks(BOXES, 0.5))
         assert pseudo.seeds[0].tolist() == [2]
         coupled = np.stack([pseudo.heads, pseudo.regions, pseudo.classes, pseudo.columns], axis=1)
         assert coupled.tolist() == [[0, 2, 0, 0]]
@@ -208,7 +208,7 @@ class TestAttributeAssignments:
     def test_head_one_no_propagation(self):
         # seed sits in the overlapping pair but nothing spreads at head 1
         scores = packed_scores([np.full((3, 2), 0.5)], [np.full((3, 2), 0.5)], [[0.9], [0.1], [0.1]], [0.7])
-        pseudo = build_pseudo_labels(scores, compiled({0}, {0: {("color", "red")}}, num_classes=1), BOXES, 0.5)
+        pseudo = build_pseudo_labels(scores, compiled({0}, {0: {("color", "red")}}, num_classes=1), overlap_masks(BOXES, 0.5))
         assert pseudo.heads.size == 1
 
     def test_later_heads_seed_at_product_argmax(self):
@@ -217,7 +217,7 @@ class TestAttributeAssignments:
         scores = packed_scores(
             [prev_obj, prev_obj], [prev_attr, prev_attr], np.full((3, 1), 0.5), [0.7]
         )
-        pseudo = build_pseudo_labels(scores, compiled({0}, {0: {("color", "red")}}, num_classes=1), BOXES, 0.5)
+        pseudo = build_pseudo_labels(scores, compiled({0}, {0: {("color", "red")}}, num_classes=1), overlap_masks(BOXES, 0.5))
         # products for (class 0, red): 0.09, 0.45, 0.05 -> seed region 1
         later = pseudo.heads == 1
         assert sorted(pseudo.regions[later].tolist()) == [0, 1]  # region 0 overlaps the seed at 0.8
@@ -327,7 +327,7 @@ class TestBuildPseudoLabels:
     def test_chain_uses_previous_head(self):
         rng = np.random.default_rng(61)
         scores, boxes = make_inputs(rng)
-        pseudo = build_pseudo_labels(scores, compiled({0, 1}), boxes, 0.5)
+        pseudo = build_pseudo_labels(scores, compiled({0, 1}), overlap_masks(boxes, 0.5))
         assert pseudo.labels.shape == (3, 6)
         s0 = initial_scores(scores.per_region)
         for c in (0, 1):
@@ -338,13 +338,13 @@ class TestBuildPseudoLabels:
     def test_no_objects_gives_none_per_head(self):
         rng = np.random.default_rng(62)
         scores, boxes = make_inputs(rng)
-        assert build_pseudo_labels(scores, compiled(set()), boxes, 0.5) is None
+        assert build_pseudo_labels(scores, compiled(set()), overlap_masks(boxes, 0.5)) is None
 
     def test_attributes_disabled_leaves_attrs_empty(self):
         rng = np.random.default_rng(63)
         scores, boxes = make_inputs(rng)
         sup = compiled({0}, {0: {("color", "red")}}, with_pairs=False)
-        pseudo = build_pseudo_labels(scores, sup, boxes, 0.5)
+        pseudo = build_pseudo_labels(scores, sup, overlap_masks(boxes, 0.5))
         assert pseudo.heads.size == pseudo.regions.size == pseudo.classes.size == pseudo.columns.size == 0
 
 
@@ -406,7 +406,7 @@ class TestRefinementTerms:
     def test_values_and_grads_line_up(self):
         rng = np.random.default_rng(71)
         scores, boxes = make_inputs(rng)
-        pseudo = build_pseudo_labels(scores, compiled({0}, {0: {("color", "red")}}), boxes, 0.5)
+        pseudo = build_pseudo_labels(scores, compiled({0}, {0: {("color", "red")}}), overlap_masks(boxes, 0.5))
         values, grad = refinement_terms(scores, pseudo)
         assert len(values) == 3
         assert all(v > 0 for v in values)
@@ -431,7 +431,7 @@ class TestRefinementTerms:
         # keep clear of the clamp, where the loss has a kink
         scores, boxes, labels, tau, _ = chain
         sup = compile_supervision(labels, scores.per_region.shape[1], PAIR_COLS)
-        assert_central_differences(scores, build_pseudo_labels(scores, sup, boxes, tau))
+        assert_central_differences(scores, build_pseudo_labels(scores, sup, overlap_masks(boxes, tau)))
 
 
 class TestMatchesReference:
@@ -441,7 +441,7 @@ class TestMatchesReference:
         scores, boxes, labels, tau, coupled = chain
         num_classes = scores.per_region.shape[1]
         sup = compile_supervision(labels, num_classes, PAIR_COLS, pairs=coupled)
-        pseudo = build_pseudo_labels(scores, sup, boxes, tau)
+        pseudo = build_pseudo_labels(scores, sup, overlap_masks(boxes, tau))
         expected = reference.build_pseudo_labels(scores, labels, boxes, tau, PAIR_COLS, coupled)
         values, grad = refinement_terms(scores, pseudo)
         ref_values, ref_grad = reference.refinement_terms(scores, expected)

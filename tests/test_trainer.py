@@ -302,7 +302,7 @@ def batch_step(params, batch, sup, config, pseudo=None):
     """The training step's loss report, pseudo-labels and parameter gradient over one batch."""
     scores = scorenet.forward(params, batch, attributes=sup.pair_classes.size > 0)
     if pseudo is None:
-        pseudo = oicr.build_pseudo_labels(scores, sup, batch.boxes, config.tau)
+        pseudo = oicr.build_pseudo_labels(scores, sup, oicr.overlap_masks(batch.boxes, config.tau, batch.valid))
     report = trainer.frozen_loss(scores, sup, config, pseudo)
     return report, pseudo, scorenet.param_gradients(params, batch, scores, report.grad, report.grad_image)
 
@@ -409,6 +409,69 @@ class TestBatchedStep:
             assert np.array_equal(pseudo.labels, moved_pseudo.labels)
             assert np.array_equal(pseudo.weights, moved_pseudo.weights)
             assert not pseudo.weights[np.broadcast_to(padded[:, None], pseudo.weights.shape)].any()
+
+
+def ragged_scenes(rng, count, d=4):
+    """count scenes of 1 to 9 random proposals each, some of them copies of one another."""
+    scenes = []
+    for n in range(count):
+        m = int(rng.integers(1, 10))
+        centers, half = rng.uniform(0.2, 0.8, size=(m, 2)), rng.uniform(0.05, 0.3, size=(m, 2))
+        boxes = np.hstack([centers - half, centers + half])
+        if m > 1 and rng.random() < 0.3:
+            boxes[-1] = boxes[0]  # IoU exactly 1
+        scenes.append(SyntheticScene(f"s{n}", [], RegionSet(boxes, rng.normal(size=(m, d))), []))
+    return scenes
+
+
+class TestOverlapMasks:
+    """train builds every scene's overlap mask once per run, over padded chunks of EVAL_CHUNK scenes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_stacked_blocks_equal_the_batch_mask(self, seed):
+        rng = np.random.default_rng(seed)
+        scenes = ragged_scenes(rng, int(rng.integers(1, 2 * EVAL_CHUNK + 5)))
+        tau = float(rng.choice([0.3, 0.5, 0.7, 1.0]))
+        blocks = trainer.overlap_blocks(scenes, tau)
+        assert [block.shape for block in blocks] == [(s.proposals.size,) * 2 for s in scenes]
+        picks = rng.integers(len(scenes), size=int(rng.integers(1, 5)))
+        batch = SceneBatch.pack([scenes[i] for i in picks])
+        near = trainer.stack_masks([blocks[i] for i in picks], batch.valid.shape[1])
+        valid = batch.valid
+        expected = (iou_matrix(batch.boxes, batch.boxes) >= tau) & valid[:, :, None] & valid[:, None, :]
+        assert near.dtype == bool
+        assert np.array_equal(near, expected)
+        assert np.array_equal(near, oicr.overlap_masks(batch.boxes, tau, batch.valid))
+
+    @pytest.mark.parametrize("count", [1, EVAL_CHUNK, EVAL_CHUNK + 1, 35])
+    def test_one_iou_matrix_call_per_chunk_per_run(self, small_world, registry, count):
+        _, scenes, vocab = small_world
+        many = [scenes[n % len(scenes)] for n in range(count)]
+        with mock.patch.object(oicr, "iou_matrix", wraps=oicr.iou_matrix) as spy:
+            train(many, vocab, registry, TrainConfig(steps=5, batch_size=2))
+        assert spy.call_count == math.ceil(count / EVAL_CHUNK)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_pair_free_batch_skips_pair_seeding(self, seed):
+        # captions without attributes, or the baseline: the skipped pair half would find nothing
+        rng = np.random.default_rng(seed)
+        params, batch, sup, config = random_batch(rng, num_scenes=int(rng.integers(1, 4)), num_heads=int(rng.integers(1, 4)))
+        none = np.zeros(0, dtype=int)
+        sup = dataclasses.replace(
+            sup, pair_classes=none, pair_columns=none, pair_entries=none, pair_keys=(), pair_scenes=none
+        )
+        scores = forward(params, batch, attributes=False)
+        near = oicr.overlap_masks(batch.boxes, config.tau, batch.valid)
+        pseudo = oicr.build_pseudo_labels(scores, sup, near)
+        if pseudo is None:  # no scene of the batch mentions a class
+            return
+        unskipped = oicr.coupled_assignments(scores, sup, near, pseudo.seeds)
+        for name, value in zip(("heads", "regions", "classes", "columns", "scenes"), unskipped):
+            skipped = getattr(pseudo, name)
+            assert (skipped.dtype, skipped.shape) == (value.dtype, value.shape), name
+            assert np.array_equal(skipped, value), name
 
 
 def scene_detections(dets, n):

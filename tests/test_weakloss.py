@@ -86,19 +86,20 @@ class TestObjectMilLoss:
     def test_two_region_example(self):
         # class column (0.25, 0.5): best region is 1, loss -log(0.5)
         scores = np.array([[0.25, 0.75], [0.5, 0.5]])
-        value, grad, chosen = object_mil_loss(scores, sup_for({0}, 1))
+        sup = sup_for({0}, 1)
+        value, grad, rows = object_mil_loss(scores, sup)
         assert value == pytest.approx(0.6931471805599453, abs=1e-12)
-        assert chosen == {0: 1}
+        assert dict(zip(sup.classes.tolist(), rows.tolist())) == {0: 1}
         assert grad[1, 0] == pytest.approx(-2.0)  # -1 / 0.5
         assert grad[0, 0] == 0.0
         assert not np.any(grad[:, 1])
 
     def test_empty_objects_short_circuits(self):
         scores = np.array([[0.25, 0.75]])
-        value, grad, chosen = object_mil_loss(scores, sup_for(set(), 1))
+        value, grad, rows = object_mil_loss(scores, sup_for(set(), 1))
         assert value == 0.0
         assert not np.any(grad)
-        assert chosen == {}
+        assert rows.shape == (0,)
 
     def test_normalized_by_class_count(self):
         scores = np.array([[0.5, 0.25, 0.25], [0.1, 0.5, 0.4]])
@@ -109,8 +110,9 @@ class TestObjectMilLoss:
 
     def test_tie_goes_to_lowest_region(self):
         scores = np.array([[0.4, 0.6], [0.4, 0.6]])
-        _, _, chosen = object_mil_loss(scores, sup_for({0}, 1))
-        assert chosen == {0: 0}
+        sup = sup_for({0}, 1)
+        _, _, rows = object_mil_loss(scores, sup)
+        assert dict(zip(sup.classes.tolist(), rows.tolist())) == {0: 0}
 
     def test_background_column_never_selected(self):
         # class index equal to the background column is rejected
@@ -148,8 +150,9 @@ class TestEntanglementLoss:
 
     def test_reference_example(self):
         obj, attr, cols, labels = self.example()
-        value, grad_obj, grad_attr, chosen = entanglement_loss(obj, attr, compile_supervision(labels, 1, cols))
-        assert chosen == {(0, "color", "brown"): 1}
+        sup = compile_supervision(labels, 1, cols)
+        value, grad_obj, grad_attr, rows = entanglement_loss(obj, attr, sup)
+        assert dict(zip(sup.pair_keys, rows.tolist())) == {(0, "color", "brown"): 1}
         assert value == pytest.approx(0.916290731874155, abs=1e-12)
         assert grad_obj[1, 0] == pytest.approx(-2.0)  # -1 / 0.5
         assert grad_attr[1, 0] == pytest.approx(-1.25)  # -1 / 0.8
@@ -159,17 +162,17 @@ class TestEntanglementLoss:
     def test_coupled_argmax_differs_from_object_argmax(self):
         obj, attr, cols, labels = self.example()
         sup = compile_supervision(labels, 1, cols)
-        _, _, object_chosen = object_mil_loss(obj, sup)
-        _, _, _, coupled_chosen = entanglement_loss(obj, attr, sup)
-        assert object_chosen[0] == 0
-        assert coupled_chosen[(0, "color", "brown")] == 1
+        _, _, object_rows = object_mil_loss(obj, sup)
+        _, _, _, coupled_rows = entanglement_loss(obj, attr, sup)
+        assert dict(zip(sup.classes.tolist(), object_rows.tolist())) == {0: 0}
+        assert dict(zip(sup.pair_keys, coupled_rows.tolist())) == {(0, "color", "brown"): 1}
 
     def test_no_pairs_short_circuits(self):
         obj, attr, cols, _ = self.example()
-        value, g_obj, g_attr, chosen = entanglement_loss(obj, attr, sup_for({0}, 1, cols=cols))
+        value, g_obj, g_attr, rows = entanglement_loss(obj, attr, sup_for({0}, 1, cols=cols))
         assert value == 0.0
         assert not np.any(g_obj)
-        assert chosen == {}
+        assert rows.shape == (0,)
 
     def test_object_normalization_default(self):
         obj, attr, cols, _ = self.example()
@@ -305,9 +308,10 @@ class TestLossesMatchLoops:
     @given(loss_inputs())
     def test_object_mil_loss(self, inputs):
         obj, _, labels = inputs
-        value, grad, chosen = object_mil_loss(obj, compile_supervision(labels, obj.shape[1] - 1, PROPERTY_COLS))
+        sup = compile_supervision(labels, obj.shape[1] - 1, PROPERTY_COLS)
+        value, grad, rows = object_mil_loss(obj, sup)
         ref_value, ref_grad, ref_chosen = mil_reference(obj, labels.objects)
-        assert chosen == ref_chosen
+        assert dict(zip(sup.classes.tolist(), rows.tolist())) == ref_chosen
         assert np.array_equal(grad, ref_grad)
         assert np.allclose(value, ref_value, rtol=1e-12, atol=0.0)
 
@@ -316,9 +320,9 @@ class TestLossesMatchLoops:
     def test_entanglement_loss(self, inputs):
         obj, attr, labels = inputs
         sup = compile_supervision(labels, obj.shape[1] - 1, PROPERTY_COLS)
-        value, grad_obj, grad_attr, chosen = entanglement_loss(obj, attr, sup)
+        value, grad_obj, grad_attr, rows = entanglement_loss(obj, attr, sup)
         ref_value, ref_obj, ref_attr, ref_chosen = entanglement_reference(obj, attr, labels, PROPERTY_COLS)
-        assert chosen == ref_chosen
+        assert dict(zip(sup.pair_keys, rows.tolist())) == ref_chosen
         assert np.array_equal(grad_obj, ref_obj)
         assert np.array_equal(grad_attr, ref_attr)
         assert np.allclose(value, ref_value, rtol=1e-12, atol=0.0)
@@ -329,8 +333,9 @@ class TestLossesMatchLoops:
         obj = np.array([[0.8, 0.8, 0.1], [0.1, 0.1, 0.8]])
         attr = np.array([[0.5, 0.25, 0.25, 0.5, 0.5], [0.1, 0.8, 0.1, 0.5, 0.5]])
         labels = labels_for({0, 1}, {0: {("color", "red")}, 1: {("color", "red")}})
-        _, _, grad_attr, chosen = entanglement_loss(obj, attr, compile_supervision(labels, 2, PROPERTY_COLS))
-        assert chosen == {(0, "color", "red"): 0, (1, "color", "red"): 0}
+        sup = compile_supervision(labels, 2, PROPERTY_COLS)
+        _, _, grad_attr, rows = entanglement_loss(obj, attr, sup)
+        assert dict(zip(sup.pair_keys, rows.tolist())) == {(0, "color", "red"): 0, (1, "color", "red"): 0}
         assert grad_attr[0, 0] == pytest.approx(-2.0)  # two times -1 / 0.5, over |O| = 2
 
 
@@ -419,7 +424,7 @@ class TestTotalLoss:
         scores, _, baseline = exact_component_setup()
         report = total_loss(scores, baseline, 0.5, 0.0, (), no_refinement(scores))
         assert report.l_entang == 0.0
-        assert report.argmax_pairs == {}
+        assert report.argmax_pairs.shape == (0,)
         for head in scores.split(report.grad)[1]:
             assert not np.any(head)
         assert report.l_total == pytest.approx(1.0 + 0.5 * 0.4, abs=1e-12)
