@@ -8,20 +8,21 @@ are constants of the step; the maxima inside the MIL and coupled terms
 stay live, since they are genuinely part of the loss surface and are
 differentiable almost everywhere.
 
-Freezing also leaves the loss a function of the packed map's logits
-z = x @ W + b alone, so every probe is a rank-one shift of one logit
-array: moving weight (r, j) by h moves only column j of z, by h * x[:, r],
-and moving bias j moves it by h. A trial's probes, plus and minus h on
-each sampled coordinate, are therefore one (2, n, m, P) stack of shifted
-copies of z, scored in one call through the leading axes of the same
-loss functions training runs per scene. No parameter is touched and no
-second matmul runs; in exact arithmetic each slice is the loss at the
-bumped parameters, and only rounding differs (about eps * |L| / h in the
-derivative). The analytic side is scorenet.param_gradients, an
-independent computation.
+Each trial draws a small random model, a random scene of proposals as a
+one-scene padded batch (trainer.SceneBatch, N = 1), and random labels.
+The analytic side is trainer.batch_step, the training step itself, whose
+gradient comes from scorenet.param_gradients. Freezing leaves the loss a
+function of the packed map's logits z = x @ W + b alone, so every probe
+is a rank-one shift of one logit array: moving weight (r, j) by h moves
+only column j of z, by h * x[:, r], and moving bias j moves it by h. A
+trial's probes, plus and minus h on each sampled coordinate, are
+therefore one (2, n, N, m, P) stack of shifted copies of z, scored in one
+call through the leading axes of the loss functions the training step
+runs. No parameter is touched and no second matmul runs; in exact
+arithmetic each slice is the loss at the bumped parameters, and only
+rounding differs (about eps * |L| / h in the derivative).
 
-Each trial draws a small random model, a random region set, and random
-labels, compares the analytic gradient against central differences on a
+Each trial compares the analytic gradient against central differences on a
 coordinate sample, and reports the worst relative error, measured as
 
     |analytic - numeric| / max(1, |analytic|, |numeric|)
@@ -36,11 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import scorenet
+from . import oicr, scorenet
 from .oicr import PseudoLabels
-from .scorenet import ModelParams, RegionSet
+from .scorenet import ModelParams
 from .textgraph import LabelSet
-from .trainer import TrainConfig, compile_labels, frozen_loss, scene_loss
+from .trainer import SceneBatch, TrainConfig, batch_step, compile_labels, frozen_loss
 from .weakloss import Supervision
 
 
@@ -54,7 +55,7 @@ class GradCheckResult:
     elapsed_seconds: float
 
 
-def _random_problem(rng: np.random.Generator) -> tuple[ModelParams, RegionSet, LabelSet, TrainConfig]:
+def _random_problem(rng: np.random.Generator) -> tuple[ModelParams, SceneBatch, LabelSet, TrainConfig]:
     d = int(rng.integers(4, 17))
     m = int(rng.integers(2, 9))
     num_classes = int(rng.integers(2, 5))
@@ -73,8 +74,7 @@ def _random_problem(rng: np.random.Generator) -> tuple[ModelParams, RegionSet, L
     boxes = np.column_stack(
         [centers[:, 0] - sizes[:, 0], centers[:, 1] - sizes[:, 1], centers[:, 0] + sizes[:, 0], centers[:, 1] + sizes[:, 1]]
     )
-    features = rng.normal(0.0, 1.0, size=(m, d))
-    regions = RegionSet(boxes=boxes, features=features)
+    batch = SceneBatch(("trial",), rng.normal(0.0, 1.0, size=(1, m, d)), boxes[None], np.ones((1, m), dtype=bool))
 
     k = int(rng.integers(1, num_classes + 1))
     mentioned = sorted(rng.choice(num_classes, size=k, replace=False).tolist())
@@ -91,41 +91,49 @@ def _random_problem(rng: np.random.Generator) -> tuple[ModelParams, RegionSet, L
         lambda2=float(rng.choice([0.01, 0.1])),
         tau=float(rng.uniform(0.3, 0.7)),
     )
-    return params, regions, labels, config
+    return params, batch, labels, config
 
 
 def composed_loss(
-    params: ModelParams, z: np.ndarray, sup: Supervision, config: TrainConfig, pseudo: PseudoLabels | None
-) -> float | np.ndarray:
-    """The composed loss of logits z (..., m, P) with frozen refinement supervision, one value per slice."""
-    return frozen_loss(scorenet.head_scores(params, z), sup, config, pseudo).l_total
+    params: ModelParams,
+    z: np.ndarray,
+    valid: np.ndarray,
+    sup: Supervision,
+    config: TrainConfig,
+    pseudo: PseudoLabels | None,
+) -> np.ndarray:
+    """The composed loss (..., N) of logits z (..., N, m, P) with frozen refinement supervision."""
+    # supervision without pairs reads no attribute score, so, as in a training step, none is computed
+    scores = scorenet.head_scores(params, z, valid, attributes=sup.pair_classes.size > 0)
+    return frozen_loss(scores, sup, config, pseudo).l_total
 
 
 def numeric_gradient(
     params: ModelParams,
-    regions: RegionSet,
+    batch: SceneBatch,
     sup: Supervision,
     config: TrainConfig,
     pseudo: PseudoLabels | None,
     coords: np.ndarray,
     step: float,
 ) -> np.ndarray:
-    """Central differences of the composed loss at coords (checkpoint order), every probe in one stack."""
-    z = scorenet.logits(params, regions)
-    # entry (row, col) of the packed map scales column col of z by x[:, row]; the bias row is all ones
-    rows, cols = np.divmod(params.checkpoint_order[coords], z.shape[1])
-    shift = step * np.column_stack([regions.features, np.ones(len(z))])[:, rows].T
-    probes = np.tile(z, (2, len(coords), 1, 1))
+    """Central differences of the batch's summed loss at coords (checkpoint order), every probe in one stack."""
+    z = scorenet.logits(params, batch)
+    # entry (row, col) of the packed map scales column col of z by x[..., row]; the bias row is all ones
+    rows, cols = np.divmod(params.checkpoint_order[coords], z.shape[-1])
+    x = np.concatenate([batch.features, np.ones(batch.valid.shape + (1,))], axis=-1)
+    shift = step * np.moveaxis(x[..., rows], -1, 0)
+    probes = np.tile(z, (2, len(coords), 1, 1, 1))
     probe = np.arange(len(coords))
-    probes[0, probe, :, cols] += shift
-    probes[1, probe, :, cols] -= shift
-    hi, lo = composed_loss(params, probes, sup, config, pseudo)
+    probes[0, probe, ..., cols] += shift
+    probes[1, probe, ..., cols] -= shift
+    hi, lo = composed_loss(params, probes, batch.valid, sup, config, pseudo).sum(axis=-1)
     return (hi - lo) / (2.0 * step)
 
 
 def check_once(
     params: ModelParams,
-    regions: RegionSet,
+    batch: SceneBatch,
     labels: LabelSet,
     config: TrainConfig,
     rng: np.random.Generator,
@@ -138,14 +146,14 @@ def check_once(
     was. A NaN error is the worst, the first of several wins.
     """
     sup = compile_labels(labels, params, config)
-    report, pseudo, scores = scene_loss(params, regions, sup, config)
-    analytic = scorenet.param_gradients(params, regions, scores, report.grad, report.grad_image)
+    near = oicr.overlap_masks(batch.boxes, config.tau, batch.valid)
+    _, pseudo, analytic = batch_step(params, batch, sup, near, config)
     size = params.flat.size
     if coords_per_trial >= size:
         coords = np.arange(size)
     else:
         coords = rng.choice(size, size=coords_per_trial, replace=False)
-    numeric = numeric_gradient(params, regions, sup, config, pseudo, coords, step)
+    numeric = numeric_gradient(params, batch, sup, config, pseudo, coords, step)
     exact = analytic[params.checkpoint_order[coords]]
     errors = np.abs(exact - numeric) / np.maximum(np.maximum(np.abs(exact), np.abs(numeric)), 1.0)
     worst = int(np.argmax(errors))
@@ -181,8 +189,8 @@ def run_gradient_check(
     with np.errstate(all="ignore"):
         for trial in range(trials):
             rng = np.random.default_rng([seed, trial])
-            params, regions, labels, config = _random_problem(rng)
-            results.append(check_once(params, regions, labels, config, rng, coords_per_trial, step))
+            params, batch, labels, config = _random_problem(rng)
+            results.append(check_once(params, batch, labels, config, rng, coords_per_trial, step))
             checked += min(coords_per_trial, params.flat.size)
     # argmax: a NaN error wins, and so does the first of equal errors
     worst_trial = int(np.argmax([err for err, _ in results]))

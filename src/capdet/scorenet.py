@@ -16,25 +16,25 @@ one affine map from d to P = K(C+1) + K*V + 2C columns, in this order:
     det        C       the stream normalized over regions
     cls        C       the sigmoid gate
 
-Forward is one matmul (logits), then head_scores: one softmax pass over
-the (m, K, C+1) view of the object columns and one over all categories of
-the (m, K, V) view of the attribute columns. head_scores also takes a stack
-of logit arrays over the same regions, (..., m, P), and scores each
-slice exactly as it would alone; the gradient check scores all its
-probes that way. Backward builds one (m, P) gradient of the map's
-outputs and pulls it back through one matmul.
+Forward and backward run over a padded batch of N scenes
+(trainer.SceneBatch): (N, M, d) features and an (N, M) valid mask of
+each scene's own rows; a lone scene is N = 1. Forward is one matmul
+(logits), then head_scores: one softmax pass over the (N, M, K, C+1)
+view of the object columns and one over all categories of the
+(N, M, K, V) view of the attribute columns. Region reductions run over
+axis -2, so each scene scores as it would alone; padded rows get -inf
+before the softmax over regions, so they carry no evidence, and they get
+zero gradient. head_scores also takes a stack of logit arrays ahead of
+the scene axis, (..., N, M, P), and scores each slice exactly as it
+would alone; the gradient check scores all its probes that way.
 
-A training step runs forward and backward once over a padded batch of
-scenes (trainer.SceneBatch): (N, M, d) features and an (N, M) mask of
-each scene's own rows. The scene axis is one more leading axis, so each
-scene scores as it would alone; padded rows get -inf before the softmax
-over regions, so they carry no evidence, and they get zero gradient.
-Backward multiplies each scene's features with its own gradient, one
-stacked matmul, and sums the scenes' parameter gradients in order. A
-step whose supervision names no attribute leaves the attribute heads
-out: forward skips their softmaxes, so Scores holds an empty attribute
-block, and backward leaves their gradient columns zero. The matmul keeps
-every column, since a narrower product rounds some columns differently.
+Backward builds one (N, M, P) gradient of the map's outputs, multiplies
+each scene's features with its own gradient, one stacked matmul, and
+sums the scenes' parameter gradients in order. A step whose supervision
+names no attribute leaves the attribute heads out: forward skips their
+softmaxes, so Scores holds an empty attribute block, and backward leaves
+their gradient columns zero. The matmul keeps every column, since a
+narrower product rounds some columns differently.
 
 All parameters live in one flat float64 buffer, the packed map row by
 row: d weight rows, then the bias row (packed is its (d + 1, P) view).
@@ -222,35 +222,29 @@ class RegionSet:
     def size(self) -> int:
         return self.boxes.shape[0]
 
-    @property
-    def valid(self) -> None:
-        """Every row of a region set is its own; a padded batch masks the rows it adds."""
-        return None
-
 
 @dataclass
 class Scores:
-    """Forward's output for one region set, a padded batch, or a stack of logit arrays.
+    """Forward's output for a padded batch of N scenes, or for a stack of logit arrays over one.
 
     heads holds every head's probabilities in the packed column order,
     the K object blocks and then the K attribute blocks (V is 0 when
     forward left the attribute heads out); objects and attributes are
     views into it, and split takes the same views of any array laid out
     like it, such as a gradient. The evidence block's streams are kept
-    for the backward pass. Every array may carry leading axes (...) ahead
-    of the shapes below: a padded batch's scene axis, or one per stacked
-    logit array; a single scene has none. valid marks a batch's own rows.
+    for the backward pass. A stack of logit arrays adds its leading axes
+    (...) ahead of every shape below; valid marks each scene's own rows.
     """
 
-    heads: np.ndarray  # (m, K(C + 1) + K * V)
+    heads: np.ndarray  # (N, m, K(C + 1) + K * V)
     num_heads: int
-    gate: np.ndarray  # (m, C) sigmoid stream
-    region_dist: np.ndarray  # (m, C) softmax over regions per class
-    per_region: np.ndarray  # (m, C) product of the two streams
-    image_level: np.ndarray  # (C,) sigmoid of per-class sums, in (0.5, 1)
-    valid: np.ndarray | None = None  # (N, m) in a padded batch, None when every row is real
-    objects: np.ndarray = field(init=False)  # (K, m, C + 1), rows sum to 1
-    attributes: np.ndarray = field(init=False)  # (K, m, V), one softmax per category
+    gate: np.ndarray  # (N, m, C) sigmoid stream
+    region_dist: np.ndarray  # (N, m, C) softmax over regions per class
+    per_region: np.ndarray  # (N, m, C) product of the two streams
+    image_level: np.ndarray  # (N, C) sigmoid of per-class sums, in (0.5, 1)
+    valid: np.ndarray  # (N, m) bool
+    objects: np.ndarray = field(init=False)  # (N, K, m, C + 1), rows sum to 1
+    attributes: np.ndarray = field(init=False)  # (N, K, m, V), one softmax per category
 
     def __post_init__(self) -> None:
         self.objects, self.attributes = self.split(self.heads)
@@ -282,31 +276,26 @@ def init_params(
     return params
 
 
-def logits(params: ModelParams, regions: RegionSet) -> np.ndarray:
-    """The packed map's (m, P) outputs for a region set, (N, M, P) for a padded batch."""
-    x = regions.features
+def logits(params: ModelParams, batch) -> np.ndarray:
+    """The packed map's (N, M, P) outputs for a padded batch's features."""
+    x = batch.features
     if x.shape[-1] != params.feature_dim:
         raise ValueError(f"feature dim {x.shape[-1]} does not match model dim {params.feature_dim}")
     w = params.packed
     return x @ w[:-1] + w[-1]
 
 
-def head_scores(
-    params: ModelParams, z: np.ndarray, valid: np.ndarray | None = None, attributes: bool = True
-) -> Scores:
-    """Every head's scores from logits z of shape (..., m, P).
+def head_scores(params: ModelParams, z: np.ndarray, valid: np.ndarray, attributes: bool = True) -> Scores:
+    """Every head's scores from logits z of shape (..., N, m, P).
 
-    Leading axes stack independent logit arrays, or a padded batch's
-    scenes; region reductions run over axis -2, so each (m, P) slice
-    scores exactly as it would alone. valid (..., m) masks a batch's
-    padded rows out of the softmax over regions. With attributes False
-    the attribute block of heads is empty and its softmaxes are skipped.
+    Leading axes ahead of the scene axis stack independent logit arrays;
+    region reductions run over axis -2, so each (m, P) slice scores
+    exactly as it would alone. valid (N, m) masks padded rows out of the
+    softmax over regions. With attributes False the attribute block of
+    heads is empty and its softmaxes are skipped.
     """
     gate = sigmoid(z[..., params.cls_cols])
-    z_det = z[..., params.det_cols]
-    if valid is not None:
-        z_det = np.where(valid[..., None], z_det, -np.inf)
-    region_dist = softmax_cols(z_det)
+    region_dist = softmax_cols(np.where(valid[..., None], z[..., params.det_cols], -np.inf))
     per_region = gate * region_dist
     cols = params.attribute_cols
     heads = np.empty(z.shape[:-1] + ((cols.stop if attributes else cols.start),))
@@ -318,9 +307,9 @@ def head_scores(
     return scores
 
 
-def forward(params: ModelParams, regions: RegionSet, attributes: bool = True) -> Scores:
-    """Scores for a region set, or for a padded batch (anything with features and valid, such as a SceneBatch)."""
-    return head_scores(params, logits(params, regions), regions.valid, attributes)
+def forward(params: ModelParams, batch, attributes: bool = True) -> Scores:
+    """Scores for a padded batch: anything with features and valid, such as a SceneBatch."""
+    return head_scores(params, logits(params, batch), batch.valid, attributes)
 
 
 def _softmax_rows_backward(s: np.ndarray, grad: np.ndarray, segments: Sequence[slice] = WHOLE_ROW) -> np.ndarray:
@@ -338,19 +327,17 @@ def _softmax_cols_backward(s: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return s * (grad - (grad * s).sum(axis=-2, keepdims=True))
 
 
-def param_gradients(
-    params: ModelParams, regions: RegionSet, scores: Scores, grad: np.ndarray, grad_image: np.ndarray
-) -> np.ndarray:
+def param_gradients(params: ModelParams, batch, scores: Scores, grad: np.ndarray, grad_image: np.ndarray) -> np.ndarray:
     """Gradient of sum(grad * scores.heads) + sum(grad_image * scores.image_level), laid out like params.flat.
 
-    scores is forward's output for these params and regions; its
-    softmaxes and evidence streams are reused, not recomputed. Columns
-    whose upstream gradient is all zero come back with exactly zero
-    parameter gradient; nothing leaks across heads. For a padded batch
-    the result is the sum of its scenes' gradients, added in scene order;
-    padded rows must get zero grad, and then their dz is zero too.
+    scores is forward's output for these params and batch; its softmaxes
+    and evidence streams are reused, not recomputed. Columns whose
+    upstream gradient is all zero come back with exactly zero parameter
+    gradient; nothing leaks across heads. The result is the sum of the
+    scenes' gradients, added in scene order; padded rows must get zero
+    grad, and then their dz is zero too.
     """
-    x = regions.features
+    x = batch.features
     if grad.shape != scores.heads.shape:
         raise ValueError(f"score gradient has shape {grad.shape}, scores have {scores.heads.shape}")
     # zeros: the attribute columns stay zero when forward left them out
@@ -366,7 +353,7 @@ def param_gradients(
     dz[..., params.cls_cols] = d_per_region * scores.region_dist * gate * (1.0 - gate)
     # one matmul per scene, then the scenes added in order: the bits of summing per-scene calls
     g = np.concatenate([np.matmul(x.swapaxes(-1, -2), dz), dz.sum(axis=-2)[..., None, :]], axis=-2)
-    return (g if g.ndim == 2 else g.sum(axis=0)).ravel()
+    return g.sum(axis=0).ravel()
 
 
 def iter_param_arrays(params: ModelParams) -> Iterator[tuple[str, np.ndarray]]:

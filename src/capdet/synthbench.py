@@ -177,37 +177,30 @@ def make_universe(config: SynthConfig, registry: AttributeRegistry, seed: int) -
     # one anchor per confusable pair (owned by its first member) plus one per free class
     owners = [n for n in names if all(n != b for _, b in config.confusable_pairs)]
     min_gap = max(5.5 * delta, 1.0)
+    confusable = {frozenset(p) for p in config.confusable_pairs}
+    # whether each two of the classes and the background (last) are confusable, pair by pair as gaps lists them
+    partner = np.pad([[frozenset((a, b)) in confusable for b in names] for a in names], (0, 1))
+    partner = partner[np.triu_indices(len(partner), 1)]
 
     def unit(v: np.ndarray) -> np.ndarray:
         return v / np.linalg.norm(v)
 
+    def gaps(points: np.ndarray) -> np.ndarray:
+        """The distance between each two rows of points, i < j in row-major order."""
+        return np.linalg.norm(points[:, None] - points[None], axis=-1)[np.triu_indices(len(points), 1)]
+
     for attempt in range(200):
         anchors = {n: unit(rng.standard_normal(config.feature_dim)) for n in owners}
         background = unit(rng.standard_normal(config.feature_dim))
-        points = list(anchors.values()) + [background]
-        gaps = [
-            np.linalg.norm(points[i] - points[j])
-            for i in range(len(points))
-            for j in range(i + 1, len(points))
-        ]
-        if gaps and min(gaps) < min_gap:
+        if (gaps(np.stack([*anchors.values(), background])) < min_gap).any():
             continue
-        prototypes = {}
-        for n in owners:
-            prototypes[n] = anchors[n]
+        prototypes = dict(anchors)
         for a, b in config.confusable_pairs:
             prototypes[b] = prototypes[a] + (delta / 2.0) * unit(rng.standard_normal(config.feature_dim))
-        confusable = {frozenset(p) for p in config.confusable_pairs}
-        ok = True
-        for i, ni in enumerate(names):
-            for nj in names[i + 1 :]:
-                dist = np.linalg.norm(prototypes[ni] - prototypes[nj])
-                if frozenset((ni, nj)) in confusable:
-                    ok = ok and dist <= delta
-                else:
-                    ok = ok and dist >= 4.0 * delta
-            ok = ok and np.linalg.norm(prototypes[ni] - background) >= 4.0 * delta
-        if not ok:
+        proto_matrix = np.stack([prototypes[n] for n in names])
+        # confusable partners within delta; every other pair, background included, at least 4 delta apart
+        dist = gaps(np.vstack([proto_matrix, background]))
+        if not np.where(partner, dist <= delta, dist >= 4.0 * delta).all():
             continue
         attr_prototypes = {}
         for cat in registry.categories:
@@ -215,7 +208,6 @@ def make_universe(config: SynthConfig, registry: AttributeRegistry, seed: int) -
                 attr_prototypes[(cat, val)] = config.attribute_norm * unit(
                     rng.standard_normal(config.feature_dim)
                 )
-        proto_matrix = np.stack([prototypes[n] for n in names])
         return Universe(config, proto_matrix, attr_prototypes, background)
     raise ValueError(
         f"could not satisfy prototype separation constraints in {config.feature_dim} dimensions"

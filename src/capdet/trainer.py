@@ -7,22 +7,22 @@ no parameter changes: it compiles each scene's caption labels into the
 Supervision every loss reads, and builds each scene's overlap mask, which
 the refinement chain reads, over padded chunks of EVAL_CHUNK scenes. A
 step packs its batch_size scenes into one padded SceneBatch, stacks their
-masks, concatenates their supervision, and runs forward, pseudo-labels,
-losses and backward once over the batch; each scene's gradient has the
-bits of a one-scene call, and the scenes' gradients are added in batch
-order. Setting lambda2 to zero compiles the labels without attribute
-pairs, which removes every attribute-dependent computation, including
-the coupled refinement terms that would otherwise feed gradients into
-later object heads; that is the exact-match baseline, and the two
-spellings of it (loss_mode="em", lambda2=0) are required to produce
-identical checkpoints. A batch without attribute pairs, which is every
+masks, concatenates their supervision, and runs batch_step: forward,
+pseudo-labels, losses and backward once over the batch. Each scene's
+gradient has the bits of a one-scene batch's, and the scenes' gradients
+are added in batch order. Setting lambda2 to zero compiles the labels
+without attribute pairs, which removes every attribute-dependent
+computation, including the coupled refinement terms that would otherwise
+feed gradients into later object heads; that is the exact-match
+baseline, and the two spellings of it (loss_mode="em", lambda2=0) are
+required to produce identical checkpoints. A batch without attribute pairs, which is every
 baseline batch, leaves the attribute heads out of forward and backward,
 where their gradient would be exactly zero, and seeds no pair in the
 refinement chain.
 
 Inference and evaluation run on chunks of EVAL_CHUNK scenes, each packed
 into one SceneBatch: proposals padded to the chunk's largest proposal
-count, with a mask of each scene's own rows. Inference runs only the
+count (at least two), with a mask of each scene's own rows. Inference runs only the
 object heads, in one matmul over the chunk, averages the refinement
 heads' class scores, drops the background column, and applies NMS to
 every scene and class of the chunk at once, then a score floor. A
@@ -46,7 +46,7 @@ import numpy as np
 
 from . import oicr, scorenet, weakloss
 from .geometry import iou_matrix, nms
-from .scorenet import ModelParams, RegionSet
+from .scorenet import ModelParams
 from .synthbench import SyntheticScene
 from .textgraph import AttributeRegistry, LabelSet, Vocabulary, extract_labels
 from .weakloss import LossReport, Supervision
@@ -156,26 +156,26 @@ def compile_labels(labels: LabelSet, params: ModelParams, config: TrainConfig) -
     )
 
 
-def scene_loss(
-    params: ModelParams,
-    regions: RegionSet,
-    sup: Supervision,
-    config: TrainConfig,
-    pseudo: oicr.PseudoLabels | None = None,
-) -> tuple[LossReport, oicr.PseudoLabels | None, scorenet.Scores]:
-    """The per-scene loss, its refinement supervision (reused if given), and forward's scores."""
-    scores = scorenet.forward(params, regions)
-    if pseudo is None:
-        pseudo = oicr.build_pseudo_labels(scores, sup, oicr.overlap_masks(regions.boxes, config.tau))
-    return frozen_loss(scores, sup, config, pseudo), pseudo, scores
-
-
 def frozen_loss(
     scores: scorenet.Scores, sup: Supervision, config: TrainConfig, pseudo: oicr.PseudoLabels | None
 ) -> LossReport:
     """The loss of scores against frozen refinement supervision; stacked scores give a value per slice."""
     values, grad = oicr.refinement_terms(scores, pseudo)
     return weakloss.total_loss(scores, sup, config.lambda1, config.lambda2, values, grad)
+
+
+def batch_step(
+    params: ModelParams, batch: SceneBatch, sup: Supervision, near: np.ndarray, config: TrainConfig
+) -> tuple[LossReport, oicr.PseudoLabels | None, np.ndarray]:
+    """One step's loss report, refinement supervision and summed parameter gradient over a padded batch.
+
+    near is the batch's oicr.overlap_masks at config.tau.
+    """
+    # a batch whose captions name no attribute never reads the attribute heads
+    scores = scorenet.forward(params, batch, attributes=sup.pair_classes.size > 0)
+    pseudo = oicr.build_pseudo_labels(scores, sup, near)
+    report = frozen_loss(scores, sup, config, pseudo)
+    return report, pseudo, scorenet.param_gradients(params, batch, scores, report.grad, report.grad_image)
 
 
 def label_scenes(
@@ -231,17 +231,13 @@ def train(
             batch = SceneBatch.pack([scenes[i] for i in picks])
             sup = Supervision.concat([sups[i] for i in picks])
             near = stack_masks([blocks[i] for i in picks], batch.valid.shape[1])
-            # a batch whose captions name no attribute never reads the attribute heads
-            scores = scorenet.forward(params, batch, attributes=sup.pair_classes.size > 0)
-            pseudo = oicr.build_pseudo_labels(scores, sup, near)
-            report = frozen_loss(scores, sup, config, pseudo)
+            report, _, grad_flat = batch_step(params, batch, sup, near, config)
             finite = np.isfinite(report.l_total)
             if not finite.all():
                 first = int(np.argmin(finite))
                 raise NumericalError(
                     f"non-finite loss at step {step} on scene {batch.image_ids[first]!r}: {report.l_total[first]}"
                 )
-            grad_flat = scorenet.param_gradients(params, batch, scores, report.grad, report.grad_image)
             grad_flat /= config.batch_size
             if not np.isfinite(grad_flat).all():
                 raise NumericalError(f"non-finite gradient at step {step}")
@@ -258,7 +254,7 @@ def train(
 
 @dataclass(frozen=True)
 class SceneBatch:
-    """Scenes' proposals padded to the batch's largest proposal count M.
+    """Scenes' proposals padded to the batch's largest proposal count M (at least 2, see pad_boxes).
 
     Row i of scene n is the scene's own proposal where valid[n, i]; the
     rows past a scene's count have zero features and the unit box, a real
@@ -281,9 +277,14 @@ class SceneBatch:
 
 
 def pad_boxes(scenes: Sequence[SyntheticScene]) -> tuple[np.ndarray, np.ndarray]:
-    """The scenes' (N, M, 4) proposal boxes, padded with the unit box, and their (N, M) valid mask."""
+    """The scenes' (N, M, 4) proposal boxes, padded with the unit box, and their (N, M) valid mask.
+
+    M is at least 2: numpy multiplies a one-row matrix through another BLAS
+    routine, which rounds differently, so a lone one-proposal scene would
+    score otherwise than it does in a batch.
+    """
     sizes = [scene.proposals.size for scene in scenes]
-    boxes = np.empty((len(scenes), max(sizes, default=0), 4))
+    boxes = np.empty((len(scenes), max([2, *sizes]) if sizes else 0, 4))
     boxes[...] = (0.0, 0.0, 1.0, 1.0)
     for n, scene in enumerate(scenes):
         boxes[n, : sizes[n]] = scene.proposals.boxes

@@ -1,28 +1,34 @@
-"""Central differences one probe at a time: bump a parameter, evaluate the scene loss, restore it.
+"""Central differences one probe at a time: bump a parameter, evaluate the batch's loss, restore it.
 
 The gradient check scores every probe of a trial as one stack of shifted
 logit arrays. This loop computes the same derivatives the direct way,
-moving each coordinate of params.flat and running the whole per-scene
-loss with the refinement supervision frozen, and is kept only as a
-reference to check the stacked probes against.
+moving each coordinate of params.flat and running forward and the
+training step's loss over the one-scene batch, with the refinement
+supervision frozen, and is kept only as a reference to check the stacked
+probes against.
 """
 
 import numpy as np
 
-from capdet.trainer import scene_loss
+from capdet import scorenet
+from capdet.trainer import frozen_loss
 
 
-def numeric_gradient(params, regions, sup, config, pseudo, coords, step):
-    """Central differences of the scene loss at coords (checkpoint order); params is restored."""
+def numeric_gradient(params, batch, sup, config, pseudo, coords, step):
+    """Central differences of the batch's summed loss at coords (checkpoint order); params is restored."""
     flat, order = params.flat, params.checkpoint_order
     numeric = np.empty(len(coords))
+
+    def loss():
+        return frozen_loss(scorenet.forward(params, batch), sup, config, pseudo).l_total.sum()
+
     for i, coord in enumerate(coords):
         idx = order[coord]
         original = flat[idx]
         flat[idx] = original + step
-        hi = scene_loss(params, regions, sup, config, pseudo=pseudo)[0].l_total
+        hi = loss()
         flat[idx] = original - step
-        lo = scene_loss(params, regions, sup, config, pseudo=pseudo)[0].l_total
+        lo = loss()
         flat[idx] = original
         numeric[i] = (hi - lo) / (2.0 * step)
     return numeric

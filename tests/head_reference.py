@@ -9,6 +9,7 @@ reference to check the packed forward and backward against.
 import numpy as np
 
 from capdet.scorenet import ModelParams, Scores, iter_param_arrays
+from capdet.trainer import SceneBatch
 
 
 def _softmax(z, axis):
@@ -28,14 +29,22 @@ def _maps(params):
 
 
 def packed_scores(objects, attributes, per_region, image_level):
-    """Scores holding per-head (m, C + 1) object and (m, V) attribute arrays in the packed column order.
+    """One-scene Scores (N = 1) holding per-head (m, C + 1) object and (m, V) attribute arrays in the packed column order.
 
     Only the evidence product matters to the losses, so the gate carries
     per_region and the region distribution is all ones.
     """
-    per_region = np.asarray(per_region, dtype=float)
-    heads = np.concatenate([*objects, *attributes], axis=1)
-    return Scores(heads, len(objects), per_region, np.ones_like(per_region), per_region, np.asarray(image_level, float))
+    per_region = np.asarray(per_region, dtype=float)[None]
+    heads = np.concatenate([*objects, *attributes], axis=1)[None]
+    image_level = np.asarray(image_level, float)[None]
+    valid = np.ones(heads.shape[:2], dtype=bool)
+    return Scores(heads, len(objects), per_region, np.ones_like(per_region), per_region, image_level, valid)
+
+
+def lone_batch(boxes, features):
+    """One scene's proposal boxes (m, 4) and features (m, d) as a one-scene padded batch."""
+    features = np.asarray(features, dtype=float)
+    return SceneBatch(("scene",), features[None], np.asarray(boxes, dtype=float)[None], np.ones((1, len(features)), bool))
 
 
 def loop_forward(params, x):

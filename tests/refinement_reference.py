@@ -5,7 +5,8 @@ one pass. These loops build the same supervision and terms head by head,
 the way the chain is defined, and are kept only as a reference to check
 the stacked code against.
 
-A head's supervision here is a dict: labels and weights (m,), seeds
+Scores are a one-scene batch (N = 1), and the loops read its scene. A
+head's supervision here is a dict: labels and weights (m,), seeds
 {class: (region, score)} and attrs, its coupled (region, class, column)
 assignments in pair order.
 """
@@ -54,15 +55,16 @@ def build_pseudo_labels(scores, labels, boxes, tau, value_columns, coupled=True)
     """Each head's supervision from its predecessor, or None per head without mentioned classes."""
     if not labels.objects:
         return [None] * scores.num_heads
-    num_classes = scores.per_region.shape[1]
+    num_classes = scores.per_region.shape[-1]
     near = iou_matrix(boxes, boxes) >= tau
-    s0 = initial_scores(scores.per_region)
+    s0 = initial_scores(scores.per_region, scores.valid)[0]
+    objects, attributes = scores.objects[0], scores.attributes[0]
     pseudos = []
     for j in range(scores.num_heads):
-        prev_obj = s0 if j == 0 else scores.objects[j - 1]
+        prev_obj = s0 if j == 0 else objects[j - 1]
         pseudo = seed_and_assign(prev_obj, labels.objects, near, num_classes)
         if coupled:
-            prev_attr = None if j == 0 else scores.attributes[j - 1]
+            prev_attr = None if j == 0 else attributes[j - 1]
             pseudo["attrs"] = attribute_assignments(
                 j + 1, prev_obj, prev_attr, labels, near, value_columns, pseudo["seeds"]
             )
@@ -97,19 +99,20 @@ def coupled_refinement_loss(head_index, obj_scores, attr_scores, assignments):
 
 
 def refinement_terms(scores, pseudos):
-    """Per-head loss values plus their gradient with respect to scores.heads."""
+    """The scene's per-head loss values plus their gradient with respect to scores.heads."""
     grad = np.zeros_like(scores.heads)
-    grad_objects, grad_attributes = scores.split(grad)
+    grad_objects, grad_attributes = (a[0] for a in scores.split(grad))
+    objects, attributes = scores.objects[0], scores.attributes[0]
     values = []
     for j, pseudo in enumerate(pseudos):
         if pseudo is None:
             values.append(0.0)
             continue
-        value, g = refinement_loss(scores.objects[j], pseudo)
+        value, g = refinement_loss(objects[j], pseudo)
         grad_objects[j] += g
         if pseudo["attrs"]:
             cv, g_obj, g_attr = coupled_refinement_loss(
-                j + 1, scores.objects[j], scores.attributes[j], pseudo["attrs"]
+                j + 1, objects[j], attributes[j], pseudo["attrs"]
             )
             value += cv
             grad_objects[j] += g_obj

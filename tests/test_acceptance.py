@@ -9,12 +9,13 @@ import statistics
 import time
 
 import numpy as np
+from head_reference import lone_batch
 
 from capdet import cli
 from capdet.geometry import iou_matrix, nms
 from capdet.gradcheck import run_gradient_check
 from capdet.oicr import build_pseudo_labels, overlap_masks
-from capdet.scorenet import RegionSet, clamp_prob, forward, init_params
+from capdet.scorenet import clamp_prob, forward, init_params
 from capdet.synthbench import (
     SynthConfig,
     benchmark_vocabulary,
@@ -29,7 +30,7 @@ from capdet.textgraph import (
     extract_labels,
     parse_scene_graph,
 )
-from capdet.trainer import TrainConfig, compile_labels, evaluate, train
+from capdet.trainer import SceneBatch, TrainConfig, compile_labels, evaluate, train
 from capdet.weakloss import compile_supervision, entanglement_loss, object_mil_loss
 
 
@@ -66,7 +67,8 @@ def test_criterion_2_coupled_loss_dominates_decoupled_selection():
         attr = rng.uniform(0.01, 1.0, size=(m, 3))  # columns: color red, green, blue
         cols = {("color", "red"): 0, ("color", "green"): 1, ("color", "blue"): 2}
         labels = LabelSet(objects={c}, attribute_pairs={c: {("color", "red")}})
-        coupled, _, _, _ = entanglement_loss(obj, attr, compile_supervision(labels, num_classes, cols))
+        sup = compile_supervision(labels, num_classes, cols)
+        (coupled,), _, _, _ = entanglement_loss(obj[None], attr[None], sup, np.ones((1, m), dtype=bool))
         # decoupled: each factor free to pick its own region (|O| = 1)
         p_obj = np.asarray(clamp_prob(obj[:, c]))
         p_attr = np.asarray(clamp_prob(attr[:, 0]))
@@ -82,17 +84,20 @@ def test_criterion_2_coupled_loss_dominates_decoupled_selection():
     cols = {("color", "brown"): 0, ("color", "red"): 1}
     labels = LabelSet(objects={0}, attribute_pairs={0: {("color", "brown")}})
     sup = compile_supervision(labels, 1, cols)
-    _, _, object_rows = object_mil_loss(obj, sup)
-    _, _, _, coupled_rows = entanglement_loss(obj, attr, sup)
+    valid = np.ones((1, 2), dtype=bool)
+    _, _, object_rows = object_mil_loss(obj[None], sup, valid)
+    _, _, _, coupled_rows = entanglement_loss(obj[None], attr[None], sup, valid)
     object_pick = dict(zip(sup.classes.tolist(), object_rows.tolist()))
-    coupled_pick = dict(zip(sup.pair_keys, coupled_rows.tolist()))
+    # a pair's choice is keyed by (class, attribute column)
+    coupled_pick = dict(zip(zip(sup.pair_classes.tolist(), sup.pair_columns.tolist()), coupled_rows.tolist()))
+    brown = cols["color", "brown"]
     assert object_pick[0] == 0
-    assert coupled_pick[(0, "color", "brown")] == 1
+    assert coupled_pick[(0, brown)] == 1
     print(
         f"\nPASS criterion 2: coupled loss >= decoupled factor maxima on {draws}/{draws} "
         f"random tensors, strictly greater on {strict} (> {draws // 2}); divergence "
         f"example picks region {object_pick[0]} (object-only) vs "
-        f"{coupled_pick[(0, 'color', 'brown')]} (coupled)"
+        f"{coupled_pick[(0, brown)]} (coupled)"
     )
 
 
@@ -108,11 +113,10 @@ def test_criterion_3_formulation_invariants():
         names = [f"c{i}" for i in range(int(rng.integers(2, 5)))]
         params = init_params(d, names, cats, num_heads=3, seed=trial)
         boxes = _random_boxes(rng, m)
-        regions = RegionSet(boxes=boxes, features=rng.normal(scale=2.0, size=(m, d)))
-        scores = forward(params, regions)
+        scores = forward(params, lone_batch(boxes, rng.normal(scale=2.0, size=(m, d))))
         assert np.all(scores.image_level > 0.5) and np.all(scores.image_level < 1.0)
-        rows = [h.sum(axis=1) for h in scores.objects]
-        for a in scores.attributes:
+        rows = [h.sum(axis=1) for h in scores.objects[0]]
+        for a in scores.attributes[0]:
             rows += [a[:, cols].sum(axis=1) for cols in params.category_slices.values()]
         for s in rows:
             np.testing.assert_allclose(s, 1.0, atol=1e-6)
@@ -140,11 +144,12 @@ def test_criterion_3_formulation_invariants():
     labeled_regions = 0
     for scene in scenes:
         sup = compile_labels(extract_labels(scene.captions, vocab, registry), params, rc)
-        near = overlap_masks(scene.proposals.boxes, rc.tau)
-        pseudo = build_pseudo_labels(forward(params, scene.proposals), sup, near)
+        batch = SceneBatch.pack([scene])
+        near = overlap_masks(batch.boxes, rc.tau, batch.valid)
+        pseudo = build_pseudo_labels(forward(params, batch), sup, near)
         if pseudo is None:
             continue
-        for head_labels, head_seeds in zip(pseudo.labels, pseudo.seeds):
+        for head_labels, head_seeds in zip(pseudo.labels[0], pseudo.seeds):
             for i, c in enumerate(head_labels):
                 if c >= num_classes:
                     continue

@@ -1,6 +1,8 @@
 import ctypes
 import dataclasses
 import glob
+import hashlib
+import json
 import os
 
 import gradcheck_reference as reference
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from capdet import gradcheck, oicr, scorenet
 from capdet.scorenet import ModelParams
 from capdet.textgraph import LabelSet
-from capdet.trainer import compile_labels, frozen_loss, scene_loss
+from capdet.trainer import batch_step, compile_labels, frozen_loss
 
 
 # OpenBLAS kernels on which run_gradient_check(trials=20) gives the pinned
@@ -35,6 +37,13 @@ def relative(a, b):
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
 
 
+def analytic_step(params, batch, labels, config):
+    """The supervision, training-step report, frozen pseudo-labels and parameter gradient of a trial's problem."""
+    sup = compile_labels(labels, params, config)
+    near = oicr.overlap_masks(batch.boxes, config.tau, batch.valid)
+    return (sup, *batch_step(params, batch, sup, near, config))
+
+
 def shifted_copy(params, rng):
     """The same layout as params, every parameter moved by a standard normal draw."""
     other = ModelParams(params.feature_dim, params.class_names, params.category_values, params.num_heads)
@@ -46,9 +55,10 @@ class TestRandomProblem:
     def test_within_stated_bounds(self):
         for trial in range(30):
             rng = np.random.default_rng([7, trial])
-            params, regions, labels, config = gradcheck._random_problem(rng)
+            params, batch, labels, config = gradcheck._random_problem(rng)
             assert 4 <= params.feature_dim <= 16
-            assert 2 <= regions.size <= 8
+            assert batch.valid.shape[0] == 1 and batch.valid.all()
+            assert 2 <= batch.valid.shape[1] <= 8
             assert 2 <= params.num_classes <= 4
             assert 1 <= params.num_heads <= 3
             assert labels.objects
@@ -65,35 +75,34 @@ class TestRandomProblem:
 class TestComposedLoss:
     def test_matches_scene_loss_with_frozen_pseudos(self):
         rng = np.random.default_rng([11, 0])
-        params, regions, labels, config = gradcheck._random_problem(rng)
-        sup = compile_labels(labels, params, config)
-        report, pseudo, _ = scene_loss(params, regions, sup, config)
-        z = scorenet.logits(params, regions)
-        assert gradcheck.composed_loss(params, z, sup, config, pseudo) == report.l_total
-        (stacked,) = gradcheck.composed_loss(params, z[None], sup, config, pseudo)
-        assert stacked == report.l_total
+        params, batch, labels, config = gradcheck._random_problem(rng)
+        sup, report, pseudo, _ = analytic_step(params, batch, labels, config)
+        z = scorenet.logits(params, batch)
+        assert report.l_total.shape == (1,)
+        assert np.array_equal(gradcheck.composed_loss(params, z, batch.valid, sup, config, pseudo), report.l_total)
+        (stacked,) = gradcheck.composed_loss(params, z[None], batch.valid, sup, config, pseudo)
+        assert np.array_equal(stacked, report.l_total)
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), em=st.booleans(), unlabeled=st.booleans())
     def test_each_slice_is_the_scene_loss(self, seed, n, em, unlabeled):
-        # n parameter sets over one region set: the leading-axis loss of
-        # their stacked logits is, slice by slice, the per-scene loss
+        # n parameter sets over one scene: the leading-axis loss of their
+        # stacked logits is, slice by slice, the scene's loss
         rng = np.random.default_rng(seed)
-        params, regions, labels, config = gradcheck._random_problem(rng)
+        params, batch, labels, config = gradcheck._random_problem(rng)
         if em:
             config = dataclasses.replace(config, loss_mode="em", lambda2=0.0)
         if unlabeled:
             labels = LabelSet()
-        sup = compile_labels(labels, params, config)
-        _, pseudo, _ = scene_loss(params, regions, sup, config)
+        sup, _, pseudo, _ = analytic_step(params, batch, labels, config)
         others = [shifted_copy(params, rng) for _ in range(n)]
-        stack = np.stack([scorenet.logits(other, regions) for other in others])
-        values = gradcheck.composed_loss(params, stack, sup, config, pseudo)
-        stacked = frozen_loss(scorenet.head_scores(params, stack), sup, config, pseudo)
+        stack = np.stack([scorenet.logits(other, batch) for other in others])
+        values = gradcheck.composed_loss(params, stack, batch.valid, sup, config, pseudo)
+        stacked = frozen_loss(scorenet.head_scores(params, stack, batch.valid), sup, config, pseudo)
         for i, other in enumerate(others):
-            report, _, _ = scene_loss(other, regions, sup, config, pseudo=pseudo)
-            assert values[i] == report.l_total
-            assert stacked.l_total[i] == report.l_total
+            report = frozen_loss(scorenet.forward(other, batch), sup, config, pseudo)
+            assert np.array_equal(values[i], report.l_total)
+            assert np.array_equal(stacked.l_total[i], report.l_total)
             assert np.array_equal(stacked.grad[i], report.grad)
             assert np.array_equal(stacked.grad_image[i], report.grad_image)
 
@@ -101,9 +110,9 @@ class TestComposedLoss:
 class TestCheckOnce:
     def test_leaves_params_bit_identical(self):
         rng = np.random.default_rng([11, 1])
-        params, regions, labels, config = gradcheck._random_problem(rng)
+        params, batch, labels, config = gradcheck._random_problem(rng)
         before = params.flat.copy()
-        gradcheck.check_once(params, regions, labels, config, rng, coords_per_trial=1000, step=1e-5)
+        gradcheck.check_once(params, batch, labels, config, rng, coords_per_trial=1000, step=1e-5)
         assert params.flat.tobytes() == before.tobytes()
 
 
@@ -114,14 +123,12 @@ class TestMatchesReference:
         for trial in range(20):
             # the draws check_once makes, so the sample is the one it checks
             rng = np.random.default_rng([seed, trial])
-            params, regions, labels, config = gradcheck._random_problem(rng)
+            params, batch, labels, config = gradcheck._random_problem(rng)
             coords = rng.choice(params.flat.size, size=coords_per_trial, replace=False)
-            sup = compile_labels(labels, params, config)
-            report, pseudo, scores = scene_loss(params, regions, sup, config)
-            analytic = scorenet.param_gradients(params, regions, scores, report.grad, report.grad_image)
+            sup, _, pseudo, analytic = analytic_step(params, batch, labels, config)
             analytic = analytic[params.checkpoint_order[coords]]
-            stacked = gradcheck.numeric_gradient(params, regions, sup, config, pseudo, coords, step)
-            loop = reference.numeric_gradient(params, regions, sup, config, pseudo, coords, step)
+            stacked = gradcheck.numeric_gradient(params, batch, sup, config, pseudo, coords, step)
+            loop = reference.numeric_gradient(params, batch, sup, config, pseudo, coords, step)
             assert relative(stacked, loop).max() < 1e-8
             worst_stacked = max(worst_stacked, relative(analytic, stacked).max())
             worst_loop = max(worst_loop, relative(analytic, loop).max())
@@ -129,6 +136,24 @@ class TestMatchesReference:
         assert worst_loop < 1e-4
         result = gradcheck.run_gradient_check(trials=20, seed=seed, coords_per_trial=coords_per_trial, step=step)
         assert result.max_rel_error == worst_stacked
+
+
+@pytest.fixture(scope="module")
+def workload_records():
+    """The records the benchmark's gradcheck workload hashes at seed 0."""
+    records = []
+    for call in range(10):
+        r = gradcheck.run_gradient_check(trials=10, seed=call, coords_per_trial=80)
+        records.append(
+            {
+                "trials": r.trials,
+                "coords_checked": r.coords_checked,
+                "max_rel_error": r.max_rel_error,
+                "worst_trial": r.worst_trial,
+                "worst_coord": r.worst_coord,
+            }
+        )
+    return records
 
 
 class TestRunGradientCheck:
@@ -163,6 +188,19 @@ class TestRunGradientCheck:
         result = gradcheck.run_gradient_check(trials=20, seed=20240601, coords_per_trial=80)
         assert result.max_rel_error == 3.267314196975235e-10
         assert (result.worst_trial, result.worst_coord, result.coords_checked) == (18, "object[1].weight[13]", 1600)
+
+    def test_workload_problems_pass(self, workload_records):
+        # the benchmark's gradcheck workload: ten calls of ten trials, seeds 0-9, 80 coordinates each
+        assert [r["coords_checked"] for r in workload_records] == [800, 800, 800, 800, 770, 800, 792, 780, 800, 800]
+        assert max(r["max_rel_error"] for r in workload_records) < 1e-9
+
+    def test_workload_problems_pinned_on_recorded_kernels(self, workload_records):
+        # the sha256 the benchmark records for these results at seed 0
+        config = openblas_config()
+        if config is None or not set(RECORDED_KERNELS) & set(config.split()):
+            pytest.skip(f"value recorded on the OpenBLAS kernels {', '.join(RECORDED_KERNELS)}; this build: {config}")
+        digest = hashlib.sha256(json.dumps(workload_records, sort_keys=True).encode()).hexdigest()
+        assert digest == "7b5310e15f083468853abfb9ea71f12b6294cd6a0177951009b520267c1abd9a"
 
     def test_one_overlap_mask_per_trial(self, monkeypatch):
         calls = []

@@ -44,13 +44,23 @@ def with_background(class_scores):
 
 
 def frozen(labels, weights, coupled=()):
-    """PseudoLabels from (K, m) labels and weights and (head, region, class, column) tuples."""
+    """One scene's PseudoLabels from (K, m) labels and weights and (head, region, class, column) tuples."""
     heads, regions, classes, columns = np.array(list(coupled), dtype=int).reshape(-1, 4).T
     return PseudoLabels(
-        labels=np.asarray(labels), weights=np.asarray(weights, dtype=float),
+        labels=np.asarray(labels)[None], weights=np.asarray(weights, dtype=float)[None],
         seeds=np.zeros((len(labels), 0), dtype=int),
-        heads=heads, regions=regions, classes=classes, columns=columns,
+        heads=heads, regions=regions, classes=classes, columns=columns, scenes=np.zeros_like(heads),
     )
+
+
+def near_for(boxes, tau):
+    """The overlap mask of one scene's (m, 4) boxes, as a one-scene batch's (1, m, m)."""
+    return overlap_masks(boxes[None], tau, np.ones((1, len(boxes)), dtype=bool))
+
+
+def lone_initial_scores(per_region):
+    """initial_scores of one scene's (m, C) evidence, run as a one-scene batch."""
+    return initial_scores(per_region[None], np.ones((1, len(per_region)), dtype=bool))[0]
 
 
 def second_head(class_scores, objects, tau=0.5):
@@ -62,8 +72,8 @@ def second_head(class_scores, objects, tau=0.5):
         [prev, np.full_like(prev, 0.5)], [np.zeros((m, 0))] * 2,
         np.full((m, num_classes), 0.5), np.full(num_classes, 0.7),
     )
-    pseudo = build_pseudo_labels(scores, compiled(objects, num_classes=num_classes), overlap_masks(BOXES, tau))
-    return pseudo.labels[1], pseudo.weights[1], pseudo.seeds[1]
+    pseudo = build_pseudo_labels(scores, compiled(objects, num_classes=num_classes), near_for(BOXES, tau))
+    return pseudo.labels[0, 1], pseudo.weights[0, 1], pseudo.seeds[1]
 
 
 class TestRefinementConfig:
@@ -84,14 +94,14 @@ class TestInitialScores:
     def test_column_normalization(self):
         rng = np.random.default_rng(2)
         per_region = rng.uniform(0.0, 1.0, size=(5, 3))
-        s0 = initial_scores(per_region)
+        s0 = lone_initial_scores(per_region)
         assert np.allclose(s0.sum(axis=0), 1.0)
 
     def test_argmax_preserved_per_class(self):
         # normalization is monotone per class, so seeds match raw evidence
         rng = np.random.default_rng(3)
         per_region = rng.uniform(0.0, 1.0, size=(6, 4))
-        s0 = initial_scores(per_region)
+        s0 = lone_initial_scores(per_region)
         assert np.array_equal(np.argmax(s0, axis=0), np.argmax(per_region, axis=0))
 
 
@@ -129,8 +139,8 @@ class TestSeedAndAssign:
         scores = packed_scores([np.full((3, 2), 0.5)], [np.zeros((3, 0))], [[0.9], [0.1], [0.1]], [0.7])
         overlap = float(iou_matrix(BOXES, BOXES)[1, 0])
         for tau, label in ((overlap, 0), (overlap + 1e-9, 1)):
-            pseudo = build_pseudo_labels(scores, compiled({0}, num_classes=1), overlap_masks(BOXES, tau))
-            assert pseudo.labels[0, 1] == label
+            pseudo = build_pseudo_labels(scores, compiled({0}, num_classes=1), near_for(BOXES, tau))
+            assert pseudo.labels[0, 0, 1] == label
 
     def test_out_of_range_class_rejected(self):
         with pytest.raises(ValueError, match="class index 5"):
@@ -143,7 +153,7 @@ def object_term(head_scores, labels, weights):
     num_classes = head_scores.shape[1] - 1
     scores = packed_scores([head_scores], [np.zeros((m, 0))], np.zeros((m, num_classes)), np.full(num_classes, 0.7))
     values, grad = refinement_terms(scores, frozen([labels], [weights]))
-    return values[0], scores.split(grad)[0][0]
+    return values[0, 0], scores.split(grad)[0][0, 0]
 
 
 class TestRefinementLoss:
@@ -188,8 +198,8 @@ class TestRefinementLoss:
             for i, (c, w) in enumerate(zip(labels[j], weights[j])):
                 ref_value -= w * math.log(heads[j][i, c])
                 ref_grad[i, c] -= w / (7 * heads[j][i, c])
-            assert values[j] == pytest.approx(ref_value / 7, rel=1e-12)
-            assert np.array_equal(scores.split(grad)[0][j], ref_grad)
+            assert values[0, j] == pytest.approx(ref_value / 7, rel=1e-12)
+            assert np.array_equal(scores.split(grad)[0][0, j], ref_grad)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -200,7 +210,7 @@ class TestAttributeAssignments:
     def test_head_one_reuses_object_seeds(self):
         # the evidence seeds class 0 at region 2; head 1's pair sits there
         scores = packed_scores([np.full((3, 2), 0.5)], [np.full((3, 2), 0.5)], [[0.1], [0.1], [0.7]], [0.7])
-        pseudo = build_pseudo_labels(scores, compiled({0}, {0: {("color", "red")}}, num_classes=1), overlap_masks(BOXES, 0.5))
+        pseudo = build_pseudo_labels(scores, compiled({0}, {0: {("color", "red")}}, num_classes=1), near_for(BOXES, 0.5))
         assert pseudo.seeds[0].tolist() == [2]
         coupled = np.stack([pseudo.heads, pseudo.regions, pseudo.classes, pseudo.columns], axis=1)
         assert coupled.tolist() == [[0, 2, 0, 0]]
@@ -208,7 +218,7 @@ class TestAttributeAssignments:
     def test_head_one_no_propagation(self):
         # seed sits in the overlapping pair but nothing spreads at head 1
         scores = packed_scores([np.full((3, 2), 0.5)], [np.full((3, 2), 0.5)], [[0.9], [0.1], [0.1]], [0.7])
-        pseudo = build_pseudo_labels(scores, compiled({0}, {0: {("color", "red")}}, num_classes=1), overlap_masks(BOXES, 0.5))
+        pseudo = build_pseudo_labels(scores, compiled({0}, {0: {("color", "red")}}, num_classes=1), near_for(BOXES, 0.5))
         assert pseudo.heads.size == 1
 
     def test_later_heads_seed_at_product_argmax(self):
@@ -217,7 +227,7 @@ class TestAttributeAssignments:
         scores = packed_scores(
             [prev_obj, prev_obj], [prev_attr, prev_attr], np.full((3, 1), 0.5), [0.7]
         )
-        pseudo = build_pseudo_labels(scores, compiled({0}, {0: {("color", "red")}}, num_classes=1), overlap_masks(BOXES, 0.5))
+        pseudo = build_pseudo_labels(scores, compiled({0}, {0: {("color", "red")}}, num_classes=1), near_for(BOXES, 0.5))
         # products for (class 0, red): 0.09, 0.45, 0.05 -> seed region 1
         later = pseudo.heads == 1
         assert sorted(pseudo.regions[later].tolist()) == [0, 1]  # region 0 overlaps the seed at 0.8
@@ -236,7 +246,7 @@ def coupled_term(head, obj, attr, assignments):
     pseudo = frozen(np.zeros((head, m), dtype=int), np.zeros((head, m)), [(head - 1, *a) for a in assignments])
     values, grad = refinement_terms(scores, pseudo)
     grad_objects, grad_attributes = scores.split(grad)
-    return values[-1], grad_objects[-1], grad_attributes[-1]
+    return values[0, -1], grad_objects[0, -1], grad_attributes[0, -1]
 
 
 class TestCoupledRefinementLoss:
@@ -327,24 +337,24 @@ class TestBuildPseudoLabels:
     def test_chain_uses_previous_head(self):
         rng = np.random.default_rng(61)
         scores, boxes = make_inputs(rng)
-        pseudo = build_pseudo_labels(scores, compiled({0, 1}), overlap_masks(boxes, 0.5))
-        assert pseudo.labels.shape == (3, 6)
-        s0 = initial_scores(scores.per_region)
+        pseudo = build_pseudo_labels(scores, compiled({0, 1}), near_for(boxes, 0.5))
+        assert pseudo.labels.shape == (1, 3, 6)
+        s0 = lone_initial_scores(scores.per_region[0])
         for c in (0, 1):
             assert pseudo.seeds[0, c] == int(np.argmax(s0[:, c]))
-            assert pseudo.seeds[1, c] == int(np.argmax(scores.objects[0][:, c]))
-            assert pseudo.seeds[2, c] == int(np.argmax(scores.objects[1][:, c]))
+            assert pseudo.seeds[1, c] == int(np.argmax(scores.objects[0, 0][:, c]))
+            assert pseudo.seeds[2, c] == int(np.argmax(scores.objects[0, 1][:, c]))
 
     def test_no_objects_gives_none_per_head(self):
         rng = np.random.default_rng(62)
         scores, boxes = make_inputs(rng)
-        assert build_pseudo_labels(scores, compiled(set()), overlap_masks(boxes, 0.5)) is None
+        assert build_pseudo_labels(scores, compiled(set()), near_for(boxes, 0.5)) is None
 
     def test_attributes_disabled_leaves_attrs_empty(self):
         rng = np.random.default_rng(63)
         scores, boxes = make_inputs(rng)
         sup = compiled({0}, {0: {("color", "red")}}, with_pairs=False)
-        pseudo = build_pseudo_labels(scores, sup, overlap_masks(boxes, 0.5))
+        pseudo = build_pseudo_labels(scores, sup, near_for(boxes, 0.5))
         assert pseudo.heads.size == pseudo.regions.size == pseudo.classes.size == pseudo.columns.size == 0
 
 
@@ -354,7 +364,7 @@ def assert_central_differences(scores, pseudo, h=1e-6):
 
     def total(heads):
         values, _ = refinement_terms(dataclasses.replace(scores, heads=heads), pseudo)
-        return sum(values)
+        return values.sum()
 
     for index in np.ndindex(scores.heads.shape):
         bumped = scores.heads.copy()
@@ -406,13 +416,13 @@ class TestRefinementTerms:
     def test_values_and_grads_line_up(self):
         rng = np.random.default_rng(71)
         scores, boxes = make_inputs(rng)
-        pseudo = build_pseudo_labels(scores, compiled({0}, {0: {("color", "red")}}), overlap_masks(boxes, 0.5))
+        pseudo = build_pseudo_labels(scores, compiled({0}, {0: {("color", "red")}}), near_for(boxes, 0.5))
         values, grad = refinement_terms(scores, pseudo)
-        assert len(values) == 3
-        assert all(v > 0 for v in values)
+        assert values.shape == (1, 3)
+        assert all(v > 0 for v in values[0])
         grad_objects, _ = scores.split(grad)
         for j in range(3):
-            assert np.any(grad_objects[j])
+            assert np.any(grad_objects[0, j])
         # the gradient covers the head columns only: no evidence gradient
         assert grad.shape == scores.heads.shape
 
@@ -420,7 +430,7 @@ class TestRefinementTerms:
         rng = np.random.default_rng(72)
         scores, _ = make_inputs(rng)
         values, grad = refinement_terms(scores, None)
-        assert values.tolist() == [0.0, 0.0, 0.0]
+        assert values.tolist() == [[0.0, 0.0, 0.0]]
         assert not np.any(grad)
 
     @settings(max_examples=60, deadline=None)
@@ -430,8 +440,8 @@ class TestRefinementTerms:
         # summed head values must match central differences; the scores
         # keep clear of the clamp, where the loss has a kink
         scores, boxes, labels, tau, _ = chain
-        sup = compile_supervision(labels, scores.per_region.shape[1], PAIR_COLS)
-        assert_central_differences(scores, build_pseudo_labels(scores, sup, overlap_masks(boxes, tau)))
+        sup = compile_supervision(labels, scores.per_region.shape[-1], PAIR_COLS)
+        assert_central_differences(scores, build_pseudo_labels(scores, sup, near_for(boxes, tau)))
 
 
 class TestMatchesReference:
@@ -439,19 +449,20 @@ class TestMatchesReference:
     @given(chains())
     def test_stacked_chain_equals_per_head_loop(self, chain):
         scores, boxes, labels, tau, coupled = chain
-        num_classes = scores.per_region.shape[1]
+        num_classes = scores.per_region.shape[-1]
         sup = compile_supervision(labels, num_classes, PAIR_COLS, pairs=coupled)
-        pseudo = build_pseudo_labels(scores, sup, overlap_masks(boxes, tau))
+        pseudo = build_pseudo_labels(scores, sup, near_for(boxes, tau))
         expected = reference.build_pseudo_labels(scores, labels, boxes, tau, PAIR_COLS, coupled)
         values, grad = refinement_terms(scores, pseudo)
         ref_values, ref_grad = reference.refinement_terms(scores, expected)
-        assert np.array_equal(values, ref_values)
+        assert np.array_equal(values, [ref_values])
         assert np.array_equal(grad, ref_grad)
         if pseudo is None:
             assert expected == [None] * scores.num_heads
             return
-        assert np.array_equal(pseudo.labels, [head["labels"] for head in expected])
-        assert np.array_equal(pseudo.weights, [head["weights"] for head in expected])
+        assert np.array_equal(pseudo.labels, [[head["labels"] for head in expected]])
+        assert np.array_equal(pseudo.weights, [[head["weights"] for head in expected]])
+        assert not pseudo.scenes.any()
         assert pseudo.seeds.tolist() == [[head["seeds"][c][0] for c in sorted(labels.objects)] for head in expected]
         coupled_rows = np.stack([pseudo.heads, pseudo.regions, pseudo.classes, pseudo.columns], axis=1).tolist()
         assert coupled_rows == [[j, *a] for j, head in enumerate(expected) for a in head["attrs"]]

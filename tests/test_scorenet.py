@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from head_reference import loop_forward, loop_gradients
+from head_reference import lone_batch, loop_forward, loop_gradients
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,9 +24,8 @@ from capdet.scorenet import (
     softmax_cols,
     softmax_rows,
 )
-from capdet.synthbench import SyntheticScene
 from capdet.textgraph import default_registry
-from capdet.trainer import SceneBatch, TrainConfig, infer
+from capdet.trainer import TrainConfig, infer
 
 CATS = {"color": ("red", "green"), "size": ("small", "large")}
 
@@ -44,11 +43,12 @@ def named_flat(params, flat):
 
 
 def make_regions(rng, m, d):
+    """m random proposals with d-dimensional features, as a one-scene batch."""
     boxes = []
     for _ in range(m):
         x0, y0 = rng.uniform(0, 0.5, 2)
         boxes.append([x0, y0, x0 + rng.uniform(0.1, 0.4), y0 + rng.uniform(0.1, 0.4)])
-    return RegionSet(np.array(boxes), rng.normal(size=(m, d)))
+    return lone_batch(np.array(boxes), rng.normal(size=(m, d)))
 
 
 class TestActivations:
@@ -189,22 +189,22 @@ class TestForward:
         # per-region evidence entry is 0.25 and the image score is
         # sigmoid(0.5)
         p = zero_params(("cat",), CATS, d=4)
-        regions = RegionSet(
+        regions = lone_batch(
             np.array([[0, 0, 1, 1], [1, 1, 2, 2]], dtype=float),
             np.ones((2, 4)),
         )
         scores = forward(p, regions)
         assert np.allclose(scores.per_region, 0.25)
-        assert scores.image_level[0] == pytest.approx(0.6224593312018546, abs=1e-12)
+        assert scores.image_level[0, 0] == pytest.approx(0.6224593312018546, abs=1e-12)
         assert np.allclose(scores.objects[0], 0.5)  # 2 columns: class + bg
 
     def test_zero_params_single_region(self):
         # softmax over a single region is 1, so evidence is the gate alone
         p = zero_params(("cat",), CATS, d=4)
-        regions = RegionSet(np.array([[0, 0, 1, 1]], dtype=float), np.zeros((1, 4)))
+        regions = lone_batch(np.array([[0, 0, 1, 1]], dtype=float), np.zeros((1, 4)))
         scores = forward(p, regions)
-        assert scores.per_region[0, 0] == pytest.approx(0.5)
-        assert scores.image_level[0] == pytest.approx(sigmoid(np.array([0.5]))[0])
+        assert scores.per_region[0, 0, 0] == pytest.approx(0.5)
+        assert scores.image_level[0, 0] == pytest.approx(sigmoid(np.array([0.5]))[0])
 
     def test_image_level_open_interval(self):
         rng = np.random.default_rng(9)
@@ -220,10 +220,10 @@ class TestForward:
         p = init_params(6, ("a", "b"), CATS, 2, seed=4)
         regions = make_regions(rng, 5, 6)
         scores = forward(p, regions)
-        for head in scores.objects:
+        for head in scores.objects[0]:
             assert head.shape == (5, 3)
             assert np.allclose(head.sum(axis=1), 1.0, atol=1e-6)
-        for head in scores.attributes:
+        for head in scores.attributes[0]:
             assert head.shape == (5, 4)
             for cols in p.category_slices.values():
                 assert np.allclose(head[:, cols].sum(axis=1), 1.0, atol=1e-6)
@@ -231,7 +231,7 @@ class TestForward:
     def test_feature_dim_mismatch(self):
         p = init_params(6, ("a",), CATS, 1, seed=0)
         with pytest.raises(ValueError):
-            forward(p, RegionSet(np.array([[0, 0, 1, 1]], dtype=float), np.zeros((1, 5))))
+            forward(p, lone_batch(np.array([[0, 0, 1, 1]], dtype=float), np.zeros((1, 5))))
 
 
 def fd_errors(params, regions, grad, grad_image, coords, h=1e-6):
@@ -288,8 +288,8 @@ class TestParamGradients:
         regions = make_regions(rng, 4, 5)
         scores = forward(p, regions)
         grad = np.zeros_like(scores.heads)
-        scores.split(grad)[0][1][0, 0] = 1.0  # only object head 1 receives signal
-        out = named_flat(p, param_gradients(p, regions, scores, grad, np.zeros(2)))
+        scores.split(grad)[0][0, 1][0, 0] = 1.0  # only object head 1 receives signal
+        out = named_flat(p, param_gradients(p, regions, scores, grad, np.zeros((1, 2))))
         assert not np.any(out["object[0].weight"])
         assert np.any(out["object[1].weight"])
         assert not np.any(out["object[2].weight"])
@@ -322,7 +322,7 @@ class TestParamGradients:
         scores = forward(params, regions)
         grad, grad_image = rng.normal(size=scores.heads.shape), rng.normal(size=scores.image_level.shape)
         grad_objects, grad_attributes = scores.split(grad)
-        expected = loop_gradients(params, regions.features, list(grad_objects), list(grad_attributes), grad_image)
+        expected = loop_gradients(params, regions.features[0], list(grad_objects[0]), list(grad_attributes[0]), grad_image[0])
         got = param_gradients(params, regions, scores, grad, grad_image)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
@@ -332,7 +332,7 @@ class TestParamGradients:
         regions = make_regions(rng, 3, 5)
         scores = forward(p, regions)
         with pytest.raises(ValueError):
-            param_gradients(p, regions, scores, np.zeros((3, scores.heads.shape[1] + 1)), np.zeros(2))
+            param_gradients(p, regions, scores, np.zeros((1, 3, scores.heads.shape[-1] + 1)), np.zeros((1, 2)))
 
 
 class TestPackedForward:
@@ -341,20 +341,21 @@ class TestPackedForward:
     def test_property_matches_per_head_reference(self, model):
         params, regions, _ = model
         scores = forward(params, regions)
-        objects, attributes, gate, region_dist, per_region, image_level = loop_forward(params, regions.features)
+        objects, attributes, gate, region_dist, per_region, image_level = loop_forward(params, regions.features[0])
         close = dict(rtol=0, atol=1e-12)
-        assert scores.objects.shape == (params.num_heads, regions.size, params.num_classes + 1)
-        assert scores.attributes.shape == (params.num_heads, regions.size, len(params.value_columns))
+        m = regions.valid.shape[1]
+        assert scores.objects.shape == (1, params.num_heads, m, params.num_classes + 1)
+        assert scores.attributes.shape == (1, params.num_heads, m, len(params.value_columns))
         for k in range(params.num_heads):
-            np.testing.assert_allclose(scores.objects[k], objects[k], **close)
-            np.testing.assert_allclose(scores.attributes[k], attributes[k], **close)
+            np.testing.assert_allclose(scores.objects[0, k], objects[k], **close)
+            np.testing.assert_allclose(scores.attributes[0, k], attributes[k], **close)
         for got, expected in (
             (scores.gate, gate),
             (scores.region_dist, region_dist),
             (scores.per_region, per_region),
             (scores.image_level, image_level),
         ):
-            np.testing.assert_allclose(got, expected, **close)
+            np.testing.assert_allclose(got[0], expected, **close)
 
     def test_default_model_runs_one_softmax_pass_per_group(self, monkeypatch):
         # one pass over every object head, one over every attribute head's categories
@@ -368,7 +369,7 @@ class TestPackedForward:
             scorenet, "softmax_rows", lambda z, *args, **kwargs: calls.append((z.shape, args)) or real(z, *args, **kwargs)
         )
         forward(p, make_regions(np.random.default_rng(25), 34, 64))
-        assert calls == [((3, 34, 9), ()), ((3, 34, 19), (tuple(p.category_slices.values()),))]
+        assert calls == [((1, 3, 34, 9), ()), ((1, 3, 34, 19), (tuple(p.category_slices.values()),))]
         assert len(cats) == 4
 
 
@@ -608,13 +609,12 @@ class TestNoAttributeCategories:
         assert p.category_values == {} and p.value_columns == {}
         regions = make_regions(rng, 4, 5)
         scores = forward(p, regions)
-        assert [a.shape for a in scores.attributes] == [(4, 0), (4, 0)]
+        assert [a.shape for a in scores.attributes[0]] == [(4, 0), (4, 0)]
         grad = np.zeros_like(scores.heads)
         grad_objects, _ = scores.split(grad)
-        grad_objects[1] = rng.normal(size=grad_objects[1].shape)
-        out = named_flat(p, param_gradients(p, regions, scores, grad, np.zeros(2)))
+        grad_objects[0, 1] = rng.normal(size=grad_objects[0, 1].shape)
+        out = named_flat(p, param_gradients(p, regions, scores, grad, np.zeros((1, 2))))
         assert np.any(out["object[1].weight"])
         assert not np.any(out["object[0].weight"])
-        batch = SceneBatch.pack([SyntheticScene(image_id="s", gt=[], proposals=regions, captions=[])])
-        _, _, classes, _ = infer(p, batch, TrainConfig(score_floor=0.0))
+        _, _, classes, _ = infer(p, regions, TrainConfig(score_floor=0.0))
         assert len(classes) and all(0 <= c < 2 for c in classes.tolist())

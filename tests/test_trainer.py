@@ -39,7 +39,6 @@ from capdet.trainer import (
     infer,
     label_scenes,
     metrics_report,
-    scene_loss,
     train,
     write_metrics,
 )
@@ -159,7 +158,14 @@ class TestAdagrad:
         assert theta[1] == pytest.approx(-0.1, abs=1e-6)
 
 
+def step_with_mask(params, batch, sup, config):
+    """trainer.batch_step over a batch, with the batch's own overlap mask."""
+    return trainer.batch_step(params, batch, sup, oicr.overlap_masks(batch.boxes, config.tau, batch.valid), config)
+
+
 class TestSceneLoss:
+    """A lone scene is a one-scene batch (N = 1) through the training step."""
+
     def test_components_present(self, small_world, registry):
         universe, scenes, vocab = small_world
         labels = label_scenes(scenes, vocab, registry)
@@ -171,11 +177,13 @@ class TestSceneLoss:
             {c: tuple(registry.values[c]) for c in registry.categories},
             cfg.num_heads, seed=0,
         )
-        report, pseudo, _ = scene_loss(params, scenes[0].proposals, compile_labels(labels[0], params, cfg), cfg)
-        assert np.isfinite(report.l_total)
-        assert len(report.l_oicr) == cfg.num_heads
-        assert pseudo.labels.shape == (cfg.num_heads, scenes[0].proposals.size)
-        assert report.l_mid > 0
+        batch = SceneBatch.pack(scenes[:1])
+        report, pseudo, _ = step_with_mask(params, batch, compile_labels(labels[0], params, cfg), cfg)
+        assert report.l_total.shape == (1,)
+        assert np.isfinite(report.l_total).all()
+        assert report.l_oicr.shape == (1, cfg.num_heads)
+        assert pseudo.labels.shape == (1, cfg.num_heads, scenes[0].proposals.size)
+        assert report.l_mid[0] > 0
 
     def test_frozen_pseudos_reused(self, small_world, registry):
         universe, scenes, vocab = small_world
@@ -189,9 +197,10 @@ class TestSceneLoss:
             cfg.num_heads, seed=0,
         )
         sup = compile_labels(labels[0], params, cfg)
-        report1, pseudo, _ = scene_loss(params, scenes[0].proposals, sup, cfg)
-        report2, _, _ = scene_loss(params, scenes[0].proposals, sup, cfg, pseudo=pseudo)
-        assert report1.l_total == pytest.approx(report2.l_total, abs=1e-12)
+        batch = SceneBatch.pack(scenes[:1])
+        report1, pseudo, _ = step_with_mask(params, batch, sup, cfg)
+        report2 = trainer.frozen_loss(forward(params, batch), sup, cfg, pseudo)
+        assert report1.l_total[0] == pytest.approx(report2.l_total[0], abs=1e-12)
 
 
 class TestTrain:
@@ -272,8 +281,8 @@ def unmentioned(scene):
     return dataclasses.replace(scene, captions=["there is something here."])
 
 
-def random_batch(rng, num_scenes, num_classes=3, num_heads=2, d=6, sizes=None):
-    """A small model, a ragged padded batch of random scenes, their concatenated labels and a config.
+def random_scenes(rng, num_scenes, num_classes=3, num_heads=2, d=6, sizes=None):
+    """A small model, ragged random scenes, each scene's compiled labels, and a config.
 
     The model's weights are spread like the gradient check's, so its
     probabilities spread out; about one scene in four mentions no class.
@@ -295,16 +304,13 @@ def random_batch(rng, num_scenes, num_classes=3, num_heads=2, d=6, sizes=None):
                 cat = ("color", "size")[int(rng.integers(2))]
                 labels.attribute_pairs[c] = {(cat, categories[cat][int(rng.integers(len(categories[cat])))])}
         sups.append(compile_labels(labels, params, config))
+    return params, scenes, sups, config
+
+
+def random_batch(rng, num_scenes, **kwargs):
+    """random_scenes packed into one padded batch, with their concatenated labels."""
+    params, scenes, sups, config = random_scenes(rng, num_scenes, **kwargs)
     return params, SceneBatch.pack(scenes), Supervision.concat(sups), config
-
-
-def batch_step(params, batch, sup, config, pseudo=None):
-    """The training step's loss report, pseudo-labels and parameter gradient over one batch."""
-    scores = scorenet.forward(params, batch, attributes=sup.pair_classes.size > 0)
-    if pseudo is None:
-        pseudo = oicr.build_pseudo_labels(scores, sup, oicr.overlap_masks(batch.boxes, config.tau, batch.valid))
-    report = trainer.frozen_loss(scores, sup, config, pseudo)
-    return report, pseudo, scorenet.param_gradients(params, batch, scores, report.grad, report.grad_image)
 
 
 class TestBatchedStep:
@@ -370,12 +376,12 @@ class TestBatchedStep:
         # the batch's summed loss over ragged scenes, refinement supervision frozen
         rng = np.random.default_rng([20240601, seed])
         params, batch, sup, config = random_batch(rng, num_scenes=3, num_heads=1 + seed % 3, sizes=[2, 7, 4])
-        report, pseudo, analytic = batch_step(params, batch, sup, config)
+        report, pseudo, analytic = step_with_mask(params, batch, sup, config)
         base = params.flat.copy()
 
         def loss(flat):
             params.flat[:] = flat
-            return float(batch_step(params, batch, sup, config, pseudo)[0].l_total.sum())
+            return float(trainer.frozen_loss(forward(params, batch), sup, config, pseudo).l_total.sum())
 
         step = 1e-5
         numeric = np.empty_like(base)
@@ -401,14 +407,50 @@ class TestBatchedStep:
         for n, row in zip(*np.nonzero(padded)):
             boxes[n, row] = boxes[n, rng.integers(batch.valid[n].sum())]
         moved = dataclasses.replace(batch, features=features, boxes=boxes)
-        report, pseudo, grad = batch_step(params, batch, sup, config)
-        moved_report, moved_pseudo, moved_grad = batch_step(params, moved, sup, config)
+        report, pseudo, grad = step_with_mask(params, batch, sup, config)
+        moved_report, moved_pseudo, moved_grad = step_with_mask(params, moved, sup, config)
         assert np.array_equal(report.l_total, moved_report.l_total)
         assert np.array_equal(grad, moved_grad)
         if pseudo is not None:
             assert np.array_equal(pseudo.labels, moved_pseudo.labels)
             assert np.array_equal(pseudo.weights, moved_pseudo.weights)
             assert not pseudo.weights[np.broadcast_to(padded[:, None], pseudo.weights.shape)].any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 9), min_size=1, max_size=4))
+    def test_batch_equals_its_lone_scenes(self, seed, sizes):
+        # one N-scene step against N one-scene steps: the same gradient bits, losses and pseudo-label rows
+        rng = np.random.default_rng(seed)
+        params, scenes, sups, config = random_scenes(rng, len(sizes), num_heads=int(rng.integers(1, 4)), sizes=sizes)
+        report, pseudo, grad = step_with_mask(params, SceneBatch.pack(scenes), Supervision.concat(sups), config)
+        lone = [step_with_mask(params, SceneBatch.pack([scene]), sup, config) for scene, sup in zip(scenes, sups)]
+        total = lone[0][2]
+        for _, _, g in lone[1:]:
+            total = total + g
+        assert grad.tobytes() == total.tobytes()
+        np.testing.assert_allclose(report.l_total, [r.l_total[0] for r, _, _ in lone], rtol=1e-12, atol=0)
+        if pseudo is None:
+            assert all(p is None for _, p, _ in lone)
+            return
+        for n, (sup, (_, own, _)) in enumerate(zip(sups, lone)):
+            m = sizes[n]
+            if own is None:
+                # a scene without a mention has no refinement supervision: every row weighs 0
+                assert not sup.classes.size and not pseudo.weights[n].any()
+                continue
+            assert np.array_equal(pseudo.labels[n, :, :m], own.labels[0, :, :m])
+            assert np.array_equal(pseudo.weights[n, :, :m], own.weights[0, :, :m])
+            assert not pseudo.weights[n, :, m:].any() and not own.weights[0, :, m:].any()
+            assert np.array_equal(pseudo.seeds[:, pseudo_entries(sups, n)], own.seeds)
+            mine = pseudo.scenes == n
+            for name in ("heads", "regions", "classes", "columns"):
+                assert np.array_equal(getattr(pseudo, name)[mine], getattr(own, name)), name
+
+
+def pseudo_entries(sups, n):
+    """The positions of scene n's classes in the concatenation of sups."""
+    start = sum(sup.classes.size for sup in sups[:n])
+    return np.arange(start, start + sups[n].classes.size)
 
 
 def ragged_scenes(rng, count, d=4):
@@ -460,7 +502,7 @@ class TestOverlapMasks:
         params, batch, sup, config = random_batch(rng, num_scenes=int(rng.integers(1, 4)), num_heads=int(rng.integers(1, 4)))
         none = np.zeros(0, dtype=int)
         sup = dataclasses.replace(
-            sup, pair_classes=none, pair_columns=none, pair_entries=none, pair_keys=(), pair_scenes=none
+            sup, pair_classes=none, pair_columns=none, pair_entries=none, pair_scenes=none
         )
         scores = forward(params, batch, attributes=False)
         near = oicr.overlap_masks(batch.boxes, config.tau, batch.valid)
@@ -540,7 +582,7 @@ class TestInfer:
         for n, scene in enumerate(scenes[:8]):
             regions, classes, scores = scene_detections(dets, n)
             m = scene.proposals.size
-            objects = forward(params, scene.proposals).objects
+            objects = forward(params, SceneBatch.pack([scene])).objects[0]
             np.testing.assert_allclose(mean_scores[n, :m], np.mean([h[:, :-1] for h in objects], axis=0), atol=1e-12)
             boxes = scene.proposals.boxes.tolist()
             expected = [

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from head_reference import packed_scores
 from capdet.textgraph import LabelSet
 from capdet.weakloss import (
+    Supervision,
     compile_supervision,
     entanglement_loss,
     mid_loss,
@@ -29,6 +30,32 @@ def columns_for(cats):
 
 def sup_for(objects, num_classes, pairs=None, cols=None, with_pairs=True):
     return compile_supervision(labels_for(objects, pairs), num_classes, cols or {}, pairs=with_pairs)
+
+
+def mil(scores, sup):
+    """object_mil_loss of one scene's (m, C + 1) scores, run as a one-scene batch: its value, gradient and rows."""
+    value, grad, rows = object_mil_loss(scores[None], sup, np.ones((1, len(scores)), dtype=bool))
+    assert value.shape == (1,)
+    return value[0], grad[0], rows
+
+
+def entangle(obj, attr, sup):
+    """entanglement_loss of one scene's (m, C + 1) and (m, V) scores, run as a one-scene batch."""
+    value, grad_obj, grad_attr, rows = entanglement_loss(obj[None], attr[None], sup, np.ones((1, len(obj)), dtype=bool))
+    assert value.shape == (1,)
+    return value[0], grad_obj[0], grad_attr[0], rows
+
+
+def mid(image_level, sup):
+    """mid_loss of one scene's (C,) image-level scores, run as a one-scene batch."""
+    value, grad = mid_loss(np.asarray(image_level)[None], sup)
+    assert value.shape == (1,)
+    return value[0], grad[0]
+
+
+def pair_rows(sup, rows):
+    """Each pair's chosen row, keyed by (class, attribute column)."""
+    return dict(zip(zip(sup.pair_classes.tolist(), sup.pair_columns.tolist()), rows.tolist()))
 
 
 def central_differences(f, x, h=1e-6):
@@ -55,7 +82,6 @@ class TestCompileSupervision:
         pairs = {2: {("size", "small"), ("color", "red")}, 0: {("color", "brown")}}
         sup = sup_for({2, 0, 1}, 3, pairs, cols)
         assert sup.classes.tolist() == [0, 1, 2]
-        assert sup.pair_keys == ((0, "color", "brown"), (2, "color", "red"), (2, "size", "small"))
         assert sup.pair_classes.tolist() == [0, 2, 2]
         assert sup.pair_columns.tolist() == [1, 0, 2]
 
@@ -64,12 +90,35 @@ class TestCompileSupervision:
         sup = sup_for({1}, 2, {1: {("color", "red")}}, cols, with_pairs=False)
         assert sup.classes.tolist() == [1]
         assert sup.pair_classes.size == sup.pair_columns.size == 0
-        assert sup.pair_keys == ()
 
     def test_pairs_of_unmentioned_classes_are_ignored(self):
         cols = columns_for({"color": ("red",)})
         sup = sup_for({0}, 2, {1: {("color", "red")}}, cols)
-        assert sup.pair_keys == ()
+        assert sup.pair_classes.size == sup.pair_columns.size == 0
+
+    def test_one_scene(self):
+        cols = columns_for({"color": ("red", "brown")})
+        sup = sup_for({0, 2}, 3, {2: {("color", "brown")}}, cols)
+        assert sup.positive.tolist() == [[True, False, True]]
+        assert sup.divisor.tolist() == [2.0]
+        assert sup.class_scenes.tolist() == [0, 0]
+        assert sup.pair_scenes.tolist() == [0]
+        silent = sup_for(set(), 3)
+        assert silent.positive.shape == (1, 3) and silent.divisor.tolist() == [1.0]
+
+    def test_concat_offsets_scenes_and_entries(self):
+        cols = columns_for({"color": ("red", "brown")})
+        first = sup_for({0, 1}, 2, {1: {("color", "red")}}, cols)
+        batch = Supervision.concat([first, sup_for(set(), 2), sup_for({1}, 2, {1: {("color", "brown")}}, cols)])
+        assert batch.classes.tolist() == [0, 1, 1]
+        assert batch.class_scenes.tolist() == [0, 0, 2]
+        assert batch.pair_scenes.tolist() == [0, 2]
+        assert batch.pair_entries.tolist() == [1, 2]
+        assert batch.positive.tolist() == [[True, True], [False, False], [False, True]]
+        assert batch.divisor.tolist() == [2.0, 1.0, 1.0]
+        again = Supervision.concat([Supervision.concat([first, sup_for(set(), 2)]), batch])
+        assert again.class_scenes.tolist() == [0, 0, 2, 2, 4]
+        assert again.pair_entries.tolist() == [1, 3, 4]
 
     def test_bad_pair_is_one_value_error_naming_class_and_pair(self):
         cols = columns_for({"color": ("red",)})
@@ -87,7 +136,7 @@ class TestObjectMilLoss:
         # class column (0.25, 0.5): best region is 1, loss -log(0.5)
         scores = np.array([[0.25, 0.75], [0.5, 0.5]])
         sup = sup_for({0}, 1)
-        value, grad, rows = object_mil_loss(scores, sup)
+        value, grad, rows = mil(scores, sup)
         assert value == pytest.approx(0.6931471805599453, abs=1e-12)
         assert dict(zip(sup.classes.tolist(), rows.tolist())) == {0: 1}
         assert grad[1, 0] == pytest.approx(-2.0)  # -1 / 0.5
@@ -96,14 +145,14 @@ class TestObjectMilLoss:
 
     def test_empty_objects_short_circuits(self):
         scores = np.array([[0.25, 0.75]])
-        value, grad, rows = object_mil_loss(scores, sup_for(set(), 1))
+        value, grad, rows = mil(scores, sup_for(set(), 1))
         assert value == 0.0
         assert not np.any(grad)
         assert rows.shape == (0,)
 
     def test_normalized_by_class_count(self):
         scores = np.array([[0.5, 0.25, 0.25], [0.1, 0.5, 0.4]])
-        value, grad, _ = object_mil_loss(scores, sup_for({0, 1}, 2))
+        value, grad, _ = mil(scores, sup_for({0, 1}, 2))
         assert value == pytest.approx(-(math.log(0.5) + math.log(0.5)) / 2)
         assert grad[0, 0] == pytest.approx(-1.0)  # -1/(2 * 0.5)
         assert grad[1, 1] == pytest.approx(-1.0)
@@ -111,7 +160,7 @@ class TestObjectMilLoss:
     def test_tie_goes_to_lowest_region(self):
         scores = np.array([[0.4, 0.6], [0.4, 0.6]])
         sup = sup_for({0}, 1)
-        _, _, rows = object_mil_loss(scores, sup)
+        _, _, rows = mil(scores, sup)
         assert dict(zip(sup.classes.tolist(), rows.tolist())) == {0: 0}
 
     def test_background_column_never_selected(self):
@@ -121,7 +170,7 @@ class TestObjectMilLoss:
 
     def test_zero_score_is_clamped(self):
         scores = np.array([[0.0, 1.0]])
-        value, grad, _ = object_mil_loss(scores, sup_for({0}, 1))
+        value, grad, _ = mil(scores, sup_for({0}, 1))
         assert np.isfinite(value)
         assert np.isfinite(grad).all()
 
@@ -131,8 +180,8 @@ class TestObjectMilLoss:
         m, num_classes = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
         scores = data.draw(separated_scores((m, num_classes + 1)))
         sup = sup_for(data.draw(st.sets(st.integers(0, num_classes - 1))), num_classes)
-        _, grad, _ = object_mil_loss(scores, sup)
-        numeric = central_differences(lambda s: object_mil_loss(s, sup)[0], scores)
+        _, grad, _ = mil(scores, sup)
+        numeric = central_differences(lambda s: mil(s, sup)[0], scores)
         np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-6)
 
 
@@ -151,8 +200,8 @@ class TestEntanglementLoss:
     def test_reference_example(self):
         obj, attr, cols, labels = self.example()
         sup = compile_supervision(labels, 1, cols)
-        value, grad_obj, grad_attr, rows = entanglement_loss(obj, attr, sup)
-        assert dict(zip(sup.pair_keys, rows.tolist())) == {(0, "color", "brown"): 1}
+        value, grad_obj, grad_attr, rows = entangle(obj, attr, sup)
+        assert pair_rows(sup, rows) == {(0, cols["color", "brown"]): 1}
         assert value == pytest.approx(0.916290731874155, abs=1e-12)
         assert grad_obj[1, 0] == pytest.approx(-2.0)  # -1 / 0.5
         assert grad_attr[1, 0] == pytest.approx(-1.25)  # -1 / 0.8
@@ -162,14 +211,14 @@ class TestEntanglementLoss:
     def test_coupled_argmax_differs_from_object_argmax(self):
         obj, attr, cols, labels = self.example()
         sup = compile_supervision(labels, 1, cols)
-        _, _, object_rows = object_mil_loss(obj, sup)
-        _, _, _, coupled_rows = entanglement_loss(obj, attr, sup)
+        _, _, object_rows = mil(obj, sup)
+        _, _, _, coupled_rows = entangle(obj, attr, sup)
         assert dict(zip(sup.classes.tolist(), object_rows.tolist())) == {0: 0}
-        assert dict(zip(sup.pair_keys, coupled_rows.tolist())) == {(0, "color", "brown"): 1}
+        assert pair_rows(sup, coupled_rows) == {(0, cols["color", "brown"]): 1}
 
     def test_no_pairs_short_circuits(self):
         obj, attr, cols, _ = self.example()
-        value, g_obj, g_attr, rows = entanglement_loss(obj, attr, sup_for({0}, 1, cols=cols))
+        value, g_obj, g_attr, rows = entangle(obj, attr, sup_for({0}, 1, cols=cols))
         assert value == 0.0
         assert not np.any(g_obj)
         assert rows.shape == (0,)
@@ -177,7 +226,7 @@ class TestEntanglementLoss:
     def test_object_normalization_default(self):
         obj, attr, cols, _ = self.example()
         labels = labels_for({0}, {0: {("color", "brown"), ("size", "small")}})
-        value_obj, *_ = entanglement_loss(obj, attr, compile_supervision(labels, 1, cols))
+        value_obj, *_ = entangle(obj, attr, compile_supervision(labels, 1, cols))
         # one object, two pairs (best products 0.40 and 0.45): the pair
         # losses are summed and divided by |O| = 1, not averaged over pairs
         assert value_obj == pytest.approx(-(math.log(0.40) + math.log(0.45)))
@@ -196,7 +245,7 @@ class TestEntanglementLoss:
             color /= color.sum(axis=1, keepdims=True)
             labels = labels_for({0}, {0: {("color", "red")}})
             cols = columns_for({"color": ("red", "brown")})
-            value, *_ = entanglement_loss(obj, color, compile_supervision(labels, 2, cols))
+            value, *_ = entangle(obj, color, compile_supervision(labels, 2, cols))
             i_obj = int(np.argmax(obj[:, 0]))
             decoupled = -(math.log(obj[i_obj, 0]) + math.log(color[i_obj, 0]))
             assert value <= decoupled + 1e-12
@@ -227,9 +276,9 @@ class TestEntanglementLoss:
         products = np.rint(obj[:, sup.pair_classes] * attr[:, sup.pair_columns] * 1e4)
         top = np.sort(products, axis=0)
         assume(m == 1 or np.all(top[-1] > top[-2]))
-        _, grad_obj, grad_attr, _ = entanglement_loss(obj, attr, sup)
-        numeric_obj = central_differences(lambda o: entanglement_loss(o, attr, sup)[0], obj)
-        numeric_attr = central_differences(lambda a: entanglement_loss(obj, a, sup)[0], attr)
+        _, grad_obj, grad_attr, _ = entangle(obj, attr, sup)
+        numeric_obj = central_differences(lambda o: entangle(o, attr, sup)[0], obj)
+        numeric_attr = central_differences(lambda a: entangle(obj, a, sup)[0], attr)
         np.testing.assert_allclose(grad_obj, numeric_obj, rtol=1e-6, atol=1e-6)
         np.testing.assert_allclose(grad_attr, numeric_attr, rtol=1e-6, atol=1e-6)
 
@@ -309,7 +358,7 @@ class TestLossesMatchLoops:
     def test_object_mil_loss(self, inputs):
         obj, _, labels = inputs
         sup = compile_supervision(labels, obj.shape[1] - 1, PROPERTY_COLS)
-        value, grad, rows = object_mil_loss(obj, sup)
+        value, grad, rows = mil(obj, sup)
         ref_value, ref_grad, ref_chosen = mil_reference(obj, labels.objects)
         assert dict(zip(sup.classes.tolist(), rows.tolist())) == ref_chosen
         assert np.array_equal(grad, ref_grad)
@@ -320,9 +369,9 @@ class TestLossesMatchLoops:
     def test_entanglement_loss(self, inputs):
         obj, attr, labels = inputs
         sup = compile_supervision(labels, obj.shape[1] - 1, PROPERTY_COLS)
-        value, grad_obj, grad_attr, rows = entanglement_loss(obj, attr, sup)
+        value, grad_obj, grad_attr, rows = entangle(obj, attr, sup)
         ref_value, ref_obj, ref_attr, ref_chosen = entanglement_reference(obj, attr, labels, PROPERTY_COLS)
-        assert dict(zip(sup.pair_keys, rows.tolist())) == ref_chosen
+        assert pair_rows(sup, rows) == {(c, PROPERTY_COLS[cat, val]): i for (c, cat, val), i in ref_chosen.items()}
         assert np.array_equal(grad_obj, ref_obj)
         assert np.array_equal(grad_attr, ref_attr)
         assert np.allclose(value, ref_value, rtol=1e-12, atol=0.0)
@@ -334,8 +383,8 @@ class TestLossesMatchLoops:
         attr = np.array([[0.5, 0.25, 0.25, 0.5, 0.5], [0.1, 0.8, 0.1, 0.5, 0.5]])
         labels = labels_for({0, 1}, {0: {("color", "red")}, 1: {("color", "red")}})
         sup = compile_supervision(labels, 2, PROPERTY_COLS)
-        _, _, grad_attr, rows = entanglement_loss(obj, attr, sup)
-        assert dict(zip(sup.pair_keys, rows.tolist())) == {(0, "color", "red"): 0, (1, "color", "red"): 0}
+        _, _, grad_attr, rows = entangle(obj, attr, sup)
+        assert pair_rows(sup, rows) == {(0, PROPERTY_COLS["color", "red"]): 0, (1, PROPERTY_COLS["color", "red"]): 0}
         assert grad_attr[0, 0] == pytest.approx(-2.0)  # two times -1 / 0.5, over |O| = 2
 
 
@@ -344,7 +393,7 @@ class TestMidLoss:
         # evidence sums 0.7 and 0.2 pass through the sigmoid; class 0 is
         # mentioned, class 1 is not
         y = 1.0 / (1.0 + np.exp(-np.array([0.7, 0.2])))
-        value, grad = mid_loss(y, sup_for({0}, 2))
+        value, grad = mid(y, sup_for({0}, 2))
         assert value == pytest.approx(1.2013249182670498, abs=1e-12)
         assert grad[0] == pytest.approx(-1.0 / y[0])
         assert grad[1] == pytest.approx(1.0 / (1.0 - y[1]))
@@ -352,13 +401,13 @@ class TestMidLoss:
     def test_no_mentions_all_negative(self):
         # a single unmentioned class at image score sigmoid(0.25)
         y = np.array([0.5621765008857981])
-        value, grad = mid_loss(y, sup_for(set(), 1))
+        value, grad = mid(y, sup_for(set(), 1))
         assert value == pytest.approx(0.8259394198788435, abs=1e-12)
         assert grad[0] == pytest.approx(1.0 / (1.0 - y[0]))
 
     def test_all_mentioned(self):
         y = np.array([0.9, 0.8])
-        value, grad = mid_loss(y, sup_for({0, 1}, 2))
+        value, grad = mid(y, sup_for({0, 1}, 2))
         assert value == pytest.approx(-(math.log(0.9) + math.log(0.8)))
         assert (grad < 0).all()
 
@@ -368,10 +417,10 @@ class TestMidLoss:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            mid_loss(np.array([0.6, 0.6]), sup_for({0}, 3))
+            mid(np.array([0.6, 0.6]), sup_for({0}, 3))
 
     def test_saturated_scores_finite(self):
-        value, grad = mid_loss(np.array([1.0, 0.0]), sup_for({1}, 2))
+        value, grad = mid(np.array([1.0, 0.0]), sup_for({1}, 2))
         assert np.isfinite(value)
         assert np.isfinite(grad).all()
 
@@ -381,8 +430,8 @@ class TestMidLoss:
         num_classes = data.draw(st.integers(1, 5))
         y = data.draw(arrays(np.float64, num_classes, elements=st.floats(0.05, 0.95)))
         sup = sup_for(data.draw(st.sets(st.integers(0, num_classes - 1))), num_classes)
-        _, grad = mid_loss(y, sup)
-        np.testing.assert_allclose(grad, central_differences(lambda v: mid_loss(v, sup)[0], y), rtol=1e-6, atol=1e-6)
+        _, grad = mid(y, sup)
+        np.testing.assert_allclose(grad, central_differences(lambda v: mid(v, sup)[0], y), rtol=1e-6, atol=1e-6)
 
 
 def exact_component_setup():
@@ -400,6 +449,10 @@ def exact_component_setup():
     return scores, compile_supervision(labels, 1, cols), compile_supervision(labels, 1, cols, pairs=False)
 
 
+# one scene's refinement values when there is no refinement head to score
+NO_VALUES = np.zeros((1, 0))
+
+
 def no_refinement(scores):
     return np.zeros_like(scores.heads)
 
@@ -407,41 +460,42 @@ def no_refinement(scores):
 class TestTotalLoss:
     def test_mixing_arithmetic(self):
         scores, sup, _ = exact_component_setup()
-        report = total_loss(scores, sup, 0.5, 0.01, (), no_refinement(scores))
-        assert report.l_mid == pytest.approx(1.0, abs=1e-12)
-        assert report.l_obj == pytest.approx(0.4, abs=1e-12)
-        assert report.l_entang == pytest.approx(2.0, abs=1e-12)
-        assert report.l_total == pytest.approx(1.22, abs=1e-12)
+        report = total_loss(scores, sup, 0.5, 0.01, NO_VALUES, no_refinement(scores))
+        assert report.l_mid[0] == pytest.approx(1.0, abs=1e-12)
+        assert report.l_obj[0] == pytest.approx(0.4, abs=1e-12)
+        assert report.l_entang[0] == pytest.approx(2.0, abs=1e-12)
+        assert report.l_total.shape == (1,)
+        assert report.l_total[0] == pytest.approx(1.22, abs=1e-12)
 
     def test_refinement_values_added_unweighted(self):
         scores, sup, _ = exact_component_setup()
-        report = total_loss(scores, sup, 0.5, 0.01, (0.1, 0.2, 0.3), no_refinement(scores))
-        assert report.l_oicr == (0.1, 0.2, 0.3)
-        assert report.l_total == pytest.approx(1.22 + 0.6, abs=1e-12)
+        report = total_loss(scores, sup, 0.5, 0.01, np.array([[0.1, 0.2, 0.3]]), no_refinement(scores))
+        assert report.l_oicr.tolist() == [[0.1, 0.2, 0.3]]
+        assert report.l_total[0] == pytest.approx(1.22 + 0.6, abs=1e-12)
 
     def test_lambda2_zero_skips_coupled_term(self):
         # the baseline's supervision is compiled without pairs
         scores, _, baseline = exact_component_setup()
-        report = total_loss(scores, baseline, 0.5, 0.0, (), no_refinement(scores))
-        assert report.l_entang == 0.0
+        report = total_loss(scores, baseline, 0.5, 0.0, NO_VALUES, no_refinement(scores))
+        assert report.l_entang.tolist() == [0.0]
         assert report.argmax_pairs.shape == (0,)
-        for head in scores.split(report.grad)[1]:
+        for head in scores.split(report.grad)[1][0]:
             assert not np.any(head)
-        assert report.l_total == pytest.approx(1.0 + 0.5 * 0.4, abs=1e-12)
+        assert report.l_total[0] == pytest.approx(1.0 + 0.5 * 0.4, abs=1e-12)
 
     def test_gradients_scaled_by_weights(self):
         scores, _, baseline = exact_component_setup()
-        heavy = total_loss(scores, baseline, 1.0, 0.0, (), no_refinement(scores))
-        light = total_loss(scores, baseline, 0.5, 0.0, (), no_refinement(scores))
+        heavy = total_loss(scores, baseline, 1.0, 0.0, NO_VALUES, no_refinement(scores))
+        light = total_loss(scores, baseline, 0.5, 0.0, NO_VALUES, no_refinement(scores))
         # evidence gradient identical, object gradient scales with lambda1
         assert np.allclose(heavy.grad_image, light.grad_image)
-        assert np.allclose(scores.split(heavy.grad)[0][0], 2.0 * scores.split(light.grad)[0][0])
+        assert np.allclose(scores.split(heavy.grad)[0][0, 0], 2.0 * scores.split(light.grad)[0][0, 0])
 
     def test_oicr_grads_added(self):
         scores, sup, _ = exact_component_setup()
-        base = total_loss(scores, sup, 0.5, 0.01, (), no_refinement(scores))
+        base = total_loss(scores, sup, 0.5, 0.01, NO_VALUES, no_refinement(scores))
         extra = np.zeros_like(scores.heads)
-        scores.split(extra)[0][0][0, 0] = 5.0
-        with_extra = total_loss(scores, sup, 0.5, 0.01, (), extra)
+        scores.split(extra)[0][0, 0][0, 0] = 5.0
+        with_extra = total_loss(scores, sup, 0.5, 0.01, NO_VALUES, extra)
         assert with_extra.grad is extra
-        assert with_extra.grad[0, 0] == pytest.approx(base.grad[0, 0] + 5.0)
+        assert with_extra.grad[0, 0, 0] == pytest.approx(base.grad[0, 0, 0] + 5.0)

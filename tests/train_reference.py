@@ -2,14 +2,15 @@
 
 trainer.train packs each step's scenes into one padded SceneBatch and
 runs the step once over it. This loop runs the same step scene by scene,
-adding each scene's parameter gradient into a zeroed buffer, and is kept
-only as a reference to check the batched step against.
+each scene as a one-scene batch with its own overlap mask, adding each
+scene's parameter gradient into a zeroed buffer, and is kept only as a
+reference to check the batched step against.
 """
 
 import numpy as np
 
-from capdet import scorenet
-from capdet.trainer import Adagrad, compile_labels, label_scenes, scene_loss
+from capdet import oicr, scorenet
+from capdet.trainer import Adagrad, SceneBatch, batch_step, compile_labels, label_scenes
 
 
 def train_loop(scenes, vocab, registry, config, log_sink=None):
@@ -32,13 +33,14 @@ def train_loop(scenes, vocab, registry, config, log_sink=None):
                 if cursor >= len(order):
                     order = order_rng.permutation(len(scenes))
                     cursor = 0
-                scene, sup = scenes[order[cursor]], sups[order[cursor]]
+                batch, sup = SceneBatch.pack([scenes[order[cursor]]]), sups[order[cursor]]
                 cursor += 1
-                report, _, scores = scene_loss(params, scene.proposals, sup, config)
-                grad_flat += scorenet.param_gradients(params, scene.proposals, scores, report.grad, report.grad_image)
+                near = oicr.overlap_masks(batch.boxes, config.tau, batch.valid)
+                report, _, grad = batch_step(params, batch, sup, near, config)
+                grad_flat += grad
                 for key in totals:
-                    totals[key] += getattr(report, key)
-                oicr_total += np.asarray(report.l_oicr)
+                    totals[key] += getattr(report, key)[0]
+                oicr_total += report.l_oicr[0]
             grad_flat /= config.batch_size
             optimizer.step(params.flat, grad_flat)
             if log_sink is not None:
