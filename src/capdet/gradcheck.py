@@ -17,10 +17,12 @@ is a rank-one shift of one logit array: moving weight (r, j) by h moves
 only column j of z, by h * x[:, r], and moving bias j moves it by h. A
 trial's probes, plus and minus h on each sampled coordinate, are
 therefore one (2, n, N, m, P) stack of shifted copies of z, scored in one
-call through the leading axes of the loss functions the training step
-runs. No parameter is touched and no second matmul runs; in exact
-arithmetic each slice is the loss at the bumped parameters, and only
-rounding differs (about eps * |L| / h in the derivative).
+call through the leading axes of the value stages of the loss functions
+the training step runs. A probe needs its loss value only, so no gradient
+stage runs on the stack. No parameter is touched and no second matmul
+runs; in exact arithmetic each slice is the loss at the bumped
+parameters, and only rounding differs (about eps * |L| / h in the
+derivative).
 
 Each trial compares the analytic gradient against central differences on a
 coordinate sample, and reports the worst relative error, measured as
@@ -37,11 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import oicr, scorenet
+from . import oicr, scorenet, weakloss
 from .oicr import PseudoLabels
 from .scorenet import ModelParams
 from .textgraph import LabelSet
-from .trainer import SceneBatch, TrainConfig, batch_step, compile_labels, frozen_loss
+from .trainer import SceneBatch, TrainConfig, batch_step, compile_labels
 from .weakloss import Supervision
 
 
@@ -102,10 +104,12 @@ def composed_loss(
     config: TrainConfig,
     pseudo: PseudoLabels | None,
 ) -> np.ndarray:
-    """The composed loss (..., N) of logits z (..., N, m, P) with frozen refinement supervision."""
+    """The composed loss (..., N) of logits z (..., N, m, P) with frozen refinement supervision: value stages only."""
     # supervision without pairs reads no attribute score, so, as in a training step, none is computed
     scores = scorenet.head_scores(params, z, valid, attributes=sup.pair_classes.size > 0)
-    return frozen_loss(scores, sup, config, pseudo).l_total
+    values, _ = oicr.refinement_terms(scores, pseudo)
+    report, _ = weakloss.total_loss(scores, sup, config.lambda1, config.lambda2, values)
+    return report.l_total
 
 
 def numeric_gradient(

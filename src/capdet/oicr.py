@@ -36,11 +36,15 @@ a scene that mentions no class, weigh 0, so each scene's refinement term
 is the one it would have alone, divided by its own proposal count. The
 refinement terms also score stacked scores (leading axes ahead of the
 scene axis, as weakloss describes) against one frozen PseudoLabels.
+Like the caption terms, refinement_terms is a value stage that returns
+its gradient stage (weakloss describes the two), so the gradient check's
+probes are scored without a gradient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -147,23 +151,23 @@ def coupled_assignments(
     )
 
 
-def refinement_terms(scores: Scores, pseudo: PseudoLabels | None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-head loss values (..., N, K) plus their gradient with respect to scores.heads.
+def refinement_terms(scores: Scores, pseudo: PseudoLabels | None) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+    """Per-head loss values (..., N, K), and the gradient stage that returns their gradient with respect to scores.heads.
 
     Head k's value is the weighted cross-entropy -(1/m) sum w_i log s[i, label_i]
     plus, when it has coupled assignments, their cross-entropy averaged per
     assignment: the attribute factor at every head, the object factor from
-    head 2 on (head 1's object head already has its own labels). Assignments
-    sharing a score cell add up their gradients there. The values are
-    (..., N, K): each scene sums its own rows and divides by its own m, and
-    its padded rows, weighted 0, get no gradient. Stacked scores are scored
-    slice by slice against the same frozen supervision.
+    head 2 on (head 1's object head already has its own labels). The values
+    are (..., N, K): each scene sums its own rows and divides by its own m.
+    Stacked scores are scored slice by slice against the same frozen
+    supervision. The gradient stage scatters from the cells and clamped
+    scores the values read into a new array laid out like scores.heads:
+    assignments sharing a score cell add up their gradients there, and
+    padded rows, weighted 0, get none.
     """
-    grad = np.zeros(scores.heads.shape)
-    grad_objects, grad_attributes = scores.split(grad)
     shape = scores.objects.shape[:-1]  # (..., N, K, m)
     if pseudo is None:
-        return np.zeros(shape[:-1]), grad
+        return np.zeros(shape[:-1]), lambda: np.zeros(scores.heads.shape)
     labels = pseudo.labels
     if labels.shape != shape[-labels.ndim :]:
         raise ValueError(f"pseudo-labels cover {labels.shape} (scene, head, region) cells, scores have {shape}")
@@ -173,7 +177,6 @@ def refinement_terms(scores: Scores, pseudo: PseudoLabels | None) -> tuple[np.nd
     # a gather behind a leading ... puts that axis innermost in memory; in C
     # order, every sum below adds each slice's terms as it would alone
     p = np.ascontiguousarray(clamp_prob(scores.objects[cells]))
-    grad_objects[cells] = -pseudo.weights / (m * p)  # one cell per (head, region), and grad is still zero
     values = (-np.sum(pseudo.weights * np.log(p), axis=-1, keepdims=True) / m)[..., 0]
 
     h, r, s = pseudo.heads, pseudo.regions, pseudo.scenes
@@ -182,18 +185,11 @@ def refinement_terms(scores: Scores, pseudo: PseudoLabels | None) -> tuple[np.nd
         group = h * num_scenes + s
         counts = np.bincount(group, minlength=k * num_scenes)
         n = counts[group]
-        at = (..., s, h, r, pseudo.columns)
-        p_attr = np.ascontiguousarray(clamp_prob(scores.attributes[at]))
-        # np.add.at, not fancy-index assignment: cells hit twice must accumulate
-        np.add.at(grad_attributes, at, -1.0 / (n * p_attr))
+        attr_at = (..., s, h, r, pseudo.columns)
+        p_attr = np.ascontiguousarray(clamp_prob(scores.attributes[attr_at]))
         both = h > 0
-        at = (..., s[both], h[both], r[both], pseudo.classes[both])
-        p_obj = np.ascontiguousarray(clamp_prob(scores.objects[at]))
-        # summed in its own zero array and added once: accumulating straight
-        # onto the refinement gradient would round differently
-        coupled_objects = np.zeros(grad_objects.shape)
-        np.add.at(coupled_objects, at, -1.0 / (n[both] * p_obj))
-        grad_objects += coupled_objects
+        obj_at = (..., s[both], h[both], r[both], pseudo.classes[both])
+        p_obj = np.ascontiguousarray(clamp_prob(scores.objects[obj_at]))
         log_attr, log_obj = np.log(p_attr), np.log(p_obj)
         # the object factors skip head 1's assignments, which come first
         counts = counts.tolist()
@@ -207,4 +203,19 @@ def refinement_terms(scores: Scores, pseudo: PseudoLabels | None) -> tuple[np.nd
             if j > 0:
                 total -= log_obj[..., start - skipped : end - skipped].sum(axis=-1)
             values[..., scene, j] += total / count
-    return values, grad
+
+    def gradient() -> np.ndarray:
+        grad = np.zeros(scores.heads.shape)
+        grad_objects, grad_attributes = scores.split(grad)
+        grad_objects[cells] = -pseudo.weights / (m * p)  # one cell per (head, region), and grad is still zero
+        if h.size:
+            # np.add.at, not fancy-index assignment: cells hit twice must accumulate
+            np.add.at(grad_attributes, attr_at, -1.0 / (n * p_attr))
+            # summed in its own zero array and added once: accumulating straight
+            # onto the refinement gradient would round differently
+            coupled_objects = np.zeros(grad_objects.shape)
+            np.add.at(coupled_objects, obj_at, -1.0 / (n[both] * p_obj))
+            grad_objects += coupled_objects
+        return grad
+
+    return values, gradient

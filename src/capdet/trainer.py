@@ -5,10 +5,11 @@ image-evidence term, the first head's MIL and coupled terms, and one
 refinement term per head. Before the first step, train does the work
 no parameter changes: it compiles each scene's caption labels into the
 Supervision every loss reads, and builds each scene's overlap mask, which
-the refinement chain reads, over padded chunks of EVAL_CHUNK scenes. A
-step packs its batch_size scenes into one padded SceneBatch, stacks their
-masks, concatenates their supervision, and runs batch_step: forward,
-pseudo-labels, losses and backward once over the batch. Each scene's
+the refinement chain reads, over padded chunks of EVAL_CHUNK scenes of
+similar proposal counts. A step packs its batch_size scenes into one
+padded SceneBatch, stacks their masks, concatenates their supervision,
+and runs batch_step: forward, pseudo-labels, both stages of the losses
+(values, then gradients) and backward once over the batch. Each scene's
 gradient has the bits of a one-scene batch's, and the scenes' gradients
 are added in batch order. Setting lambda2 to zero compiles the labels
 without attribute pairs, which removes every attribute-dependent
@@ -23,7 +24,8 @@ refinement chain.
 Inference and evaluation run on chunks of EVAL_CHUNK scenes, each packed
 into one SceneBatch: proposals padded to the chunk's largest proposal
 count (at least two), with a mask of each scene's own rows. Inference runs only the
-object heads, in one matmul over the chunk, averages the refinement
+object heads, one matmul per scene over its own rows (at least two,
+so a scene's logits do not depend on its chunk), averages the refinement
 heads' class scores, drops the background column, and applies NMS to
 every scene and class of the chunk at once, then a score floor. A
 chunk's detections are four parallel arrays: scene, proposal row (not a
@@ -159,9 +161,12 @@ def compile_labels(labels: LabelSet, params: ModelParams, config: TrainConfig) -
 def frozen_loss(
     scores: scorenet.Scores, sup: Supervision, config: TrainConfig, pseudo: oicr.PseudoLabels | None
 ) -> LossReport:
-    """The loss of scores against frozen refinement supervision; stacked scores give a value per slice."""
-    values, grad = oicr.refinement_terms(scores, pseudo)
-    return weakloss.total_loss(scores, sup, config.lambda1, config.lambda2, values, grad)
+    """The loss of scores against frozen refinement supervision, values then gradients; stacked scores give a value per slice."""
+    values, refinement_gradient = oicr.refinement_terms(scores, pseudo)
+    report, caption_gradient = weakloss.total_loss(scores, sup, config.lambda1, config.lambda2, values)
+    report.grad = refinement_gradient()
+    report.grad_image = caption_gradient(report.grad)
+    return report
 
 
 def batch_step(
@@ -292,14 +297,16 @@ def pad_boxes(scenes: Sequence[SyntheticScene]) -> tuple[np.ndarray, np.ndarray]
 
 
 def overlap_blocks(scenes: Sequence[SyntheticScene], tau: float) -> list[np.ndarray]:
-    """Each scene's (m, m) oicr.overlap_masks at tau, computed over padded chunks of EVAL_CHUNK scenes."""
-    blocks = []
-    for start in range(0, len(scenes), EVAL_CHUNK):
-        chunk = scenes[start : start + EVAL_CHUNK]
-        boxes, valid = pad_boxes(chunk)
+    """Each scene's (m, m) oicr.overlap_masks at tau, over padded chunks of EVAL_CHUNK scenes taken by proposal count."""
+    sizes = [scene.proposals.size for scene in scenes]
+    order = np.argsort(sizes, kind="stable").tolist()
+    blocks = {}
+    for start in range(0, len(order), EVAL_CHUNK):
+        picks = order[start : start + EVAL_CHUNK]
+        boxes, valid = pad_boxes([scenes[i] for i in picks])
         near = oicr.overlap_masks(boxes, tau, valid)
-        blocks += [near[n, : scene.proposals.size, : scene.proposals.size].copy() for n, scene in enumerate(chunk)]
-    return blocks
+        blocks.update((i, near[n, : sizes[i], : sizes[i]].copy()) for n, i in enumerate(picks))
+    return [blocks[i] for i in range(len(scenes))]
 
 
 def stack_masks(blocks: Sequence[np.ndarray], width: int) -> np.ndarray:
@@ -324,8 +331,13 @@ def infer(
     naming the first such scene, without a warning.
     """
     w = params.packed[:, params.object_cols]
+    z = np.zeros(batch.features.shape[:-1] + w.shape[1:])
     with np.errstate(all="ignore"):
-        z = batch.features @ w[:-1] + w[-1]
+        # each scene's own rows, at least two: BLAS rounds a row by the row
+        # count of its product, so the chunk's padding must not reach them
+        for n, size in enumerate(batch.valid.sum(axis=-1)):
+            z[n, : max(2, size)] = batch.features[n, : max(2, size)] @ w[:-1]
+        z += w[-1]
         heads = scorenet.softmax_rows(z.reshape(*z.shape[:-1], params.num_heads, -1))
         mean_scores = heads[..., : params.num_classes].mean(axis=-2)
     finite = np.isfinite(heads).all(axis=(-2, -1)) | ~batch.valid

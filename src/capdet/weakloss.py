@@ -32,23 +32,29 @@ scene, gets the gradient bits of a one-scene batch; a batch's values may
 differ in the last bits, since a scene's terms are summed next to the
 zeros that stand for the other scenes' entries.
 
-Every loss function returns its value together with its gradient with
-respect to the score arrays it consumed; parameter gradients are the
-score network's job.
+Every loss term runs in two stages. Its value stage does the gathers,
+clamps, maxima, logs and per-scene sums, and returns the value together
+with its gradient stage: a function that scatters, from the cells the
+value stage chose and the clamped scores it read, the gradient with
+respect to the score arrays the term consumed, and gathers nothing
+again. trainer.frozen_loss, and so every training step, runs both;
+gradcheck.composed_loss runs the value stages alone, since a probe needs
+only its loss value. Parameter gradients are the score network's job.
 
 total_loss is the one place the terms are mixed: the evidence term, plus
 lambda1 times the MIL term, plus lambda2 times the coupled term, plus the
 refinement terms unweighted. The weights come straight from TrainConfig,
-which checks them. The weighted first-head caption gradients are added in
-place into the refinement gradient that oicr.refinement_terms returned,
-so a step fills one heads-sized gradient array, not two.
+which checks them. Its gradient stage adds the weighted first-head
+caption gradients in place into the refinement gradient that
+oicr.refinement_terms' gradient stage returned, so a step fills one
+heads-sized gradient array, not two.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -148,31 +154,36 @@ def _scene_sums(terms: np.ndarray, scenes: np.ndarray, sup: Supervision) -> np.n
 
 def object_mil_loss(
     scores: np.ndarray, sup: Supervision, valid: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, Callable[[], np.ndarray]]:
     """-(1/|O|) sum over mentioned classes of log of the best region score.
 
     Gradient is nonzero only at each class's maximizing region; ties go to
     the lowest region index. Empty O short-circuits to zero. scores is
     (..., N, m, C + 1) and valid (N, m); the value is (..., N), each scene
     averaged over its own classes. The chosen regions come back as
-    (..., |O|) rows, entry i for class sup.classes[i].
+    (..., |O|) rows, entry i for class sup.classes[i], and then the
+    gradient stage, which returns the gradient with respect to scores.
     """
-    grad = np.zeros(scores.shape)
     classes, scenes = sup.classes, sup.class_scenes
     if not classes.size:
-        return np.zeros(scores.shape[:-2]), grad, np.zeros(scores.shape[:-3] + (0,), dtype=int)
+        return np.zeros(scores.shape[:-2]), np.zeros(scores.shape[:-3] + (0,), dtype=int), lambda: np.zeros(scores.shape)
     p = clamp_prob(gather_entries(scores, scenes, classes))
     rows = best_regions(p, scenes, valid)
     lead = slice_index(rows.shape[:-1])
     best = p[(*lead, np.arange(classes.size), rows)]
-    grad[(*lead, scenes, rows, classes)] = -1.0 / best  # one cell per class, so none is hit twice
-    grad /= sup.divisor[:, None, None]
-    return -_scene_sums(np.log(best), scenes, sup) / sup.divisor, grad, rows
+
+    def gradient() -> np.ndarray:
+        grad = np.zeros(scores.shape)
+        grad[(*lead, scenes, rows, classes)] = -1.0 / best  # one cell per class, so none is hit twice
+        grad /= sup.divisor[:, None, None]
+        return grad
+
+    return -_scene_sums(np.log(best), scenes, sup) / sup.divisor, rows, gradient
 
 
 def entanglement_loss(
     obj_scores: np.ndarray, attr_scores: np.ndarray, sup: Supervision, valid: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, Callable[[], tuple[np.ndarray, np.ndarray]]]:
     """Coupled object-attribute MIL: per pair, maximize the product at one region.
 
     For each mentioned class c and each of its attribute pairs (a, v),
@@ -181,36 +192,42 @@ def entanglement_loss(
     pairs is normalized by |O|, the number of mentioned classes. Scores
     are (..., N, m, C + 1) and (..., N, m, V), and valid and the value
     work as in object_mil_loss. The chosen regions come back as (..., P)
-    rows, entry i for the pair (sup.pair_classes[i], sup.pair_columns[i]).
+    rows, entry i for the pair (sup.pair_classes[i], sup.pair_columns[i]),
+    and then the gradient stage, which returns the gradients with respect
+    to both score arrays.
     """
-    grad_obj = np.zeros(obj_scores.shape)
-    grad_attr = np.zeros(attr_scores.shape)
     classes, cols, scenes = sup.pair_classes, sup.pair_columns, sup.pair_scenes
     if not classes.size:
-        return np.zeros(obj_scores.shape[:-2]), grad_obj, grad_attr, np.zeros(obj_scores.shape[:-3] + (0,), dtype=int)
+        empty = np.zeros(obj_scores.shape[:-3] + (0,), dtype=int)
+        return np.zeros(obj_scores.shape[:-2]), empty, lambda: (np.zeros(obj_scores.shape), np.zeros(attr_scores.shape))
     p_obj = clamp_prob(gather_entries(obj_scores, scenes, classes))
     p_attr = clamp_prob(gather_entries(attr_scores, scenes, cols))
     rows = best_regions(p_obj * p_attr, scenes, valid)
     lead = slice_index(rows.shape[:-1])
     at = (*lead, np.arange(classes.size), rows)
     best_obj, best_attr = p_obj[at], p_attr[at]
-    # np.add.at, not fancy-index assignment: pairs that meet in one cell must accumulate
-    np.add.at(grad_obj, (*lead, scenes, rows, classes), -1.0 / best_obj)
-    np.add.at(grad_attr, (*lead, scenes, rows, cols), -1.0 / best_attr)
-    divisor = sup.divisor[:, None, None]
-    grad_obj /= divisor
-    grad_attr /= divisor
-    total = -_scene_sums(np.log(best_obj) + np.log(best_attr), scenes, sup) / sup.divisor
-    return total, grad_obj, grad_attr, rows
+
+    def gradient() -> tuple[np.ndarray, np.ndarray]:
+        grad_obj = np.zeros(obj_scores.shape)
+        grad_attr = np.zeros(attr_scores.shape)
+        # np.add.at, not fancy-index assignment: pairs that meet in one cell must accumulate
+        np.add.at(grad_obj, (*lead, scenes, rows, classes), -1.0 / best_obj)
+        np.add.at(grad_attr, (*lead, scenes, rows, cols), -1.0 / best_attr)
+        divisor = sup.divisor[:, None, None]
+        grad_obj /= divisor
+        grad_attr /= divisor
+        return grad_obj, grad_attr
+
+    return -_scene_sums(np.log(best_obj) + np.log(best_attr), scenes, sup) / sup.divisor, rows, gradient
 
 
-def mid_loss(image_level: np.ndarray, sup: Supervision) -> tuple[np.ndarray, np.ndarray]:
+def mid_loss(image_level: np.ndarray, sup: Supervision) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
     """Binary cross-entropy of the image-level scores against mention labels.
 
-    Returns the gradient with respect to the image-level scores; pushing
-    it back through the sigmoid, the region sum, and both streams is done
-    by the score network's backward pass. image_level is (..., N, C) and
-    the value (..., N).
+    The gradient stage returns the gradient with respect to the
+    image-level scores; pushing it back through the sigmoid, the region
+    sum, and both streams is done by the score network's backward pass.
+    image_level is (..., N, C) and the value (..., N).
     """
     y = clamp_prob(np.asarray(image_level))
     if y.shape[-1:] != (sup.num_classes,):
@@ -221,19 +238,19 @@ def mid_loss(image_level: np.ndarray, sup: Supervision) -> tuple[np.ndarray, np.
     log_positive = np.where(positive, np.log(y), 0.0)
     log_negative = np.where(positive, 0.0, np.log1p(-y))
     total = -(log_positive.sum(axis=-1) + log_negative.sum(axis=-1))
-    grad = np.where(positive, -1.0 / y, 1.0 / (1.0 - y))
-    return total, grad
+    return total, lambda: np.where(positive, -1.0 / y, 1.0 / (1.0 - y))
 
 
 @dataclass
 class LossReport:
-    """One training step's loss breakdown, score-space gradients, and region choices.
+    """One training step's loss breakdown, region choices, and score-space gradients.
 
     Every value is an array over the scores' (..., N) axes. The region
     choices are object_mil_loss's and entanglement_loss's rows: entry i
     names the region chosen for sup.classes[i] (for the pair
     (sup.pair_classes[i], sup.pair_columns[i])), with the leading axes
-    first.
+    first. The gradients are None until the gradient stages run
+    (trainer.frozen_loss).
     """
 
     l_obj: np.ndarray  # (..., N)
@@ -241,46 +258,45 @@ class LossReport:
     l_mid: np.ndarray  # (..., N)
     l_oicr: np.ndarray  # (..., N, K)
     l_total: np.ndarray  # (..., N)
-    grad: np.ndarray  # (..., N, m, K(C + 1) + K * V), laid out like Scores.heads
-    grad_image: np.ndarray  # (..., N, C) with respect to the image-level scores
     argmax_objects: np.ndarray  # (..., |O|)
     argmax_pairs: np.ndarray  # (..., P)
+    grad: np.ndarray | None = None  # (..., N, m, K(C + 1) + K * V), laid out like Scores.heads
+    grad_image: np.ndarray | None = None  # (..., N, C) with respect to the image-level scores
 
 
 def total_loss(
-    scores: Scores,
-    sup: Supervision,
-    lambda1: float,
-    lambda2: float,
-    oicr_values: np.ndarray,
-    grad: np.ndarray,
-) -> LossReport:
+    scores: Scores, sup: Supervision, lambda1: float, lambda2: float, oicr_values: np.ndarray
+) -> tuple[LossReport, Callable[[np.ndarray], np.ndarray]]:
     """Mix the terms: evidence + lambda1 * MIL + lambda2 * coupled + refinement terms.
 
-    oicr_values (..., N, K) and grad are the refinement terms' values and
-    gradient, grad laid out like scores.heads; the weighted first-head
-    MIL and coupled gradients are added into grad in place, and the
-    report holds that same array. The weights are checked by TrainConfig.
-    Supervision compiled without pairs has no coupled term: its value and
-    gradient are exact zeros.
+    oicr_values (..., N, K) are the refinement terms' values. Returns the
+    report, without gradients, and the caption terms' gradient stage: given
+    the refinement gradient, laid out like scores.heads, it adds the
+    weighted first-head MIL and coupled gradients into it in place and
+    returns the gradient with respect to the image-level scores. The
+    weights are checked by TrainConfig. Supervision compiled without pairs
+    has no coupled term: its value and gradient are exact zeros.
     """
-    grad_objects, grad_attributes = scores.split(grad)
     first_objects, first_attributes = scores.objects[..., 0, :, :], scores.attributes[..., 0, :, :]
-    l_obj, g_obj, argmax_objects = object_mil_loss(first_objects, sup, scores.valid)
-    l_entang, g_eobj, g_eattr, argmax_pairs = entanglement_loss(first_objects, first_attributes, sup, scores.valid)
-    # caption terms summed first: two separate += onto the refinement gradient would round differently
-    grad_objects[..., 0, :, :] += lambda1 * g_obj + lambda2 * g_eobj
-    grad_attributes[..., 0, :, :] += lambda2 * g_eattr
-
-    l_mid, grad_image = mid_loss(scores.image_level, sup)
-    return LossReport(
+    l_obj, argmax_objects, obj_gradient = object_mil_loss(first_objects, sup, scores.valid)
+    l_entang, argmax_pairs, pair_gradient = entanglement_loss(first_objects, first_attributes, sup, scores.valid)
+    l_mid, image_gradient = mid_loss(scores.image_level, sup)
+    report = LossReport(
         l_obj=l_obj,
         l_entang=l_entang,
         l_mid=l_mid,
         l_oicr=oicr_values,
         l_total=l_mid + lambda1 * l_obj + lambda2 * l_entang + np.sum(oicr_values, axis=-1),
-        grad=grad,
-        grad_image=grad_image,
         argmax_objects=argmax_objects,
         argmax_pairs=argmax_pairs,
     )
+
+    def gradient(grad: np.ndarray) -> np.ndarray:
+        grad_objects, grad_attributes = scores.split(grad)
+        g_eobj, g_eattr = pair_gradient()
+        # caption terms summed first: two separate += onto the refinement gradient would round differently
+        grad_objects[..., 0, :, :] += lambda1 * obj_gradient() + lambda2 * g_eobj
+        grad_attributes[..., 0, :, :] += lambda2 * g_eattr
+        return image_gradient()
+
+    return report, gradient

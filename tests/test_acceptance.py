@@ -68,7 +68,7 @@ def test_criterion_2_coupled_loss_dominates_decoupled_selection():
         cols = {("color", "red"): 0, ("color", "green"): 1, ("color", "blue"): 2}
         labels = LabelSet(objects={c}, attribute_pairs={c: {("color", "red")}})
         sup = compile_supervision(labels, num_classes, cols)
-        (coupled,), _, _, _ = entanglement_loss(obj[None], attr[None], sup, np.ones((1, m), dtype=bool))
+        (coupled,), _, _ = entanglement_loss(obj[None], attr[None], sup, np.ones((1, m), dtype=bool))
         # decoupled: each factor free to pick its own region (|O| = 1)
         p_obj = np.asarray(clamp_prob(obj[:, c]))
         p_attr = np.asarray(clamp_prob(attr[:, 0]))
@@ -85,8 +85,8 @@ def test_criterion_2_coupled_loss_dominates_decoupled_selection():
     labels = LabelSet(objects={0}, attribute_pairs={0: {("color", "brown")}})
     sup = compile_supervision(labels, 1, cols)
     valid = np.ones((1, 2), dtype=bool)
-    _, _, object_rows = object_mil_loss(obj[None], sup, valid)
-    _, _, _, coupled_rows = entanglement_loss(obj[None], attr[None], sup, valid)
+    _, object_rows, _ = object_mil_loss(obj[None], sup, valid)
+    _, coupled_rows, _ = entanglement_loss(obj[None], attr[None], sup, valid)
     object_pick = dict(zip(sup.classes.tolist(), object_rows.tolist()))
     # a pair's choice is keyed by (class, attribute column)
     coupled_pick = dict(zip(zip(sup.pair_classes.tolist(), sup.pair_columns.tolist()), coupled_rows.tolist()))

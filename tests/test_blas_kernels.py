@@ -1,0 +1,52 @@
+"""Byte identity across OpenBLAS kernels: the metrics file agrees, the parameters to 1e-8.
+
+Checkpoint bytes may differ in their last bits from one CPU kernel of
+OpenBLAS to another, since the kernels round matrix products differently
+(README, Determinism). A small seed-0 problem is trained and evaluated
+through the CLI twice, each time in a new process: under the kernel
+OpenBLAS picks for this CPU, and under OPENBLAS_CORETYPE=Prescott, one
+without FMA.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from openblas_build import openblas_config
+
+from capdet import scorenet
+
+OTHER_KERNEL = "Prescott"
+
+
+def run(args, env):
+    result = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_train_and_eval_agree_across_kernels(tmp_path):
+    config = openblas_config()
+    if config is None or "DYNAMIC_ARCH" not in config.split():
+        pytest.skip(f"only a DYNAMIC_ARCH build of OpenBLAS picks its kernel at run time; this build: {config}")
+    native = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    forced = dict(native, OPENBLAS_CORETYPE=OTHER_KERNEL)
+    helper = str(Path(__file__).with_name("openblas_build.py"))
+    native_build, forced_build = run([helper], native), run([helper], forced)
+    if native_build == forced_build:
+        pytest.skip(f"the native kernel is already the one {OTHER_KERNEL} selects: {native_build.strip()}")
+
+    data = tmp_path / "data"
+    run(["-m", "capdet.cli", "synth", "--out", str(data), "--seed", "0", "--train", "200", "--val", "1", "--test", "100"], native)
+    params, metrics = [], []
+    for name, env in (("native", native), ("forced", forced)):
+        checkpoint, out = tmp_path / f"{name}.ckpt", tmp_path / f"{name}.json"
+        run(["-m", "capdet.cli", "train", "--data", str(data / "train.jsonl"), "--out", str(checkpoint), "--steps", "300"], env)
+        run(["-m", "capdet.cli", "eval", "--data", str(data / "test.jsonl"), "--checkpoint", str(checkpoint), "--out", str(out)], env)
+        params.append(scorenet.load_checkpoint(checkpoint).flat)
+        metrics.append(out.read_bytes())
+    assert metrics[0] == metrics[1]
+    assert np.abs(params[0] - params[1]).max() <= 1e-8

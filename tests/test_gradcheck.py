@@ -1,15 +1,14 @@
-import ctypes
 import dataclasses
-import glob
 import hashlib
 import json
-import os
+import tracemalloc
 
 import gradcheck_reference as reference
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from openblas_build import openblas_config
 
 from capdet import gradcheck, oicr, scorenet
 from capdet.scorenet import ModelParams
@@ -20,16 +19,6 @@ from capdet.trainer import batch_step, compile_labels, frozen_loss
 # OpenBLAS kernels on which run_gradient_check(trials=20) gives the pinned
 # value; SandyBridge and Prescott, which lack FMA, round it differently
 RECORDED_KERNELS = ("SkylakeX", "Haswell", "Zen")
-
-
-def openblas_config():
-    """numpy's bundled OpenBLAS build string, which names the CPU kernel it runs; None where unreadable."""
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*.so"))
-    get_config = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_config64_", None) if libs else None
-    if get_config is None:
-        return None
-    get_config.restype = ctypes.c_char_p
-    return get_config().decode()
 
 
 def relative(a, b):
@@ -99,12 +88,35 @@ class TestComposedLoss:
         stack = np.stack([scorenet.logits(other, batch) for other in others])
         values = gradcheck.composed_loss(params, stack, batch.valid, sup, config, pseudo)
         stacked = frozen_loss(scorenet.head_scores(params, stack, batch.valid), sup, config, pseudo)
+        # the value stages alone give the bits of both stages run together
+        assert np.array_equal(values, stacked.l_total)
         for i, other in enumerate(others):
             report = frozen_loss(scorenet.forward(other, batch), sup, config, pseudo)
             assert np.array_equal(values[i], report.l_total)
             assert np.array_equal(stacked.l_total[i], report.l_total)
             assert np.array_equal(stacked.grad[i], report.grad)
             assert np.array_equal(stacked.grad_image[i], report.grad_image)
+
+    def test_probe_stack_gets_no_gradient(self, monkeypatch):
+        # a trial's 160 probes (80 coordinates) on a three-head problem with m = 8: every
+        # gradient stage would allocate an array like scores.heads, the value stages none
+        rng = np.random.default_rng([11, 3])
+        params, batch, labels, config = gradcheck._random_problem(rng)
+        sup, _, pseudo, _ = analytic_step(params, batch, labels, config)
+        assert (params.num_heads, batch.valid.shape, sup.pair_classes.size) == (3, (1, 8), 1)
+        z = scorenet.logits(params, batch)
+        probes = z + rng.normal(0.0, 1e-3, size=(2, 80) + z.shape)
+        scores = scorenet.head_scores(params, probes, batch.valid)
+        # scored before tracing starts, so the trace holds the loss stages alone
+        monkeypatch.setattr(scorenet, "head_scores", lambda *args, **kwargs: scores)
+        tracemalloc.start()
+        try:
+            values = gradcheck.composed_loss(params, probes, batch.valid, sup, config, pseudo)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (2, 80, 1)
+        assert peak < scores.heads.nbytes
 
 
 class TestCheckOnce:

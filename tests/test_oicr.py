@@ -53,6 +53,12 @@ def frozen(labels, weights, coupled=()):
     )
 
 
+def both_stages(scores, pseudo):
+    """refinement_terms' values and the gradient its gradient stage returns."""
+    values, gradient = refinement_terms(scores, pseudo)
+    return values, gradient()
+
+
 def near_for(boxes, tau):
     """The overlap mask of one scene's (m, 4) boxes, as a one-scene batch's (1, m, m)."""
     return overlap_masks(boxes[None], tau, np.ones((1, len(boxes)), dtype=bool))
@@ -152,7 +158,7 @@ def object_term(head_scores, labels, weights):
     m = len(head_scores)
     num_classes = head_scores.shape[1] - 1
     scores = packed_scores([head_scores], [np.zeros((m, 0))], np.zeros((m, num_classes)), np.full(num_classes, 0.7))
-    values, grad = refinement_terms(scores, frozen([labels], [weights]))
+    values, grad = both_stages(scores, frozen([labels], [weights]))
     return values[0, 0], scores.split(grad)[0][0, 0]
 
 
@@ -191,7 +197,7 @@ class TestRefinementLoss:
         labels = rng.integers(0, 4, size=(2, 7))
         weights = rng.uniform(0.2, 1.0, size=(2, 7))
         scores = packed_scores(list(heads), [np.zeros((7, 0))] * 2, np.zeros((7, 3)), np.full(3, 0.7))
-        values, grad = refinement_terms(scores, frozen(labels, weights))
+        values, grad = both_stages(scores, frozen(labels, weights))
         for j in range(2):
             ref_grad = np.zeros_like(heads[j])
             ref_value = 0.0
@@ -244,7 +250,7 @@ def coupled_term(head, obj, attr, assignments):
     m, num_classes = len(obj), obj.shape[1] - 1
     scores = packed_scores([obj] * head, [attr] * head, np.zeros((m, num_classes)), np.full(num_classes, 0.7))
     pseudo = frozen(np.zeros((head, m), dtype=int), np.zeros((head, m)), [(head - 1, *a) for a in assignments])
-    values, grad = refinement_terms(scores, pseudo)
+    values, grad = both_stages(scores, pseudo)
     grad_objects, grad_attributes = scores.split(grad)
     return values[0, -1], grad_objects[0, -1], grad_attributes[0, -1]
 
@@ -360,7 +366,7 @@ class TestBuildPseudoLabels:
 
 def assert_central_differences(scores, pseudo, h=1e-6):
     """The analytic gradient of the summed head values against central differences in every score."""
-    _, grad = refinement_terms(scores, pseudo)
+    _, grad = both_stages(scores, pseudo)
 
     def total(heads):
         values, _ = refinement_terms(dataclasses.replace(scores, heads=heads), pseudo)
@@ -417,7 +423,7 @@ class TestRefinementTerms:
         rng = np.random.default_rng(71)
         scores, boxes = make_inputs(rng)
         pseudo = build_pseudo_labels(scores, compiled({0}, {0: {("color", "red")}}), near_for(boxes, 0.5))
-        values, grad = refinement_terms(scores, pseudo)
+        values, grad = both_stages(scores, pseudo)
         assert values.shape == (1, 3)
         assert all(v > 0 for v in values[0])
         grad_objects, _ = scores.split(grad)
@@ -429,7 +435,7 @@ class TestRefinementTerms:
     def test_none_pseudo_contributes_zero(self):
         rng = np.random.default_rng(72)
         scores, _ = make_inputs(rng)
-        values, grad = refinement_terms(scores, None)
+        values, grad = both_stages(scores, None)
         assert values.tolist() == [[0.0, 0.0, 0.0]]
         assert not np.any(grad)
 
@@ -453,7 +459,7 @@ class TestMatchesReference:
         sup = compile_supervision(labels, num_classes, PAIR_COLS, pairs=coupled)
         pseudo = build_pseudo_labels(scores, sup, near_for(boxes, tau))
         expected = reference.build_pseudo_labels(scores, labels, boxes, tau, PAIR_COLS, coupled)
-        values, grad = refinement_terms(scores, pseudo)
+        values, grad = both_stages(scores, pseudo)
         ref_values, ref_grad = reference.refinement_terms(scores, expected)
         assert np.array_equal(values, [ref_values])
         assert np.array_equal(grad, ref_grad)

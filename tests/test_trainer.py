@@ -362,9 +362,9 @@ class TestBatchedStep:
         real = weakloss.total_loss
 
         def second_scene_diverges(*args, **kwargs):
-            report = real(*args, **kwargs)
+            report, gradient = real(*args, **kwargs)
             report.l_total[1] = np.inf
-            return report
+            return report, gradient
 
         second = scenes[np.random.default_rng(0).permutation(len(scenes))[1]].image_id
         with mock.patch.object(weakloss, "total_loss", second_scene_diverges):
@@ -486,6 +486,15 @@ class TestOverlapMasks:
         assert np.array_equal(near, expected)
         assert np.array_equal(near, oicr.overlap_masks(batch.boxes, tau, batch.valid))
 
+    def test_chunks_follow_proposal_count(self):
+        # each chunk pads only to its own largest scene, the scenes taken by proposal count
+        scenes = ragged_scenes(np.random.default_rng(5), 2 * EVAL_CHUNK + 3)
+        with mock.patch.object(oicr, "iou_matrix", wraps=oicr.iou_matrix) as spy:
+            trainer.overlap_blocks(scenes, 0.5)
+        sizes = sorted(scene.proposals.size for scene in scenes)
+        chunks = [sizes[start : start + EVAL_CHUNK] for start in range(0, len(sizes), EVAL_CHUNK)]
+        assert [call.args[0].shape[:2] for call in spy.call_args_list] == [(len(c), max(2, c[-1])) for c in chunks]
+
     @pytest.mark.parametrize("count", [1, EVAL_CHUNK, EVAL_CHUNK + 1, 35])
     def test_one_iou_matrix_call_per_chunk_per_run(self, small_world, registry, count):
         _, scenes, vocab = small_world
@@ -593,6 +602,19 @@ class TestInfer:
             ]
             assert list(zip(regions.tolist(), classes.tolist())) == expected
             assert scores.tolist() == [mean_scores[n, i, c] for i, c in expected]
+
+    def test_scene_detections_do_not_depend_on_chunk(self, small_world, registry, test_pool):
+        # a scene's detections in a padded chunk have the bits of its lone batch's
+        params = small_model(small_world, registry, 0, 6, 20.0)
+        scenes = [scene_variant(scene, SCENE_KINDS[n % len(SCENE_KINDS)]) for n, scene in enumerate(test_pool)]
+        cfg = TrainConfig(score_floor=0.0)
+        for start in range(0, len(scenes), EVAL_CHUNK):
+            chunk = scenes[start : start + EVAL_CHUNK]
+            dets = infer(params, SceneBatch.pack(chunk), cfg)
+            for n, scene in enumerate(chunk):
+                lone = infer(params, SceneBatch.pack([scene]), cfg)
+                for ours, theirs in zip(scene_detections(dets, n), scene_detections(lone, 0)):
+                    assert np.array_equal(ours, theirs)
 
     def test_padded_rows_are_not_checked(self, small_world, registry):
         # NaN features on a padded row are never scored as a detection, and raise nothing
@@ -711,8 +733,9 @@ def test_pool(small_world):
 
 
 # "blank" zeroes a scene's features, so every row scores the bias row alone and, with
-# weights scaled up against the bias, falls below a 0.3 floor that plain scenes pass
-SCENE_KINDS = ("plain", "no_gt", "blank", "shared_id", "plain")
+# weights scaled up against the bias, falls below a 0.3 floor that plain scenes pass;
+# "one_proposal" keeps a scene's first proposal, features and all
+SCENE_KINDS = ("plain", "no_gt", "blank", "shared_id", "one_proposal", "plain")
 
 
 def scene_variant(scene, kind):
@@ -723,6 +746,8 @@ def scene_variant(scene, kind):
         return dataclasses.replace(scene, proposals=RegionSet(scene.proposals.boxes, features))
     if kind == "shared_id":
         return dataclasses.replace(scene, image_id="shared")
+    if kind == "one_proposal":
+        return dataclasses.replace(scene, proposals=RegionSet(scene.proposals.boxes[:1], scene.proposals.features[:1]))
     return scene
 
 
@@ -899,7 +924,8 @@ class TestEvaluate:
     @given(st.data())
     def test_matches_scene_loop(self, small_world, registry, test_pool, data):
         # exact equality with the one-scene loop, over chunk boundaries, scenes without GT,
-        # scenes whose detections all fall below the floor and scenes that share an image_id
+        # scenes whose detections all fall below the floor, scenes that share an image_id
+        # and one-proposal scenes
         count = data.draw(
             st.one_of(st.sampled_from([1, EVAL_CHUNK, EVAL_CHUNK + 1]), st.integers(1, 2 * EVAL_CHUNK + 1))
         )

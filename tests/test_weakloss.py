@@ -34,23 +34,24 @@ def sup_for(objects, num_classes, pairs=None, cols=None, with_pairs=True):
 
 def mil(scores, sup):
     """object_mil_loss of one scene's (m, C + 1) scores, run as a one-scene batch: its value, gradient and rows."""
-    value, grad, rows = object_mil_loss(scores[None], sup, np.ones((1, len(scores)), dtype=bool))
+    value, rows, gradient = object_mil_loss(scores[None], sup, np.ones((1, len(scores)), dtype=bool))
     assert value.shape == (1,)
-    return value[0], grad[0], rows
+    return value[0], gradient()[0], rows
 
 
 def entangle(obj, attr, sup):
     """entanglement_loss of one scene's (m, C + 1) and (m, V) scores, run as a one-scene batch."""
-    value, grad_obj, grad_attr, rows = entanglement_loss(obj[None], attr[None], sup, np.ones((1, len(obj)), dtype=bool))
+    value, rows, gradient = entanglement_loss(obj[None], attr[None], sup, np.ones((1, len(obj)), dtype=bool))
     assert value.shape == (1,)
+    grad_obj, grad_attr = gradient()
     return value[0], grad_obj[0], grad_attr[0], rows
 
 
 def mid(image_level, sup):
     """mid_loss of one scene's (C,) image-level scores, run as a one-scene batch."""
-    value, grad = mid_loss(np.asarray(image_level)[None], sup)
+    value, gradient = mid_loss(np.asarray(image_level)[None], sup)
     assert value.shape == (1,)
-    return value[0], grad[0]
+    return value[0], gradient()[0]
 
 
 def pair_rows(sup, rows):
@@ -457,10 +458,18 @@ def no_refinement(scores):
     return np.zeros_like(scores.heads)
 
 
+def mixed(scores, sup, lambda1, lambda2, oicr_values, grad):
+    """total_loss's report, its gradient stage run on grad, the refinement gradient."""
+    report, gradient = total_loss(scores, sup, lambda1, lambda2, oicr_values)
+    assert report.grad is None and report.grad_image is None
+    report.grad, report.grad_image = grad, gradient(grad)
+    return report
+
+
 class TestTotalLoss:
     def test_mixing_arithmetic(self):
         scores, sup, _ = exact_component_setup()
-        report = total_loss(scores, sup, 0.5, 0.01, NO_VALUES, no_refinement(scores))
+        report = mixed(scores, sup, 0.5, 0.01, NO_VALUES, no_refinement(scores))
         assert report.l_mid[0] == pytest.approx(1.0, abs=1e-12)
         assert report.l_obj[0] == pytest.approx(0.4, abs=1e-12)
         assert report.l_entang[0] == pytest.approx(2.0, abs=1e-12)
@@ -469,14 +478,14 @@ class TestTotalLoss:
 
     def test_refinement_values_added_unweighted(self):
         scores, sup, _ = exact_component_setup()
-        report = total_loss(scores, sup, 0.5, 0.01, np.array([[0.1, 0.2, 0.3]]), no_refinement(scores))
+        report = mixed(scores, sup, 0.5, 0.01, np.array([[0.1, 0.2, 0.3]]), no_refinement(scores))
         assert report.l_oicr.tolist() == [[0.1, 0.2, 0.3]]
         assert report.l_total[0] == pytest.approx(1.22 + 0.6, abs=1e-12)
 
     def test_lambda2_zero_skips_coupled_term(self):
         # the baseline's supervision is compiled without pairs
         scores, _, baseline = exact_component_setup()
-        report = total_loss(scores, baseline, 0.5, 0.0, NO_VALUES, no_refinement(scores))
+        report = mixed(scores, baseline, 0.5, 0.0, NO_VALUES, no_refinement(scores))
         assert report.l_entang.tolist() == [0.0]
         assert report.argmax_pairs.shape == (0,)
         for head in scores.split(report.grad)[1][0]:
@@ -485,17 +494,17 @@ class TestTotalLoss:
 
     def test_gradients_scaled_by_weights(self):
         scores, _, baseline = exact_component_setup()
-        heavy = total_loss(scores, baseline, 1.0, 0.0, NO_VALUES, no_refinement(scores))
-        light = total_loss(scores, baseline, 0.5, 0.0, NO_VALUES, no_refinement(scores))
+        heavy = mixed(scores, baseline, 1.0, 0.0, NO_VALUES, no_refinement(scores))
+        light = mixed(scores, baseline, 0.5, 0.0, NO_VALUES, no_refinement(scores))
         # evidence gradient identical, object gradient scales with lambda1
         assert np.allclose(heavy.grad_image, light.grad_image)
         assert np.allclose(scores.split(heavy.grad)[0][0, 0], 2.0 * scores.split(light.grad)[0][0, 0])
 
     def test_oicr_grads_added(self):
         scores, sup, _ = exact_component_setup()
-        base = total_loss(scores, sup, 0.5, 0.01, NO_VALUES, no_refinement(scores))
+        base = mixed(scores, sup, 0.5, 0.01, NO_VALUES, no_refinement(scores))
         extra = np.zeros_like(scores.heads)
         scores.split(extra)[0][0, 0][0, 0] = 5.0
-        with_extra = total_loss(scores, sup, 0.5, 0.01, NO_VALUES, extra)
+        with_extra = mixed(scores, sup, 0.5, 0.01, NO_VALUES, extra)
         assert with_extra.grad is extra
         assert with_extra.grad[0, 0, 0] == pytest.approx(base.grad[0, 0, 0] + 5.0)
