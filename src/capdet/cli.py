@@ -12,11 +12,12 @@ unknown keys and unknown flags are hard errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence, get_type_hints
 
 from . import gradcheck, scorenet, synthbench, trainer
 from .synthbench import DataError, SynthConfig
@@ -109,12 +110,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         if size < 1:
             raise UsageError(f"--{split} must be positive, got {size}")
     _, registry = _load_vocab_registry(args)
-    config = SynthConfig(
-        feature_dim=args.feature_dim,
-        noise_sigma=args.noise_sigma,
-        cooccur_prob=args.cooccur_prob,
-        attr_mention_prob=args.attr_mention_prob,
-    )
+    config = SynthConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SynthConfig)})
     try:
         universe = synthbench.make_universe(config, registry, seed=args.seed)
     except DataError as e:  # only a --registry file can lack a pool value
@@ -170,12 +166,23 @@ def _load_scenes(path: str) -> tuple[dict, list[synthbench.SyntheticScene]]:
     return header, scenes
 
 
+def _check_header(header: dict, data: str, source: str, model: Mapping[str, object]) -> None:
+    """A DataError unless the dataset header at data holds each of model's values, which source holds too."""
+    for key, value in model.items():
+        if header.get(key) != value:
+            raise DataError(f"dataset {data} and {source} disagree on {key}")
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     config = build_train_config(args)
     header, scenes = _load_scenes(args.data)
     vocab, registry = _load_vocab_registry(args)
-    if vocab is None:
-        vocab = Vocabulary(header["class_names"])
+    try:
+        vocab = vocab or Vocabulary(header["class_names"])
+    except ValueError as e:
+        raise DataError(f"dataset {args.data}: {e}") from None
+    # the checkpoint takes the vocabulary's class names, and eval refuses any that differ from the dataset's
+    _check_header(header, args.data, f"vocabulary {args.vocab or 'of its header'}", {"class_names": list(vocab.class_names)})
     log_file = open(args.log, "w", encoding="utf-8") if args.log else None
     try:
         sink = None
@@ -199,9 +206,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise DataError(f"bad checkpoint {args.checkpoint}: {e.strerror or e}") from None
     except ValueError as e:
         raise DataError(str(e)) from None  # load_checkpoint's messages start with the path
-    for key, model_value in (("feature_dim", params.feature_dim), ("class_names", list(params.class_names))):
-        if header.get(key) != model_value:
-            raise DataError(f"dataset {args.data} and checkpoint {args.checkpoint} disagree on {key}")
+    model = {"feature_dim": params.feature_dim, "class_names": list(params.class_names)}
+    _check_header(header, args.data, f"checkpoint {args.checkpoint}", model)
     metrics = trainer.evaluate(params, scenes, config)
     report = trainer.metrics_report(metrics, config)
     trainer.write_metrics(args.out, report)
@@ -239,10 +245,9 @@ def build_parser() -> _Parser:
     p.add_argument("--train", type=int, default=2000)
     p.add_argument("--val", type=int, default=500)
     p.add_argument("--test", type=int, default=500)
-    p.add_argument("--feature-dim", type=int, default=64)
-    p.add_argument("--noise-sigma", type=float, default=0.1)
-    p.add_argument("--cooccur-prob", type=float, default=0.9)
-    p.add_argument("--attr-mention-prob", type=float, default=0.7)
+    hints = get_type_hints(SynthConfig)
+    for f in dataclasses.fields(SynthConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=hints[f.name], default=f.default)
     p.add_argument("--registry")
     p.set_defaults(func=cmd_synth)
 

@@ -18,15 +18,17 @@ one affine map from d to P = K(C+1) + K*V + 2C columns, in this order:
 
 Forward and backward run over a padded batch of N scenes
 (trainer.SceneBatch): (N, M, d) features and an (N, M) valid mask of
-each scene's own rows; a lone scene is N = 1. Forward is one matmul
-(logits), then head_scores: one softmax pass over the (N, M, K, C+1)
-view of the object columns and one over all categories of the
-(N, M, K, V) view of the attribute columns. Region reductions run over
-axis -2, so each scene scores as it would alone; padded rows get -inf
-before the softmax over regions, so they carry no evidence, and they get
-zero gradient. head_scores also takes a stack of logit arrays ahead of
-the scene axis, (..., N, M, P), and scores each slice exactly as it
-would alone; the gradient check scores all its probes that way.
+each scene's own rows; a lone scene is N = 1. Training, inference and
+the gradient check share one forward: logits multiplies each scene over
+its own rows (at least two), then head_scores runs one softmax pass over
+the (N, M, K, C+1) view of the object columns and one over all
+categories of the (N, M, K, V) view of the attribute columns. Region
+reductions run over axis -2, so each scene scores, bit for bit, as it
+would alone; padded rows get -inf before the softmax over regions, so
+they carry no evidence, and they get zero gradient. head_scores also
+takes a stack of logit arrays ahead of the scene axis, (..., N, M, P),
+and scores each slice exactly as it would alone; the gradient check
+scores all its probes that way.
 
 Backward builds one (N, M, P) gradient of the map's outputs, multiplies
 each scene's features with its own gradient, one stacked matmul, and
@@ -104,8 +106,8 @@ def _last_back(t: np.ndarray) -> np.ndarray:
 WHOLE_ROW = (slice(None),)
 
 
-def softmax_rows(z: np.ndarray, segments: Sequence[slice] = WHOLE_ROW, out: np.ndarray | None = None) -> np.ndarray:
-    """Softmax over the last axis, or over each column slice of it in segments; into out if given.
+def softmax_rows(z: np.ndarray, segments: Sequence[slice] = WHOLE_ROW, *, out: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, or over each column slice of it in segments, written into out.
 
     The rows are many and short (a head's classes, a category's values),
     and numpy reduces each row in its own inner loop. So the work runs on
@@ -117,8 +119,6 @@ def softmax_rows(z: np.ndarray, segments: Sequence[slice] = WHOLE_ROW, out: np.n
     for s in segments:
         e = np.exp(t[s] - t[s].max(axis=0))
         t[s] = e / pairwise_sum(e)
-    if out is None:
-        return np.ascontiguousarray(_last_back(t))
     out[...] = _last_back(t)
     return out
 
@@ -277,12 +277,18 @@ def init_params(
 
 
 def logits(params: ModelParams, batch) -> np.ndarray:
-    """The packed map's (N, M, P) outputs for a padded batch's features."""
+    """The packed map's (N, M, P) outputs for a padded batch's features; rows past max(2, own count) hold the bias."""
     x = batch.features
     if x.shape[-1] != params.feature_dim:
         raise ValueError(f"feature dim {x.shape[-1]} does not match model dim {params.feature_dim}")
     w = params.packed
-    return x @ w[:-1] + w[-1]
+    z = np.zeros(x.shape[:-1] + w.shape[1:])
+    # each scene's own rows, at least two (see trainer.pad_boxes): BLAS rounds
+    # a row by the row count of its product, so the padding must not reach them
+    for n, size in enumerate(batch.valid.sum(axis=-1).tolist()):
+        np.matmul(x[n, : max(2, size)], w[:-1], out=z[n, : max(2, size)])
+    z += w[-1]
+    return z
 
 
 def head_scores(params: ModelParams, z: np.ndarray, valid: np.ndarray, attributes: bool = True) -> Scores:

@@ -100,8 +100,6 @@ class Vocabulary:
             raise ValueError("vocabulary needs at least one class")
         if len(set(names)) != len(names):
             raise ValueError("duplicate class names")
-        if any(not n or not all(_WORD_RE.fullmatch(w) for w in n.split()) for n in names):
-            raise ValueError("class names must be lowercase words, optionally space separated")
         self.class_names: tuple[str, ...] = tuple(names)
         self._index = {n: i for i, n in enumerate(names)}
         self.synonyms: dict[str, int] = {}
@@ -113,12 +111,15 @@ class Vocabulary:
             if surface in self._index:
                 raise ValueError(f"synonym {surface!r} collides with a class name")
             self.synonyms[surface] = self._index[target]
-        # token-tuple lookup used by the parser; bigrams are matched first
+        # token-tuple lookup used by the parser, which splits captions into words
+        # of the letters a-z and matches two-word phrases, then single words, so
+        # any other phrase would never match
         self._phrase_index: dict[tuple[str, ...], int] = {}
-        for name, idx in self._index.items():
-            self._phrase_index[tuple(name.split())] = idx
-        for surface, idx in self.synonyms.items():
-            self._phrase_index[tuple(surface.split())] = idx
+        for phrase, idx in (*self._index.items(), *self.synonyms.items()):
+            words = tuple(phrase.split())
+            if not 1 <= len(words) <= 2 or not all(_WORD_RE.fullmatch(w) for w in words):
+                raise ValueError(f"class names and synonyms must be one or two words of the letters a-z, got {phrase!r}")
+            self._phrase_index[words] = idx
 
     @property
     def num_classes(self) -> int:

@@ -3,37 +3,39 @@
 Training is plain adaptive-gradient descent over per-scene losses: the
 image-evidence term, the first head's MIL and coupled terms, and one
 refinement term per head. Before the first step, train does the work
-no parameter changes: it compiles each scene's caption labels into the
-Supervision every loss reads, and builds each scene's overlap mask, which
-the refinement chain reads, over padded chunks of EVAL_CHUNK scenes of
-similar proposal counts. A step packs its batch_size scenes into one
-padded SceneBatch, stacks their masks, concatenates their supervision,
-and runs batch_step: forward, pseudo-labels, both stages of the losses
-(values, then gradients) and backward once over the batch. Each scene's
-gradient has the bits of a one-scene batch's, and the scenes' gradients
-are added in batch order. Setting lambda2 to zero compiles the labels
-without attribute pairs, which removes every attribute-dependent
-computation, including the coupled refinement terms that would otherwise
-feed gradients into later object heads; that is the exact-match
-baseline, and the two spellings of it (loss_mode="em", lambda2=0) are
-required to produce identical checkpoints. A batch without attribute pairs, which is every
-baseline batch, leaves the attribute heads out of forward and backward,
-where their gradient would be exactly zero, and seeds no pair in the
-refinement chain.
+no parameter changes: it draws the run's whole scene order, compiles
+each scene's caption labels into the Supervision every loss reads, and
+builds every scene's overlap mask, which the refinement chain reads,
+into one array, over padded chunks of EVAL_CHUNK scenes of similar
+proposal counts. A step packs its batch_size scenes into one padded
+SceneBatch, slices their masks, concatenates their supervision, and
+runs batch_step: forward, pseudo-labels, both stages of the losses
+(values, then gradients) and backward once over the batch. Forward
+multiplies each scene over its own rows, so each scene's gradient has
+the bits of a one-scene batch's, and the scenes' gradients are added in
+batch order. Setting lambda2 to zero compiles the labels without
+attribute pairs, which removes every attribute-dependent computation,
+including the coupled refinement terms that would otherwise feed
+gradients into later object heads; that is the exact-match baseline,
+and the two spellings of it (loss_mode="em", lambda2=0) are required to
+produce identical checkpoints. A batch without attribute pairs, which
+is every baseline batch, leaves the attribute heads out of forward and
+backward, where their gradient would be exactly zero, and seeds no pair
+in the refinement chain.
 
 Inference and evaluation run on chunks of EVAL_CHUNK scenes, each packed
 into one SceneBatch: proposals padded to the chunk's largest proposal
-count (at least two), with a mask of each scene's own rows. Inference runs only the
-object heads, one matmul per scene over its own rows (at least two,
-so a scene's logits do not depend on its chunk), averages the refinement
-heads' class scores, drops the background column, and applies NMS to
-every scene and class of the chunk at once, then a score floor. A
-chunk's detections are four parallel arrays: scene, proposal row (not a
-box), class and score. They stay arrays through evaluation, which
-reports all-point average precision at IoU 0.5 per class, their mean
-over classes present in the ground truth, and CorLoc. Per chunk it
-computes one IoU array, every detection against its own scene's
-ground-truth boxes, and both AP matching and CorLoc read it.
+count (at least two), with a mask of each scene's own rows. Inference
+runs the training forward without the attribute heads, so a scene's
+scores do not depend on its chunk, averages the refinement heads' class
+scores, drops the background column, and applies NMS to every scene and
+class of the chunk at once, then a score floor. A chunk's detections are
+four parallel arrays: scene, proposal row (not a box), class and score.
+They stay arrays through evaluation, which reports all-point average
+precision at IoU 0.5 per class, their mean over classes present in the
+ground truth, and CorLoc. Per chunk it computes one IoU array, every
+detection against its own scene's ground-truth boxes, and both AP
+matching and CorLoc read it.
 """
 
 from __future__ import annotations
@@ -117,18 +119,8 @@ class TrainConfig:
         unknown = sorted(set(values) - set(known))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        coerced: dict[str, object] = {}
-        for key, raw in values.items():
-            target = known[key]
-            if isinstance(raw, str):
-                if target is int:
-                    coerced[key] = int(raw)
-                elif target is float:
-                    coerced[key] = float(raw)
-                else:
-                    coerced[key] = raw
-            else:
-                coerced[key] = raw
+        # a string, as a config file gives every value, takes its field's type: int, float or str
+        coerced = {key: known[key](raw) if isinstance(raw, str) else raw for key, raw in values.items()}
         if "loss_mode" in coerced and "lambda2" not in coerced and coerced["loss_mode"] == "em":
             coerced["lambda2"] = 0.0
         if "lambda2" in coerced and "loss_mode" not in coerced and float(coerced["lambda2"]) == 0.0:
@@ -220,22 +212,17 @@ def train(
 
     optimizer = Adagrad(params.flat.size, config.learning_rate)
     order_rng = np.random.default_rng(config.seed)
-    order = order_rng.permutation(len(scenes))
-    cursor = 0
+    epochs = -(-config.steps * config.batch_size // len(scenes))
+    order = np.concatenate([order_rng.permutation(len(scenes)) for _ in range(epochs)])
 
     # overflow ends the run through the checks below, with one message and no warnings
     with np.errstate(all="ignore"):
         for step in range(config.steps):
-            picks = []
-            for _ in range(config.batch_size):
-                if cursor >= len(order):
-                    order = order_rng.permutation(len(scenes))
-                    cursor = 0
-                picks.append(order[cursor])
-                cursor += 1
+            picks = order[step * config.batch_size : (step + 1) * config.batch_size]
             batch = SceneBatch.pack([scenes[i] for i in picks])
             sup = Supervision.concat([sups[i] for i in picks])
-            near = stack_masks([blocks[i] for i in picks], batch.valid.shape[1])
+            width = batch.valid.shape[1]
+            near = blocks[picks, :width, :width]
             report, _, grad_flat = batch_step(params, batch, sup, near, config)
             finite = np.isfinite(report.l_total)
             if not finite.all():
@@ -296,25 +283,22 @@ def pad_boxes(scenes: Sequence[SyntheticScene]) -> tuple[np.ndarray, np.ndarray]
     return boxes, np.arange(boxes.shape[1]) < np.array(sizes, dtype=int)[:, None]
 
 
-def overlap_blocks(scenes: Sequence[SyntheticScene], tau: float) -> list[np.ndarray]:
-    """Each scene's (m, m) oicr.overlap_masks at tau, over padded chunks of EVAL_CHUNK scenes taken by proposal count."""
+def overlap_blocks(scenes: Sequence[SyntheticScene], tau: float) -> np.ndarray:
+    """Every scene's oicr.overlap_masks at tau in the top-left block of one (S, W, W) array, False elsewhere.
+
+    W is the largest proposal count, at least 2, so blocks[picks, :M, :M]
+    is the mask of a batch of those scenes padded to M. The masks are
+    computed over padded chunks of EVAL_CHUNK scenes taken by proposal count.
+    """
     sizes = [scene.proposals.size for scene in scenes]
-    order = np.argsort(sizes, kind="stable").tolist()
-    blocks = {}
+    blocks = np.zeros((len(scenes),) + (max([2, *sizes]),) * 2, dtype=bool)
+    order = np.argsort(sizes, kind="stable")
     for start in range(0, len(order), EVAL_CHUNK):
         picks = order[start : start + EVAL_CHUNK]
         boxes, valid = pad_boxes([scenes[i] for i in picks])
-        near = oicr.overlap_masks(boxes, tau, valid)
-        blocks.update((i, near[n, : sizes[i], : sizes[i]].copy()) for n, i in enumerate(picks))
-    return [blocks[i] for i in range(len(scenes))]
-
-
-def stack_masks(blocks: Sequence[np.ndarray], width: int) -> np.ndarray:
-    """Scenes' (m, m) overlap masks as one (N, width, width) batch mask, False at the padded rows and columns."""
-    near = np.zeros((len(blocks), width, width), dtype=bool)
-    for n, block in enumerate(blocks):
-        near[n, : len(block), : len(block)] = block
-    return near
+        width = valid.shape[1]
+        blocks[picks, :width, :width] = oicr.overlap_masks(boxes, tau, valid)
+    return blocks
 
 
 def infer(
@@ -325,22 +309,15 @@ def infer(
     Mean class scores over heads, background dropped, NMS per scene and
     class, then the score floor. A scene is an index into the batch and a
     region a row of that scene's proposal boxes; rows come scene by
-    scene, class by class, by descending score within a class. Only the
-    object heads are evaluated; inference reads no attribute scores.
+    scene, class by class, by descending score within a class. Forward
+    leaves the attribute heads out; inference reads no attribute scores.
     Non-finite object scores on a scene's own rows raise NumericalError
     naming the first such scene, without a warning.
     """
-    w = params.packed[:, params.object_cols]
-    z = np.zeros(batch.features.shape[:-1] + w.shape[1:])
     with np.errstate(all="ignore"):
-        # each scene's own rows, at least two: BLAS rounds a row by the row
-        # count of its product, so the chunk's padding must not reach them
-        for n, size in enumerate(batch.valid.sum(axis=-1)):
-            z[n, : max(2, size)] = batch.features[n, : max(2, size)] @ w[:-1]
-        z += w[-1]
-        heads = scorenet.softmax_rows(z.reshape(*z.shape[:-1], params.num_heads, -1))
-        mean_scores = heads[..., : params.num_classes].mean(axis=-2)
-    finite = np.isfinite(heads).all(axis=(-2, -1)) | ~batch.valid
+        objects = scorenet.forward(params, batch, attributes=False).objects
+        mean_scores = objects[..., : params.num_classes].mean(axis=1)
+    finite = np.isfinite(objects).all(axis=(1, -1)) | ~batch.valid
     if not finite.all():
         first = np.argmin(finite.all(axis=-1))
         raise NumericalError(f"scene {batch.image_ids[first]!r}: non-finite object scores")

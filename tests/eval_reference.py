@@ -16,14 +16,15 @@ from capdet.trainer import IOU_THRESHOLD, NumericalError, average_precision
 
 def infer_scene(params, regions, config):
     """One scene's detections as parallel (region, class, score) arrays, class by class."""
-    w = params.packed[:, params.object_cols]
+    w = params.packed
     # at least two rows, as trainer.pad_boxes pads a batch: numpy multiplies a
-    # one-row matrix through gemv, which rounds otherwise than gemm does
+    # one-row matrix through gemv, which rounds otherwise than gemm does; and
+    # every column, since BLAS rounds a column by the width of its product
     x = np.zeros((max(2, regions.size), regions.features.shape[1]))
     x[: regions.size] = regions.features
     with np.errstate(all="ignore"):
-        z = (x @ w[:-1] + w[-1])[: regions.size]
-        heads = scorenet.softmax_rows(z.reshape(len(z), params.num_heads, -1))
+        z = (x @ w[:-1] + w[-1])[: regions.size, params.object_cols].reshape(regions.size, params.num_heads, -1)
+        heads = scorenet.softmax_rows(z, out=np.empty(z.shape))
     if not np.isfinite(heads).all():
         raise NumericalError("non-finite object scores")
     mean_scores = heads[:, :, : params.num_classes].mean(axis=1)

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from capdet import cli, scorenet, synthbench, trainer
+from capdet.synthbench import SynthConfig
 from capdet.textgraph import default_registry, default_vocabulary
 from capdet.trainer import NumericalError, TrainConfig
 from eval_reference import infer_scene
@@ -85,6 +87,13 @@ class TestSynth:
             "val": "3a0545d970503631621b96dd610cbf8316fe5996dd3345545e6c562a3660d55f",
             "test": "25b5c06ce6c0e43a7c0d29b60c7df7da512b27f27206c7db023143883989af39",
         }
+
+    def test_settings_flags_come_from_synth_config(self):
+        # each SynthConfig field is a flag of its own type, defaulting to the field's default
+        args = cli.build_parser().parse_args(["synth", "--out", "x"])
+        settings = {f.name: getattr(args, f.name) for f in dataclasses.fields(SynthConfig)}
+        defaults = dataclasses.asdict(SynthConfig())
+        assert {k: (v, type(v)) for k, v in settings.items()} == {k: (v, type(v)) for k, v in defaults.items()}
 
     def test_registry_without_a_pool_value_is_a_data_error(self, tmp_path, capsys):
         registry = default_registry()
@@ -294,6 +303,53 @@ class TestTrainEval:
         )
         assert code == 1
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["reordered", "renamed", "with synonyms"])
+    def test_train_checks_the_vocabulary_against_the_header(self, data_dir, tmp_path, capsys, edit):
+        # a vocabulary whose class names differ from the dataset's would train a checkpoint
+        # that eval refuses, so train refuses it before step 0
+        data = data_dir / "train.jsonl"
+        names = json.loads(data.read_text().splitlines()[0])["class_names"]
+        classes = {"reordered": names[::-1], "renamed": names[:-1] + ["stop light"], "with synonyms": names}[edit]
+        vocab, ckpt, log = tmp_path / "vocab.json", tmp_path / "m.ckpt", tmp_path / "log.jsonl"
+        vocab.write_text(json.dumps({"classes": classes, "synonyms": {"kitty": "cat"}}))
+        args = ["train", "--data", str(data), "--out", str(ckpt), "--log", str(log), "--vocab", str(vocab)]
+        code = cli.main(args + ["--steps", "2"])
+        if edit == "with synonyms":
+            assert code == 0 and ckpt.exists()
+            return
+        assert code == 2
+        assert capsys.readouterr().err == f"data error: dataset {data} and vocabulary {vocab} disagree on class_names\n"
+        assert not ckpt.exists() and not log.exists()
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("Stop Sign", " and vocabulary of its header disagree on class_names"),
+            ("red stop sign", ": class names and synonyms must be one or two words of the letters a-z, got 'red stop sign'"),
+        ],
+        ids=["uppercase", "three words"],
+    )
+    def test_header_class_name_no_vocabulary_takes_is_a_data_error(self, data_dir, tmp_path, capsys, name, message):
+        # without --vocab, train builds the vocabulary from the header, which lowercases names
+        header, *records = (data_dir / "train.jsonl").read_text().splitlines(keepends=True)
+        header = json.loads(header)
+        header["class_names"][-1] = name
+        data, ckpt = tmp_path / "train.jsonl", tmp_path / "m.ckpt"
+        data.write_text(json.dumps(header) + "\n" + "".join(records))
+        assert cli.main(["train", "--data", str(data), "--out", str(ckpt), "--steps", "2"]) == 2
+        assert capsys.readouterr().err == f"data error: dataset {data}{message}\n"
+        assert not ckpt.exists()
+
+    def test_vocabulary_phrase_of_three_words_is_a_data_error(self, data_dir, tmp_path, capsys):
+        # the parser matches at most two words, so such a class could never be labelled
+        vocab = tmp_path / "vocab.json"
+        vocab.write_text(json.dumps({"classes": ["fire hydrant cap", "dog"]}))
+        args = ["train", "--data", str(data_dir / "train.jsonl"), "--out", str(tmp_path / "m.ckpt")]
+        code = cli.main(args + ["--vocab", str(vocab)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: bad vocabulary file {vocab}: ") and "'fire hydrant cap'" in err
 
     def test_missing_dataset(self, tmp_path, capsys):
         code = cli.main(

@@ -24,8 +24,9 @@ from capdet.scorenet import (
     softmax_cols,
     softmax_rows,
 )
+from capdet.synthbench import SyntheticScene
 from capdet.textgraph import default_registry
-from capdet.trainer import TrainConfig, infer
+from capdet.trainer import SceneBatch, TrainConfig, infer
 
 CATS = {"color": ("red", "green"), "size": ("small", "large")}
 
@@ -55,7 +56,7 @@ class TestActivations:
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
         z = rng.normal(scale=50, size=(5, 7))
-        s = softmax_rows(z)
+        s = softmax_rows(z, out=np.empty(z.shape))
         assert np.allclose(s.sum(axis=1), 1.0)
         assert (s > 0).all()
 
@@ -66,11 +67,12 @@ class TestActivations:
 
     def test_softmax_shift_invariance(self):
         z = np.array([[1.0, 2.0, 3.0]])
-        assert np.allclose(softmax_rows(z), softmax_rows(z + 1000.0))
+        shifted = softmax_rows(z + 1000.0, out=np.empty(z.shape))
+        assert np.allclose(softmax_rows(z, out=np.empty(z.shape)), shifted)
 
     def test_softmax_rows_leaves_its_input_alone(self):
         z = np.array([[1.0, 2.0, 3.0]])
-        softmax_rows(z)
+        softmax_rows(z, out=np.empty(z.shape))
         assert z.tolist() == [[1.0, 2.0, 3.0]]
 
     @settings(max_examples=150, deadline=None)
@@ -100,7 +102,7 @@ class TestActivations:
             e = np.exp(v - v.max(axis=-1, keepdims=True))
             return e / e.sum(axis=-1, keepdims=True)
 
-        s = softmax_rows(z, segments)
+        s = softmax_rows(z, segments, out=np.empty(z.shape))
         expected = np.concatenate([row_softmax(z[..., seg]) for seg in segments], axis=-1)
         assert np.array_equal(s, expected)
         back = scorenet._softmax_rows_backward(s, grad, segments)
@@ -333,6 +335,27 @@ class TestParamGradients:
         scores = forward(p, regions)
         with pytest.raises(ValueError):
             param_gradients(p, regions, scores, np.zeros((1, 3, scores.heads.shape[-1] + 1)), np.zeros((1, 2)))
+
+
+class TestLogits:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_each_scene_has_its_lone_batch_bits(self, data):
+        # BLAS rounds a row by the row count of its product, so a scene's rows
+        # must not depend on how far the batch pads it
+        d = data.draw(st.sampled_from([6, 16, 64]), label="d")
+        num_classes, num_heads = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 3))
+        widths = data.draw(st.lists(st.integers(1, 6), max_size=4), label="category widths")
+        sizes = data.draw(st.lists(st.integers(1, 39), min_size=2, max_size=16), label="proposal counts")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        cats = {f"cat{a}": tuple(f"v{a}{j}" for j in range(w)) for a, w in enumerate(widths)}
+        params = init_params(d, [f"c{i}" for i in range(num_classes)], cats, num_heads, seed=0)
+        params.flat += rng.normal(size=params.flat.size)
+        lone = [make_regions(rng, m, d) for m in sizes]
+        scenes = [SyntheticScene(f"s{n}", [], RegionSet(b.boxes[0], b.features[0]), []) for n, b in enumerate(lone)]
+        z = scorenet.logits(params, SceneBatch.pack(scenes))
+        for n, (scene, m) in enumerate(zip(scenes, sizes)):
+            assert np.array_equal(z[n, :m], scorenet.logits(params, SceneBatch.pack([scene]))[0, :m])
 
 
 class TestPackedForward:

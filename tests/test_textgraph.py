@@ -97,6 +97,21 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             Vocabulary(("cat",), {"pup": "dog"})
 
+    @pytest.mark.parametrize(
+        "classes, synonyms",
+        [
+            (("fire hydrant cap", "dog"), {}),
+            (("fire hydrant", "dog"), {"red fire hydrant": "fire hydrant"}),
+            (("dog",), {" ": "dog"}),
+            (("shirt",), {"t-shirt": "shirt"}),
+            (("r2d2",), {}),
+        ],
+    )
+    def test_phrase_the_parser_cannot_match_rejected(self, classes, synonyms):
+        # the parser splits captions into words of the letters a-z and matches two-word phrases, then single words
+        with pytest.raises(ValueError, match="one or two words of the letters a-z"):
+            Vocabulary(classes, synonyms)
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "vocab.json"
         path.write_text(json.dumps({"classes": ["cat", "stop sign"], "synonyms": {"kitty": "cat"}}))

@@ -476,10 +476,14 @@ class TestOverlapMasks:
         scenes = ragged_scenes(rng, int(rng.integers(1, 2 * EVAL_CHUNK + 5)))
         tau = float(rng.choice([0.3, 0.5, 0.7, 1.0]))
         blocks = trainer.overlap_blocks(scenes, tau)
-        assert [block.shape for block in blocks] == [(s.proposals.size,) * 2 for s in scenes]
+        sizes = [s.proposals.size for s in scenes]
+        assert blocks.shape == (len(scenes),) + (max(2, *sizes),) * 2
+        for block, size in zip(blocks, sizes):
+            assert not block[size:].any() and not block[:, size:].any()
         picks = rng.integers(len(scenes), size=int(rng.integers(1, 5)))
         batch = SceneBatch.pack([scenes[i] for i in picks])
-        near = trainer.stack_masks([blocks[i] for i in picks], batch.valid.shape[1])
+        width = batch.valid.shape[1]
+        near = blocks[picks, :width, :width]
         valid = batch.valid
         expected = (iou_matrix(batch.boxes, batch.boxes) >= tau) & valid[:, :, None] & valid[:, None, :]
         assert near.dtype == bool
