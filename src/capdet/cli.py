@@ -88,20 +88,16 @@ def _add_train_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _load_vocab_registry(args: argparse.Namespace) -> tuple[Vocabulary | None, AttributeRegistry]:
-    vocab = None
-    if getattr(args, "vocab", None):
+    """The --vocab file's vocabulary (None without one), and the --registry file's registry or the default."""
+    files = (("vocab", "vocabulary", Vocabulary.from_file), ("registry", "registry", AttributeRegistry.from_file))
+    loaded = {}
+    for flag, kind, load in files:
+        path = getattr(args, flag, None)
         try:
-            vocab = Vocabulary.from_file(args.vocab)
-        except (OSError, ValueError, json.JSONDecodeError) as e:
-            raise DataError(f"bad vocabulary file {args.vocab}: {e}") from None
-    if getattr(args, "registry", None):
-        try:
-            registry = AttributeRegistry.from_file(args.registry)
-        except (OSError, ValueError, json.JSONDecodeError) as e:
-            raise DataError(f"bad registry file {args.registry}: {e}") from None
-    else:
-        registry = default_registry()
-    return vocab, registry
+            loaded[flag] = load(path) if path else None
+        except (OSError, ValueError, RecursionError) as e:  # invalid JSON is a ValueError, too deeply nested a RecursionError
+            raise DataError(f"bad {kind} file {path}: {e}") from None
+    return loaded["vocab"], loaded["registry"] or default_registry()
 
 
 def cmd_synth(args: argparse.Namespace) -> int:

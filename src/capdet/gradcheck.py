@@ -102,7 +102,7 @@ def composed_loss(
     valid: np.ndarray,
     sup: Supervision,
     config: TrainConfig,
-    pseudo: PseudoLabels | None,
+    pseudo: PseudoLabels,
 ) -> np.ndarray:
     """The composed loss (..., N) of logits z (..., N, m, P) with frozen refinement supervision: value stages only."""
     # supervision without pairs reads no attribute score, so, as in a training step, none is computed
@@ -117,7 +117,7 @@ def numeric_gradient(
     batch: SceneBatch,
     sup: Supervision,
     config: TrainConfig,
-    pseudo: PseudoLabels | None,
+    pseudo: PseudoLabels,
     coords: np.ndarray,
     step: float,
 ) -> np.ndarray:

@@ -28,10 +28,10 @@ once per trial, and every head of every step reads it. Supervision
 without an attribute pair seeds no pair and gets no coupled assignment.
 
 The chain runs over a padded batch of N scenes (a lone scene is N = 1)
-with its concatenated supervision (weakloss.Supervision.concat): each
-mentioned class seeds in its own scene, padded rows are never seeded and
-never overlap anything, and a row is claimed only by its own scene's
-classes. Labels and weights are (N, K, M); padded rows, and every row of
+and its Supervision: every class column of every scene is seeded at once,
+padded rows are never seeded and never overlap anything, and the mention
+mask keeps a row from being claimed by a class its scene does not
+mention. Labels and weights are (N, K, M); padded rows, and every row of
 a scene that mentions no class, weigh 0, so each scene's refinement term
 is the one it would have alone, divided by its own proposal count. The
 refinement terms also score stacked scores (leading axes ahead of the
@@ -86,51 +86,44 @@ def overlap_masks(boxes: np.ndarray, tau: float, valid: np.ndarray) -> np.ndarra
     return (iou_matrix(boxes, boxes) >= tau) & valid[..., :, None] & valid[..., None, :]
 
 
-def build_pseudo_labels(scores: Scores, sup: Supervision, near: np.ndarray) -> PseudoLabels | None:
+def build_pseudo_labels(scores: Scores, sup: Supervision, near: np.ndarray) -> PseudoLabels:
     """Freeze every head's supervision from its predecessor's current scores.
 
     near is overlap_masks of the batch's boxes at the refinement tau,
     (N, M, M). The result is pure data: recomputing losses against it
     involves no argmax over live scores, which is what a gradient check
-    needs. A batch none of whose scenes mentions a class has no
-    refinement supervision (None).
+    needs.
     """
-    classes, scenes, valid = sup.classes, sup.class_scenes, scores.valid
-    if not classes.size:
-        return None
-
-    # (K, N, m, C): head k's predecessor scores, head axis first
+    valid = scores.valid
+    # (K, N, C, m): head k's predecessor scores, head axis first, padded rows never seeded
     prev = np.concatenate(
         [initial_scores(scores.per_region, valid)[:, None], scores.objects[:, :-1, :, : sup.num_classes]], axis=1
-    ).swapaxes(0, 1)
-    # (K, |O|, m): each mentioned class's column of its own scene
-    candidates = gather_entries(prev, scenes, classes)
-    seeds = best_regions(candidates, scenes, valid)
-    seed_scores = candidates[np.arange(len(seeds))[:, None], np.arange(classes.size), seeds]
-    # reach[k, n, o, i]: class o of scene n reaches row i, where near[n, i, seed]
-    # (the seed's column, read as a row); each scene's rows are reached by its own classes only
-    own = (scenes == np.arange(len(sup.positive))[:, None])[:, :, None]
-    reach = near.swapaxes(-1, -2)[scenes, seeds][:, None] & own
-    # claims: head k's seed score of class o where it reaches; argmax keeps
+    ).transpose(1, 0, 3, 2)
+    prev = np.where(valid[:, None], prev, -np.inf)
+    seeds, seed_scores = prev.argmax(axis=-1), prev.max(axis=-1)
+    # reach[k, n, c, i]: mentioned class c of scene n reaches row i, where
+    # near[n, i, seed] (the seed's column, read as a row)
+    reach = near.swapaxes(-1, -2)[np.arange(len(valid))[:, None], seeds] & sup.positive[..., None]
+    # claims: head k's seed score of class c where it reaches; argmax keeps
     # the first maximum, so the lowest class wins a tie
-    claims = np.where(reach, seed_scores[:, None, :, None], -np.inf)
+    claims = np.where(reach, seed_scores[..., None], -np.inf)
     claimed = reach.any(axis=-2)
-    labels = np.where(claimed, classes[np.argmax(claims, axis=-2)], sup.num_classes)
+    labels = np.where(claimed, np.argmax(claims, axis=-2), sup.num_classes)
     # unclaimed rows are background with weight 1, except padded rows and
     # every row of a scene that mentions no class, which get weight 0
-    weights = np.where(claimed, claims.max(axis=-2), valid & own.any(axis=1))
+    weights = np.where(claimed, claims.max(axis=-2), valid & sup.positive.any(axis=-1)[:, None])
     if sup.pair_classes.size:
         coupled = coupled_assignments(scores, sup, near, seeds)
     else:
         # no pair to seed: every baseline step, and any batch whose captions name no attribute
         coupled = (np.zeros(0, dtype=int),) * 5
-    return PseudoLabels(labels.swapaxes(0, 1), weights.swapaxes(0, 1), seeds, *coupled)
+    return PseudoLabels(labels.swapaxes(0, 1), weights.swapaxes(0, 1), seeds[:, sup.class_scenes, sup.classes], *coupled)
 
 
 def coupled_assignments(
     scores: Scores, sup: Supervision, near: np.ndarray, seeds: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """PseudoLabels' heads, regions, classes, columns and scenes, given the classes' (K, |O|) seeds.
+    """PseudoLabels' heads, regions, classes, columns and scenes, given every class's (K, N, C) seeds.
 
     Head 1 labels each pair at its class's evidence seed; later heads seed
     each pair at the previous head's best product and spread it by overlap.
@@ -144,14 +137,14 @@ def coupled_assignments(
     later, pair, region = np.nonzero(near.swapaxes(-1, -2)[pair_scenes, pair_seeds])
     return (
         np.concatenate([np.zeros(pair_classes.size, dtype=int), later + 1]),
-        np.concatenate([seeds[0, sup.pair_entries], region]),
+        np.concatenate([seeds[0, pair_scenes, pair_classes], region]),
         np.concatenate([pair_classes, pair_classes[pair]]),
         np.concatenate([pair_columns, pair_columns[pair]]),
         np.concatenate([pair_scenes, pair_scenes[pair]]),
     )
 
 
-def refinement_terms(scores: Scores, pseudo: PseudoLabels | None) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+def refinement_terms(scores: Scores, pseudo: PseudoLabels) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
     """Per-head loss values (..., N, K), and the gradient stage that returns their gradient with respect to scores.heads.
 
     Head k's value is the weighted cross-entropy -(1/m) sum w_i log s[i, label_i]
@@ -166,8 +159,6 @@ def refinement_terms(scores: Scores, pseudo: PseudoLabels | None) -> tuple[np.nd
     padded rows, weighted 0, get none.
     """
     shape = scores.objects.shape[:-1]  # (..., N, K, m)
-    if pseudo is None:
-        return np.zeros(shape[:-1]), lambda: np.zeros(scores.heads.shape)
     labels = pseudo.labels
     if labels.shape != shape[-labels.ndim :]:
         raise ValueError(f"pseudo-labels cover {labels.shape} (scene, head, region) cells, scores have {shape}")

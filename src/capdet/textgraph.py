@@ -112,13 +112,15 @@ class Vocabulary:
                 raise ValueError(f"synonym {surface!r} collides with a class name")
             self.synonyms[surface] = self._index[target]
         # token-tuple lookup used by the parser, which splits captions into words
-        # of the letters a-z and matches two-word phrases, then single words, so
-        # any other phrase would never match
+        # of the letters a-z, lemmatizes them and matches two-word phrases, then
+        # single words, so any other phrase would never match
         self._phrase_index: dict[tuple[str, ...], int] = {}
         for phrase, idx in (*self._index.items(), *self.synonyms.items()):
             words = tuple(phrase.split())
             if not 1 <= len(words) <= 2 or not all(_WORD_RE.fullmatch(w) for w in words):
                 raise ValueError(f"class names and synonyms must be one or two words of the letters a-z, got {phrase!r}")
+            if any(lemmatize(w) != w for w in words):
+                raise ValueError(f"captions are matched by lemma, so {phrase!r} would never match: write its words as lemmas")
             self._phrase_index[words] = idx
 
     @property
@@ -130,11 +132,12 @@ class Vocabulary:
 
     @staticmethod
     def from_dict(data: Mapping) -> "Vocabulary":
-        try:
-            classes = data["classes"]
-        except (KeyError, TypeError):
-            raise ValueError("vocabulary file needs a 'classes' list") from None
-        return Vocabulary(classes, data.get("synonyms") or {})
+        if not isinstance(data, Mapping) or not _is_list_of_str(data.get("classes")):
+            raise ValueError("vocabulary file needs a 'classes' list of strings")
+        synonyms = data.get("synonyms", {})
+        if not isinstance(synonyms, Mapping) or not _is_list_of_str(list(synonyms.values())):
+            raise ValueError("a vocabulary file's 'synonyms' must map each word to a class name")
+        return Vocabulary(data["classes"], synonyms)
 
     @staticmethod
     def from_file(path: str | Path) -> "Vocabulary":
@@ -147,7 +150,8 @@ class AttributeRegistry:
 
     Values within one category are mutually exclusive per object. Every
     value word maps to itself; aliases may add extra surface forms, but
-    no word may map to two targets.
+    no word may map to two targets. The parser looks up single caption
+    words of the letters a-z, so values and aliases must be such words.
     """
 
     def __init__(
@@ -178,23 +182,32 @@ class AttributeRegistry:
             if word in self.word_map:
                 raise ValueError(f"alias {word!r} collides with an existing attribute word")
             self.word_map[word] = (cat, val)
+        for word in self.word_map:
+            if not _WORD_RE.fullmatch(word):
+                raise ValueError(f"attribute word {word!r} is not one word of the letters a-z, so no caption word matches it")
 
     def lookup(self, word: str) -> tuple[str, str] | None:
         return self.word_map.get(word)
 
     @staticmethod
     def from_dict(data: Mapping) -> "AttributeRegistry":
-        try:
-            cats = [(c["name"], c["values"]) for c in data["categories"]]
-        except (KeyError, TypeError):
-            raise ValueError("registry file needs a 'categories' list of {name, values}") from None
-        aliases = {w: (t[0], t[1]) for w, t in (data.get("aliases") or {}).items()}
-        return AttributeRegistry(cats, aliases)
+        cats = data.get("categories") if isinstance(data, Mapping) else None
+        named = isinstance(cats, list) and all(isinstance(c, Mapping) and isinstance(c.get("name"), str) for c in cats)
+        if not named or not all(_is_list_of_str(c.get("values")) for c in cats):
+            raise ValueError("registry file needs a 'categories' list of {name, values}: a string and a list of strings")
+        aliases = data.get("aliases", {})
+        if not isinstance(aliases, Mapping) or not all(_is_list_of_str(t) and len(t) == 2 for t in aliases.values()):
+            raise ValueError("a registry file's 'aliases' must map each word to a [category, value] list")
+        return AttributeRegistry([(c["name"], c["values"]) for c in cats], {w: tuple(t) for w, t in aliases.items()})
 
     @staticmethod
     def from_file(path: str | Path) -> "AttributeRegistry":
         with open(path, encoding="utf-8") as f:
             return AttributeRegistry.from_dict(json.load(f))
+
+
+def _is_list_of_str(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 def default_vocabulary() -> Vocabulary:

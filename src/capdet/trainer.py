@@ -4,12 +4,12 @@ Training is plain adaptive-gradient descent over per-scene losses: the
 image-evidence term, the first head's MIL and coupled terms, and one
 refinement term per head. Before the first step, train does the work
 no parameter changes: it draws the run's whole scene order, compiles
-each scene's caption labels into the Supervision every loss reads, and
-builds every scene's overlap mask, which the refinement chain reads,
-into one array, over padded chunks of EVAL_CHUNK scenes of similar
-proposal counts. A step packs its batch_size scenes into one padded
-SceneBatch, slices their masks, concatenates their supervision, and
-runs batch_step: forward, pseudo-labels, both stages of the losses
+each scene's caption labels into the two Supervision masks, stacked over
+the scenes, and builds every scene's overlap mask, which the refinement
+chain reads, into one array, over padded chunks of EVAL_CHUNK scenes of
+similar proposal counts. A step packs its batch_size scenes into one
+padded SceneBatch, slices their overlap and caption masks, and runs
+batch_step: forward, pseudo-labels, both stages of the losses
 (values, then gradients) and backward once over the batch. Forward
 multiplies each scene over its own rows, so each scene's gradient has
 the bits of a one-scene batch's, and the scenes' gradients are added in
@@ -150,9 +150,7 @@ def compile_labels(labels: LabelSet, params: ModelParams, config: TrainConfig) -
     )
 
 
-def frozen_loss(
-    scores: scorenet.Scores, sup: Supervision, config: TrainConfig, pseudo: oicr.PseudoLabels | None
-) -> LossReport:
+def frozen_loss(scores: scorenet.Scores, sup: Supervision, config: TrainConfig, pseudo: oicr.PseudoLabels) -> LossReport:
     """The loss of scores against frozen refinement supervision, values then gradients; stacked scores give a value per slice."""
     values, refinement_gradient = oicr.refinement_terms(scores, pseudo)
     report, caption_gradient = weakloss.total_loss(scores, sup, config.lambda1, config.lambda2, values)
@@ -163,7 +161,7 @@ def frozen_loss(
 
 def batch_step(
     params: ModelParams, batch: SceneBatch, sup: Supervision, near: np.ndarray, config: TrainConfig
-) -> tuple[LossReport, oicr.PseudoLabels | None, np.ndarray]:
+) -> tuple[LossReport, oicr.PseudoLabels, np.ndarray]:
     """One step's loss report, refinement supervision and summed parameter gradient over a padded batch.
 
     near is the batch's oicr.overlap_masks at config.tau.
@@ -207,6 +205,8 @@ def train(
         seed=config.seed,
     )
     sups = [compile_labels(labels, params, config) for labels in label_scenes(scenes, vocab, registry)]
+    # every scene's caption masks, stacked once: a step's supervision is its scenes' rows
+    positive, pairs = np.concatenate([sup.positive for sup in sups]), np.concatenate([sup.pairs for sup in sups])
     # proposals never change, so neither does any scene's overlap mask
     blocks = overlap_blocks(scenes, config.tau)
 
@@ -220,7 +220,7 @@ def train(
         for step in range(config.steps):
             picks = order[step * config.batch_size : (step + 1) * config.batch_size]
             batch = SceneBatch.pack([scenes[i] for i in picks])
-            sup = Supervision.concat([sups[i] for i in picks])
+            sup = Supervision(positive[picks], pairs[picks])
             width = batch.valid.shape[1]
             near = blocks[picks, :width, :width]
             report, _, grad_flat = batch_step(params, batch, sup, near, config)

@@ -11,26 +11,26 @@ mentioned classes, so the coupled term sums its pairs and divides by the
 class count. An image-evidence term treats the per-class image scores as
 independent binary predictions of mention.
 
-A scene's caption labels are compiled once into a Supervision: the
-sorted class array and the pair-class and pair-column arrays, validated
-against the model's class count and attribute columns. Every caption
-loss and the refinement chain read those arrays; none of them sorts or
-checks labels again. Compiling without pairs is the exact-match
+A scene's caption labels are compiled once into a Supervision: masks of
+its mentioned classes and of its (class, attribute column) pairs,
+validated against the model's class count and attribute columns. Every
+caption loss and the refinement chain read the masks' cells and never
+sort or check labels again. Compiling without pairs is the exact-match
 baseline: with no pairs there is no coupled term anywhere.
 
 Scores come as a padded batch of N scenes, (..., N, m, ·): a lone scene
-is N = 1. Supervision.concat joins scenes' supervision and names each
-class's and pair's scene, so an entry reads its own scene's column, the
-(N, m) valid mask keeps padded rows out of every maximum, and each scene
-is averaged over its own classes. Both maxima run over all classes (or
-pairs) at once: one argmax over the gathered columns, then the coupled
-term scatters its gradients with np.add.at in pair order, so pairs
-meeting in one cell add up. Leading axes ahead of the scene axis stack
-independent score arrays, as the gradient check's probes; every value is
-an array over (..., N). Sums run in C order, so every slice, and every
-scene, gets the gradient bits of a one-scene batch; a batch's values may
-differ in the last bits, since a scene's terms are summed next to the
-zeros that stand for the other scenes' entries.
+is N = 1. A batch's Supervision is its scenes' rows of the stacked masks,
+so each class and pair names its own scene and reads that scene's
+column, the (N, m) valid mask keeps padded rows out of every maximum, and
+each scene is averaged over its own classes. Both maxima run over all
+classes (or pairs) at once: one argmax over the gathered columns, then
+the coupled term scatters its gradients with np.add.at in pair order, so
+pairs meeting in one cell add up. Leading axes ahead of the scene axis
+stack independent score arrays, as the gradient check's probes; every
+value is an array over (..., N). Sums run in C order, so every slice, and
+every scene, gets the gradient bits of a one-scene batch; a batch's
+values may differ in the last bits, since a scene's terms are summed next
+to the zeros that stand for the other scenes' entries.
 
 Every loss term runs in two stages. Its value stage does the gathers,
 clamps, maxima, logs and per-scene sums, and returns the value together
@@ -52,9 +52,8 @@ heads-sized gradient array, not two.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -62,73 +61,47 @@ from .scorenet import Scores, clamp_prob
 from .textgraph import LabelSet
 
 
-@dataclass(frozen=True)
 class Supervision:
-    """Caption labels of N scenes as validated index arrays, scene after scene.
+    """Caption labels of N scenes as two masks, and the index arrays of their cells.
 
-    Within a scene the classes ascend and the pairs are ordered by class
-    and then by (category, value). A pair's column indexes the model's
-    (m, V) attribute scores and its entry indexes classes; class_scenes
-    and pair_scenes give each class's and pair's scene, an index into the
-    scene axis of the scores. positive marks each scene's mentioned
-    classes, and divisor is their number (at least 1), which the MIL and
+    positive marks each scene's mentioned classes and pairs its (class,
+    attribute column) pairs. The constructor derives the rest once: the
+    classes, pair_classes and pair_columns, with class_scenes and
+    pair_scenes indexing the scores' scene axis, are the masks' cells scene
+    after scene, classes ascending and a class's pairs by attribute column;
+    divisor is each scene's class count (at least 1), which the MIL and
     coupled terms average over.
     """
 
-    num_classes: int
-    classes: np.ndarray  # (|O|,) mentioned classes, ascending within a scene
-    pair_classes: np.ndarray  # (P,)
-    pair_columns: np.ndarray  # (P,)
-    pair_entries: np.ndarray  # (P,) index into classes of each pair's class
-    positive: np.ndarray  # (N, C) bool
-    divisor: np.ndarray  # (N,)
-    class_scenes: np.ndarray  # (|O|,)
-    pair_scenes: np.ndarray  # (P,)
-
-    @staticmethod
-    def concat(sups: Sequence["Supervision"]) -> "Supervision":
-        """The supervision of sups' scenes one after another on the scene axis."""
-        entries = list(itertools.accumulate([sup.classes.size for sup in sups[:-1]], initial=0))
-        scenes = list(itertools.accumulate([len(sup.positive) for sup in sups[:-1]], initial=0))
-        return Supervision(
-            num_classes=sups[0].num_classes,
-            classes=np.concatenate([sup.classes for sup in sups]),
-            pair_classes=np.concatenate([sup.pair_classes for sup in sups]),
-            pair_columns=np.concatenate([sup.pair_columns for sup in sups]),
-            pair_entries=np.concatenate([sup.pair_entries + e for sup, e in zip(sups, entries)]),
-            positive=np.concatenate([sup.positive for sup in sups]),
-            divisor=np.concatenate([sup.divisor for sup in sups]),
-            class_scenes=np.concatenate([sup.class_scenes + n for sup, n in zip(sups, scenes)]),
-            pair_scenes=np.concatenate([sup.pair_scenes + n for sup, n in zip(sups, scenes)]),
-        )
+    def __init__(self, positive: np.ndarray, pairs: np.ndarray):
+        self.positive = positive  # (N, C) bool
+        self.pairs = pairs  # (N, C, V) bool
+        self.num_classes = positive.shape[-1]
+        self.class_scenes, self.classes = np.nonzero(positive)  # (|O|,) each
+        self.pair_scenes, self.pair_classes, self.pair_columns = np.nonzero(pairs)  # (P,) each
+        self.divisor = np.maximum(positive.sum(axis=-1), 1.0)  # (N,)
 
 
 def compile_supervision(
     labels: LabelSet, num_classes: int, value_columns: Mapping[tuple[str, str], int], pairs: bool = True
 ) -> Supervision:
-    """Sort, validate and index a scene's labels, as a one-scene Supervision; pairs=False keeps the classes only."""
+    """Validate a scene's labels into a one-scene Supervision; pairs=False keeps the classes only.
+
+    The pair mask has one column past the largest of value_columns.
+    """
     classes = sorted(labels.objects)
     for c in classes:
         if not 0 <= c < num_classes:
             raise ValueError(f"class index {c} out of range for {num_classes} classes")
-    keys = [(c, cat, val) for c in classes for cat, val in labels.pairs_for(c)] if pairs else []
-    for c, cat, val in keys:
-        if (cat, val) not in value_columns:
-            raise ValueError(f"class {c}: no attribute column for {cat!r} = {val!r}")
-    pair_classes = np.array([c for c, _, _ in keys], dtype=int)
     positive = np.zeros((1, num_classes), dtype=bool)
     positive[0, classes] = True
-    return Supervision(
-        num_classes=num_classes,
-        classes=np.array(classes, dtype=int),
-        pair_classes=pair_classes,
-        pair_columns=np.array([value_columns[cat, val] for _, cat, val in keys], dtype=int),
-        pair_entries=np.searchsorted(classes, pair_classes),
-        positive=positive,
-        divisor=np.array([max(1, len(classes))], dtype=float),
-        class_scenes=np.zeros(len(classes), dtype=int),
-        pair_scenes=np.zeros(len(keys), dtype=int),
-    )
+    mask = np.zeros((1, num_classes, max(value_columns.values(), default=-1) + 1), dtype=bool)
+    for c in classes if pairs else ():
+        for cat, val in labels.pairs_for(c):
+            if (cat, val) not in value_columns:
+                raise ValueError(f"class {c}: no attribute column for {cat!r} = {val!r}")
+            mask[0, c, value_columns[cat, val]] = True
+    return Supervision(positive, mask)
 
 
 def gather_entries(a: np.ndarray, scenes: np.ndarray, columns: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ the stacked code against.
 Scores are a one-scene batch (N = 1), and the loops read its scene. A
 head's supervision here is a dict: labels and weights (m,), seeds
 {class: (region, score)} and attrs, its coupled (region, class, column)
-assignments in pair order.
+assignments in pair order: by class, then by attribute column.
 """
 
 import numpy as np
@@ -41,7 +41,7 @@ def seed_and_assign(prev_scores, objects, near, num_classes):
 
 def attribute_assignments(head_index, prev_obj, prev_attr, labels, near, value_columns, object_seeds):
     """Coupled (region, class, column) assignments for one head; head_index is 1-based."""
-    pairs = [(c, value_columns[pair]) for c in sorted(labels.objects) for pair in labels.pairs_for(c)]
+    pairs = sorted((c, value_columns[pair]) for c in labels.objects for pair in labels.attribute_pairs.get(c, ()))
     if head_index == 1:
         return [(object_seeds[c][0], c, col) for c, col in pairs]
     out = []

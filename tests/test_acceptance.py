@@ -147,8 +147,6 @@ def test_criterion_3_formulation_invariants():
         batch = SceneBatch.pack([scene])
         near = overlap_masks(batch.boxes, rc.tau, batch.valid)
         pseudo = build_pseudo_labels(forward(params, batch), sup, near)
-        if pseudo is None:
-            continue
         for head_labels, head_seeds in zip(pseudo.labels[0], pseudo.seeds):
             for i, c in enumerate(head_labels):
                 if c >= num_classes:

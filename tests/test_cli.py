@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 import warnings
+from importlib import resources
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from capdet import cli, scorenet, synthbench, trainer
 from capdet.synthbench import SynthConfig
-from capdet.textgraph import default_registry, default_vocabulary
+from capdet.textgraph import Vocabulary, default_registry, default_vocabulary
 from capdet.trainer import NumericalError, TrainConfig
 from eval_reference import infer_scene
 
@@ -177,6 +178,37 @@ class TestParse:
         assert code == 2
         assert len(err.splitlines()) == 1
         assert f"{captions}: line 2: " in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, doc, message",
+        [
+            ("--vocab", {"classes": ["cat"], "synonyms": ["kitty"]}, "'synonyms' must map each word to a class name"),
+            ("--vocab", {"classes": "cat"}, "needs a 'classes' list of strings"),
+            ("--vocab", {"classes": ["glasses", "dog"]}, "matched by lemma, so 'glasses' would never match"),
+            ("--registry", {"categories": [{"name": "color", "values": ["red"]}], "aliases": ["big"]}, "'aliases' must map"),
+            ("--registry", {"categories": [{"name": "color", "values": "red"}]}, "{name, values}: a string and a list of strings"),
+            ("--registry", {"categories": [{"name": 7, "values": ["red"]}]}, "{name, values}: a string and a list of strings"),
+            ("--registry", {"categories": [{"name": "color", "values": ["red", "light blue"]}]}, "'light blue' is not one word"),
+            (
+                "--registry",
+                {"categories": [{"name": "color", "values": ["red"]}], "aliases": {"dark-red": ["color", "red"]}},
+                "attribute word 'dark-red' is not one word",
+            ),
+            ("--vocab", "[" * 100000, "maximum recursion depth exceeded"),
+        ],
+        ids=["synonym list", "class string", "class not a lemma", "alias list", "value string", "number category",
+             "two-word value", "hyphenated alias", "nested too deeply"],
+    )
+    def test_malformed_vocabulary_or_registry_exits_two_naming_it(self, flag, doc, message, tmp_path, capsys):
+        captions, path, out = tmp_path / "captions.jsonl", tmp_path / "file.json", tmp_path / "o"
+        captions.write_text('{"image_id": "a", "captions": ["a red cat"]}\n')
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        code = cli.main(["parse", "--captions", str(captions), "--out", str(out), flag, str(path)])
+        (err,) = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err.startswith(f"data error: bad {'vocabulary' if flag == '--vocab' else 'registry'} file {path}: ")
+        assert message in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -724,8 +756,9 @@ def config_mutation(draw, text):
 class TestEvalInputFuzz:
     """Mutated input files through cli.main: one clean exit each, never a success from non-finite numbers.
 
-    The readers fuzzed: the dataset and checkpoint (capdet eval), the caption
-    file (capdet parse) and the config file (capdet train --config).
+    The readers fuzzed: the dataset and checkpoint (capdet eval), the caption,
+    vocabulary and registry files (capdet parse) and the config file
+    (capdet train --config).
     """
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -777,6 +810,33 @@ class TestEvalInputFuzz:
         for record in labels:
             assert type(record["image_id"]) in (str, int)
             assert all(type(c) is int and 0 <= c < default_vocabulary().num_classes for c in record["objects"])
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_parse_vocabulary_and_registry_exit_cleanly(self, data_dir, tmp_path_factory, data):
+        work = tmp_path_factory.getbasetemp()
+        captions, out = work / "fuzz-captions.jsonl", work / "fuzz-labels.jsonl"
+        scenes = synthbench.load_dataset(data_dir / "train.jsonl")
+        captions.write_text("".join(json.dumps({"image_id": s.image_id, "captions": s.captions}) + "\n" for s in scenes))
+        files = {flag: (work / f"fuzz{flag}.json", resources.files("capdet.data").joinpath(name).read_text())
+                 for flag, name in (("--vocab", "vocab.json"), ("--registry", "registry.json"))}
+        mutated = data.draw(st.sampled_from(sorted(files)), label="file mutated")
+        args = ["parse", "--captions", str(captions), "--out", str(out)]
+        for flag, (path, text) in files.items():
+            # one line, so a line mutation mutates the whole document
+            text = json.dumps(json.loads(text)) + "\n"
+            path.write_text(data.draw(dataset_mutation(text)) if flag == mutated else text)
+            args += [flag, str(path)]
+        out.unlink(missing_ok=True)
+        code, err, caught = run_quietly(args)
+        if not exited_cleanly(code, err, caught, out):
+            return
+        # a success labelled only classes of the vocabulary it read
+        num_classes = Vocabulary.from_file(files["--vocab"][0]).num_classes
+        for line in out.read_text().splitlines():
+            record = json.loads(line)
+            assert all(type(c) is int and 0 <= c < num_classes for c in record["objects"])
+            assert all(type(c) is int and 0 <= c < num_classes for c, _, _ in record["attributes"])
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())

@@ -351,10 +351,13 @@ class TestBuildPseudoLabels:
             assert pseudo.seeds[1, c] == int(np.argmax(scores.objects[0, 0][:, c]))
             assert pseudo.seeds[2, c] == int(np.argmax(scores.objects[0, 1][:, c]))
 
-    def test_no_objects_gives_none_per_head(self):
+    def test_no_objects_gives_background_of_weight_zero(self):
         rng = np.random.default_rng(62)
         scores, boxes = make_inputs(rng)
-        assert build_pseudo_labels(scores, compiled(set()), near_for(boxes, 0.5)) is None
+        pseudo = build_pseudo_labels(scores, compiled(set()), near_for(boxes, 0.5))
+        assert pseudo.labels.tolist() == [[[2] * 6] * 3]
+        assert pseudo.weights.tolist() == [[[0.0] * 6] * 3]
+        assert pseudo.seeds.shape == (3, 0) and pseudo.heads.size == 0
 
     def test_attributes_disabled_leaves_attrs_empty(self):
         rng = np.random.default_rng(63)
@@ -432,10 +435,10 @@ class TestRefinementTerms:
         # the gradient covers the head columns only: no evidence gradient
         assert grad.shape == scores.heads.shape
 
-    def test_none_pseudo_contributes_zero(self):
+    def test_unmentioned_scene_contributes_zero(self):
         rng = np.random.default_rng(72)
-        scores, _ = make_inputs(rng)
-        values, grad = both_stages(scores, None)
+        scores, boxes = make_inputs(rng)
+        values, grad = both_stages(scores, build_pseudo_labels(scores, compiled(set()), near_for(boxes, 0.5)))
         assert values.tolist() == [[0.0, 0.0, 0.0]]
         assert not np.any(grad)
 
@@ -463,8 +466,9 @@ class TestMatchesReference:
         ref_values, ref_grad = reference.refinement_terms(scores, expected)
         assert np.array_equal(values, [ref_values])
         assert np.array_equal(grad, ref_grad)
-        if pseudo is None:
+        if not labels.objects:
             assert expected == [None] * scores.num_heads
+            assert (pseudo.labels == num_classes).all() and not pseudo.weights.any() and not pseudo.heads.size
             return
         assert np.array_equal(pseudo.labels, [[head["labels"] for head in expected]])
         assert np.array_equal(pseudo.weights, [[head["weights"] for head in expected]])

@@ -112,6 +112,15 @@ class TestVocabulary:
         with pytest.raises(ValueError, match="one or two words of the letters a-z"):
             Vocabulary(classes, synonyms)
 
+    @pytest.mark.parametrize(
+        "classes, synonyms",
+        [(("glasses", "dog"), {}), (("dog",), {"puppies": "dog"}), (("bus stops",), {}), (("people",), {})],
+    )
+    def test_name_that_is_not_its_own_lemma_rejected(self, classes, synonyms):
+        # captions are matched by lemma: "glasses" in a caption is looked up as "glass"
+        with pytest.raises(ValueError, match="matched by lemma"):
+            Vocabulary(classes, synonyms)
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "vocab.json"
         path.write_text(json.dumps({"classes": ["cat", "stop sign"], "synonyms": {"kitty": "cat"}}))
@@ -133,14 +142,12 @@ class TestAttributeRegistry:
         assert registry.lookup("fast") is None
 
     def test_duplicate_word_across_categories_rejected(self):
-        with pytest.raises(ValueError):
-            AttributeRegistry(
-                {"color": ("red",), "flavor": ("red",)},
-            )
+        with pytest.raises(ValueError, match="attribute word 'red' appears in two categories"):
+            AttributeRegistry([("color", ("red",)), ("flavor", ("red",))])
 
     def test_alias_to_unknown_value_rejected(self):
-        with pytest.raises(ValueError):
-            AttributeRegistry({"color": ("red",)}, {"scarlet": "blue"})
+        with pytest.raises(ValueError, match=r"alias 'scarlet' targets unknown value \('color', 'blue'\)"):
+            AttributeRegistry([("color", ("red",))], {"scarlet": ("color", "blue")})
 
 
 class TestParseCaption:

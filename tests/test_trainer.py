@@ -307,10 +307,15 @@ def random_scenes(rng, num_scenes, num_classes=3, num_heads=2, d=6, sizes=None):
     return params, scenes, sups, config
 
 
+def stacked(sups):
+    """The Supervision of sups' scenes one after another: their stacked masks, as train stacks and slices them."""
+    return Supervision(np.concatenate([sup.positive for sup in sups]), np.concatenate([sup.pairs for sup in sups]))
+
+
 def random_batch(rng, num_scenes, **kwargs):
-    """random_scenes packed into one padded batch, with their concatenated labels."""
+    """random_scenes packed into one padded batch, with their stacked labels."""
     params, scenes, sups, config = random_scenes(rng, num_scenes, **kwargs)
-    return params, SceneBatch.pack(scenes), Supervision.concat(sups), config
+    return params, SceneBatch.pack(scenes), stacked(sups), config
 
 
 class TestBatchedStep:
@@ -411,10 +416,9 @@ class TestBatchedStep:
         moved_report, moved_pseudo, moved_grad = step_with_mask(params, moved, sup, config)
         assert np.array_equal(report.l_total, moved_report.l_total)
         assert np.array_equal(grad, moved_grad)
-        if pseudo is not None:
-            assert np.array_equal(pseudo.labels, moved_pseudo.labels)
-            assert np.array_equal(pseudo.weights, moved_pseudo.weights)
-            assert not pseudo.weights[np.broadcast_to(padded[:, None], pseudo.weights.shape)].any()
+        assert np.array_equal(pseudo.labels, moved_pseudo.labels)
+        assert np.array_equal(pseudo.weights, moved_pseudo.weights)
+        assert not pseudo.weights[np.broadcast_to(padded[:, None], pseudo.weights.shape)].any()
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 9), min_size=1, max_size=4))
@@ -422,22 +426,18 @@ class TestBatchedStep:
         # one N-scene step against N one-scene steps: the same gradient bits, losses and pseudo-label rows
         rng = np.random.default_rng(seed)
         params, scenes, sups, config = random_scenes(rng, len(sizes), num_heads=int(rng.integers(1, 4)), sizes=sizes)
-        report, pseudo, grad = step_with_mask(params, SceneBatch.pack(scenes), Supervision.concat(sups), config)
+        report, pseudo, grad = step_with_mask(params, SceneBatch.pack(scenes), stacked(sups), config)
         lone = [step_with_mask(params, SceneBatch.pack([scene]), sup, config) for scene, sup in zip(scenes, sups)]
         total = lone[0][2]
         for _, _, g in lone[1:]:
             total = total + g
         assert grad.tobytes() == total.tobytes()
         np.testing.assert_allclose(report.l_total, [r.l_total[0] for r, _, _ in lone], rtol=1e-12, atol=0)
-        if pseudo is None:
-            assert all(p is None for _, p, _ in lone)
-            return
         for n, (sup, (_, own, _)) in enumerate(zip(sups, lone)):
             m = sizes[n]
-            if own is None:
+            if not sup.classes.size:
                 # a scene without a mention has no refinement supervision: every row weighs 0
-                assert not sup.classes.size and not pseudo.weights[n].any()
-                continue
+                assert not pseudo.weights[n].any() and not own.weights.any()
             assert np.array_equal(pseudo.labels[n, :, :m], own.labels[0, :, :m])
             assert np.array_equal(pseudo.weights[n, :, :m], own.weights[0, :, :m])
             assert not pseudo.weights[n, :, m:].any() and not own.weights[0, :, m:].any()
@@ -448,7 +448,7 @@ class TestBatchedStep:
 
 
 def pseudo_entries(sups, n):
-    """The positions of scene n's classes in the concatenation of sups."""
+    """The positions of scene n's classes in the stacked supervision of sups."""
     start = sum(sup.classes.size for sup in sups[:n])
     return np.arange(start, start + sups[n].classes.size)
 
@@ -513,16 +513,14 @@ class TestOverlapMasks:
         # captions without attributes, or the baseline: the skipped pair half would find nothing
         rng = np.random.default_rng(seed)
         params, batch, sup, config = random_batch(rng, num_scenes=int(rng.integers(1, 4)), num_heads=int(rng.integers(1, 4)))
-        none = np.zeros(0, dtype=int)
-        sup = dataclasses.replace(
-            sup, pair_classes=none, pair_columns=none, pair_entries=none, pair_scenes=none
-        )
+        sup = Supervision(sup.positive, np.zeros_like(sup.pairs))
         scores = forward(params, batch, attributes=False)
         near = oicr.overlap_masks(batch.boxes, config.tau, batch.valid)
         pseudo = oicr.build_pseudo_labels(scores, sup, near)
-        if pseudo is None:  # no scene of the batch mentions a class
-            return
-        unskipped = oicr.coupled_assignments(scores, sup, near, pseudo.seeds)
+        # every class's seeds, (K, N, C), as build_pseudo_labels hands them to coupled_assignments
+        seeds = np.zeros((config.num_heads, *sup.positive.shape), dtype=int)
+        seeds[:, sup.class_scenes, sup.classes] = pseudo.seeds
+        unskipped = oicr.coupled_assignments(scores, sup, near, seeds)
         for name, value in zip(("heads", "regions", "classes", "columns", "scenes"), unskipped):
             skipped = getattr(pseudo, name)
             assert (skipped.dtype, skipped.shape) == (value.dtype, value.shape), name

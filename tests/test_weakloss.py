@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -77,6 +77,25 @@ def separated_scores(draw, shape):
     return draw(arrays(np.int64, shape, elements=st.integers(1, 99), unique=True)) / 100.0
 
 
+def stacked(sups, picks=slice(None)):
+    """The Supervision of the scenes picks of sups' stacked masks, as a training step slices them."""
+    positive, pairs = np.concatenate([sup.positive for sup in sups]), np.concatenate([sup.pairs for sup in sups])
+    return Supervision(positive[picks], pairs[picks])
+
+
+def pair_class_entries(sup):
+    """Each pair's entry in sup.classes, the seed of its own scene's class: where the pair's head-1 label sits."""
+    cells = list(zip(sup.class_scenes.tolist(), sup.classes.tolist()))
+    return [cells.index(cell) for cell in zip(sup.pair_scenes.tolist(), sup.pair_classes.tolist())]
+
+
+@st.composite
+def scene_labels(draw, num_classes=4):
+    """One scene's labels over num_classes classes and PROPERTY_COLS; often no class at all."""
+    mentioned = draw(st.sets(st.integers(0, num_classes - 1)))
+    return labels_for(mentioned, {c: draw(st.sets(st.sampled_from(sorted(PROPERTY_COLS)), max_size=3)) for c in mentioned})
+
+
 class TestCompileSupervision:
     def test_arrays_ordered_by_class_then_pair(self):
         cols = columns_for({"color": ("red", "brown"), "size": ("small", "large")})
@@ -107,19 +126,38 @@ class TestCompileSupervision:
         silent = sup_for(set(), 3)
         assert silent.positive.shape == (1, 3) and silent.divisor.tolist() == [1.0]
 
-    def test_concat_offsets_scenes_and_entries(self):
+    def test_stacked_masks_offset_scenes_and_pairs(self):
         cols = columns_for({"color": ("red", "brown")})
         first = sup_for({0, 1}, 2, {1: {("color", "red")}}, cols)
-        batch = Supervision.concat([first, sup_for(set(), 2), sup_for({1}, 2, {1: {("color", "brown")}}, cols)])
+        scenes = [first, sup_for(set(), 2, cols=cols), sup_for({1}, 2, {1: {("color", "brown")}}, cols)]
+        batch = stacked(scenes)
         assert batch.classes.tolist() == [0, 1, 1]
         assert batch.class_scenes.tolist() == [0, 0, 2]
         assert batch.pair_scenes.tolist() == [0, 2]
-        assert batch.pair_entries.tolist() == [1, 2]
+        assert pair_class_entries(batch) == [1, 2]
         assert batch.positive.tolist() == [[True, True], [False, False], [False, True]]
         assert batch.divisor.tolist() == [2.0, 1.0, 1.0]
-        again = Supervision.concat([Supervision.concat([first, sup_for(set(), 2)]), batch])
+        again = stacked(scenes, picks=[0, 1, 0, 1, 2])
         assert again.class_scenes.tolist() == [0, 0, 2, 2, 4]
-        assert again.pair_entries.tolist() == [1, 3, 4]
+        assert pair_class_entries(again) == [1, 3, 4]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(scene_labels(), min_size=1, max_size=5))
+    @example([labels_for(set())])
+    @example([labels_for(set()), labels_for(set()), labels_for(set())])
+    def test_stacked_masks_equal_per_scene_entries_with_offsets(self, scenes):
+        batch = stacked([compile_supervision(labels, 4, PROPERTY_COLS) for labels in scenes])
+        # scene after scene; within a scene, classes ascend and a class's pairs by attribute column
+        classes = [(n, c) for n, labels in enumerate(scenes) for c in sorted(labels.objects)]
+        pairs = [
+            (n, *key)
+            for n, labels in enumerate(scenes)
+            for key in sorted((c, PROPERTY_COLS[pair]) for c in labels.objects for pair in labels.attribute_pairs[c])
+        ]
+        assert list(zip(batch.class_scenes.tolist(), batch.classes.tolist())) == classes
+        assert list(zip(batch.pair_scenes.tolist(), batch.pair_classes.tolist(), batch.pair_columns.tolist())) == pairs
+        assert batch.positive.tolist() == [[c in labels.objects for c in range(4)] for labels in scenes]
+        assert batch.divisor.tolist() == [max(1, len(labels.objects)) for labels in scenes]
 
     def test_bad_pair_is_one_value_error_naming_class_and_pair(self):
         cols = columns_for({"color": ("red",)})
