@@ -417,7 +417,7 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         header_line = f.readline()
         try:
             header = json.loads(header_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):  # too deeply nested is a RecursionError
             raise ValueError(f"{path}: corrupt checkpoint header") from None
         blob = f.read()
     if not isinstance(header, dict):

@@ -20,17 +20,22 @@ Scenes are deterministic in (master seed, scene index): each scene draws
 from its own stream, so generation order or parallelism cannot change
 the data. Serialization keeps nine significant digits; the in-memory
 scenes hold exactly the serialized values, so a generate/load round trip
-is an identity. A scene's proposal boxes and features are rounded in
-one vectorised pass each (round_sig_array), bit-identical to the scalar
-round_sig, which it falls back to near half-way points. A ground-truth
-box is a plain (x_min, y_min, x_max, y_max) tuple of floats, rounded
-with round_sig as it is drawn; loading checks it, like the proposal
-boxes, with geometry.check_boxes.
+is an identity. A scene's proposal boxes and features are rounded
+together in one vectorised pass (round_sig_array), bit-identical to the
+scalar round_sig, which it falls back to near half-way points. A stream's
+draws keep one fixed order; a box's four bounded values come from one
+rng.random(4) (numpy's uniform(low, high) is low + (high - low) * random())
+and a proposal's noise is drawn straight into its row, the same values a
+call per value would draw, so the dataset bytes are those of that loop
+(tests/synth_reference.py). A ground-truth box is a plain (x_min, y_min,
+x_max, y_max) tuple of floats, rounded with round_sig as it is drawn;
+loading checks it, like the proposal boxes, with geometry.check_boxes.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar, Iterable, Mapping, Sequence
@@ -304,10 +309,14 @@ def _sample_classes(rng: np.random.Generator, config: SynthConfig) -> list[str]:
 
 
 def _sample_gt_box(rng: np.random.Generator) -> tuple[float, float, float, float]:
-    w = float(rng.uniform(0.18, 0.38))
-    h = float(rng.uniform(0.18, 0.38))
-    x0 = float(rng.uniform(0.35 * w, 1.0 - 1.35 * w))
-    y0 = float(rng.uniform(0.35 * h, 1.0 - 1.35 * h))
+    # numpy's rng.uniform(low, high) is low + (high - low) * rng.random(), one draw
+    # each, so four draws at once give the same values in the same order
+    u = rng.random(4).tolist()
+    w = 0.18 + (0.38 - 0.18) * u[0]
+    h = 0.18 + (0.38 - 0.18) * u[1]
+    x_low, y_low = 0.35 * w, 0.35 * h
+    x0 = x_low + (1.0 - 1.35 * w - x_low) * u[2]
+    y0 = y_low + (1.0 - 1.35 * h - y_low) * u[3]
     return (x0, y0, x0 + w, y0 + h)
 
 
@@ -318,7 +327,7 @@ def _jitter_box(rng: np.random.Generator, gt: Sequence[float], target_iou: float
     h = y_max - y_min
     mode = int(rng.integers(3)) if target_iou >= 0.5 else 0
     if mode == 0:  # shift both axes equally
-        alpha = 1.0 - np.sqrt(2.0 * target_iou / (1.0 + target_iou))
+        alpha = 1.0 - math.sqrt(2.0 * target_iou / (1.0 + target_iou))
         dx = alpha * w * (1 if rng.random() < 0.5 else -1)
         dy = alpha * h * (1 if rng.random() < 0.5 else -1)
     else:  # shift one axis
@@ -395,8 +404,10 @@ def generate_scene(
     cooccurring = {name for name in present if config.partners.get(name) in present}
 
     gt: list[GroundTruth] = []
-    boxes: list[Sequence[float]] = []  # rounded in one pass below
-    features: list[np.ndarray] = []
+    boxes: list[Sequence[float]] = []
+    bases: list[np.ndarray] = []  # each object's feature center, then the background's
+    # row i holds proposal i's noise, drawn where the box is
+    noise = np.empty((len(objects) * config.jitters_per_gt + config.background_boxes, config.feature_dim))
     for name, c_idx, attrs in objects:
         # rounded now, not with the proposals: the jitters start from the box as written
         gt_box = tuple(round_sig(v) for v in _sample_gt_box(rng))
@@ -404,26 +415,29 @@ def generate_scene(
         base = universe.class_prototypes[c_idx].copy()
         for cat, val in attrs:
             base = base + universe.attribute_prototypes[(cat, val)]
+        bases.append(base)
         for j in range(config.jitters_per_gt):
-            target = float(rng.uniform(0.55, 0.85)) if j == 0 else float(rng.uniform(0.3, 0.9))
+            target = 0.55 + (0.85 - 0.55) * rng.random() if j == 0 else 0.3 + (0.9 - 0.3) * rng.random()
             boxes.append(_jitter_box(rng, gt_box, target))
-            noise = config.noise_sigma * rng.standard_normal(config.feature_dim)
-            features.append(base + noise)
+            rng.standard_normal(out=noise[len(boxes) - 1])
+    bases.append(universe.background_prototype)
     for _ in range(config.background_boxes):
-        w = float(rng.uniform(0.08, 0.25))
-        h = float(rng.uniform(0.08, 0.25))
-        x0 = float(rng.uniform(0.0, 1.0 - w))
-        y0 = float(rng.uniform(0.0, 1.0 - h))
+        u = rng.random(4).tolist()  # uniform(low, high) spelled out as in _sample_gt_box; here low is 0
+        w = 0.08 + (0.25 - 0.08) * u[0]
+        h = 0.08 + (0.25 - 0.08) * u[1]
+        x0 = (1.0 - w) * u[2]
+        y0 = (1.0 - h) * u[3]
         boxes.append((x0, y0, x0 + w, y0 + h))
-        noise = config.noise_sigma * rng.standard_normal(config.feature_dim)
-        features.append(universe.background_prototype + noise)
+        rng.standard_normal(out=noise[len(boxes) - 1])
+    repeats = [config.jitters_per_gt] * len(objects) + [config.background_boxes]
+    features = np.repeat(np.stack(bases), repeats, axis=0) + config.noise_sigma * noise
 
     facts = CaptionFacts()
     captions = _build_captions(rng, config, objects, cooccurring, facts)
-    proposals = RegionSet(
-        boxes=round_sig_array(np.asarray(boxes, dtype=float)),
-        features=round_sig_array(np.stack(features)),
-    )
+    # one rounding pass over [boxes | features]; the parts are copied out contiguous (views into the table raised
+    # the benchmark's peak memory)
+    table = round_sig_array(np.hstack([np.asarray(boxes, dtype=float), features]))
+    proposals = RegionSet(boxes=table[:, :4].copy(), features=table[:, 4:].copy())
     return SyntheticScene(image_id=image_id, gt=gt, proposals=proposals, captions=captions), facts
 
 
@@ -470,7 +484,7 @@ def write_dataset(path: str | Path, scenes: Iterable[SyntheticScene], universe: 
 def _checked_header(line: str, where: str) -> dict:
     try:
         header = json.loads(line)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # too deeply nested is a RecursionError
         raise DataError(f"{where}: bad header: {e}") from None
     if not isinstance(header, dict) or header.get("schema") != SCHEMA_NAME or header.get("version") != SCHEMA_VERSION:
         raise DataError(f"{where}: expected schema {SCHEMA_NAME!r} version {SCHEMA_VERSION}")
@@ -506,7 +520,7 @@ def read_dataset(path: str | Path) -> tuple[dict | None, list[SyntheticScene]]:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as e:
+            except (json.JSONDecodeError, RecursionError) as e:
                 raise DataError(f"{where}: truncated or corrupt record: {e}") from None
             try:
                 scene = SyntheticScene.from_record(record, len(header["class_names"]))

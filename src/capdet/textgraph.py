@@ -447,6 +447,6 @@ def load_labels(path: str | Path) -> list[tuple[int, object]]:
                 continue
             try:
                 records.append((lineno, json.loads(line)))
-            except json.JSONDecodeError as e:
+            except (json.JSONDecodeError, RecursionError) as e:  # too deeply nested is a RecursionError
                 raise ValueError(f"{path}: line {lineno}: not a JSON record: {e}") from None
     return records

@@ -552,6 +552,34 @@ class TestBadDatasetRecords:
         assert f"{bad}: line 2: feature_dim must be a positive integer, got 0" in err
 
 
+class TestDeeplyNestedJson:
+    """A line of 100,000 '[' makes json.loads raise RecursionError; every reader turns it into exit 2 and one line."""
+
+    NESTED = "[" * 100000
+
+    @pytest.mark.parametrize("reader", ["captions", "dataset header", "dataset record", "checkpoint header"])
+    def test_exit_two_naming_file_and_line(self, reader, data_dir, train_checkpoint, tmp_path, capsys):
+        bad, out = tmp_path / "bad", tmp_path / "out"
+        data, checkpoint = str(data_dir / "train.jsonl"), str(train_checkpoint)
+        if reader == "captions":
+            bad.write_text('{"image_id": "a", "captions": ["a cat"]}\n' + self.NESTED + "\n")
+            args, named = ["parse", "--captions", str(bad)], f"{bad}: line 2: not a JSON record: "
+        elif reader == "checkpoint header":
+            bad.write_bytes(scorenet.CHECKPOINT_MAGIC + self.NESTED.encode() + b"\n")
+            args, named = ["eval", "--data", data, "--checkpoint", str(bad)], f"{bad}: corrupt checkpoint header"
+        else:
+            line = 1 if reader == "dataset header" else 2
+            lines = (data_dir / "train.jsonl").read_text().splitlines()
+            lines[line - 1] = self.NESTED
+            bad.write_text("\n".join(lines) + "\n")
+            args, named = ["eval", "--data", str(bad), "--checkpoint", checkpoint], f"{bad}: line {line}: "
+        code = cli.main(args + ["--out", str(out)])
+        (err,) = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err.startswith("data error: ") and named in err
+        assert not out.exists()
+
+
 class TestNonFiniteNumbers:
     """No NaN or infinity reaches a checkpoint or a metrics file; each case is one stderr line."""
 

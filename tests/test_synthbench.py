@@ -5,7 +5,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import synth_reference as reference
 from capdet.geometry import iou_matrix
 from capdet.synthbench import (
     DataError,
@@ -19,6 +22,7 @@ from capdet.synthbench import (
     read_dataset,
     round_sig,
     round_sig_array,
+    write_dataset,
 )
 from capdet.textgraph import default_registry, extract_labels
 
@@ -269,6 +273,27 @@ class TestGenerateScene:
             # every recovered pair was actually stated
             assert recovered <= facts.mentioned_pairs
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        index=st.integers(0, 10**6),
+        feature_dim=st.integers(8, 64),
+        noise_sigma=st.one_of(st.sampled_from([0.0, 1000.0]), st.floats(0.0, 1000.0)),
+        attr_mention_prob=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        cooccur_prob=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    )
+    def test_matches_loop_reference(self, registry, seed, index, feature_dim, noise_sigma, attr_mention_prob, cooccur_prob):
+        # captions are drawn last, so equal captions show the stream stayed aligned through every box and feature
+        config = SynthConfig(feature_dim, noise_sigma, attr_mention_prob, cooccur_prob)
+        universe = make_universe(config, registry, seed=0)
+        scene, facts = generate_scene(universe, "s", [seed, 2, index])
+        ref, ref_facts = reference.generate_scene(universe, "s", [seed, 2, index])
+        assert scene.to_record() == ref.to_record()
+        assert facts == ref_facts
+        for out, want in ((scene.proposals.boxes, ref.proposals.boxes), (scene.proposals.features, ref.proposals.features)):
+            assert out.shape == want.shape and out.tobytes() == want.tobytes()
+            assert out.flags.c_contiguous and out.base is None  # each owns its memory, not a view of one table
+
     def test_features_near_prototype_sum(self, universe):
         cfg = universe.config
         scene, _ = generate_scene(universe, "s0", [9, 0, 0])
@@ -310,6 +335,13 @@ class TestDatasetIO:
         gen_dataset(universe, 20, [0, 2], path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "27621102b06c97a745398c5a9b25ede71fadb71838db13790fbde8b22a1ad889"
+
+    def test_seed0_test_split_bytes_pinned(self, universe, tmp_path):
+        # the whole seed-0 test split, as the benchmark's data_eval workload writes it
+        path = tmp_path / "test.jsonl"
+        write_dataset(path, gen_dataset(universe, 500, [0, 2], id_prefix="test"), universe)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "a056d2aba8254d58a06ba6867721b54c909bdecc16c16dbcae8ae2ee489f91ae"
 
     def test_header_contents(self, universe, tmp_path):
         path = tmp_path / "data.jsonl"
@@ -383,3 +415,50 @@ class TestBenchmarkVocabulary:
         vocab = benchmark_vocabulary(universe.class_names)
         assert vocab.class_names == universe.class_names
         assert vocab.match_phrase(("apple",)) == 0
+
+
+def _same_draws(rng, state, got, want, what):
+    """got and want came from the same generator state; both values and the state afterwards must agree."""
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f"{what}: values differ"
+    assert rng.bit_generator.state == state, f"{what}: the generator state afterwards differs"
+
+
+class TestNumpyStreamEquivalences:
+    """The identities generate_scene relies on to make numpy's draws in fewer calls.
+
+    If a numpy upgrade breaks one, the dataset bytes change; these name which.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**63), lo=st.floats(-1e3, 1e3), width=st.floats(0.0, 1e3))
+    def test_uniform_is_low_plus_range_times_random(self, seed, lo, width):
+        hi = lo + width
+        rng = np.random.default_rng(seed)
+        want = rng.uniform(lo, hi)
+        state = rng.bit_generator.state
+        rng = np.random.default_rng(seed)
+        got = lo + (hi - lo) * rng.random()
+        _same_draws(rng, state, got, want, "rng.uniform(lo, hi) == lo + (hi - lo) * rng.random()")
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**63), skip=st.integers(0, 3))
+    def test_random_four_is_four_scalar_draws(self, seed, skip):
+        rng = np.random.default_rng(seed)
+        rng.random(skip)
+        want = [rng.random() for _ in range(4)]
+        state = rng.bit_generator.state
+        rng = np.random.default_rng(seed)
+        rng.random(skip)
+        _same_draws(rng, state, rng.random(4), want, "rng.random(4) == four rng.random() calls")
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**63), d=st.integers(1, 80), row=st.integers(0, 3))
+    def test_standard_normal_into_a_row_is_a_fresh_draw(self, seed, d, row):
+        rng = np.random.default_rng(seed)
+        want = rng.standard_normal(d)
+        state = rng.bit_generator.state
+        rng = np.random.default_rng(seed)
+        table = np.zeros((4, d))
+        rng.standard_normal(out=table[row])
+        _same_draws(rng, state, table[row], want, "rng.standard_normal(out=row) == rng.standard_normal(d)")
+        assert not np.delete(table, row, axis=0).any()
