@@ -29,8 +29,6 @@ from .textgraph import (
     default_registry,
     default_vocabulary,
     extract_labels,
-    load_labels,
-    save_labels,
 )
 from .trainer import NumericalError, TrainConfig
 
@@ -51,11 +49,7 @@ class _Parser(argparse.ArgumentParser):
 
 def read_config_file(path: str | Path) -> dict[str, str]:
     values: dict[str, str] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise DataError(f"cannot read config file {path}: {e}") from None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in synthbench.read_lines(path):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -126,13 +120,9 @@ def cmd_parse(args: argparse.Namespace) -> int:
     vocab, registry = _load_vocab_registry(args)
     if vocab is None:
         vocab = default_vocabulary()
-    try:
-        records = load_labels(args.captions)
-    except (OSError, ValueError) as e:
-        raise DataError(str(e)) from None
     stats = ParseStats()
     out_records = []
-    for lineno, record in records:
+    for lineno, record in synthbench.read_jsonl(args.captions):
         if not isinstance(record, dict) or "image_id" not in record or "captions" not in record:
             raise DataError(f"{args.captions}: line {lineno}: needs to be an object with image_id and captions")
         # the id is echoed into the label record, so it must be one JSON can carry back
@@ -143,7 +133,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
         except ValueError as e:
             raise DataError(f"{args.captions}: line {lineno}: {e}") from None
         out_records.append(labels.to_record(record["image_id"]))
-    save_labels(args.out, out_records)
+    synthbench.write_jsonl(args.out, out_records)
     print(
         f"parsed {len(out_records)} caption sets -> {args.out} "
         f"({stats.unknown_modifiers} unknown adjectives dropped)"
@@ -153,10 +143,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 def _load_scenes(path: str) -> tuple[dict, list[synthbench.SyntheticScene]]:
     """The dataset's header and scenes, read once."""
-    try:
-        header, scenes = synthbench.read_dataset(path)
-    except OSError as e:
-        raise DataError(f"cannot read dataset {path}: {e}") from None
+    header, scenes = synthbench.read_dataset(path)
     if not scenes:
         raise DataError(f"dataset {path} is empty")
     return header, scenes

@@ -34,11 +34,12 @@ loading checks it, like the proposal boxes, with geometry.check_boxes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import ClassVar, Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from .textgraph import AttributeRegistry, Vocabulary, check_captions
 
 
 class DataError(ValueError):
-    """A dataset or label file is malformed or does not match its schema."""
+    """An input file is malformed or does not match its schema."""
 
 
 SCHEMA_NAME = "capdet-synth"
@@ -85,11 +86,11 @@ def round_sig_array(arr: np.ndarray) -> np.ndarray:
         k = 8.0 - np.floor(np.log10(np.abs(flat)))
         fast = np.abs(k) <= 22
         k = np.where(fast, k, 0.0).astype(np.int64)
-        scale = _POW10[np.abs(k)]
-        up = k >= 0
-        t = np.where(up, flat * scale, flat / scale)
+        # one of the two is 1.0, and multiplying or dividing by 1.0 is exact
+        up, down = _POW10[np.maximum(k, 0)], _POW10[np.maximum(-k, 0)]
+        t = flat * up / down
         n = np.rint(t)
-        out = np.where(up, n / scale, n * scale)
+        out = n / up * down
         fast &= (np.abs(t) >= 1e8) & (np.abs(t) < 1e9) & (np.abs(np.abs(t - n) - 0.5) > 1e-6)
     for i in np.flatnonzero(~fast):
         out[i] = round_sig(float(flat[i]))
@@ -474,18 +475,52 @@ def dataset_header(universe: Universe) -> dict:
     }
 
 
-def write_dataset(path: str | Path, scenes: Iterable[SyntheticScene], universe: Universe) -> None:
+def write_jsonl(path: str | Path, records: Iterable[object]) -> None:
+    """Write each record as one sort_keys JSON line."""
     with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(dataset_header(universe), sort_keys=True) + "\n")
-        for scene in scenes:
-            f.write(json.dumps(scene.to_record(), sort_keys=True) + "\n")
+        for record in records:
+            f.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _checked_header(line: str, where: str) -> dict:
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, text) for each non-blank line of a UTF-8 file, one line at a time.
+
+    Lines are split and numbered as text mode splits them, blank ones
+    counted too. Each line is decoded on its own, so an undecodable byte is
+    a DataError naming its line; a strict text-mode read decodes in chunks
+    and cannot say which line failed. A file that cannot be opened is a
+    DataError naming it.
+    """
     try:
-        header = json.loads(line)
-    except (json.JSONDecodeError, RecursionError) as e:  # too deeply nested is a RecursionError
-        raise DataError(f"{where}: bad header: {e}") from None
+        f = open(path, encoding="utf-8", errors="surrogateescape")
+    except OSError as e:
+        raise DataError(f"cannot read {path}: {e.strerror or e}") from None
+    with f:
+        for lineno, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise DataError(f"{path}: line {lineno}: not UTF-8: {e}") from None
+            yield lineno, line
+
+
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
+    """(line number, JSON value) for each non-blank line of path (see read_lines)."""
+    for lineno, line in read_lines(path):
+        try:
+            value = json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as e:  # too deeply nested is a RecursionError
+            raise DataError(f"{path}: line {lineno}: not a JSON record: {e}") from None
+        yield lineno, value
+
+
+def write_dataset(path: str | Path, scenes: Iterable[SyntheticScene], universe: Universe) -> None:
+    write_jsonl(path, itertools.chain([dataset_header(universe)], (scene.to_record() for scene in scenes)))
+
+
+def _checked_header(header: object, where: str) -> dict:
     if not isinstance(header, dict) or header.get("schema") != SCHEMA_NAME or header.get("version") != SCHEMA_VERSION:
         raise DataError(f"{where}: expected schema {SCHEMA_NAME!r} version {SCHEMA_VERSION}")
     feature_dim, names = header.get("feature_dim"), header.get("class_names")
@@ -510,28 +545,19 @@ def read_dataset(path: str | Path) -> tuple[dict | None, list[SyntheticScene]]:
     """
     header: dict | None = None
     scenes: list[SyntheticScene] = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}: line {lineno}"
-            if header is None:
-                header = _checked_header(line, where)
-                continue
-            try:
-                record = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as e:
-                raise DataError(f"{where}: truncated or corrupt record: {e}") from None
-            try:
-                scene = SyntheticScene.from_record(record, len(header["class_names"]))
-            except (KeyError, TypeError, ValueError) as e:
-                raise DataError(f"{where}: bad scene record: {e}") from None
-            width = scene.proposals.features.shape[1]
-            if width != header["feature_dim"]:
-                raise DataError(
-                    f"{where}: feature width {width} does not match header feature_dim {header['feature_dim']}"
-                )
-            scenes.append(scene)
+    for lineno, record in read_jsonl(path):
+        where = f"{path}: line {lineno}"
+        if header is None:
+            header = _checked_header(record, where)
+            continue
+        try:
+            scene = SyntheticScene.from_record(record, len(header["class_names"]))
+        except (KeyError, TypeError, ValueError) as e:
+            raise DataError(f"{where}: bad scene record: {e}") from None
+        width = scene.proposals.features.shape[1]
+        if width != header["feature_dim"]:
+            raise DataError(f"{where}: feature width {width} does not match header feature_dim {header['feature_dim']}")
+        scenes.append(scene)
     return header, scenes
 
 

@@ -430,23 +430,3 @@ def extract_labels(
             claimed.add((c, cat))
             labels.attribute_pairs.setdefault(c, set()).add((cat, val))
     return labels
-
-
-def save_labels(path: str | Path, records: Iterable[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for record in records:
-            f.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-def load_labels(path: str | Path) -> list[tuple[int, object]]:
-    """(line number, record) for every non-blank line of a JSON-lines file, counting every line."""
-    records = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append((lineno, json.loads(line)))
-            except (json.JSONDecodeError, RecursionError) as e:  # too deeply nested is a RecursionError
-                raise ValueError(f"{path}: line {lineno}: not a JSON record: {e}") from None
-    return records

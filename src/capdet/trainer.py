@@ -120,7 +120,12 @@ class TrainConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         # a string, as a config file gives every value, takes its field's type: int, float or str
-        coerced = {key: known[key](raw) if isinstance(raw, str) else raw for key, raw in values.items()}
+        coerced = {}
+        for key, raw in values.items():
+            try:
+                coerced[key] = known[key](raw) if isinstance(raw, str) else raw
+            except ValueError as e:
+                raise ValueError(f"config value for {key}: {e}") from None
         if "loss_mode" in coerced and "lambda2" not in coerced and coerced["loss_mode"] == "em":
             coerced["lambda2"] = 0.0
         if "lambda2" in coerced and "loss_mode" not in coerced and float(coerced["lambda2"]) == 0.0:

@@ -552,31 +552,46 @@ class TestBadDatasetRecords:
         assert f"{bad}: line 2: feature_dim must be a positive integer, got 0" in err
 
 
+READERS = ["captions", "dataset header", "dataset record", "train dataset record", "train config", "checkpoint header"]
+
+
 class TestDeeplyNestedJson:
-    """A line of 100,000 '[' makes json.loads raise RecursionError; every reader turns it into exit 2 and one line."""
+    """A line of 100,000 '[' (json.loads raises RecursionError) or a line holding a 0xff byte (not UTF-8) in any
+    file capdet reads: exit 2 and one line naming the file, and the line of a line-delimited file."""
 
-    NESTED = "[" * 100000
+    BAD_LINES = {"nested": b"[" * 100000, "0xff": b'{"image_id": "a\xff", "captions": ["a cat"]}'}
 
-    @pytest.mark.parametrize("reader", ["captions", "dataset header", "dataset record", "checkpoint header"])
-    def test_exit_two_naming_file_and_line(self, reader, data_dir, train_checkpoint, tmp_path, capsys):
-        bad, out = tmp_path / "bad", tmp_path / "out"
+    @pytest.mark.parametrize(
+        "reader, kind",
+        [pytest.param(r, "nested", id=r) for r in READERS]
+        + [pytest.param(r, "0xff", id=f"{r}, 0xff") for r in READERS],
+    )
+    def test_exit_two_naming_file_and_line(self, reader, kind, data_dir, train_checkpoint, tmp_path, capsys):
+        bad, out, line = tmp_path / "bad", tmp_path / "out", self.BAD_LINES[kind]
         data, checkpoint = str(data_dir / "train.jsonl"), str(train_checkpoint)
-        if reader == "captions":
-            bad.write_text('{"image_id": "a", "captions": ["a cat"]}\n' + self.NESTED + "\n")
-            args, named = ["parse", "--captions", str(bad)], f"{bad}: line 2: not a JSON record: "
-        elif reader == "checkpoint header":
-            bad.write_bytes(scorenet.CHECKPOINT_MAGIC + self.NESTED.encode() + b"\n")
+        if reader == "checkpoint header":
+            bad.write_bytes(scorenet.CHECKPOINT_MAGIC + line + b"\n")
             args, named = ["eval", "--data", data, "--checkpoint", str(bad)], f"{bad}: corrupt checkpoint header"
         else:
-            line = 1 if reader == "dataset header" else 2
-            lines = (data_dir / "train.jsonl").read_text().splitlines()
-            lines[line - 1] = self.NESTED
-            bad.write_text("\n".join(lines) + "\n")
-            args, named = ["eval", "--data", str(bad), "--checkpoint", checkpoint], f"{bad}: line {line}: "
+            lines = {
+                "captions": [b'{"image_id": "a", "captions": ["a cat"]}', b""],
+                "train config": [b"steps = 1", b""],
+            }.get(reader) or (data_dir / "train.jsonl").read_bytes().splitlines()
+            lineno = 1 if reader == "dataset header" else 2
+            lines[lineno - 1] = line
+            bad.write_bytes(b"\n".join(lines) + b"\n")
+            named = f"{bad}: line {lineno}: "
+            if kind == "0xff":
+                named += "not UTF-8: 'utf-8' codec can't decode byte 0xff"
+            args = {
+                "captions": ["parse", "--captions", str(bad)],
+                "train dataset record": ["train", "--data", str(bad), "--steps", "1"],
+                "train config": ["train", "--data", data, "--config", str(bad)],
+            }.get(reader, ["eval", "--data", str(bad), "--checkpoint", checkpoint])
         code = cli.main(args + ["--out", str(out)])
         (err,) = capsys.readouterr().err.splitlines()
         assert code == 2
-        assert err.startswith("data error: ") and named in err
+        assert err.startswith(f"data error: {named}")
         assert not out.exists()
 
 
@@ -696,18 +711,37 @@ def json_mutation(draw, doc):
 
 
 @st.composite
+def byte_mutation(draw, text):
+    """text's UTF-8 bytes with one byte overwritten by a value in 0x80-0xff, which ASCII text cannot decode around."""
+    blob = bytearray(text.encode())
+    blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0x80, 0xFF))
+    return bytes(blob)
+
+
+def is_utf8(blob):
+    try:
+        blob.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+@st.composite
 def dataset_mutation(draw, text):
+    """The bytes of a line-delimited text truncated, given blank lines, with one line mutated or one byte overwritten."""
     lines = text.splitlines(keepends=True)
-    kind = draw(st.sampled_from(["truncate", "json", "blank lines"]))
+    kind = draw(st.sampled_from(["truncate", "json", "blank lines", "byte"]))
     if kind == "truncate":
-        return text[: draw(st.integers(0, len(text) - 1))]
+        return text[: draw(st.integers(0, len(text) - 1))].encode()
+    if kind == "byte":
+        return draw(byte_mutation(text))
     if kind == "blank lines":
         for _ in range(draw(st.integers(1, 3))):
             lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["\n", "  \n", "\t\n"])))
-        return "".join(lines)
+        return "".join(lines).encode()
     k = draw(st.integers(0, len(lines) - 1))
     lines[k] = json.dumps(draw(json_mutation(json.loads(lines[k])))) + "\n"
-    return "".join(lines)
+    return "".join(lines).encode()
 
 
 @st.composite
@@ -750,13 +784,16 @@ def run_quietly(args):
     return code, err.getvalue().splitlines(), caught
 
 
-def exited_cleanly(code, err, caught, out):
-    """Whether cli.main succeeded; either way it warned nothing, and a failure wrote one line and no output file."""
+def exited_cleanly(code, err, caught, out, data_error=False):
+    """Whether cli.main succeeded; either way it warned nothing, and a failure wrote one line and no output file.
+
+    With data_error, only exit 2 and a data error line are clean.
+    """
     assert caught == []
-    assert code in (0, 1, 2, 3)
+    assert code in ((2,) if data_error else (0, 1, 2, 3))
     if code != 0:
         (line,) = err
-        assert line.startswith(("usage error: ", "data error: ", "numerical failure: "))
+        assert line.startswith(("data error: ",) if data_error else ("usage error: ", "data error: ", "numerical failure: "))
         assert not out.exists()
         return False
     assert err == []
@@ -765,20 +802,23 @@ def exited_cleanly(code, err, caught, out):
 
 @st.composite
 def config_mutation(draw, text):
-    """A key = value config text truncated, given blank lines, or with one entry mutated as json_mutation does."""
-    kind = draw(st.sampled_from(["truncate", "entry", "blank lines"]))
+    """The bytes of a key = value config text truncated, given blank lines, with one entry mutated as json_mutation
+    does, or with one byte overwritten."""
+    kind = draw(st.sampled_from(["truncate", "entry", "blank lines", "byte"]))
     if kind == "truncate":
-        return text[: draw(st.integers(0, len(text) - 1))]
+        return text[: draw(st.integers(0, len(text) - 1))].encode()
+    if kind == "byte":
+        return draw(byte_mutation(text))
     lines = text.splitlines(keepends=True)
     if kind == "blank lines":
         for _ in range(draw(st.integers(1, 3))):
             lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["\n", "  \n", "\t\n"])))
-        return "".join(lines)
+        return "".join(lines).encode()
     values = {}
     for line in lines:
         key, value = (part.strip() for part in line.split("#")[0].split("="))
         values[key] = json.loads(value) if value[0].isdigit() else value
-    return "".join(f"{key} = {value}\n" for key, value in draw(json_mutation(values)).items())
+    return "".join(f"{key} = {value}\n" for key, value in draw(json_mutation(values)).items()).encode()
 
 
 class TestEvalInputFuzz:
@@ -794,17 +834,18 @@ class TestEvalInputFuzz:
     def test_eval_exits_cleanly(self, eval_inputs, data):
         text, blob, work = eval_inputs
         data_path, ckpt_path, out = work / "data.jsonl", work / "m.ckpt", work / "metrics.json"
+        dataset = text.encode()
         if data.draw(st.booleans(), label="mutate the checkpoint"):
             blob = data.draw(checkpoint_mutation(blob))
         else:
-            text = data.draw(dataset_mutation(text))
-        data_path.write_text(text)
+            dataset = data.draw(dataset_mutation(text))
+        data_path.write_bytes(dataset)
         ckpt_path.write_bytes(blob)
         out.unlink(missing_ok=True)
         code, err, caught = run_quietly(
             ["eval", "--data", str(data_path), "--checkpoint", str(ckpt_path), "--out", str(out)]
         )
-        if not exited_cleanly(code, err, caught, out):
+        if not exited_cleanly(code, err, caught, out, data_error=not is_utf8(dataset)):
             return
         # a success read finite scores on every scene, and wrote finite metrics
         params = scorenet.load_checkpoint(ckpt_path)
@@ -823,10 +864,11 @@ class TestEvalInputFuzz:
         captions, out = work / "fuzz-captions.jsonl", work / "fuzz-labels.jsonl"
         scenes = synthbench.load_dataset(data_dir / "train.jsonl")
         text = "".join(json.dumps({"image_id": s.image_id, "captions": s.captions}) + "\n" for s in scenes)
-        captions.write_text(data.draw(dataset_mutation(text)))
+        mutated = data.draw(dataset_mutation(text))
+        captions.write_bytes(mutated)
         out.unlink(missing_ok=True)
         code, err, caught = run_quietly(["parse", "--captions", str(captions), "--out", str(out)])
-        if not exited_cleanly(code, err, caught, out):
+        if not exited_cleanly(code, err, caught, out, data_error=not is_utf8(mutated)):
             return
         # a success wrote one strict-JSON label record per caption record
         records = [line for line in captions.read_text().splitlines() if line.strip()]
@@ -853,11 +895,11 @@ class TestEvalInputFuzz:
         for flag, (path, text) in files.items():
             # one line, so a line mutation mutates the whole document
             text = json.dumps(json.loads(text)) + "\n"
-            path.write_text(data.draw(dataset_mutation(text)) if flag == mutated else text)
+            path.write_bytes(data.draw(dataset_mutation(text)) if flag == mutated else text.encode())
             args += [flag, str(path)]
         out.unlink(missing_ok=True)
         code, err, caught = run_quietly(args)
-        if not exited_cleanly(code, err, caught, out):
+        if not exited_cleanly(code, err, caught, out, data_error=not is_utf8(files[mutated][0].read_bytes())):
             return
         # a success labelled only classes of the vocabulary it read
         num_classes = Vocabulary.from_file(files["--vocab"][0]).num_classes
@@ -872,12 +914,13 @@ class TestEvalInputFuzz:
         work = tmp_path_factory.getbasetemp()
         config, out = work / "fuzz.cfg", work / "fuzz.ckpt"
         text = "steps = 3\nbatch_size = 2\nlearning_rate = 0.02  # aggressive\nlambda1 = 0.5\ntau = 0.5\nloss_mode = em+sg\n"
-        config.write_text(data.draw(config_mutation(text)))
+        mutated = data.draw(config_mutation(text))
+        config.write_bytes(mutated)
         out.unlink(missing_ok=True)
         code, err, caught = run_quietly(
             ["train", "--data", str(data_dir / "train.jsonl"), "--config", str(config), "--out", str(out)]
         )
-        if not exited_cleanly(code, err, caught, out):
+        if not exited_cleanly(code, err, caught, out, data_error=not is_utf8(mutated)):
             return
         assert np.isfinite(scorenet.load_checkpoint(out).flat).all()
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capdet.synthbench import DataError, read_jsonl, write_jsonl
 from capdet.textgraph import (
     AttributeRegistry,
     LabelSet,
@@ -13,9 +14,7 @@ from capdet.textgraph import (
     default_vocabulary,
     extract_labels,
     lemmatize,
-    load_labels,
     parse_scene_graph,
-    save_labels,
     tokenize,
 )
 
@@ -311,8 +310,8 @@ class TestLabelSerialization:
             ("img1", extract_labels(["the stop sign is red"], vocab, registry)),
         ]
         path = tmp_path / "labels.jsonl"
-        save_labels(path, [ls.to_record(img) for img, ls in sets])
-        loaded = load_labels(path)
+        write_jsonl(path, [ls.to_record(img) for img, ls in sets])
+        loaded = list(read_jsonl(path))
         assert [(lineno, r["image_id"]) for lineno, r in loaded] == [(1, "img0"), (2, "img1")]
         for (_, a), (_, record) in zip(sets, loaded):
             b = label_set_from_record(record)
@@ -322,8 +321,9 @@ class TestLabelSerialization:
     def test_corrupt_line_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"image_id": "a", "objects": [0], "attributes": {}}\nnot json\n')
-        with pytest.raises(ValueError, match="line 2"):
-            load_labels(path)
+        with pytest.raises(DataError) as info:
+            list(read_jsonl(path))
+        assert str(info.value).startswith(f"{path}: line 2: not a JSON record: ")
 
 
 class TestLabelSet:

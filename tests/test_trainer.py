@@ -108,6 +108,10 @@ class TestTrainConfig:
         assert cfg.learning_rate == 0.02
         assert cfg.loss_mode == "em+sg"
 
+    def test_from_mapping_bad_string_names_its_key(self):
+        with pytest.raises(ValueError, match=r"^config value for steps: invalid literal for int\(\)"):
+            TrainConfig.from_mapping({"steps": "abc"})
+
     def test_from_mapping_unknown_key(self):
         with pytest.raises(ValueError, match="unknown config key"):
             TrainConfig.from_mapping({"momentum": "0.9"})
