@@ -43,7 +43,7 @@ from . import oicr, scorenet, weakloss
 from .oicr import PseudoLabels
 from .scorenet import ModelParams
 from .textgraph import LabelSet
-from .trainer import SceneBatch, TrainConfig, batch_step, compile_labels
+from .trainer import SceneBatch, TrainConfig, batch_step
 from .weakloss import Supervision
 
 
@@ -107,7 +107,7 @@ def composed_loss(
     """The composed loss (..., N) of logits z (..., N, m, P) with frozen refinement supervision: value stages only."""
     # supervision without pairs reads no attribute score, so, as in a training step, none is computed
     scores = scorenet.head_scores(params, z, valid, attributes=sup.pair_classes.size > 0)
-    values, _ = oicr.refinement_terms(scores, pseudo)
+    values, _ = oicr.refinement_terms(scores, sup, pseudo)
     report, _ = weakloss.total_loss(scores, sup, config.lambda1, config.lambda2, values)
     return report.l_total
 
@@ -149,7 +149,7 @@ def check_once(
     Coordinates are numbered in checkpoint order; params is left as it
     was. A NaN error is the worst, the first of several wins.
     """
-    sup = compile_labels(labels, params, config)
+    sup = weakloss.compile_supervision([labels], params.num_classes, params.value_columns, pairs=config.attributes_enabled)
     near = oicr.overlap_masks(batch.boxes, config.tau, batch.valid)
     _, pseudo, analytic = batch_step(params, batch, sup, near, config)
     size = params.flat.size

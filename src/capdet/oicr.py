@@ -57,20 +57,15 @@ from .weakloss import Supervision, best_regions, gather_entries, slice_index
 class PseudoLabels:
     """Every head's frozen supervision over a padded batch of scenes.
 
-    A coupled assignment (scene, head, region, class, column) asks the
-    head to explain the class and the attribute column at the scene's
-    region; they are ordered by head, then by pair, then by region, and a
-    head's pairs run scene after scene.
+    coupled[k, i, r], OICR's region labels for pairs, asks head k to
+    explain the class and attribute column of the supervision's pair i
+    (sup.pair_classes[i], sup.pair_columns[i]) at region r of its scene.
     """
 
     labels: np.ndarray  # (N, K, M) class index, background = num_classes
     weights: np.ndarray  # (N, K, M), 0 at padded rows and in scenes without a mention
     seeds: np.ndarray  # (K, |O|) seed region of each mentioned class
-    heads: np.ndarray  # (n,) per coupled assignment: its head,
-    regions: np.ndarray  # region,
-    classes: np.ndarray  # class,
-    columns: np.ndarray  # attribute column
-    scenes: np.ndarray  # and scene
+    coupled: np.ndarray  # (K, P, M) bool
 
 
 def initial_scores(per_region: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -116,35 +111,26 @@ def build_pseudo_labels(scores: Scores, sup: Supervision, near: np.ndarray) -> P
         coupled = coupled_assignments(scores, sup, near, seeds)
     else:
         # no pair to seed: every baseline step, and any batch whose captions name no attribute
-        coupled = (np.zeros(0, dtype=int),) * 5
-    return PseudoLabels(labels.swapaxes(0, 1), weights.swapaxes(0, 1), seeds[:, sup.class_scenes, sup.classes], *coupled)
+        coupled = np.zeros((len(seeds), 0, valid.shape[-1]), dtype=bool)
+    return PseudoLabels(labels.swapaxes(0, 1), weights.swapaxes(0, 1), seeds[:, sup.class_scenes, sup.classes], coupled)
 
 
-def coupled_assignments(
-    scores: Scores, sup: Supervision, near: np.ndarray, seeds: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """PseudoLabels' heads, regions, classes, columns and scenes, given every class's (K, N, C) seeds.
+def coupled_assignments(scores: Scores, sup: Supervision, near: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """PseudoLabels.coupled, (K, P, M), given every class's (K, N, C) seeds.
 
     Head 1 labels each pair at its class's evidence seed; later heads seed
     each pair at the previous head's best product and spread it by overlap.
     """
-    pair_classes, pair_columns, pair_scenes = sup.pair_classes, sup.pair_columns, sup.pair_scenes
     # (K - 1, N, m, ·): the previous heads' scores, head axis first
     objects, attributes = scores.objects[:, :-1].swapaxes(0, 1), scores.attributes[:, :-1].swapaxes(0, 1)
-    product = gather_entries(objects, pair_scenes, pair_classes) * gather_entries(attributes, pair_scenes, pair_columns)
-    pair_seeds = best_regions(product, pair_scenes, scores.valid)
+    scenes = sup.pair_scenes
+    product = gather_entries(objects, scenes, sup.pair_classes) * gather_entries(attributes, scenes, sup.pair_columns)
+    first = np.arange(near.shape[-1]) == seeds[0, scenes, sup.pair_classes][:, None]
     # a pair reaches region i where near[n, i, seed]: the seed's column, read as a row
-    later, pair, region = np.nonzero(near.swapaxes(-1, -2)[pair_scenes, pair_seeds])
-    return (
-        np.concatenate([np.zeros(pair_classes.size, dtype=int), later + 1]),
-        np.concatenate([seeds[0, pair_scenes, pair_classes], region]),
-        np.concatenate([pair_classes, pair_classes[pair]]),
-        np.concatenate([pair_columns, pair_columns[pair]]),
-        np.concatenate([pair_scenes, pair_scenes[pair]]),
-    )
+    return np.concatenate([first[None], near.swapaxes(-1, -2)[scenes, best_regions(product, scenes, scores.valid)]])
 
 
-def refinement_terms(scores: Scores, pseudo: PseudoLabels) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+def refinement_terms(scores: Scores, sup: Supervision, pseudo: PseudoLabels) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
     """Per-head loss values (..., N, K), and the gradient stage that returns their gradient with respect to scores.heads.
 
     Head k's value is the weighted cross-entropy -(1/m) sum w_i log s[i, label_i]
@@ -153,10 +139,11 @@ def refinement_terms(scores: Scores, pseudo: PseudoLabels) -> tuple[np.ndarray, 
     head 2 on (head 1's object head already has its own labels). The values
     are (..., N, K): each scene sums its own rows and divides by its own m.
     Stacked scores are scored slice by slice against the same frozen
-    supervision. The gradient stage scatters from the cells and clamped
-    scores the values read into a new array laid out like scores.heads:
-    assignments sharing a score cell add up their gradients there, and
-    padded rows, weighted 0, get none.
+    supervision; sup, which pseudo was built from, names each coupled
+    pair's scene, class and column. The gradient stage scatters from the
+    cells and clamped scores the values read into a new array laid out
+    like scores.heads: assignments sharing a score cell add up their
+    gradients there, and padded rows, weighted 0, get none.
     """
     shape = scores.objects.shape[:-1]  # (..., N, K, m)
     labels = pseudo.labels
@@ -170,16 +157,17 @@ def refinement_terms(scores: Scores, pseudo: PseudoLabels) -> tuple[np.ndarray, 
     p = np.ascontiguousarray(clamp_prob(scores.objects[cells]))
     values = (-np.sum(pseudo.weights * np.log(p), axis=-1, keepdims=True) / m)[..., 0]
 
-    h, r, s = pseudo.heads, pseudo.regions, pseudo.scenes
-    if h.size:
-        # assignments come head by head, scene by scene: group (head, scene) is one slice
+    if pseudo.coupled.size:
+        # assignments come head by head, and a head's pairs scene by scene: group (head, scene) is one slice
+        h, pair, r = np.nonzero(pseudo.coupled)
+        s = sup.pair_scenes[pair]
         group = h * num_scenes + s
         counts = np.bincount(group, minlength=k * num_scenes)
         n = counts[group]
-        attr_at = (..., s, h, r, pseudo.columns)
+        attr_at = (..., s, h, r, sup.pair_columns[pair])
         p_attr = np.ascontiguousarray(clamp_prob(scores.attributes[attr_at]))
         both = h > 0
-        obj_at = (..., s[both], h[both], r[both], pseudo.classes[both])
+        obj_at = (..., s[both], h[both], r[both], sup.pair_classes[pair[both]])
         p_obj = np.ascontiguousarray(clamp_prob(scores.objects[obj_at]))
         log_attr, log_obj = np.log(p_attr), np.log(p_obj)
         # the object factors skip head 1's assignments, which come first
@@ -199,7 +187,7 @@ def refinement_terms(scores: Scores, pseudo: PseudoLabels) -> tuple[np.ndarray, 
         grad = np.zeros(scores.heads.shape)
         grad_objects, grad_attributes = scores.split(grad)
         grad_objects[cells] = -pseudo.weights / (m * p)  # one cell per (head, region), and grad is still zero
-        if h.size:
+        if pseudo.coupled.size:
             # np.add.at, not fancy-index assignment: cells hit twice must accumulate
             np.add.at(grad_attributes, attr_at, -1.0 / (n * p_attr))
             # summed in its own zero array and added once: accumulating straight

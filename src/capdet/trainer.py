@@ -2,26 +2,26 @@
 
 Training is plain adaptive-gradient descent over per-scene losses: the
 image-evidence term, the first head's MIL and coupled terms, and one
-refinement term per head. Before the first step, train does the work
-no parameter changes: it draws the run's whole scene order, compiles
-each scene's caption labels into the two Supervision masks, stacked over
-the scenes, and builds every scene's overlap mask, which the refinement
-chain reads, into one array, over padded chunks of EVAL_CHUNK scenes of
-similar proposal counts. A step packs its batch_size scenes into one
+refinement term per head. Before the first step, train does the work no
+parameter changes: it compiles every scene's caption labels in one call
+into the two Supervision masks and builds every scene's overlap mask,
+which the refinement chain reads, into one array, over padded chunks of
+EVAL_CHUNK scenes of similar proposal counts. A step takes the next
+batch_size scenes of one permutation per epoch, packs them into one
 padded SceneBatch, slices their overlap and caption masks, and runs
-batch_step: forward, pseudo-labels, both stages of the losses
-(values, then gradients) and backward once over the batch. Forward
-multiplies each scene over its own rows, so each scene's gradient has
-the bits of a one-scene batch's, and the scenes' gradients are added in
-batch order. Setting lambda2 to zero compiles the labels without
-attribute pairs, which removes every attribute-dependent computation,
-including the coupled refinement terms that would otherwise feed
-gradients into later object heads; that is the exact-match baseline,
-and the two spellings of it (loss_mode="em", lambda2=0) are required to
-produce identical checkpoints. A batch without attribute pairs, which
-is every baseline batch, leaves the attribute heads out of forward and
-backward, where their gradient would be exactly zero, and seeds no pair
-in the refinement chain.
+batch_step: forward, pseudo-labels, both stages of the losses (values,
+then gradients) and backward once over the batch. Forward multiplies
+each scene over its own rows, so each scene's gradient has the bits of a
+one-scene batch's, and the scenes' gradients are added in batch order.
+Setting lambda2 to zero compiles the labels without attribute pairs,
+which removes every attribute-dependent computation, including the
+coupled refinement terms that would otherwise feed gradients into later
+object heads; that is the exact-match baseline, and the two spellings of
+it (loss_mode="em", lambda2=0) are required to produce identical
+checkpoints. A batch without attribute pairs, which is every baseline
+batch, leaves the attribute heads out of forward and backward, where
+their gradient would be exactly zero, and seeds no pair in the
+refinement chain.
 
 Inference and evaluation run on chunks of EVAL_CHUNK scenes, each packed
 into one SceneBatch: proposals padded to the chunk's largest proposal
@@ -40,6 +40,7 @@ matching and CorLoc read it.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -148,16 +149,9 @@ class Adagrad:
         params_flat -= self.learning_rate * grad_flat / (np.sqrt(self.accum) + self.EPS)
 
 
-def compile_labels(labels: LabelSet, params: ModelParams, config: TrainConfig) -> Supervision:
-    """A scene's supervision for params; the exact-match baseline compiles no attribute pairs."""
-    return weakloss.compile_supervision(
-        labels, params.num_classes, params.value_columns, pairs=config.attributes_enabled
-    )
-
-
 def frozen_loss(scores: scorenet.Scores, sup: Supervision, config: TrainConfig, pseudo: oicr.PseudoLabels) -> LossReport:
     """The loss of scores against frozen refinement supervision, values then gradients; stacked scores give a value per slice."""
-    values, refinement_gradient = oicr.refinement_terms(scores, pseudo)
+    values, refinement_gradient = oicr.refinement_terms(scores, sup, pseudo)
     report, caption_gradient = weakloss.total_loss(scores, sup, config.lambda1, config.lambda2, values)
     report.grad = refinement_gradient()
     report.grad_image = caption_gradient(report.grad)
@@ -209,23 +203,24 @@ def train(
         num_heads=config.num_heads,
         seed=config.seed,
     )
-    sups = [compile_labels(labels, params, config) for labels in label_scenes(scenes, vocab, registry)]
-    # every scene's caption masks, stacked once: a step's supervision is its scenes' rows
-    positive, pairs = np.concatenate([sup.positive for sup in sups]), np.concatenate([sup.pairs for sup in sups])
+    # a step's supervision is its scenes' rows; the exact-match baseline compiles no attribute pairs
+    supervision = weakloss.compile_supervision(
+        label_scenes(scenes, vocab, registry), params.num_classes, params.value_columns, pairs=config.attributes_enabled
+    )
     # proposals never change, so neither does any scene's overlap mask
     blocks = overlap_blocks(scenes, config.tau)
 
     optimizer = Adagrad(params.flat.size, config.learning_rate)
+    # one permutation per epoch, each drawn when the one before runs out
     order_rng = np.random.default_rng(config.seed)
-    epochs = -(-config.steps * config.batch_size // len(scenes))
-    order = np.concatenate([order_rng.permutation(len(scenes)) for _ in range(epochs)])
+    order = itertools.chain.from_iterable(map(order_rng.permutation, itertools.repeat(len(scenes))))
 
     # overflow ends the run through the checks below, with one message and no warnings
     with np.errstate(all="ignore"):
         for step in range(config.steps):
-            picks = order[step * config.batch_size : (step + 1) * config.batch_size]
+            picks = np.fromiter(itertools.islice(order, config.batch_size), dtype=int, count=config.batch_size)
             batch = SceneBatch.pack([scenes[i] for i in picks])
-            sup = Supervision(positive[picks], pairs[picks])
+            sup = Supervision(supervision.positive[picks], supervision.pairs[picks])
             width = batch.valid.shape[1]
             near = blocks[picks, :width, :width]
             report, _, grad_flat = batch_step(params, batch, sup, near, config)

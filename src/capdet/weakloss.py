@@ -6,31 +6,33 @@ for each mentioned class. A coupled term does the same for each
 one region, so the chosen region must explain the object and its
 attribute simultaneously; its maximizing region can differ from the
 object-only one, which is the entire point of coupling rather than
-summing two independent maxima. Both terms are averaged over the
-mentioned classes, so the coupled term sums its pairs and divides by the
-class count. An image-evidence term treats the per-class image scores as
-independent binary predictions of mention.
+summing two independent maxima. Both are Cap2Det's MIL over a product of
+factors, one or two (_product_mil), averaged over the mentioned classes,
+so the coupled term sums its pairs and divides by the class count. An
+image-evidence term treats the per-class image scores as independent
+binary predictions of mention.
 
-A scene's caption labels are compiled once into a Supervision: masks of
-its mentioned classes and of its (class, attribute column) pairs,
-validated against the model's class count and attribute columns. Every
-caption loss and the refinement chain read the masks' cells and never
-sort or check labels again. Compiling without pairs is the exact-match
-baseline: with no pairs there is no coupled term anywhere.
+Every scene's caption labels are compiled in one call into a
+Supervision: masks of the mentioned classes and of the (class, attribute
+column) pairs, a row per scene, validated against the model's class
+count and attribute columns. Every caption loss and the refinement chain
+read the masks' cells and never sort or check labels again. Compiling
+without pairs is the exact-match baseline: with no pairs there is no
+coupled term anywhere.
 
 Scores come as a padded batch of N scenes, (..., N, m, ·): a lone scene
-is N = 1. A batch's Supervision is its scenes' rows of the stacked masks,
-so each class and pair names its own scene and reads that scene's
-column, the (N, m) valid mask keeps padded rows out of every maximum, and
-each scene is averaged over its own classes. Both maxima run over all
-classes (or pairs) at once: one argmax over the gathered columns, then
-the coupled term scatters its gradients with np.add.at in pair order, so
-pairs meeting in one cell add up. Leading axes ahead of the scene axis
-stack independent score arrays, as the gradient check's probes; every
-value is an array over (..., N). Sums run in C order, so every slice, and
-every scene, gets the gradient bits of a one-scene batch; a batch's
-values may differ in the last bits, since a scene's terms are summed next
-to the zeros that stand for the other scenes' entries.
+is N = 1. A batch's Supervision is its scenes' rows of the masks, so
+each class and pair names its own scene and reads that scene's column,
+the (N, m) valid mask keeps padded rows out of every maximum, and each
+scene is averaged over its own classes. Both maxima run over all
+entries at once: one argmax over the gathered product, then one
+np.add.at per factor in entry order, so pairs meeting in one cell add
+up. Leading axes ahead of the scene axis stack independent score arrays,
+as the gradient check's probes; every value is an array over (..., N).
+Sums run in C order, so every slice, and every scene, gets the gradient
+bits of a one-scene batch; a batch's values may differ in the last bits,
+since a scene's terms are summed next to the zeros that stand for the
+other scenes' entries.
 
 Every loss term runs in two stages. Its value stage does the gathers,
 clamps, maxima, logs and per-scene sums, and returns the value together
@@ -53,7 +55,8 @@ heads-sized gradient array, not two.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from functools import reduce
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -83,24 +86,25 @@ class Supervision:
 
 
 def compile_supervision(
-    labels: LabelSet, num_classes: int, value_columns: Mapping[tuple[str, str], int], pairs: bool = True
+    labels: Sequence[LabelSet], num_classes: int, value_columns: Mapping[tuple[str, str], int], pairs: bool = True
 ) -> Supervision:
-    """Validate a scene's labels into a one-scene Supervision; pairs=False keeps the classes only.
+    """Validate N scenes' labels into one Supervision, scene n in row n; pairs=False keeps the classes only.
 
     The pair mask has one column past the largest of value_columns.
     """
-    classes = sorted(labels.objects)
-    for c in classes:
-        if not 0 <= c < num_classes:
-            raise ValueError(f"class index {c} out of range for {num_classes} classes")
-    positive = np.zeros((1, num_classes), dtype=bool)
-    positive[0, classes] = True
-    mask = np.zeros((1, num_classes, max(value_columns.values(), default=-1) + 1), dtype=bool)
-    for c in classes if pairs else ():
-        for cat, val in labels.pairs_for(c):
-            if (cat, val) not in value_columns:
-                raise ValueError(f"class {c}: no attribute column for {cat!r} = {val!r}")
-            mask[0, c, value_columns[cat, val]] = True
+    positive = np.zeros((len(labels), num_classes), dtype=bool)
+    mask = np.zeros(positive.shape + (max(value_columns.values(), default=-1) + 1,), dtype=bool)
+    for n, scene in enumerate(labels):
+        classes = sorted(scene.objects)
+        for c in classes:
+            if not 0 <= c < num_classes:
+                raise ValueError(f"class index {c} out of range for {num_classes} classes")
+        positive[n, classes] = True
+        for c in classes if pairs else ():
+            for cat, val in scene.pairs_for(c):
+                if (cat, val) not in value_columns:
+                    raise ValueError(f"class {c}: no attribute column for {cat!r} = {val!r}")
+                mask[n, c, value_columns[cat, val]] = True
     return Supervision(positive, mask)
 
 
@@ -119,10 +123,34 @@ def slice_index(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     return tuple(np.arange(size).reshape((size,) + (1,) * (len(shape) - i)) for i, size in enumerate(shape))
 
 
-def _scene_sums(terms: np.ndarray, scenes: np.ndarray, sup: Supervision) -> np.ndarray:
-    """(..., N): the sum of (..., n) terms over each scene's entries."""
-    owner = scenes == np.arange(len(sup.positive))[:, None]
-    return np.where(owner, terms[..., None, :], 0.0).sum(axis=-1)
+def _product_mil(
+    factors: tuple, columns: tuple, scenes: np.ndarray, divisor: np.ndarray, valid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, Callable[[], tuple]]:
+    """Per entry, -log of every factor at the region maximizing their product; each scene's sum over its divisor.
+
+    Entry i reads column columns[f][i] of factor f (..., N, m, ·) in
+    scene scenes[i]. The gradient stage returns one gradient per factor.
+    No entry short-circuits to zero.
+    """
+    if not scenes.size:
+        lead = factors[0].shape[:-2]
+        return np.zeros(lead), np.zeros(lead[:-1] + (0,), dtype=int), lambda: tuple(np.zeros(f.shape) for f in factors)
+    p = [clamp_prob(gather_entries(f, scenes, cols)) for f, cols in zip(factors, columns)]
+    rows = best_regions(reduce(np.multiply, p), scenes, valid)
+    lead = slice_index(rows.shape[:-1])
+    at = (*lead, np.arange(scenes.size), rows)
+    best = [q[at] for q in p]
+
+    def gradient() -> tuple[np.ndarray, ...]:
+        grads = tuple(np.zeros(f.shape) for f in factors)
+        for grad, cols, b in zip(grads, columns, best):
+            # np.add.at, not fancy-index assignment: pairs that meet in one cell must accumulate
+            np.add.at(grad, (*lead, scenes, rows, cols), -1.0 / b)
+            grad /= divisor[:, None, None]
+        return grads
+
+    owner = scenes == np.arange(len(divisor))[:, None]  # (N, n): each scene's entries
+    return -np.where(owner, reduce(np.add, map(np.log, best))[..., None, :], 0.0).sum(axis=-1) / divisor, rows, gradient
 
 
 def object_mil_loss(
@@ -137,21 +165,8 @@ def object_mil_loss(
     (..., |O|) rows, entry i for class sup.classes[i], and then the
     gradient stage, which returns the gradient with respect to scores.
     """
-    classes, scenes = sup.classes, sup.class_scenes
-    if not classes.size:
-        return np.zeros(scores.shape[:-2]), np.zeros(scores.shape[:-3] + (0,), dtype=int), lambda: np.zeros(scores.shape)
-    p = clamp_prob(gather_entries(scores, scenes, classes))
-    rows = best_regions(p, scenes, valid)
-    lead = slice_index(rows.shape[:-1])
-    best = p[(*lead, np.arange(classes.size), rows)]
-
-    def gradient() -> np.ndarray:
-        grad = np.zeros(scores.shape)
-        grad[(*lead, scenes, rows, classes)] = -1.0 / best  # one cell per class, so none is hit twice
-        grad /= sup.divisor[:, None, None]
-        return grad
-
-    return -_scene_sums(np.log(best), scenes, sup) / sup.divisor, rows, gradient
+    value, rows, gradient = _product_mil((scores,), (sup.classes,), sup.class_scenes, sup.divisor, valid)
+    return value, rows, lambda: gradient()[0]
 
 
 def entanglement_loss(
@@ -160,38 +175,16 @@ def entanglement_loss(
     """Coupled object-attribute MIL: per pair, maximize the product at one region.
 
     For each mentioned class c and each of its attribute pairs (a, v),
-    the loss is -log max over regions of obj[:, c] * attr[:, col(a, v)].
-    Both factors receive gradient at the maximizing region. The sum over
-    pairs is normalized by |O|, the number of mentioned classes. Scores
-    are (..., N, m, C + 1) and (..., N, m, V), and valid and the value
-    work as in object_mil_loss. The chosen regions come back as (..., P)
-    rows, entry i for the pair (sup.pair_classes[i], sup.pair_columns[i]),
-    and then the gradient stage, which returns the gradients with respect
-    to both score arrays.
+    the loss is -log max over regions of obj[:, c] * attr[:, col(a, v)],
+    and both factors receive gradient at the maximizing region. The sum
+    over pairs is normalized by |O|. Scores are (..., N, m, C + 1) and
+    (..., N, m, V); valid, the value and the (..., P) rows, entry i for
+    pair i of sup, work as in object_mil_loss, and the gradient stage
+    returns the gradients with respect to both score arrays.
     """
-    classes, cols, scenes = sup.pair_classes, sup.pair_columns, sup.pair_scenes
-    if not classes.size:
-        empty = np.zeros(obj_scores.shape[:-3] + (0,), dtype=int)
-        return np.zeros(obj_scores.shape[:-2]), empty, lambda: (np.zeros(obj_scores.shape), np.zeros(attr_scores.shape))
-    p_obj = clamp_prob(gather_entries(obj_scores, scenes, classes))
-    p_attr = clamp_prob(gather_entries(attr_scores, scenes, cols))
-    rows = best_regions(p_obj * p_attr, scenes, valid)
-    lead = slice_index(rows.shape[:-1])
-    at = (*lead, np.arange(classes.size), rows)
-    best_obj, best_attr = p_obj[at], p_attr[at]
-
-    def gradient() -> tuple[np.ndarray, np.ndarray]:
-        grad_obj = np.zeros(obj_scores.shape)
-        grad_attr = np.zeros(attr_scores.shape)
-        # np.add.at, not fancy-index assignment: pairs that meet in one cell must accumulate
-        np.add.at(grad_obj, (*lead, scenes, rows, classes), -1.0 / best_obj)
-        np.add.at(grad_attr, (*lead, scenes, rows, cols), -1.0 / best_attr)
-        divisor = sup.divisor[:, None, None]
-        grad_obj /= divisor
-        grad_attr /= divisor
-        return grad_obj, grad_attr
-
-    return -_scene_sums(np.log(best_obj) + np.log(best_attr), scenes, sup) / sup.divisor, rows, gradient
+    return _product_mil(
+        (obj_scores, attr_scores), (sup.pair_classes, sup.pair_columns), sup.pair_scenes, sup.divisor, valid
+    )
 
 
 def mid_loss(image_level: np.ndarray, sup: Supervision) -> tuple[np.ndarray, Callable[[], np.ndarray]]:

@@ -11,6 +11,8 @@ head's supervision here is a dict: labels and weights (m,), seeds
 assignments in pair order: by class, then by attribute column.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from capdet.geometry import iou_matrix
@@ -119,3 +121,15 @@ def refinement_terms(scores, pseudos):
             grad_attributes[j] += g_attr
         values.append(float(value))
     return values, grad
+
+
+def assignments(pseudo, sup):
+    """pseudo.coupled as parallel arrays of its assignments: heads, regions, classes, columns and scenes.
+
+    They come head by head, pair by pair (sup's pair order), region by
+    region: the order oicr.refinement_terms scores them in.
+    """
+    heads, pair, regions = np.nonzero(pseudo.coupled)
+    return SimpleNamespace(
+        heads=heads, regions=regions, classes=sup.pair_classes[pair], columns=sup.pair_columns[pair], scenes=sup.pair_scenes[pair]
+    )

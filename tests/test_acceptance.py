@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 from head_reference import lone_batch
+from train_reference import scene_supervision
 
 from capdet import cli
 from capdet.geometry import iou_matrix, nms
@@ -30,7 +31,7 @@ from capdet.textgraph import (
     extract_labels,
     parse_scene_graph,
 )
-from capdet.trainer import SceneBatch, TrainConfig, compile_labels, evaluate, train
+from capdet.trainer import SceneBatch, TrainConfig, evaluate, train
 from capdet.weakloss import compile_supervision, entanglement_loss, object_mil_loss
 
 
@@ -67,7 +68,7 @@ def test_criterion_2_coupled_loss_dominates_decoupled_selection():
         attr = rng.uniform(0.01, 1.0, size=(m, 3))  # columns: color red, green, blue
         cols = {("color", "red"): 0, ("color", "green"): 1, ("color", "blue"): 2}
         labels = LabelSet(objects={c}, attribute_pairs={c: {("color", "red")}})
-        sup = compile_supervision(labels, num_classes, cols)
+        sup = compile_supervision([labels], num_classes, cols)
         (coupled,), _, _ = entanglement_loss(obj[None], attr[None], sup, np.ones((1, m), dtype=bool))
         # decoupled: each factor free to pick its own region (|O| = 1)
         p_obj = np.asarray(clamp_prob(obj[:, c]))
@@ -83,7 +84,7 @@ def test_criterion_2_coupled_loss_dominates_decoupled_selection():
     attr = np.array([[0.1, 0.9], [0.8, 0.2]])  # columns: color brown, red
     cols = {("color", "brown"): 0, ("color", "red"): 1}
     labels = LabelSet(objects={0}, attribute_pairs={0: {("color", "brown")}})
-    sup = compile_supervision(labels, 1, cols)
+    sup = compile_supervision([labels], 1, cols)
     valid = np.ones((1, 2), dtype=bool)
     _, object_rows, _ = object_mil_loss(obj[None], sup, valid)
     _, coupled_rows, _ = entanglement_loss(obj[None], attr[None], sup, valid)
@@ -143,7 +144,7 @@ def test_criterion_3_formulation_invariants():
     num_classes = len(universe.class_names)
     labeled_regions = 0
     for scene in scenes:
-        sup = compile_labels(extract_labels(scene.captions, vocab, registry), params, rc)
+        sup = scene_supervision(extract_labels(scene.captions, vocab, registry), params, rc)
         batch = SceneBatch.pack([scene])
         near = overlap_masks(batch.boxes, rc.tau, batch.valid)
         pseudo = build_pseudo_labels(forward(params, batch), sup, near)

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from openblas_build import openblas_config
+from train_reference import scene_supervision
 
 from capdet import gradcheck, oicr, scorenet
 from capdet.scorenet import ModelParams
 from capdet.textgraph import LabelSet
-from capdet.trainer import batch_step, compile_labels, frozen_loss
+from capdet.trainer import batch_step, frozen_loss
 
 
 # OpenBLAS kernels on which run_gradient_check(trials=20) gives the pinned
@@ -28,7 +29,7 @@ def relative(a, b):
 
 def analytic_step(params, batch, labels, config):
     """The supervision, training-step report, frozen pseudo-labels and parameter gradient of a trial's problem."""
-    sup = compile_labels(labels, params, config)
+    sup = scene_supervision(labels, params, config)
     near = oicr.overlap_masks(batch.boxes, config.tau, batch.valid)
     return (sup, *batch_step(params, batch, sup, near, config))
 

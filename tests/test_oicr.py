@@ -14,7 +14,7 @@ from capdet.oicr import PseudoLabels, build_pseudo_labels, initial_scores, overl
 from capdet.scorenet import softmax_cols
 from capdet.textgraph import LabelSet
 from capdet.trainer import TrainConfig
-from capdet.weakloss import compile_supervision
+from capdet.weakloss import Supervision, compile_supervision
 
 # (category, value) -> attribute column, as ModelParams.value_columns lays them out
 COLS = {("color", "red"): 0, ("color", "brown"): 1}
@@ -34,7 +34,7 @@ def labels_for(objects, pairs=None):
 
 
 def compiled(objects, pairs=None, num_classes=2, cols=COLS, with_pairs=True):
-    return compile_supervision(labels_for(objects, pairs), num_classes, cols, pairs=with_pairs)
+    return compile_supervision([labels_for(objects, pairs)], num_classes, cols, pairs=with_pairs)
 
 
 def with_background(class_scores):
@@ -44,18 +44,31 @@ def with_background(class_scores):
 
 
 def frozen(labels, weights, coupled=()):
-    """One scene's PseudoLabels from (K, m) labels and weights and (head, region, class, column) tuples."""
-    heads, regions, classes, columns = np.array(list(coupled), dtype=int).reshape(-1, 4).T
-    return PseudoLabels(
-        labels=np.asarray(labels)[None], weights=np.asarray(weights, dtype=float)[None],
-        seeds=np.zeros((len(labels), 0), dtype=int),
-        heads=heads, regions=regions, classes=classes, columns=columns, scenes=np.zeros_like(heads),
+    """One scene's Supervision and PseudoLabels from (K, m) labels and weights and distinct (head, region, class, column) tuples.
+
+    The supervision's pairs are the tuples' (class, column) pairs.
+    """
+    coupled = list(coupled)
+    assert len(set(coupled)) == len(coupled), "a coupled assignment is a cell of a mask: none repeats"
+    labels = np.asarray(labels)
+    classes, columns = np.array(coupled, dtype=int).reshape(-1, 4)[:, 2:].T
+    pairs = np.zeros((1, classes.max(initial=0) + 1, columns.max(initial=0) + 1), dtype=bool)
+    pairs[0, classes, columns] = True
+    sup = Supervision(pairs.any(axis=-1), pairs)
+    pair_of = {pair: i for i, pair in enumerate(zip(sup.pair_classes.tolist(), sup.pair_columns.tolist()))}
+    mask = np.zeros((len(labels), sup.pair_classes.size, labels.shape[-1]), dtype=bool)
+    for h, r, c, col in coupled:
+        mask[h, pair_of[c, col], r] = True
+    pseudo = PseudoLabels(
+        labels=labels[None], weights=np.asarray(weights, dtype=float)[None],
+        seeds=np.zeros((len(labels), 0), dtype=int), coupled=mask,
     )
+    return sup, pseudo
 
 
-def both_stages(scores, pseudo):
+def both_stages(scores, sup, pseudo):
     """refinement_terms' values and the gradient its gradient stage returns."""
-    values, gradient = refinement_terms(scores, pseudo)
+    values, gradient = refinement_terms(scores, sup, pseudo)
     return values, gradient()
 
 
@@ -158,7 +171,7 @@ def object_term(head_scores, labels, weights):
     m = len(head_scores)
     num_classes = head_scores.shape[1] - 1
     scores = packed_scores([head_scores], [np.zeros((m, 0))], np.zeros((m, num_classes)), np.full(num_classes, 0.7))
-    values, grad = both_stages(scores, frozen([labels], [weights]))
+    values, grad = both_stages(scores, *frozen([labels], [weights]))
     return values[0, 0], scores.split(grad)[0][0, 0]
 
 
@@ -189,7 +202,7 @@ class TestRefinementLoss:
         labels = data.draw(arrays(np.int64, (k, m), elements=st.integers(0, num_classes)))
         weights = data.draw(arrays(np.float64, (k, m), elements=st.floats(0.1, 1.0)))
         scores = packed_scores(list(heads), [np.zeros((m, 0))] * k, np.zeros((m, num_classes)), np.full(num_classes, 0.7))
-        assert_central_differences(scores, frozen(labels, weights))
+        assert_central_differences(scores, *frozen(labels, weights))
 
     def test_matches_per_region_loop(self):
         rng = np.random.default_rng(43)
@@ -197,7 +210,7 @@ class TestRefinementLoss:
         labels = rng.integers(0, 4, size=(2, 7))
         weights = rng.uniform(0.2, 1.0, size=(2, 7))
         scores = packed_scores(list(heads), [np.zeros((7, 0))] * 2, np.zeros((7, 3)), np.full(3, 0.7))
-        values, grad = both_stages(scores, frozen(labels, weights))
+        values, grad = both_stages(scores, *frozen(labels, weights))
         for j in range(2):
             ref_grad = np.zeros_like(heads[j])
             ref_value = 0.0
@@ -216,16 +229,19 @@ class TestAttributeAssignments:
     def test_head_one_reuses_object_seeds(self):
         # the evidence seeds class 0 at region 2; head 1's pair sits there
         scores = packed_scores([np.full((3, 2), 0.5)], [np.full((3, 2), 0.5)], [[0.1], [0.1], [0.7]], [0.7])
-        pseudo = build_pseudo_labels(scores, compiled({0}, {0: {("color", "red")}}, num_classes=1), near_for(BOXES, 0.5))
+        sup = compiled({0}, {0: {("color", "red")}}, num_classes=1)
+        pseudo = build_pseudo_labels(scores, sup, near_for(BOXES, 0.5))
         assert pseudo.seeds[0].tolist() == [2]
-        coupled = np.stack([pseudo.heads, pseudo.regions, pseudo.classes, pseudo.columns], axis=1)
+        a = reference.assignments(pseudo, sup)
+        coupled = np.stack([a.heads, a.regions, a.classes, a.columns], axis=1)
         assert coupled.tolist() == [[0, 2, 0, 0]]
 
     def test_head_one_no_propagation(self):
         # seed sits in the overlapping pair but nothing spreads at head 1
         scores = packed_scores([np.full((3, 2), 0.5)], [np.full((3, 2), 0.5)], [[0.9], [0.1], [0.1]], [0.7])
-        pseudo = build_pseudo_labels(scores, compiled({0}, {0: {("color", "red")}}, num_classes=1), near_for(BOXES, 0.5))
-        assert pseudo.heads.size == 1
+        sup = compiled({0}, {0: {("color", "red")}}, num_classes=1)
+        pseudo = build_pseudo_labels(scores, sup, near_for(BOXES, 0.5))
+        assert reference.assignments(pseudo, sup).heads.size == 1
 
     def test_later_heads_seed_at_product_argmax(self):
         prev_obj = np.array([[0.9, 0.1], [0.5, 0.5], [0.1, 0.9]])
@@ -233,12 +249,13 @@ class TestAttributeAssignments:
         scores = packed_scores(
             [prev_obj, prev_obj], [prev_attr, prev_attr], np.full((3, 1), 0.5), [0.7]
         )
-        pseudo = build_pseudo_labels(scores, compiled({0}, {0: {("color", "red")}}, num_classes=1), near_for(BOXES, 0.5))
+        sup = compiled({0}, {0: {("color", "red")}}, num_classes=1)
+        a = reference.assignments(build_pseudo_labels(scores, sup, near_for(BOXES, 0.5)), sup)
         # products for (class 0, red): 0.09, 0.45, 0.05 -> seed region 1
-        later = pseudo.heads == 1
-        assert sorted(pseudo.regions[later].tolist()) == [0, 1]  # region 0 overlaps the seed at 0.8
-        assert set(pseudo.classes[later].tolist()) == {0}
-        assert set(pseudo.columns[later].tolist()) == {COLS["color", "red"]}
+        later = a.heads == 1
+        assert sorted(a.regions[later].tolist()) == [0, 1]  # region 0 overlaps the seed at 0.8
+        assert set(a.classes[later].tolist()) == {0}
+        assert set(a.columns[later].tolist()) == {COLS["color", "red"]}
 
 
 def coupled_term(head, obj, attr, assignments):
@@ -249,8 +266,8 @@ def coupled_term(head, obj, attr, assignments):
     """
     m, num_classes = len(obj), obj.shape[1] - 1
     scores = packed_scores([obj] * head, [attr] * head, np.zeros((m, num_classes)), np.full(num_classes, 0.7))
-    pseudo = frozen(np.zeros((head, m), dtype=int), np.zeros((head, m)), [(head - 1, *a) for a in assignments])
-    values, grad = both_stages(scores, pseudo)
+    sup, pseudo = frozen(np.zeros((head, m), dtype=int), np.zeros((head, m)), [(head - 1, *a) for a in assignments])
+    values, grad = both_stages(scores, sup, pseudo)
     grad_objects, grad_attributes = scores.split(grad)
     return values[0, -1], grad_objects[0, -1], grad_attributes[0, -1]
 
@@ -298,7 +315,9 @@ class TestCoupledRefinementLoss:
         rng = np.random.default_rng(41)
         obj = rng.uniform(0.01, 1.0, size=(4, 3))
         attr = rng.uniform(0.01, 1.0, size=(4, 5))
-        assignments = [(int(rng.integers(4)), int(rng.integers(2)), int(rng.integers(5))) for _ in range(30)]
+        # distinct (region, class, column) cells, pair by pair and region by region, as a mask holds them
+        cells = {(int(rng.integers(4)), int(rng.integers(2)), int(rng.integers(5))) for _ in range(30)}
+        assignments = sorted(cells, key=lambda cell: (cell[1], cell[2], cell[0]))
         for head in (1, 2):
             n = len(assignments)
             ref_obj = np.zeros_like(obj)
@@ -354,25 +373,26 @@ class TestBuildPseudoLabels:
     def test_no_objects_gives_background_of_weight_zero(self):
         rng = np.random.default_rng(62)
         scores, boxes = make_inputs(rng)
-        pseudo = build_pseudo_labels(scores, compiled(set()), near_for(boxes, 0.5))
+        sup = compiled(set())
+        pseudo = build_pseudo_labels(scores, sup, near_for(boxes, 0.5))
         assert pseudo.labels.tolist() == [[[2] * 6] * 3]
         assert pseudo.weights.tolist() == [[[0.0] * 6] * 3]
-        assert pseudo.seeds.shape == (3, 0) and pseudo.heads.size == 0
+        assert pseudo.seeds.shape == (3, 0) and reference.assignments(pseudo, sup).heads.size == 0
 
     def test_attributes_disabled_leaves_attrs_empty(self):
         rng = np.random.default_rng(63)
         scores, boxes = make_inputs(rng)
         sup = compiled({0}, {0: {("color", "red")}}, with_pairs=False)
-        pseudo = build_pseudo_labels(scores, sup, near_for(boxes, 0.5))
-        assert pseudo.heads.size == pseudo.regions.size == pseudo.classes.size == pseudo.columns.size == 0
+        a = reference.assignments(build_pseudo_labels(scores, sup, near_for(boxes, 0.5)), sup)
+        assert a.heads.size == a.regions.size == a.classes.size == a.columns.size == 0
 
 
-def assert_central_differences(scores, pseudo, h=1e-6):
+def assert_central_differences(scores, sup, pseudo, h=1e-6):
     """The analytic gradient of the summed head values against central differences in every score."""
-    _, grad = both_stages(scores, pseudo)
+    _, grad = both_stages(scores, sup, pseudo)
 
     def total(heads):
-        values, _ = refinement_terms(dataclasses.replace(scores, heads=heads), pseudo)
+        values, _ = refinement_terms(dataclasses.replace(scores, heads=heads), sup, pseudo)
         return values.sum()
 
     for index in np.ndindex(scores.heads.shape):
@@ -425,8 +445,8 @@ class TestRefinementTerms:
     def test_values_and_grads_line_up(self):
         rng = np.random.default_rng(71)
         scores, boxes = make_inputs(rng)
-        pseudo = build_pseudo_labels(scores, compiled({0}, {0: {("color", "red")}}), near_for(boxes, 0.5))
-        values, grad = both_stages(scores, pseudo)
+        sup = compiled({0}, {0: {("color", "red")}})
+        values, grad = both_stages(scores, sup, build_pseudo_labels(scores, sup, near_for(boxes, 0.5)))
         assert values.shape == (1, 3)
         assert all(v > 0 for v in values[0])
         grad_objects, _ = scores.split(grad)
@@ -438,7 +458,8 @@ class TestRefinementTerms:
     def test_unmentioned_scene_contributes_zero(self):
         rng = np.random.default_rng(72)
         scores, boxes = make_inputs(rng)
-        values, grad = both_stages(scores, build_pseudo_labels(scores, compiled(set()), near_for(boxes, 0.5)))
+        sup = compiled(set())
+        values, grad = both_stages(scores, sup, build_pseudo_labels(scores, sup, near_for(boxes, 0.5)))
         assert values.tolist() == [[0.0, 0.0, 0.0]]
         assert not np.any(grad)
 
@@ -449,8 +470,8 @@ class TestRefinementTerms:
         # summed head values must match central differences; the scores
         # keep clear of the clamp, where the loss has a kink
         scores, boxes, labels, tau, _ = chain
-        sup = compile_supervision(labels, scores.per_region.shape[-1], PAIR_COLS)
-        assert_central_differences(scores, build_pseudo_labels(scores, sup, near_for(boxes, tau)))
+        sup = compile_supervision([labels], scores.per_region.shape[-1], PAIR_COLS)
+        assert_central_differences(scores, sup, build_pseudo_labels(scores, sup, near_for(boxes, tau)))
 
 
 class TestMatchesReference:
@@ -459,20 +480,21 @@ class TestMatchesReference:
     def test_stacked_chain_equals_per_head_loop(self, chain):
         scores, boxes, labels, tau, coupled = chain
         num_classes = scores.per_region.shape[-1]
-        sup = compile_supervision(labels, num_classes, PAIR_COLS, pairs=coupled)
+        sup = compile_supervision([labels], num_classes, PAIR_COLS, pairs=coupled)
         pseudo = build_pseudo_labels(scores, sup, near_for(boxes, tau))
         expected = reference.build_pseudo_labels(scores, labels, boxes, tau, PAIR_COLS, coupled)
-        values, grad = both_stages(scores, pseudo)
+        values, grad = both_stages(scores, sup, pseudo)
         ref_values, ref_grad = reference.refinement_terms(scores, expected)
         assert np.array_equal(values, [ref_values])
         assert np.array_equal(grad, ref_grad)
         if not labels.objects:
             assert expected == [None] * scores.num_heads
-            assert (pseudo.labels == num_classes).all() and not pseudo.weights.any() and not pseudo.heads.size
+            assert (pseudo.labels == num_classes).all() and not pseudo.weights.any() and not pseudo.coupled.any()
             return
         assert np.array_equal(pseudo.labels, [[head["labels"] for head in expected]])
         assert np.array_equal(pseudo.weights, [[head["weights"] for head in expected]])
-        assert not pseudo.scenes.any()
+        a = reference.assignments(pseudo, sup)
+        assert not a.scenes.any()
         assert pseudo.seeds.tolist() == [[head["seeds"][c][0] for c in sorted(labels.objects)] for head in expected]
-        coupled_rows = np.stack([pseudo.heads, pseudo.regions, pseudo.classes, pseudo.columns], axis=1).tolist()
+        coupled_rows = np.stack([a.heads, a.regions, a.classes, a.columns], axis=1).tolist()
         assert coupled_rows == [[j, *a] for j, head in enumerate(expected) for a in head["attrs"]]

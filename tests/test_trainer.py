@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 from unittest import mock
@@ -14,9 +15,11 @@ from hypothesis import strategies as st
 from box_reference import greedy_nms, pair_iou
 from capdet import oicr, scorenet, trainer, weakloss
 from eval_reference import evaluate_loop, infer_scene
-from train_reference import train_loop
+from openblas_build import openblas_config
+from refinement_reference import assignments
+from train_reference import scene_supervision, train_loop
 from capdet.geometry import iou_matrix, nms
-from capdet.scorenet import RegionSet, forward, init_params
+from capdet.scorenet import RegionSet, forward, init_params, save_checkpoint
 from capdet.synthbench import (
     GroundTruth,
     SynthConfig,
@@ -34,7 +37,6 @@ from capdet.trainer import (
     SceneBatch,
     TrainConfig,
     average_precision,
-    compile_labels,
     evaluate,
     infer,
     label_scenes,
@@ -43,6 +45,10 @@ from capdet.trainer import (
     write_metrics,
 )
 from capdet.weakloss import Supervision
+
+# the OpenBLAS kernel on which the pinned checkpoint and log bytes were recorded;
+# other kernels, Haswell among them, round the training step differently
+RECORDED_KERNEL = "SkylakeX"
 
 
 @pytest.fixture(scope="module")
@@ -182,7 +188,7 @@ class TestSceneLoss:
             cfg.num_heads, seed=0,
         )
         batch = SceneBatch.pack(scenes[:1])
-        report, pseudo, _ = step_with_mask(params, batch, compile_labels(labels[0], params, cfg), cfg)
+        report, pseudo, _ = step_with_mask(params, batch, scene_supervision(labels[0], params, cfg), cfg)
         assert report.l_total.shape == (1,)
         assert np.isfinite(report.l_total).all()
         assert report.l_oicr.shape == (1, cfg.num_heads)
@@ -200,7 +206,7 @@ class TestSceneLoss:
             {c: tuple(registry.values[c]) for c in registry.categories},
             cfg.num_heads, seed=0,
         )
-        sup = compile_labels(labels[0], params, cfg)
+        sup = scene_supervision(labels[0], params, cfg)
         batch = SceneBatch.pack(scenes[:1])
         report1, pseudo, _ = step_with_mask(params, batch, sup, cfg)
         report2 = trainer.frozen_loss(forward(params, batch), sup, cfg, pseudo)
@@ -279,6 +285,52 @@ class TestTrain:
             json.dumps(record)
             assert set(record) >= {"step", "l_total", "l_obj", "l_mid", "l_oicr"}
 
+    def test_set_up_memory_does_not_grow_with_steps(self, small_world, registry):
+        # each epoch's scene order is drawn when the one before runs out, not all before step 0
+        universe, scenes, vocab = small_world
+
+        def peak_before_first_step(steps):
+            tracemalloc.start()
+            try:
+                with mock.patch.object(trainer, "batch_step", side_effect=RuntimeError("first step")):
+                    with pytest.raises(RuntimeError, match="first step"):
+                        train(scenes, vocab, registry, TrainConfig(steps=steps, batch_size=8))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_before_first_step(100_000) < peak_before_first_step(1) + 2**20
+
+    @pytest.mark.parametrize(
+        ("loss_mode", "checkpoint_digest", "log_digest"),
+        [
+            (
+                "em+sg",
+                "9ede6bdf2ea95d3a3a7e92c04123d3721201271d6b2c72ed66f80cf7b7c56668",
+                "aaf4e6443e7f8a301d9949b7b675b51f1f6fa530850cd5433ca4c3165913e226",
+            ),
+            (
+                "em",
+                "004b360bff1ab741bc7554d219e8409cf4ab60f7be1881df950e0d83a5d1cdb0",
+                "da5ab02e39d6683ce8ac00f066d65207d43e8b62bfe068850a08cf29a97c7af5",
+            ),
+        ],
+    )
+    def test_seed0_checkpoint_and_log_bytes_pinned(self, registry, tmp_path, loss_mode, checkpoint_digest, log_digest):
+        # 40 seed-0 training scenes for 30 steps of 3 scenes, a little over two epochs;
+        # the log lines are those capdet train --log writes
+        build = openblas_config()
+        if build is None or RECORDED_KERNEL not in build.split():
+            pytest.skip(f"bytes recorded on the OpenBLAS kernel {RECORDED_KERNEL}; this build: {build}")
+        universe = make_universe(SynthConfig(), registry, seed=0)
+        config = TrainConfig(seed=0, steps=30, batch_size=3, loss_mode=loss_mode, lambda2=0.01 if loss_mode == "em+sg" else 0.0)
+        log = []
+        params = train(gen_dataset(universe, 40, [0, 0]), benchmark_vocabulary(universe.class_names), registry, config, log.append)
+        save_checkpoint(params, tmp_path / "model.ckpt")
+        assert hashlib.sha256((tmp_path / "model.ckpt").read_bytes()).hexdigest() == checkpoint_digest
+        lines = "".join(json.dumps(record, sort_keys=True) + "\n" for record in log)
+        assert hashlib.sha256(lines.encode()).hexdigest() == log_digest
+
 
 def unmentioned(scene):
     """The scene with a caption that names no class."""
@@ -307,7 +359,7 @@ def random_scenes(rng, num_scenes, num_classes=3, num_heads=2, d=6, sizes=None):
             if rng.random() < 0.7:
                 cat = ("color", "size")[int(rng.integers(2))]
                 labels.attribute_pairs[c] = {(cat, categories[cat][int(rng.integers(len(categories[cat])))])}
-        sups.append(compile_labels(labels, params, config))
+        sups.append(scene_supervision(labels, params, config))
     return params, scenes, sups, config
 
 
@@ -430,7 +482,8 @@ class TestBatchedStep:
         # one N-scene step against N one-scene steps: the same gradient bits, losses and pseudo-label rows
         rng = np.random.default_rng(seed)
         params, scenes, sups, config = random_scenes(rng, len(sizes), num_heads=int(rng.integers(1, 4)), sizes=sizes)
-        report, pseudo, grad = step_with_mask(params, SceneBatch.pack(scenes), stacked(sups), config)
+        batch_sup = stacked(sups)
+        report, pseudo, grad = step_with_mask(params, SceneBatch.pack(scenes), batch_sup, config)
         lone = [step_with_mask(params, SceneBatch.pack([scene]), sup, config) for scene, sup in zip(scenes, sups)]
         total = lone[0][2]
         for _, _, g in lone[1:]:
@@ -446,9 +499,10 @@ class TestBatchedStep:
             assert np.array_equal(pseudo.weights[n, :, :m], own.weights[0, :, :m])
             assert not pseudo.weights[n, :, m:].any() and not own.weights[0, :, m:].any()
             assert np.array_equal(pseudo.seeds[:, pseudo_entries(sups, n)], own.seeds)
-            mine = pseudo.scenes == n
+            batched, alone = assignments(pseudo, batch_sup), assignments(own, sup)
+            mine = batched.scenes == n
             for name in ("heads", "regions", "classes", "columns"):
-                assert np.array_equal(getattr(pseudo, name)[mine], getattr(own, name)), name
+                assert np.array_equal(getattr(batched, name)[mine], getattr(alone, name)), name
 
 
 def pseudo_entries(sups, n):
@@ -525,10 +579,8 @@ class TestOverlapMasks:
         seeds = np.zeros((config.num_heads, *sup.positive.shape), dtype=int)
         seeds[:, sup.class_scenes, sup.classes] = pseudo.seeds
         unskipped = oicr.coupled_assignments(scores, sup, near, seeds)
-        for name, value in zip(("heads", "regions", "classes", "columns", "scenes"), unskipped):
-            skipped = getattr(pseudo, name)
-            assert (skipped.dtype, skipped.shape) == (value.dtype, value.shape), name
-            assert np.array_equal(skipped, value), name
+        assert (pseudo.coupled.dtype, pseudo.coupled.shape) == (unskipped.dtype, unskipped.shape)
+        assert np.array_equal(pseudo.coupled, unskipped)
 
 
 def scene_detections(dets, n):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ def columns_for(cats):
 
 
 def sup_for(objects, num_classes, pairs=None, cols=None, with_pairs=True):
-    return compile_supervision(labels_for(objects, pairs), num_classes, cols or {}, pairs=with_pairs)
+    return compile_supervision([labels_for(objects, pairs)], num_classes, cols or {}, pairs=with_pairs)
 
 
 def mil(scores, sup):
@@ -146,7 +147,7 @@ class TestCompileSupervision:
     @example([labels_for(set())])
     @example([labels_for(set()), labels_for(set()), labels_for(set())])
     def test_stacked_masks_equal_per_scene_entries_with_offsets(self, scenes):
-        batch = stacked([compile_supervision(labels, 4, PROPERTY_COLS) for labels in scenes])
+        batch = stacked([compile_supervision([labels], 4, PROPERTY_COLS) for labels in scenes])
         # scene after scene; within a scene, classes ascend and a class's pairs by attribute column
         classes = [(n, c) for n, labels in enumerate(scenes) for c in sorted(labels.objects)]
         pairs = [
@@ -158,6 +159,9 @@ class TestCompileSupervision:
         assert list(zip(batch.pair_scenes.tolist(), batch.pair_classes.tolist(), batch.pair_columns.tolist())) == pairs
         assert batch.positive.tolist() == [[c in labels.objects for c in range(4)] for labels in scenes]
         assert batch.divisor.tolist() == [max(1, len(labels.objects)) for labels in scenes]
+        # one call over every scene compiles the masks stacked one scene at a time
+        whole = compile_supervision(scenes, 4, PROPERTY_COLS)
+        assert np.array_equal(whole.positive, batch.positive) and np.array_equal(whole.pairs, batch.pairs)
 
     def test_bad_pair_is_one_value_error_naming_class_and_pair(self):
         cols = columns_for({"color": ("red",)})
@@ -168,6 +172,19 @@ class TestCompileSupervision:
     def test_out_of_range_class_names_it(self):
         with pytest.raises(ValueError, match="class index 2 out of range for 2 classes"):
             sup_for({0, 2}, 2)
+
+    def test_many_scenes_compile_in_linear_memory(self):
+        # train compiles its whole dataset at once: nothing may grow as N squared,
+        # such as an (N, |O|) mask of each scene's entries
+        scenes = [labels_for({0}, {0: {("color", "red")}})] * 2000
+        tracemalloc.start()
+        try:
+            sup = compile_supervision(scenes, 1, columns_for({"color": ("red",)}))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # two (2000, 2000) bool masks would take 8 MB
+        assert sup.classes.size == sup.pair_classes.size == 2000
 
 
 class TestObjectMilLoss:
@@ -238,7 +255,7 @@ class TestEntanglementLoss:
 
     def test_reference_example(self):
         obj, attr, cols, labels = self.example()
-        sup = compile_supervision(labels, 1, cols)
+        sup = compile_supervision([labels], 1, cols)
         value, grad_obj, grad_attr, rows = entangle(obj, attr, sup)
         assert pair_rows(sup, rows) == {(0, cols["color", "brown"]): 1}
         assert value == pytest.approx(0.916290731874155, abs=1e-12)
@@ -249,7 +266,7 @@ class TestEntanglementLoss:
 
     def test_coupled_argmax_differs_from_object_argmax(self):
         obj, attr, cols, labels = self.example()
-        sup = compile_supervision(labels, 1, cols)
+        sup = compile_supervision([labels], 1, cols)
         _, _, object_rows = mil(obj, sup)
         _, _, _, coupled_rows = entangle(obj, attr, sup)
         assert dict(zip(sup.classes.tolist(), object_rows.tolist())) == {0: 0}
@@ -265,7 +282,7 @@ class TestEntanglementLoss:
     def test_object_normalization_default(self):
         obj, attr, cols, _ = self.example()
         labels = labels_for({0}, {0: {("color", "brown"), ("size", "small")}})
-        value_obj, *_ = entangle(obj, attr, compile_supervision(labels, 1, cols))
+        value_obj, *_ = entangle(obj, attr, compile_supervision([labels], 1, cols))
         # one object, two pairs (best products 0.40 and 0.45): the pair
         # losses are summed and divided by |O| = 1, not averaged over pairs
         assert value_obj == pytest.approx(-(math.log(0.40) + math.log(0.45)))
@@ -284,7 +301,7 @@ class TestEntanglementLoss:
             color /= color.sum(axis=1, keepdims=True)
             labels = labels_for({0}, {0: {("color", "red")}})
             cols = columns_for({"color": ("red", "brown")})
-            value, *_ = entangle(obj, color, compile_supervision(labels, 2, cols))
+            value, *_ = entangle(obj, color, compile_supervision([labels], 2, cols))
             i_obj = int(np.argmax(obj[:, 0]))
             decoupled = -(math.log(obj[i_obj, 0]) + math.log(color[i_obj, 0]))
             assert value <= decoupled + 1e-12
@@ -396,7 +413,7 @@ class TestLossesMatchLoops:
     @given(loss_inputs())
     def test_object_mil_loss(self, inputs):
         obj, _, labels = inputs
-        sup = compile_supervision(labels, obj.shape[1] - 1, PROPERTY_COLS)
+        sup = compile_supervision([labels], obj.shape[1] - 1, PROPERTY_COLS)
         value, grad, rows = mil(obj, sup)
         ref_value, ref_grad, ref_chosen = mil_reference(obj, labels.objects)
         assert dict(zip(sup.classes.tolist(), rows.tolist())) == ref_chosen
@@ -407,7 +424,7 @@ class TestLossesMatchLoops:
     @given(loss_inputs())
     def test_entanglement_loss(self, inputs):
         obj, attr, labels = inputs
-        sup = compile_supervision(labels, obj.shape[1] - 1, PROPERTY_COLS)
+        sup = compile_supervision([labels], obj.shape[1] - 1, PROPERTY_COLS)
         value, grad_obj, grad_attr, rows = entangle(obj, attr, sup)
         ref_value, ref_obj, ref_attr, ref_chosen = entanglement_reference(obj, attr, labels, PROPERTY_COLS)
         assert pair_rows(sup, rows) == {(c, PROPERTY_COLS[cat, val]): i for (c, cat, val), i in ref_chosen.items()}
@@ -421,7 +438,7 @@ class TestLossesMatchLoops:
         obj = np.array([[0.8, 0.8, 0.1], [0.1, 0.1, 0.8]])
         attr = np.array([[0.5, 0.25, 0.25, 0.5, 0.5], [0.1, 0.8, 0.1, 0.5, 0.5]])
         labels = labels_for({0, 1}, {0: {("color", "red")}, 1: {("color", "red")}})
-        sup = compile_supervision(labels, 2, PROPERTY_COLS)
+        sup = compile_supervision([labels], 2, PROPERTY_COLS)
         _, _, grad_attr, rows = entangle(obj, attr, sup)
         assert pair_rows(sup, rows) == {(0, PROPERTY_COLS["color", "red"]): 0, (1, PROPERTY_COLS["color", "red"]): 0}
         assert grad_attr[0, 0] == pytest.approx(-2.0)  # two times -1 / 0.5, over |O| = 2
@@ -485,7 +502,7 @@ def exact_component_setup():
     scores = packed_scores([obj], [attr], np.zeros((1, 1)), [math.exp(-1.0)])
     labels = labels_for({0}, {0: {("color", "red")}})
     cols = columns_for({"color": ("red", "green")})
-    return scores, compile_supervision(labels, 1, cols), compile_supervision(labels, 1, cols, pairs=False)
+    return scores, compile_supervision([labels], 1, cols), compile_supervision([labels], 1, cols, pairs=False)
 
 
 # one scene's refinement values when there is no refinement head to score

@@ -10,7 +10,13 @@ reference to check the batched step against.
 import numpy as np
 
 from capdet import oicr, scorenet
-from capdet.trainer import Adagrad, SceneBatch, batch_step, compile_labels, label_scenes
+from capdet.trainer import Adagrad, SceneBatch, batch_step, label_scenes
+from capdet.weakloss import compile_supervision
+
+
+def scene_supervision(labels, params, config):
+    """One scene's labels compiled as a one-scene batch; the exact-match baseline compiles no attribute pairs."""
+    return compile_supervision([labels], params.num_classes, params.value_columns, pairs=config.attributes_enabled)
 
 
 def train_loop(scenes, vocab, registry, config, log_sink=None):
@@ -19,7 +25,7 @@ def train_loop(scenes, vocab, registry, config, log_sink=None):
     params = scorenet.init_params(
         scenes[0].proposals.features.shape[1], vocab.class_names, category_values, config.num_heads, config.seed
     )
-    sups = [compile_labels(labels, params, config) for labels in label_scenes(scenes, vocab, registry)]
+    sups = [scene_supervision(labels, params, config) for labels in label_scenes(scenes, vocab, registry)]
     optimizer = Adagrad(params.flat.size, config.learning_rate)
     order_rng = np.random.default_rng(config.seed)
     order = order_rng.permutation(len(scenes))
