@@ -15,14 +15,14 @@ gradient comes from scorenet.param_gradients. Freezing leaves the loss a
 function of the packed map's logits z = x @ W + b alone, so every probe
 is a rank-one shift of one logit array: moving weight (r, j) by h moves
 only column j of z, by h * x[:, r], and moving bias j moves it by h. A
-trial's probes, plus and minus h on each sampled coordinate, are
-therefore one (2, n, N, m, P) stack of shifted copies of z, scored in one
-call through the leading axes of the value stages of the loss functions
-the training step runs. A probe needs its loss value only, so no gradient
-stage runs on the stack. No parameter is touched and no second matmul
-runs; in exact arithmetic each slice is the loss at the bumped
-parameters, and only rounding differs (about eps * |L| / h in the
-derivative).
+trial's 2n probes, plus and minus h on each of n sampled coordinates, are
+therefore 2n shifted copies of the batch's scenes: one (2n * N, m, P)
+batch scored in one call through the value stages of the training step's
+loss functions, against its supervision and pseudo-labels tiled 2n times.
+A probe needs its loss value only, so no gradient stage runs. No
+parameter is touched and no second matmul runs; in exact arithmetic each
+probe's loss is the loss at the bumped parameters, and only rounding
+differs (about eps * |L| / h in the derivative).
 
 Each trial compares the analytic gradient against central differences on a
 coordinate sample, and reports the worst relative error, measured as
@@ -104,7 +104,7 @@ def composed_loss(
     config: TrainConfig,
     pseudo: PseudoLabels,
 ) -> np.ndarray:
-    """The composed loss (..., N) of logits z (..., N, m, P) with frozen refinement supervision: value stages only."""
+    """The composed loss (N,) of logits z (N, m, P) with frozen refinement supervision: value stages only."""
     # supervision without pairs reads no attribute score, so, as in a training step, none is computed
     scores = scorenet.head_scores(params, z, valid, attributes=sup.pair_classes.size > 0)
     values, _ = oicr.refinement_terms(scores, sup, pseudo)
@@ -121,7 +121,7 @@ def numeric_gradient(
     coords: np.ndarray,
     step: float,
 ) -> np.ndarray:
-    """Central differences of the batch's summed loss at coords (checkpoint order), every probe in one stack."""
+    """Central differences of the batch's summed loss at coords (checkpoint order), every probe scored in one batch."""
     z = scorenet.logits(params, batch)
     # entry (row, col) of the packed map scales column col of z by x[..., row]; the bias row is all ones
     rows, cols = np.divmod(params.checkpoint_order[coords], z.shape[-1])
@@ -131,7 +131,14 @@ def numeric_gradient(
     probe = np.arange(len(coords))
     probes[0, probe, ..., cols] += shift
     probes[1, probe, ..., cols] -= shift
-    hi, lo = composed_loss(params, probes, batch.valid, sup, config, pseudo).sum(axis=-1)
+    # probe i is the batch's scenes again, scenes i * N to (i + 1) * N, with their supervision
+    copies = 2 * len(coords)
+    picks = np.tile(np.arange(len(z)), copies)
+    sup = Supervision(sup.positive[picks], sup.pairs[picks])
+    seeds, coupled = np.tile(pseudo.seeds, copies), np.tile(pseudo.coupled, (1, copies, 1))
+    pseudo = PseudoLabels(pseudo.labels[picks], pseudo.weights[picks], seeds, coupled)
+    values = composed_loss(params, probes.reshape((-1,) + z.shape[1:]), batch.valid[picks], sup, config, pseudo)
+    hi, lo = values.reshape(2, len(coords), -1).sum(axis=-1)
     return (hi - lo) / (2.0 * step)
 
 

@@ -33,11 +33,9 @@ padded rows are never seeded and never overlap anything, and the mention
 mask keeps a row from being claimed by a class its scene does not
 mention. Labels and weights are (N, K, M); padded rows, and every row of
 a scene that mentions no class, weigh 0, so each scene's refinement term
-is the one it would have alone, divided by its own proposal count. The
-refinement terms also score stacked scores (leading axes ahead of the
-scene axis, as weakloss describes) against one frozen PseudoLabels.
-Like the caption terms, refinement_terms is a value stage that returns
-its gradient stage (weakloss describes the two), so the gradient check's
+is the one it would have alone, divided by its own proposal count. Like
+the caption terms, refinement_terms is a value stage that returns its
+gradient stage (weakloss describes the two), so the gradient check's
 probes are scored without a gradient.
 """
 
@@ -50,7 +48,7 @@ import numpy as np
 
 from .geometry import iou_matrix
 from .scorenet import Scores, clamp_prob, softmax_cols
-from .weakloss import Supervision, best_regions, gather_entries, slice_index
+from .weakloss import Supervision, best_regions, gather_entries, run_sums
 
 
 @dataclass(frozen=True)
@@ -131,63 +129,51 @@ def coupled_assignments(scores: Scores, sup: Supervision, near: np.ndarray, seed
 
 
 def refinement_terms(scores: Scores, sup: Supervision, pseudo: PseudoLabels) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
-    """Per-head loss values (..., N, K), and the gradient stage that returns their gradient with respect to scores.heads.
+    """Per-head loss values (N, K), and the gradient stage that returns their gradient with respect to scores.heads.
 
     Head k's value is the weighted cross-entropy -(1/m) sum w_i log s[i, label_i]
     plus, when it has coupled assignments, their cross-entropy averaged per
     assignment: the attribute factor at every head, the object factor from
-    head 2 on (head 1's object head already has its own labels). The values
-    are (..., N, K): each scene sums its own rows and divides by its own m.
-    Stacked scores are scored slice by slice against the same frozen
-    supervision; sup, which pseudo was built from, names each coupled
-    pair's scene, class and column. The gradient stage scatters from the
-    cells and clamped scores the values read into a new array laid out
-    like scores.heads: assignments sharing a score cell add up their
-    gradients there, and padded rows, weighted 0, get none.
+    head 2 on (head 1's object head already has its own labels). Each scene
+    sums its own rows and divides by its own m; each (head, scene) group of
+    assignments is one run of run_sums. sup, which pseudo was built from,
+    names each coupled pair's scene, class and column. The gradient stage
+    scatters from the cells and clamped scores the values read into a new
+    array laid out like scores.heads: assignments sharing a score cell add
+    up their gradients there, and padded rows, weighted 0, get none.
     """
-    shape = scores.objects.shape[:-1]  # (..., N, K, m)
-    labels = pseudo.labels
-    if labels.shape != shape[-labels.ndim :]:
+    labels, shape = pseudo.labels, scores.objects.shape[:-1]
+    if labels.shape != shape:
         raise ValueError(f"pseudo-labels cover {labels.shape} (scene, head, region) cells, scores have {shape}")
-    num_scenes, k = labels.shape[:2]
+    num_scenes, k, width = labels.shape
     m = scores.valid.sum(axis=-1)[:, None, None]
-    cells = (..., *slice_index(labels.shape[:-1]), np.arange(labels.shape[-1]), labels)
-    # a gather behind a leading ... puts that axis innermost in memory; in C
-    # order, every sum below adds each slice's terms as it would alone
-    p = np.ascontiguousarray(clamp_prob(scores.objects[cells]))
-    values = (-np.sum(pseudo.weights * np.log(p), axis=-1, keepdims=True) / m)[..., 0]
+    cells = (np.arange(num_scenes)[:, None, None], np.arange(k)[:, None], np.arange(width), labels)
+    p = clamp_prob(scores.objects[cells])
+    values = -np.sum(pseudo.weights * np.log(p), axis=-1) / m[..., 0]
 
     if pseudo.coupled.size:
-        # assignments come head by head, and a head's pairs scene by scene: group (head, scene) is one slice
+        # assignments come head by head, and a head's pairs scene by scene: group (head, scene) is one run
         h, pair, r = np.nonzero(pseudo.coupled)
         s = sup.pair_scenes[pair]
         group = h * num_scenes + s
-        counts = np.bincount(group, minlength=k * num_scenes)
-        n = counts[group]
-        attr_at = (..., s, h, r, sup.pair_columns[pair])
-        p_attr = np.ascontiguousarray(clamp_prob(scores.attributes[attr_at]))
+        attr_at = (s, h, r, sup.pair_columns[pair])
+        p_attr = clamp_prob(scores.attributes[attr_at])
+        # the object factors skip head 1's assignments
         both = h > 0
-        obj_at = (..., s[both], h[both], r[both], sup.pair_classes[pair[both]])
-        p_obj = np.ascontiguousarray(clamp_prob(scores.objects[obj_at]))
-        log_attr, log_obj = np.log(p_attr), np.log(p_obj)
-        # the object factors skip head 1's assignments, which come first
-        counts = counts.tolist()
-        skipped, end = sum(counts[:num_scenes]), 0
-        for g, count in enumerate(counts):
-            start, end = end, end + count
-            if not count:
-                continue
-            j, scene = divmod(g, num_scenes)
-            total = -log_attr[..., start:end].sum(axis=-1)
-            if j > 0:
-                total -= log_obj[..., start - skipped : end - skipped].sum(axis=-1)
-            values[..., scene, j] += total / count
+        obj_at = (s[both], h[both], r[both], sup.pair_classes[pair[both]])
+        p_obj = clamp_prob(scores.objects[obj_at])
+        size = k * num_scenes
+        counts = np.bincount(group, minlength=size)
+        total = -run_sums(np.log(p_attr), group, size) - run_sums(np.log(p_obj), group[both], size)
+        # an empty group's total is -0.0, which adds nothing
+        values += (total / np.maximum(counts, 1)).reshape(k, num_scenes).T
 
     def gradient() -> np.ndarray:
         grad = np.zeros(scores.heads.shape)
         grad_objects, grad_attributes = scores.split(grad)
         grad_objects[cells] = -pseudo.weights / (m * p)  # one cell per (head, region), and grad is still zero
         if pseudo.coupled.size:
+            n = counts[group]
             # np.add.at, not fancy-index assignment: cells hit twice must accumulate
             np.add.at(grad_attributes, attr_at, -1.0 / (n * p_attr))
             # summed in its own zero array and added once: accumulating straight

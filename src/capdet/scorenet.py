@@ -25,18 +25,16 @@ the (N, M, K, C+1) view of the object columns and one over all
 categories of the (N, M, K, V) view of the attribute columns. Region
 reductions run over axis -2, so each scene scores, bit for bit, as it
 would alone; padded rows get -inf before the softmax over regions, so
-they carry no evidence, and they get zero gradient. head_scores also
-takes a stack of logit arrays ahead of the scene axis, (..., N, M, P),
-and scores each slice exactly as it would alone; the gradient check
-scores all its probes that way.
+they carry no evidence, and they get zero gradient.
 
 Backward builds one (N, M, P) gradient of the map's outputs, multiplies
-each scene's features with its own gradient, one stacked matmul, and
-sums the scenes' parameter gradients in order. A step whose supervision
-names no attribute leaves the attribute heads out: forward skips their
-softmaxes, so Scores holds an empty attribute block, and backward leaves
-their gradient columns zero. The matmul keeps every column, since a
-narrower product rounds some columns differently.
+each scene's own rows of features and gradient, as logits does, and sums
+the scenes' parameter gradients in order, so on any BLAS kernel a
+scene's gradient has the bits of its one-scene batch's. A step whose
+supervision names no attribute leaves the attribute heads out: forward
+skips their softmaxes, so Scores holds an empty attribute block, and
+backward leaves their gradient columns zero. The matmul keeps every
+column, since a narrower product rounds some columns differently.
 
 All parameters live in one flat float64 buffer, the packed map row by
 row: d weight rows, then the bias row (packed is its (d + 1, P) view).
@@ -225,15 +223,14 @@ class RegionSet:
 
 @dataclass
 class Scores:
-    """Forward's output for a padded batch of N scenes, or for a stack of logit arrays over one.
+    """Forward's output for a padded batch of N scenes.
 
     heads holds every head's probabilities in the packed column order,
     the K object blocks and then the K attribute blocks (V is 0 when
     forward left the attribute heads out); objects and attributes are
     views into it, and split takes the same views of any array laid out
     like it, such as a gradient. The evidence block's streams are kept
-    for the backward pass. A stack of logit arrays adds its leading axes
-    (...) ahead of every shape below; valid marks each scene's own rows.
+    for the backward pass; valid marks each scene's own rows.
     """
 
     heads: np.ndarray  # (N, m, K(C + 1) + K * V)
@@ -250,7 +247,7 @@ class Scores:
         self.objects, self.attributes = self.split(self.heads)
 
     def split(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(..., K, m, C + 1) and (..., K, m, V) views of the head columns of a, laid out like heads."""
+        """(N, K, m, C + 1) and (N, K, m, V) views of the head columns of a, laid out like heads."""
         k = self.num_heads
         n_obj = k * (self.image_level.shape[-1] + 1)
         v = (self.heads.shape[-1] - n_obj) // k
@@ -292,13 +289,12 @@ def logits(params: ModelParams, batch) -> np.ndarray:
 
 
 def head_scores(params: ModelParams, z: np.ndarray, valid: np.ndarray, attributes: bool = True) -> Scores:
-    """Every head's scores from logits z of shape (..., N, m, P).
+    """Every head's scores from logits z of shape (N, m, P).
 
-    Leading axes ahead of the scene axis stack independent logit arrays;
-    region reductions run over axis -2, so each (m, P) slice scores
-    exactly as it would alone. valid (N, m) masks padded rows out of the
-    softmax over regions. With attributes False the attribute block of
-    heads is empty and its softmaxes are skipped.
+    Region reductions run over axis -2, so each scene scores exactly as it
+    would alone. valid (N, m) masks padded rows out of the softmax over
+    regions. With attributes False the attribute block of heads is empty
+    and its softmaxes are skipped.
     """
     gate = sigmoid(z[..., params.cls_cols])
     region_dist = softmax_cols(np.where(valid[..., None], z[..., params.det_cols], -np.inf))
@@ -357,8 +353,12 @@ def param_gradients(params: ModelParams, batch, scores: Scores, grad: np.ndarray
     d_per_region = (grad_image * y * (1.0 - y))[..., None, :]
     dz[..., params.det_cols] = _softmax_cols_backward(scores.region_dist, d_per_region * gate)
     dz[..., params.cls_cols] = d_per_region * scores.region_dist * gate * (1.0 - gate)
-    # one matmul per scene, then the scenes added in order: the bits of summing per-scene calls
-    g = np.concatenate([np.matmul(x.swapaxes(-1, -2), dz), dz.sum(axis=-2)[..., None, :]], axis=-2)
+    # one matmul per scene over its own rows, as in logits, then the scenes
+    # added in order: the bits of summing per-scene calls, on any kernel
+    g = np.empty((len(x),) + params.packed.shape)
+    for n, size in enumerate(batch.valid.sum(axis=-1).tolist()):
+        np.matmul(x[n, : max(2, size)].T, dz[n, : max(2, size)], out=g[n, :-1])
+    g[:, -1] = dz.sum(axis=-2)
     return g.sum(axis=0).ravel()
 
 

@@ -10,9 +10,10 @@ EVAL_CHUNK scenes of similar proposal counts. A step takes the next
 batch_size scenes of one permutation per epoch, packs them into one
 padded SceneBatch, slices their overlap and caption masks, and runs
 batch_step: forward, pseudo-labels, both stages of the losses (values,
-then gradients) and backward once over the batch. Forward multiplies
-each scene over its own rows, so each scene's gradient has the bits of a
-one-scene batch's, and the scenes' gradients are added in batch order.
+then gradients) and backward once over the batch. Forward and backward
+multiply each scene over its own rows, so each scene's gradient has the
+bits of a one-scene batch's, and the scenes' gradients are added in
+batch order.
 Setting lambda2 to zero compiles the labels without attribute pairs,
 which removes every attribute-dependent computation, including the
 coupled refinement terms that would otherwise feed gradients into later
@@ -150,7 +151,7 @@ class Adagrad:
 
 
 def frozen_loss(scores: scorenet.Scores, sup: Supervision, config: TrainConfig, pseudo: oicr.PseudoLabels) -> LossReport:
-    """The loss of scores against frozen refinement supervision, values then gradients; stacked scores give a value per slice."""
+    """The loss of scores against frozen refinement supervision, values then gradients, a value per scene."""
     values, refinement_gradient = oicr.refinement_terms(scores, sup, pseudo)
     report, caption_gradient = weakloss.total_loss(scores, sup, config.lambda1, config.lambda2, values)
     report.grad = refinement_gradient()

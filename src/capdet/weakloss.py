@@ -20,19 +20,17 @@ read the masks' cells and never sort or check labels again. Compiling
 without pairs is the exact-match baseline: with no pairs there is no
 coupled term anywhere.
 
-Scores come as a padded batch of N scenes, (..., N, m, ·): a lone scene
-is N = 1. A batch's Supervision is its scenes' rows of the masks, so
-each class and pair names its own scene and reads that scene's column,
-the (N, m) valid mask keeps padded rows out of every maximum, and each
-scene is averaged over its own classes. Both maxima run over all
-entries at once: one argmax over the gathered product, then one
-np.add.at per factor in entry order, so pairs meeting in one cell add
-up. Leading axes ahead of the scene axis stack independent score arrays,
-as the gradient check's probes; every value is an array over (..., N).
-Sums run in C order, so every slice, and every scene, gets the gradient
-bits of a one-scene batch; a batch's values may differ in the last bits,
-since a scene's terms are summed next to the zeros that stand for the
-other scenes' entries.
+Scores come as a padded batch of N scenes, (N, m, ·): a lone scene is
+N = 1, and so is each of the gradient check's probes. A batch's
+Supervision is its scenes' rows of the masks, so each class and pair
+names its own scene and reads that scene's column, the (N, m) valid mask
+keeps padded rows out of every maximum, and each scene is averaged over
+its own classes. Both maxima run over all entries at once: one argmax
+over the gathered product, then one np.add.at per factor in entry order,
+so pairs meeting in one cell add up. Every value is an array over N, and
+run_sums sums each scene's entries with the bits np.sum gives them
+alone: every scene gets its one-scene batch's value and gradient bits,
+up to the sign of a zero.
 
 Every loss term runs in two stages. Its value stage does the gathers,
 clamps, maxima, logs and per-scene sums, and returns the value together
@@ -118,9 +116,20 @@ def best_regions(p: np.ndarray, scenes: np.ndarray, valid: np.ndarray) -> np.nda
     return np.where(valid[scenes], p, -np.inf).argmax(axis=-1)
 
 
-def slice_index(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Index arrays that address every slice of leading axes of this shape, broadcasting against (..., n)."""
-    return tuple(np.arange(size).reshape((size,) + (1,) * (len(shape) - i)) for i, size in enumerate(shape))
+def run_sums(x: np.ndarray, runs: np.ndarray, size: int) -> np.ndarray:
+    """(size,) sums of x over each run of one id in ascending runs, each with the bits np.sum gives the run alone.
+
+    np.bincount adds in order, as numpy does below 8 terms; runs of 8 or
+    more, which numpy sums pairwise, are summed again as the rows of one
+    2-D gather per run length.
+    """
+    sums = np.bincount(runs, weights=x, minlength=size)
+    counts = np.bincount(runs, minlength=size)
+    for length in set(counts[counts >= 8].tolist()):
+        ids = np.flatnonzero(counts == length)
+        starts = np.cumsum(counts)[ids] - length
+        sums[ids] = x[starts[:, None] + np.arange(length)].sum(axis=1)
+    return sums
 
 
 def _product_mil(
@@ -128,29 +137,25 @@ def _product_mil(
 ) -> tuple[np.ndarray, np.ndarray, Callable[[], tuple]]:
     """Per entry, -log of every factor at the region maximizing their product; each scene's sum over its divisor.
 
-    Entry i reads column columns[f][i] of factor f (..., N, m, ·) in
-    scene scenes[i]. The gradient stage returns one gradient per factor.
-    No entry short-circuits to zero.
+    Entry i reads column columns[f][i] of factor f (N, m, ·) in scene
+    scenes[i]. The gradient stage returns one gradient per factor. No entry
+    short-circuits to zero.
     """
     if not scenes.size:
-        lead = factors[0].shape[:-2]
-        return np.zeros(lead), np.zeros(lead[:-1] + (0,), dtype=int), lambda: tuple(np.zeros(f.shape) for f in factors)
+        return np.zeros(len(divisor)), np.zeros(0, dtype=int), lambda: tuple(np.zeros(f.shape) for f in factors)
     p = [clamp_prob(gather_entries(f, scenes, cols)) for f, cols in zip(factors, columns)]
     rows = best_regions(reduce(np.multiply, p), scenes, valid)
-    lead = slice_index(rows.shape[:-1])
-    at = (*lead, np.arange(scenes.size), rows)
-    best = [q[at] for q in p]
+    best = [q[np.arange(scenes.size), rows] for q in p]
 
     def gradient() -> tuple[np.ndarray, ...]:
         grads = tuple(np.zeros(f.shape) for f in factors)
         for grad, cols, b in zip(grads, columns, best):
             # np.add.at, not fancy-index assignment: pairs that meet in one cell must accumulate
-            np.add.at(grad, (*lead, scenes, rows, cols), -1.0 / b)
+            np.add.at(grad, (scenes, rows, cols), -1.0 / b)
             grad /= divisor[:, None, None]
         return grads
 
-    owner = scenes == np.arange(len(divisor))[:, None]  # (N, n): each scene's entries
-    return -np.where(owner, reduce(np.add, map(np.log, best))[..., None, :], 0.0).sum(axis=-1) / divisor, rows, gradient
+    return -run_sums(reduce(np.add, map(np.log, best)), scenes, len(divisor)) / divisor, rows, gradient
 
 
 def object_mil_loss(
@@ -160,10 +165,10 @@ def object_mil_loss(
 
     Gradient is nonzero only at each class's maximizing region; ties go to
     the lowest region index. Empty O short-circuits to zero. scores is
-    (..., N, m, C + 1) and valid (N, m); the value is (..., N), each scene
-    averaged over its own classes. The chosen regions come back as
-    (..., |O|) rows, entry i for class sup.classes[i], and then the
-    gradient stage, which returns the gradient with respect to scores.
+    (N, m, C + 1) and valid (N, m); the value is (N,), each scene averaged
+    over its own classes. The chosen regions come back as (|O|,) rows,
+    entry i for class sup.classes[i], and then the gradient stage, which
+    returns the gradient with respect to scores.
     """
     value, rows, gradient = _product_mil((scores,), (sup.classes,), sup.class_scenes, sup.divisor, valid)
     return value, rows, lambda: gradient()[0]
@@ -177,10 +182,10 @@ def entanglement_loss(
     For each mentioned class c and each of its attribute pairs (a, v),
     the loss is -log max over regions of obj[:, c] * attr[:, col(a, v)],
     and both factors receive gradient at the maximizing region. The sum
-    over pairs is normalized by |O|. Scores are (..., N, m, C + 1) and
-    (..., N, m, V); valid, the value and the (..., P) rows, entry i for
-    pair i of sup, work as in object_mil_loss, and the gradient stage
-    returns the gradients with respect to both score arrays.
+    over pairs is normalized by |O|. Scores are (N, m, C + 1) and
+    (N, m, V); valid, the value and the (P,) rows, entry i for pair i of
+    sup, work as in object_mil_loss, and the gradient stage returns the
+    gradients with respect to both score arrays.
     """
     return _product_mil(
         (obj_scores, attr_scores), (sup.pair_classes, sup.pair_columns), sup.pair_scenes, sup.divisor, valid
@@ -193,7 +198,7 @@ def mid_loss(image_level: np.ndarray, sup: Supervision) -> tuple[np.ndarray, Cal
     The gradient stage returns the gradient with respect to the
     image-level scores; pushing it back through the sigmoid, the region
     sum, and both streams is done by the score network's backward pass.
-    image_level is (..., N, C) and the value (..., N).
+    image_level is (N, C) and the value (N,).
     """
     y = clamp_prob(np.asarray(image_level))
     if y.shape[-1:] != (sup.num_classes,):
@@ -211,23 +216,22 @@ def mid_loss(image_level: np.ndarray, sup: Supervision) -> tuple[np.ndarray, Cal
 class LossReport:
     """One training step's loss breakdown, region choices, and score-space gradients.
 
-    Every value is an array over the scores' (..., N) axes. The region
-    choices are object_mil_loss's and entanglement_loss's rows: entry i
-    names the region chosen for sup.classes[i] (for the pair
-    (sup.pair_classes[i], sup.pair_columns[i])), with the leading axes
-    first. The gradients are None until the gradient stages run
-    (trainer.frozen_loss).
+    Every value is an array over the scores' N scenes. The region choices
+    are object_mil_loss's and entanglement_loss's rows: entry i names the
+    region chosen for sup.classes[i] (for the pair (sup.pair_classes[i],
+    sup.pair_columns[i])). The gradients are None until the gradient
+    stages run (trainer.frozen_loss).
     """
 
-    l_obj: np.ndarray  # (..., N)
-    l_entang: np.ndarray  # (..., N)
-    l_mid: np.ndarray  # (..., N)
-    l_oicr: np.ndarray  # (..., N, K)
-    l_total: np.ndarray  # (..., N)
-    argmax_objects: np.ndarray  # (..., |O|)
-    argmax_pairs: np.ndarray  # (..., P)
-    grad: np.ndarray | None = None  # (..., N, m, K(C + 1) + K * V), laid out like Scores.heads
-    grad_image: np.ndarray | None = None  # (..., N, C) with respect to the image-level scores
+    l_obj: np.ndarray  # (N,)
+    l_entang: np.ndarray  # (N,)
+    l_mid: np.ndarray  # (N,)
+    l_oicr: np.ndarray  # (N, K)
+    l_total: np.ndarray  # (N,)
+    argmax_objects: np.ndarray  # (|O|,)
+    argmax_pairs: np.ndarray  # (P,)
+    grad: np.ndarray | None = None  # (N, m, K(C + 1) + K * V), laid out like Scores.heads
+    grad_image: np.ndarray | None = None  # (N, C) with respect to the image-level scores
 
 
 def total_loss(
@@ -235,7 +239,7 @@ def total_loss(
 ) -> tuple[LossReport, Callable[[np.ndarray], np.ndarray]]:
     """Mix the terms: evidence + lambda1 * MIL + lambda2 * coupled + refinement terms.
 
-    oicr_values (..., N, K) are the refinement terms' values. Returns the
+    oicr_values (N, K) are the refinement terms' values. Returns the
     report, without gradients, and the caption terms' gradient stage: given
     the refinement gradient, laid out like scores.heads, it adds the
     weighted first-head MIL and coupled gradients into it in place and
@@ -243,7 +247,7 @@ def total_loss(
     weights are checked by TrainConfig. Supervision compiled without pairs
     has no coupled term: its value and gradient are exact zeros.
     """
-    first_objects, first_attributes = scores.objects[..., 0, :, :], scores.attributes[..., 0, :, :]
+    first_objects, first_attributes = scores.objects[:, 0], scores.attributes[:, 0]
     l_obj, argmax_objects, obj_gradient = object_mil_loss(first_objects, sup, scores.valid)
     l_entang, argmax_pairs, pair_gradient = entanglement_loss(first_objects, first_attributes, sup, scores.valid)
     l_mid, image_gradient = mid_loss(scores.image_level, sup)
@@ -261,8 +265,8 @@ def total_loss(
         grad_objects, grad_attributes = scores.split(grad)
         g_eobj, g_eattr = pair_gradient()
         # caption terms summed first: two separate += onto the refinement gradient would round differently
-        grad_objects[..., 0, :, :] += lambda1 * obj_gradient() + lambda2 * g_eobj
-        grad_attributes[..., 0, :, :] += lambda2 * g_eattr
+        grad_objects[:, 0] += lambda1 * obj_gradient() + lambda2 * g_eobj
+        grad_attributes[:, 0] += lambda2 * g_eattr
         return image_gradient()
 
     return report, gradient

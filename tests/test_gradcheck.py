@@ -12,9 +12,11 @@ from openblas_build import openblas_config
 from train_reference import scene_supervision
 
 from capdet import gradcheck, oicr, scorenet
+from capdet.oicr import PseudoLabels
 from capdet.scorenet import ModelParams
 from capdet.textgraph import LabelSet
 from capdet.trainer import batch_step, frozen_loss
+from capdet.weakloss import Supervision
 
 
 # OpenBLAS kernels on which run_gradient_check(trials=20) gives the pinned
@@ -32,6 +34,14 @@ def analytic_step(params, batch, labels, config):
     sup = scene_supervision(labels, params, config)
     near = oicr.overlap_masks(batch.boxes, config.tau, batch.valid)
     return (sup, *batch_step(params, batch, sup, near, config))
+
+
+def repeated(valid, sup, pseudo, copies):
+    """valid, sup and pseudo for copies of their N scenes one after another: the layout of a trial's probes."""
+    picks = np.tile(np.arange(len(valid)), copies)
+    classes, pairs = (np.tile(np.arange(n), copies) for n in (sup.classes.size, sup.pair_classes.size))
+    frozen = PseudoLabels(pseudo.labels[picks], pseudo.weights[picks], pseudo.seeds[:, classes], pseudo.coupled[:, pairs])
+    return valid[picks], Supervision(sup.positive[picks], sup.pairs[picks]), frozen
 
 
 def shifted_copy(params, rng):
@@ -70,14 +80,12 @@ class TestComposedLoss:
         z = scorenet.logits(params, batch)
         assert report.l_total.shape == (1,)
         assert np.array_equal(gradcheck.composed_loss(params, z, batch.valid, sup, config, pseudo), report.l_total)
-        (stacked,) = gradcheck.composed_loss(params, z[None], batch.valid, sup, config, pseudo)
-        assert np.array_equal(stacked, report.l_total)
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), em=st.booleans(), unlabeled=st.booleans())
     def test_each_slice_is_the_scene_loss(self, seed, n, em, unlabeled):
-        # n parameter sets over one scene: the leading-axis loss of their
-        # stacked logits is, slice by slice, the scene's loss
+        # n parameter sets over one scene: scene i of the batch of their
+        # logits scores as the lone scene does under parameter set i
         rng = np.random.default_rng(seed)
         params, batch, labels, config = gradcheck._random_problem(rng)
         if em:
@@ -86,17 +94,18 @@ class TestComposedLoss:
             labels = LabelSet()
         sup, _, pseudo, _ = analytic_step(params, batch, labels, config)
         others = [shifted_copy(params, rng) for _ in range(n)]
-        stack = np.stack([scorenet.logits(other, batch) for other in others])
-        values = gradcheck.composed_loss(params, stack, batch.valid, sup, config, pseudo)
-        stacked = frozen_loss(scorenet.head_scores(params, stack, batch.valid), sup, config, pseudo)
+        z = np.concatenate([scorenet.logits(other, batch) for other in others])
+        valid, copies, frozen = repeated(batch.valid, sup, pseudo, n)
+        values = gradcheck.composed_loss(params, z, valid, copies, config, frozen)
+        batched = frozen_loss(scorenet.head_scores(params, z, valid), copies, config, frozen)
         # the value stages alone give the bits of both stages run together
-        assert np.array_equal(values, stacked.l_total)
+        assert np.array_equal(values, batched.l_total)
         for i, other in enumerate(others):
             report = frozen_loss(scorenet.forward(other, batch), sup, config, pseudo)
-            assert np.array_equal(values[i], report.l_total)
-            assert np.array_equal(stacked.l_total[i], report.l_total)
-            assert np.array_equal(stacked.grad[i], report.grad)
-            assert np.array_equal(stacked.grad_image[i], report.grad_image)
+            assert np.array_equal(values[i : i + 1], report.l_total)
+            assert np.array_equal(batched.l_total[i : i + 1], report.l_total)
+            assert np.array_equal(batched.grad[i : i + 1], report.grad)
+            assert np.array_equal(batched.grad_image[i : i + 1], report.grad_image)
 
     def test_probe_stack_gets_no_gradient(self, monkeypatch):
         # a trial's 160 probes (80 coordinates) on a three-head problem with m = 8: every
@@ -106,17 +115,18 @@ class TestComposedLoss:
         sup, _, pseudo, _ = analytic_step(params, batch, labels, config)
         assert (params.num_heads, batch.valid.shape, sup.pair_classes.size) == (3, (1, 8), 1)
         z = scorenet.logits(params, batch)
-        probes = z + rng.normal(0.0, 1e-3, size=(2, 80) + z.shape)
-        scores = scorenet.head_scores(params, probes, batch.valid)
+        probes = z + rng.normal(0.0, 1e-3, size=(160,) + z.shape[1:])
+        valid, copies, frozen = repeated(batch.valid, sup, pseudo, 160)
+        scores = scorenet.head_scores(params, probes, valid)
         # scored before tracing starts, so the trace holds the loss stages alone
         monkeypatch.setattr(scorenet, "head_scores", lambda *args, **kwargs: scores)
         tracemalloc.start()
         try:
-            values = gradcheck.composed_loss(params, probes, batch.valid, sup, config, pseudo)
+            values = gradcheck.composed_loss(params, probes, valid, copies, config, frozen)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert values.shape == (2, 80, 1)
+        assert values.shape == (160,)
         assert peak < scores.heads.nbytes
 
 
@@ -234,7 +244,7 @@ class TestRunGradientCheck:
         monkeypatch.setattr(gradcheck, "composed_loss", spy)
         gradcheck.run_gradient_check(trials=4, seed=3, coords_per_trial=80)
         assert len(calls) == 4
-        assert all(shape[:2] == (2, 80) for shape in calls)
+        assert all(shape[0] == 160 for shape in calls)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_gradient_is_the_worst(self, bad, monkeypatch):

@@ -15,6 +15,7 @@ from capdet.weakloss import (
     entanglement_loss,
     mid_loss,
     object_mil_loss,
+    run_sums,
     total_loss,
 )
 
@@ -185,6 +186,18 @@ class TestCompileSupervision:
             tracemalloc.stop()
         assert peak < 2**20  # two (2000, 2000) bool masks would take 8 MB
         assert sup.classes.size == sup.pair_classes.size == 2000
+
+
+class TestRunSums:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 140), min_size=1, max_size=6), st.integers(0, 2**32 - 1))
+    def test_each_run_has_the_bits_of_its_lone_sum(self, lengths, seed):
+        # runs under 8 terms, pairwise ones from 8 on, and past 128 where numpy splits a row in halves
+        x = np.random.default_rng(seed).normal(size=sum(lengths))
+        runs = np.repeat(np.arange(len(lengths)), lengths)
+        ends = np.cumsum(lengths)
+        expected = [np.sum(x[end - n : end]) for n, end in zip(lengths, ends)]
+        assert run_sums(x, runs, len(lengths)).tobytes() == np.array(expected).tobytes()
 
 
 class TestObjectMilLoss:
