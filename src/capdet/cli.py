@@ -4,9 +4,10 @@ Subcommands: synth (generate benchmark splits), parse (captions to label
 records), train, eval, and gradcheck. Exit codes: 0 success, 1 usage
 error, 2 data error, 3 numerical failure.
 
-Run configuration comes from an optional key-value text file (one
+Training configuration comes from an optional key-value text file (one
 `key = value` per line, `#` comments) overridden by command-line flags;
-unknown keys and unknown flags are hard errors.
+unknown keys and unknown flags are hard errors. eval takes only the two
+settings inference reads, --nms-threshold and --score-floor.
 """
 
 from __future__ import annotations
@@ -254,7 +255,8 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True, help="metrics report path")
-    _add_train_config_flags(p)
+    p.add_argument("--nms-threshold", type=float)
+    p.add_argument("--score-floor", type=float)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")

@@ -280,7 +280,7 @@ def logits(params: ModelParams, batch) -> np.ndarray:
         raise ValueError(f"feature dim {x.shape[-1]} does not match model dim {params.feature_dim}")
     w = params.packed
     z = np.zeros(x.shape[:-1] + w.shape[1:])
-    # each scene's own rows, at least two (see trainer.pad_boxes): BLAS rounds
+    # each scene's own rows, at least two (see trainer.SceneBatch): BLAS rounds
     # a row by the row count of its product, so the padding must not reach them
     for n, size in enumerate(batch.valid.sum(axis=-1).tolist()):
         np.matmul(x[n, : max(2, size)], w[:-1], out=z[n, : max(2, size)])

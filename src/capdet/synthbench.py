@@ -189,7 +189,8 @@ def make_universe(config: SynthConfig, registry: AttributeRegistry, seed: int) -
     partner = partner[np.triu_indices(len(partner), 1)]
 
     def unit(v: np.ndarray) -> np.ndarray:
-        return v / np.linalg.norm(v)
+        # not np.linalg.norm: a 1-D norm is a BLAS dot, whose last bits depend on the CPU kernel
+        return v / np.sqrt(np.sum(v * v))
 
     def gaps(points: np.ndarray) -> np.ndarray:
         """The distance between each two rows of points, i < j in row-major order."""

@@ -34,9 +34,10 @@ class of the chunk at once, then a score floor. A chunk's detections are
 four parallel arrays: scene, proposal row (not a box), class and score.
 They stay arrays through evaluation, which reports all-point average
 precision at IoU 0.5 per class, their mean over classes present in the
-ground truth, and CorLoc. Per chunk it computes one IoU array, every
-detection against its own scene's ground-truth boxes, and both AP
-matching and CorLoc read it.
+ground truth, and CorLoc. It pads the split's ground truth once; per
+chunk it computes one IoU array, every detection against its own scene's
+ground-truth boxes, and matches each detection to a box; AP and CorLoc
+then read the split's matches in one pass.
 """
 
 from __future__ import annotations
@@ -247,11 +248,15 @@ def train(
 
 @dataclass(frozen=True)
 class SceneBatch:
-    """Scenes' proposals padded to the batch's largest proposal count M (at least 2, see pad_boxes).
+    """Scenes' proposals padded to the batch's largest proposal count M, at least 2.
 
     Row i of scene n is the scene's own proposal where valid[n, i]; the
     rows past a scene's count have zero features and the unit box, a real
-    box, so IoU never divides 0 by 0.
+    box, so IoU never divides 0 by 0. M is at least 2 because
+    scorenet.logits and scorenet.param_gradients multiply each scene over
+    at least two rows: numpy multiplies a one-row matrix through another
+    BLAS routine, which rounds differently, so a lone one-proposal scene
+    would score otherwise than it does in a batch.
     """
 
     image_ids: tuple[str, ...]
@@ -261,27 +266,17 @@ class SceneBatch:
 
     @staticmethod
     def pack(scenes: Sequence[SyntheticScene]) -> "SceneBatch":
-        boxes, valid = pad_boxes(scenes)
+        sizes = [scene.proposals.size for scene in scenes]
+        width = max([2, *sizes]) if sizes else 0
         dim = scenes[0].proposals.features.shape[1] if scenes else 0
-        features = np.zeros(valid.shape + (dim,))
+        features = np.zeros((len(scenes), width, dim))
+        boxes = np.empty((len(scenes), width, 4))
+        boxes[...] = (0.0, 0.0, 1.0, 1.0)
         for n, scene in enumerate(scenes):
-            features[n, : scene.proposals.size] = scene.proposals.features
+            features[n, : sizes[n]] = scene.proposals.features
+            boxes[n, : sizes[n]] = scene.proposals.boxes
+        valid = np.arange(width) < np.array(sizes, dtype=int)[:, None]
         return SceneBatch(tuple(scene.image_id for scene in scenes), features, boxes, valid)
-
-
-def pad_boxes(scenes: Sequence[SyntheticScene]) -> tuple[np.ndarray, np.ndarray]:
-    """The scenes' (N, M, 4) proposal boxes, padded with the unit box, and their (N, M) valid mask.
-
-    M is at least 2: numpy multiplies a one-row matrix through another BLAS
-    routine, which rounds differently, so a lone one-proposal scene would
-    score otherwise than it does in a batch.
-    """
-    sizes = [scene.proposals.size for scene in scenes]
-    boxes = np.empty((len(scenes), max([2, *sizes]) if sizes else 0, 4))
-    boxes[...] = (0.0, 0.0, 1.0, 1.0)
-    for n, scene in enumerate(scenes):
-        boxes[n, : sizes[n]] = scene.proposals.boxes
-    return boxes, np.arange(boxes.shape[1]) < np.array(sizes, dtype=int)[:, None]
 
 
 def overlap_blocks(scenes: Sequence[SyntheticScene], tau: float) -> np.ndarray:
@@ -296,9 +291,9 @@ def overlap_blocks(scenes: Sequence[SyntheticScene], tau: float) -> np.ndarray:
     order = np.argsort(sizes, kind="stable")
     for start in range(0, len(order), EVAL_CHUNK):
         picks = order[start : start + EVAL_CHUNK]
-        boxes, valid = pad_boxes([scenes[i] for i in picks])
-        width = valid.shape[1]
-        blocks[picks, :width, :width] = oicr.overlap_masks(boxes, tau, valid)
+        batch = SceneBatch.pack([scenes[i] for i in picks])
+        width = batch.valid.shape[1]
+        blocks[picks, :width, :width] = oicr.overlap_masks(batch.boxes, tau, batch.valid)
     return blocks
 
 
@@ -359,49 +354,43 @@ def evaluate(
 ) -> dict:
     """Per-class AP at IOU_THRESHOLD over classes present in GT, their mean, and CorLoc.
 
-    Scenes are inferred and matched EVAL_CHUNK at a time, in input order.
+    Scenes are inferred and matched EVAL_CHUNK at a time, in input order;
+    AP and CorLoc then read the whole split's detections at once.
     """
     num_classes = params.num_classes
-    # an empty first part keeps the concatenation below defined without scenes
-    det_classes = [np.zeros(0, dtype=int)]
-    det_scores = [np.zeros(0)]
-    det_matches = [np.zeros(0, dtype=int)]
-    gt_counts = np.zeros(num_classes, dtype=int)
-    top_hits = np.zeros(num_classes)
-    top_total = np.zeros(num_classes)
+    # the split's GT boxes, padded with class -1, which no detection has; a box's id is its position in the split
+    gt_sizes = np.array([len(scene.gt) for scene in scenes], dtype=int)
+    gt_valid = np.arange(gt_sizes.max(initial=1)) < gt_sizes[:, None]
+    gt_boxes = np.zeros(gt_valid.shape + (4,))
+    gt_classes = np.full(gt_valid.shape, -1)
+    gt_boxes[gt_valid] = np.reshape([g.box for scene in scenes for g in scene.gt], (-1, 4))
+    gt_classes[gt_valid] = [g.class_index for scene in scenes for g in scene.gt]
+    first_ids = np.cumsum(gt_sizes) - gt_sizes
 
+    # (scene, class, score, match) arrays per chunk; an empty first part keeps the concatenation defined without scenes
+    parts = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=int))]
     for start in range(0, len(scenes), EVAL_CHUNK):
-        chunk = scenes[start : start + EVAL_CHUNK]
-        batch = SceneBatch.pack(chunk)
-        det_scenes, rows, classes, scores = infer(params, batch, config)
-        # each scene's GT boxes, padded with class -1, which no detection has
-        gt_sizes = np.array([len(scene.gt) for scene in chunk])
-        gt_valid = np.arange(max(1, gt_sizes.max())) < gt_sizes[:, None]
-        gt_boxes = np.zeros(gt_valid.shape + (4,))
-        gt_classes = np.full(gt_valid.shape, -1)
-        gt_boxes[gt_valid] = np.reshape([g.box for scene in chunk for g in scene.gt], (-1, 4))
-        gt_classes[gt_valid] = [g.class_index for scene in chunk for g in scene.gt]
-        scene_counts = (gt_classes[:, :, None] == np.arange(num_classes)).sum(axis=1)
+        batch = SceneBatch.pack(scenes[start : start + EVAL_CHUNK])
+        chunk_scenes, rows, classes, scores = infer(params, batch, config)
+        owners = start + chunk_scenes
         # IoU with GT boxes of the detection's own scene and class, 0 elsewhere
-        overlaps = iou_matrix(batch.boxes[det_scenes, rows][:, None], gt_boxes[det_scenes])[:, 0]
-        own = np.where(classes[:, None] == gt_classes[det_scenes], overlaps, 0.0)
+        overlaps = iou_matrix(batch.boxes[chunk_scenes, rows][:, None], gt_boxes[owners])[:, 0]
+        own = np.where(classes[:, None] == gt_classes[owners], overlaps, 0.0)
         hit = own.max(axis=1) >= IOU_THRESHOLD
-        # GT boxes of earlier scenes shift the ids, so ids are unique across scenes
-        scene_totals = scene_counts.sum(axis=1)
-        first_ids = gt_counts.sum() + np.cumsum(scene_totals) - scene_totals
-        det_matches.append(np.where(hit, first_ids[det_scenes] + own.argmax(axis=1), -1))
-        det_classes.append(classes)
-        det_scores.append(scores)
-        gt_counts += scene_counts.sum(axis=0)
-        top_total += (scene_counts > 0).sum(axis=0)
-        # CorLoc reads each scene's top-scoring detection of each class, the first on ties
-        groups = det_scenes * num_classes + classes
-        by_score = np.lexsort((-scores, groups))
-        _, first = np.unique(groups[by_score], return_index=True)
-        top = by_score[first]
-        top_hits += np.bincount(classes[top[hit[top]]], minlength=num_classes)
+        parts.append((owners, classes, scores, np.where(hit, first_ids[owners] + own.argmax(axis=1), -1)))
 
-    classes, scores, matches = (np.concatenate(parts) for parts in (det_classes, det_scores, det_matches))
+    owners, classes, scores, matches = map(np.concatenate, zip(*parts))
+    del parts  # the split-wide passes below would otherwise hold every detection twice
+    scene_counts = (gt_classes[:, :, None] == np.arange(num_classes)).sum(axis=1)
+    gt_counts = scene_counts.sum(axis=0)
+    # CorLoc reads each scene's top-scoring detection of each class, the first on ties
+    groups = owners * num_classes + classes
+    by_score = np.lexsort((-scores, groups))
+    _, first = np.unique(groups[by_score], return_index=True)
+    top = by_score[first]
+    top_hits = np.bincount(classes[top[matches[top] >= 0]], minlength=num_classes)
+    top_total = (scene_counts > 0).sum(axis=0)
+
     present = np.flatnonzero(gt_counts).tolist()
     per_class_ap = {
         params.class_names[c]: average_precision(scores[classes == c], matches[classes == c], int(gt_counts[c]))

@@ -17,7 +17,7 @@ from capdet.trainer import IOU_THRESHOLD, NumericalError, average_precision
 def infer_scene(params, regions, config):
     """One scene's detections as parallel (region, class, score) arrays, class by class."""
     w = params.packed
-    # at least two rows, as trainer.pad_boxes pads a batch: numpy multiplies a
+    # at least two rows, as trainer.SceneBatch.pack pads a batch: numpy multiplies a
     # one-row matrix through gemv, which rounds otherwise than gemm does; and
     # every column, since BLAS rounds a column by the width of its product
     x = np.zeros((max(2, regions.size), regions.features.shape[1]))

@@ -1,12 +1,13 @@
-"""Byte identity across OpenBLAS kernels: the metrics file agrees, the parameters to 1e-8.
+"""Byte identity across OpenBLAS kernels: datasets and the metrics file agree, the parameters to 1e-8.
 
 Checkpoint bytes may differ in their last bits from one CPU kernel of
 OpenBLAS to another, since the kernels round matrix products differently
-(README, Determinism). A small seed-0 problem is trained and evaluated
-through the CLI twice, each time in a new process: under the kernel
-OpenBLAS picks for this CPU, and under OPENBLAS_CORETYPE=Prescott, one
-without FMA. Under Prescott too, a batch's gradient has the bytes of its
-lone scenes' gradients added in order.
+(README, Determinism). A seed-0 split is generated, and a small seed-0
+problem trained and evaluated, through the CLI twice, each time in a new
+process: under the kernel OpenBLAS picks for this CPU, and under
+OPENBLAS_CORETYPE=Prescott, one without FMA. Under Prescott too, a
+batch's gradient has the bytes of its lone scenes' gradients added in
+order.
 
 Run as a script, this file prints the seeds of BATCH_SEEDS whose batch
 gradient bytes differ from the sum of its lone scenes' gradients.
@@ -70,6 +71,16 @@ def batch_gradient_mismatches():
 def test_batch_gradient_is_its_lone_scenes_on_other_kernel():
     _, forced = kernel_environments()
     assert run([__file__], forced) == "[]\n"
+
+
+def test_dataset_bytes_agree_across_kernels(tmp_path):
+    native, forced = kernel_environments()
+    split = {}
+    for name, env in (("native", native), ("forced", forced)):
+        sizes = ["--train", "1", "--val", "1", "--test", "500"]
+        run(["-m", "capdet.cli", "synth", "--out", str(tmp_path / name), "--seed", "0", *sizes], env)
+        split[name] = (tmp_path / name / "test.jsonl").read_bytes()
+    assert split["native"] == split["forced"]
 
 
 def test_train_and_eval_agree_across_kernels(tmp_path):

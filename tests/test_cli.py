@@ -417,17 +417,50 @@ class TestTrainEval:
 
 
 class TestOutOfRangeTau:
-    @pytest.mark.parametrize("command", ["train", "eval"])
+    # eval takes no --tau (TestEvalSettings)
+    @pytest.mark.parametrize("command", ["train"])
     @pytest.mark.parametrize("tau", ["0", "1", "1.5"])
     def test_usage_error_before_the_dataset_is_read(self, command, tau, tmp_path, capsys):
-        # neither the dataset nor the checkpoint exists: reading either would exit 2
+        # the dataset does not exist: reading it would exit 2
         args = [command, "--data", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "out"), "--tau", tau]
-        if command == "eval":
-            args += ["--checkpoint", str(tmp_path / "missing.ckpt")]
         code = cli.main(args)
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [f"usage error: tau must lie in (0, 1), got {float(tau)}"]
         assert not (tmp_path / "out").exists()
+
+
+EVAL_SETTINGS = ("nms_threshold", "score_floor")  # the TrainConfig fields inference reads
+
+
+class TestEvalSettings:
+    """eval takes the two settings inference reads; every other config flag, and --config, is a usage error."""
+
+    @pytest.mark.parametrize(
+        "flag", ["--config"] + ["--" + key.replace("_", "-") for key in TrainConfig.field_types() if key not in EVAL_SETTINGS]
+    )
+    def test_training_flag_is_a_usage_error_before_any_file_is_opened(self, flag, tmp_path, capsys):
+        # neither the dataset nor the checkpoint exists: reading either would exit 2
+        files = ["--data", str(tmp_path / "d.jsonl"), "--checkpoint", str(tmp_path / "m.ckpt"), "--out", str(tmp_path / "m.json")]
+        assert cli.main(["eval", *files, flag, "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"usage error: unrecognized arguments: {flag} 1"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_settings_reach_the_metrics(self, eval_inputs, tmp_path):
+        text, blob, _ = eval_inputs
+        data, ckpt, out = tmp_path / "val.jsonl", tmp_path / "m.ckpt", tmp_path / "m.json"
+        data.write_text(text)
+        ckpt.write_bytes(blob)
+        args = ["eval", "--data", str(data), "--checkpoint", str(ckpt), "--out", str(out)]
+        assert cli.main(args + ["--nms-threshold", "0.3", "--score-floor", "0.1"]) == 0
+        params, scenes = scorenet.load_checkpoint(ckpt), synthbench.load_dataset(data)
+        config = TrainConfig(nms_threshold=0.3, score_floor=0.1)
+        expected = trainer.evaluate(params, scenes, config)
+        assert json.loads(out.read_text()) == json.loads(json.dumps(trainer.metrics_report(expected, config)))
+        # each setting alone, the other at its default, scores otherwise
+        for one in (TrainConfig(nms_threshold=0.3), TrainConfig(score_floor=0.1)):
+            assert trainer.evaluate(params, scenes, one) != expected
 
 
 # one row per corruption: header edits, or a checkpoint built for another layout

@@ -1,4 +1,5 @@
-"""Two stdlib-only lints: every imported name is used, and every definition is referenced.
+"""Three stdlib-only lints: every imported name is used, every definition is referenced, and every
+dotted reference to a capdet module in prose resolves.
 
 An imported name counts as used when the module reads it anywhere (a bare
 name or the base of an attribute chain) or lists it in ``__all__``.
@@ -12,9 +13,20 @@ wraps functions it names by string, and ``__all__`` lists names as
 strings, so the public names of ``capdet.__all__`` count as referenced.
 Use in tests/ does not count: code only the tests call lives in tests/.
 Methods that a base class calls are exempt (BASE_CLASS_HOOKS).
+
+A dotted reference is a capdet module's name, alone after ``capdet.`` or
+followed by attribute names (``trainer.SceneBatch.pack``), in a
+docstring or comment of src/capdet/ or in README.md. It resolves when the
+module has each attribute in turn; an annotated field resolves by its
+annotation, and names after it are not checked. A file name
+(``trainer.py``) is not a reference.
 """
 
 import ast
+import importlib
+import io
+import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -120,3 +132,54 @@ def test_flags_an_unused_method():
                      "class _Parser:\n    def error(self, message): pass\n"
                      "parser = _Parser()\nNamed.build().step()\ntarget = 'Named.size'\n")
     assert set(dead_definitions(tree, referenced_names(tree))) == {"Named.gone", "Named.unread"}
+
+
+CAPDET_MODULES = sorted(path.stem for path in (ROOT / "src" / "capdet").glob("*.py") if path.stem != "__init__")
+DOTTED = re.compile(r"(?<![\w.])(?:capdet\.)?(?:" + "|".join(CAPDET_MODULES) + r")(?:\.[A-Za-z_]\w*)*")
+
+
+def prose(source):
+    """The docstrings and comments of a module's source."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and ast.get_docstring(node):
+            yield ast.get_docstring(node, clean=False)
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.COMMENT:
+            yield token.string
+
+
+def dotted_references(text):
+    return [ref for ref in DOTTED.findall(text) if "." in ref and not ref.endswith(".py")]
+
+
+def resolves(reference):
+    parts = reference.removeprefix("capdet.").split(".")
+    target = importlib.import_module(f"capdet.{parts[0]}")
+    for part in parts[1:]:
+        if part in getattr(target, "__annotations__", {}):
+            return True  # a field, whose value only an instance holds
+        if not hasattr(target, part):
+            return False
+        target = getattr(target, part)
+    return True
+
+
+def test_dotted_references_resolve():
+    texts = [(ROOT / "README.md", (ROOT / "README.md").read_text(encoding="utf-8"))]
+    for path in sorted((ROOT / "src" / "capdet").glob("*.py")):
+        texts += [(path, text) for text in prose(path.read_text(encoding="utf-8"))]
+    unresolved = [
+        f"{path.relative_to(ROOT)}: {ref}" for path, text in texts for ref in dotted_references(text) if not resolves(ref)
+    ]
+    assert not unresolved, f"references to nothing: {', '.join(unresolved)}"
+
+
+def test_flags_an_unresolved_reference():
+    source = (
+        '"""See trainer.SceneBatch.pack and capdet.oicr, not src/capdet/trainer.py or the trainer."""\n'
+        "# weakloss.LossReport.grad.sum, then oicr.gone\n"
+        "x = 'geometry.absent'\n"
+    )
+    references = [ref for text in prose(source) for ref in dotted_references(text)]
+    assert references == ["trainer.SceneBatch.pack", "capdet.oicr", "weakloss.LossReport.grad.sum", "oicr.gone"]
+    assert [ref for ref in references if not resolves(ref)] == ["oicr.gone"]
