@@ -4,10 +4,12 @@ Subcommands: synth (generate benchmark splits), parse (captions to label
 records), train, eval, and gradcheck. Exit codes: 0 success, 1 usage
 error, 2 data error, 3 numerical failure.
 
-Training configuration comes from an optional key-value text file (one
-`key = value` per line, `#` comments) overridden by command-line flags;
-unknown keys and unknown flags are hard errors. eval takes only the two
-settings inference reads, --nms-threshold and --score-floor.
+A command has a flag for each config field it reads and for no other:
+synth the SynthConfig fields, eval the two that inference reads, train
+the other TrainConfig fields, which an optional key-value text file
+(`--config`: one `key = value` per line, `#` comments) can also give and
+its flags override. Unknown keys and unknown flags are hard errors, and
+a flag matches only by its full name.
 """
 
 from __future__ import annotations
@@ -38,12 +40,19 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
+EVAL_SETTINGS = ("nms_threshold", "score_floor")  # the TrainConfig fields inference reads
+TRAIN_SETTINGS = tuple(f.name for f in dataclasses.fields(TrainConfig) if f.name not in EVAL_SETTINGS)
+SYNTH_SETTINGS = tuple(f.name for f in dataclasses.fields(SynthConfig))
+
 
 class UsageError(Exception):
     pass
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)  # a flag matches by its full name only
+
     def error(self, message: str):  # argparse would exit(2); our contract says 1
         raise UsageError(message)
 
@@ -61,25 +70,25 @@ def read_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
-def build_train_config(args: argparse.Namespace) -> TrainConfig:
-    values: dict[str, object] = {}
-    if getattr(args, "config", None):
-        values.update(read_config_file(args.config))
-    for key in TrainConfig.field_types():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
+def build_train_config(args: argparse.Namespace, names: Sequence[str]) -> TrainConfig:
+    """A TrainConfig of names' values from the --config file, if the command has one, and its flags, which win."""
+    values: dict[str, object] = read_config_file(args.config) if getattr(args, "config", None) else {}
+    unknown = sorted(set(values) - set(names))
+    if unknown:
+        raise UsageError(f"unknown config keys: {', '.join(unknown)}")
+    values.update((key, getattr(args, key)) for key in names if getattr(args, key) is not None)
     try:
         return TrainConfig.from_mapping(values)
     except (TypeError, ValueError) as e:
         raise UsageError(str(e)) from None
 
 
-def _add_train_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key-value config file; flags override it")
-    for key, kind in TrainConfig.field_types().items():
+def _add_config_flags(p: argparse.ArgumentParser, config_class: type, names: Sequence[str]) -> None:
+    """One flag for each field of config_class in names, of the field's type."""
+    hints = get_type_hints(config_class)
+    for key in names:
         choices = trainer.LOSS_MODES if key == "loss_mode" else None
-        p.add_argument("--" + key.replace("_", "-"), type=kind, choices=choices, dest=key)
+        p.add_argument("--" + key.replace("_", "-"), type=hints[key], choices=choices)
 
 
 def _load_vocab_registry(args: argparse.Namespace) -> tuple[Vocabulary | None, AttributeRegistry]:
@@ -100,8 +109,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
     for split, size in sizes.items():
         if size < 1:
             raise UsageError(f"--{split} must be positive, got {size}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
     _, registry = _load_vocab_registry(args)
-    config = SynthConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SynthConfig)})
+    config = SynthConfig(**{key: getattr(args, key) for key in SYNTH_SETTINGS})
     try:
         universe = synthbench.make_universe(config, registry, seed=args.seed)
     except DataError as e:  # only a --registry file can lack a pool value
@@ -158,7 +169,7 @@ def _check_header(header: dict, data: str, source: str, model: Mapping[str, obje
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    config = build_train_config(args)
+    config = build_train_config(args, TRAIN_SETTINGS)
     header, scenes = _load_scenes(args.data)
     vocab, registry = _load_vocab_registry(args)
     try:
@@ -182,7 +193,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    config = build_train_config(args)
+    config = build_train_config(args, EVAL_SETTINGS)
     header, scenes = _load_scenes(args.data)
     try:
         params = scorenet.load_checkpoint(args.checkpoint)
@@ -202,6 +213,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
         raise UsageError(f"--tolerance must be finite and positive, got {args.tolerance}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
     result = gradcheck.run_gradient_check(
         trials=args.trials, seed=args.seed, coords_per_trial=args.coords, step=args.step
     )
@@ -229,11 +242,9 @@ def build_parser() -> _Parser:
     p.add_argument("--train", type=int, default=2000)
     p.add_argument("--val", type=int, default=500)
     p.add_argument("--test", type=int, default=500)
-    hints = get_type_hints(SynthConfig)
-    for f in dataclasses.fields(SynthConfig):
-        p.add_argument("--" + f.name.replace("_", "-"), type=hints[f.name], default=f.default)
+    _add_config_flags(p, SynthConfig, SYNTH_SETTINGS)
     p.add_argument("--registry")
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, **dataclasses.asdict(SynthConfig()))
 
     p = sub.add_parser("parse", help="extract label records from captions")
     p.add_argument("--captions", required=True, help="line-delimited {image_id, captions} records")
@@ -248,15 +259,15 @@ def build_parser() -> _Parser:
     p.add_argument("--log", help="per-step loss log (line-delimited records)")
     p.add_argument("--vocab")
     p.add_argument("--registry")
-    _add_train_config_flags(p)
+    p.add_argument("--config", help="key-value config file; flags override it")
+    _add_config_flags(p, TrainConfig, TRAIN_SETTINGS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True, help="metrics report path")
-    p.add_argument("--nms-threshold", type=float)
-    p.add_argument("--score-floor", type=float)
+    _add_config_flags(p, TrainConfig, EVAL_SETTINGS)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")

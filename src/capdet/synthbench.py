@@ -166,11 +166,11 @@ class Universe:
 def make_universe(config: SynthConfig, registry: AttributeRegistry, seed: int) -> Universe:
     """Place prototypes so the stated separations hold, or fail loudly.
 
-    Confusable partners end up delta/2 apart; every other class pair (and
-    the background) must clear 4*delta. Anchors are unit vectors redrawn
-    until they are comfortably spread, which a small feature_dim may make
-    impossible. A registry that lacks a value the attribute pools draw is
-    a DataError.
+    Confusable partners end up delta/2 apart, each from its anchor. Anchors
+    and the background are unit vectors redrawn until each two are at least
+    max(5.5 delta, 1) apart, which a small feature_dim may make impossible;
+    every other class pair, background included, then clears 4.5 delta. A
+    registry that lacks a value the attribute pools draw is a DataError.
     """
     for pools in config.attribute_pools.values():
         for cat, vals in pools.items():
@@ -183,32 +183,22 @@ def make_universe(config: SynthConfig, registry: AttributeRegistry, seed: int) -
     # one anchor per confusable pair (owned by its first member) plus one per free class
     owners = [n for n in names if all(n != b for _, b in config.confusable_pairs)]
     min_gap = max(5.5 * delta, 1.0)
-    confusable = {frozenset(p) for p in config.confusable_pairs}
-    # whether each two of the classes and the background (last) are confusable, pair by pair as gaps lists them
-    partner = np.pad([[frozenset((a, b)) in confusable for b in names] for a in names], (0, 1))
-    partner = partner[np.triu_indices(len(partner), 1)]
 
     def unit(v: np.ndarray) -> np.ndarray:
         # not np.linalg.norm: a 1-D norm is a BLAS dot, whose last bits depend on the CPU kernel
         return v / np.sqrt(np.sum(v * v))
 
-    def gaps(points: np.ndarray) -> np.ndarray:
-        """The distance between each two rows of points, i < j in row-major order."""
-        return np.linalg.norm(points[:, None] - points[None], axis=-1)[np.triu_indices(len(points), 1)]
-
     for attempt in range(200):
         anchors = {n: unit(rng.standard_normal(config.feature_dim)) for n in owners}
         background = unit(rng.standard_normal(config.feature_dim))
-        if (gaps(np.stack([*anchors.values(), background])) < min_gap).any():
+        points = np.stack([*anchors.values(), background])
+        gaps = np.linalg.norm(points[:, None] - points[None], axis=-1)  # between each two points
+        if (gaps[np.triu_indices(len(points), 1)] < min_gap).any():
             continue
         prototypes = dict(anchors)
         for a, b in config.confusable_pairs:
             prototypes[b] = prototypes[a] + (delta / 2.0) * unit(rng.standard_normal(config.feature_dim))
         proto_matrix = np.stack([prototypes[n] for n in names])
-        # confusable partners within delta; every other pair, background included, at least 4 delta apart
-        dist = gaps(np.vstack([proto_matrix, background]))
-        if not np.where(partner, dist <= delta, dist >= 4.0 * delta).all():
-            continue
         attr_prototypes = {}
         for cat in registry.categories:
             for val in registry.values[cat]:

@@ -93,6 +93,8 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.batch_size < 1 or self.steps < 1 or self.num_heads < 1:
             raise ValueError("batch_size, steps, and num_heads must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.tau < 1.0:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
         if self.loss_mode not in LOSS_MODES:
@@ -113,12 +115,8 @@ class TrainConfig:
         return self.lambda2 > 0
 
     @staticmethod
-    def field_types() -> dict[str, type]:
-        return dict(get_type_hints(TrainConfig))
-
-    @staticmethod
     def from_mapping(values: Mapping[str, object]) -> "TrainConfig":
-        known = TrainConfig.field_types()
+        known = get_type_hints(TrainConfig)
         unknown = sorted(set(values) - set(known))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")

@@ -429,14 +429,69 @@ class TestOutOfRangeTau:
         assert not (tmp_path / "out").exists()
 
 
-EVAL_SETTINGS = ("nms_threshold", "score_floor")  # the TrainConfig fields inference reads
+class TestNegativeSeed:
+    """A negative seed exits 1 with one line naming it, before any file is read or written."""
+
+    @pytest.mark.parametrize(
+        "command, seed_args, message",
+        [
+            ("synth", ["--seed", "-1"], "--seed must be non-negative, got -1"),
+            ("train", ["--seed", "-1"], "seed must be non-negative, got -1"),
+            ("train", ["--config", "{config}"], "seed must be non-negative, got -1"),
+            ("gradcheck", ["--seed", "-1"], "--seed must be non-negative, got -1"),
+        ],
+        ids=["synth", "train flag", "train config key", "gradcheck"],
+    )
+    def test_usage_error(self, command, seed_args, message, tmp_path, capsys):
+        config = tmp_path / "c.cfg"
+        config.write_text("seed = -1\n")
+        inputs = {
+            "synth": ["--out", str(tmp_path / "out")],
+            # the dataset does not exist: reading it would exit 2
+            "train": ["--data", str(tmp_path / "d.jsonl"), "--out", str(tmp_path / "m.ckpt")],
+            "gradcheck": [],
+        }[command]
+        args = [command, *inputs, *(a.format(config=config) for a in seed_args)]
+        assert cli.main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"usage error: {message}"]
+        assert list(tmp_path.iterdir()) == [config]
+
+
+class TestTrainSettings:
+    """train takes no eval setting: neither flag, nor either key in its config file."""
+
+    @pytest.mark.parametrize("flag", ["--nms-threshold", "--score-floor"])
+    def test_eval_flag_is_a_usage_error_before_any_file_is_opened(self, flag, tmp_path, capsys):
+        # neither the dataset, the vocabulary nor the registry exists: reading any would exit 2
+        files = ["--data", str(tmp_path / "d.jsonl"), "--out", str(tmp_path / "m.ckpt"), "--log", str(tmp_path / "log")]
+        files += ["--vocab", str(tmp_path / "v.json"), "--registry", str(tmp_path / "r.json")]
+        assert cli.main(["train", *files, "--steps", "3", flag, "0.9"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"usage error: unrecognized arguments: {flag} 0.9"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("key", cli.EVAL_SETTINGS)
+    def test_eval_key_in_the_config_file_is_a_usage_error(self, key, tmp_path, capsys):
+        config = tmp_path / "c.cfg"
+        config.write_text(f"steps = 3\n{key} = 0.3\n")
+        args = ["train", "--data", str(tmp_path / "d.jsonl"), "--out", str(tmp_path / "m.ckpt"), "--config", str(config)]
+        assert cli.main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"usage error: unknown config keys: {key}"]
+        assert list(tmp_path.iterdir()) == [config]
 
 
 class TestEvalSettings:
     """eval takes the two settings inference reads; every other config flag, and --config, is a usage error."""
 
     @pytest.mark.parametrize(
-        "flag", ["--config"] + ["--" + key.replace("_", "-") for key in TrainConfig.field_types() if key not in EVAL_SETTINGS]
+        "flag",
+        ["--config"]
+        + ["--" + f.name.replace("_", "-") for f in dataclasses.fields(TrainConfig) if f.name not in cli.EVAL_SETTINGS],
     )
     def test_training_flag_is_a_usage_error_before_any_file_is_opened(self, flag, tmp_path, capsys):
         # neither the dataset nor the checkpoint exists: reading either would exit 2
@@ -1001,6 +1056,15 @@ class TestGradcheckCommand:
         assert err.startswith("numerical failure: ")
 
 
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _long_options(parser: argparse.ArgumentParser) -> set[str]:
+    return {option for action in parser._actions for option in action.option_strings if option.startswith("--")}
+
+
 class TestArgumentHandling:
     def test_no_subcommand_is_usage_error(self, capsys):
         assert cli.main([]) == 1
@@ -1042,28 +1106,52 @@ class TestArgumentHandling:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_every_config_field_is_a_flag(self):
-        # a field reachable only through config files would be an untested option
-        p = argparse.ArgumentParser()
-        cli._add_train_config_flags(p)
-        assert set(vars(p.parse_args([]))) - {"config"} == set(TrainConfig.field_types())
+        # a field reachable only through config files would be an untested option;
+        # each TrainConfig field is a flag of exactly one of train and eval
+        flags = {command: _long_options(parser) for command, parser in _subcommands().items()}
+        fields = {"--" + f.name.replace("_", "-") for f in dataclasses.fields(TrainConfig)}
+        assert flags["train"] & fields == fields - flags["eval"]
+        assert flags["eval"] & fields == {"--nms-threshold", "--score-floor"}
+        assert flags["train"] - fields == {"--help", "--data", "--out", "--log", "--vocab", "--registry", "--config"}
+        assert flags["eval"] - fields == {"--help", "--data", "--checkpoint", "--out"}
 
     def test_config_flag_spellings_and_types(self):
-        p = cli._Parser()
-        cli._add_train_config_flags(p)
-        args = p.parse_args(
+        parser = cli.build_parser()
+        args = parser.parse_args(
             [
+                "train", "--data", "d", "--out", "o",
                 "--learning-rate", "0.5", "--batch-size", "3", "--steps", "4", "--seed", "5",
-                "--lambda1", "0.25", "--lambda2", "0", "--loss-mode", "em", "--num-heads", "2",
-                "--tau", "0.6", "--nms-threshold", "0.3", "--score-floor", "0.1",
+                "--lambda1", "0.25", "--lambda2", "0", "--loss-mode", "em", "--num-heads", "2", "--tau", "0.6",
             ]
         )
         expected = {
             "config": None, "learning_rate": 0.5, "batch_size": 3, "steps": 4, "seed": 5, "lambda1": 0.25,
-            "lambda2": 0.0, "loss_mode": "em", "num_heads": 2, "tau": 0.6, "nms_threshold": 0.3, "score_floor": 0.1,
+            "lambda2": 0.0, "loss_mode": "em", "num_heads": 2, "tau": 0.6,
         }
-        assert {k: (v, type(v)) for k, v in vars(args).items()} == {k: (v, type(v)) for k, v in expected.items()}
+        assert {k: (getattr(args, k), type(getattr(args, k))) for k in expected} == {
+            k: (v, type(v)) for k, v in expected.items()
+        }
+        eval_files = ["--data", "d", "--checkpoint", "c", "--out", "o"]
+        args = parser.parse_args(["eval", *eval_files, "--nms-threshold", "0.3", "--score-floor", "0.1"])
+        assert (args.nms_threshold, args.score_floor) == (0.3, 0.1)
         with pytest.raises(cli.UsageError, match="invalid choice"):
-            p.parse_args(["--loss-mode", "sg"])
+            parser.parse_args(["train", "--data", "d", "--out", "o", "--loss-mode", "sg"])
+
+    @pytest.mark.parametrize("command", ["synth", "parse", "train", "eval", "gradcheck"])
+    def test_no_flag_matches_by_a_prefix(self, command, tmp_path, capsys):
+        # walks the parser, so a flag added later is covered too; no input exists, so reading one would exit 2
+        parser = _subcommands()[command]
+        options = _long_options(parser)
+        required = [a.option_strings[-1] for a in parser._actions if a.required]
+        inputs = [arg for flag in required for arg in (flag, str(tmp_path / flag[2:]))]
+        prefixes = sorted({option[:n] for option in options for n in range(3, len(option))} - options)
+        assert prefixes
+        for prefix in prefixes:
+            assert cli.main([command, *inputs, prefix, "1"]) == 1, prefix
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [f"usage error: unrecognized arguments: {prefix} 1"]
+            assert list(tmp_path.iterdir()) == []
 
     def test_installed_entry_point(self):
         result = subprocess.run(

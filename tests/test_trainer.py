@@ -99,6 +99,8 @@ class TestTrainConfig:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            TrainConfig(seed=-1)
         with pytest.raises(ValueError):
             TrainConfig(loss_mode="other")
         with pytest.raises(ValueError):
