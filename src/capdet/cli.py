@@ -8,8 +8,13 @@ A command has a flag for each config field it reads and for no other:
 synth the SynthConfig fields, eval the two that inference reads, train
 the other TrainConfig fields, which an optional key-value text file
 (`--config`: one `key = value` per line, `#` comments) can also give and
-its flags override. Unknown keys and unknown flags are hard errors, and
-a flag matches only by its full name.
+its flags override. Each file value is parsed by its key's flag, so it
+takes the flag's type and choices. The file's entries are checked in
+order before any other file is read, each failure naming the file and
+line: a line that is not `key = value`, or a key set twice, is a data
+error; an unknown key, or a value its flag refuses, a usage error.
+Unknown flags are hard errors too, and a flag matches only by its full
+name.
 """
 
 from __future__ import annotations
@@ -57,30 +62,46 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def read_config_file(path: str | Path) -> dict[str, str]:
-    values: dict[str, str] = {}
+def read_config_file(path: str | Path, names: Sequence[str]) -> dict[str, object]:
+    """The values of a config file's entries, each key one of names and its value parsed by the key's flag.
+
+    Entries are checked in file order, and each failure names the file and line.
+    """
+    flags = _Parser(add_help=False)
+    _add_config_flags(flags, TrainConfig, names)
+    values: dict[str, object] = {}
     for lineno, line in synthbench.read_lines(path):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if "=" not in stripped:
-            raise DataError(f"{path}: line {lineno}: expected 'key = value', got {line.strip()!r}")
-        key, value = stripped.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, equals, value = (part.strip() for part in stripped.partition("="))
+        where = f"{path}: line {lineno}"
+        if not (key and equals):
+            raise DataError(f"{where}: expected 'key = value', got {line.strip()!r}")
+        if key in values:
+            raise DataError(f"{where}: {key} is set twice")
+        if key not in names:
+            raise UsageError(f"{where}: unknown config key {key!r}")
+        try:
+            values[key] = getattr(flags.parse_args([f"--{key.replace('_', '-')}={value}"]), key)
+        except UsageError as e:
+            raise UsageError(f"{where}: {e}") from None
     return values
 
 
 def build_train_config(args: argparse.Namespace, names: Sequence[str]) -> TrainConfig:
-    """A TrainConfig of names' values from the --config file, if the command has one, and its flags, which win."""
-    values: dict[str, object] = read_config_file(args.config) if getattr(args, "config", None) else {}
-    unknown = sorted(set(values) - set(names))
-    if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(unknown)}")
+    """A TrainConfig of names' values from the --config file, if the command has one, and its flags, which win.
+
+    Either spelling of the exact-match baseline given without the other,
+    loss_mode em or lambda2 0, sets the other too.
+    """
+    values = read_config_file(args.config, names) if getattr(args, "config", None) else {}
     values.update((key, getattr(args, key)) for key in names if getattr(args, key) is not None)
-    try:
-        return TrainConfig.from_mapping(values)
-    except (TypeError, ValueError) as e:
-        raise UsageError(str(e)) from None
+    if values.get("loss_mode") == "em" and "lambda2" not in values:
+        values["lambda2"] = 0.0
+    if values.get("lambda2") == 0 and "loss_mode" not in values:
+        values["loss_mode"] = "em"
+    return TrainConfig(**values)  # its ValueError is a usage error
 
 
 def _add_config_flags(p: argparse.ArgumentParser, config_class: type, names: Sequence[str]) -> None:
@@ -123,7 +144,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     for split_index, (split, size) in enumerate(sizes.items()):
         path = out_dir / f"{split}.jsonl"
         # each split draws from a disjoint stream keyed by (seed, split)
-        synthbench.gen_dataset(universe, size, [args.seed, split_index], path, id_prefix=split)
+        synthbench.write_dataset(path, synthbench.gen_dataset(universe, size, [args.seed, split_index], split), universe)
         print(f"wrote {size} scenes to {path}")
     return EXIT_OK
 

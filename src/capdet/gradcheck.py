@@ -17,12 +17,12 @@ is a rank-one shift of one logit array: moving weight (r, j) by h moves
 only column j of z, by h * x[:, r], and moving bias j moves it by h. A
 trial's 2n probes, plus and minus h on each of n sampled coordinates, are
 therefore 2n shifted copies of the batch's scenes: one (2n * N, m, P)
-batch scored in one call through the value stages of the training step's
-loss functions, against its supervision and pseudo-labels tiled 2n times.
-A probe needs its loss value only, so no gradient stage runs. No
-parameter is touched and no second matmul runs; in exact arithmetic each
-probe's loss is the loss at the bumped parameters, and only rounding
-differs (about eps * |L| / h in the derivative).
+batch scored in one call of trainer.frozen_loss, the training step's
+loss, against its supervision and pseudo-labels tiled 2n times. A probe
+needs its loss value only, so the gradient stage frozen_loss returns is
+never run. No parameter is touched and no second matmul runs; in exact
+arithmetic each probe's loss is the loss at the bumped parameters, and
+only rounding differs (about eps * |L| / h in the derivative).
 
 Each trial compares the analytic gradient against central differences on a
 coordinate sample, and reports the worst relative error, measured as
@@ -43,7 +43,7 @@ from . import oicr, scorenet, weakloss
 from .oicr import PseudoLabels
 from .scorenet import ModelParams
 from .textgraph import LabelSet
-from .trainer import SceneBatch, TrainConfig, batch_step
+from .trainer import SceneBatch, TrainConfig, batch_step, frozen_loss
 from .weakloss import Supervision
 
 
@@ -107,9 +107,7 @@ def composed_loss(
     """The composed loss (N,) of logits z (N, m, P) with frozen refinement supervision: value stages only."""
     # supervision without pairs reads no attribute score, so, as in a training step, none is computed
     scores = scorenet.head_scores(params, z, valid, attributes=sup.pair_classes.size > 0)
-    values, _ = oicr.refinement_terms(scores, sup, pseudo)
-    report, _ = weakloss.total_loss(scores, sup, config.lambda1, config.lambda2, values)
-    return report.l_total
+    return frozen_loss(scores, sup, config, pseudo)[0].l_total
 
 
 def numeric_gradient(

@@ -434,26 +434,12 @@ def generate_scene(
 
 
 def gen_dataset(
-    universe: Universe,
-    num_scenes: int,
-    seed_key: Sequence[int] | int,
-    path: str | Path | None = None,
-    id_prefix: str = "scene",
+    universe: Universe, num_scenes: int, seed_key: Sequence[int], id_prefix: str = "scene"
 ) -> list[SyntheticScene]:
-    """Generate scenes (optionally writing them) and return them in order.
-
-    Runs with the same universe and seed key produce byte-identical files.
-    """
+    """num_scenes scenes in order, scene i drawn from the stream keyed by seed_key + [i]."""
     if num_scenes < 1:
         raise ValueError(f"num_scenes must be positive, got {num_scenes}")
-    key = [int(seed_key)] if isinstance(seed_key, (int, np.integer)) else [int(k) for k in seed_key]
-    scenes = []
-    for i in range(num_scenes):
-        scene, _ = generate_scene(universe, f"{id_prefix}-{i:06d}", key + [i])
-        scenes.append(scene)
-    if path is not None:
-        write_dataset(path, scenes, universe)
-    return scenes
+    return [generate_scene(universe, f"{id_prefix}-{i:06d}", [*seed_key, i])[0] for i in range(num_scenes)]
 
 
 def dataset_header(universe: Universe) -> dict:

@@ -47,7 +47,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, get_type_hints
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -114,25 +114,6 @@ class TrainConfig:
     def attributes_enabled(self) -> bool:
         return self.lambda2 > 0
 
-    @staticmethod
-    def from_mapping(values: Mapping[str, object]) -> "TrainConfig":
-        known = get_type_hints(TrainConfig)
-        unknown = sorted(set(values) - set(known))
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        # a string, as a config file gives every value, takes its field's type: int, float or str
-        coerced = {}
-        for key, raw in values.items():
-            try:
-                coerced[key] = known[key](raw) if isinstance(raw, str) else raw
-            except ValueError as e:
-                raise ValueError(f"config value for {key}: {e}") from None
-        if "loss_mode" in coerced and "lambda2" not in coerced and coerced["loss_mode"] == "em":
-            coerced["lambda2"] = 0.0
-        if "lambda2" in coerced and "loss_mode" not in coerced and float(coerced["lambda2"]) == 0.0:
-            coerced["loss_mode"] = "em"
-        return TrainConfig(**coerced)  # type: ignore[arg-type]
-
 
 class Adagrad:
     """Accumulate squared gradients; scale each step by 1 / (sqrt(accum) + EPS)."""
@@ -149,13 +130,14 @@ class Adagrad:
         params_flat -= self.learning_rate * grad_flat / (np.sqrt(self.accum) + self.EPS)
 
 
-def frozen_loss(scores: scorenet.Scores, sup: Supervision, config: TrainConfig, pseudo: oicr.PseudoLabels) -> LossReport:
-    """The loss of scores against frozen refinement supervision, values then gradients, a value per scene."""
-    values, refinement_gradient = oicr.refinement_terms(scores, sup, pseudo)
-    report, caption_gradient = weakloss.total_loss(scores, sup, config.lambda1, config.lambda2, values)
-    report.grad = refinement_gradient()
-    report.grad_image = caption_gradient(report.grad)
-    return report
+def frozen_loss(
+    scores: scorenet.Scores, sup: Supervision, config: TrainConfig, pseudo: oicr.PseudoLabels
+) -> tuple[LossReport, Callable[[], tuple[np.ndarray, np.ndarray]]]:
+    """The loss of scores against frozen refinement supervision, a value per scene, and its gradient stage.
+
+    The stage returns the gradients with respect to scores.heads and to the image-level scores.
+    """
+    return weakloss.total_loss(scores, sup, config.lambda1, config.lambda2, oicr.refinement_terms(scores, sup, pseudo))
 
 
 def batch_step(
@@ -168,8 +150,8 @@ def batch_step(
     # a batch whose captions name no attribute never reads the attribute heads
     scores = scorenet.forward(params, batch, attributes=sup.pair_classes.size > 0)
     pseudo = oicr.build_pseudo_labels(scores, sup, near)
-    report = frozen_loss(scores, sup, config, pseudo)
-    return report, pseudo, scorenet.param_gradients(params, batch, scores, report.grad, report.grad_image)
+    report, gradient = frozen_loss(scores, sup, config, pseudo)
+    return report, pseudo, scorenet.param_gradients(params, batch, scores, *gradient())
 
 
 def label_scenes(

@@ -37,17 +37,18 @@ clamps, maxima, logs and per-scene sums, and returns the value together
 with its gradient stage: a function that scatters, from the cells the
 value stage chose and the clamped scores it read, the gradient with
 respect to the score arrays the term consumed, and gathers nothing
-again. trainer.frozen_loss, and so every training step, runs both;
-gradcheck.composed_loss runs the value stages alone, since a probe needs
-only its loss value. Parameter gradients are the score network's job.
+again. Every training step runs both; gradcheck.composed_loss runs the
+value stages alone, since a probe needs only its loss value. Parameter
+gradients are the score network's job.
 
 total_loss is the one place the terms are mixed: the evidence term, plus
 lambda1 times the MIL term, plus lambda2 times the coupled term, plus the
 refinement terms unweighted. The weights come straight from TrainConfig,
-which checks them. Its gradient stage adds the weighted first-head
-caption gradients in place into the refinement gradient that
-oicr.refinement_terms' gradient stage returned, so a step fills one
-heads-sized gradient array, not two.
+which checks them. It takes oicr.refinement_terms' values and gradient
+stage and returns a LossReport, which holds values only, and the
+composed gradient stage. That stage runs the refinement stage and adds
+the weighted first-head caption gradients into its result in place, so
+a step fills one heads-sized gradient array, not two.
 """
 
 from __future__ import annotations
@@ -214,13 +215,12 @@ def mid_loss(image_level: np.ndarray, sup: Supervision) -> tuple[np.ndarray, Cal
 
 @dataclass
 class LossReport:
-    """One training step's loss breakdown, region choices, and score-space gradients.
+    """One training step's loss breakdown and region choices.
 
     Every value is an array over the scores' N scenes. The region choices
     are object_mil_loss's and entanglement_loss's rows: entry i names the
     region chosen for sup.classes[i] (for the pair (sup.pair_classes[i],
-    sup.pair_columns[i])). The gradients are None until the gradient
-    stages run (trainer.frozen_loss).
+    sup.pair_columns[i])).
     """
 
     l_obj: np.ndarray  # (N,)
@@ -230,23 +230,27 @@ class LossReport:
     l_total: np.ndarray  # (N,)
     argmax_objects: np.ndarray  # (|O|,)
     argmax_pairs: np.ndarray  # (P,)
-    grad: np.ndarray | None = None  # (N, m, K(C + 1) + K * V), laid out like Scores.heads
-    grad_image: np.ndarray | None = None  # (N, C) with respect to the image-level scores
 
 
 def total_loss(
-    scores: Scores, sup: Supervision, lambda1: float, lambda2: float, oicr_values: np.ndarray
-) -> tuple[LossReport, Callable[[np.ndarray], np.ndarray]]:
+    scores: Scores,
+    sup: Supervision,
+    lambda1: float,
+    lambda2: float,
+    refinement: tuple[np.ndarray, Callable[[], np.ndarray]],
+) -> tuple[LossReport, Callable[[], tuple[np.ndarray, np.ndarray]]]:
     """Mix the terms: evidence + lambda1 * MIL + lambda2 * coupled + refinement terms.
 
-    oicr_values (N, K) are the refinement terms' values. Returns the
-    report, without gradients, and the caption terms' gradient stage: given
-    the refinement gradient, laid out like scores.heads, it adds the
-    weighted first-head MIL and coupled gradients into it in place and
-    returns the gradient with respect to the image-level scores. The
-    weights are checked by TrainConfig. Supervision compiled without pairs
-    has no coupled term: its value and gradient are exact zeros.
+    refinement is oicr.refinement_terms' pair: the values (N, K) and the
+    gradient stage. Returns the report and the composed gradient stage,
+    which runs the refinement stage, adds the weighted first-head MIL and
+    coupled gradients into its result in place, and returns that gradient,
+    laid out like scores.heads, and the gradient with respect to the
+    image-level scores. The weights are checked by TrainConfig.
+    Supervision compiled without pairs has no coupled term: its value and
+    gradient are exact zeros.
     """
+    oicr_values, refinement_gradient = refinement
     first_objects, first_attributes = scores.objects[:, 0], scores.attributes[:, 0]
     l_obj, argmax_objects, obj_gradient = object_mil_loss(first_objects, sup, scores.valid)
     l_entang, argmax_pairs, pair_gradient = entanglement_loss(first_objects, first_attributes, sup, scores.valid)
@@ -261,12 +265,13 @@ def total_loss(
         argmax_pairs=argmax_pairs,
     )
 
-    def gradient(grad: np.ndarray) -> np.ndarray:
+    def gradient() -> tuple[np.ndarray, np.ndarray]:
+        grad = refinement_gradient()
         grad_objects, grad_attributes = scores.split(grad)
         g_eobj, g_eattr = pair_gradient()
         # caption terms summed first: two separate += onto the refinement gradient would round differently
         grad_objects[:, 0] += lambda1 * obj_gradient() + lambda2 * g_eobj
         grad_attributes[:, 0] += lambda2 * g_eattr
-        return image_gradient()
+        return grad, image_gradient()
 
     return report, gradient

@@ -20,7 +20,7 @@ def numeric_gradient(params, batch, sup, config, pseudo, coords, step):
     numeric = np.empty(len(coords))
 
     def loss():
-        return frozen_loss(scorenet.forward(params, batch), sup, config, pseudo).l_total.sum()
+        return frozen_loss(scorenet.forward(params, batch), sup, config, pseudo)[0].l_total.sum()
 
     for i, coord in enumerate(coords):
         idx = order[coord]

@@ -481,8 +481,95 @@ class TestTrainSettings:
         assert cli.main(args) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [f"usage error: unknown config keys: {key}"]
+        assert captured.err.splitlines() == [f"usage error: {config}: line 2: unknown config key {key!r}"]
         assert list(tmp_path.iterdir()) == [config]
+
+
+class TestConfigFile:
+    """Every config-file rule, through cli.main. Each entry is parsed by its key's flag; a bad entry exits, in file
+    order, before the dataset is read and with nothing written, on one stderr line naming the file and line.
+
+    TestTrainSettings covers an eval setting as a key, and TestNegativeSeed a value TrainConfig refuses."""
+
+    @pytest.mark.parametrize(
+        "text, code, message",
+        [
+            pytest.param("steps 3\n", 2, "data error: {cfg}: line 1: expected 'key = value', got 'steps 3'", id="no equals"),
+            pytest.param("= 5\n", 2, "data error: {cfg}: line 1: expected 'key = value', got '= 5'", id="empty key"),
+            pytest.param("steps = 3\nsteps = 5\n", 2, "data error: {cfg}: line 2: steps is set twice", id="set twice"),
+            pytest.param("momentum = 0.9\n", 1, "usage error: {cfg}: line 1: unknown config key 'momentum'", id="unknown key"),
+            pytest.param(
+                "steps = abc\n", 1, "usage error: {cfg}: line 1: argument --steps: invalid int value: 'abc'", id="bad int"
+            ),
+            pytest.param(
+                "loss_mode = foo\n",
+                1,
+                "usage error: {cfg}: line 1: argument --loss-mode: invalid choice: 'foo' (choose from 'em', 'em+sg')",
+                id="bad choice",
+            ),
+            pytest.param(
+                "# steps\n\nsteps = 2 # two\nmomentum = 0.9\nsteps 3\n",
+                1,
+                "usage error: {cfg}: line 4: unknown config key 'momentum'",
+                id="first bad entry in file order",
+            ),
+            pytest.param(
+                b"steps = 2\nloss_mode = \xff\n",
+                2,
+                "data error: {cfg}: line 2: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 12: invalid start byte",
+                id="not UTF-8",
+            ),
+            pytest.param(None, 2, "data error: cannot read {cfg}: No such file or directory", id="missing file"),
+        ],
+    )
+    def test_bad_entry_exits_before_the_dataset_is_read(self, text, code, message, tmp_path, capsys):
+        config = tmp_path / "c.cfg"
+        if text is not None:
+            config.write_bytes(text if isinstance(text, bytes) else text.encode())
+        before = sorted(tmp_path.iterdir())
+        # the dataset does not exist: reading it would exit 2 naming it
+        files = ["--data", str(tmp_path / "d.jsonl"), "--out", str(tmp_path / "m.ckpt"), "--log", str(tmp_path / "log")]
+        assert cli.main(["train", *files, "--config", str(config)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message.format(cfg=config)]
+        assert sorted(tmp_path.iterdir()) == before
+
+    def train(self, data_dir, out, text, *flags):
+        """The TrainConfig that capdet train, given a config file of text and flags, trained with (exit 0)."""
+        config = out.with_suffix(".cfg")
+        config.write_text(text)
+        with mock.patch.object(trainer, "train", wraps=trainer.train) as spy:
+            args = ["train", "--data", str(data_dir / "train.jsonl"), "--out", str(out), "--config", str(config)]
+            assert cli.main([*args, *flags]) == 0
+        return spy.call_args.args[3]
+
+    def test_values_take_their_flags_types(self, data_dir, tmp_path, capsys):
+        config = self.train(data_dir, tmp_path / "m.ckpt", "steps = 2\nlearning_rate = 0.02\nloss_mode = em+sg\n")
+        assert config == TrainConfig(steps=2, learning_rate=0.02, loss_mode="em+sg")
+        assert (type(config.steps), type(config.learning_rate)) == (int, float)
+        assert capsys.readouterr().out == f"trained 2 steps (em+sg) -> {tmp_path / 'm.ckpt'}\n"
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("loss_mode = em\n", {"lambda2": 0.0}), ("lambda2 = 0\n", {"loss_mode": "em"})],
+        ids=["loss_mode = em", "lambda2 = 0"],
+    )
+    def test_baseline_spelling_sets_the_other(self, text, expected, data_dir, tmp_path, capsys):
+        config = self.train(data_dir, tmp_path / "m.ckpt", text + "steps = 2\n")
+        assert {key: getattr(config, key) for key in expected} == expected
+        assert capsys.readouterr().out == f"trained 2 steps (em) -> {tmp_path / 'm.ckpt'}\n"
+
+    def test_baseline_spellings_byte_identical(self, data_dir, tmp_path):
+        em, zero, flags = tmp_path / "em.ckpt", tmp_path / "zero.ckpt", tmp_path / "flags.ckpt"
+        configs = [
+            self.train(data_dir, em, "loss_mode = em\nsteps = 2\n"),
+            self.train(data_dir, zero, "lambda2 = 0\nsteps = 2\n"),
+            # a flag spelling with a file spelling of the same baseline
+            self.train(data_dir, flags, "lambda2 = 0.0\n", "--loss-mode", "em", "--steps", "2"),
+        ]
+        assert configs[0] == configs[1] == configs[2]
+        assert em.read_bytes() == zero.read_bytes() == flags.read_bytes()
 
 
 class TestEvalSettings:
@@ -1167,10 +1254,11 @@ class TestArgumentHandling:
 class TestConfigFileParsing:
     def test_comments_and_blanks(self, tmp_path):
         config = tmp_path / "c.cfg"
-        config.write_text("# a comment\n\nsteps = 7\n  tau = 0.6 # inline\n")
-        values = cli.read_config_file(config)
-        assert values == {"steps": "7", "tau": "0.6"}
+        config.write_text("# a comment\n\nsteps = 7\n  tau = 0.6 # inline\nloss_mode = em\n")
+        values = cli.read_config_file(config, cli.TRAIN_SETTINGS)
+        assert values == {"steps": 7, "tau": 0.6, "loss_mode": "em"}
+        assert [type(v) for v in values.values()] == [int, float, str]
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(cli.DataError):
-            cli.read_config_file(tmp_path / "nothing.cfg")
+        with pytest.raises(cli.DataError, match="^cannot read .*nothing.cfg: No such file or directory$"):
+            cli.read_config_file(tmp_path / "nothing.cfg", cli.TRAIN_SETTINGS)

@@ -1,5 +1,5 @@
-"""Three stdlib-only lints: every imported name is used, every definition is referenced, and every
-dotted reference to a capdet module in prose resolves.
+"""Four stdlib-only lints: every imported name is used, every definition is referenced, every
+dotted reference to a capdet module in prose resolves, and README's lists of config flags are the CLI's.
 
 An imported name counts as used when the module reads it anywhere (a bare
 name or the base of an attribute chain) or lists it in ``__all__``.
@@ -20,9 +20,16 @@ docstring or comment of src/capdet/ or in README.md. It resolves when the
 module has each attribute in turn; an annotated field resolves by its
 annotation, and names after it are not checked. A file name
 (``trainer.py``) is not a reference.
+
+README names the config flags of train and eval, each list in one
+sentence with a count; the flags and the count must be those of
+``cli.build_parser()``, whose config flags are the ones that set a
+TrainConfig field.
 """
 
+import argparse
 import ast
+import dataclasses
 import importlib
 import io
 import re
@@ -30,6 +37,9 @@ import tokenize
 from pathlib import Path
 
 import pytest
+
+from capdet import cli
+from capdet.trainer import TrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src").rglob("*.py"))
@@ -177,9 +187,54 @@ def test_dotted_references_resolve():
 def test_flags_an_unresolved_reference():
     source = (
         '"""See trainer.SceneBatch.pack and capdet.oicr, not src/capdet/trainer.py or the trainer."""\n'
-        "# weakloss.LossReport.grad.sum, then oicr.gone\n"
+        "# weakloss.LossReport.l_total.sum, then oicr.gone\n"
         "x = 'geometry.absent'\n"
     )
     references = [ref for text in prose(source) for ref in dotted_references(text)]
-    assert references == ["trainer.SceneBatch.pack", "capdet.oicr", "weakloss.LossReport.grad.sum", "oicr.gone"]
+    assert references == ["trainer.SceneBatch.pack", "capdet.oicr", "weakloss.LossReport.l_total.sum", "oicr.gone"]
     assert [ref for ref in references if not resolves(ref)] == ["oicr.gone"]
+
+
+# the README sentence that lists a command's config flags: a count word, then the flags
+README_FLAG_LISTS = {
+    "train": r"`train` takes the (\w+) training settings as flags \(([^)]*)\)",
+    "eval": r"`eval` takes only the (\w+) settings inference reads, ([^.]*)\.",
+}
+COUNTS = dict(zip("one two three four five six seven eight nine ten eleven twelve".split(), range(1, 13)))
+
+
+def readme_flag_lists(text):
+    """{command: (the count, the sorted flags)} from each sentence of README_FLAG_LISTS, None where it is missing."""
+    text = " ".join(text.split())
+    lists = {}
+    for command, pattern in README_FLAG_LISTS.items():
+        match = re.search(pattern, text)
+        lists[command] = match and (COUNTS.get(match[1]), sorted(re.findall(r"`(--[\w-]+)`", match[2])))
+    return lists
+
+
+def parser_flag_lists():
+    """{command: (the count, the sorted flags)} of the flags of cli.build_parser() that set a TrainConfig field."""
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    lists = {}
+    for command in README_FLAG_LISTS:
+        flags = sorted(a.option_strings[0] for a in sub.choices[command]._actions if a.dest in fields)
+        lists[command] = (len(flags), flags)
+    return lists
+
+
+def test_readme_flag_lists_are_the_parsers():
+    assert readme_flag_lists((ROOT / "README.md").read_text(encoding="utf-8")) == parser_flag_lists()
+
+
+def test_flags_a_stale_flag_list():
+    text = (
+        "`train` takes the two training\nsettings as flags (`--seed`, `--steps`) or as a file. "
+        "`eval` takes only the three settings inference reads, `--nms-threshold` and `--score-floor`."
+    )
+    assert readme_flag_lists(text) == {
+        "train": (2, ["--seed", "--steps"]),
+        "eval": (3, ["--nms-threshold", "--score-floor"]),
+    }
+    assert readme_flag_lists("`train` takes flags.") == {"train": None, "eval": None}

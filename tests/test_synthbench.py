@@ -312,7 +312,8 @@ class TestGenerateScene:
 class TestDatasetIO:
     def test_round_trip(self, universe, tmp_path):
         path = tmp_path / "data.jsonl"
-        scenes = gen_dataset(universe, 5, [0, 0], path=path, id_prefix="train")
+        scenes = gen_dataset(universe, 5, [0, 0], id_prefix="train")
+        write_dataset(path, scenes, universe)
         loaded = load_dataset(path)
         assert len(loaded) == 5
         for a, b in zip(scenes, loaded):
@@ -325,14 +326,14 @@ class TestDatasetIO:
     def test_reruns_byte_identical(self, universe, tmp_path):
         p1 = tmp_path / "a.jsonl"
         p2 = tmp_path / "b.jsonl"
-        gen_dataset(universe, 4, [1, 0], path=p1)
-        gen_dataset(universe, 4, [1, 0], path=p2)
+        write_dataset(p1, gen_dataset(universe, 4, [1, 0]), universe)
+        write_dataset(p2, gen_dataset(universe, 4, [1, 0]), universe)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_seed0_test_stream_bytes_pinned(self, universe, tmp_path):
         # the first 20 scenes of the seed-0 test stream, byte for byte
         path = tmp_path / "test.jsonl"
-        gen_dataset(universe, 20, [0, 2], path)
+        write_dataset(path, gen_dataset(universe, 20, [0, 2]), universe)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "27621102b06c97a745398c5a9b25ede71fadb71838db13790fbde8b22a1ad889"
 
@@ -345,7 +346,7 @@ class TestDatasetIO:
 
     def test_header_contents(self, universe, tmp_path):
         path = tmp_path / "data.jsonl"
-        gen_dataset(universe, 1, [0, 0], path=path)
+        write_dataset(path, gen_dataset(universe, 1, [0, 0]), universe)
         header, _ = read_dataset(path)
         assert header["feature_dim"] == universe.config.feature_dim
         assert tuple(header["class_names"]) == universe.class_names
@@ -364,7 +365,7 @@ class TestDatasetIO:
 
     def test_corrupt_record_line_numbered(self, universe, tmp_path):
         path = tmp_path / "corrupt.jsonl"
-        gen_dataset(universe, 2, [0, 0], path=path)
+        write_dataset(path, gen_dataset(universe, 2, [0, 0]), universe)
         lines = path.read_text().splitlines()
         lines[2] = lines[2][: len(lines[2]) // 2]  # truncate the second scene
         path.write_text("\n".join(lines) + "\n")
@@ -373,7 +374,7 @@ class TestDatasetIO:
 
     def test_blank_lines_before_the_header_keep_line_numbers(self, universe, tmp_path):
         path = tmp_path / "blank.jsonl"
-        gen_dataset(universe, 2, [0, 0], path=path)
+        write_dataset(path, gen_dataset(universe, 2, [0, 0]), universe)
         lines = path.read_text().splitlines()
         path.write_text("\n\n" + "\n".join(lines) + "\n")
         header, scenes = read_dataset(path)

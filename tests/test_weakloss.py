@@ -527,17 +527,15 @@ def no_refinement(scores):
 
 
 def mixed(scores, sup, lambda1, lambda2, oicr_values, grad):
-    """total_loss's report, its gradient stage run on grad, the refinement gradient."""
-    report, gradient = total_loss(scores, sup, lambda1, lambda2, oicr_values)
-    assert report.grad is None and report.grad_image is None
-    report.grad, report.grad_image = grad, gradient(grad)
-    return report
+    """total_loss's report and what its gradient stage returns, grad the refinement stage's gradient."""
+    report, gradient = total_loss(scores, sup, lambda1, lambda2, (oicr_values, lambda: grad))
+    return (report, *gradient())
 
 
 class TestTotalLoss:
     def test_mixing_arithmetic(self):
         scores, sup, _ = exact_component_setup()
-        report = mixed(scores, sup, 0.5, 0.01, NO_VALUES, no_refinement(scores))
+        report, _, _ = mixed(scores, sup, 0.5, 0.01, NO_VALUES, no_refinement(scores))
         assert report.l_mid[0] == pytest.approx(1.0, abs=1e-12)
         assert report.l_obj[0] == pytest.approx(0.4, abs=1e-12)
         assert report.l_entang[0] == pytest.approx(2.0, abs=1e-12)
@@ -546,33 +544,33 @@ class TestTotalLoss:
 
     def test_refinement_values_added_unweighted(self):
         scores, sup, _ = exact_component_setup()
-        report = mixed(scores, sup, 0.5, 0.01, np.array([[0.1, 0.2, 0.3]]), no_refinement(scores))
+        report, _, _ = mixed(scores, sup, 0.5, 0.01, np.array([[0.1, 0.2, 0.3]]), no_refinement(scores))
         assert report.l_oicr.tolist() == [[0.1, 0.2, 0.3]]
         assert report.l_total[0] == pytest.approx(1.22 + 0.6, abs=1e-12)
 
     def test_lambda2_zero_skips_coupled_term(self):
         # the baseline's supervision is compiled without pairs
         scores, _, baseline = exact_component_setup()
-        report = mixed(scores, baseline, 0.5, 0.0, NO_VALUES, no_refinement(scores))
+        report, grad, _ = mixed(scores, baseline, 0.5, 0.0, NO_VALUES, no_refinement(scores))
         assert report.l_entang.tolist() == [0.0]
         assert report.argmax_pairs.shape == (0,)
-        for head in scores.split(report.grad)[1][0]:
+        for head in scores.split(grad)[1][0]:
             assert not np.any(head)
         assert report.l_total[0] == pytest.approx(1.0 + 0.5 * 0.4, abs=1e-12)
 
     def test_gradients_scaled_by_weights(self):
         scores, _, baseline = exact_component_setup()
-        heavy = mixed(scores, baseline, 1.0, 0.0, NO_VALUES, no_refinement(scores))
-        light = mixed(scores, baseline, 0.5, 0.0, NO_VALUES, no_refinement(scores))
+        _, heavy, heavy_image = mixed(scores, baseline, 1.0, 0.0, NO_VALUES, no_refinement(scores))
+        _, light, light_image = mixed(scores, baseline, 0.5, 0.0, NO_VALUES, no_refinement(scores))
         # evidence gradient identical, object gradient scales with lambda1
-        assert np.allclose(heavy.grad_image, light.grad_image)
-        assert np.allclose(scores.split(heavy.grad)[0][0, 0], 2.0 * scores.split(light.grad)[0][0, 0])
+        assert np.allclose(heavy_image, light_image)
+        assert np.allclose(scores.split(heavy)[0][0, 0], 2.0 * scores.split(light)[0][0, 0])
 
     def test_oicr_grads_added(self):
         scores, sup, _ = exact_component_setup()
-        base = mixed(scores, sup, 0.5, 0.01, NO_VALUES, no_refinement(scores))
+        _, base, _ = mixed(scores, sup, 0.5, 0.01, NO_VALUES, no_refinement(scores))
         extra = np.zeros_like(scores.heads)
         scores.split(extra)[0][0, 0][0, 0] = 5.0
-        with_extra = mixed(scores, sup, 0.5, 0.01, NO_VALUES, extra)
-        assert with_extra.grad is extra
-        assert with_extra.grad[0, 0, 0] == pytest.approx(base.grad[0, 0, 0] + 5.0)
+        _, with_extra, _ = mixed(scores, sup, 0.5, 0.01, NO_VALUES, extra)
+        assert with_extra is extra
+        assert with_extra[0, 0, 0] == pytest.approx(base[0, 0, 0] + 5.0)
