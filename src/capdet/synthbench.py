@@ -18,9 +18,8 @@ cooccur_prob.
 
 Scenes are deterministic in (master seed, scene index): each scene draws
 from its own stream, so generation order or parallelism cannot change
-the data. Serialization keeps nine significant digits; the in-memory
-scenes hold exactly the serialized values, so a generate/load round trip
-is an identity. A scene's proposal boxes and features are rounded
+the data. Generation rounds every box and feature value to nine
+significant digits; a scene's proposal boxes and features are rounded
 together in one vectorised pass (round_sig_array), bit-identical to the
 scalar round_sig, which it falls back to near half-way points. A stream's
 draws keep one fixed order; a box's four bounded values come from one
@@ -30,13 +29,23 @@ call per value would draw, so the dataset bytes are those of that loop
 (tests/synth_reference.py). A ground-truth box is a plain (x_min, y_min,
 x_max, y_max) tuple of floats, rounded with round_sig as it is drawn;
 loading checks it, like the proposal boxes, with geometry.check_boxes.
+
+A dataset file (schema version 2) is a JSON header line, which carries the
+universe's fingerprint, then one JSON record per scene. A record holds its
+proposal boxes and features as base64 of their little-endian float64
+bytes, row-major, and everything else as JSON text, so a generate/load
+round trip is an identity. There is no reader for version 1 files, whose
+numbers were decimal text: capdet synth regenerates any split.
 """
 
 from __future__ import annotations
 
+import base64
+import hashlib
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
@@ -53,13 +62,13 @@ class DataError(ValueError):
 
 
 SCHEMA_NAME = "capdet-synth"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # prenominal word order used by the caption templates
 _CATEGORY_ORDER = ("size", "shape", "color", "material")
 
 def round_sig(value: float) -> float:
-    """Nine significant digits, the precision everything on disk carries."""
+    """Nine significant digits, the precision of every value generation draws."""
     return float(f"{value:.9g}")
 
 
@@ -236,13 +245,13 @@ class SyntheticScene:
                 }
                 for g in self.gt
             ],
-            "boxes": self.proposals.boxes.tolist(),
-            "features": self.proposals.features.tolist(),
+            "boxes": _encode_rows(self.proposals.boxes),
+            "features": _encode_rows(self.proposals.features),
             "captions": list(self.captions),
         }
 
     @staticmethod
-    def from_record(record: Mapping, num_classes: int) -> "SyntheticScene":
+    def from_record(record: Mapping, num_classes: int, feature_dim: int) -> "SyntheticScene":
         for g in record["gt"]:
             if type(g["class"]) is not int or not 0 <= g["class"] < num_classes:
                 raise ValueError(f"GT class {g['class']!r} is not an index into the {num_classes} classes")
@@ -255,8 +264,7 @@ class SyntheticScene:
             for g in record["gt"]
         ]
         proposals = RegionSet(
-            boxes=np.asarray(record["boxes"], dtype=float),
-            features=np.asarray(record["features"], dtype=float),
+            boxes=_decode_rows(record["boxes"], 4), features=_decode_rows(record["features"], feature_dim)
         )
         return SyntheticScene(
             image_id=str(record["image_id"]),
@@ -264,6 +272,19 @@ class SyntheticScene:
             proposals=proposals,
             captions=list(check_captions(record["captions"])),
         )
+
+
+def _encode_rows(arr: np.ndarray) -> str:
+    """A float array as base64 of its little-endian float64 values, row-major."""
+    return base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")
+
+
+def _decode_rows(text: str, width: int) -> np.ndarray:
+    """The (m, width) float array _encode_rows wrote; ValueError on bad base64 or a partial row."""
+    blob = base64.b64decode(text, validate=True)
+    if len(blob) % (8 * width):
+        raise ValueError(f"{len(blob)} bytes are not whole rows of {width} float64 values")
+    return np.frombuffer(blob, "<f8").reshape(-1, width).astype(float)  # a copy: owned, native, C-contiguous
 
 
 @dataclass
@@ -442,6 +463,16 @@ def gen_dataset(
     return [generate_scene(universe, f"{id_prefix}-{i:06d}", [*seed_key, i])[0] for i in range(num_scenes)]
 
 
+def universe_fingerprint(universe: Universe) -> str:
+    """16 hex digits of a sha256 over the attribute keys, then the class, attribute and background prototypes as <f8.
+
+    Attributes come in registry order, the order make_universe draws them in.
+    """
+    keys = json.dumps([list(key) for key in universe.attribute_prototypes]).encode()
+    prototypes = [universe.class_prototypes, *universe.attribute_prototypes.values(), universe.background_prototype]
+    return hashlib.sha256(keys + np.concatenate(prototypes, axis=None).astype("<f8").tobytes()).hexdigest()[:16]
+
+
 def dataset_header(universe: Universe) -> dict:
     return {
         "schema": SCHEMA_NAME,
@@ -449,6 +480,7 @@ def dataset_header(universe: Universe) -> dict:
         "feature_dim": universe.config.feature_dim,
         "class_names": list(universe.class_names),
         "confusable_pairs": [list(p) for p in universe.config.confusable_pairs],
+        "universe": universe_fingerprint(universe),
     }
 
 
@@ -498,8 +530,10 @@ def write_dataset(path: str | Path, scenes: Iterable[SyntheticScene], universe: 
 
 
 def _checked_header(header: object, where: str) -> dict:
-    if not isinstance(header, dict) or header.get("schema") != SCHEMA_NAME or header.get("version") != SCHEMA_VERSION:
+    if not isinstance(header, dict) or header.get("schema") != SCHEMA_NAME:
         raise DataError(f"{where}: expected schema {SCHEMA_NAME!r} version {SCHEMA_VERSION}")
+    if header.get("version") != SCHEMA_VERSION:
+        raise DataError(f"{where}: expected schema {SCHEMA_NAME!r} version {SCHEMA_VERSION}, got version {header.get('version')!r}")
     feature_dim, names = header.get("feature_dim"), header.get("class_names")
     if type(feature_dim) is not int or feature_dim < 1:
         raise DataError(f"{where}: feature_dim must be a positive integer, got {feature_dim!r}")
@@ -510,6 +544,8 @@ def _checked_header(header: object, where: str) -> dict:
         or len(set(names)) < len(names)
     ):
         raise DataError(f"{where}: class_names must be a non-empty list of distinct strings")
+    if not isinstance(header.get("universe"), str) or not re.fullmatch("[0-9a-f]{16}", header["universe"]):
+        raise DataError(f"{where}: universe must be a 16-digit hex fingerprint, got {header.get('universe')!r}")
     return header
 
 
@@ -528,12 +564,9 @@ def read_dataset(path: str | Path) -> tuple[dict | None, list[SyntheticScene]]:
             header = _checked_header(record, where)
             continue
         try:
-            scene = SyntheticScene.from_record(record, len(header["class_names"]))
+            scene = SyntheticScene.from_record(record, len(header["class_names"]), header["feature_dim"])
         except (KeyError, TypeError, ValueError) as e:
             raise DataError(f"{where}: bad scene record: {e}") from None
-        width = scene.proposals.features.shape[1]
-        if width != header["feature_dim"]:
-            raise DataError(f"{where}: feature width {width} does not match header feature_dim {header['feature_dim']}")
         scenes.append(scene)
     return header, scenes
 

@@ -6,7 +6,13 @@ value comes from its own ``rng.uniform`` call, every proposal's noise from
 its own ``rng.standard_normal(d)`` array, and boxes and features are
 rounded in separate passes. The class, attribute and caption draws are
 shared with the module, since the rewrite leaves them as they are.
+
+scenes_digest pins what generation produces in no file format, so a pin
+of it holds across changes to the dataset file's encoding.
 """
+
+import hashlib
+import json
 
 import numpy as np
 
@@ -94,3 +100,14 @@ def generate_scene(universe, image_id, stream_key):
         features=round_sig_array(np.stack(features)),
     )
     return SyntheticScene(image_id=image_id, gt=gt, proposals=proposals, captions=captions), facts
+
+
+def scenes_digest(scenes):
+    """sha256 over each scene's image_id, captions and GT as JSON, then the <f8 bytes of its boxes and features."""
+    digest = hashlib.sha256()
+    for scene in scenes:
+        gt = [[list(g.box), g.class_index, [list(a) for a in g.attributes]] for g in scene.gt]
+        digest.update(json.dumps([scene.image_id, scene.captions, gt]).encode())
+        digest.update(scene.proposals.boxes.astype("<f8").tobytes())
+        digest.update(scene.proposals.features.astype("<f8").tobytes())
+    return digest.hexdigest()

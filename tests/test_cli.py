@@ -1,4 +1,5 @@
 import argparse
+import base64
 import contextlib
 import dataclasses
 import hashlib
@@ -21,6 +22,7 @@ from capdet.synthbench import SynthConfig
 from capdet.textgraph import Vocabulary, default_registry, default_vocabulary
 from capdet.trainer import NumericalError, TrainConfig
 from eval_reference import infer_scene
+from synth_reference import scenes_digest
 
 SYNTH_ARGS = [
     "synth",
@@ -84,9 +86,16 @@ class TestSynth:
         assert cli.main(args) == 0
         digests = {s: hashlib.sha256((out / f"{s}.jsonl").read_bytes()).hexdigest() for s in ("train", "val", "test")}
         assert digests == {
-            "train": "b9d428cb9030053f8a8ef6d02115344604b87821dd728e7c8ac98ece7d84cfb6",
-            "val": "3a0545d970503631621b96dd610cbf8316fe5996dd3345545e6c562a3660d55f",
-            "test": "25b5c06ce6c0e43a7c0d29b60c7df7da512b27f27206c7db023143883989af39",
+            "train": "e8cc135a1e3f09b881f5132e84bb078c50612f4cbc054a6b4852485c354f2b38",
+            "val": "3dde9e87335053cbe4956a0f37dad0db06503969da9b6c97144ce985d85b87e9",
+            "test": "0dff027f65f2f7b15665c98e643f5e2d613759140b646b0195cb0c8d1532bb85",
+        }
+        # what generation produced, whatever the file format
+        scenes = {s: scenes_digest(synthbench.load_dataset(out / f"{s}.jsonl")) for s in ("train", "val", "test")}
+        assert scenes == {
+            "train": "3dbe847020330b59523ae99103dadcc04cbb1a459c0971474e60b9d4db1fc27e",
+            "val": "5f5a9a5fc1bdda75baeece76e9d7023eb92dd54126fe7789416858071e769d39",
+            "test": "2ed960502bd63bef1ec11e38bcdbc40f2f4f53264bcbb133efde3544def04b69",
         }
 
     def test_settings_flags_come_from_synth_config(self):
@@ -727,6 +736,75 @@ class TestBadDatasetRecords:
         assert f"{bad}: line 2: feature_dim must be a positive integer, got 0" in err
 
 
+def encoded(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
+
+
+def decoded(text):
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").copy()
+
+
+def set_first_value(key, value):
+    """An edit that overwrites the first value of the record's key."""
+
+    def edit(header, record):
+        values = decoded(record[key])
+        values[0] = value
+        record[key] = encoded(values)
+
+    return edit
+
+
+# case -> (line the error names, the message there, edit of the header and of the first scene's record)
+DATASET_RULES = {
+    "version 1": (1, "expected schema 'capdet-synth' version 2, got version 1", lambda h, r: h.update(version=1)),
+    "no universe": (1, "universe must be a 16-digit hex fingerprint, got None", lambda h, r: h.pop("universe")),
+    "universe not hex": (
+        1,
+        "universe must be a 16-digit hex fingerprint, got 'NOT-A-HEX-STRING'",
+        lambda h, r: h.update(universe="NOT-A-HEX-STRING"),
+    ),
+    "not base64": (2, "bad scene record: Only base64 data is allowed", lambda h, r: r.update(boxes="*" + r["boxes"])),
+    "bad padding": (2, "bad scene record: Incorrect padding", lambda h, r: r.update(features=r["features"][:-1])),
+    "partial row": (
+        2,
+        "bad scene record: 1080 bytes are not whole rows of 4 float64 values",
+        lambda h, r: r.update(boxes=encoded(decoded(r["boxes"])[:-1])),
+    ),
+    "row counts differ": (
+        2,
+        "bad scene record: features must be (m, d) with one row per box",
+        lambda h, r: r.update(features=encoded(decoded(r["features"])[:-12])),
+    ),
+    "nan box": (2, "bad scene record: non-finite box coordinate", set_first_value("boxes", float("nan"))),
+    "inf box": (2, "bad scene record: non-finite box coordinate", set_first_value("boxes", float("inf"))),
+    "nan feature": (2, "bad scene record: non-finite region features", set_first_value("features", float("nan"))),
+    "-inf feature": (2, "bad scene record: non-finite region features", set_first_value("features", float("-inf"))),
+}
+
+
+class TestDatasetRules:
+    """The schema-2 rules for a dataset's header and its base64 boxes and features: exit 2, one line, nothing written."""
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("case", list(DATASET_RULES))
+    def test_exit_two_naming_file_and_line(self, case, command, data_dir, train_checkpoint, tmp_path, capsys):
+        line, message, edit = DATASET_RULES[case]
+        header_line, first, *rest = (data_dir / "train.jsonl").read_text().splitlines()
+        header, record = json.loads(header_line), json.loads(first)
+        edit(header, record)
+        bad, out = tmp_path / "bad.jsonl", tmp_path / "out"
+        bad.write_text("\n".join([json.dumps(header), json.dumps(record), *rest]) + "\n")
+        if command == "train":
+            args = ["train", "--data", str(bad), "--out", str(out), "--steps", "1"]
+        else:
+            args = ["eval", "--data", str(bad), "--checkpoint", str(train_checkpoint), "--out", str(out)]
+        assert cli.main(args) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"data error: {bad}: line {line}: {message}")
+        assert not out.exists()
+
+
 READERS = ["captions", "dataset header", "dataset record", "train dataset record", "train config", "checkpoint header"]
 
 
@@ -902,10 +980,29 @@ def is_utf8(blob):
 
 
 @st.composite
+def base64_mutation(draw, text):
+    """Base64 text with a character from outside its alphabet, cut mid-row, or a length that is not whole quanta."""
+    kind = draw(st.sampled_from(["character", "cut", "padding"]))
+    if kind == "character":
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + draw(st.sampled_from(["*", "-", "_", " ", "\n", "=", "\u00e9"])) + text[at:]
+    if kind == "cut":
+        return text[: 4 * draw(st.integers(0, len(text) // 4 - 1))]
+    return text[: -draw(st.integers(1, 3))]
+
+
+@st.composite
 def dataset_mutation(draw, text):
-    """The bytes of a line-delimited text truncated, given blank lines, with one line mutated or one byte overwritten."""
+    """The bytes of a line-delimited text truncated, given blank lines, with one line mutated or one byte overwritten.
+
+    In a dataset, a scene record's boxes or features can also have their float64 payload overwritten (with NaN, inf
+    or huge values, which JSON numbers no longer carry) or their base64 text broken.
+    """
     lines = text.splitlines(keepends=True)
-    kind = draw(st.sampled_from(["truncate", "json", "blank lines", "byte"]))
+    kinds = ["truncate", "json", "blank lines", "byte"]
+    if "boxes" in json.loads(lines[-1]):
+        kinds += ["payload", "base64 text"]
+    kind = draw(st.sampled_from(kinds))
     if kind == "truncate":
         return text[: draw(st.integers(0, len(text) - 1))].encode()
     if kind == "byte":
@@ -914,8 +1011,23 @@ def dataset_mutation(draw, text):
         for _ in range(draw(st.integers(1, 3))):
             lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["\n", "  \n", "\t\n"])))
         return "".join(lines).encode()
-    k = draw(st.integers(0, len(lines) - 1))
-    lines[k] = json.dumps(draw(json_mutation(json.loads(lines[k])))) + "\n"
+    if kind == "json":
+        k = draw(st.integers(0, len(lines) - 1))
+        lines[k] = json.dumps(draw(json_mutation(json.loads(lines[k])))) + "\n"
+        return "".join(lines).encode()
+    k = draw(st.integers(1, len(lines) - 1))
+    record = json.loads(lines[k])
+    key = draw(st.sampled_from(["boxes", "features"]))
+    if kind == "base64 text":
+        record[key] = draw(base64_mutation(record[key]))
+    else:
+        # one entry or a run of them, up to the whole array, as checkpoint_mutation overwrites its payload
+        values = decoded(record[key])
+        start = draw(st.integers(0, len(values) - 1))
+        stop = draw(st.one_of(st.just(start + 1), st.integers(start + 1, len(values))))
+        values[start:stop] = draw(st.sampled_from(NUMBER_STAND_INS[:-1]))
+        record[key] = encoded(values)
+    lines[k] = json.dumps(record) + "\n"
     return "".join(lines).encode()
 
 

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import hashlib
 import json
@@ -7,14 +8,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import synth_reference as reference
 from capdet.geometry import iou_matrix
 from capdet.synthbench import (
     DataError,
     SynthConfig,
+    _decode_rows,
+    _encode_rows,
     _jitter_box,
     benchmark_vocabulary,
+    dataset_header,
     gen_dataset,
     generate_scene,
     load_dataset,
@@ -22,6 +27,7 @@ from capdet.synthbench import (
     read_dataset,
     round_sig,
     round_sig_array,
+    universe_fingerprint,
     write_dataset,
 )
 from capdet.textgraph import default_registry, extract_labels
@@ -229,13 +235,11 @@ class TestGenerateScene:
             scene, _ = generate_scene(universe, f"s{i}", [4, 0, i])
             assert proposal_hit_exists(scene, threshold=0.5)
 
-    def test_memory_equals_serialized_precision(self, universe):
+    def test_memory_values_are_round_sig_fixed_points(self, universe):
+        # generation's nine-digit contract: every value it hands out is already rounded
         scene, _ = generate_scene(universe, "s0", [5, 0, 0])
-        record = json.loads(json.dumps(scene.to_record()))
-        assert np.array_equal(
-            np.asarray(record["features"], dtype=float), scene.proposals.features,
-        )
-        assert np.array_equal(np.asarray(record["boxes"], dtype=float), scene.proposals.boxes)
+        for values in (scene.proposals.boxes, scene.proposals.features, np.array([g.box for g in scene.gt])):
+            assert_same_bits(round_sig_array(values), values)
 
     def test_cooccurring_confusables_use_different_colors(self, universe):
         cfg = universe.config
@@ -330,19 +334,24 @@ class TestDatasetIO:
         write_dataset(p2, gen_dataset(universe, 4, [1, 0]), universe)
         assert p1.read_bytes() == p2.read_bytes()
 
+    # each pin holds the file's bytes and, apart from the format, what generation produced (reference.scenes_digest)
     def test_seed0_test_stream_bytes_pinned(self, universe, tmp_path):
         # the first 20 scenes of the seed-0 test stream, byte for byte
         path = tmp_path / "test.jsonl"
-        write_dataset(path, gen_dataset(universe, 20, [0, 2]), universe)
+        scenes = gen_dataset(universe, 20, [0, 2])
+        write_dataset(path, scenes, universe)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "27621102b06c97a745398c5a9b25ede71fadb71838db13790fbde8b22a1ad889"
+        assert digest == "9b8c996b8186fd49f4aa2fcd36e264b329c7185f48f7adf23cf1d79eb698e95e"
+        assert reference.scenes_digest(scenes) == "bff53d177f48af81c9ceedc110941db68afc5f7e56e0f4928a3ad8c0cb4caeab"
 
     def test_seed0_test_split_bytes_pinned(self, universe, tmp_path):
         # the whole seed-0 test split, as the benchmark's data_eval workload writes it
         path = tmp_path / "test.jsonl"
-        write_dataset(path, gen_dataset(universe, 500, [0, 2], id_prefix="test"), universe)
+        scenes = gen_dataset(universe, 500, [0, 2], id_prefix="test")
+        write_dataset(path, scenes, universe)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "a056d2aba8254d58a06ba6867721b54c909bdecc16c16dbcae8ae2ee489f91ae"
+        assert digest == "6e314648e96ce92e1423ee2ecf3dcd88d77fea6256789957b8f7d42560b9f4c0"
+        assert reference.scenes_digest(scenes) == "f5f5a33d78e1b17e9e2478f1df05376341f46b9353e763c3b501ea4a4b263a2c"
 
     def test_header_contents(self, universe, tmp_path):
         path = tmp_path / "data.jsonl"
@@ -350,6 +359,28 @@ class TestDatasetIO:
         header, _ = read_dataset(path)
         assert header["feature_dim"] == universe.config.feature_dim
         assert tuple(header["class_names"]) == universe.class_names
+        assert header["universe"] == universe_fingerprint(universe) == "a281eefaf0382704"
+
+    def test_record_holds_base64_float64_rows(self, universe):
+        scene, _ = generate_scene(universe, "s0", [5, 0, 0])
+        record = json.loads(json.dumps(scene.to_record()))
+        assert set(record) == {"image_id", "gt", "boxes", "features", "captions"}
+        for key, values in (("boxes", scene.proposals.boxes), ("features", scene.proposals.features)):
+            assert base64.b64decode(record[key], validate=True) == values.astype("<f8").tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(0, 6), st.integers(1, 6)),
+            elements=st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, -1e-310, 1e308, -1e308])),
+        )
+    )
+    def test_rows_round_trip_bit_for_bit(self, values):
+        decoded = _decode_rows(_encode_rows(values), values.shape[1])
+        assert decoded.dtype == np.float64 and decoded.flags.c_contiguous and decoded.flags.owndata
+        assert decoded.shape == values.shape
+        assert decoded.tobytes() == values.tobytes()
 
     def test_empty_file_is_empty_dataset(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -385,25 +416,31 @@ class TestDatasetIO:
             load_dataset(path)
 
     def test_feature_width_mismatch(self, universe, tmp_path):
+        # rows one value narrower than the header's feature_dim; no scene has 64 of them, so the bytes are no whole rows
         path = tmp_path / "width.jsonl"
         scenes = gen_dataset(universe, 1, [0, 0])
         record = scenes[0].to_record()
-        record["features"] = [row[:-1] for row in record["features"]]
-        from capdet.synthbench import dataset_header
-
+        record["features"] = _encode_rows(scenes[0].proposals.features[:, :-1])
         with open(path, "w") as f:
             f.write(json.dumps(dataset_header(universe)) + "\n")
             f.write(json.dumps(record) + "\n")
-        with pytest.raises(DataError, match="feature width"):
+        with pytest.raises(DataError, match="line 2: bad scene record: .* not whole rows of 64 float64 values"):
             load_dataset(path)
+
+    def test_fingerprint_tells_universes_apart(self, universe, registry):
+        assert universe_fingerprint(make_universe(SynthConfig(), registry, seed=1)) != universe_fingerprint(universe)
+        assert universe_fingerprint(make_universe(SynthConfig(), registry, seed=0)) == universe_fingerprint(universe)
+
+    def test_universe_is_built_without_its_fingerprint(self, registry):
+        # the fingerprint is computed when a header is written, not in training's set-up
+        with mock.patch("capdet.synthbench.universe_fingerprint", side_effect=AssertionError):
+            make_universe(SynthConfig(), registry, seed=0)
 
     def test_missing_key_rejected(self, universe, tmp_path):
         path = tmp_path / "missing.jsonl"
         scenes = gen_dataset(universe, 1, [0, 0])
         record = scenes[0].to_record()
         del record["captions"]
-        from capdet.synthbench import dataset_header
-
         with open(path, "w") as f:
             f.write(json.dumps(dataset_header(universe)) + "\n")
             f.write(json.dumps(record) + "\n")
