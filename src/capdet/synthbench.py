@@ -18,17 +18,14 @@ cooccur_prob.
 
 Scenes are deterministic in (master seed, scene index): each scene draws
 from its own stream, so generation order or parallelism cannot change
-the data. Generation rounds every box and feature value to nine
-significant digits; a scene's proposal boxes and features are rounded
-together in one vectorised pass (round_sig_array), bit-identical to the
-scalar round_sig, which it falls back to near half-way points. A stream's
-draws keep one fixed order; a box's four bounded values come from one
-rng.random(4) (numpy's uniform(low, high) is low + (high - low) * random())
-and a proposal's noise is drawn straight into its row, the same values a
-call per value would draw, so the dataset bytes are those of that loop
-(tests/synth_reference.py). A ground-truth box is a plain (x_min, y_min,
-x_max, y_max) tuple of floats, rounded with round_sig as it is drawn;
-loading checks it, like the proposal boxes, with geometry.check_boxes.
+the data. Generation hands out the values it draws and computes, unrounded.
+A stream's draws keep one fixed order; a box's four bounded values come
+from one rng.random(4) (numpy's uniform(low, high) is low + (high - low) *
+random()) and a proposal's noise is drawn straight into its row, the same
+values a call per value would draw, so the dataset bytes are those of that
+loop (tests/synth_reference.py). A ground-truth box is a plain (x_min,
+y_min, x_max, y_max) tuple of floats; loading checks it, like the proposal
+boxes, with geometry.check_boxes.
 
 A dataset file (schema version 2) is a JSON header line, which carries the
 universe's fingerprint, then one JSON record per scene. A record holds its
@@ -66,45 +63,6 @@ SCHEMA_VERSION = 2
 
 # prenominal word order used by the caption templates
 _CATEGORY_ORDER = ("size", "shape", "color", "material")
-
-def round_sig(value: float) -> float:
-    """Nine significant digits, the precision of every value generation draws."""
-    return float(f"{value:.9g}")
-
-
-# 10**k for k = 0..22, the powers of ten that are exact doubles
-_POW10 = np.array([float(10**k) for k in range(23)])
-
-
-def round_sig_array(arr: np.ndarray) -> np.ndarray:
-    """round_sig of every entry, bit for bit, in one array pass.
-
-    With k = 8 - floor(log10|v|), the nine-digit decimal is n * 10**-k for
-    n = rint(v * 10**k). For |k| <= 22, 10**k is an exact double, so n / 10**k
-    (or n * 10**-k) is one correctly rounded operation on exact numbers: the
-    double float() reads from that decimal, also when n carries to 1e9. Only
-    t = v * 10**k is inexact, by half an ulp (below 6e-8 for |t| < 1e9), so n
-    can be wrong only when t lies near a half-way point. Those entries,
-    entries whose t falls outside [1e8, 1e9) (a wrong exponent guess), and
-    entries with |k| > 22 (zeros, subnormals, non-finite and extreme
-    magnitudes) go through round_sig, which stays the definition.
-    """
-    values = np.asarray(arr, dtype=float)
-    flat = values.ravel()
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        k = 8.0 - np.floor(np.log10(np.abs(flat)))
-        fast = np.abs(k) <= 22
-        k = np.where(fast, k, 0.0).astype(np.int64)
-        # one of the two is 1.0, and multiplying or dividing by 1.0 is exact
-        up, down = _POW10[np.maximum(k, 0)], _POW10[np.maximum(-k, 0)]
-        t = flat * up / down
-        n = np.rint(t)
-        out = n / up * down
-        fast &= (np.abs(t) >= 1e8) & (np.abs(t) < 1e9) & (np.abs(np.abs(t - n) - 0.5) > 1e-6)
-    for i in np.flatnonzero(~fast):
-        out[i] = round_sig(float(flat[i]))
-    return out.reshape(values.shape)
-
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -252,26 +210,34 @@ class SyntheticScene:
 
     @staticmethod
     def from_record(record: Mapping, num_classes: int, feature_dim: int) -> "SyntheticScene":
-        for g in record["gt"]:
-            if type(g["class"]) is not int or not 0 <= g["class"] < num_classes:
-                raise ValueError(f"GT class {g['class']!r} is not an index into the {num_classes} classes")
-        gt = [
-            GroundTruth(
-                box=tuple(check_boxes([g["box"]])[0].tolist()),
-                class_index=g["class"],
-                attributes=[(str(c), str(v)) for c, v in g["attributes"]],
-            )
-            for g in record["gt"]
-        ]
+        if not isinstance(record["image_id"], str):
+            raise ValueError(f"image_id must be a string, got {record['image_id']!r}")
+        gt = [_ground_truth(g, num_classes) for g in record["gt"]]
         proposals = RegionSet(
             boxes=_decode_rows(record["boxes"], 4), features=_decode_rows(record["features"], feature_dim)
         )
         return SyntheticScene(
-            image_id=str(record["image_id"]),
+            image_id=record["image_id"],
             gt=gt,
             proposals=proposals,
             captions=list(check_captions(record["captions"])),
         )
+
+
+def _ground_truth(g: Mapping, num_classes: int) -> GroundTruth:
+    """A GT record as to_record writes it: a class index, a box of four JSON numbers, [category, value] string pairs."""
+    if type(g["class"]) is not int or not 0 <= g["class"] < num_classes:
+        raise ValueError(f"GT class {g['class']!r} is not an index into the {num_classes} classes")
+    # not bool, which is a subclass of int; check_boxes would also take a numeric string
+    if not isinstance(g["box"], list) or any(type(v) not in (int, float) for v in g["box"]):
+        raise ValueError(f"GT box must be a list of JSON numbers, got {g['box']!r}")
+    attributes = g["attributes"]
+    if not isinstance(attributes, list) or not all(
+        isinstance(a, list) and len(a) == 2 and all(isinstance(word, str) for word in a) for a in attributes
+    ):
+        raise ValueError(f"GT attributes must be [category, value] pairs of strings, got {attributes!r}")
+    box = tuple(check_boxes([g["box"]])[0].tolist())
+    return GroundTruth(box=box, class_index=g["class"], attributes=[tuple(a) for a in attributes])
 
 
 def _encode_rows(arr: np.ndarray) -> str:
@@ -280,8 +246,16 @@ def _encode_rows(arr: np.ndarray) -> str:
 
 
 def _decode_rows(text: str, width: int) -> np.ndarray:
-    """The (m, width) float array _encode_rows wrote; ValueError on bad base64 or a partial row."""
+    """The (m, width) float array _encode_rows wrote; ValueError on base64 it would not write or a partial row.
+
+    Canonical base64 is whole 4-character quanta with zero pad bits. The
+    decoder checks the alphabet and that padding ends the text; re-encoding
+    the bytes of the last quantum checks the rest, as earlier quanta hold
+    no padding.
+    """
     blob = base64.b64decode(text, validate=True)
+    if len(text) % 4 or base64.b64encode(blob[(len(text) // 4 - 1) * 3 :]).decode("ascii") != text[-4:]:
+        raise ValueError(f"not canonical base64: the last quantum of {len(text)} characters is {text[-4:]!r}")
     if len(blob) % (8 * width):
         raise ValueError(f"{len(blob)} bytes are not whole rows of {width} float64 values")
     return np.frombuffer(blob, "<f8").reshape(-1, width).astype(float)  # a copy: owned, native, C-contiguous
@@ -419,11 +393,10 @@ def generate_scene(
     gt: list[GroundTruth] = []
     boxes: list[Sequence[float]] = []
     bases: list[np.ndarray] = []  # each object's feature center, then the background's
-    # row i holds proposal i's noise, drawn where the box is
-    noise = np.empty((len(objects) * config.jitters_per_gt + config.background_boxes, config.feature_dim))
+    # row i holds proposal i's noise, drawn where its box is, and then its features
+    features = np.empty((len(objects) * config.jitters_per_gt + config.background_boxes, config.feature_dim))
     for name, c_idx, attrs in objects:
-        # rounded now, not with the proposals: the jitters start from the box as written
-        gt_box = tuple(round_sig(v) for v in _sample_gt_box(rng))
+        gt_box = _sample_gt_box(rng)
         gt.append(GroundTruth(box=gt_box, class_index=c_idx, attributes=list(attrs)))
         base = universe.class_prototypes[c_idx].copy()
         for cat, val in attrs:
@@ -432,7 +405,7 @@ def generate_scene(
         for j in range(config.jitters_per_gt):
             target = 0.55 + (0.85 - 0.55) * rng.random() if j == 0 else 0.3 + (0.9 - 0.3) * rng.random()
             boxes.append(_jitter_box(rng, gt_box, target))
-            rng.standard_normal(out=noise[len(boxes) - 1])
+            rng.standard_normal(out=features[len(boxes) - 1])
     bases.append(universe.background_prototype)
     for _ in range(config.background_boxes):
         u = rng.random(4).tolist()  # uniform(low, high) spelled out as in _sample_gt_box; here low is 0
@@ -441,16 +414,14 @@ def generate_scene(
         x0 = (1.0 - w) * u[2]
         y0 = (1.0 - h) * u[3]
         boxes.append((x0, y0, x0 + w, y0 + h))
-        rng.standard_normal(out=noise[len(boxes) - 1])
-    repeats = [config.jitters_per_gt] * len(objects) + [config.background_boxes]
-    features = np.repeat(np.stack(bases), repeats, axis=0) + config.noise_sigma * noise
+        rng.standard_normal(out=features[len(boxes) - 1])
+    # in place: sigma * noise + base has the bits of base + sigma * noise, as IEEE addition commutes
+    features *= config.noise_sigma
+    features += np.repeat(np.stack(bases), [config.jitters_per_gt] * len(objects) + [config.background_boxes], axis=0)
 
     facts = CaptionFacts()
     captions = _build_captions(rng, config, objects, cooccurring, facts)
-    # one rounding pass over [boxes | features]; the parts are copied out contiguous (views into the table raised
-    # the benchmark's peak memory)
-    table = round_sig_array(np.hstack([np.asarray(boxes, dtype=float), features]))
-    proposals = RegionSet(boxes=table[:, :4].copy(), features=table[:, 4:].copy())
+    proposals = RegionSet(boxes=np.array(boxes, dtype=float), features=features)
     return SyntheticScene(image_id=image_id, gt=gt, proposals=proposals, captions=captions), facts
 
 
@@ -532,7 +503,7 @@ def write_dataset(path: str | Path, scenes: Iterable[SyntheticScene], universe: 
 def _checked_header(header: object, where: str) -> dict:
     if not isinstance(header, dict) or header.get("schema") != SCHEMA_NAME:
         raise DataError(f"{where}: expected schema {SCHEMA_NAME!r} version {SCHEMA_VERSION}")
-    if header.get("version") != SCHEMA_VERSION:
+    if type(header.get("version")) is not int or header["version"] != SCHEMA_VERSION:
         raise DataError(f"{where}: expected schema {SCHEMA_NAME!r} version {SCHEMA_VERSION}, got version {header.get('version')!r}")
     feature_dim, names = header.get("feature_dim"), header.get("class_names")
     if type(feature_dim) is not int or feature_dim < 1:

@@ -1,11 +1,12 @@
-"""Loop reference for scene generation: one draw call per value, two rounding passes.
+"""Loop reference for scene generation: one draw call per value, and no rounding.
 
 The tests compare synthbench.generate_scene against this, bit for bit and
 caption for caption, so it stays as literal as possible: every bounded
 value comes from its own ``rng.uniform`` call, every proposal's noise from
-its own ``rng.standard_normal(d)`` array, and boxes and features are
-rounded in separate passes. The class, attribute and caption draws are
-shared with the module, since the rewrite leaves them as they are.
+its own ``rng.standard_normal(d)`` array, and each feature row is its
+base plus its scaled noise. No value is rounded, since generation rounds
+none. The class, attribute and caption draws are shared with the module,
+since the rewrite leaves them as they are.
 
 scenes_digest pins what generation produces in no file format, so a pin
 of it holds across changes to the dataset file's encoding.
@@ -24,8 +25,6 @@ from capdet.synthbench import (
     _build_captions,
     _sample_attributes,
     _sample_classes,
-    round_sig,
-    round_sig_array,
 )
 
 
@@ -74,7 +73,7 @@ def generate_scene(universe, image_id, stream_key):
     boxes = []
     features = []
     for name, c_idx, attrs in objects:
-        gt_box = tuple(round_sig(v) for v in sample_gt_box(rng))
+        gt_box = sample_gt_box(rng)
         gt.append(GroundTruth(box=gt_box, class_index=c_idx, attributes=list(attrs)))
         base = universe.class_prototypes[c_idx].copy()
         for cat, val in attrs:
@@ -95,10 +94,7 @@ def generate_scene(universe, image_id, stream_key):
 
     facts = CaptionFacts()
     captions = _build_captions(rng, config, objects, cooccurring, facts)
-    proposals = RegionSet(
-        boxes=round_sig_array(np.asarray(boxes, dtype=float)),
-        features=round_sig_array(np.stack(features)),
-    )
+    proposals = RegionSet(boxes=np.asarray(boxes, dtype=float), features=np.stack(features))
     return SyntheticScene(image_id=image_id, gt=gt, proposals=proposals, captions=captions), facts
 
 

@@ -86,16 +86,16 @@ class TestSynth:
         assert cli.main(args) == 0
         digests = {s: hashlib.sha256((out / f"{s}.jsonl").read_bytes()).hexdigest() for s in ("train", "val", "test")}
         assert digests == {
-            "train": "e8cc135a1e3f09b881f5132e84bb078c50612f4cbc054a6b4852485c354f2b38",
-            "val": "3dde9e87335053cbe4956a0f37dad0db06503969da9b6c97144ce985d85b87e9",
-            "test": "0dff027f65f2f7b15665c98e643f5e2d613759140b646b0195cb0c8d1532bb85",
+            "train": "34b6a30165bb480b4727e0a79ebd9578d67c1007f400f1700ec851b544b3ad4b",
+            "val": "37fa99c53db306e0dbe1109fb744170ae8c4dcb50f46d6ffabb18dcf5020817e",
+            "test": "53d8de38a8fc2f6624a2351c98ecb0c43dd8cab7bda89b85c1cae2440f520887",
         }
         # what generation produced, whatever the file format
         scenes = {s: scenes_digest(synthbench.load_dataset(out / f"{s}.jsonl")) for s in ("train", "val", "test")}
         assert scenes == {
-            "train": "3dbe847020330b59523ae99103dadcc04cbb1a459c0971474e60b9d4db1fc27e",
-            "val": "5f5a9a5fc1bdda75baeece76e9d7023eb92dd54126fe7789416858071e769d39",
-            "test": "2ed960502bd63bef1ec11e38bcdbc40f2f4f53264bcbb133efde3544def04b69",
+            "train": "ab664264ee5866642460642bc3fb6d839659970c935c0e7058bc8316ba87af13",
+            "val": "63563595aeb3b883f66a6d04c3d087edc0e6ee52f07a775393dc992765ed7c72",
+            "test": "116ee0f66ff129d3b642eddba3be3d93c062896c310bb4f1dbbe918c447bad59",
         }
 
     def test_settings_flags_come_from_synth_config(self):
@@ -175,8 +175,13 @@ class TestParse:
             '{"image_id": "a", "captions": "apple"}',
             '{"image_id": null, "captions": ["a cat"]}',
             '{"image_id": NaN, "captions": ["a cat"]}',
+            '{"captions": ["a cat"]}',
+            '{"image_id": "a"}',
+            '{"image_id": "a", "captions": []}',
+            '{"image_id": "a", "captions": ["   "]}',
         ],
-        ids=["number record", "number caption", "string captions", "null id", "NaN id"],
+        ids=["number record", "number caption", "string captions", "null id", "NaN id", "no id", "no captions",
+             "empty captions", "blank caption"],
     )
     def test_malformed_record_exits_two_naming_it(self, line, tmp_path, capsys):
         captions = tmp_path / "captions.jsonl"
@@ -205,9 +210,24 @@ class TestParse:
                 "attribute word 'dark-red' is not one word",
             ),
             ("--vocab", "[" * 100000, "maximum recursion depth exceeded"),
+            ("--vocab", ["cat"], "needs a 'classes' list of strings"),
+            ("--vocab", {"classes": ["cat9"]}, "one or two words of the letters a-z, got 'cat9'"),
+            ("--vocab", {"classes": ["cat"], "synonyms": {"big house cat": "cat"}}, "one or two words of the letters a-z"),
+            ("--vocab", {"classes": ["cup"], "synonyms": {"glasses": "cup"}}, "matched by lemma, so 'glasses' would never match"),
+            ("--vocab", {"classes": ["cat"], "synonyms": {"kitty": "dog"}}, "synonym 'kitty' maps to unknown class 'dog'"),
+            ("--registry", {"categories": "color"}, "{name, values}: a string and a list of strings"),
+            ("--registry", {"categories": [{"name": "size", "values": ["big"]}], "aliases": {"large": "big"}}, "'aliases' must map"),
+            (
+                "--registry",
+                {"categories": [{"name": "color", "values": ["red"]}], "aliases": {"crimson": ["color", "blue"]}},
+                "alias 'crimson' targets unknown value ('color', 'blue')",
+            ),
+            ("--registry", {"categories": [{"name": "color", "values": ["red2"]}]}, "attribute word 'red2' is not one word"),
         ],
         ids=["synonym list", "class string", "class not a lemma", "alias list", "value string", "number category",
-             "two-word value", "hyphenated alias", "nested too deeply"],
+             "two-word value", "hyphenated alias", "nested too deeply", "not an object", "class with a digit",
+             "three-word synonym", "synonym not a lemma", "synonym of an unknown class", "categories not a list",
+             "alias to a string", "alias of an unknown value", "value with a digit"],
     )
     def test_malformed_vocabulary_or_registry_exits_two_naming_it(self, flag, doc, message, tmp_path, capsys):
         captions, path, out = tmp_path / "captions.jsonl", tmp_path / "file.json", tmp_path / "o"
@@ -218,6 +238,15 @@ class TestParse:
         assert code == 2
         assert err.startswith(f"data error: bad {'vocabulary' if flag == '--vocab' else 'registry'} file {path}: ")
         assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, kind", [("--vocab", "vocabulary"), ("--registry", "registry")])
+    def test_missing_vocabulary_or_registry_exits_two_naming_it(self, flag, kind, tmp_path, capsys):
+        captions, path, out = tmp_path / "captions.jsonl", tmp_path / "missing.json", tmp_path / "o"
+        captions.write_text('{"image_id": "a", "captions": ["a red cat"]}\n')
+        assert cli.main(["parse", "--captions", str(captions), "--out", str(out), flag, str(path)]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"data error: bad {kind} file {path}: ") and "No such file or directory" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -653,8 +682,72 @@ class TestCorruptCheckpoint:
         assert code == 2
         assert len(err.splitlines()) == 1
         assert err.startswith("data error") and "Traceback" not in err
-        assert "checkpoint" in err
+        assert "checkpoint" in err and str(tmp_path / "m.ckpt") in err
         assert not out.exists()
+
+
+def with_header(header, payload):
+    """Checkpoint bytes from a header dict and a payload."""
+    return scorenet.CHECKPOINT_MAGIC + json.dumps(header).encode() + b"\n" + payload
+
+
+# case -> (the message after "data error: ", edit of the header and the payload of a checkpoint that matches the dataset);
+# TestCorruptCheckpoint runs a missing key, a bad dtype and a layout unlike the dataset's, TestDeeplyNestedJson a header
+# that is not JSON
+CHECKPOINT_RULES = {
+    "bad magic": ("{ckpt}: not a capdet checkpoint (bad magic)", lambda h, p: b"garbage"),
+    "header not an object": (
+        "{ckpt}: corrupt checkpoint header (not a JSON object)",
+        lambda h, p: scorenet.CHECKPOINT_MAGIC + b"[]\n" + p,
+    ),
+    "truncated payload": ("{ckpt}: payload has ", lambda h, p: with_header(h, p[:-8])),
+    "surplus payload": ("{ckpt}: payload has ", lambda h, p: with_header(h, p + p[:8])),
+    "feature_dim a string": (
+        "{ckpt}: checkpoint header needs 'feature_dim' as a positive integer",
+        lambda h, p: with_header({**h, "feature_dim": str(h["feature_dim"])}, p),
+    ),
+    "num_heads a float": (
+        "{ckpt}: checkpoint header needs 'num_heads' as a positive integer",
+        lambda h, p: with_header({**h, "num_heads": float(h["num_heads"])}, p),
+    ),
+    "class_names not strings": (
+        "{ckpt}: checkpoint header needs 'class_names' as a non-empty list of strings",
+        lambda h, p: with_header({**h, "class_names": list(range(len(h["class_names"])))}, p),
+    ),
+    "empty category": (
+        "{ckpt}: checkpoint header needs 'category_values' as a map from category to non-empty lists of distinct strings",
+        lambda h, p: with_header({**h, "category_values": {**h["category_values"], "color": []}}, p),
+    ),
+    "repeated category value": (
+        "{ckpt}: checkpoint header needs 'category_values' as a map from category to non-empty lists of distinct strings",
+        lambda h, p: with_header({**h, "category_values": {**h["category_values"], "color": ["red", "red"]}}, p),
+    ),
+}
+
+
+class TestCheckpointRules:
+    """README's checkpoint rules, through capdet eval: exit 2, one line naming the checkpoint, nothing written."""
+
+    def _eval(self, edit, data_dir, train_checkpoint, tmp_path):
+        line, payload = train_checkpoint.read_bytes()[len(scorenet.CHECKPOINT_MAGIC) :].split(b"\n", 1)
+        ckpt, out = tmp_path / "m.ckpt", tmp_path / "m.json"
+        ckpt.write_bytes(edit(json.loads(line), payload))
+        code = cli.main(["eval", "--data", str(data_dir / "train.jsonl"), "--checkpoint", str(ckpt), "--out", str(out)])
+        return code, ckpt, out
+
+    @pytest.mark.parametrize("case", list(CHECKPOINT_RULES))
+    def test_exit_two_naming_the_checkpoint(self, case, data_dir, train_checkpoint, tmp_path, capsys):
+        message, edit = CHECKPOINT_RULES[case]
+        code, ckpt, out = self._eval(edit, data_dir, train_checkpoint, tmp_path)
+        assert code == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"data error: {message.format(ckpt=ckpt)}")
+        assert not out.exists()
+
+    def test_a_header_without_dtype_reads_as_f8(self, data_dir, train_checkpoint, tmp_path):
+        header_without_dtype = lambda h, p: with_header({k: v for k, v in h.items() if k != "dtype"}, p)
+        code, _, out = self._eval(header_without_dtype, data_dir, train_checkpoint, tmp_path)
+        assert code == 0 and out.exists()
 
 
 class TestBadCaptions:
@@ -682,6 +775,10 @@ BAD_DATASETS = {
     "class 99": (2, lambda header, gt: gt.update({"class": 99})),
     "class 1.7": (2, lambda header, gt: gt.update({"class": 1.7})),
     "infinite box": (2, lambda header, gt: gt.update(box=[0.1, 0.1, float("inf"), 0.5])),
+    "degenerate box": (2, lambda header, gt: gt.update(box=[0.5, 0.1, 0.4, 0.5])),
+    "other schema": (1, lambda header, gt: header.update(schema="other")),
+    "empty class_names": (1, lambda header, gt: header.update(class_names=[])),
+    "repeated class name": (1, lambda header, gt: header["class_names"].append(header["class_names"][0])),
 }
 
 
@@ -755,6 +852,26 @@ def set_first_value(key, value):
     return edit
 
 
+B64_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def set_a_pad_bit(key):
+    """An edit that sets the lowest bit of the last base64 character before the record's padding, a pad bit."""
+
+    def edit(header, record):
+        text = record[key]
+        data = text.rstrip("=")
+        assert data != text, f"{key} has no padding, so no pad bits"
+        record[key] = data[:-1] + B64_ALPHABET[B64_ALPHABET.index(data[-1]) | 1] + text[len(data) :]
+
+    return edit
+
+
+def set_first_gt(**fields):
+    """An edit that sets fields of the first scene's first GT record."""
+    return lambda header, record: record["gt"][0].update(fields)
+
+
 # case -> (line the error names, the message there, edit of the header and of the first scene's record)
 DATASET_RULES = {
     "version 1": (1, "expected schema 'capdet-synth' version 2, got version 1", lambda h, r: h.update(version=1)),
@@ -780,11 +897,40 @@ DATASET_RULES = {
     "inf box": (2, "bad scene record: non-finite box coordinate", set_first_value("boxes", float("inf"))),
     "nan feature": (2, "bad scene record: non-finite region features", set_first_value("features", float("nan"))),
     "-inf feature": (2, "bad scene record: non-finite region features", set_first_value("features", float("-inf"))),
+    # spellings and types the writer never produces
+    "version 2.0": (1, "expected schema 'capdet-synth' version 2, got version 2.0", lambda h, r: h.update(version=2.0)),
+    "surplus pad character": (
+        2,
+        "bad scene record: not canonical base64: the last quantum of ",
+        lambda h, r: r.update(features=r["features"] + "="),
+    ),
+    "surplus pad quantum": (
+        2,
+        "bad scene record: not canonical base64: the last quantum of ",
+        lambda h, r: r.update(features=r["features"] + "===="),
+    ),
+    "pad bit set": (2, "bad scene record: not canonical base64: the last quantum of ", set_a_pad_bit("boxes")),
+    "null image_id": (2, "bad scene record: image_id must be a string, got None", lambda h, r: r.update(image_id=None)),
+    "numeric string in a GT box": (
+        2,
+        "bad scene record: GT box must be a list of JSON numbers, got ['0.1', '0.2', '0.3', '0.4']",
+        set_first_gt(box=["0.1", "0.2", "0.3", "0.4"]),
+    ),
+    "boolean in a GT box": (
+        2,
+        "bad scene record: GT box must be a list of JSON numbers, got [0.1, 0.2, True, 0.4]",
+        set_first_gt(box=[0.1, 0.2, True, 0.4]),
+    ),
+    "numbers as a GT attribute": (
+        2,
+        "bad scene record: GT attributes must be [category, value] pairs of strings, got [[1, 2]]",
+        set_first_gt(attributes=[[1, 2]]),
+    ),
 }
 
 
 class TestDatasetRules:
-    """The schema-2 rules for a dataset's header and its base64 boxes and features: exit 2, one line, nothing written."""
+    """The schema-2 rules for a dataset's header and records: exit 2, one line, nothing written."""
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("case", list(DATASET_RULES))

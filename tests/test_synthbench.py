@@ -25,8 +25,6 @@ from capdet.synthbench import (
     load_dataset,
     make_universe,
     read_dataset,
-    round_sig,
-    round_sig_array,
     universe_fingerprint,
     write_dataset,
 )
@@ -47,88 +45,6 @@ def registry():
 @pytest.fixture(scope="module")
 def universe(registry):
     return make_universe(SynthConfig(), registry, seed=0)
-
-
-def round_sig_loop(arr):
-    """The reference for round_sig_array: round_sig of each entry, one at a time."""
-    values = np.asarray(arr, dtype=float)
-    return np.array([round_sig(float(v)) for v in values.ravel()]).reshape(values.shape)
-
-
-def assert_same_bits(out, ref):
-    """Equal bit patterns, NaN positions compared with isnan."""
-    assert out.dtype == ref.dtype == np.float64 and out.shape == ref.shape
-    nan = np.isnan(ref)
-    assert np.array_equal(np.isnan(out), nan)
-    mismatch = out[~nan].view(np.int64) != ref[~nan].view(np.int64)
-    assert not mismatch.any(), f"{mismatch.sum()} mismatches, first at {out[~nan][mismatch][:3]} vs {ref[~nan][mismatch][:3]}"
-
-
-# decimals exactly half-way between two nine-digit neighbours, and values
-# whose rounding carries into the next power of ten
-HALF_WAY_AND_CARRIES = [
-    "0.1234567885", "-0.1234567885", "123456789.5", "-123456789.5", "1.000000005",
-    "9.9999999995", "9.9999999996", "-9.9999999996", "99999999.96", "999999999.6",
-    "0.99999999995", "9.999999995e30", "1.2345678905e-14", "4.4999999995e22",
-]
-
-
-class TestRoundSig:
-    def test_nine_significant_digits(self):
-        assert round_sig(0.123456789123) == 0.123456789
-        assert round_sig(1.0) == 1.0
-        assert round_sig(-0.000123456789123) == -0.000123456789
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(1)
-        for v in rng.normal(size=100):
-            once = round_sig(float(v))
-            assert round_sig(once) == once
-
-    def test_array_preserves_shape(self):
-        arr = np.arange(12, dtype=float).reshape(3, 4) / 7.0
-        out = round_sig_array(arr)
-        assert out.shape == (3, 4)
-        assert_same_bits(out, round_sig_loop(arr))
-
-
-class TestRoundSigArray:
-    def test_bitwise_equal_to_scalar_loop_over_a_million_draws(self):
-        rng = np.random.default_rng(20201)
-        n = 1_000_000
-        draws = rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 10.0, n) * 10.0 ** rng.uniform(-12.0, 12.0, n)
-        assert_same_bits(round_sig_array(draws), round_sig_loop(draws))
-
-    def test_edge_cases(self):
-        tiny = np.finfo(float).tiny
-        powers = [10.0**p for p in range(-20, 21)] + [float(f"1e{p}") for p in range(-20, 21)]
-        neighbours = [np.nextafter(p, d) for p in powers for d in (0.0, np.inf)]
-        edges = np.array(
-            [0.0, -0.0, 5e-324, -5e-324, tiny / 2, tiny, -tiny, np.inf, -np.inf, np.nan, np.finfo(float).max]
-            + powers
-            + [-p for p in powers]
-            + neighbours
-            + [float(s) for s in HALF_WAY_AND_CARRIES]
-        )
-        assert_same_bits(round_sig_array(edges), round_sig_loop(edges))
-
-    @pytest.mark.parametrize("error", [-1.0, 1.0])
-    def test_wrong_exponent_guess_falls_back(self, error):
-        # a log10 off by one puts every t outside [1e8, 1e9)
-        values = np.random.default_rng(3).standard_normal(1000) * 10.0 ** np.arange(-12, 13).repeat(40)
-        log10 = np.log10
-        with mock.patch.object(np, "log10", lambda x: log10(x) + error):
-            out = round_sig_array(values)
-        assert_same_bits(out, round_sig_loop(values))
-
-    def test_half_way_decimals(self):
-        # every value is a ten-digit decimal ending in 5, so the rounding of
-        # its nearest double depends on which side of half-way that double lies
-        rng = np.random.default_rng(7)
-        digits = rng.integers(10**8, 10**9, 5000)
-        exponents = rng.integers(-20, 21, 5000)
-        values = np.array([float(f"{m}5e{e}") for m, e in zip(digits, exponents)])
-        assert_same_bits(round_sig_array(values), round_sig_loop(values))
 
 
 class TestSynthConfig:
@@ -235,12 +151,6 @@ class TestGenerateScene:
             scene, _ = generate_scene(universe, f"s{i}", [4, 0, i])
             assert proposal_hit_exists(scene, threshold=0.5)
 
-    def test_memory_values_are_round_sig_fixed_points(self, universe):
-        # generation's nine-digit contract: every value it hands out is already rounded
-        scene, _ = generate_scene(universe, "s0", [5, 0, 0])
-        for values in (scene.proposals.boxes, scene.proposals.features, np.array([g.box for g in scene.gt])):
-            assert_same_bits(round_sig_array(values), values)
-
     def test_cooccurring_confusables_use_different_colors(self, universe):
         cfg = universe.config
         pairs = {frozenset(p) for p in cfg.confusable_pairs}
@@ -341,8 +251,8 @@ class TestDatasetIO:
         scenes = gen_dataset(universe, 20, [0, 2])
         write_dataset(path, scenes, universe)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "9b8c996b8186fd49f4aa2fcd36e264b329c7185f48f7adf23cf1d79eb698e95e"
-        assert reference.scenes_digest(scenes) == "bff53d177f48af81c9ceedc110941db68afc5f7e56e0f4928a3ad8c0cb4caeab"
+        assert digest == "1cbeda0972b9fe70eface07142121289fc216c7c581e8c2a12b0f08919072716"
+        assert reference.scenes_digest(scenes) == "0494c86a8dbdd68b2c3985b026781cb2b241c31c31fa90a23128e4528806cc49"
 
     def test_seed0_test_split_bytes_pinned(self, universe, tmp_path):
         # the whole seed-0 test split, as the benchmark's data_eval workload writes it
@@ -350,8 +260,8 @@ class TestDatasetIO:
         scenes = gen_dataset(universe, 500, [0, 2], id_prefix="test")
         write_dataset(path, scenes, universe)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "6e314648e96ce92e1423ee2ecf3dcd88d77fea6256789957b8f7d42560b9f4c0"
-        assert reference.scenes_digest(scenes) == "f5f5a33d78e1b17e9e2478f1df05376341f46b9353e763c3b501ea4a4b263a2c"
+        assert digest == "8aefba6e34e073966db9ef595e54d04a6dbbe53fdb0c47d99fd7020447c0bd87"
+        assert reference.scenes_digest(scenes) == "a161734c527c43ccd8ca589a749f1d638fafe6ac2f9c29b29ad6e27a86fdd543"
 
     def test_header_contents(self, universe, tmp_path):
         path = tmp_path / "data.jsonl"
