@@ -60,6 +60,10 @@ class DataError(ValueError):
 
 SCHEMA_NAME = "capdet-synth"
 SCHEMA_VERSION = 2
+# the keys write_dataset writes, the only ones read_dataset accepts
+HEADER_KEYS = frozenset({"schema", "version", "feature_dim", "class_names", "confusable_pairs", "universe"})
+RECORD_KEYS = frozenset({"image_id", "gt", "boxes", "features", "captions"})
+GT_KEYS = frozenset({"box", "class", "attributes"})
 
 # prenominal word order used by the caption templates
 _CATEGORY_ORDER = ("size", "shape", "color", "material")
@@ -210,6 +214,9 @@ class SyntheticScene:
 
     @staticmethod
     def from_record(record: Mapping, num_classes: int, feature_dim: int) -> "SyntheticScene":
+        extra = _extra_key(record, RECORD_KEYS)
+        if extra is not None:
+            raise ValueError(f"unknown record key {extra!r}")
         if not isinstance(record["image_id"], str):
             raise ValueError(f"image_id must be a string, got {record['image_id']!r}")
         gt = [_ground_truth(g, num_classes) for g in record["gt"]]
@@ -226,6 +233,9 @@ class SyntheticScene:
 
 def _ground_truth(g: Mapping, num_classes: int) -> GroundTruth:
     """A GT record as to_record writes it: a class index, a box of four JSON numbers, [category, value] string pairs."""
+    extra = _extra_key(g, GT_KEYS)
+    if extra is not None:
+        raise ValueError(f"unknown GT key {extra!r}")
     if type(g["class"]) is not int or not 0 <= g["class"] < num_classes:
         raise ValueError(f"GT class {g['class']!r} is not an index into the {num_classes} classes")
     # not bool, which is a subclass of int; check_boxes would also take a numeric string
@@ -500,11 +510,20 @@ def write_dataset(path: str | Path, scenes: Iterable[SyntheticScene], universe: 
     write_jsonl(path, itertools.chain([dataset_header(universe)], (scene.to_record() for scene in scenes)))
 
 
+def _extra_key(record: object, keys: frozenset[str]) -> str | None:
+    """The first key of a JSON object outside keys, in sorted order; None when there is none or record is no object."""
+    extra = sorted(record.keys() - keys) if isinstance(record, dict) else []
+    return extra[0] if extra else None
+
+
 def _checked_header(header: object, where: str) -> dict:
     if not isinstance(header, dict) or header.get("schema") != SCHEMA_NAME:
         raise DataError(f"{where}: expected schema {SCHEMA_NAME!r} version {SCHEMA_VERSION}")
     if type(header.get("version")) is not int or header["version"] != SCHEMA_VERSION:
         raise DataError(f"{where}: expected schema {SCHEMA_NAME!r} version {SCHEMA_VERSION}, got version {header.get('version')!r}")
+    extra = _extra_key(header, HEADER_KEYS)
+    if extra is not None:
+        raise DataError(f"{where}: unknown header key {extra!r}")
     feature_dim, names = header.get("feature_dim"), header.get("class_names")
     if type(feature_dim) is not int or feature_dim < 1:
         raise DataError(f"{where}: feature_dim must be a positive integer, got {feature_dim!r}")
@@ -515,6 +534,12 @@ def _checked_header(header: object, where: str) -> dict:
         or len(set(names)) < len(names)
     ):
         raise DataError(f"{where}: class_names must be a non-empty list of distinct strings")
+    pairs = header.get("confusable_pairs")
+    if not isinstance(pairs, list):
+        raise DataError(f"{where}: confusable_pairs must be a list of [a, b] pairs, got {pairs!r}")
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == 2 and pair[0] != pair[1] and all(n in names for n in pair)):
+            raise DataError(f"{where}: confusable pair {pair!r} is not two distinct names from class_names")
     if not isinstance(header.get("universe"), str) or not re.fullmatch("[0-9a-f]{16}", header["universe"]):
         raise DataError(f"{where}: universe must be a 16-digit hex fingerprint, got {header.get('universe')!r}")
     return header

@@ -3,12 +3,15 @@
 Training is plain adaptive-gradient descent over per-scene losses: the
 image-evidence term, the first head's MIL and coupled terms, and one
 refinement term per head. Before the first step, train does the work no
-parameter changes: it compiles every scene's caption labels in one call
-into the two Supervision masks and builds every scene's overlap mask,
-which the refinement chain reads, into one array, over padded chunks of
-EVAL_CHUNK scenes of similar proposal counts. A step takes the next
-batch_size scenes of one permutation per epoch, packs them into one
-padded SceneBatch, slices their overlap and caption masks, and runs
+parameter changes, and keeps only what the steps read: it compiles the
+caption labels into the two Supervision masks scene by scene, parsing
+each scene's captions as it compiles them, so one scene's labels are
+alive at a time; and it builds every scene's overlap mask, which the
+refinement chain reads, over chunks of EVAL_CHUNK scenes of similar
+proposal counts with only their boxes padded, keeping the masks as
+packed bits in one array. A step takes the next batch_size scenes of one
+permutation per epoch, packs them into one padded SceneBatch, unpacks
+their overlap masks, slices their caption masks, and runs
 batch_step: forward, pseudo-labels, both stages of the losses (values,
 then gradients) and backward once over the batch. Forward and backward
 multiply each scene over its own rows, so each scene's gradient has the
@@ -185,9 +188,14 @@ def train(
         num_heads=config.num_heads,
         seed=config.seed,
     )
-    # a step's supervision is its scenes' rows; the exact-match baseline compiles no attribute pairs
+    # a step's supervision is its scenes' rows; the exact-match baseline compiles no attribute pairs.
+    # Each scene's labels are parsed as they are compiled, so only one scene's are ever alive.
     supervision = weakloss.compile_supervision(
-        label_scenes(scenes, vocab, registry), params.num_classes, params.value_columns, pairs=config.attributes_enabled
+        (extract_labels(scene.captions, vocab, registry) for scene in scenes),
+        params.num_classes,
+        params.value_columns,
+        pairs=config.attributes_enabled,
+        count=len(scenes),
     )
     # proposals never change, so neither does any scene's overlap mask
     blocks = overlap_blocks(scenes, config.tau)
@@ -204,7 +212,7 @@ def train(
             batch = SceneBatch.pack([scenes[i] for i in picks])
             sup = Supervision(supervision.positive[picks], supervision.pairs[picks])
             width = batch.valid.shape[1]
-            near = blocks[picks, :width, :width]
+            near = np.unpackbits(blocks[picks, :width], axis=-1, count=width).view(bool)
             report, _, grad_flat = batch_step(params, batch, sup, near, config)
             finite = np.isfinite(report.l_total)
             if not finite.all():
@@ -246,34 +254,46 @@ class SceneBatch:
 
     @staticmethod
     def pack(scenes: Sequence[SyntheticScene]) -> "SceneBatch":
-        sizes = [scene.proposals.size for scene in scenes]
-        width = max([2, *sizes]) if sizes else 0
+        boxes, valid = padded_boxes(scenes)
         dim = scenes[0].proposals.features.shape[1] if scenes else 0
-        features = np.zeros((len(scenes), width, dim))
-        boxes = np.empty((len(scenes), width, 4))
-        boxes[...] = (0.0, 0.0, 1.0, 1.0)
+        features = np.zeros(valid.shape + (dim,))
         for n, scene in enumerate(scenes):
-            features[n, : sizes[n]] = scene.proposals.features
-            boxes[n, : sizes[n]] = scene.proposals.boxes
-        valid = np.arange(width) < np.array(sizes, dtype=int)[:, None]
+            features[n, : scene.proposals.size] = scene.proposals.features
         return SceneBatch(tuple(scene.image_id for scene in scenes), features, boxes, valid)
 
 
-def overlap_blocks(scenes: Sequence[SyntheticScene], tau: float) -> np.ndarray:
-    """Every scene's oicr.overlap_masks at tau in the top-left block of one (S, W, W) array, False elsewhere.
+def padded_boxes(scenes: Sequence[SyntheticScene]) -> tuple[np.ndarray, np.ndarray]:
+    """SceneBatch's boxes and valid mask of scenes: their proposal boxes padded with the unit box to M, at least 2."""
+    sizes = [scene.proposals.size for scene in scenes]
+    width = max([2, *sizes]) if sizes else 0
+    boxes = np.empty((len(scenes), width, 4))
+    boxes[...] = (0.0, 0.0, 1.0, 1.0)
+    for n, scene in enumerate(scenes):
+        boxes[n, : sizes[n]] = scene.proposals.boxes
+    return boxes, np.arange(width) < np.array(sizes, dtype=int)[:, None]
 
-    W is the largest proposal count, at least 2, so blocks[picks, :M, :M]
-    is the mask of a batch of those scenes padded to M. The masks are
-    computed over padded chunks of EVAL_CHUNK scenes taken by proposal count.
+
+def overlap_blocks(scenes: Sequence[SyntheticScene], tau: float) -> np.ndarray:
+    """Every scene's oicr.overlap_masks at tau as packed bits, in one (S, W, ceil(W / 8)) uint8 array.
+
+    W is the largest proposal count, at least 2. Row i of scene n's mask
+    is blocks[n, i], np.packbits of its W cells, so its rows and columns
+    past the scene's proposal count are 0 bits, and
+    np.unpackbits(blocks[picks, :M], axis=-1, count=M).view(bool) is the
+    mask of a batch of those scenes padded to M. The masks are computed
+    over chunks of EVAL_CHUNK scenes taken by proposal count, each with
+    its boxes padded as SceneBatch pads them, and packed chunk by chunk,
+    so no (S, W, W) array is ever made.
     """
     sizes = [scene.proposals.size for scene in scenes]
-    blocks = np.zeros((len(scenes),) + (max([2, *sizes]),) * 2, dtype=bool)
+    width = max([2, *sizes])
+    blocks = np.zeros((len(scenes), width, -(-width // 8)), dtype=np.uint8)
     order = np.argsort(sizes, kind="stable")
     for start in range(0, len(order), EVAL_CHUNK):
         picks = order[start : start + EVAL_CHUNK]
-        batch = SceneBatch.pack([scenes[i] for i in picks])
-        width = batch.valid.shape[1]
-        blocks[picks, :width, :width] = oicr.overlap_masks(batch.boxes, tau, batch.valid)
+        boxes, valid = padded_boxes([scenes[i] for i in picks])
+        packed = np.packbits(oicr.overlap_masks(boxes, tau, valid), axis=-1)
+        blocks[picks, : packed.shape[1], : packed.shape[2]] = packed
     return blocks
 
 

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -85,15 +85,29 @@ class Supervision:
 
 
 def compile_supervision(
-    labels: Sequence[LabelSet], num_classes: int, value_columns: Mapping[tuple[str, str], int], pairs: bool = True
+    labels: Iterable[LabelSet],
+    num_classes: int,
+    value_columns: Mapping[tuple[str, str], int],
+    pairs: bool = True,
+    count: int | None = None,
 ) -> Supervision:
     """Validate N scenes' labels into one Supervision, scene n in row n; pairs=False keeps the classes only.
 
-    The pair mask has one column past the largest of value_columns.
+    labels is read once, one LabelSet at a time, and none is kept, so a
+    generator that parses each scene's captions as it is read holds one
+    scene's labels at a time. count is N, len(labels) by default; labels
+    of another length are a ValueError. The pair mask has one column past
+    the largest of value_columns.
     """
-    positive = np.zeros((len(labels), num_classes), dtype=bool)
+    if count is None:
+        count = len(labels)
+    positive = np.zeros((count, num_classes), dtype=bool)
     mask = np.zeros(positive.shape + (max(value_columns.values(), default=-1) + 1,), dtype=bool)
-    for n, scene in enumerate(labels):
+    scenes = iter(labels)
+    for n in range(count):
+        scene = next(scenes, None)
+        if scene is None:
+            raise ValueError(f"labels of {n} scenes for a count of {count}")
         classes = sorted(scene.objects)
         for c in classes:
             if not 0 <= c < num_classes:
@@ -104,6 +118,9 @@ def compile_supervision(
                 if (cat, val) not in value_columns:
                     raise ValueError(f"class {c}: no attribute column for {cat!r} = {val!r}")
                 mask[n, c, value_columns[cat, val]] = True
+        del scene  # kept, it would be alive while the next scene's labels are made
+    if next(scenes, None) is not None:
+        raise ValueError(f"labels of more scenes than the count of {count}")
     return Supervision(positive, mask)
 
 

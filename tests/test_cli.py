@@ -926,6 +926,25 @@ DATASET_RULES = {
         "bad scene record: GT attributes must be [category, value] pairs of strings, got [[1, 2]]",
         set_first_gt(attributes=[[1, 2]]),
     ),
+    # keys and pairs the writer never writes
+    "extra header key": (1, "unknown header key 'extra'", lambda h, r: h.update(extra="x")),
+    "extra record key": (2, "bad scene record: unknown record key 'extra'", lambda h, r: r.update(extra="x")),
+    "extra GT key": (2, "bad scene record: unknown GT key 'extra'", set_first_gt(extra="x")),
+    "confusable_pairs not a list": (
+        1,
+        "confusable_pairs must be a list of [a, b] pairs, got 5",
+        lambda h, r: h.update(confusable_pairs=5),
+    ),
+    "pair naming an unknown class": (
+        1,
+        "confusable pair ['apple', 'plum'] is not two distinct names from class_names",
+        lambda h, r: h["confusable_pairs"].append(["apple", "plum"]),
+    ),
+    "one-name pair": (
+        1,
+        "confusable pair ['apple'] is not two distinct names from class_names",
+        lambda h, r: h["confusable_pairs"].append(["apple"]),
+    ),
 }
 
 

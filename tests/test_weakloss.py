@@ -164,6 +164,25 @@ class TestCompileSupervision:
         whole = compile_supervision(scenes, 4, PROPERTY_COLS)
         assert np.array_equal(whole.positive, batch.positive) and np.array_equal(whole.pairs, batch.pairs)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(scene_labels(), max_size=5), st.booleans())
+    def test_a_generator_compiles_as_its_list(self, scenes, pairs):
+        listed = compile_supervision(scenes, 4, PROPERTY_COLS, pairs=pairs)
+        streamed = compile_supervision((labels for labels in scenes), 4, PROPERTY_COLS, pairs=pairs, count=len(scenes))
+        for name in ("positive", "pairs"):
+            mine, theirs = getattr(streamed, name), getattr(listed, name)
+            assert (mine.dtype, mine.shape, mine.tobytes()) == (theirs.dtype, theirs.shape, theirs.tobytes())
+
+    @pytest.mark.parametrize("stream", [list, iter], ids=["list", "iterator"])
+    @pytest.mark.parametrize(
+        "count, message",
+        [(0, "labels of more scenes than the count of 0"), (1, "labels of more scenes than the count of 1"),
+         (3, "labels of 2 scenes for a count of 3")],
+    )
+    def test_a_count_unlike_the_labels_is_an_error(self, stream, count, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            compile_supervision(stream([labels_for({0}), labels_for({1})]), 2, {}, count=count)
+
     def test_bad_pair_is_one_value_error_naming_class_and_pair(self):
         cols = columns_for({"color": ("red",)})
         for pair in (("texture", "rough"), ("color", "purple")):
