@@ -2,19 +2,15 @@
 
 Subcommands: synth (generate benchmark splits), parse (captions to label
 records), train, eval, and gradcheck. Exit codes: 0 success, 1 usage
-error, 2 data error, 3 numerical failure.
+error (a setting too large to allocate is one), 2 data error, 3 numerical
+failure; README's File formats states each file's rules.
 
 A command has a flag for each config field it reads and for no other:
 synth the SynthConfig fields, eval the two that inference reads, train
 the other TrainConfig fields, which an optional key-value text file
-(`--config`: one `key = value` per line, `#` comments) can also give and
-its flags override. Each file value is parsed by its key's flag, so it
-takes the flag's type and choices. The file's entries are checked in
-order before any other file is read, each failure naming the file and
-line: a line that is not `key = value`, or a key set twice, is a data
-error; an unknown key, or a value its flag refuses, a usage error.
-Unknown flags are hard errors too, and a flag matches only by its full
-name.
+(`--config`) can also give and its flags override. Each file value is
+parsed by its key's flag, so it takes the flag's type and choices.
+Unknown flags are hard errors, and a flag matches only by its full name.
 """
 
 from __future__ import annotations
@@ -28,12 +24,13 @@ from pathlib import Path
 from typing import Mapping, Sequence, get_type_hints
 
 from . import gradcheck, scorenet, synthbench, trainer
+from .fields import check_fields
 from .synthbench import DataError, SynthConfig
 from .textgraph import (
+    CAPTION_FIELDS,
     AttributeRegistry,
     ParseStats,
     Vocabulary,
-    check_captions,
     default_registry,
     default_vocabulary,
     extract_labels,
@@ -151,18 +148,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_parse(args: argparse.Namespace) -> int:
     vocab, registry = _load_vocab_registry(args)
-    if vocab is None:
-        vocab = default_vocabulary()
+    vocab = vocab or default_vocabulary()
     stats = ParseStats()
     out_records = []
     for lineno, record in synthbench.read_jsonl(args.captions):
-        if not isinstance(record, dict) or "image_id" not in record or "captions" not in record:
-            raise DataError(f"{args.captions}: line {lineno}: needs to be an object with image_id and captions")
-        # the id is echoed into the label record, so it must be one JSON can carry back
-        if type(record["image_id"]) not in (str, int):
-            raise DataError(f"{args.captions}: line {lineno}: image_id must be a string or an integer")
         try:
-            labels = extract_labels(check_captions(record["captions"]), vocab, registry, stats)
+            record = check_fields(record, CAPTION_FIELDS, "caption record")
+            labels = extract_labels(record["captions"], vocab, registry, stats)
         except ValueError as e:
             raise DataError(f"{args.captions}: line {lineno}: {e}") from None
         out_records.append(labels.to_record(record["image_id"]))
@@ -315,9 +307,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as e:
-        # bad parameter combinations surface here (DataError was caught above)
-        print(f"usage error: {e}", file=sys.stderr)
+    except (ValueError, MemoryError) as e:
+        # bad parameter combinations surface here (DataError was caught above), and settings too large to allocate
+        print(f"usage error: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

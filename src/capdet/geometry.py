@@ -37,18 +37,24 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Leading axes broadcast, and each slice is computed as a lone (m, 4)
     by (n, 4) call would, bit for bit. Disjoint pairs get exactly 0.0,
     and iou_matrix(b, a) is exactly the transpose of iou_matrix(a, b).
+    It runs in place: at most three (..., m, n) arrays are alive at once.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim < 2 or a.shape[-1] != 4 or b.ndim < 2 or b.shape[-1] != 4:
         raise ValueError("expected (..., m, 4) and (..., n, 4) box arrays")
     a, b = a[..., :, None, :], b[..., None, :, :]
-    ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
-    iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
+    inter = np.minimum(a[..., 2], b[..., 2])
+    inter -= np.maximum(a[..., 0], b[..., 0])
+    union = np.minimum(a[..., 3], b[..., 3])
+    union -= np.maximum(a[..., 1], b[..., 1])
+    np.maximum(inter, 0.0, out=inter)  # np.clip(x, 0.0, None) is np.maximum(x, 0.0)
+    inter *= np.maximum(union, 0.0, out=union)
     area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
     area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
-    return inter / (area_a + area_b - inter)
+    np.add(area_a, area_b, out=union)
+    union -= inter
+    return np.divide(inter, union, out=inter)
 
 
 def nms(boxes: np.ndarray, scores: np.ndarray, threshold: float, valid: np.ndarray | None = None) -> np.ndarray:

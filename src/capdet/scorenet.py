@@ -40,7 +40,9 @@ All parameters live in one flat float64 buffer, the packed map row by
 row: d weight rows, then the bias row (packed is its (d + 1, P) view).
 Checkpoints (iter_param_arrays) store it block by block in the column
 order above, each block's (d, width) weight and then its bias;
-checkpoint_order applies that order only at save and load.
+checkpoint_order applies that order only at save and load. The JSON
+header holds the keys of one field table, CHECKPOINT_FIELDS
+(fields.check_fields); code checks the payload size against it.
 
 The backward pass reuses forward's softmaxes and evidence and is checked
 against central finite differences in the test suite rather than trusted
@@ -56,6 +58,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .fields import Field, check_fields, is_positive_int, is_str_list
 from .geometry import check_boxes
 
 # probabilities are clamped to [PROB_FLOOR, 1 - PROB_FLOOR] before any log
@@ -172,19 +175,20 @@ class ModelParams:
             self.value_columns.update({(cat, val): v + j for j, val in enumerate(vals)})
             v += len(vals)
         c = len(self.class_names)
+        n_obj, n_attr = num_heads * (c + 1), num_heads * v
+        self.object_cols = slice(0, n_obj)
+        self.attribute_cols = slice(n_obj, n_obj + n_attr)
+        self.det_cols = slice(n_obj + n_attr, n_obj + n_attr + c)
+        self.cls_cols = slice(n_obj + n_attr + c, n_obj + n_attr + 2 * c)
+        # each block is stored as its (d + 1, width) column block of packed, raveled; a layout too large
+        # to hold fails here, on numpy's allocation, before the per-head list below is built
+        index = np.arange((d + 1) * self.cls_cols.stop).reshape(d + 1, -1)
         cats = self.category_values.items()
         self.segments = (
             [(f"object[{k}]", c + 1) for k in range(num_heads)]
             + [(f"attribute[{k}][{cat}]", len(vals)) for k in range(num_heads) for cat, vals in cats]
             + [("mid_det", c), ("mid_cls", c)]
         )
-        n_obj, n_attr = num_heads * (c + 1), num_heads * v
-        self.object_cols = slice(0, n_obj)
-        self.attribute_cols = slice(n_obj, n_obj + n_attr)
-        self.det_cols = slice(n_obj + n_attr, n_obj + n_attr + c)
-        self.cls_cols = slice(n_obj + n_attr + c, n_obj + n_attr + 2 * c)
-        # each block is stored as its (d + 1, width) column block of packed, raveled
-        index = np.arange((d + 1) * self.cls_cols.stop).reshape(d + 1, -1)
         blocks = np.split(index, np.cumsum([w for _, w in self.segments])[:-1], axis=1)
         self.checkpoint_order = np.concatenate([block.ravel() for block in blocks])
         self.flat = np.zeros(index.size)
@@ -392,20 +396,16 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
         f.write(params.flat[params.checkpoint_order].astype("<f8").tobytes())
 
 
-def _str_list(value: object) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-# required header keys: (check, what the check expects)
-_HEADER_KEYS = {
-    "feature_dim": (lambda v: type(v) is int and v > 0, "a positive integer"),
-    "class_names": (lambda v: _str_list(v) and len(v) > 0, "a non-empty list of strings"),
-    "category_values": (
-        lambda v: isinstance(v, dict) and all(_str_list(s) and s and len(set(s)) == len(s) for s in v.values()),
+# the checkpoint header's keys; v1 files may omit dtype
+CHECKPOINT_FIELDS = {
+    "feature_dim": Field(is_positive_int, "a positive integer"),
+    "class_names": Field(lambda v: is_str_list(v) and len(v) > 0, "a non-empty list of strings"),
+    "category_values": Field(
+        lambda v: isinstance(v, dict) and all(is_str_list(s) and s and len(set(s)) == len(s) for s in v.values()),
         "a map from category to non-empty lists of distinct strings",
     ),
-    "num_heads": (lambda v: type(v) is int and v > 0, "a positive integer"),
-    "dtype": (lambda v: v == "<f8", "'<f8'"),
+    "num_heads": Field(is_positive_int, "a positive integer"),
+    "dtype": Field(lambda v: v == "<f8", "'<f8'", default="<f8"),
 }
 
 
@@ -416,16 +416,12 @@ def load_checkpoint(path: str | Path) -> ModelParams:
             raise ValueError(f"{path}: not a capdet checkpoint (bad magic)")
         header_line = f.readline()
         try:
-            header = json.loads(header_line.decode("utf-8"))
+            header = check_fields(json.loads(header_line.decode("utf-8")), CHECKPOINT_FIELDS, "checkpoint header")
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):  # too deeply nested is a RecursionError
             raise ValueError(f"{path}: corrupt checkpoint header") from None
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
         blob = f.read()
-    if not isinstance(header, dict):
-        raise ValueError(f"{path}: corrupt checkpoint header (not a JSON object)")
-    header.setdefault("dtype", "<f8")  # v1 files may omit it
-    for key, (valid, expected) in _HEADER_KEYS.items():
-        if key not in header or not valid(header[key]):
-            raise ValueError(f"{path}: checkpoint header needs {key!r} as {expected}")
     # the payload size is checked against the header's numbers before any of
     # the layout is built, so a header cannot make this allocate
     num_classes, num_values = len(header["class_names"]), sum(map(len, header["category_values"].values()))
@@ -433,9 +429,7 @@ def load_checkpoint(path: str | Path) -> ModelParams:
     needed = (header["feature_dim"] + 1) * columns * 8
     if len(blob) != needed:
         raise ValueError(f"{path}: payload has {len(blob)} bytes, layout needs {needed}")
-    params = ModelParams(
-        header["feature_dim"], header["class_names"], header["category_values"], header["num_heads"]
-    )
+    params = ModelParams(header["feature_dim"], header["class_names"], header["category_values"], header["num_heads"])
     params.flat[params.checkpoint_order] = np.frombuffer(blob, dtype="<f8")
     if not np.isfinite(params.flat).all():
         raise ValueError(f"{path}: checkpoint holds non-finite parameters")

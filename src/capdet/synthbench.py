@@ -23,16 +23,18 @@ A stream's draws keep one fixed order; a box's four bounded values come
 from one rng.random(4) (numpy's uniform(low, high) is low + (high - low) *
 random()) and a proposal's noise is drawn straight into its row, the same
 values a call per value would draw, so the dataset bytes are those of that
-loop (tests/synth_reference.py). A ground-truth box is a plain (x_min,
-y_min, x_max, y_max) tuple of floats; loading checks it, like the proposal
-boxes, with geometry.check_boxes.
+loop (tests/synth_reference.py).
 
 A dataset file (schema version 2) is a JSON header line, which carries the
 universe's fingerprint, then one JSON record per scene. A record holds its
 proposal boxes and features as base64 of their little-endian float64
 bytes, row-major, and everything else as JSON text, so a generate/load
 round trip is an identity. There is no reader for version 1 files, whose
-numbers were decimal text: capdet synth regenerates any split.
+numbers were decimal text: capdet synth regenerates any split. The reader
+accepts the keys of three field tables (fields.check_fields), those the
+writer writes: HEADER_FIELDS, RECORD_FIELDS and GT_FIELDS. Code checks the
+schema and version before them, then what no table says: base64 rows, box
+geometry, and the class_names that GT classes and confusable pairs name.
 """
 
 from __future__ import annotations
@@ -45,13 +47,14 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .fields import Field, check_fields, is_positive_int, is_str_list
 from .geometry import check_boxes
 from .scorenet import RegionSet
-from .textgraph import AttributeRegistry, Vocabulary, check_captions
+from .textgraph import CAPTIONS, AttributeRegistry, Vocabulary
 
 
 class DataError(ValueError):
@@ -60,10 +63,33 @@ class DataError(ValueError):
 
 SCHEMA_NAME = "capdet-synth"
 SCHEMA_VERSION = 2
-# the keys write_dataset writes, the only ones read_dataset accepts
-HEADER_KEYS = frozenset({"schema", "version", "feature_dim", "class_names", "confusable_pairs", "universe"})
-RECORD_KEYS = frozenset({"image_id", "gt", "boxes", "features", "captions"})
-GT_KEYS = frozenset({"box", "class", "attributes"})
+# the keys write_dataset writes, the only ones read_dataset accepts (see the module docstring)
+HEADER_FIELDS = {
+    "schema": Field(lambda v: v == SCHEMA_NAME, repr(SCHEMA_NAME)),
+    "version": Field(lambda v: type(v) is int and v == SCHEMA_VERSION, str(SCHEMA_VERSION)),
+    "feature_dim": Field(is_positive_int, "a positive integer"),
+    "class_names": Field(lambda v: is_str_list(v) and 0 < len(v) == len(set(v)), "a non-empty list of distinct strings"),
+    "confusable_pairs": Field(lambda v: isinstance(v, list), "a list of [a, b] pairs"),
+    "universe": Field(lambda v: isinstance(v, str) and bool(re.fullmatch("[0-9a-f]{16}", v)), "a 16-digit hex fingerprint"),
+}
+RECORD_FIELDS = {
+    "image_id": Field(lambda v: isinstance(v, str), "a string"),
+    "gt": Field(lambda v: isinstance(v, list) and all(isinstance(g, dict) for g in v), "a list of GT objects"),
+    "boxes": Field(lambda v: isinstance(v, str), "base64 text"),
+    "features": Field(lambda v: isinstance(v, str), "base64 text"),
+    "captions": CAPTIONS,
+}
+GT_FIELDS = {
+    # JSON numbers are int or float: not bool, and not the numeric strings check_boxes would take
+    "box": Field(
+        lambda v: isinstance(v, list) and len(v) == 4 and {type(x) for x in v} <= {int, float}, "a list of four JSON numbers"
+    ),
+    "class": Field(lambda v: type(v) is int, "an integer"),
+    "attributes": Field(
+        lambda v: isinstance(v, list) and all(is_str_list(a) and len(a) == 2 for a in v),
+        "a list of [category, value] pairs of strings",
+    ),
+}
 
 # prenominal word order used by the caption templates
 _CATEGORY_ORDER = ("size", "shape", "color", "material")
@@ -197,57 +223,20 @@ class SyntheticScene:
     captions: list[str]
 
     def to_record(self) -> dict:
-        return {
-            "image_id": self.image_id,
-            "gt": [
-                {
-                    "box": list(g.box),
-                    "class": g.class_index,
-                    "attributes": [list(p) for p in g.attributes],
-                }
-                for g in self.gt
-            ],
-            "boxes": _encode_rows(self.proposals.boxes),
-            "features": _encode_rows(self.proposals.features),
-            "captions": list(self.captions),
-        }
+        gt = [{"box": list(g.box), "class": g.class_index, "attributes": [list(p) for p in g.attributes]} for g in self.gt]
+        boxes, features = _encode_rows(self.proposals.boxes), _encode_rows(self.proposals.features)
+        return {"image_id": self.image_id, "gt": gt, "boxes": boxes, "features": features, "captions": list(self.captions)}
 
     @staticmethod
-    def from_record(record: Mapping, num_classes: int, feature_dim: int) -> "SyntheticScene":
-        extra = _extra_key(record, RECORD_KEYS)
-        if extra is not None:
-            raise ValueError(f"unknown record key {extra!r}")
-        if not isinstance(record["image_id"], str):
-            raise ValueError(f"image_id must be a string, got {record['image_id']!r}")
-        gt = [_ground_truth(g, num_classes) for g in record["gt"]]
-        proposals = RegionSet(
-            boxes=_decode_rows(record["boxes"], 4), features=_decode_rows(record["features"], feature_dim)
-        )
-        return SyntheticScene(
-            image_id=record["image_id"],
-            gt=gt,
-            proposals=proposals,
-            captions=list(check_captions(record["captions"])),
-        )
-
-
-def _ground_truth(g: Mapping, num_classes: int) -> GroundTruth:
-    """A GT record as to_record writes it: a class index, a box of four JSON numbers, [category, value] string pairs."""
-    extra = _extra_key(g, GT_KEYS)
-    if extra is not None:
-        raise ValueError(f"unknown GT key {extra!r}")
-    if type(g["class"]) is not int or not 0 <= g["class"] < num_classes:
-        raise ValueError(f"GT class {g['class']!r} is not an index into the {num_classes} classes")
-    # not bool, which is a subclass of int; check_boxes would also take a numeric string
-    if not isinstance(g["box"], list) or any(type(v) not in (int, float) for v in g["box"]):
-        raise ValueError(f"GT box must be a list of JSON numbers, got {g['box']!r}")
-    attributes = g["attributes"]
-    if not isinstance(attributes, list) or not all(
-        isinstance(a, list) and len(a) == 2 and all(isinstance(word, str) for word in a) for a in attributes
-    ):
-        raise ValueError(f"GT attributes must be [category, value] pairs of strings, got {attributes!r}")
-    box = tuple(check_boxes([g["box"]])[0].tolist())
-    return GroundTruth(box=box, class_index=g["class"], attributes=[tuple(a) for a in attributes])
+    def from_record(record: object, num_classes: int, feature_dim: int) -> "SyntheticScene":
+        record, gt = check_fields(record, RECORD_FIELDS, "record"), []
+        for g in record["gt"]:
+            g = check_fields(g, GT_FIELDS, "GT")
+            if not 0 <= g["class"] < num_classes:
+                raise ValueError(f"GT class {g['class']!r} is not an index into the {num_classes} classes")
+            gt.append(GroundTruth(tuple(check_boxes([g["box"]])[0].tolist()), g["class"], [tuple(a) for a in g["attributes"]]))
+        proposals = RegionSet(_decode_rows(record["boxes"], 4), _decode_rows(record["features"], feature_dim))
+        return SyntheticScene(record["image_id"], gt, proposals, list(record["captions"]))
 
 
 def _encode_rows(arr: np.ndarray) -> str:
@@ -510,60 +499,34 @@ def write_dataset(path: str | Path, scenes: Iterable[SyntheticScene], universe: 
     write_jsonl(path, itertools.chain([dataset_header(universe)], (scene.to_record() for scene in scenes)))
 
 
-def _extra_key(record: object, keys: frozenset[str]) -> str | None:
-    """The first key of a JSON object outside keys, in sorted order; None when there is none or record is no object."""
-    extra = sorted(record.keys() - keys) if isinstance(record, dict) else []
-    return extra[0] if extra else None
-
-
-def _checked_header(header: object, where: str) -> dict:
+def _checked_header(header: object) -> dict:
     if not isinstance(header, dict) or header.get("schema") != SCHEMA_NAME:
-        raise DataError(f"{where}: expected schema {SCHEMA_NAME!r} version {SCHEMA_VERSION}")
-    if type(header.get("version")) is not int or header["version"] != SCHEMA_VERSION:
-        raise DataError(f"{where}: expected schema {SCHEMA_NAME!r} version {SCHEMA_VERSION}, got version {header.get('version')!r}")
-    extra = _extra_key(header, HEADER_KEYS)
-    if extra is not None:
-        raise DataError(f"{where}: unknown header key {extra!r}")
-    feature_dim, names = header.get("feature_dim"), header.get("class_names")
-    if type(feature_dim) is not int or feature_dim < 1:
-        raise DataError(f"{where}: feature_dim must be a positive integer, got {feature_dim!r}")
-    if (
-        not isinstance(names, list)
-        or not names
-        or not all(isinstance(n, str) for n in names)
-        or len(set(names)) < len(names)
-    ):
-        raise DataError(f"{where}: class_names must be a non-empty list of distinct strings")
-    pairs = header.get("confusable_pairs")
-    if not isinstance(pairs, list):
-        raise DataError(f"{where}: confusable_pairs must be a list of [a, b] pairs, got {pairs!r}")
-    for pair in pairs:
+        raise ValueError(f"expected schema {SCHEMA_NAME!r} version {SCHEMA_VERSION}")
+    if not HEADER_FIELDS["version"].check(header.get("version")):
+        raise ValueError(f"expected schema {SCHEMA_NAME!r} version {SCHEMA_VERSION}, got version {header.get('version')!r}")
+    header = check_fields(header, HEADER_FIELDS, "header")
+    names = header["class_names"]
+    for pair in header["confusable_pairs"]:
         if not (isinstance(pair, list) and len(pair) == 2 and pair[0] != pair[1] and all(n in names for n in pair)):
-            raise DataError(f"{where}: confusable pair {pair!r} is not two distinct names from class_names")
-    if not isinstance(header.get("universe"), str) or not re.fullmatch("[0-9a-f]{16}", header["universe"]):
-        raise DataError(f"{where}: universe must be a 16-digit hex fingerprint, got {header.get('universe')!r}")
+            raise ValueError(f"confusable pair {pair!r} is not two distinct names from class_names")
     return header
 
 
 def read_dataset(path: str | Path) -> tuple[dict | None, list[SyntheticScene]]:
     """The checked header and the scenes of a dataset file, in one pass; an empty file gives (None, []).
 
-    Blank lines are skipped, and any malformed line fails with its line
-    number; a generate/load round trip reproduces the in-memory scenes
-    exactly.
+    Blank lines are skipped, and a malformed line is a DataError naming its line.
     """
     header: dict | None = None
     scenes: list[SyntheticScene] = []
     for lineno, record in read_jsonl(path):
-        where = f"{path}: line {lineno}"
-        if header is None:
-            header = _checked_header(record, where)
-            continue
         try:
-            scene = SyntheticScene.from_record(record, len(header["class_names"]), header["feature_dim"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise DataError(f"{where}: bad scene record: {e}") from None
-        scenes.append(scene)
+            if header is None:
+                header = _checked_header(record)
+            else:
+                scenes.append(SyntheticScene.from_record(record, len(header["class_names"]), header["feature_dim"]))
+        except ValueError as e:
+            raise DataError(f"{path}: line {lineno}: {'' if header is None else 'bad scene record: '}{e}") from None
     return header, scenes
 
 

@@ -9,6 +9,11 @@ class vocabulary, and two adjective attachment patterns (prenominal
 sequences and "X is/are ADJ" copulas). Words outside the attribute
 registry never produce labels. Only parse_scene_graph finds relations;
 label extraction skips them.
+
+Each JSON input is checked against a field table (fields.check_fields):
+VOCABULARY_FIELDS, REGISTRY_FIELDS and, per category, CATEGORY_FIELDS,
+and CAPTION_FIELDS per caption record. The classes check the rest: words,
+repeats, and the targets of synonyms and aliases.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+from .fields import Field, check_fields, is_str_list
 
 _WORD_RE = re.compile(r"[a-z]+")
 
@@ -131,18 +138,10 @@ class Vocabulary:
         return self._phrase_index.get(lemmas)
 
     @staticmethod
-    def from_dict(data: Mapping) -> "Vocabulary":
-        if not isinstance(data, Mapping) or not _is_list_of_str(data.get("classes")):
-            raise ValueError("vocabulary file needs a 'classes' list of strings")
-        synonyms = data.get("synonyms", {})
-        if not isinstance(synonyms, Mapping) or not _is_list_of_str(list(synonyms.values())):
-            raise ValueError("a vocabulary file's 'synonyms' must map each word to a class name")
-        return Vocabulary(data["classes"], synonyms)
-
-    @staticmethod
     def from_file(path: str | Path) -> "Vocabulary":
         with open(path, encoding="utf-8") as f:
-            return Vocabulary.from_dict(json.load(f))
+            data = check_fields(json.load(f), VOCABULARY_FIELDS, "vocabulary")
+        return Vocabulary(data["classes"], data["synonyms"])
 
 
 class AttributeRegistry:
@@ -190,34 +189,37 @@ class AttributeRegistry:
         return self.word_map.get(word)
 
     @staticmethod
-    def from_dict(data: Mapping) -> "AttributeRegistry":
-        cats = data.get("categories") if isinstance(data, Mapping) else None
-        named = isinstance(cats, list) and all(isinstance(c, Mapping) and isinstance(c.get("name"), str) for c in cats)
-        if not named or not all(_is_list_of_str(c.get("values")) for c in cats):
-            raise ValueError("registry file needs a 'categories' list of {name, values}: a string and a list of strings")
-        aliases = data.get("aliases", {})
-        if not isinstance(aliases, Mapping) or not all(_is_list_of_str(t) and len(t) == 2 for t in aliases.values()):
-            raise ValueError("a registry file's 'aliases' must map each word to a [category, value] list")
-        return AttributeRegistry([(c["name"], c["values"]) for c in cats], {w: tuple(t) for w, t in aliases.items()})
-
-    @staticmethod
     def from_file(path: str | Path) -> "AttributeRegistry":
         with open(path, encoding="utf-8") as f:
-            return AttributeRegistry.from_dict(json.load(f))
+            data = check_fields(json.load(f), REGISTRY_FIELDS, "registry")
+        cats = [check_fields(c, CATEGORY_FIELDS, "registry category") for c in data["categories"]]
+        return AttributeRegistry([(c["name"], c["values"]) for c in cats], {w: tuple(t) for w, t in data["aliases"].items()})
 
 
-def _is_list_of_str(value: object) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+VOCABULARY_FIELDS = {
+    "classes": Field(is_str_list, "a list of strings"),
+    "synonyms": Field(lambda v: isinstance(v, dict) and is_str_list(list(v.values())), "an object mapping words to class names", {}),
+}
+REGISTRY_FIELDS = {
+    "categories": Field(lambda v: isinstance(v, list) and all(isinstance(c, dict) for c in v), "a list of category objects"),
+    "aliases": Field(
+        lambda v: isinstance(v, dict) and all(is_str_list(t) and len(t) == 2 for t in v.values()),
+        "an object mapping words to [category, value] lists",
+        {},
+    ),
+}
+CATEGORY_FIELDS = {"name": Field(lambda v: isinstance(v, str), "a string"), "values": Field(is_str_list, "a list of strings")}
+CAPTIONS = Field(lambda v: is_str_list(v) and len(v) > 0 and all(c.strip() for c in v), "a non-empty list of non-blank strings")
+# the id is echoed into the label record, so it must be one JSON can carry back
+CAPTION_FIELDS = {"image_id": Field(lambda v: type(v) in (str, int), "a string or an integer"), "captions": CAPTIONS}
 
 
 def default_vocabulary() -> Vocabulary:
-    with resources.files("capdet.data").joinpath("vocab.json").open(encoding="utf-8") as f:
-        return Vocabulary.from_dict(json.load(f))
+    return Vocabulary.from_file(resources.files("capdet.data") / "vocab.json")
 
 
 def default_registry() -> AttributeRegistry:
-    with resources.files("capdet.data").joinpath("registry.json").open(encoding="utf-8") as f:
-        return AttributeRegistry.from_dict(json.load(f))
+    return AttributeRegistry.from_file(resources.files("capdet.data") / "registry.json")
 
 
 @dataclass
@@ -391,15 +393,6 @@ def parse_scene_graph(caption: str, vocab: Vocabulary, registry: AttributeRegist
     graph, tokens, matches = _parse_mentions(caption, vocab, registry, ParseStats())
     graph.relations = _find_relations(tokens, matches)
     return graph
-
-
-def check_captions(captions: object) -> list[str]:
-    """A record's captions field, which must be a non-empty list of non-blank strings."""
-    if not isinstance(captions, list) or not captions:
-        raise ValueError("captions must be a non-empty list")
-    if not all(isinstance(c, str) and c.strip() for c in captions):
-        raise ValueError("every caption must be non-blank text")
-    return captions
 
 
 def extract_labels(

@@ -6,6 +6,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from capdet import cli, scorenet, synthbench, trainer
+from capdet import cli, scorenet, synthbench, textgraph, trainer
 from capdet.synthbench import SynthConfig
 from capdet.textgraph import Vocabulary, default_registry, default_vocabulary
 from capdet.trainer import NumericalError, TrainConfig
@@ -197,12 +199,20 @@ class TestParse:
     @pytest.mark.parametrize(
         "flag, doc, message",
         [
-            ("--vocab", {"classes": ["cat"], "synonyms": ["kitty"]}, "'synonyms' must map each word to a class name"),
-            ("--vocab", {"classes": "cat"}, "needs a 'classes' list of strings"),
+            (
+                "--vocab",
+                {"classes": ["cat"], "synonyms": ["kitty"]},
+                "vocabulary needs 'synonyms' as an object mapping words to class names, got ['kitty']",
+            ),
+            ("--vocab", {"classes": "cat"}, "vocabulary needs 'classes' as a list of strings, got 'cat'"),
             ("--vocab", {"classes": ["glasses", "dog"]}, "matched by lemma, so 'glasses' would never match"),
-            ("--registry", {"categories": [{"name": "color", "values": ["red"]}], "aliases": ["big"]}, "'aliases' must map"),
-            ("--registry", {"categories": [{"name": "color", "values": "red"}]}, "{name, values}: a string and a list of strings"),
-            ("--registry", {"categories": [{"name": 7, "values": ["red"]}]}, "{name, values}: a string and a list of strings"),
+            (
+                "--registry",
+                {"categories": [{"name": "color", "values": ["red"]}], "aliases": ["big"]},
+                "registry needs 'aliases' as an object mapping words to [category, value] lists, got ['big']",
+            ),
+            ("--registry", {"categories": [{"name": "color", "values": "red"}]}, "registry category needs 'values' as a list of strings, got 'red'"),
+            ("--registry", {"categories": [{"name": 7, "values": ["red"]}]}, "registry category needs 'name' as a string, got 7"),
             ("--registry", {"categories": [{"name": "color", "values": ["red", "light blue"]}]}, "'light blue' is not one word"),
             (
                 "--registry",
@@ -210,24 +220,36 @@ class TestParse:
                 "attribute word 'dark-red' is not one word",
             ),
             ("--vocab", "[" * 100000, "maximum recursion depth exceeded"),
-            ("--vocab", ["cat"], "needs a 'classes' list of strings"),
+            ("--vocab", ["cat"], "vocabulary must be a JSON object, got ['cat']"),
             ("--vocab", {"classes": ["cat9"]}, "one or two words of the letters a-z, got 'cat9'"),
             ("--vocab", {"classes": ["cat"], "synonyms": {"big house cat": "cat"}}, "one or two words of the letters a-z"),
             ("--vocab", {"classes": ["cup"], "synonyms": {"glasses": "cup"}}, "matched by lemma, so 'glasses' would never match"),
             ("--vocab", {"classes": ["cat"], "synonyms": {"kitty": "dog"}}, "synonym 'kitty' maps to unknown class 'dog'"),
-            ("--registry", {"categories": "color"}, "{name, values}: a string and a list of strings"),
-            ("--registry", {"categories": [{"name": "size", "values": ["big"]}], "aliases": {"large": "big"}}, "'aliases' must map"),
+            ("--registry", {"categories": "color"}, "registry needs 'categories' as a list of category objects, got 'color'"),
+            (
+                "--registry",
+                {"categories": [{"name": "size", "values": ["big"]}], "aliases": {"large": "big"}},
+                "registry needs 'aliases' as an object mapping words to [category, value] lists, got {'large': 'big'}",
+            ),
             (
                 "--registry",
                 {"categories": [{"name": "color", "values": ["red"]}], "aliases": {"crimson": ["color", "blue"]}},
                 "alias 'crimson' targets unknown value ('color', 'blue')",
             ),
             ("--registry", {"categories": [{"name": "color", "values": ["red2"]}]}, "attribute word 'red2' is not one word"),
+            ("--vocab", {"classes": ["cat"], "extra": 1}, "unknown vocabulary key 'extra'"),
+            ("--registry", {"categories": [{"name": "color", "values": ["red"]}], "extra": 1}, "unknown registry key 'extra'"),
+            (
+                "--registry",
+                {"categories": [{"name": "color", "values": ["red"], "extra": 1}]},
+                "unknown registry category key 'extra'",
+            ),
         ],
         ids=["synonym list", "class string", "class not a lemma", "alias list", "value string", "number category",
              "two-word value", "hyphenated alias", "nested too deeply", "not an object", "class with a digit",
              "three-word synonym", "synonym not a lemma", "synonym of an unknown class", "categories not a list",
-             "alias to a string", "alias of an unknown value", "value with a digit"],
+             "alias to a string", "alias of an unknown value", "value with a digit", "extra vocabulary key",
+             "extra registry key", "extra category key"],
     )
     def test_malformed_vocabulary_or_registry_exits_two_naming_it(self, flag, doc, message, tmp_path, capsys):
         captions, path, out = tmp_path / "captions.jsonl", tmp_path / "file.json", tmp_path / "o"
@@ -251,11 +273,18 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "line, message",
-        [('{"image_id": "b", "captions": [5]}', "every caption must be"), ('{"image_id": "b",', "not a JSON record")],
-        ids=["bad record", "bad json"],
+        [
+            (
+                '{"image_id": "b", "captions": [5]}',
+                "caption record needs 'captions' as a non-empty list of non-blank strings, got [5]",
+            ),
+            ('{"image_id": "b",', "not a JSON record"),
+            ('{"image_id": "b", "captions": ["a cat"], "extra": 1}', "unknown caption record key 'extra'"),
+        ],
+        ids=["bad record", "bad json", "extra key"],
     )
     def test_errors_count_every_line(self, line, message, tmp_path, capsys):
-        # a blank line 2 is skipped but counted, so both checks name line 3
+        # a blank line 2 is skipped but counted, so every check names line 3
         captions = tmp_path / "captions.jsonl"
         captions.write_text('{"image_id": "a", "captions": ["a cat"]}\n\n' + line + "\n")
         out = tmp_path / "o"
@@ -697,7 +726,7 @@ def with_header(header, payload):
 CHECKPOINT_RULES = {
     "bad magic": ("{ckpt}: not a capdet checkpoint (bad magic)", lambda h, p: b"garbage"),
     "header not an object": (
-        "{ckpt}: corrupt checkpoint header (not a JSON object)",
+        "{ckpt}: checkpoint header must be a JSON object, got []",
         lambda h, p: scorenet.CHECKPOINT_MAGIC + b"[]\n" + p,
     ),
     "truncated payload": ("{ckpt}: payload has ", lambda h, p: with_header(h, p[:-8])),
@@ -718,6 +747,7 @@ CHECKPOINT_RULES = {
         "{ckpt}: checkpoint header needs 'category_values' as a map from category to non-empty lists of distinct strings",
         lambda h, p: with_header({**h, "category_values": {**h["category_values"], "color": []}}, p),
     ),
+    "extra header key": ("{ckpt}: unknown checkpoint header key 'extra'", lambda h, p: with_header({**h, "extra": 1}, p)),
     "repeated category value": (
         "{ckpt}: checkpoint header needs 'category_values' as a map from category to non-empty lists of distinct strings",
         lambda h, p: with_header({**h, "category_values": {**h["category_values"], "color": ["red", "red"]}}, p),
@@ -830,7 +860,7 @@ class TestBadDatasetRecords:
         err = capsys.readouterr().err
         assert code == 2
         assert len(err.splitlines()) == 1
-        assert f"{bad}: line 2: feature_dim must be a positive integer, got 0" in err
+        assert f"{bad}: line 2: header needs 'feature_dim' as a positive integer, got 0" in err
 
 
 def encoded(values):
@@ -875,10 +905,10 @@ def set_first_gt(**fields):
 # case -> (line the error names, the message there, edit of the header and of the first scene's record)
 DATASET_RULES = {
     "version 1": (1, "expected schema 'capdet-synth' version 2, got version 1", lambda h, r: h.update(version=1)),
-    "no universe": (1, "universe must be a 16-digit hex fingerprint, got None", lambda h, r: h.pop("universe")),
+    "no universe": (1, "header needs 'universe' as a 16-digit hex fingerprint", lambda h, r: h.pop("universe")),
     "universe not hex": (
         1,
-        "universe must be a 16-digit hex fingerprint, got 'NOT-A-HEX-STRING'",
+        "header needs 'universe' as a 16-digit hex fingerprint, got 'NOT-A-HEX-STRING'",
         lambda h, r: h.update(universe="NOT-A-HEX-STRING"),
     ),
     "not base64": (2, "bad scene record: Only base64 data is allowed", lambda h, r: r.update(boxes="*" + r["boxes"])),
@@ -910,29 +940,39 @@ DATASET_RULES = {
         lambda h, r: r.update(features=r["features"] + "===="),
     ),
     "pad bit set": (2, "bad scene record: not canonical base64: the last quantum of ", set_a_pad_bit("boxes")),
-    "null image_id": (2, "bad scene record: image_id must be a string, got None", lambda h, r: r.update(image_id=None)),
+    "null image_id": (2, "bad scene record: record needs 'image_id' as a string, got None", lambda h, r: r.update(image_id=None)),
     "numeric string in a GT box": (
         2,
-        "bad scene record: GT box must be a list of JSON numbers, got ['0.1', '0.2', '0.3', '0.4']",
+        "bad scene record: GT needs 'box' as a list of four JSON numbers, got ['0.1', '0.2', '0.3', '0.4']",
         set_first_gt(box=["0.1", "0.2", "0.3", "0.4"]),
     ),
     "boolean in a GT box": (
         2,
-        "bad scene record: GT box must be a list of JSON numbers, got [0.1, 0.2, True, 0.4]",
+        "bad scene record: GT needs 'box' as a list of four JSON numbers, got [0.1, 0.2, True, 0.4]",
         set_first_gt(box=[0.1, 0.2, True, 0.4]),
     ),
     "numbers as a GT attribute": (
         2,
-        "bad scene record: GT attributes must be [category, value] pairs of strings, got [[1, 2]]",
+        "bad scene record: GT needs 'attributes' as a list of [category, value] pairs of strings, got [[1, 2]]",
         set_first_gt(attributes=[[1, 2]]),
     ),
     # keys and pairs the writer never writes
     "extra header key": (1, "unknown header key 'extra'", lambda h, r: h.update(extra="x")),
     "extra record key": (2, "bad scene record: unknown record key 'extra'", lambda h, r: r.update(extra="x")),
     "extra GT key": (2, "bad scene record: unknown GT key 'extra'", set_first_gt(extra="x")),
+    # fields the record lacks or holds as another type
+    "gt a number": (2, "bad scene record: record needs 'gt' as a list of GT objects, got 5", lambda h, r: r.update(gt=5)),
+    "gt a string": (2, "bad scene record: record needs 'gt' as a list of GT objects, got 'ab'", lambda h, r: r.update(gt="ab")),
+    "a string as a GT entry": (
+        2,
+        "bad scene record: record needs 'gt' as a list of GT objects, got [",
+        lambda h, r: r["gt"].append("x"),
+    ),
+    "no boxes": (2, "bad scene record: record needs 'boxes' as base64 text", lambda h, r: r.pop("boxes")),
+    "GT without class": (2, "bad scene record: GT needs 'class' as an integer", lambda h, r: r["gt"][0].pop("class")),
     "confusable_pairs not a list": (
         1,
-        "confusable_pairs must be a list of [a, b] pairs, got 5",
+        "header needs 'confusable_pairs' as a list of [a, b] pairs, got 5",
         lambda h, r: h.update(confusable_pairs=5),
     ),
     "pair naming an unknown class": (
@@ -1013,6 +1053,90 @@ class TestDeeplyNestedJson:
         assert not out.exists()
 
 
+# table -> (the table, what its messages call the object); each property below edits one valid object of it
+FIELD_TABLES = {
+    "dataset header": (synthbench.HEADER_FIELDS, "header"),
+    "dataset record": (synthbench.RECORD_FIELDS, "record"),
+    "GT entry": (synthbench.GT_FIELDS, "GT"),
+    "checkpoint header": (scorenet.CHECKPOINT_FIELDS, "checkpoint header"),
+    "vocabulary": (textgraph.VOCABULARY_FIELDS, "vocabulary"),
+    "registry": (textgraph.REGISTRY_FIELDS, "registry"),
+    "registry category": (textgraph.CATEGORY_FIELDS, "registry category"),
+    "caption record": (textgraph.CAPTION_FIELDS, "caption record"),
+}
+# one value of each JSON type: null, boolean, number, string, array and object
+JSON_TYPES = {"null": None, "boolean": True, "number": 1.5, "string": "x", "array": [], "object": {}}
+
+
+def json_type(value):
+    return {type(None): "null", bool: "boolean", int: "number", float: "number", str: "string", list: "array"}.get(
+        type(value), "object"
+    )
+
+
+class TestFieldTables:
+    """One property per field table, through cli.main: replacing any field of a valid object with a value of another
+    JSON type, or adding a key outside the table, exits 2 with one line that names the key, and writes nothing."""
+
+    def _run(self, table, edit, data_dir, checkpoint, work):
+        """cli.main's exit code and stderr lines after edit has changed one valid object of table in its file."""
+        out, bad = work / "out", work / "bad"
+        out.unlink(missing_ok=True)
+        data, ckpt = str(data_dir / "train.jsonl"), str(checkpoint)
+        if table in ("dataset header", "dataset record", "GT entry"):
+            header_line, first, *rest = (data_dir / "train.jsonl").read_text().splitlines()
+            header, record = json.loads(header_line), json.loads(first)
+            edit({"dataset header": header, "dataset record": record, "GT entry": record["gt"][0]}[table])
+            bad.write_text("\n".join([json.dumps(header), json.dumps(record), *rest]) + "\n")
+            args = ["eval", "--data", str(bad), "--checkpoint", ckpt]
+        elif table == "checkpoint header":
+            line, payload = checkpoint.read_bytes()[len(scorenet.CHECKPOINT_MAGIC) :].split(b"\n", 1)
+            header = json.loads(line)
+            edit(header)
+            bad.write_bytes(with_header(header, payload))
+            args = ["eval", "--data", data, "--checkpoint", str(bad)]
+        else:
+            captions = work / "captions.jsonl"
+            record = {"image_id": "a", "captions": ["a red cat"]}
+            args = ["parse", "--captions", str(captions)]
+            if table == "caption record":
+                edit(record)
+            else:
+                flag, name = ("--vocab", "vocab.json") if table == "vocabulary" else ("--registry", "registry.json")
+                doc = json.loads(resources.files("capdet.data").joinpath(name).read_text())
+                edit(doc["categories"][0] if table == "registry category" else doc)
+                bad.write_text(json.dumps(doc))
+                args += [flag, str(bad)]
+            captions.write_text(json.dumps(record) + "\n")
+        code, err, caught = run_quietly(args + ["--out", str(out)])
+        assert caught == [] and not out.exists()
+        return code, err
+
+    @pytest.mark.parametrize("table", list(FIELD_TABLES))
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_a_retyped_or_unknown_key_is_named(self, table, data_dir, train_checkpoint, tmp_path_factory, data):
+        fields, what = FIELD_TABLES[table]
+        work = tmp_path_factory.getbasetemp()
+        if data.draw(st.booleans(), label="retype a field"):
+            key = data.draw(st.sampled_from(sorted(fields)), label="key")
+
+            def edit(obj):
+                others = [t for t in JSON_TYPES if t != json_type(obj[key])]
+                obj[key] = JSON_TYPES[data.draw(st.sampled_from(others), label="type")]
+
+            # the dataset's schema and version are checked first, with their own message
+            named = repr(key) if key not in ("schema", "version") else "expected schema 'capdet-synth' version 2"
+        else:
+            key = data.draw(st.text(max_size=8).filter(lambda k: k not in fields), label="unknown key")
+            edit = lambda obj: obj.update({key: 1})
+            named = f"unknown {what} key {key!r}"
+        code, err = self._run(table, edit, data_dir, train_checkpoint, work)
+        assert code == 2
+        (line,) = err
+        assert line.startswith("data error: ") and named in line
+
+
 class TestNonFiniteNumbers:
     """No NaN or infinity reaches a checkpoint or a metrics file; each case is one stderr line."""
 
@@ -1085,6 +1209,31 @@ class TestNonFiniteNumbers:
         assert result.returncode == 3
         (err,) = result.stderr.splitlines()
         assert err.startswith("numerical failure: non-finite loss at step 1 ")
+        assert not out.exists()
+
+
+class TestOversizedSettings:
+    """A setting too large to allocate exits 1 with one line carrying numpy's allocation message, not a traceback.
+
+    The child process runs under an address-space limit, set in the child only, so the allocation fails at once and
+    touches no memory: a million-scene batch's padded boxes, or a million heads' layout index, exceed the limit.
+    """
+
+    @pytest.mark.parametrize("flag", ["--batch-size", "--num-heads"])
+    def test_exit_one_with_one_line(self, flag, data_dir, tmp_path):
+        limit = 512 << 20
+        out = tmp_path / "m.ckpt"
+        args = ["train", "--data", str(data_dir / "train.jsonl"), "--out", str(out), "--steps", "1", flag, "1000000"]
+        result = subprocess.run(
+            [sys.executable, "-m", "capdet.cli", *args],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert result.returncode == 1
+        (err,) = result.stderr.splitlines()
+        assert err.startswith("usage error: Unable to allocate ")
         assert not out.exists()
 
 

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from box_reference import greedy_nms, pair_iou
+from box_reference import broadcast_iou, greedy_nms, pair_iou
 from capdet.geometry import check_boxes, iou_matrix, nms
 
 
@@ -268,6 +270,38 @@ class TestLeadingAxes:
         )
         assert (mat[~overlapping] == 0.0).all()
         assert (mat[overlapping] > 0.0).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(padded_stacks(), padded_stacks(), st.booleans())
+    def test_iou_matrix_has_the_bits_of_the_out_of_place_formula(self, stack_a, stack_b, broadcast_b):
+        _, a, _, _ = stack_a
+        _, b, _, _ = stack_b
+        a, b = a[: min(len(a), len(b))], b[: min(len(a), len(b))]
+        if broadcast_b:
+            b = b[0]  # one scene's boxes against every scene of a
+        mat = iou_matrix(a, b)
+        expected = broadcast_iou(a, b)
+        assert mat.tobytes() == expected.tobytes() and mat.shape == expected.shape
+        assert np.array_equal(iou_matrix(b, a), np.swapaxes(expected, -1, -2))
+        disjoint = (np.minimum(a[..., :, None, 2], b[..., None, :, 2]) <= np.maximum(a[..., :, None, 0], b[..., None, :, 0])) | (
+            np.minimum(a[..., :, None, 3], b[..., None, :, 3]) <= np.maximum(a[..., :, None, 1], b[..., None, :, 1])
+        )
+        assert not np.signbit(mat[disjoint]).any() and (mat[disjoint] == 0.0).all()
+
+    def test_iou_matrix_keeps_three_pair_arrays_alive(self):
+        # one 16-scene chunk of 34 proposals, as training's set-up computes it; the out-of-place formula
+        # held five (16, 34, 34) arrays at its peak, the in-place one three plus numpy's iteration buffers
+        boxes = np.random.default_rng(0).random((16, 34, 4))
+        boxes[..., 2:] += boxes[..., :2] + 0.01
+        pair_bytes = 16 * 34 * 34 * 8
+        iou_matrix(boxes, boxes)
+        tracemalloc.start()
+        try:
+            iou_matrix(boxes, boxes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * pair_bytes
 
     def test_leading_axes_broadcast(self):
         a = np.array([[[0.0, 0.0, 2.0, 2.0]], [[1.0, 1.0, 3.0, 3.0]]])

@@ -1,5 +1,6 @@
-"""Four stdlib-only lints: every imported name is used, every definition is referenced, every
-dotted reference to a capdet module in prose resolves, and README's lists of config flags are the CLI's.
+"""Five stdlib-only lints: every imported name is used, every definition is referenced, every
+dotted reference to a capdet module in prose resolves, README's lists of config flags are the CLI's,
+and README's lists of file keys are the readers' field tables.
 
 An imported name counts as used when the module reads it anywhere (a bare
 name or the base of an attribute chain) or lists it in ``__all__``.
@@ -25,6 +26,10 @@ README names the config flags of train and eval, each list in one
 sentence with a count; the flags and the count must be those of
 ``cli.build_parser()``, whose config flags are the ones that set a
 TrainConfig field.
+
+README's File formats lists the keys of each field table (fields.Field)
+in one phrase, "... with the keys `a`, `b` and `c`"; the keys must be
+exactly the table's.
 """
 
 import argparse
@@ -38,7 +43,7 @@ from pathlib import Path
 
 import pytest
 
-from capdet import cli
+from capdet import cli, scorenet, synthbench, textgraph
 from capdet.trainer import TrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -238,3 +243,48 @@ def test_flags_a_stale_flag_list():
         "eval": (3, ["--nms-threshold", "--score-floor"]),
     }
     assert readme_flag_lists("`train` takes flags.") == {"train": None, "eval": None}
+
+
+# the README phrase that lists each field table's keys, up to the words "with the keys"
+KEY_LIST = r" with the keys ((?:`\w+`(?:,? and |, )?)+)"
+README_KEY_LISTS = {
+    "synthbench.HEADER_FIELDS": "one JSON header line",
+    "synthbench.RECORD_FIELDS": "one JSON record per scene",
+    "synthbench.GT_FIELDS": "each entry of `gt` is an object",
+    "scorenet.CHECKPOINT_FIELDS": "a JSON layout header",
+    "textgraph.VOCABULARY_FIELDS": "vocabulary files (`--vocab`): a JSON object",
+    "textgraph.REGISTRY_FIELDS": "registry files (`--registry`): a JSON object",
+    "textgraph.CATEGORY_FIELDS": "each category an object",
+    "textgraph.CAPTION_FIELDS": "caption files (`capdet parse` input): one JSON object per line",
+}
+TABLES = {"synthbench": synthbench, "scorenet": scorenet, "textgraph": textgraph}
+
+
+def readme_key_lists(text):
+    """{table: the sorted keys README's File formats lists for it}, None where the phrase is missing."""
+    section = " ".join(text.split("## File formats", 1)[-1].split("\n## ", 1)[0].split())
+    lists = {}
+    for table, phrase in README_KEY_LISTS.items():
+        match = re.search(re.escape(phrase) + KEY_LIST, section)
+        lists[table] = match and sorted(re.findall(r"`(\w+)`", match[1]))
+    return lists
+
+
+def test_readme_key_lists_are_the_field_tables():
+    tables = {}
+    for table in README_KEY_LISTS:
+        module, name = table.split(".")
+        tables[table] = sorted(getattr(TABLES[module], name))
+    assert readme_key_lists((ROOT / "README.md").read_text(encoding="utf-8")) == tables
+
+
+def test_flags_a_stale_key_list():
+    text = (
+        "## File formats\n- caption files (`capdet parse` input): one JSON object per line with\n  the keys `image_id`, "
+        "`captions` and `extra`; a JSON layout header with the keys `dtype`.\n## Next\neach category an object with the "
+        "keys `name` and `values`"
+    )
+    lists = readme_key_lists(text)
+    assert lists["textgraph.CAPTION_FIELDS"] == ["captions", "extra", "image_id"]
+    assert lists["scorenet.CHECKPOINT_FIELDS"] == ["dtype"]
+    assert lists["textgraph.CATEGORY_FIELDS"] is None  # outside File formats
