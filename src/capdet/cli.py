@@ -3,7 +3,8 @@
 Subcommands: synth (generate benchmark splits), parse (captions to label
 records), train, eval, and gradcheck. Exit codes: 0 success, 1 usage
 error (a setting too large to allocate is one), 2 data error, 3 numerical
-failure; README's File formats states each file's rules.
+failure; README's File formats states each file's rules. main maps each
+error to its code; each reader names its own bad input (fields.naming).
 
 A command has a flag for each config field it reads and for no other:
 synth the SynthConfig fields, eval the two that inference reads, train
@@ -16,6 +17,7 @@ Unknown flags are hard errors, and a flag matches only by its full name.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -24,8 +26,8 @@ from pathlib import Path
 from typing import Mapping, Sequence, get_type_hints
 
 from . import gradcheck, scorenet, synthbench, trainer
-from .fields import check_fields
-from .synthbench import DataError, SynthConfig
+from .fields import DataError, check_fields, naming
+from .synthbench import SynthConfig
 from .textgraph import (
     CAPTION_FIELDS,
     AttributeRegistry,
@@ -111,15 +113,8 @@ def _add_config_flags(p: argparse.ArgumentParser, config_class: type, names: Seq
 
 def _load_vocab_registry(args: argparse.Namespace) -> tuple[Vocabulary | None, AttributeRegistry]:
     """The --vocab file's vocabulary (None without one), and the --registry file's registry or the default."""
-    files = (("vocab", "vocabulary", Vocabulary.from_file), ("registry", "registry", AttributeRegistry.from_file))
-    loaded = {}
-    for flag, kind, load in files:
-        path = getattr(args, flag, None)
-        try:
-            loaded[flag] = load(path) if path else None
-        except (OSError, ValueError, RecursionError) as e:  # invalid JSON is a ValueError, too deeply nested a RecursionError
-            raise DataError(f"bad {kind} file {path}: {e}") from None
-    return loaded["vocab"], loaded["registry"] or default_registry()
+    vocab = Vocabulary.from_file(args.vocab) if getattr(args, "vocab", None) else None
+    return vocab, AttributeRegistry.from_file(args.registry) if args.registry else default_registry()
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -131,17 +126,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise UsageError(f"--seed must be non-negative, got {args.seed}")
     _, registry = _load_vocab_registry(args)
     config = SynthConfig(**{key: getattr(args, key) for key in SYNTH_SETTINGS})
-    try:
+    with naming(str(args.registry), (DataError,)):  # only a --registry file can lack a pool value
         universe = synthbench.make_universe(config, registry, seed=args.seed)
-    except DataError as e:  # only a --registry file can lack a pool value
-        raise DataError(f"{args.registry}: {e}") from None
     out_dir = Path(args.out)
     if not out_dir.exists():
         out_dir.mkdir(parents=True)
     for split_index, (split, size) in enumerate(sizes.items()):
         path = out_dir / f"{split}.jsonl"
-        # each split draws from a disjoint stream keyed by (seed, split)
-        synthbench.write_dataset(path, synthbench.gen_dataset(universe, size, [args.seed, split_index], split), universe)
+        # each split draws from a disjoint stream keyed by (seed, split), and is written one scene at a time
+        synthbench.write_dataset(path, synthbench.scene_stream(universe, size, [args.seed, split_index], split), universe)
         print(f"wrote {size} scenes to {path}")
     return EXIT_OK
 
@@ -152,11 +145,9 @@ def cmd_parse(args: argparse.Namespace) -> int:
     stats = ParseStats()
     out_records = []
     for lineno, record in synthbench.read_jsonl(args.captions):
-        try:
+        with naming(f"{args.captions}: line {lineno}"):
             record = check_fields(record, CAPTION_FIELDS, "caption record")
             labels = extract_labels(record["captions"], vocab, registry, stats)
-        except ValueError as e:
-            raise DataError(f"{args.captions}: line {lineno}: {e}") from None
         out_records.append(labels.to_record(record["image_id"]))
     synthbench.write_jsonl(args.out, out_records)
     print(
@@ -185,21 +176,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = build_train_config(args, TRAIN_SETTINGS)
     header, scenes = _load_scenes(args.data)
     vocab, registry = _load_vocab_registry(args)
-    try:
+    with naming(f"dataset {args.data}"):
         vocab = vocab or Vocabulary(header["class_names"])
-    except ValueError as e:
-        raise DataError(f"dataset {args.data}: {e}") from None
     # the checkpoint takes the vocabulary's class names, and eval refuses any that differ from the dataset's
     _check_header(header, args.data, f"vocabulary {args.vocab or 'of its header'}", {"class_names": list(vocab.class_names)})
-    log_file = open(args.log, "w", encoding="utf-8") if args.log else None
-    try:
-        sink = None
-        if log_file is not None:
-            sink = lambda record: log_file.write(json.dumps(record, sort_keys=True) + "\n")
+    with open(args.log, "w", encoding="utf-8") if args.log else contextlib.nullcontext() as log_file:
+        sink = None if log_file is None else lambda record: log_file.write(json.dumps(record, sort_keys=True) + "\n")
         params = trainer.train(scenes, vocab, registry, config, log_sink=sink)
-    finally:
-        if log_file is not None:
-            log_file.close()
     scorenet.save_checkpoint(params, args.out)
     print(f"trained {config.steps} steps ({config.loss_mode}) -> {args.out}")
     return EXIT_OK
@@ -208,12 +191,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     config = build_train_config(args, EVAL_SETTINGS)
     header, scenes = _load_scenes(args.data)
-    try:
-        params = scorenet.load_checkpoint(args.checkpoint)
-    except OSError as e:
-        raise DataError(f"bad checkpoint {args.checkpoint}: {e.strerror or e}") from None
-    except ValueError as e:
-        raise DataError(str(e)) from None  # load_checkpoint's messages start with the path
+    params = scorenet.load_checkpoint(args.checkpoint)
     model = {"feature_dim": params.feature_dim, "class_names": list(params.class_names)}
     _check_header(header, args.data, f"checkpoint {args.checkpoint}", model)
     metrics = trainer.evaluate(params, scenes, config)

@@ -1,7 +1,9 @@
-"""Field tables: the keys a JSON object may hold, each with the check of its value.
+"""How inputs are checked: field tables for JSON objects, and one way to name a bad input.
 
 Every file reader checks each JSON object it reads with check_fields, so
 every file follows one rule: a missing, ill-typed or unknown key fails, named.
+Each reader reads and checks inside naming, so any failure is one DataError
+naming the file (and line), whether the CLI (exit 2) or a library call reads it.
 """
 
 from __future__ import annotations
@@ -10,6 +12,26 @@ import reprlib
 from typing import Callable, Mapping, NamedTuple
 
 REQUIRED = object()
+JSON_ERRORS = (ValueError, RecursionError)  # invalid UTF-8 or JSON is a ValueError, too deeply nested a RecursionError
+
+
+class DataError(ValueError):
+    """An input file is malformed or does not match its schema."""
+
+
+class naming:
+    """Within it, an error of errors becomes DataError(f"{where}: {reason}"), reason an OSError's strerror or its text."""
+
+    def __init__(self, where: str, errors: tuple[type[BaseException], ...] = (ValueError,)):
+        self.where, self.errors = where, errors
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind: type | None, error: BaseException | None, traceback: object) -> None:
+        if isinstance(error, self.errors):
+            reason = error.strerror or error if isinstance(error, OSError) else error
+            raise DataError(f"{self.where}: {reason}") from None
 
 
 class Field(NamedTuple):

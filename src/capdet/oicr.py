@@ -33,7 +33,10 @@ padded rows are never seeded and never overlap anything, and the mention
 mask keeps a row from being claimed by a class its scene does not
 mention. Labels and weights are (N, K, M); padded rows, and every row of
 a scene that mentions no class, weigh 0, so each scene's refinement term
-is the one it would have alone, divided by its own proposal count. Like
+is the one it would have alone, divided by its own proposal count, up to
+the last bit: the value sums over the batch's padded width M, and from 8
+terms on numpy sums pairwise, so the zero terms of padded rows can regroup
+the sum. Gradients are not affected, only the logged values. Like
 the caption terms, refinement_terms is a value stage that returns its
 gradient stage (weakloss describes the two), so the gradient check's
 probes are scored without a gradient.

@@ -58,7 +58,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .fields import Field, check_fields, is_positive_int, is_str_list
+from .fields import JSON_ERRORS, Field, check_fields, is_positive_int, is_str_list, naming
 from .geometry import check_boxes
 
 # probabilities are clamped to [PROB_FLOOR, 1 - PROB_FLOOR] before any log
@@ -410,27 +410,23 @@ CHECKPOINT_FIELDS = {
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
-    with open(path, "rb") as f:
-        magic = f.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a capdet checkpoint (bad magic)")
-        header_line = f.readline()
-        try:
-            header = check_fields(json.loads(header_line.decode("utf-8")), CHECKPOINT_FIELDS, "checkpoint header")
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):  # too deeply nested is a RecursionError
-            raise ValueError(f"{path}: corrupt checkpoint header") from None
-        except ValueError as e:
-            raise ValueError(f"{path}: {e}") from None
+    """A checkpoint's parameters; a DataError names path for any failure (`bad checkpoint <path>: …` if unreadable)."""
+    with naming(f"bad checkpoint {path}", (OSError,)), open(path, "rb") as f, naming(str(path)):
+        if f.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+            raise ValueError("not a capdet checkpoint (bad magic)")
+        with naming("corrupt checkpoint header", JSON_ERRORS):
+            header = json.loads(f.readline().decode("utf-8"))
+        header = check_fields(header, CHECKPOINT_FIELDS, "checkpoint header")
         blob = f.read()
-    # the payload size is checked against the header's numbers before any of
-    # the layout is built, so a header cannot make this allocate
-    num_classes, num_values = len(header["class_names"]), sum(map(len, header["category_values"].values()))
-    columns = header["num_heads"] * (num_classes + 1 + num_values) + 2 * num_classes
-    needed = (header["feature_dim"] + 1) * columns * 8
-    if len(blob) != needed:
-        raise ValueError(f"{path}: payload has {len(blob)} bytes, layout needs {needed}")
-    params = ModelParams(header["feature_dim"], header["class_names"], header["category_values"], header["num_heads"])
-    params.flat[params.checkpoint_order] = np.frombuffer(blob, dtype="<f8")
-    if not np.isfinite(params.flat).all():
-        raise ValueError(f"{path}: checkpoint holds non-finite parameters")
+        # the payload size is checked against the header's numbers before any of
+        # the layout is built, so a header cannot make this allocate
+        num_classes, num_values = len(header["class_names"]), sum(map(len, header["category_values"].values()))
+        columns = header["num_heads"] * (num_classes + 1 + num_values) + 2 * num_classes
+        needed = (header["feature_dim"] + 1) * columns * 8
+        if len(blob) != needed:
+            raise ValueError(f"payload has {len(blob)} bytes, layout needs {needed}")
+        params = ModelParams(header["feature_dim"], header["class_names"], header["category_values"], header["num_heads"])
+        params.flat[params.checkpoint_order] = np.frombuffer(blob, dtype="<f8")
+        if not np.isfinite(params.flat).all():
+            raise ValueError("checkpoint holds non-finite parameters")
     return params

@@ -35,6 +35,8 @@ accepts the keys of three field tables (fields.check_fields), those the
 writer writes: HEADER_FIELDS, RECORD_FIELDS and GT_FIELDS. Code checks the
 schema and version before them, then what no table says: base64 rows, box
 geometry, and the class_names that GT classes and confusable pairs name.
+Each failure is a DataError naming the file and line (fields.naming).
+`capdet synth` writes each split from scene_stream, one scene at a time.
 """
 
 from __future__ import annotations
@@ -51,14 +53,10 @@ from typing import ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .fields import Field, check_fields, is_positive_int, is_str_list
+from .fields import JSON_ERRORS, DataError, Field, check_fields, is_positive_int, is_str_list, naming
 from .geometry import check_boxes
 from .scorenet import RegionSet
 from .textgraph import CAPTIONS, AttributeRegistry, Vocabulary
-
-
-class DataError(ValueError):
-    """An input file is malformed or does not match its schema."""
 
 
 SCHEMA_NAME = "capdet-synth"
@@ -424,13 +422,20 @@ def generate_scene(
     return SyntheticScene(image_id=image_id, gt=gt, proposals=proposals, captions=captions), facts
 
 
+def scene_stream(
+    universe: Universe, num_scenes: int, seed_key: Sequence[int], id_prefix: str = "scene"
+) -> Iterator[SyntheticScene]:
+    """num_scenes scenes in order, each generated as it is read; scene i draws from the stream keyed by seed_key + [i]."""
+    if num_scenes < 1:
+        raise ValueError(f"num_scenes must be positive, got {num_scenes}")
+    return (generate_scene(universe, f"{id_prefix}-{i:06d}", [*seed_key, i])[0] for i in range(num_scenes))
+
+
 def gen_dataset(
     universe: Universe, num_scenes: int, seed_key: Sequence[int], id_prefix: str = "scene"
 ) -> list[SyntheticScene]:
-    """num_scenes scenes in order, scene i drawn from the stream keyed by seed_key + [i]."""
-    if num_scenes < 1:
-        raise ValueError(f"num_scenes must be positive, got {num_scenes}")
-    return [generate_scene(universe, f"{id_prefix}-{i:06d}", [*seed_key, i])[0] for i in range(num_scenes)]
+    """scene_stream's scenes, as a list."""
+    return list(scene_stream(universe, num_scenes, seed_key, id_prefix))
 
 
 def universe_fingerprint(universe: Universe) -> str:
@@ -467,31 +472,24 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     Lines are split and numbered as text mode splits them, blank ones
     counted too. Each line is decoded on its own, so an undecodable byte is
     a DataError naming its line; a strict text-mode read decodes in chunks
-    and cannot say which line failed. A file that cannot be opened is a
-    DataError naming it.
+    and cannot say which line failed.
     """
-    try:
+    with naming(f"cannot read {path}", (OSError,)):
         f = open(path, encoding="utf-8", errors="surrogateescape")
-    except OSError as e:
-        raise DataError(f"cannot read {path}: {e.strerror or e}") from None
     with f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
-            try:
+            with naming(f"{path}: line {lineno}: not UTF-8", (UnicodeDecodeError,)):
                 line.encode("utf-8", "surrogateescape").decode("utf-8")
-            except UnicodeDecodeError as e:
-                raise DataError(f"{path}: line {lineno}: not UTF-8: {e}") from None
             yield lineno, line
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
     """(line number, JSON value) for each non-blank line of path (see read_lines)."""
     for lineno, line in read_lines(path):
-        try:
+        with naming(f"{path}: line {lineno}: not a JSON record", JSON_ERRORS):
             value = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as e:  # too deeply nested is a RecursionError
-            raise DataError(f"{path}: line {lineno}: not a JSON record: {e}") from None
         yield lineno, value
 
 
@@ -520,13 +518,12 @@ def read_dataset(path: str | Path) -> tuple[dict | None, list[SyntheticScene]]:
     header: dict | None = None
     scenes: list[SyntheticScene] = []
     for lineno, record in read_jsonl(path):
-        try:
-            if header is None:
+        if header is None:
+            with naming(f"{path}: line {lineno}"):
                 header = _checked_header(record)
-            else:
+        else:
+            with naming(f"{path}: line {lineno}: bad scene record"):
                 scenes.append(SyntheticScene.from_record(record, len(header["class_names"]), header["feature_dim"]))
-        except ValueError as e:
-            raise DataError(f"{path}: line {lineno}: {'' if header is None else 'bad scene record: '}{e}") from None
     return header, scenes
 
 

@@ -13,7 +13,7 @@ label extraction skips them.
 Each JSON input is checked against a field table (fields.check_fields):
 VOCABULARY_FIELDS, REGISTRY_FIELDS and, per category, CATEGORY_FIELDS,
 and CAPTION_FIELDS per caption record. The classes check the rest: words,
-repeats, and the targets of synonyms and aliases.
+repeats, and the targets of synonyms and aliases. from_file names its file.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .fields import Field, check_fields, is_str_list
+from .fields import JSON_ERRORS, Field, check_fields, is_str_list, naming
 
 _WORD_RE = re.compile(r"[a-z]+")
 
@@ -139,9 +139,9 @@ class Vocabulary:
 
     @staticmethod
     def from_file(path: str | Path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as f:
+        with naming(f"bad vocabulary file {path}", (OSError, *JSON_ERRORS)), open(path, encoding="utf-8") as f:
             data = check_fields(json.load(f), VOCABULARY_FIELDS, "vocabulary")
-        return Vocabulary(data["classes"], data["synonyms"])
+            return Vocabulary(data["classes"], data["synonyms"])
 
 
 class AttributeRegistry:
@@ -190,10 +190,10 @@ class AttributeRegistry:
 
     @staticmethod
     def from_file(path: str | Path) -> "AttributeRegistry":
-        with open(path, encoding="utf-8") as f:
+        with naming(f"bad registry file {path}", (OSError, *JSON_ERRORS)), open(path, encoding="utf-8") as f:
             data = check_fields(json.load(f), REGISTRY_FIELDS, "registry")
-        cats = [check_fields(c, CATEGORY_FIELDS, "registry category") for c in data["categories"]]
-        return AttributeRegistry([(c["name"], c["values"]) for c in cats], {w: tuple(t) for w, t in data["aliases"].items()})
+            cats = [check_fields(c, CATEGORY_FIELDS, "registry category") for c in data["categories"]]
+            return AttributeRegistry([(c["name"], c["values"]) for c in cats], {w: tuple(t) for w, t in data["aliases"].items()})
 
 
 VOCABULARY_FIELDS = {

@@ -179,6 +179,8 @@ def train(
     """
     if not scenes:
         raise ValueError("cannot train on an empty dataset")
+    if config.batch_size > len(scenes):
+        raise ValueError(f"batch_size must not exceed the split's {len(scenes)} scenes, got {config.batch_size}")
     feature_dim = scenes[0].proposals.features.shape[1]
     category_values = {cat: tuple(registry.values[cat]) for cat in registry.categories}
     params = scorenet.init_params(

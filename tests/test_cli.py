@@ -10,6 +10,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from importlib import resources
 from unittest import mock
@@ -99,6 +100,20 @@ class TestSynth:
             "val": "63563595aeb3b883f66a6d04c3d087edc0e6ee52f07a775393dc992765ed7c72",
             "test": "116ee0f66ff129d3b642eddba3be3d93c062896c310bb4f1dbbe918c447bad59",
         }
+
+    def test_holds_one_scene_at_a_time(self, tmp_path):
+        # each split is written as it is generated, so eight times the scenes leave the peak about where it was;
+        # the one-scene run first takes the one-time allocations of a first synth
+        peaks = {}
+        for size in (1, 40, 320):
+            tracemalloc.start()
+            try:
+                args = ["synth", "--out", str(tmp_path / str(size)), "--train", str(size), "--val", "1", "--test", "1"]
+                assert cli.main(args) == 0
+                peaks[size] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[320] < peaks[40] + (1 << 20), peaks
 
     def test_settings_flags_come_from_synth_config(self):
         # each SynthConfig field is a flag of its own type, defaulting to the field's default
@@ -1213,13 +1228,19 @@ class TestNonFiniteNumbers:
 
 
 class TestOversizedSettings:
-    """A setting too large to allocate exits 1 with one line carrying numpy's allocation message, not a traceback.
+    """A setting too large exits 1 with one line, not a traceback: a batch larger than the split is refused by name
+    before anything is allocated, and a million heads carry numpy's allocation message.
 
-    The child process runs under an address-space limit, set in the child only, so the allocation fails at once and
-    touches no memory: a million-scene batch's padded boxes, or a million heads' layout index, exceed the limit.
+    The child process runs under an address-space limit, set in the child only, so an allocation fails at once and
+    touches no memory: a million heads' layout index exceeds the limit.
     """
 
-    @pytest.mark.parametrize("flag", ["--batch-size", "--num-heads"])
+    MESSAGES = {
+        "--batch-size": "usage error: batch_size must not exceed the split's 6 scenes, got 1000000",
+        "--num-heads": "usage error: Unable to allocate ",
+    }
+
+    @pytest.mark.parametrize("flag", list(MESSAGES))
     def test_exit_one_with_one_line(self, flag, data_dir, tmp_path):
         limit = 512 << 20
         out = tmp_path / "m.ckpt"
@@ -1233,7 +1254,7 @@ class TestOversizedSettings:
         )
         assert result.returncode == 1
         (err,) = result.stderr.splitlines()
-        assert err.startswith("usage error: Unable to allocate ")
+        assert err.startswith(self.MESSAGES[flag])
         assert not out.exists()
 
 

@@ -1,8 +1,15 @@
+import json
+import math
+import struct
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from capdet.fields import Field, check_fields, is_positive_int, is_str_list
+from capdet import synthbench
+from capdet.fields import DataError, Field, check_fields, is_positive_int, is_str_list, naming
+from capdet.scorenet import CHECKPOINT_MAGIC, load_checkpoint
+from capdet.textgraph import AttributeRegistry, Vocabulary
 
 TABLE = {
     "count": Field(is_positive_int, "a positive integer"),
@@ -46,3 +53,84 @@ class TestCheckFields:
         with pytest.raises(ValueError, match="^unknown thing key ") as info:
             check_fields({"count": 1, "names": [], key: None}, TABLE, "thing")
         assert str(info.value) == f"unknown thing key {key!r}"
+
+
+class TestNaming:
+    def test_names_an_error_of_its_kinds(self):
+        with pytest.raises(DataError) as info, naming("f.json: line 3"):
+            raise ValueError("bad value")
+        assert str(info.value) == "f.json: line 3: bad value" and info.value.__cause__ is None
+
+    def test_an_os_error_gives_its_strerror(self, tmp_path):
+        with pytest.raises(DataError) as info, naming("cannot read x", (OSError,)):
+            open(tmp_path / "missing")
+        assert str(info.value) == "cannot read x: No such file or directory"
+
+    def test_other_errors_pass_unchanged(self):
+        with pytest.raises(KeyError), naming("f.json"):
+            raise KeyError("k")
+        with pytest.raises(ValueError, match="^inner$"), naming("f.json", (OSError,)):
+            raise ValueError("inner")
+        with naming("f.json"):
+            pass
+
+    def test_nested_names_read_outermost_first(self):
+        with pytest.raises(DataError, match="^f.ckpt: corrupt header: too deep$"), naming("f.ckpt"):
+            with naming("corrupt header", (RecursionError,)):
+                raise RecursionError("too deep")
+
+    def test_synthbench_still_exports_data_error(self):
+        assert synthbench.DataError is DataError
+
+
+def checkpoint_bytes(header, payload=b""):
+    return CHECKPOINT_MAGIC + json.dumps(header).encode() + b"\n" + payload
+
+
+# one class, one feature and no attributes: (1 + 1) * 4 parameters
+TINY_HEADER = {"feature_dim": 1, "class_names": ["a"], "category_values": {}, "num_heads": 1}
+
+
+# reader -> (the reader, the start of every message it raises); a case is None for a missing file, else the file's bytes
+READERS = {
+    "vocabulary": (Vocabulary.from_file, "bad vocabulary file {path}: "),
+    "registry": (AttributeRegistry.from_file, "bad registry file {path}: "),
+    "checkpoint": (load_checkpoint, ""),
+    "dataset": (synthbench.read_dataset, ""),
+}
+READER_CASES = [
+    ("vocabulary", None, "No such file or directory"),
+    ("vocabulary", b'{"classes": ["cat"]', "Expecting ',' delimiter"),
+    ("vocabulary", b'{"classes": ["\xff"]}', "'utf-8' codec can't decode byte 0xff"),
+    ("vocabulary", b'{"classes": "cat"}', "vocabulary needs 'classes' as a list of strings, got 'cat'"),
+    ("vocabulary", b'{"classes": ["fire hydrant cap"]}', "class names and synonyms must be one or two words"),
+    ("registry", None, "No such file or directory"),
+    ("registry", b"[" * 100000, "maximum recursion depth exceeded"),
+    ("registry", b'{"categories": "color"}', "registry needs 'categories' as a list of category objects, got 'color'"),
+    ("registry", b'{"categories": [{"name": "color"}]}', "registry category needs 'values' as a list of strings"),
+    ("checkpoint", None, "bad checkpoint {path}: No such file or directory"),
+    ("checkpoint", b"garbage", "{path}: not a capdet checkpoint (bad magic)"),
+    ("checkpoint", CHECKPOINT_MAGIC + b"{not json\n", "{path}: corrupt checkpoint header: Expecting property name"),
+    ("checkpoint", checkpoint_bytes({"feature_dim": 0}), "{path}: checkpoint header needs 'feature_dim' as a positive integer, got 0"),
+    ("checkpoint", checkpoint_bytes(TINY_HEADER, bytes(8)), "{path}: payload has 8 bytes, layout needs 64"),
+    ("checkpoint", checkpoint_bytes(TINY_HEADER, struct.pack("<8d", *[math.nan] * 8)), "{path}: checkpoint holds non-finite"),
+    ("dataset", None, "cannot read {path}: No such file or directory"),
+    ("dataset", b"\n{", "{path}: line 2: not a JSON record: "),
+    ("dataset", b'{"schema": "capdet-synth", "version": 2}', "{path}: line 1: header needs 'feature_dim' as a positive integer"),
+]
+
+
+class TestReadersNameTheirFile:
+    """Called directly, each file reader raises one DataError naming its file, whatever fails."""
+
+    @pytest.mark.parametrize(
+        "reader, content, message", READER_CASES, ids=[f"{r}-{n}" for n, (r, *_) in enumerate(READER_CASES)]
+    )
+    def test_a_data_error_naming_the_file(self, reader, content, message, tmp_path):
+        read, prefix = READERS[reader]
+        path = tmp_path / "input"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(DataError) as info:
+            read(path)
+        assert str(info.value).startswith((prefix + message).format(path=path))

@@ -1,6 +1,7 @@
-"""Five stdlib-only lints: every imported name is used, every definition is referenced, every
+"""Six stdlib-only lints: every imported name is used, every definition is referenced, every
 dotted reference to a capdet module in prose resolves, README's lists of config flags are the CLI's,
-and README's lists of file keys are the readers' field tables.
+README's lists of file keys are the readers' field tables, and the CLI re-raises no caught error as
+a DataError.
 
 An imported name counts as used when the module reads it anywhere (a bare
 name or the base of an attribute chain) or lists it in ``__all__``.
@@ -30,6 +31,10 @@ TrainConfig field.
 README's File formats lists the keys of each field table (fields.Field)
 in one phrase, "... with the keys `a`, `b` and `c`"; the keys must be
 exactly the table's.
+
+Each reader names its own bad input (fields.naming), so no except handler in
+cli.py raises a DataError: a handler that does names, in the CLI, an input
+some reader should have named.
 """
 
 import argparse
@@ -288,3 +293,34 @@ def test_flags_a_stale_key_list():
     assert lists["textgraph.CAPTION_FIELDS"] == ["captions", "extra", "image_id"]
     assert lists["scorenet.CHECKPOINT_FIELDS"] == ["dtype"]
     assert lists["textgraph.CATEGORY_FIELDS"] is None  # outside File formats
+
+
+def data_error_handlers(tree):
+    """The line of each except handler that raises a DataError, by bare name or as an attribute."""
+    lines = []
+    for handler in ast.walk(tree):
+        if not isinstance(handler, ast.ExceptHandler):
+            continue
+        for node in ast.walk(handler):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(raised, "attr", getattr(raised, "id", None)) == "DataError":
+                    lines.append(handler.lineno)
+                    break
+    return lines
+
+
+def test_cli_re_raises_no_caught_error_as_a_data_error():
+    path = ROOT / "src" / "capdet" / "cli.py"
+    lines = data_error_handlers(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    assert not lines, f"cli.py names inputs in except handlers at lines {lines}: let the reader name them (fields.naming)"
+
+
+def test_flags_a_handler_that_raises_a_data_error():
+    tree = ast.parse(
+        "try:\n    f()\nexcept ValueError as e:\n    raise DataError(f'x: {e}') from None\n"
+        "try:\n    g()\nexcept OSError:\n    if h():\n        raise synthbench.DataError\n"
+        "except KeyError:\n    raise UsageError('z')\nexcept TypeError:\n    raise\n"
+        "raise DataError('outside a handler')\n"
+    )
+    assert data_error_handlers(tree) == [3, 7]

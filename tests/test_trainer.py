@@ -251,6 +251,14 @@ class TestTrain:
         with pytest.raises(ValueError):
             train([], Vocabulary(("cat",)), registry, TrainConfig(steps=1))
 
+    def test_batch_larger_than_the_split_rejected_before_any_allocation(self, small_world, registry):
+        _, scenes, vocab = small_world
+        config = TrainConfig(steps=1, batch_size=len(scenes) + 1)
+        with mock.patch.object(scorenet, "init_params", side_effect=AssertionError("built parameters")):
+            with pytest.raises(ValueError, match=f"^batch_size must not exceed the split's {len(scenes)} scenes, got {len(scenes) + 1}$"):
+                train(scenes, vocab, registry, config)
+        train(scenes[:2], vocab, registry, TrainConfig(steps=1, batch_size=2))  # a batch of the whole split is allowed
+
     def test_log_records_are_json_ready(self, small_world, registry):
         universe, scenes, vocab = small_world
         log = []
@@ -587,7 +595,7 @@ class TestOverlapMasks:
         _, scenes, vocab = small_world
         many = [scenes[n % len(scenes)] for n in range(count)]
         with mock.patch.object(oicr, "iou_matrix", wraps=oicr.iou_matrix) as spy:
-            train(many, vocab, registry, TrainConfig(steps=5, batch_size=2))
+            train(many, vocab, registry, TrainConfig(steps=5, batch_size=min(2, count)))
         assert spy.call_count == math.ceil(count / EVAL_CHUNK)
 
     @settings(max_examples=60, deadline=None)
