@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -180,8 +181,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         vocab = vocab or Vocabulary(header["class_names"])
     # the checkpoint takes the vocabulary's class names, and eval refuses any that differ from the dataset's
     _check_header(header, args.data, f"vocabulary {args.vocab or 'of its header'}", {"class_names": list(vocab.class_names)})
-    with open(args.log, "w", encoding="utf-8") if args.log else contextlib.nullcontext() as log_file:
-        sink = None if log_file is None else lambda record: log_file.write(json.dumps(record, sort_keys=True) + "\n")
+    # the log file is made with the first record, so a run that train refuses before its first step leaves none
+    with contextlib.ExitStack() as files:
+        log_file = functools.cache(lambda: files.enter_context(open(args.log, "w", encoding="utf-8")))
+        sink = (lambda record: log_file().write(json.dumps(record, sort_keys=True) + "\n")) if args.log else None
         params = trainer.train(scenes, vocab, registry, config, log_sink=sink)
     scorenet.save_checkpoint(params, args.out)
     print(f"trained {config.steps} steps ({config.loss_mode}) -> {args.out}")
@@ -204,8 +207,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
         raise UsageError(f"--tolerance must be finite and positive, got {args.tolerance}")
-    if args.seed < 0:
-        raise UsageError(f"--seed must be non-negative, got {args.seed}")
     result = gradcheck.run_gradient_check(
         trials=args.trials, seed=args.seed, coords_per_trial=args.coords, step=args.step
     )

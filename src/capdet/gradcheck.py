@@ -188,6 +188,8 @@ def run_gradient_check(
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if coords_per_trial < 1:
         raise ValueError(f"coords_per_trial must be at least 1, got {coords_per_trial}")
     if not (np.isfinite(step) and step > 0):

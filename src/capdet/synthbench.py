@@ -292,15 +292,16 @@ def _sample_classes(rng: np.random.Generator, config: SynthConfig) -> list[str]:
     return chosen
 
 
-def _sample_gt_box(rng: np.random.Generator) -> tuple[float, float, float, float]:
+def _sample_box(rng: np.random.Generator, low: float, high: float, margin: float) -> tuple[float, float, float, float]:
+    """A box with sides drawn from [low, high), placed at least margin times each side from the image's edges."""
     # numpy's rng.uniform(low, high) is low + (high - low) * rng.random(), one draw
     # each, so four draws at once give the same values in the same order
     u = rng.random(4).tolist()
-    w = 0.18 + (0.38 - 0.18) * u[0]
-    h = 0.18 + (0.38 - 0.18) * u[1]
-    x_low, y_low = 0.35 * w, 0.35 * h
-    x0 = x_low + (1.0 - 1.35 * w - x_low) * u[2]
-    y0 = y_low + (1.0 - 1.35 * h - y_low) * u[3]
+    w = low + (high - low) * u[0]
+    h = low + (high - low) * u[1]
+    x_low, y_low = margin * w, margin * h
+    x0 = x_low + (1.0 - (1.0 + margin) * w - x_low) * u[2]
+    y0 = y_low + (1.0 - (1.0 + margin) * h - y_low) * u[3]
     return (x0, y0, x0 + w, y0 + h)
 
 
@@ -393,7 +394,7 @@ def generate_scene(
     # row i holds proposal i's noise, drawn where its box is, and then its features
     features = np.empty((len(objects) * config.jitters_per_gt + config.background_boxes, config.feature_dim))
     for name, c_idx, attrs in objects:
-        gt_box = _sample_gt_box(rng)
+        gt_box = _sample_box(rng, 0.18, 0.38, margin=0.35)
         gt.append(GroundTruth(box=gt_box, class_index=c_idx, attributes=list(attrs)))
         base = universe.class_prototypes[c_idx].copy()
         for cat, val in attrs:
@@ -405,12 +406,7 @@ def generate_scene(
             rng.standard_normal(out=features[len(boxes) - 1])
     bases.append(universe.background_prototype)
     for _ in range(config.background_boxes):
-        u = rng.random(4).tolist()  # uniform(low, high) spelled out as in _sample_gt_box; here low is 0
-        w = 0.08 + (0.25 - 0.08) * u[0]
-        h = 0.08 + (0.25 - 0.08) * u[1]
-        x0 = (1.0 - w) * u[2]
-        y0 = (1.0 - h) * u[3]
-        boxes.append((x0, y0, x0 + w, y0 + h))
+        boxes.append(_sample_box(rng, 0.08, 0.25, margin=0.0))
         rng.standard_normal(out=features[len(boxes) - 1])
     # in place: sigma * noise + base has the bits of base + sigma * noise, as IEEE addition commutes
     features *= config.noise_sigma

@@ -4,11 +4,12 @@ A caption is reduced to the pieces the detector can supervise on: which
 vocabulary classes are mentioned, which attribute values modify them, and
 (inert, for bookkeeping only) prepositional relations between mentions.
 The rules are a deliberate approximation: lowercase tokens, a small
-suffix-stripping lemmatizer, bigram-then-unigram matching against the
-class vocabulary, and two adjective attachment patterns (prenominal
-sequences and "X is/are ADJ" copulas). Words outside the attribute
-registry never produce labels. Only parse_scene_graph finds relations;
-label extraction skips them.
+suffix-stripping lemmatizer, one greedy left-to-right scan that takes
+the longest known phrase at each word (class names over lemmas,
+prepositions over raw tokens), and two adjective attachment patterns
+(prenominal sequences and "X is/are ADJ" copulas). Words outside the
+attribute registry never produce labels. Only parse_scene_graph finds
+relations; label extraction skips them.
 
 Each JSON input is checked against a field table (fields.check_fields):
 VOCABULARY_FIELDS, REGISTRY_FIELDS and, per category, CATEGORY_FIELDS,
@@ -23,11 +24,12 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .fields import JSON_ERRORS, Field, check_fields, is_str_list, naming
 
 _WORD_RE = re.compile(r"[a-z]+")
+T = TypeVar("T")
 
 _DETERMINERS = frozenset(
     "a an the this that these those its his her their our some any no one two three "
@@ -38,13 +40,11 @@ _PREPOSITIONS = frozenset(
     "on in under over above below near behind beside by against at with inside "
     "outside around along across beneath underneath atop upon to of".split()
 )
-# Multi-word predicates are matched before single tokens, longest first.
-_MULTIWORD_PREPOSITIONS = (
-    ("in", "front", "of"),
-    ("on", "top", "of"),
-    ("next", "to"),
-    ("close", "to"),
-)
+# The predicate of each relation phrase, keyed by its words; "to" and "of" alone relate nothing.
+_PREDICATES = {tuple(p.split()): p for p in ("in front of", "on top of", "next to", "close to", *_PREPOSITIONS - {"to", "of"})}
+_PREDICATE_WORDS = max(map(len, _PREDICATES))
+# Class names and synonyms are one or two words; the parser looks for no longer name.
+_NAME_WORDS = 2
 # Tokens that neither stop nor contribute to an adjective scan.
 _CONNECTORS = frozenset("and very quite really".split())
 # An adjective scan looks at most this many tokens away from its noun.
@@ -119,12 +119,12 @@ class Vocabulary:
                 raise ValueError(f"synonym {surface!r} collides with a class name")
             self.synonyms[surface] = self._index[target]
         # token-tuple lookup used by the parser, which splits captions into words
-        # of the letters a-z, lemmatizes them and matches two-word phrases, then
-        # single words, so any other phrase would never match
+        # of the letters a-z, lemmatizes them and matches phrases of at most
+        # _NAME_WORDS words, so any other phrase would never match
         self._phrase_index: dict[tuple[str, ...], int] = {}
         for phrase, idx in (*self._index.items(), *self.synonyms.items()):
             words = tuple(phrase.split())
-            if not 1 <= len(words) <= 2 or not all(_WORD_RE.fullmatch(w) for w in words):
+            if not 1 <= len(words) <= _NAME_WORDS or not all(_WORD_RE.fullmatch(w) for w in words):
                 raise ValueError(f"class names and synonyms must be one or two words of the letters a-z, got {phrase!r}")
             if any(lemmatize(w) != w for w in words):
                 raise ValueError(f"captions are matched by lemma, so {phrase!r} would never match: write its words as lemmas")
@@ -264,34 +264,33 @@ class ParseStats:
     unknown_modifiers: int = 0
 
 
-def _find_objects(lemmas: list[str], tokens: list[str], vocab: Vocabulary):
-    """Greedy left-to-right matching; two-token names take priority over one-token."""
-    matches: list[tuple[int, int, str, int]] = []  # (start, length, surface, class index)
-    occupied = [False] * len(lemmas)
+def _longest_matches(
+    words: Sequence[str], lookup: Callable[[tuple[str, ...]], T | None], longest: int
+) -> list[tuple[int, int, T]]:
+    """(start, end, value) of each phrase a greedy left-to-right scan finds in words.
+
+    At each word the scan takes the longest phrase of at most `longest` words
+    that lookup maps to a value, and resumes after it; else it moves on one word.
+    """
+    words = tuple(words)  # a tuple's slices are the tuples lookup takes
+    spans: list[tuple[int, int, T]] = []
     i = 0
-    while i < len(lemmas):
-        idx = None
-        length = 0
-        if i + 1 < len(lemmas):
-            idx = vocab.match_phrase((lemmas[i], lemmas[i + 1]))
-            length = 2
-        if idx is None:
-            idx = vocab.match_phrase((lemmas[i],))
-            length = 1
-        if idx is None:
+    while i < len(words):
+        end = min(i + longest, len(words))
+        while (value := lookup(words[i:end])) is None and end > i + 1:
+            end -= 1
+        if value is None:
             i += 1
-            continue
-        matches.append((i, length, " ".join(tokens[i : i + length]), idx))
-        for k in range(i, i + length):
-            occupied[k] = True
-        i += length
-    return matches, occupied
+        else:
+            spans.append((i, end, value))
+            i = end
+    return spans
 
 
 def _scan_modifiers(
     lemmas: list[str],
     tokens: list[str],
-    occupied: list[bool],
+    occupied: set[int],
     start: int,
     step: int,
     registry: AttributeRegistry,
@@ -307,7 +306,7 @@ def _scan_modifiers(
     k = start
     span = 0
     while 0 <= k < len(lemmas) and span < _MAX_MODIFIER_SPAN:
-        if occupied[k]:
+        if k in occupied:
             break
         raw, lemma = tokens[k], lemmas[k]
         hit = registry.lookup(raw) or registry.lookup(lemma)
@@ -326,60 +325,39 @@ def _scan_modifiers(
     return found
 
 
-def _find_prepositions(tokens: list[str]) -> list[tuple[int, int, str]]:
-    spans: list[tuple[int, int, str]] = []
-    i = 0
-    while i < len(tokens):
-        matched = False
-        for phrase in _MULTIWORD_PREPOSITIONS:
-            n = len(phrase)
-            if tuple(tokens[i : i + n]) == phrase:
-                spans.append((i, i + n, " ".join(phrase)))
-                i += n
-                matched = True
-                break
-        if matched:
-            continue
-        if tokens[i] in _PREPOSITIONS and tokens[i] not in ("to", "of"):
-            spans.append((i, i + 1, tokens[i]))
-        i += 1
-    return spans
-
-
 def _parse_mentions(
     caption: str, vocab: Vocabulary, registry: AttributeRegistry, stats: ParseStats
-) -> tuple[TextualSceneGraph, list[str], list[tuple[int, int, str, int]]]:
-    """A caption's graph without relations, plus its tokens and object matches, which relations read."""
+) -> tuple[TextualSceneGraph, list[str], list[tuple[int, int, int]]]:
+    """A caption's graph without relations, plus its tokens and the (start, end, class index) of each mention."""
     if not caption or not caption.strip():
         raise ValueError("caption must be non-empty")
     tokens = tokenize(caption)
     lemmas = [lemmatize(t) for t in tokens]
-    matches, occupied = _find_objects(lemmas, tokens, vocab)
+    mentions = _longest_matches(lemmas, vocab.match_phrase, _NAME_WORDS)
+    occupied = {k for start, end, _ in mentions for k in range(start, end)}
 
     graph = TextualSceneGraph()
-    graph.objects = [(surface, idx) for _, _, surface, idx in matches]
+    graph.objects = [(" ".join(tokens[start:end]), idx) for start, end, idx in mentions]
 
-    taken: list[set[str]] = [set() for _ in matches]
-    for obj_pos, (start, length, _, _) in enumerate(matches):
+    taken: list[set[str]] = [set() for _ in mentions]
+    for obj_pos, (start, end, _) in enumerate(mentions):
         mods = _scan_modifiers(lemmas, tokens, occupied, start - 1, -1, registry, stats)
-        end = start + length
         if end < len(tokens) and tokens[end] in _COPULAS:
             mods += _scan_modifiers(lemmas, tokens, occupied, end + 1, +1, registry, stats)
         for cat, val in mods:
             if cat not in taken[obj_pos]:
                 taken[obj_pos].add(cat)
                 graph.attributes.append((obj_pos, cat, val))
-    return graph, tokens, matches
+    return graph, tokens, mentions
 
 
-def _find_relations(tokens: list[str], matches: list[tuple[int, int, str, int]]) -> list[tuple[int, str, int]]:
+def _find_relations(tokens: list[str], mentions: list[tuple[int, int, int]]) -> list[tuple[int, str, int]]:
     """(subject, predicate, object) per preposition between the nearest mention before it and the first after it."""
     relations = []
-    for p_start, p_end, predicate in _find_prepositions(tokens):
-        subject = None
-        obj = None
-        for pos, (start, length, _, _) in enumerate(matches):
-            if start + length <= p_start:
+    for p_start, p_end, predicate in _longest_matches(tokens, _PREDICATES.get, _PREDICATE_WORDS):
+        subject = obj = None
+        for pos, (start, end, _) in enumerate(mentions):
+            if end <= p_start:
                 subject = pos
             if obj is None and start >= p_end:
                 obj = pos
@@ -390,8 +368,8 @@ def _find_relations(tokens: list[str], matches: list[tuple[int, int, str, int]])
 
 def parse_scene_graph(caption: str, vocab: Vocabulary, registry: AttributeRegistry) -> TextualSceneGraph:
     """Parse one caption. Text with no known object yields an empty graph; blank text is a ValueError."""
-    graph, tokens, matches = _parse_mentions(caption, vocab, registry, ParseStats())
-    graph.relations = _find_relations(tokens, matches)
+    graph, tokens, mentions = _parse_mentions(caption, vocab, registry, ParseStats())
+    graph.relations = _find_relations(tokens, mentions)
     return graph
 
 

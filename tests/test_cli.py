@@ -520,7 +520,7 @@ class TestNegativeSeed:
             ("synth", ["--seed", "-1"], "--seed must be non-negative, got -1"),
             ("train", ["--seed", "-1"], "seed must be non-negative, got -1"),
             ("train", ["--config", "{config}"], "seed must be non-negative, got -1"),
-            ("gradcheck", ["--seed", "-1"], "--seed must be non-negative, got -1"),
+            ("gradcheck", ["--seed", "-1"], "seed must be non-negative, got -1"),
         ],
         ids=["synth", "train flag", "train config key", "gradcheck"],
     )
@@ -1256,6 +1256,15 @@ class TestOversizedSettings:
         (err,) = result.stderr.splitlines()
         assert err.startswith(self.MESSAGES[flag])
         assert not out.exists()
+
+
+class TestRefusedTrainWritesNoLog:
+    def test_batch_larger_than_the_split(self, data_dir, tmp_path, capsys):
+        out, log = tmp_path / "m.ckpt", tmp_path / "log.jsonl"
+        args = ["train", "--data", str(data_dir / "train.jsonl"), "--out", str(out), "--log", str(log), "--batch-size", "7"]
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err.splitlines() == ["usage error: batch_size must not exceed the split's 6 scenes, got 7"]
+        assert list(tmp_path.iterdir()) == []
 
 
 def json_paths(node, path=()):

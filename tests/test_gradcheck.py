@@ -190,6 +190,11 @@ class TestRunGradientCheck:
         assert result.worst_coord != ""
         assert result.elapsed_seconds > 0
 
+    def test_negative_seed_is_a_value_error_naming_it(self):
+        # as the CLI's --seed is: not numpy's "expected non-negative integer" from default_rng
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            gradcheck.run_gradient_check(trials=1, seed=-1)
+
     def test_deterministic(self):
         a = gradcheck.run_gradient_check(trials=3, seed=5, coords_per_trial=10)
         b = gradcheck.run_gradient_check(trials=3, seed=5, coords_per_trial=10)

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import parse_reference as reference
+from capdet import textgraph
 from capdet.synthbench import DataError, read_jsonl, write_jsonl
 from capdet.textgraph import (
     AttributeRegistry,
@@ -376,3 +378,75 @@ class TestParserNeverRaises:
         assert set(labels.attribute_pairs) <= labels.objects
         for pairs in labels.attribute_pairs.values():
             assert all(val in _REGISTRY.values[cat] for cat, val in pairs)
+
+
+def name_spans(tokens, vocab):
+    lemmas = [lemmatize(t) for t in tokens]
+    return textgraph._longest_matches(lemmas, vocab.match_phrase, textgraph._NAME_WORDS)
+
+
+def predicate_spans(tokens):
+    return textgraph._longest_matches(tokens, textgraph._PREDICATES.get, textgraph._PREDICATE_WORDS)
+
+
+def reference_name_spans(tokens, vocab):
+    matches, _ = reference.find_objects([lemmatize(t) for t in tokens], tokens, vocab)
+    return [(start, start + length, idx) for start, length, _, idx in matches]
+
+
+# names that nest: the two-word one must win where both could match
+_NESTED = Vocabulary(["stop sign", "sign", "hot dog", "dog", "dog bowl"], {"stopsign": "stop sign"})
+# words that reach every branch of both scanners, inflected forms and non-matches included, and whole phrases and
+# their prefixes, so that the draws often hold a phrase, one phrase inside another, or half of one
+_SCAN_PIECES = sorted(
+    {w for vocab in (default_vocabulary(), _NESTED) for name in (*vocab.class_names, *vocab.synonyms) for w in name.split()}
+    | set(_REGISTRY.word_map)
+    | reference.PREPOSITIONS
+    | {w for phrase in reference.MULTIWORD_PREPOSITIONS for w in phrase}
+    | {"a", "the", "is", "are", "and", "very", "apples", "signs", "dogs", "kittens", "tea"}
+    | {" ".join(phrase[:n]) for phrase in reference.MULTIWORD_PREPOSITIONS for n in (2, 3)}
+    | {"stop sign", "stop signs", "hot dog", "hot dog bowl", "dog bowl", "stop sign to"}
+)
+_SCAN_TOKENS = st.lists(st.sampled_from(_SCAN_PIECES), max_size=8).map(lambda pieces: " ".join(pieces).split())
+
+
+class TestLongestMatches:
+    """One greedy scan finds the class names and the prepositions that the two scanners it replaced found."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_SCAN_TOKENS, st.sampled_from([default_vocabulary(), _NESTED]))
+    def test_same_spans_as_the_reference_scanners(self, tokens, vocab):
+        assert name_spans(tokens, vocab) == reference_name_spans(tokens, vocab)
+        assert predicate_spans(tokens) == reference.find_prepositions(tokens)
+
+    @pytest.mark.parametrize(
+        "caption, vocab, expected",
+        [
+            ("a stop sign", default_vocabulary(), [(1, 3, 7)]),
+            ("an apple", default_vocabulary(), [(1, 2, 0)]),
+            ("apples", default_vocabulary(), [(0, 1, 0)]),
+            ("a stop", default_vocabulary(), []),
+            ("a stop sign and a sign", _NESTED, [(1, 3, 0), (5, 6, 1)]),
+            ("a hot dog bowl", _NESTED, [(1, 3, 2)]),
+        ],
+        ids=["two-word name at the end", "class 0", "lemma", "half a name", "two words, then one", "no overlap"],
+    )
+    def test_names(self, caption, vocab, expected):
+        assert name_spans(tokenize(caption), vocab) == reference_name_spans(tokenize(caption), vocab) == expected
+
+    @pytest.mark.parametrize(
+        "caption, expected",
+        [
+            ("a cup on top of a bowl", [(2, 5, "on top of")]),
+            ("a cup on a bowl", [(2, 3, "on")]),
+            ("a cup on top a bowl", [(2, 3, "on")]),
+            ("a cup in front of a bowl", [(2, 5, "in front of")]),
+            ("a cup next to a bowl", [(2, 4, "next to")]),
+            ("a cup next a bowl", []),
+            ("a cup of tea to a bowl", []),
+            ("close to", [(0, 2, "close to")]),
+        ],
+        ids=["on top of", "lone on", "on top without of", "in front of", "next to", "lone next", "to and of", "whole caption"],
+    )
+    def test_predicates(self, caption, expected):
+        assert predicate_spans(tokenize(caption)) == reference.find_prepositions(tokenize(caption)) == expected
