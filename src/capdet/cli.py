@@ -135,7 +135,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     for split_index, (split, size) in enumerate(sizes.items()):
         path = out_dir / f"{split}.jsonl"
         # each split draws from a disjoint stream keyed by (seed, split), and is written one scene at a time
-        synthbench.write_dataset(path, synthbench.scene_stream(universe, size, [args.seed, split_index], split), universe)
+        synthbench.write_dataset(path, synthbench.scene_stream(universe, size, [args.seed, split_index], split), universe, size)
         print(f"wrote {size} scenes to {path}")
     return EXIT_OK
 

@@ -58,7 +58,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .fields import JSON_ERRORS, Field, check_fields, is_positive_int, is_str_list, naming
+from .fields import JSON_ERRORS, Field, check_fields, is_positive_int, is_str_list, naming, whole_file
 from .geometry import check_boxes
 
 # probabilities are clamped to [PROB_FLOOR, 1 - PROB_FLOOR] before any log
@@ -390,7 +390,7 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
         "num_heads": params.num_heads,
         "dtype": "<f8",
     }
-    with open(path, "wb") as f:
+    with whole_file(path) as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         f.write(params.flat[params.checkpoint_order].astype("<f8").tobytes())

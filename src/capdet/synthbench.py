@@ -25,42 +25,45 @@ random()) and a proposal's noise is drawn straight into its row, the same
 values a call per value would draw, so the dataset bytes are those of that
 loop (tests/synth_reference.py).
 
-A dataset file (schema version 2) is a JSON header line, which carries the
-universe's fingerprint, then one JSON record per scene. A record holds its
-proposal boxes and features as base64 of their little-endian float64
-bytes, row-major, and everything else as JSON text, so a generate/load
-round trip is an identity. There is no reader for version 1 files, whose
-numbers were decimal text: capdet synth regenerates any split. The reader
-accepts the keys of three field tables (fields.check_fields), those the
-writer writes: HEADER_FIELDS, RECORD_FIELDS and GT_FIELDS. Code checks the
-schema and version before them, then what no table says: base64 rows, box
+A dataset file (schema version 3) is a JSON header line, which carries the
+universe's fingerprint and the scene count, then for each scene one JSON
+record line, which counts its proposals, followed at once by its payload:
+the proposal boxes and then the features as row-major little-endian
+float64 bytes. So a generate/load round trip is an identity, and neither
+side converts numbers to text. Versions 1 and 2 (decimal text, then base64
+inside the record) are refused: capdet synth regenerates any split. The
+reader accepts the keys of three field tables (fields.check_fields), those
+the writer writes: HEADER_FIELDS, RECORD_FIELDS and GT_FIELDS. Code checks
+the schema and version before them, then what no table says: the framing
+(each payload's size against the bytes left before it is read, a line or
+payload that ends early, and no byte after the counted scenes), box
 geometry, and the class_names that GT classes and confusable pairs name.
-Each failure is a DataError naming the file and line (fields.naming).
-`capdet synth` writes each split from scene_stream, one scene at a time.
+Each failure is a DataError naming the file and the header or scene
+(fields.naming). `capdet synth` writes each split from scene_stream, one
+scene at a time, through fields.whole_file.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
-import itertools
 import json
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import ClassVar, Iterable, Iterator, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .fields import JSON_ERRORS, DataError, Field, check_fields, is_positive_int, is_str_list, naming
+from .fields import JSON_ERRORS, DataError, Field, check_fields, is_positive_int, is_str_list, naming, whole_file
 from .geometry import check_boxes
 from .scorenet import RegionSet
 from .textgraph import CAPTIONS, AttributeRegistry, Vocabulary
 
 
 SCHEMA_NAME = "capdet-synth"
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 # the keys write_dataset writes, the only ones read_dataset accepts (see the module docstring)
 HEADER_FIELDS = {
     "schema": Field(lambda v: v == SCHEMA_NAME, repr(SCHEMA_NAME)),
@@ -69,12 +72,12 @@ HEADER_FIELDS = {
     "class_names": Field(lambda v: is_str_list(v) and 0 < len(v) == len(set(v)), "a non-empty list of distinct strings"),
     "confusable_pairs": Field(lambda v: isinstance(v, list), "a list of [a, b] pairs"),
     "universe": Field(lambda v: isinstance(v, str) and bool(re.fullmatch("[0-9a-f]{16}", v)), "a 16-digit hex fingerprint"),
+    "scenes": Field(lambda v: type(v) is int and v >= 0, "a non-negative integer"),
 }
 RECORD_FIELDS = {
     "image_id": Field(lambda v: isinstance(v, str), "a string"),
     "gt": Field(lambda v: isinstance(v, list) and all(isinstance(g, dict) for g in v), "a list of GT objects"),
-    "boxes": Field(lambda v: isinstance(v, str), "base64 text"),
-    "features": Field(lambda v: isinstance(v, str), "base64 text"),
+    "proposals": Field(is_positive_int, "a positive integer"),
     "captions": CAPTIONS,
 }
 GT_FIELDS = {
@@ -220,42 +223,31 @@ class SyntheticScene:
     proposals: RegionSet
     captions: list[str]
 
-    def to_record(self) -> dict:
+    def to_record(self) -> tuple[dict, bytes]:
+        """The scene's JSON record and its payload: the proposal boxes, then the features, as row-major <f8 bytes."""
         gt = [{"box": list(g.box), "class": g.class_index, "attributes": [list(p) for p in g.attributes]} for g in self.gt]
-        boxes, features = _encode_rows(self.proposals.boxes), _encode_rows(self.proposals.features)
-        return {"image_id": self.image_id, "gt": gt, "boxes": boxes, "features": features, "captions": list(self.captions)}
+        record = {"image_id": self.image_id, "gt": gt, "proposals": self.proposals.size, "captions": list(self.captions)}
+        return record, self.proposals.boxes.astype("<f8").tobytes() + self.proposals.features.astype("<f8").tobytes()
 
     @staticmethod
-    def from_record(record: object, num_classes: int, feature_dim: int) -> "SyntheticScene":
-        record, gt = check_fields(record, RECORD_FIELDS, "record"), []
-        for g in record["gt"]:
-            g = check_fields(g, GT_FIELDS, "GT")
+    def from_record(
+        record: object, read_payload: Callable[[int], bytes], num_classes: int, feature_dim: int
+    ) -> "SyntheticScene":
+        """The scene of a record, whose payload read_payload(size in bytes) gives once the record has passed its checks."""
+        record = check_fields(record, RECORD_FIELDS, "record")
+        entries = [check_fields(g, GT_FIELDS, "GT") for g in record["gt"]]
+        for g in entries:
             if not 0 <= g["class"] < num_classes:
                 raise ValueError(f"GT class {g['class']!r} is not an index into the {num_classes} classes")
-            gt.append(GroundTruth(tuple(check_boxes([g["box"]])[0].tolist()), g["class"], [tuple(a) for a in g["attributes"]]))
-        proposals = RegionSet(_decode_rows(record["boxes"], 4), _decode_rows(record["features"], feature_dim))
-        return SyntheticScene(record["image_id"], gt, proposals, list(record["captions"]))
-
-
-def _encode_rows(arr: np.ndarray) -> str:
-    """A float array as base64 of its little-endian float64 values, row-major."""
-    return base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")
-
-
-def _decode_rows(text: str, width: int) -> np.ndarray:
-    """The (m, width) float array _encode_rows wrote; ValueError on base64 it would not write or a partial row.
-
-    Canonical base64 is whole 4-character quanta with zero pad bits. The
-    decoder checks the alphabet and that padding ends the text; re-encoding
-    the bytes of the last quantum checks the rest, as earlier quanta hold
-    no padding.
-    """
-    blob = base64.b64decode(text, validate=True)
-    if len(text) % 4 or base64.b64encode(blob[(len(text) // 4 - 1) * 3 :]).decode("ascii") != text[-4:]:
-        raise ValueError(f"not canonical base64: the last quantum of {len(text)} characters is {text[-4:]!r}")
-    if len(blob) % (8 * width):
-        raise ValueError(f"{len(blob)} bytes are not whole rows of {width} float64 values")
-    return np.frombuffer(blob, "<f8").reshape(-1, width).astype(float)  # a copy: owned, native, C-contiguous
+        # a JSON integer too large for a float is an OverflowError here, which read_dataset names
+        gt_boxes = check_boxes(np.reshape([g["box"] for g in entries], (-1, 4))).tolist()
+        gt = [GroundTruth(tuple(box), g["class"], [tuple(a) for a in g["attributes"]]) for box, g in zip(gt_boxes, entries)]
+        m = record["proposals"]
+        payload = read_payload(m * (4 + feature_dim) * 8)
+        # astype copies: each array owns its memory, native and C-contiguous
+        boxes = np.frombuffer(payload, "<f8", 4 * m).reshape(m, 4).astype(float)
+        features = np.frombuffer(payload, "<f8", offset=32 * m).reshape(m, feature_dim).astype(float)
+        return SyntheticScene(record["image_id"], gt, RegionSet(boxes, features), list(record["captions"]))
 
 
 @dataclass
@@ -444,7 +436,7 @@ def universe_fingerprint(universe: Universe) -> str:
     return hashlib.sha256(keys + np.concatenate(prototypes, axis=None).astype("<f8").tobytes()).hexdigest()[:16]
 
 
-def dataset_header(universe: Universe) -> dict:
+def dataset_header(universe: Universe, scenes: int) -> dict:
     return {
         "schema": SCHEMA_NAME,
         "version": SCHEMA_VERSION,
@@ -452,12 +444,13 @@ def dataset_header(universe: Universe) -> dict:
         "class_names": list(universe.class_names),
         "confusable_pairs": [list(p) for p in universe.config.confusable_pairs],
         "universe": universe_fingerprint(universe),
+        "scenes": scenes,
     }
 
 
 def write_jsonl(path: str | Path, records: Iterable[object]) -> None:
-    """Write each record as one sort_keys JSON line."""
-    with open(path, "w", encoding="utf-8") as f:
+    """Write each record as one sort_keys JSON line, the whole file or none of it (fields.whole_file)."""
+    with whole_file(path, "w") as f:
         for record in records:
             f.write(json.dumps(record, sort_keys=True) + "\n")
 
@@ -489,8 +482,22 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
         yield lineno, value
 
 
-def write_dataset(path: str | Path, scenes: Iterable[SyntheticScene], universe: Universe) -> None:
-    write_jsonl(path, itertools.chain([dataset_header(universe)], (scene.to_record() for scene in scenes)))
+def write_dataset(path: str | Path, scenes: Iterable[SyntheticScene], universe: Universe, count: int | None = None) -> None:
+    """Write a dataset file of count scenes, len(scenes) if count is None, as each scene is read from scenes.
+
+    If scenes holds another number, a ValueError, and path is left as it was (fields.whole_file).
+    """
+    count = len(scenes) if count is None else count
+    written = 0
+    with whole_file(path) as f:
+        f.write(json.dumps(dataset_header(universe, count), sort_keys=True).encode() + b"\n")
+        for scene in scenes:
+            record, payload = scene.to_record()
+            f.write(json.dumps(record, sort_keys=True).encode() + b"\n")
+            f.write(payload)
+            written += 1
+        if written != count:
+            raise ValueError(f"{path}: the header counts {count} scenes, but {written} were given")
 
 
 def _checked_header(header: object) -> dict:
@@ -506,20 +513,49 @@ def _checked_header(header: object) -> dict:
     return header
 
 
+def _json_line(line: bytes) -> object:
+    """The JSON value of one whole line: strict UTF-8, then json.loads."""
+    if not line.endswith(b"\n"):
+        raise ValueError("the file ends inside this line")
+    with naming("not UTF-8", (UnicodeDecodeError,)):
+        text = line.decode("utf-8")
+    with naming("not JSON", JSON_ERRORS):
+        return json.loads(text)
+
+
 def read_dataset(path: str | Path) -> tuple[dict | None, list[SyntheticScene]]:
     """The checked header and the scenes of a dataset file, in one pass; an empty file gives (None, []).
 
-    Blank lines are skipped, and a malformed line is a DataError naming its line.
+    A failure is a DataError naming the file and `header` or `scene N`, N
+    counted from 1. A payload's size is checked against the bytes the file
+    has left before it is read, so no record makes this allocate more than
+    the file holds.
     """
-    header: dict | None = None
-    scenes: list[SyntheticScene] = []
-    for lineno, record in read_jsonl(path):
-        if header is None:
-            with naming(f"{path}: line {lineno}"):
-                header = _checked_header(record)
-        else:
-            with naming(f"{path}: line {lineno}: bad scene record"):
-                scenes.append(SyntheticScene.from_record(record, len(header["class_names"]), header["feature_dim"]))
+    # a file that cannot be opened, or a pipe (whose position cannot be told), is named too
+    with naming(f"cannot read {path}", (OSError,)), open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        line = f.readline()
+        if not line:
+            return None, []
+        with naming(f"{path}: header"):
+            header = _checked_header(_json_line(line))
+
+        def read_payload(nbytes: int) -> bytes:
+            left = size - f.tell()
+            if nbytes > left:
+                raise ValueError(f"the payload needs {nbytes} bytes, and the file has {left} left")
+            return f.read(nbytes)
+
+        count, scenes = header["scenes"], []
+        for n in range(1, count + 1):
+            line = f.readline()
+            if not line:
+                raise DataError(f"{path}: the file ends after {n - 1} of its {count} scenes")
+            with naming(f"{path}: scene {n}", (ValueError, OverflowError)):
+                record = _json_line(line)
+                scenes.append(SyntheticScene.from_record(record, read_payload, len(header["class_names"]), header["feature_dim"]))
+        if size > f.tell():
+            raise DataError(f"{path}: the file goes on after the last of its {count} scenes, {size - f.tell()} bytes more")
     return header, scenes
 
 

@@ -55,6 +55,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import oicr, scorenet, weakloss
+from .fields import whole_file
 from .geometry import iou_matrix, nms
 from .scorenet import ModelParams
 from .synthbench import SyntheticScene
@@ -420,6 +421,6 @@ def metrics_report(metrics: dict, config: TrainConfig) -> dict:
 
 
 def write_metrics(path: str | Path, report: Mapping) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with whole_file(path, "w") as f:
         json.dump(report, f, sort_keys=True, indent=2)
         f.write("\n")

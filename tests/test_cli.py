@@ -1,5 +1,4 @@
 import argparse
-import base64
 import contextlib
 import dataclasses
 import hashlib
@@ -24,6 +23,7 @@ from capdet import cli, scorenet, synthbench, textgraph, trainer
 from capdet.synthbench import SynthConfig
 from capdet.textgraph import Vocabulary, default_registry, default_vocabulary
 from capdet.trainer import NumericalError, TrainConfig
+from dataset_file import DatasetFile
 from eval_reference import infer_scene
 from synth_reference import scenes_digest
 
@@ -48,12 +48,9 @@ def data_dir(tmp_path_factory):
 class TestSynth:
     def test_writes_all_splits(self, data_dir):
         for split, size in (("train", 6), ("val", 2), ("test", 2)):
-            path = data_dir / f"{split}.jsonl"
-            assert path.exists()
-            lines = path.read_text().strip().splitlines()
-            assert len(lines) == size + 1  # header plus one record per scene
-            header = json.loads(lines[0])
-            assert header["feature_dim"] == 12
+            data = DatasetFile.read(data_dir / f"{split}.jsonl")
+            assert len(data.records) == len(data.payloads) == data.header["scenes"] == size
+            assert data.header["feature_dim"] == 12
 
     def test_rerun_byte_identical(self, data_dir, tmp_path):
         again = tmp_path / "again"
@@ -62,9 +59,8 @@ class TestSynth:
             assert (again / f"{split}.jsonl").read_bytes() == (data_dir / f"{split}.jsonl").read_bytes()
 
     def test_splits_differ(self, data_dir):
-        train = (data_dir / "train.jsonl").read_text().splitlines()[1]
-        val = (data_dir / "val.jsonl").read_text().splitlines()[1]
-        assert json.loads(train)["captions"] != json.loads(val)["captions"] or train != val
+        train, val = (DatasetFile.read(data_dir / f"{split}.jsonl") for split in ("train", "val"))
+        assert train.records[0]["captions"] != val.records[0]["captions"] or train.payloads[0] != val.payloads[0]
 
     def test_zero_size_is_usage_error(self, tmp_path, capsys):
         code = cli.main(["synth", "--out", str(tmp_path / "x"), "--train", "0"])
@@ -89,9 +85,9 @@ class TestSynth:
         assert cli.main(args) == 0
         digests = {s: hashlib.sha256((out / f"{s}.jsonl").read_bytes()).hexdigest() for s in ("train", "val", "test")}
         assert digests == {
-            "train": "34b6a30165bb480b4727e0a79ebd9578d67c1007f400f1700ec851b544b3ad4b",
-            "val": "37fa99c53db306e0dbe1109fb744170ae8c4dcb50f46d6ffabb18dcf5020817e",
-            "test": "53d8de38a8fc2f6624a2351c98ecb0c43dd8cab7bda89b85c1cae2440f520887",
+            "train": "e68c2ab1be991cf2cbd7c8682c08ba36468f65a37220c431cea7fd65d6138cd9",
+            "val": "96666b5186b7ff42de954c2a19074846f351b9f637c0ec2d1d33d66e0cac255e",
+            "test": "ebabc6998d593929d595c4e09ba77110a815088312a3e4ab920c53d4b525d34e",
         }
         # what generation produced, whatever the file format
         scenes = {s: scenes_digest(synthbench.load_dataset(out / f"{s}.jsonl")) for s in ("train", "val", "test")}
@@ -423,7 +419,7 @@ class TestTrainEval:
         # a vocabulary whose class names differ from the dataset's would train a checkpoint
         # that eval refuses, so train refuses it before step 0
         data = data_dir / "train.jsonl"
-        names = json.loads(data.read_text().splitlines()[0])["class_names"]
+        names = DatasetFile.read(data).header["class_names"]
         classes = {"reordered": names[::-1], "renamed": names[:-1] + ["stop light"], "with synonyms": names}[edit]
         vocab, ckpt, log = tmp_path / "vocab.json", tmp_path / "m.ckpt", tmp_path / "log.jsonl"
         vocab.write_text(json.dumps({"classes": classes, "synonyms": {"kitty": "cat"}}))
@@ -446,11 +442,10 @@ class TestTrainEval:
     )
     def test_header_class_name_no_vocabulary_takes_is_a_data_error(self, data_dir, tmp_path, capsys, name, message):
         # without --vocab, train builds the vocabulary from the header, which lowercases names
-        header, *records = (data_dir / "train.jsonl").read_text().splitlines(keepends=True)
-        header = json.loads(header)
-        header["class_names"][-1] = name
+        dataset = DatasetFile.read(data_dir / "train.jsonl")
+        dataset.header["class_names"][-1] = name
         data, ckpt = tmp_path / "train.jsonl", tmp_path / "m.ckpt"
-        data.write_text(json.dumps(header) + "\n" + "".join(records))
+        dataset.write(data)
         assert cli.main(["train", "--data", str(data), "--out", str(ckpt), "--steps", "2"]) == 2
         assert capsys.readouterr().err == f"data error: dataset {data}{message}\n"
         assert not ckpt.exists()
@@ -672,9 +667,9 @@ class TestEvalSettings:
         assert list(tmp_path.iterdir()) == []
 
     def test_settings_reach_the_metrics(self, eval_inputs, tmp_path):
-        text, blob, _ = eval_inputs
+        dataset, blob, _ = eval_inputs
         data, ckpt, out = tmp_path / "val.jsonl", tmp_path / "m.ckpt", tmp_path / "m.json"
-        data.write_text(text)
+        data.write_bytes(dataset)
         ckpt.write_bytes(blob)
         args = ["eval", "--data", str(data), "--checkpoint", str(ckpt), "--out", str(out)]
         assert cli.main(args + ["--nms-threshold", "0.3", "--score-floor", "0.1"]) == 0
@@ -699,7 +694,7 @@ CORRUPTIONS = {
 
 class TestCorruptCheckpoint:
     def _eval(self, data_dir, tmp_path, capsys, **spec):
-        header = json.loads((data_dir / "val.jsonl").read_text().splitlines()[0])
+        header = DatasetFile.read(data_dir / "val.jsonl").header
         names = header["class_names"][::-1] if spec.get("reorder") else header["class_names"]
         registry = default_registry()
         cats = {c: tuple(registry.values[c]) for c in registry.categories}
@@ -800,37 +795,36 @@ class TestBadCaptions:
         "captions", [[], ["   "], "a red cat"], ids=["no captions", "blank caption", "string captions"]
     )
     def test_exit_two_naming_file_and_line(self, captions, data_dir, tmp_path, capsys):
-        header, first, *rest = (data_dir / "train.jsonl").read_text().splitlines()
-        record = json.loads(first)
-        record["captions"] = captions
+        data = DatasetFile.read(data_dir / "train.jsonl")
+        data.records[0]["captions"] = captions
         bad = tmp_path / "bad.jsonl"
-        bad.write_text("\n".join([header, json.dumps(record), *rest]) + "\n")
+        data.write(bad)
         code = cli.main(["train", "--data", str(bad), "--out", str(tmp_path / "m.ckpt"), "--steps", "1"])
         err = capsys.readouterr().err
         assert code == 2
         assert len(err.splitlines()) == 1
-        assert f"{bad}: line 2: bad scene record" in err
+        assert f"{bad}: scene 1: record needs 'captions'" in err
 
 
-# case -> (line the error names, edit of the header and of the first scene's first GT record)
+# case -> (the part of the file the error names, edit of the header and of the first scene's first GT record)
 BAD_DATASETS = {
-    "no feature_dim": (1, lambda header, gt: header.pop("feature_dim")),
-    "no class_names": (1, lambda header, gt: header.pop("class_names")),
-    "class -1": (2, lambda header, gt: gt.update({"class": -1})),
-    "class 99": (2, lambda header, gt: gt.update({"class": 99})),
-    "class 1.7": (2, lambda header, gt: gt.update({"class": 1.7})),
-    "infinite box": (2, lambda header, gt: gt.update(box=[0.1, 0.1, float("inf"), 0.5])),
-    "degenerate box": (2, lambda header, gt: gt.update(box=[0.5, 0.1, 0.4, 0.5])),
-    "other schema": (1, lambda header, gt: header.update(schema="other")),
-    "empty class_names": (1, lambda header, gt: header.update(class_names=[])),
-    "repeated class name": (1, lambda header, gt: header["class_names"].append(header["class_names"][0])),
+    "no feature_dim": ("header", lambda header, gt: header.pop("feature_dim")),
+    "no class_names": ("header", lambda header, gt: header.pop("class_names")),
+    "class -1": ("scene 1", lambda header, gt: gt.update({"class": -1})),
+    "class 99": ("scene 1", lambda header, gt: gt.update({"class": 99})),
+    "class 1.7": ("scene 1", lambda header, gt: gt.update({"class": 1.7})),
+    "infinite box": ("scene 1", lambda header, gt: gt.update(box=[0.1, 0.1, float("inf"), 0.5])),
+    "degenerate box": ("scene 1", lambda header, gt: gt.update(box=[0.5, 0.1, 0.4, 0.5])),
+    "other schema": ("header", lambda header, gt: header.update(schema="other")),
+    "empty class_names": ("header", lambda header, gt: header.update(class_names=[])),
+    "repeated class name": ("header", lambda header, gt: header["class_names"].append(header["class_names"][0])),
 }
 
 
 @pytest.fixture(scope="module")
 def train_checkpoint(data_dir, tmp_path_factory):
     """An untrained checkpoint that matches the train split's header."""
-    header = json.loads((data_dir / "train.jsonl").read_text().splitlines()[0])
+    header = DatasetFile.read(data_dir / "train.jsonl").header
     registry = default_registry()
     cats = {c: tuple(registry.values[c]) for c in registry.categories}
     params = scorenet.init_params(header["feature_dim"], header["class_names"], cats, 1, seed=0)
@@ -843,12 +837,11 @@ class TestBadDatasetRecords:
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("case", list(BAD_DATASETS))
     def test_exit_two_naming_file_and_line(self, case, command, data_dir, train_checkpoint, tmp_path, capsys):
-        line, edit = BAD_DATASETS[case]
-        header_line, first, *rest = (data_dir / "train.jsonl").read_text().splitlines()
-        header, record = json.loads(header_line), json.loads(first)
-        edit(header, record["gt"][0])
+        where, edit = BAD_DATASETS[case]
+        data = DatasetFile.read(data_dir / "train.jsonl")
+        edit(data.header, data.records[0]["gt"][0])
         bad = tmp_path / "bad.jsonl"
-        bad.write_text("\n".join([json.dumps(header), json.dumps(record), *rest]) + "\n")
+        data.write(bad)
         if command == "train":
             args = ["train", "--data", str(bad), "--out", str(tmp_path / "m.ckpt"), "--steps", "1"]
         else:
@@ -857,15 +850,12 @@ class TestBadDatasetRecords:
         err = capsys.readouterr().err
         assert code == 2
         assert len(err.splitlines()) == 1
-        assert f"{bad}: line {line}: " in err
+        assert f"{bad}: {where}: " in err
 
     @pytest.mark.parametrize("command", ["train", "eval"])
-    def test_bad_header_after_a_blank_line_names_line_two(self, command, data_dir, train_checkpoint, tmp_path, capsys):
-        header_line, *rest = (data_dir / "train.jsonl").read_text().splitlines()
-        header = json.loads(header_line)
-        header["feature_dim"] = 0
+    def test_a_blank_line_before_the_header_is_not_skipped(self, command, data_dir, train_checkpoint, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
-        bad.write_text("\n".join(["", json.dumps(header), *rest]) + "\n")
+        bad.write_bytes(b"\n" + (data_dir / "train.jsonl").read_bytes())
         args = ["--data", str(bad), "--out", str(tmp_path / "out")]
         if command == "train":
             args = ["train", *args, "--steps", "1"]
@@ -875,154 +865,171 @@ class TestBadDatasetRecords:
         err = capsys.readouterr().err
         assert code == 2
         assert len(err.splitlines()) == 1
-        assert f"{bad}: line 2: header needs 'feature_dim' as a positive integer, got 0" in err
+        assert f"{bad}: header: not JSON: Expecting value" in err
 
 
-def encoded(values):
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
+def set_first_row(which, value):
+    """An edit that sets the first row of the first scene's proposal boxes or features to value."""
 
-
-def decoded(text):
-    return np.frombuffer(base64.b64decode(text), dtype="<f8").copy()
-
-
-def set_first_value(key, value):
-    """An edit that overwrites the first value of the record's key."""
-
-    def edit(header, record):
-        values = decoded(record[key])
-        values[0] = value
-        record[key] = encoded(values)
-
-    return edit
-
-
-B64_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
-
-
-def set_a_pad_bit(key):
-    """An edit that sets the lowest bit of the last base64 character before the record's padding, a pad bit."""
-
-    def edit(header, record):
-        text = record[key]
-        data = text.rstrip("=")
-        assert data != text, f"{key} has no padding, so no pad bits"
-        record[key] = data[:-1] + B64_ALPHABET[B64_ALPHABET.index(data[-1]) | 1] + text[len(data) :]
+    def edit(data):
+        boxes, features = data.arrays(0)
+        (boxes if which == "boxes" else features)[0] = value
+        data.set_arrays(0, boxes, features)
 
     return edit
 
 
 def set_first_gt(**fields):
     """An edit that sets fields of the first scene's first GT record."""
-    return lambda header, record: record["gt"][0].update(fields)
+    return lambda data: data.records[0]["gt"][0].update(fields)
 
 
-# case -> (line the error names, the message there, edit of the header and of the first scene's record)
+def set_header(**fields):
+    return lambda data: data.header.update(fields)
+
+
+def set_record(**fields):
+    return lambda data: data.records[0].update(fields)
+
+
+def add_proposals(scene, count):
+    """An edit that adds count to one scene's proposal count, and leaves its payload as it was."""
+    return lambda data: data.records[scene].update(proposals=data.records[scene]["proposals"] + count)
+
+
+def cut_last_payload(nbytes):
+    return lambda data: data.payloads.__setitem__(-1, data.payloads[-1][:-nbytes])
+
+
+# case -> (the message after "<file>: ", an edit of the train split (DatasetFile)); the split holds six scenes of
+# 34, 34, 16, 28, 16 and 34 proposals, a row of 4 + 12 values
 DATASET_RULES = {
-    "version 1": (1, "expected schema 'capdet-synth' version 2, got version 1", lambda h, r: h.update(version=1)),
-    "no universe": (1, "header needs 'universe' as a 16-digit hex fingerprint", lambda h, r: h.pop("universe")),
+    "version 1": ("header: expected schema 'capdet-synth' version 3, got version 1", set_header(version=1)),
+    "version 2": ("header: expected schema 'capdet-synth' version 3, got version 2", set_header(version=2)),
+    "no universe": ("header: header needs 'universe' as a 16-digit hex fingerprint", lambda d: d.header.pop("universe")),
     "universe not hex": (
-        1,
-        "header needs 'universe' as a 16-digit hex fingerprint, got 'NOT-A-HEX-STRING'",
-        lambda h, r: h.update(universe="NOT-A-HEX-STRING"),
+        "header: header needs 'universe' as a 16-digit hex fingerprint, got 'NOT-A-HEX-STRING'",
+        set_header(universe="NOT-A-HEX-STRING"),
     ),
-    "not base64": (2, "bad scene record: Only base64 data is allowed", lambda h, r: r.update(boxes="*" + r["boxes"])),
-    "bad padding": (2, "bad scene record: Incorrect padding", lambda h, r: r.update(features=r["features"][:-1])),
-    "partial row": (
-        2,
-        "bad scene record: 1080 bytes are not whole rows of 4 float64 values",
-        lambda h, r: r.update(boxes=encoded(decoded(r["boxes"])[:-1])),
+    "no scene count": ("header: header needs 'scenes' as a non-negative integer", lambda d: d.header.pop("scenes")),
+    "negative scene count": ("header: header needs 'scenes' as a non-negative integer, got -1", set_header(scenes=-1)),
+    # the framing: each payload is as long as its record's count says, and the file holds the header's count of scenes
+    "partial row": ("scene 6: the payload needs 4352 bytes, and the file has 4344 left", cut_last_payload(8)),
+    "no boxes": ("scene 6: the payload needs 4352 bytes, and the file has 0 left", cut_last_payload(4352)),
+    "row counts differ": ("scene 6: the payload needs 4480 bytes, and the file has 4352 left", add_proposals(-1, 1)),
+    "fewer proposals than rows": ("the file goes on after the last of its 6 scenes, 128 bytes more", add_proposals(-1, -1)),
+    "bytes after the last scene": (
+        "the file goes on after the last of its 6 scenes, 1 bytes more",
+        lambda d: d.payloads.__setitem__(-1, d.payloads[-1] + b"\n"),
     ),
-    "row counts differ": (
-        2,
-        "bad scene record: features must be (m, d) with one row per box",
-        lambda h, r: r.update(features=encoded(decoded(r["features"])[:-12])),
+    "a scene too few": ("the file ends after 6 of its 7 scenes", set_header(scenes=7)),
+    "a scene too many": ("the file goes on after the last of its 5 scenes, ", set_header(scenes=5)),
+    "a trillion proposals": (
+        f"scene 1: the payload needs {10**12 * 128} bytes, and the file has ",
+        set_record(proposals=10**12),
     ),
-    "nan box": (2, "bad scene record: non-finite box coordinate", set_first_value("boxes", float("nan"))),
-    "inf box": (2, "bad scene record: non-finite box coordinate", set_first_value("boxes", float("inf"))),
-    "nan feature": (2, "bad scene record: non-finite region features", set_first_value("features", float("nan"))),
-    "-inf feature": (2, "bad scene record: non-finite region features", set_first_value("features", float("-inf"))),
+    "no proposals": ("scene 1: record needs 'proposals' as a positive integer", lambda d: d.records[0].pop("proposals")),
+    "zero proposals": ("scene 1: record needs 'proposals' as a positive integer, got 0", set_record(proposals=0)),
+    "proposals a float": ("scene 1: record needs 'proposals' as a positive integer, got 34.0", set_record(proposals=34.0)),
+    # the payload's values
+    "nan box": ("scene 1: non-finite box coordinate", set_first_row("boxes", float("nan"))),
+    "inf box": ("scene 1: non-finite box coordinate", set_first_row("boxes", float("inf"))),
+    "degenerate proposal box": ("scene 1: degenerate box: (0.5, 0.1, 0.4, 0.5)", set_first_row("boxes", [0.5, 0.1, 0.4, 0.5])),
+    "nan feature": ("scene 1: non-finite region features", set_first_row("features", float("nan"))),
+    "-inf feature": ("scene 1: non-finite region features", set_first_row("features", float("-inf"))),
     # spellings and types the writer never produces
-    "version 2.0": (1, "expected schema 'capdet-synth' version 2, got version 2.0", lambda h, r: h.update(version=2.0)),
-    "surplus pad character": (
-        2,
-        "bad scene record: not canonical base64: the last quantum of ",
-        lambda h, r: r.update(features=r["features"] + "="),
-    ),
-    "surplus pad quantum": (
-        2,
-        "bad scene record: not canonical base64: the last quantum of ",
-        lambda h, r: r.update(features=r["features"] + "===="),
-    ),
-    "pad bit set": (2, "bad scene record: not canonical base64: the last quantum of ", set_a_pad_bit("boxes")),
-    "null image_id": (2, "bad scene record: record needs 'image_id' as a string, got None", lambda h, r: r.update(image_id=None)),
+    "version 3.0": ("header: expected schema 'capdet-synth' version 3, got version 3.0", set_header(version=3.0)),
+    "version 2.0": ("header: expected schema 'capdet-synth' version 3, got version 2.0", set_header(version=2.0)),
+    "null image_id": ("scene 1: record needs 'image_id' as a string, got None", set_record(image_id=None)),
     "numeric string in a GT box": (
-        2,
-        "bad scene record: GT needs 'box' as a list of four JSON numbers, got ['0.1', '0.2', '0.3', '0.4']",
+        "scene 1: GT needs 'box' as a list of four JSON numbers, got ['0.1', '0.2', '0.3', '0.4']",
         set_first_gt(box=["0.1", "0.2", "0.3", "0.4"]),
     ),
     "boolean in a GT box": (
-        2,
-        "bad scene record: GT needs 'box' as a list of four JSON numbers, got [0.1, 0.2, True, 0.4]",
+        "scene 1: GT needs 'box' as a list of four JSON numbers, got [0.1, 0.2, True, 0.4]",
         set_first_gt(box=[0.1, 0.2, True, 0.4]),
     ),
+    "integer too large for a float in a GT box": (
+        "scene 1: int too large to convert to float",
+        set_first_gt(box=[0, 0, 10**400, 1]),
+    ),
     "numbers as a GT attribute": (
-        2,
-        "bad scene record: GT needs 'attributes' as a list of [category, value] pairs of strings, got [[1, 2]]",
+        "scene 1: GT needs 'attributes' as a list of [category, value] pairs of strings, got [[1, 2]]",
         set_first_gt(attributes=[[1, 2]]),
     ),
     # keys and pairs the writer never writes
-    "extra header key": (1, "unknown header key 'extra'", lambda h, r: h.update(extra="x")),
-    "extra record key": (2, "bad scene record: unknown record key 'extra'", lambda h, r: r.update(extra="x")),
-    "extra GT key": (2, "bad scene record: unknown GT key 'extra'", set_first_gt(extra="x")),
+    "extra header key": ("header: unknown header key 'extra'", set_header(extra="x")),
+    "extra record key": ("scene 1: unknown record key 'extra'", set_record(extra="x")),
+    "schema-2 boxes key": ("scene 1: unknown record key 'boxes'", set_record(boxes="AAAA")),
+    "extra GT key": ("scene 1: unknown GT key 'extra'", set_first_gt(extra="x")),
     # fields the record lacks or holds as another type
-    "gt a number": (2, "bad scene record: record needs 'gt' as a list of GT objects, got 5", lambda h, r: r.update(gt=5)),
-    "gt a string": (2, "bad scene record: record needs 'gt' as a list of GT objects, got 'ab'", lambda h, r: r.update(gt="ab")),
+    "gt a number": ("scene 1: record needs 'gt' as a list of GT objects, got 5", set_record(gt=5)),
+    "gt a string": ("scene 1: record needs 'gt' as a list of GT objects, got 'ab'", set_record(gt="ab")),
     "a string as a GT entry": (
-        2,
-        "bad scene record: record needs 'gt' as a list of GT objects, got [",
-        lambda h, r: r["gt"].append("x"),
+        "scene 1: record needs 'gt' as a list of GT objects, got [",
+        lambda d: d.records[0]["gt"].append("x"),
     ),
-    "no boxes": (2, "bad scene record: record needs 'boxes' as base64 text", lambda h, r: r.pop("boxes")),
-    "GT without class": (2, "bad scene record: GT needs 'class' as an integer", lambda h, r: r["gt"][0].pop("class")),
+    "GT without class": ("scene 1: GT needs 'class' as an integer", lambda d: d.records[0]["gt"][0].pop("class")),
     "confusable_pairs not a list": (
-        1,
-        "header needs 'confusable_pairs' as a list of [a, b] pairs, got 5",
-        lambda h, r: h.update(confusable_pairs=5),
+        "header: header needs 'confusable_pairs' as a list of [a, b] pairs, got 5",
+        set_header(confusable_pairs=5),
     ),
     "pair naming an unknown class": (
-        1,
-        "confusable pair ['apple', 'plum'] is not two distinct names from class_names",
-        lambda h, r: h["confusable_pairs"].append(["apple", "plum"]),
+        "header: confusable pair ['apple', 'plum'] is not two distinct names from class_names",
+        lambda d: d.header["confusable_pairs"].append(["apple", "plum"]),
     ),
     "one-name pair": (
-        1,
-        "confusable pair ['apple'] is not two distinct names from class_names",
-        lambda h, r: h["confusable_pairs"].append(["apple"]),
+        "header: confusable pair ['apple'] is not two distinct names from class_names",
+        lambda d: d.header["confusable_pairs"].append(["apple"]),
     ),
 }
 
 
 class TestDatasetRules:
-    """The schema-2 rules for a dataset's header and records: exit 2, one line, nothing written."""
+    """The schema-3 rules for a dataset's header, records and payloads: exit 2, one line, nothing written."""
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("case", list(DATASET_RULES))
     def test_exit_two_naming_file_and_line(self, case, command, data_dir, train_checkpoint, tmp_path, capsys):
-        line, message, edit = DATASET_RULES[case]
-        header_line, first, *rest = (data_dir / "train.jsonl").read_text().splitlines()
-        header, record = json.loads(header_line), json.loads(first)
-        edit(header, record)
+        message, edit = DATASET_RULES[case]
+        data = DatasetFile.read(data_dir / "train.jsonl")
+        assert [r["proposals"] for r in data.records] == [34, 34, 16, 28, 16, 34]
+        edit(data)
         bad, out = tmp_path / "bad.jsonl", tmp_path / "out"
-        bad.write_text("\n".join([json.dumps(header), json.dumps(record), *rest]) + "\n")
+        data.write(bad)
         if command == "train":
             args = ["train", "--data", str(bad), "--out", str(out), "--steps", "1"]
         else:
             args = ["eval", "--data", str(bad), "--checkpoint", str(train_checkpoint), "--out", str(out)]
         assert cli.main(args) == 2
         (err,) = capsys.readouterr().err.splitlines()
-        assert err.startswith(f"data error: {bad}: line {line}: {message}")
+        assert err.startswith(f"data error: {bad}: {message}")
         assert not out.exists()
+
+    def test_a_split_piped_in_is_named(self, data_dir, tmp_path):
+        # each payload's size is checked against the bytes the file has left, which a pipe cannot tell
+        args = ["train", "--data", "/dev/stdin", "--out", str(tmp_path / "m.ckpt"), "--steps", "1"]
+        blob = (data_dir / "train.jsonl").read_bytes()
+        result = subprocess.run([sys.executable, "-m", "capdet.cli", *args], input=blob, capture_output=True)
+        assert result.returncode == 2
+        assert result.stderr.decode().splitlines() == ["data error: cannot read /dev/stdin: Illegal seek"]
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_a_split_cut_after_any_scene_exits_two(self, command, data_dir, train_checkpoint, tmp_path, capsys):
+        # a file cut where a line begins still frames whole scenes; the header's count tells it is short
+        blob = (data_dir / "train.jsonl").read_bytes()
+        bad, out = tmp_path / "cut.jsonl", tmp_path / "out"
+        ends = DatasetFile.parse(blob).ends()
+        assert ends[-1] == len(blob)
+        for kept, end in enumerate(ends[:-1]):
+            bad.write_bytes(blob[:end])
+            if command == "train":
+                args = ["train", "--data", str(bad), "--out", str(out), "--steps", "1"]
+            else:
+                args = ["eval", "--data", str(bad), "--checkpoint", str(train_checkpoint), "--out", str(out)]
+            assert cli.main(args) == 2
+            assert capsys.readouterr().err == f"data error: {bad}: the file ends after {kept} of its 6 scenes\n"
+            assert not out.exists()
 
 
 READERS = ["captions", "dataset header", "dataset record", "train dataset record", "train config", "checkpoint header"]
@@ -1030,7 +1037,8 @@ READERS = ["captions", "dataset header", "dataset record", "train dataset record
 
 class TestDeeplyNestedJson:
     """A line of 100,000 '[' (json.loads raises RecursionError) or a line holding a 0xff byte (not UTF-8) in any
-    file capdet reads: exit 2 and one line naming the file, and the line of a line-delimited file."""
+    file capdet reads: exit 2 and one line naming the file, and the line of a line-delimited file or the header
+    or scene of a dataset."""
 
     BAD_LINES = {"nested": b"[" * 100000, "0xff": b'{"image_id": "a\xff", "captions": ["a cat"]}'}
 
@@ -1044,23 +1052,27 @@ class TestDeeplyNestedJson:
         data, checkpoint = str(data_dir / "train.jsonl"), str(train_checkpoint)
         if reader == "checkpoint header":
             bad.write_bytes(scorenet.CHECKPOINT_MAGIC + line + b"\n")
-            args, named = ["eval", "--data", data, "--checkpoint", str(bad)], f"{bad}: corrupt checkpoint header"
-        else:
-            lines = {
-                "captions": [b'{"image_id": "a", "captions": ["a cat"]}', b""],
-                "train config": [b"steps = 1", b""],
-            }.get(reader) or (data_dir / "train.jsonl").read_bytes().splitlines()
-            lineno = 1 if reader == "dataset header" else 2
-            lines[lineno - 1] = line
+            named = f"{bad}: corrupt checkpoint header"
+        elif reader in ("captions", "train config"):
+            lines = {"captions": [b'{"image_id": "a", "captions": ["a cat"]}', b""], "train config": [b"steps = 1", b""]}[reader]
+            lines[1] = line
             bad.write_bytes(b"\n".join(lines) + b"\n")
-            named = f"{bad}: line {lineno}: "
-            if kind == "0xff":
-                named += "not UTF-8: 'utf-8' codec can't decode byte 0xff"
-            args = {
-                "captions": ["parse", "--captions", str(bad)],
-                "train dataset record": ["train", "--data", str(bad), "--steps", "1"],
-                "train config": ["train", "--data", data, "--config", str(bad)],
-            }.get(reader, ["eval", "--data", str(bad), "--checkpoint", checkpoint])
+            named = f"{bad}: line 2: "
+        else:
+            dataset = DatasetFile.read(data_dir / "train.jsonl")
+            if reader == "dataset header":
+                dataset.header, named = line, f"{bad}: header: "
+            else:
+                dataset.records[0], named = line, f"{bad}: scene 1: "
+            dataset.write(bad)
+        if kind == "0xff" and reader != "checkpoint header":
+            named += "not UTF-8: 'utf-8' codec can't decode byte 0xff"
+        args = {
+            "captions": ["parse", "--captions", str(bad)],
+            "train dataset record": ["train", "--data", str(bad), "--steps", "1"],
+            "train config": ["train", "--data", data, "--config", str(bad)],
+            "checkpoint header": ["eval", "--data", data, "--checkpoint", str(bad)],
+        }.get(reader, ["eval", "--data", str(bad), "--checkpoint", checkpoint])
         code = cli.main(args + ["--out", str(out)])
         (err,) = capsys.readouterr().err.splitlines()
         assert code == 2
@@ -1099,10 +1111,9 @@ class TestFieldTables:
         out.unlink(missing_ok=True)
         data, ckpt = str(data_dir / "train.jsonl"), str(checkpoint)
         if table in ("dataset header", "dataset record", "GT entry"):
-            header_line, first, *rest = (data_dir / "train.jsonl").read_text().splitlines()
-            header, record = json.loads(header_line), json.loads(first)
-            edit({"dataset header": header, "dataset record": record, "GT entry": record["gt"][0]}[table])
-            bad.write_text("\n".join([json.dumps(header), json.dumps(record), *rest]) + "\n")
+            dataset = DatasetFile.read(data_dir / "train.jsonl")
+            edit({"dataset header": dataset.header, "dataset record": dataset.records[0], "GT entry": dataset.records[0]["gt"][0]}[table])
+            dataset.write(bad)
             args = ["eval", "--data", str(bad), "--checkpoint", ckpt]
         elif table == "checkpoint header":
             line, payload = checkpoint.read_bytes()[len(scorenet.CHECKPOINT_MAGIC) :].split(b"\n", 1)
@@ -1141,7 +1152,7 @@ class TestFieldTables:
                 obj[key] = JSON_TYPES[data.draw(st.sampled_from(others), label="type")]
 
             # the dataset's schema and version are checked first, with their own message
-            named = repr(key) if key not in ("schema", "version") else "expected schema 'capdet-synth' version 2"
+            named = repr(key) if key not in ("schema", "version") else "expected schema 'capdet-synth' version 3"
         else:
             key = data.draw(st.text(max_size=8).filter(lambda k: k not in fields), label="unknown key")
             edit = lambda obj: obj.update({key: 1})
@@ -1177,7 +1188,8 @@ class TestNonFiniteNumbers:
     )
     def test_eval_checkpoint_payload(self, value, code, message, data_dir, tmp_path, capsys, recwarn):
         data = data_dir / "val.jsonl"
-        header, first = (json.loads(line) for line in data.read_text().splitlines()[:2])
+        dataset = DatasetFile.read(data)
+        header, first = dataset.header, dataset.records[0]
         registry = default_registry()
         cats = {c: tuple(registry.values[c]) for c in registry.categories}
         params = scorenet.init_params(header["feature_dim"], header["class_names"], cats, 1, seed=0)
@@ -1324,29 +1336,10 @@ def is_utf8(blob):
 
 
 @st.composite
-def base64_mutation(draw, text):
-    """Base64 text with a character from outside its alphabet, cut mid-row, or a length that is not whole quanta."""
-    kind = draw(st.sampled_from(["character", "cut", "padding"]))
-    if kind == "character":
-        at = draw(st.integers(0, len(text)))
-        return text[:at] + draw(st.sampled_from(["*", "-", "_", " ", "\n", "=", "\u00e9"])) + text[at:]
-    if kind == "cut":
-        return text[: 4 * draw(st.integers(0, len(text) // 4 - 1))]
-    return text[: -draw(st.integers(1, 3))]
-
-
-@st.composite
-def dataset_mutation(draw, text):
-    """The bytes of a line-delimited text truncated, given blank lines, with one line mutated or one byte overwritten.
-
-    In a dataset, a scene record's boxes or features can also have their float64 payload overwritten (with NaN, inf
-    or huge values, which JSON numbers no longer carry) or their base64 text broken.
-    """
+def lines_mutation(draw, text):
+    """The bytes of a line-delimited text truncated, given blank lines, with one line mutated or one byte overwritten."""
     lines = text.splitlines(keepends=True)
-    kinds = ["truncate", "json", "blank lines", "byte"]
-    if "boxes" in json.loads(lines[-1]):
-        kinds += ["payload", "base64 text"]
-    kind = draw(st.sampled_from(kinds))
+    kind = draw(st.sampled_from(["truncate", "json", "blank lines", "byte"]))
     if kind == "truncate":
         return text[: draw(st.integers(0, len(text) - 1))].encode()
     if kind == "byte":
@@ -1355,24 +1348,41 @@ def dataset_mutation(draw, text):
         for _ in range(draw(st.integers(1, 3))):
             lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["\n", "  \n", "\t\n"])))
         return "".join(lines).encode()
-    if kind == "json":
-        k = draw(st.integers(0, len(lines) - 1))
-        lines[k] = json.dumps(draw(json_mutation(json.loads(lines[k])))) + "\n"
-        return "".join(lines).encode()
-    k = draw(st.integers(1, len(lines) - 1))
-    record = json.loads(lines[k])
-    key = draw(st.sampled_from(["boxes", "features"]))
-    if kind == "base64 text":
-        record[key] = draw(base64_mutation(record[key]))
-    else:
-        # one entry or a run of them, up to the whole array, as checkpoint_mutation overwrites its payload
-        values = decoded(record[key])
-        start = draw(st.integers(0, len(values) - 1))
-        stop = draw(st.one_of(st.just(start + 1), st.integers(start + 1, len(values))))
-        values[start:stop] = draw(st.sampled_from(NUMBER_STAND_INS[:-1]))
-        record[key] = encoded(values)
-    lines[k] = json.dumps(record) + "\n"
+    k = draw(st.integers(0, len(lines) - 1))
+    lines[k] = json.dumps(draw(json_mutation(json.loads(lines[k])))) + "\n"
     return "".join(lines).encode()
+
+
+@st.composite
+def dataset_mutation(draw, blob):
+    """A dataset file's bytes truncated, given a blank line, with its header or a record mutated as json_mutation
+    does, a payload's values overwritten (with NaN, inf or huge values), or one byte overwritten with 0x80-0xff;
+    and whether the reader must refuse the result, as it must any cut, blank line or byte no line can decode."""
+    data = DatasetFile.parse(blob)
+    kind = draw(st.sampled_from(["truncate", "blank line", "json", "payload", "byte"]))
+    if kind == "truncate":
+        return blob[: draw(st.integers(0, len(blob) - 1))], True
+    if kind == "blank line":
+        at = draw(st.sampled_from([0, *data.ends()]))
+        return blob[:at] + b"\n" + blob[at:], True
+    if kind == "byte":
+        at = draw(st.integers(0, len(blob) - 1))
+        in_payload = any(end - len(p) <= at < end for end, p in zip(data.ends()[1:], data.payloads))
+        return blob[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + blob[at + 1 :], not in_payload
+    k = draw(st.integers(0, len(data.records) - 1))
+    if kind == "json":
+        if draw(st.booleans()):
+            data.header = draw(json_mutation(data.header))
+        else:
+            data.records[k] = draw(json_mutation(data.records[k]))
+        return data.to_bytes(), False
+    # one entry or a run of them, up to the whole payload, as checkpoint_mutation overwrites its payload
+    values = np.frombuffer(data.payloads[k], "<f8").copy()
+    start = draw(st.integers(0, len(values) - 1))
+    stop = draw(st.one_of(st.just(start + 1), st.integers(start + 1, len(values))))
+    values[start:stop] = draw(st.sampled_from(NUMBER_STAND_INS[:-1]))
+    data.payloads[k] = values.tobytes()
+    return data.to_bytes(), False
 
 
 @st.composite
@@ -1402,7 +1412,7 @@ def eval_inputs(data_dir, tmp_path_factory):
     work = tmp_path_factory.mktemp("fuzz")
     ckpt = work / "trained.ckpt"
     assert cli.main(["train", "--data", str(data_dir / "train.jsonl"), "--out", str(ckpt), "--steps", "3"]) == 0
-    return (data_dir / "val.jsonl").read_text(), ckpt.read_bytes(), work
+    return (data_dir / "val.jsonl").read_bytes(), ckpt.read_bytes(), work
 
 
 def run_quietly(args):
@@ -1463,20 +1473,20 @@ class TestEvalInputFuzz:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())
     def test_eval_exits_cleanly(self, eval_inputs, data):
-        text, blob, work = eval_inputs
+        dataset, blob, work = eval_inputs
         data_path, ckpt_path, out = work / "data.jsonl", work / "m.ckpt", work / "metrics.json"
-        dataset = text.encode()
+        refused = False
         if data.draw(st.booleans(), label="mutate the checkpoint"):
             blob = data.draw(checkpoint_mutation(blob))
         else:
-            dataset = data.draw(dataset_mutation(text))
+            dataset, refused = data.draw(dataset_mutation(dataset))
         data_path.write_bytes(dataset)
         ckpt_path.write_bytes(blob)
         out.unlink(missing_ok=True)
         code, err, caught = run_quietly(
             ["eval", "--data", str(data_path), "--checkpoint", str(ckpt_path), "--out", str(out)]
         )
-        if not exited_cleanly(code, err, caught, out, data_error=not is_utf8(dataset)):
+        if not exited_cleanly(code, err, caught, out, data_error=refused):
             return
         # a success read finite scores on every scene, and wrote finite metrics
         params = scorenet.load_checkpoint(ckpt_path)
@@ -1495,7 +1505,7 @@ class TestEvalInputFuzz:
         captions, out = work / "fuzz-captions.jsonl", work / "fuzz-labels.jsonl"
         scenes = synthbench.load_dataset(data_dir / "train.jsonl")
         text = "".join(json.dumps({"image_id": s.image_id, "captions": s.captions}) + "\n" for s in scenes)
-        mutated = data.draw(dataset_mutation(text))
+        mutated = data.draw(lines_mutation(text))
         captions.write_bytes(mutated)
         out.unlink(missing_ok=True)
         code, err, caught = run_quietly(["parse", "--captions", str(captions), "--out", str(out)])
@@ -1526,7 +1536,7 @@ class TestEvalInputFuzz:
         for flag, (path, text) in files.items():
             # one line, so a line mutation mutates the whole document
             text = json.dumps(json.loads(text)) + "\n"
-            path.write_bytes(data.draw(dataset_mutation(text)) if flag == mutated else text.encode())
+            path.write_bytes(data.draw(lines_mutation(text)) if flag == mutated else text.encode())
             args += [flag, str(path)]
         out.unlink(missing_ok=True)
         code, err, caught = run_quietly(args)
@@ -1554,6 +1564,59 @@ class TestEvalInputFuzz:
         if not exited_cleanly(code, err, caught, out, data_error=not is_utf8(mutated)):
             return
         assert np.isfinite(scorenet.load_checkpoint(out).flat).all()
+
+
+class TestDatasetFraming:
+    """A small split cut, with a scene dropped or repeated, or with any one byte overwritten, through capdet eval.
+
+    Each cut and each lost or repeated scene exits 2; an overwritten byte exits
+    0 or 2, or 3 where it leaves a payload value finite but large enough to
+    overflow a score. Every failure is one line, never a traceback.
+    """
+
+    def _eval(self, eval_inputs, dataset):
+        _, blob, work = eval_inputs
+        data_path, ckpt_path, out = work / "framing.jsonl", work / "framing.ckpt", work / "framing.json"
+        data_path.write_bytes(dataset)
+        ckpt_path.write_bytes(blob)
+        out.unlink(missing_ok=True)
+        code, err, caught = run_quietly(["eval", "--data", str(data_path), "--checkpoint", str(ckpt_path), "--out", str(out)])
+        assert caught == []
+        assert code == 0 or (len(err) == 1 and not out.exists())
+        return code, err
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_a_cut_at_any_byte_exits_two(self, eval_inputs, data):
+        dataset = eval_inputs[0]
+        code, err = self._eval(eval_inputs, dataset[: data.draw(st.integers(0, len(dataset) - 1))])
+        assert code == 2 and err[0].startswith("data error: ")
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_a_dropped_or_repeated_scene_exits_two(self, eval_inputs, data):
+        dataset = DatasetFile.parse(eval_inputs[0])
+        k = data.draw(st.integers(0, len(dataset.records) - 1))
+        if data.draw(st.booleans(), label="repeat"):
+            dataset.records.insert(k, dataset.records[k])
+            dataset.payloads.insert(k, dataset.payloads[k])
+        else:
+            del dataset.records[k], dataset.payloads[k]
+        code, err = self._eval(eval_inputs, dataset.to_bytes())
+        assert code == 2 and err[0].startswith("data error: ")
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_an_overwritten_byte_exits_cleanly(self, eval_inputs, data):
+        dataset = eval_inputs[0]
+        at = data.draw(st.integers(0, len(dataset) - 1))
+        value = data.draw(st.integers(0, 255).filter(lambda b: b != dataset[at]))
+        code, err = self._eval(eval_inputs, dataset[:at] + bytes([value]) + dataset[at + 1 :])
+        parsed = DatasetFile.parse(dataset)
+        in_payload = any(end - len(p) <= at < end for end, p in zip(parsed.ends()[1:], parsed.payloads))
+        assert code in ((0, 2, 3) if in_payload else (0, 2))
+        assert code != 2 or err[0].startswith("data error: ")
+        assert code != 3 or err[0].startswith("numerical failure: ")
 
 
 class TestGradcheckCommand:

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import struct
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from capdet import synthbench
-from capdet.fields import DataError, Field, check_fields, is_positive_int, is_str_list, naming
+from capdet.fields import DataError, Field, check_fields, is_positive_int, is_str_list, naming, whole_file
 from capdet.scorenet import CHECKPOINT_MAGIC, load_checkpoint
 from capdet.textgraph import AttributeRegistry, Vocabulary
 
@@ -115,8 +116,8 @@ READER_CASES = [
     ("checkpoint", checkpoint_bytes(TINY_HEADER, bytes(8)), "{path}: payload has 8 bytes, layout needs 64"),
     ("checkpoint", checkpoint_bytes(TINY_HEADER, struct.pack("<8d", *[math.nan] * 8)), "{path}: checkpoint holds non-finite"),
     ("dataset", None, "cannot read {path}: No such file or directory"),
-    ("dataset", b"\n{", "{path}: line 2: not a JSON record: "),
-    ("dataset", b'{"schema": "capdet-synth", "version": 2}', "{path}: line 1: header needs 'feature_dim' as a positive integer"),
+    ("dataset", b"{\n", "{path}: header: not JSON: "),
+    ("dataset", b'{"schema": "capdet-synth", "version": 3}\n', "{path}: header: header needs 'feature_dim' as a positive integer"),
 ]
 
 
@@ -134,3 +135,48 @@ class TestReadersNameTheirFile:
         with pytest.raises(DataError) as info:
             read(path)
         assert str(info.value).startswith((prefix + message).format(path=path))
+
+
+class TestWholeFile:
+    """whole_file gives its target all of the new bytes or none of them, and leaves no temporary file."""
+
+    def test_the_target_gets_the_bytes_when_the_block_ends(self, tmp_path):
+        path = tmp_path / "out"
+        path.write_bytes(b"old")
+        with whole_file(path) as f:
+            f.write(b"new")
+            assert path.read_bytes() == b"old"
+        assert path.read_bytes() == b"new" and os.listdir(tmp_path) == ["out"]
+        with whole_file(path, "w") as f:
+            f.write("caf\u00e9\n")
+        assert path.read_bytes() == "caf\u00e9\n".encode()
+
+    @pytest.mark.parametrize("exists", [False, True], ids=["new target", "existing target"])
+    def test_an_exception_leaves_the_target_as_it_was(self, exists, tmp_path):
+        path = tmp_path / "out"
+        if exists:
+            path.write_bytes(b"old")
+        with pytest.raises(KeyboardInterrupt), whole_file(path) as f:
+            f.write(b"part")
+            raise KeyboardInterrupt
+        assert os.listdir(tmp_path) == (["out"] if exists else [])
+        assert not exists or path.read_bytes() == b"old"
+
+    def test_a_symlink_is_written_through(self, tmp_path):
+        target, link = tmp_path / "target", tmp_path / "link"
+        target.write_bytes(b"old")
+        link.symlink_to(target)
+        with whole_file(link) as f:
+            f.write(b"new")
+        assert link.is_symlink() and target.read_bytes() == b"new"
+
+    def test_a_file_that_is_not_regular_is_written_in_place(self):
+        with whole_file(os.devnull) as f:
+            f.write(b"discarded")
+        assert not os.path.isfile(os.devnull)
+
+    def test_a_missing_directory_names_the_target(self, tmp_path):
+        path = tmp_path / "missing" / "out"
+        with pytest.raises(FileNotFoundError) as info, whole_file(path):
+            pass
+        assert info.value.filename == str(path)

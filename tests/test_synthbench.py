@@ -1,7 +1,8 @@
-import base64
 import dataclasses
 import hashlib
 import json
+import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -12,14 +13,13 @@ from hypothesis.extra import numpy as hnp
 
 import synth_reference as reference
 from capdet.geometry import iou_matrix
+from capdet.scorenet import RegionSet
 from capdet.synthbench import (
     DataError,
     SynthConfig,
-    _decode_rows,
-    _encode_rows,
+    SyntheticScene,
     _jitter_box,
     benchmark_vocabulary,
-    dataset_header,
     gen_dataset,
     generate_scene,
     load_dataset,
@@ -29,6 +29,7 @@ from capdet.synthbench import (
     write_dataset,
 )
 from capdet.textgraph import default_registry, extract_labels
+from dataset_file import DatasetFile
 
 
 def proposal_hit_exists(scene, threshold=0.5):
@@ -236,6 +237,7 @@ class TestDatasetIO:
             assert np.array_equal(a.proposals.boxes, b.proposals.boxes)
             assert a.captions == b.captions
             assert [g.class_index for g in a.gt] == [g.class_index for g in b.gt]
+        assert reference.scenes_digest(loaded) == reference.scenes_digest(scenes)
 
     def test_reruns_byte_identical(self, universe, tmp_path):
         p1 = tmp_path / "a.jsonl"
@@ -251,7 +253,7 @@ class TestDatasetIO:
         scenes = gen_dataset(universe, 20, [0, 2])
         write_dataset(path, scenes, universe)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "1cbeda0972b9fe70eface07142121289fc216c7c581e8c2a12b0f08919072716"
+        assert digest == "496727a44e6bcf12d1c628f6899d91b9f4c49095879d3b4296302dcfd341eb01"
         assert reference.scenes_digest(scenes) == "0494c86a8dbdd68b2c3985b026781cb2b241c31c31fa90a23128e4528806cc49"
 
     def test_seed0_test_split_bytes_pinned(self, universe, tmp_path):
@@ -260,37 +262,50 @@ class TestDatasetIO:
         scenes = gen_dataset(universe, 500, [0, 2], id_prefix="test")
         write_dataset(path, scenes, universe)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "8aefba6e34e073966db9ef595e54d04a6dbbe53fdb0c47d99fd7020447c0bd87"
+        assert digest == "6912905db6eba6994d690047094c63169548bd425d91ebf87a897f8455ea35b0"
         assert reference.scenes_digest(scenes) == "a161734c527c43ccd8ca589a749f1d638fafe6ac2f9c29b29ad6e27a86fdd543"
 
     def test_header_contents(self, universe, tmp_path):
         path = tmp_path / "data.jsonl"
-        write_dataset(path, gen_dataset(universe, 1, [0, 0]), universe)
+        write_dataset(path, gen_dataset(universe, 3, [0, 0]), universe)
         header, _ = read_dataset(path)
         assert header["feature_dim"] == universe.config.feature_dim
         assert tuple(header["class_names"]) == universe.class_names
         assert header["universe"] == universe_fingerprint(universe) == "a281eefaf0382704"
+        assert header["scenes"] == 3 and header["version"] == 3
 
-    def test_record_holds_base64_float64_rows(self, universe):
+    def test_record_counts_proposals_and_its_payload_follows(self, universe, tmp_path):
+        path = tmp_path / "data.jsonl"
         scene, _ = generate_scene(universe, "s0", [5, 0, 0])
-        record = json.loads(json.dumps(scene.to_record()))
-        assert set(record) == {"image_id", "gt", "boxes", "features", "captions"}
-        for key, values in (("boxes", scene.proposals.boxes), ("features", scene.proposals.features)):
-            assert base64.b64decode(record[key], validate=True) == values.astype("<f8").tobytes()
+        write_dataset(path, [scene], universe)
+        data = DatasetFile.read(path)
+        assert data.to_bytes() == path.read_bytes()
+        (record,) = data.records
+        assert set(record) == {"image_id", "gt", "proposals", "captions"}
+        assert record["proposals"] == scene.proposals.size
+        boxes, features = scene.proposals.boxes, scene.proposals.features
+        assert data.payloads == [boxes.astype("<f8").tobytes() + features.astype("<f8").tobytes()]
+        assert scene.to_record() == (json.loads(json.dumps(record)), data.payloads[0])
 
     @settings(max_examples=200, deadline=None)
     @given(
-        hnp.arrays(
+        corners=hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.just(2)), elements=st.floats(-1e300, 1e300)),
+        features=hnp.arrays(
             np.float64,
-            st.tuples(st.integers(0, 6), st.integers(1, 6)),
-            elements=st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, -1e-310, 1e308, -1e308])),
-        )
+            st.tuples(st.just(1), st.integers(1, 6)),
+            elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([-0.0, 5e-324, -1e-310])),
+        ),
     )
-    def test_rows_round_trip_bit_for_bit(self, values):
-        decoded = _decode_rows(_encode_rows(values), values.shape[1])
-        assert decoded.dtype == np.float64 and decoded.flags.c_contiguous and decoded.flags.owndata
-        assert decoded.shape == values.shape
-        assert decoded.tobytes() == values.tobytes()
+    def test_rows_round_trip_bit_for_bit(self, corners, features):
+        # any finite features, and boxes whose far corner is the next float after the near one
+        features = np.repeat(features, len(corners), axis=0)
+        boxes = np.concatenate([corners, np.nextafter(corners, np.inf)], axis=1)
+        scene = SyntheticScene("s", [], RegionSet(boxes, features), ["a cat"])
+        record, payload = scene.to_record()
+        back = SyntheticScene.from_record(record, lambda n: payload[:n] if n == len(payload) else b"", 1, features.shape[1])
+        for got, want in ((back.proposals.boxes, boxes), (back.proposals.features, features)):
+            assert got.dtype == np.float64 and got.flags.c_contiguous and got.flags.owndata
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_empty_file_is_empty_dataset(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -298,43 +313,72 @@ class TestDatasetIO:
         assert read_dataset(path) == (None, [])
         assert load_dataset(path) == []
 
+    def test_a_header_of_no_scenes_is_an_empty_dataset(self, universe, tmp_path):
+        path = tmp_path / "none.jsonl"
+        write_dataset(path, [], universe)
+        header, scenes = read_dataset(path)
+        assert header["scenes"] == 0 and scenes == []
+
     def test_wrong_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"schema": "other", "version": 1}\n')
-        with pytest.raises(DataError, match="line 1"):
+        with pytest.raises(DataError, match=f"^{path}: header: expected schema 'capdet-synth' version 3$"):
             load_dataset(path)
 
-    def test_corrupt_record_line_numbered(self, universe, tmp_path):
+    def test_version_2_is_refused(self, universe, tmp_path):
+        path = tmp_path / "v2.jsonl"
+        write_dataset(path, gen_dataset(universe, 1, [0, 0]), universe)
+        data = DatasetFile.read(path)
+        data.header["version"] = 2
+        data.write(path)
+        with pytest.raises(DataError, match="header: expected schema 'capdet-synth' version 3, got version 2$"):
+            load_dataset(path)
+
+    def test_corrupt_record_names_its_scene(self, universe, tmp_path):
         path = tmp_path / "corrupt.jsonl"
         write_dataset(path, gen_dataset(universe, 2, [0, 0]), universe)
-        lines = path.read_text().splitlines()
-        lines[2] = lines[2][: len(lines[2]) // 2]  # truncate the second scene
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match="line 3"):
+        data = DatasetFile.read(path)
+        line = json.dumps(data.records[1]).encode()
+        data.records[1] = line[: len(line) // 2]  # cut the second scene's record in half
+        data.write(path)
+        with pytest.raises(DataError, match=f"^{path}: scene 2: not JSON: "):
             load_dataset(path)
 
-    def test_blank_lines_before_the_header_keep_line_numbers(self, universe, tmp_path):
+    @pytest.mark.parametrize(
+        "where, message",
+        [(0, "header: not JSON: Expecting value"), (1, "scene 1: not JSON: Expecting value"), (2, "scene 2: not JSON: ")],
+        ids=["before the header", "before the first scene", "after the first scene"],
+    )
+    def test_blank_lines_are_not_skipped(self, where, message, universe, tmp_path):
         path = tmp_path / "blank.jsonl"
         write_dataset(path, gen_dataset(universe, 2, [0, 0]), universe)
-        lines = path.read_text().splitlines()
-        path.write_text("\n\n" + "\n".join(lines) + "\n")
-        header, scenes = read_dataset(path)
-        assert tuple(header["class_names"]) == universe.class_names and len(scenes) == 2
-        lines[2] = lines[2][: len(lines[2]) // 2]  # truncate the second scene, now on line 5
-        path.write_text("\n\n" + "\n".join(lines) + "\n")
-        with pytest.raises(DataError, match="line 5"):
+        blob = path.read_bytes()
+        at = DatasetFile.parse(blob).ends()[where - 1] if where else 0
+        path.write_bytes(blob[:at] + b"\n" + blob[at:])
+        with pytest.raises(DataError, match=f"^{path}: {message}"):
             load_dataset(path)
 
+    def test_a_line_without_its_newline_ends_early(self, universe, tmp_path):
+        path = tmp_path / "cut.jsonl"
+        write_dataset(path, gen_dataset(universe, 2, [0, 0]), universe)
+        blob = path.read_bytes()
+        ends = DatasetFile.parse(blob).ends()
+        # a cut just before the newline of the header, then of the second scene's record
+        for cut, where in ((ends[0] - 1, "header"), (blob.index(b"\n", ends[1]), "scene 2")):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(DataError, match=f"^{path}: {where}: the file ends inside this line$"):
+                load_dataset(path)
+
     def test_feature_width_mismatch(self, universe, tmp_path):
-        # rows one value narrower than the header's feature_dim; no scene has 64 of them, so the bytes are no whole rows
+        # rows one value narrower than the header's feature_dim, so the payload is short by a value a row
         path = tmp_path / "width.jsonl"
-        scenes = gen_dataset(universe, 1, [0, 0])
-        record = scenes[0].to_record()
-        record["features"] = _encode_rows(scenes[0].proposals.features[:, :-1])
-        with open(path, "w") as f:
-            f.write(json.dumps(dataset_header(universe)) + "\n")
-            f.write(json.dumps(record) + "\n")
-        with pytest.raises(DataError, match="line 2: bad scene record: .* not whole rows of 64 float64 values"):
+        write_dataset(path, gen_dataset(universe, 1, [0, 0]), universe)
+        data = DatasetFile.read(path)
+        boxes, features = data.arrays(0)
+        data.set_arrays(0, boxes, features[:, :-1])
+        data.write(path)
+        m = data.records[0]["proposals"]
+        with pytest.raises(DataError, match=f"^{path}: scene 1: the payload needs {m * 68 * 8} bytes, and the file has {m * 67 * 8} left$"):
             load_dataset(path)
 
     def test_fingerprint_tells_universes_apart(self, universe, registry):
@@ -348,14 +392,58 @@ class TestDatasetIO:
 
     def test_missing_key_rejected(self, universe, tmp_path):
         path = tmp_path / "missing.jsonl"
-        scenes = gen_dataset(universe, 1, [0, 0])
-        record = scenes[0].to_record()
-        del record["captions"]
-        with open(path, "w") as f:
-            f.write(json.dumps(dataset_header(universe)) + "\n")
-            f.write(json.dumps(record) + "\n")
-        with pytest.raises(DataError, match="line 2"):
+        write_dataset(path, gen_dataset(universe, 1, [0, 0]), universe)
+        data = DatasetFile.read(path)
+        del data.records[0]["captions"]
+        data.write(path)
+        with pytest.raises(DataError, match="scene 1: record needs 'captions'"):
             load_dataset(path)
+
+    def test_header_count_is_the_scenes_written(self, universe, tmp_path):
+        # a count that disagrees with the scenes is refused, and no file is left
+        path = tmp_path / "count.jsonl"
+        scenes = gen_dataset(universe, 3, [0, 0])
+        write_dataset(path, iter(scenes), universe, 3)
+        assert DatasetFile.read(path).header["scenes"] == 3
+        for count in (2, 4):
+            with pytest.raises(ValueError, match=f"the header counts {count} scenes, but 3 were given"):
+                write_dataset(tmp_path / "other.jsonl", iter(scenes), universe, count)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["count.jsonl"]
+
+    def test_interrupted_write_leaves_no_part_of_a_file(self, universe, tmp_path):
+        # a generator that raises after three scenes: a new target is never made, an existing one keeps its bytes
+        scenes = gen_dataset(universe, 5, [0, 0])
+
+        def failing():
+            yield from scenes[:3]
+            raise RuntimeError("interrupted")
+
+        new, old = tmp_path / "new.jsonl", tmp_path / "old.jsonl"
+        write_dataset(old, scenes[3:], universe)
+        before = old.read_bytes()
+        for path in (new, old):
+            with pytest.raises(RuntimeError, match="interrupted"):
+                write_dataset(path, failing(), universe, 5)
+        assert not new.exists() and old.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.jsonl"]
+
+    @pytest.mark.parametrize("proposals", [10**12, 1000])
+    def test_a_record_cannot_make_the_reader_allocate(self, proposals, universe, tmp_path):
+        # the payload's size is checked against the bytes left before anything is read or built
+        path = tmp_path / "huge.jsonl"
+        write_dataset(path, gen_dataset(universe, 1, [0, 0]), universe)
+        data = DatasetFile.read(path)
+        data.records[0]["proposals"] = proposals
+        data.write(path)
+        left = len(data.payloads[0])
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=f"scene 1: the payload needs {proposals * 68 * 8} bytes, and the file has {left} left$"):
+                read_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < os.path.getsize(path) + (1 << 20), peak
 
 
 class TestBenchmarkVocabulary:
