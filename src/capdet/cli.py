@@ -2,9 +2,11 @@
 
 Subcommands: synth (generate benchmark splits), parse (captions to label
 records), train, eval, and gradcheck. Exit codes: 0 success, 1 usage
-error (a setting too large to allocate is one), 2 data error, 3 numerical
-failure; README's File formats states each file's rules. main maps each
-error to its code; each reader names its own bad input (fields.naming).
+error, 2 data error, 3 numerical failure. main maps each error to its
+code: every usage error is a ValueError (a setting too large to allocate,
+a MemoryError, is one too), and a data error a fields.DataError, which
+main catches first, or an OSError. README's File formats states each
+file's rules; each reader names its own bad input (fields.naming).
 
 A command has a flag for each config field it reads and for no other:
 synth the SynthConfig fields, eval the two that inference reads, train
@@ -38,20 +40,15 @@ from .textgraph import (
     default_vocabulary,
     extract_labels,
 )
-from .trainer import NumericalError, TrainConfig
+from .trainer import EVAL_SETTINGS, NumericalError, TrainConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
-EVAL_SETTINGS = ("nms_threshold", "score_floor")  # the TrainConfig fields inference reads
 TRAIN_SETTINGS = tuple(f.name for f in dataclasses.fields(TrainConfig) if f.name not in EVAL_SETTINGS)
 SYNTH_SETTINGS = tuple(f.name for f in dataclasses.fields(SynthConfig))
-
-
-class UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,13 +56,13 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(allow_abbrev=False, **kwargs)  # a flag matches by its full name only
 
     def error(self, message: str):  # argparse would exit(2); our contract says 1
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def read_config_file(path: str | Path, names: Sequence[str]) -> dict[str, object]:
     """The values of a config file's entries, each key one of names and its value parsed by the key's flag.
 
-    Entries are checked in file order, and each failure names the file and line.
+    Entries are checked in file order, each as a TrainConfig of its own, and each failure names the file and line.
     """
     flags = _Parser(add_help=False)
     _add_config_flags(flags, TrainConfig, names)
@@ -81,27 +78,30 @@ def read_config_file(path: str | Path, names: Sequence[str]) -> dict[str, object
         if key in values:
             raise DataError(f"{where}: {key} is set twice")
         if key not in names:
-            raise UsageError(f"{where}: unknown config key {key!r}")
+            raise ValueError(f"{where}: unknown config key {key!r}")
         try:
             values[key] = getattr(flags.parse_args([f"--{key.replace('_', '-')}={value}"]), key)
-        except UsageError as e:
-            raise UsageError(f"{where}: {e}") from None
+            _train_config({key: values[key]})
+        except ValueError as e:
+            raise ValueError(f"{where}: {e}") from None
     return values
 
 
 def build_train_config(args: argparse.Namespace, names: Sequence[str]) -> TrainConfig:
-    """A TrainConfig of names' values from the --config file, if the command has one, and its flags, which win.
-
-    Either spelling of the exact-match baseline given without the other,
-    loss_mode em or lambda2 0, sets the other too.
-    """
+    """A TrainConfig of names' values from the --config file, if the command has one, and its flags, which win."""
     values = read_config_file(args.config, names) if getattr(args, "config", None) else {}
     values.update((key, getattr(args, key)) for key in names if getattr(args, key) is not None)
+    return _train_config(values)
+
+
+def _train_config(values: dict[str, object]) -> TrainConfig:
+    """A TrainConfig of values; either spelling of the exact-match baseline given without the other,
+    loss_mode em or lambda2 0, sets the other too, in values. Its ValueError is a usage error."""
     if values.get("loss_mode") == "em" and "lambda2" not in values:
         values["lambda2"] = 0.0
     if values.get("lambda2") == 0 and "loss_mode" not in values:
         values["loss_mode"] = "em"
-    return TrainConfig(**values)  # its ValueError is a usage error
+    return TrainConfig(**values)
 
 
 def _add_config_flags(p: argparse.ArgumentParser, config_class: type, names: Sequence[str]) -> None:
@@ -122,9 +122,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     sizes = {"train": args.train, "val": args.val, "test": args.test}
     for split, size in sizes.items():
         if size < 1:
-            raise UsageError(f"--{split} must be positive, got {size}")
+            raise ValueError(f"--{split} must be positive, got {size}")
     if args.seed < 0:
-        raise UsageError(f"--seed must be non-negative, got {args.seed}")
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     _, registry = _load_vocab_registry(args)
     config = SynthConfig(**{key: getattr(args, key) for key in SYNTH_SETTINGS})
     with naming(str(args.registry), (DataError,)):  # only a --registry file can lack a pool value
@@ -206,10 +206,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
-        raise UsageError(f"--tolerance must be finite and positive, got {args.tolerance}")
-    result = gradcheck.run_gradient_check(
-        trials=args.trials, seed=args.seed, coords_per_trial=args.coords, step=args.step
-    )
+        raise ValueError(f"--tolerance must be finite and positive, got {args.tolerance}")
+    # a flag the user left out takes run_gradient_check's default
+    settings = (key for key in ("trials", "seed", "coords_per_trial", "step") if getattr(args, key) is not None)
+    result = gradcheck.run_gradient_check(**{key: getattr(args, key) for key in settings})
     status = "PASS" if result.max_rel_error < args.tolerance else "FAIL"
     print(
         f"{status}: {result.trials} configs, {result.coords_checked} coordinates, "
@@ -263,10 +263,10 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=20240601)
-    p.add_argument("--coords", type=int, default=80, help="coordinates sampled per trial")
-    p.add_argument("--step", type=float, default=1e-5)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--coords", type=int, dest="coords_per_trial", help="coordinates sampled per trial")
+    p.add_argument("--step", type=float)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
     return parser
@@ -277,9 +277,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except (DataError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
@@ -287,7 +284,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, MemoryError) as e:
-        # bad parameter combinations surface here (DataError was caught above), and settings too large to allocate
+        # every usage error (DataError was caught above), and settings too large to allocate
         print(f"usage error: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -48,7 +48,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -68,6 +68,7 @@ class NumericalError(RuntimeError):
 
 
 LOSS_MODES = ("em", "em+sg")
+EVAL_SETTINGS = ("nms_threshold", "score_floor")  # the TrainConfig fields inference reads
 LOGGED_LOSSES = ("l_obj", "l_entang", "l_mid", "l_total")  # LossReport fields a step logs, with l_oicr
 IOU_THRESHOLD = 0.5  # a detection localises a GT box at this IoU or more, for AP and CorLoc
 # scenes per padded evaluation chunk: a chunk's arrays, and so peak memory,
@@ -93,26 +94,28 @@ class TrainConfig:
         for name in ("learning_rate", "lambda1", "lambda2"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.batch_size < 1 or self.steps < 1 or self.num_heads < 1:
-            raise ValueError("batch_size, steps, and num_heads must be positive")
+        for name in ("learning_rate", "batch_size", "steps", "num_heads"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.tau < 1.0:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
         if self.loss_mode not in LOSS_MODES:
             raise ValueError(f"loss_mode must be one of {LOSS_MODES}, got {self.loss_mode!r}")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("loss weights must be non-negative")
+        for name in ("lambda1", "lambda2"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         # the two spellings of the baseline must coincide
         if (self.lambda2 == 0) != (self.loss_mode == "em"):
             raise ValueError(
                 f"loss_mode={self.loss_mode!r} conflicts with lambda2={self.lambda2}; "
                 "the exact-match baseline is lambda2=0 and vice versa"
             )
-        if not 0 < self.nms_threshold <= 1 or not 0 <= self.score_floor < 1:
-            raise ValueError("nms_threshold must lie in (0, 1], score_floor in [0, 1)")
+        if not 0 < self.nms_threshold <= 1:
+            raise ValueError(f"nms_threshold must lie in (0, 1], got {self.nms_threshold}")
+        if not 0 <= self.score_floor < 1:
+            raise ValueError(f"score_floor must lie in [0, 1), got {self.score_floor}")
 
     @property
     def attributes_enabled(self) -> bool:
@@ -414,10 +417,8 @@ def evaluate(
 
 
 def metrics_report(metrics: dict, config: TrainConfig) -> dict:
-    report = dict(metrics)
-    report["config_echo"] = asdict(config)
-    report["seed"] = config.seed
-    return report
+    """metrics, with a config echo of the settings inference read, EVAL_SETTINGS."""
+    return {**metrics, "config_echo": {key: getattr(config, key) for key in EVAL_SETTINGS}}
 
 
 def write_metrics(path: str | Path, report: Mapping) -> None:

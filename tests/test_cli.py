@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from capdet import cli, scorenet, synthbench, textgraph, trainer
+from capdet import cli, gradcheck, scorenet, synthbench, textgraph, trainer
 from capdet.synthbench import SynthConfig
 from capdet.textgraph import Vocabulary, default_registry, default_vocabulary
 from capdet.trainer import NumericalError, TrainConfig
@@ -514,7 +514,7 @@ class TestNegativeSeed:
         [
             ("synth", ["--seed", "-1"], "--seed must be non-negative, got -1"),
             ("train", ["--seed", "-1"], "seed must be non-negative, got -1"),
-            ("train", ["--config", "{config}"], "seed must be non-negative, got -1"),
+            ("train", ["--config", "{config}"], "{config}: line 1: seed must be non-negative, got -1"),
             ("gradcheck", ["--seed", "-1"], "seed must be non-negative, got -1"),
         ],
         ids=["synth", "train flag", "train config key", "gradcheck"],
@@ -532,7 +532,7 @@ class TestNegativeSeed:
         assert cli.main(args) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [f"usage error: {message}"]
+        assert captured.err.splitlines() == [f"usage error: {message.format(config=config)}"]
         assert list(tmp_path.iterdir()) == [config]
 
 
@@ -550,7 +550,7 @@ class TestTrainSettings:
         assert captured.err.splitlines() == [f"usage error: unrecognized arguments: {flag} 0.9"]
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("key", cli.EVAL_SETTINGS)
+    @pytest.mark.parametrize("key", trainer.EVAL_SETTINGS)
     def test_eval_key_in_the_config_file_is_a_usage_error(self, key, tmp_path, capsys):
         config = tmp_path / "c.cfg"
         config.write_text(f"steps = 3\n{key} = 0.3\n")
@@ -585,6 +585,21 @@ class TestConfigFile:
                 id="bad choice",
             ),
             pytest.param(
+                "steps = 2\ntau = 1.5\n", 1, "usage error: {cfg}: line 2: tau must lie in (0, 1), got 1.5", id="out of range"
+            ),
+            pytest.param(
+                "batch_size = 0\n", 1, "usage error: {cfg}: line 1: batch_size must be positive, got 0", id="not positive"
+            ),
+            pytest.param(
+                "lambda2 = nan\n", 1, "usage error: {cfg}: line 1: lambda2 must be finite, got nan", id="not finite"
+            ),
+            pytest.param(
+                "loss_mode = em\nlambda2 = 0.5\n",
+                1,
+                "usage error: loss_mode='em' conflicts with lambda2=0.5; the exact-match baseline is lambda2=0 and vice versa",
+                id="entries that conflict",
+            ),
+            pytest.param(
                 "# steps\n\nsteps = 2 # two\nmomentum = 0.9\nsteps 3\n",
                 1,
                 "usage error: {cfg}: line 4: unknown config key 'momentum'",
@@ -611,6 +626,22 @@ class TestConfigFile:
         assert captured.out == ""
         assert captured.err.splitlines() == [message.format(cfg=config)]
         assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize(
+        "text, flags, message",
+        [
+            ("tau = 1.5\n", ["--tau", "0.5"], "tau must lie in (0, 1), got 1.5"),
+            ("steps = 0\n", ["--steps", "2"], "steps must be positive, got 0"),
+        ],
+        ids=["tau", "steps"],
+    )
+    def test_a_bad_entry_is_refused_though_a_flag_overrides_it(self, text, flags, message, tmp_path, capsys):
+        config = tmp_path / "c.cfg"
+        config.write_text(text)
+        files = ["--data", str(tmp_path / "d.jsonl"), "--out", str(tmp_path / "m.ckpt"), "--log", str(tmp_path / "log")]
+        assert cli.main(["train", *files, "--config", str(config), *flags]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"usage error: {config}: line 1: {message}"]
+        assert list(tmp_path.iterdir()) == [config]
 
     def train(self, data_dir, out, text, *flags):
         """The TrainConfig that capdet train, given a config file of text and flags, trained with (exit 0)."""
@@ -655,7 +686,7 @@ class TestEvalSettings:
     @pytest.mark.parametrize(
         "flag",
         ["--config"]
-        + ["--" + f.name.replace("_", "-") for f in dataclasses.fields(TrainConfig) if f.name not in cli.EVAL_SETTINGS],
+        + ["--" + f.name.replace("_", "-") for f in dataclasses.fields(TrainConfig) if f.name not in trainer.EVAL_SETTINGS],
     )
     def test_training_flag_is_a_usage_error_before_any_file_is_opened(self, flag, tmp_path, capsys):
         # neither the dataset nor the checkpoint exists: reading either would exit 2
@@ -680,6 +711,17 @@ class TestEvalSettings:
         # each setting alone, the other at its default, scores otherwise
         for one in (TrainConfig(nms_threshold=0.3), TrainConfig(score_floor=0.1)):
             assert trainer.evaluate(params, scenes, one) != expected
+
+    def test_the_metrics_echo_only_the_settings_inference_read(self, eval_inputs, tmp_path):
+        dataset, blob, _ = eval_inputs
+        data, ckpt, out = tmp_path / "val.jsonl", tmp_path / "m.ckpt", tmp_path / "m.json"
+        data.write_bytes(dataset)
+        ckpt.write_bytes(blob)
+        args = ["eval", "--data", str(data), "--checkpoint", str(ckpt), "--out", str(out)]
+        assert cli.main(args + ["--nms-threshold", "0.3"]) == 0
+        report = json.loads(out.read_text())
+        assert report["config_echo"] == {"nms_threshold": 0.3, "score_floor": 0.05}
+        assert "seed" not in report
 
 
 # one row per corruption: header edits, or a checkpoint built for another layout
@@ -1651,6 +1693,25 @@ class TestGradcheckCommand:
         (err,) = captured.err.splitlines()
         assert err == "numerical failure: gradient check failed: nan >= 1.0e-04"
 
+    @pytest.mark.parametrize(
+        "flags, settings",
+        [
+            ([], {}),
+            (["--coords", "8"], {"coords_per_trial": 8}),
+            (["--trials", "2", "--step", "1e-4"], {"trials": 2, "step": 1e-4}),
+        ],
+        ids=["no flags", "coords", "trials and step"],
+    )
+    def test_passes_only_the_flags_given(self, flags, settings, capsys):
+        # run_gradient_check's signature holds every default
+        result = gradcheck.GradCheckResult(
+            trials=1, coords_checked=8, max_rel_error=0.0, worst_trial=0, worst_coord="", elapsed_seconds=0.0
+        )
+        with mock.patch.object(gradcheck, "run_gradient_check", return_value=result) as check:
+            assert cli.main(["gradcheck", *flags]) == 0
+        assert check.call_args == mock.call(**settings)
+        assert capsys.readouterr().out.startswith("PASS: 1 configs, 8 coordinates, ")
+
     def test_overflowing_step_is_one_line(self):
         # a real process, so numpy warnings would reach its stderr
         args = ["gradcheck", "--trials", "2", "--coords", "8", "--step", "1e308"]
@@ -1740,7 +1801,7 @@ class TestArgumentHandling:
         eval_files = ["--data", "d", "--checkpoint", "c", "--out", "o"]
         args = parser.parse_args(["eval", *eval_files, "--nms-threshold", "0.3", "--score-floor", "0.1"])
         assert (args.nms_threshold, args.score_floor) == (0.3, 0.1)
-        with pytest.raises(cli.UsageError, match="invalid choice"):
+        with pytest.raises(ValueError, match="invalid choice"):
             parser.parse_args(["train", "--data", "d", "--out", "o", "--loss-mode", "sg"])
 
     @pytest.mark.parametrize("command", ["synth", "parse", "train", "eval", "gradcheck"])

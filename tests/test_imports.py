@@ -28,9 +28,10 @@ sentence with a count; the flags and the count must be those of
 ``cli.build_parser()``, whose config flags are the ones that set a
 TrainConfig field.
 
-README's File formats lists the keys of each field table (fields.Field)
-in one phrase, "... with the keys `a`, `b` and `c`"; the keys must be
-exactly the table's.
+README's File formats lists the keys of each field table (fields.Field),
+and of the metrics file's config echo (trainer.EVAL_SETTINGS), in one
+phrase, "... with the keys `a`, `b` and `c`"; the keys must be exactly
+the table's.
 
 Each reader names its own bad input (fields.naming), so no except handler in
 cli.py raises a DataError: a handler that does names, in the CLI, an input
@@ -48,7 +49,7 @@ from pathlib import Path
 
 import pytest
 
-from capdet import cli, scorenet, synthbench, textgraph
+from capdet import cli, scorenet, synthbench, textgraph, trainer
 from capdet.trainer import TrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -261,8 +262,9 @@ README_KEY_LISTS = {
     "textgraph.REGISTRY_FIELDS": "registry files (`--registry`): a JSON object",
     "textgraph.CATEGORY_FIELDS": "each category an object",
     "textgraph.CAPTION_FIELDS": "caption files (`capdet parse` input): one JSON object per line",
+    "trainer.EVAL_SETTINGS": "a config echo",
 }
-TABLES = {"synthbench": synthbench, "scorenet": scorenet, "textgraph": textgraph}
+TABLES = {"synthbench": synthbench, "scorenet": scorenet, "textgraph": textgraph, "trainer": trainer}
 
 
 def readme_key_lists(text):
@@ -286,12 +288,14 @@ def test_readme_key_lists_are_the_field_tables():
 def test_flags_a_stale_key_list():
     text = (
         "## File formats\n- caption files (`capdet parse` input): one JSON object per line with\n  the keys `image_id`, "
-        "`captions` and `extra`; a JSON layout header with the keys `dtype`.\n## Next\neach category an object with the "
+        "`captions` and `extra`; a JSON layout header with the keys `dtype`.\n- metrics: scene count, and a config\n"
+        "  echo with the keys `nms_threshold`, `score_floor` and `steps`.\n## Next\neach category an object with the "
         "keys `name` and `values`"
     )
     lists = readme_key_lists(text)
     assert lists["textgraph.CAPTION_FIELDS"] == ["captions", "extra", "image_id"]
     assert lists["scorenet.CHECKPOINT_FIELDS"] == ["dtype"]
+    assert lists["trainer.EVAL_SETTINGS"] == ["nms_threshold", "score_floor", "steps"]
     assert lists["textgraph.CATEGORY_FIELDS"] is None  # outside File formats
 
 
@@ -320,7 +324,7 @@ def test_flags_a_handler_that_raises_a_data_error():
     tree = ast.parse(
         "try:\n    f()\nexcept ValueError as e:\n    raise DataError(f'x: {e}') from None\n"
         "try:\n    g()\nexcept OSError:\n    if h():\n        raise synthbench.DataError\n"
-        "except KeyError:\n    raise UsageError('z')\nexcept TypeError:\n    raise\n"
+        "except KeyError:\n    raise ValueError('z')\nexcept TypeError:\n    raise\n"
         "raise DataError('outside a handler')\n"
     )
     assert data_error_handlers(tree) == [3, 7]

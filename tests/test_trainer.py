@@ -32,6 +32,7 @@ from capdet.synthbench import (
 from capdet.textgraph import LabelSet, Vocabulary, default_registry, extract_labels
 from capdet.trainer import (
     EVAL_CHUNK,
+    EVAL_SETTINGS,
     IOU_THRESHOLD,
     Adagrad,
     NumericalError,
@@ -86,9 +87,9 @@ class TestTrainConfig:
         TrainConfig(loss_mode="em", lambda2=0.0)
 
     def test_negative_loss_weights_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match=r"^lambda1 must be non-negative, got -0\.1$"):
             TrainConfig(lambda1=-0.1)
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match=r"^lambda2 must be non-negative, got -1\.0$"):
             TrainConfig(lambda2=-1.0)
 
     def test_attributes_enabled_tracks_lambda2(self):
@@ -96,18 +97,20 @@ class TestTrainConfig:
         assert not TrainConfig(loss_mode="em", lambda2=0.0).attributes_enabled
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(batch_size=0)
-        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
-            TrainConfig(seed=-1)
-        with pytest.raises(ValueError):
-            TrainConfig(loss_mode="other")
-        with pytest.raises(ValueError):
-            TrainConfig(nms_threshold=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(score_floor=1.0)
+        # each refusal names one setting and its value
+        for setting, message in [
+            ({"learning_rate": 0.0}, "learning_rate must be positive, got 0.0"),
+            ({"batch_size": 0}, "batch_size must be positive, got 0"),
+            ({"steps": 0}, "steps must be positive, got 0"),
+            ({"num_heads": -1}, "num_heads must be positive, got -1"),
+            ({"seed": -1}, "seed must be non-negative, got -1"),
+            ({"loss_mode": "other"}, "loss_mode must be one of ('em', 'em+sg'), got 'other'"),
+            ({"nms_threshold": 0.0}, "nms_threshold must lie in (0, 1], got 0.0"),
+            ({"score_floor": 1.0}, "score_floor must lie in [0, 1), got 1.0"),
+        ]:
+            with pytest.raises(ValueError) as caught:
+                TrainConfig(**setting)
+            assert str(caught.value) == message
 
 
 class TestAdagrad:
@@ -1060,14 +1063,14 @@ class TestEvaluate:
         path = tmp_path / "metrics.json"
         write_metrics(path, metrics_report(metrics, config))
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "55a7f074d8baa8268561bba587d4fda942b55d6c6ae8cd7958b836a5e1ad465a"
+        assert digest == "b5806f166f1c00b4e387369cc7a413e9763cc158b3025f209c7e57bf473e6953"
 
     def test_metrics_report_echoes_config(self):
-        cfg = TrainConfig(steps=5, seed=9)
+        # the training fields did not produce the metrics, so none is echoed
+        cfg = TrainConfig(steps=5, seed=9, score_floor=0.1)
         report = metrics_report({"map": 0.5}, cfg)
-        assert report["seed"] == 9
-        assert report["config_echo"]["steps"] == 5
-        assert report["map"] == 0.5
+        assert report == {"map": 0.5, "config_echo": {"nms_threshold": 0.4, "score_floor": 0.1}}
+        assert tuple(report["config_echo"]) == EVAL_SETTINGS
 
     def test_write_metrics_deterministic(self, tmp_path):
         report = {"map": 0.5, "per_class_ap": {"cat": 0.5}}
