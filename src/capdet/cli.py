@@ -8,12 +8,14 @@ a MemoryError, is one too), and a data error a fields.DataError, which
 main catches first, or an OSError. README's File formats states each
 file's rules; each reader names its own bad input (fields.naming).
 
-A command has a flag for each config field it reads and for no other:
-synth the SynthConfig fields, eval the two that inference reads, train
-the other TrainConfig fields, which an optional key-value text file
-(`--config`) can also give and its flags override. Each file value is
-parsed by its key's flag, so it takes the flag's type and choices.
-Unknown flags are hard errors, and a flag matches only by its full name.
+A command has a flag for each setting it reads and for no other: synth
+the SynthConfig fields, eval the two TrainConfig fields inference reads,
+train the others, which a key-value file (`--config`) can also give and
+its flags override, and gradcheck run_gradient_check's parameters. Each
+flag defaults to None and takes its type and choices from its owner; a
+file value is parsed by its key's flag. synth's --seed, --train, --val
+and --test and gradcheck's --coords and --tolerance are the commands'
+own. A flag matches only by its full name; an unknown one is an error.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Mapping, Sequence, get_type_hints
+from typing import Literal, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 from . import gradcheck, scorenet, synthbench, trainer
 from .fields import DataError, check_fields, naming
@@ -62,7 +64,7 @@ class _Parser(argparse.ArgumentParser):
 def read_config_file(path: str | Path, names: Sequence[str]) -> dict[str, object]:
     """The values of a config file's entries, each key one of names and its value parsed by the key's flag.
 
-    Entries are checked in file order, each as a TrainConfig of its own, and each failure names the file and line.
+    Entries are checked in file order, each with those before it as one TrainConfig; a failure names file and line.
     """
     flags = _Parser(add_help=False)
     _add_config_flags(flags, TrainConfig, names)
@@ -81,7 +83,7 @@ def read_config_file(path: str | Path, names: Sequence[str]) -> dict[str, object
             raise ValueError(f"{where}: unknown config key {key!r}")
         try:
             values[key] = getattr(flags.parse_args([f"--{key.replace('_', '-')}={value}"]), key)
-            _train_config({key: values[key]})
+            _train_config(dict(values))
         except ValueError as e:
             raise ValueError(f"{where}: {e}") from None
     return values
@@ -90,8 +92,7 @@ def read_config_file(path: str | Path, names: Sequence[str]) -> dict[str, object
 def build_train_config(args: argparse.Namespace, names: Sequence[str]) -> TrainConfig:
     """A TrainConfig of names' values from the --config file, if the command has one, and its flags, which win."""
     values = read_config_file(args.config, names) if getattr(args, "config", None) else {}
-    values.update((key, getattr(args, key)) for key in names if getattr(args, key) is not None)
-    return _train_config(values)
+    return _train_config(values | _given(args, names))
 
 
 def _train_config(values: dict[str, object]) -> TrainConfig:
@@ -104,12 +105,17 @@ def _train_config(values: dict[str, object]) -> TrainConfig:
     return TrainConfig(**values)
 
 
-def _add_config_flags(p: argparse.ArgumentParser, config_class: type, names: Sequence[str]) -> None:
-    """One flag for each field of config_class in names, of the field's type."""
-    hints = get_type_hints(config_class)
+def _add_config_flags(p: argparse.ArgumentParser, owner: object, names: Sequence[str]) -> None:
+    """A flag, defaulting to None, for each of names, a dataclass field or function parameter of owner, of its type."""
+    hints = get_type_hints(owner)
     for key in names:
-        choices = trainer.LOSS_MODES if key == "loss_mode" else None
-        p.add_argument("--" + key.replace("_", "-"), type=hints[key], choices=choices)
+        choices = get_args(hints[key]) if get_origin(hints[key]) is Literal else None
+        p.add_argument("--" + key.replace("_", "-"), type=str if choices else hints[key], choices=choices)
+
+
+def _given(args: argparse.Namespace, names: Sequence[str]) -> dict[str, object]:
+    """The values of the flags among names that were given."""
+    return {key: getattr(args, key) for key in names if getattr(args, key) is not None}
 
 
 def _load_vocab_registry(args: argparse.Namespace) -> tuple[Vocabulary | None, AttributeRegistry]:
@@ -119,23 +125,19 @@ def _load_vocab_registry(args: argparse.Namespace) -> tuple[Vocabulary | None, A
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    sizes = {"train": args.train, "val": args.val, "test": args.test}
-    for split, size in sizes.items():
-        if size < 1:
-            raise ValueError(f"--{split} must be positive, got {size}")
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
     _, registry = _load_vocab_registry(args)
-    config = SynthConfig(**{key: getattr(args, key) for key in SYNTH_SETTINGS})
+    config = SynthConfig(**_given(args, SYNTH_SETTINGS))
     with naming(str(args.registry), (DataError,)):  # only a --registry file can lack a pool value
         universe = synthbench.make_universe(config, registry, seed=args.seed)
-    out_dir = Path(args.out)
-    if not out_dir.exists():
-        out_dir.mkdir(parents=True)
-    for split_index, (split, size) in enumerate(sizes.items()):
-        path = out_dir / f"{split}.jsonl"
-        # each split draws from a disjoint stream keyed by (seed, split), and is written one scene at a time
-        synthbench.write_dataset(path, synthbench.scene_stream(universe, size, [args.seed, split_index], split), universe, size)
+    sizes = {"train": args.train, "val": args.val, "test": args.test}
+    # each split draws from a disjoint stream keyed by (seed, split); each size is checked before any file is made
+    streams = [synthbench.scene_stream(universe, size, [args.seed, i], split) for i, (split, size) in enumerate(sizes.items())]
+    Path(args.out).mkdir(parents=True, exist_ok=True)
+    for (split, size), stream in zip(sizes.items(), streams):
+        path = Path(args.out, f"{split}.jsonl")
+        synthbench.write_dataset(path, stream, universe, size)
         print(f"wrote {size} scenes to {path}")
     return EXIT_OK
 
@@ -208,8 +210,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
         raise ValueError(f"--tolerance must be finite and positive, got {args.tolerance}")
     # a flag the user left out takes run_gradient_check's default
-    settings = (key for key in ("trials", "seed", "coords_per_trial", "step") if getattr(args, key) is not None)
-    result = gradcheck.run_gradient_check(**{key: getattr(args, key) for key in settings})
+    result = gradcheck.run_gradient_check(**_given(args, ("trials", "seed", "coords_per_trial", "step")))
     status = "PASS" if result.max_rel_error < args.tolerance else "FAIL"
     print(
         f"{status}: {result.trials} configs, {result.coords_checked} coordinates, "
@@ -236,7 +237,7 @@ def build_parser() -> _Parser:
     p.add_argument("--test", type=int, default=500)
     _add_config_flags(p, SynthConfig, SYNTH_SETTINGS)
     p.add_argument("--registry")
-    p.set_defaults(func=cmd_synth, **dataclasses.asdict(SynthConfig()))
+    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("parse", help="extract label records from captions")
     p.add_argument("--captions", required=True, help="line-delimited {image_id, captions} records")
@@ -263,10 +264,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
+    _add_config_flags(p, gradcheck.run_gradient_check, ("trials", "seed"))
     p.add_argument("--coords", type=int, dest="coords_per_trial", help="coordinates sampled per trial")
-    p.add_argument("--step", type=float)
+    _add_config_flags(p, gradcheck.run_gradient_check, ("step",))
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
     return parser

@@ -415,7 +415,7 @@ def scene_stream(
 ) -> Iterator[SyntheticScene]:
     """num_scenes scenes in order, each generated as it is read; scene i draws from the stream keyed by seed_key + [i]."""
     if num_scenes < 1:
-        raise ValueError(f"num_scenes must be positive, got {num_scenes}")
+        raise ValueError(f"{id_prefix}: num_scenes must be positive, got {num_scenes}")
     return (generate_scene(universe, f"{id_prefix}-{i:06d}", [*seed_key, i])[0] for i in range(num_scenes))
 
 

@@ -50,7 +50,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Literal, Mapping, Sequence, get_args
 
 import numpy as np
 
@@ -67,7 +67,8 @@ class NumericalError(RuntimeError):
     """A loss, gradient or score came out non-finite, so the run cannot continue."""
 
 
-LOSS_MODES = ("em", "em+sg")
+LossMode = Literal["em", "em+sg"]
+LOSS_MODES = get_args(LossMode)
 EVAL_SETTINGS = ("nms_threshold", "score_floor")  # the TrainConfig fields inference reads
 LOGGED_LOSSES = ("l_obj", "l_entang", "l_mid", "l_total")  # LossReport fields a step logs, with l_oicr
 IOU_THRESHOLD = 0.5  # a detection localises a GT box at this IoU or more, for AP and CorLoc
@@ -84,7 +85,7 @@ class TrainConfig:
     seed: int = 0
     lambda1: float = 0.5
     lambda2: float = 0.01
-    loss_mode: str = "em+sg"
+    loss_mode: LossMode = "em+sg"
     num_heads: int = 3
     tau: float = 0.5
     nms_threshold: float = 0.4
@@ -186,11 +187,10 @@ def train(
     if config.batch_size > len(scenes):
         raise ValueError(f"batch_size must not exceed the split's {len(scenes)} scenes, got {config.batch_size}")
     feature_dim = scenes[0].proposals.features.shape[1]
-    category_values = {cat: tuple(registry.values[cat]) for cat in registry.categories}
     params = scorenet.init_params(
         feature_dim=feature_dim,
         class_names=vocab.class_names,
-        category_values=category_values,
+        category_values=registry.values,
         num_heads=config.num_heads,
         seed=config.seed,
     )

@@ -10,6 +10,7 @@ import resource
 import subprocess
 import sys
 import tracemalloc
+import typing
 import warnings
 from importlib import resources
 from unittest import mock
@@ -72,10 +73,19 @@ class TestSynth:
         assert code == 1
 
     def test_bad_split_size_writes_nothing(self, tmp_path, capsys):
-        code = cli.main(["synth", "--out", str(tmp_path), "--train", "3", "--val", "2", "--test", "0"])
+        code = cli.main(["synth", "--out", str(tmp_path / "out"), "--train", "3", "--val", "2", "--test", "0"])
         assert code == 1
-        assert "--test must be positive" in capsys.readouterr().err
-        assert not list(tmp_path.glob("*.jsonl"))
+        assert capsys.readouterr().err.splitlines() == ["usage error: test: num_scenes must be positive, got 0"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_naming_a_file_is_a_data_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("kept\n")
+        assert cli.main(["synth", "--out", str(out), "--train", "1", "--val", "1", "--test", "1"]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith("data error: ") and str(out) in err
+        assert list(tmp_path.iterdir()) == [out]
+        assert out.read_text() == "kept\n"
 
     def test_four_settings_pinned(self, tmp_path):
         # every setting off its default; any change to the fixed universe or to the draw order shows here
@@ -111,12 +121,14 @@ class TestSynth:
                 tracemalloc.stop()
         assert peaks[320] < peaks[40] + (1 << 20), peaks
 
-    def test_settings_flags_come_from_synth_config(self):
-        # each SynthConfig field is a flag of its own type, defaulting to the field's default
-        args = cli.build_parser().parse_args(["synth", "--out", "x"])
-        settings = {f.name: getattr(args, f.name) for f in dataclasses.fields(SynthConfig)}
-        defaults = dataclasses.asdict(SynthConfig())
-        assert {k: (v, type(v)) for k, v in settings.items()} == {k: (v, type(v)) for k, v in defaults.items()}
+    def test_settings_flags_come_from_synth_config(self, tmp_path):
+        # with no settings flags, SynthConfig's defaults make the universe
+        out = tmp_path / "out"
+        assert cli.main(["synth", "--out", str(out), "--train", "1", "--val", "1", "--test", "1"]) == 0
+        universe = synthbench.make_universe(SynthConfig(), default_registry(), seed=0)
+        expected = tmp_path / "expected.jsonl"
+        synthbench.write_dataset(expected, synthbench.gen_dataset(universe, 1, [0, 0], "train"), universe)
+        assert (out / "train.jsonl").read_bytes() == expected.read_bytes()
 
     def test_registry_without_a_pool_value_is_a_data_error(self, tmp_path, capsys):
         registry = default_registry()
@@ -596,7 +608,8 @@ class TestConfigFile:
             pytest.param(
                 "loss_mode = em\nlambda2 = 0.5\n",
                 1,
-                "usage error: loss_mode='em' conflicts with lambda2=0.5; the exact-match baseline is lambda2=0 and vice versa",
+                "usage error: {cfg}: line 2: loss_mode='em' conflicts with lambda2=0.5; "
+                "the exact-match baseline is lambda2=0 and vice versa",
                 id="entries that conflict",
             ),
             pytest.param(
@@ -1707,7 +1720,12 @@ class TestGradcheckCommand:
         result = gradcheck.GradCheckResult(
             trials=1, coords_checked=8, max_rel_error=0.0, worst_trial=0, worst_coord="", elapsed_seconds=0.0
         )
-        with mock.patch.object(gradcheck, "run_gradient_check", return_value=result) as check:
+        # the parser reads run_gradient_check's annotations, which a mock lacks, so it is built first
+        parser = cli.build_parser()
+        with (
+            mock.patch.object(cli, "build_parser", return_value=parser),
+            mock.patch.object(gradcheck, "run_gradient_check", return_value=result) as check,
+        ):
             assert cli.main(["gradcheck", *flags]) == 0
         assert check.call_args == mock.call(**settings)
         assert capsys.readouterr().out.startswith("PASS: 1 configs, 8 coordinates, ")
@@ -1781,6 +1799,22 @@ class TestArgumentHandling:
         assert flags["eval"] & fields == {"--nms-threshold", "--score-floor"}
         assert flags["train"] - fields == {"--help", "--data", "--out", "--log", "--vocab", "--registry", "--config"}
         assert flags["eval"] - fields == {"--help", "--data", "--checkpoint", "--out"}
+
+    @pytest.mark.parametrize(
+        "command, owner",
+        [("synth", SynthConfig), ("train", TrainConfig), ("eval", TrainConfig), ("gradcheck", gradcheck.run_gradient_check)],
+    )
+    def test_settings_flags_are_built_from_their_owner(self, command, owner):
+        # each flag that sets a setting of the command's owner takes the owner's type and choices, and no default
+        hints = typing.get_type_hints(owner)
+        actions = [a for a in _subcommands()[command]._actions if a.dest in hints]
+        assert actions
+        for action in actions:
+            hint = hints[action.dest]
+            literal = typing.get_origin(hint) is typing.Literal
+            assert action.default is None, action.dest
+            assert (action.type, action.choices) == ((str, typing.get_args(hint)) if literal else (hint, None)), action.dest
+        assert {a.dest for a in actions if a.choices} == ({"loss_mode"} if command == "train" else set())
 
     def test_config_flag_spellings_and_types(self):
         parser = cli.build_parser()

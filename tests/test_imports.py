@@ -23,10 +23,11 @@ module has each attribute in turn; an annotated field resolves by its
 annotation, and names after it are not checked. A file name
 (``trainer.py``) is not a reference.
 
-README names the config flags of train and eval, each list in one
-sentence with a count; the flags and the count must be those of
-``cli.build_parser()``, whose config flags are the ones that set a
-TrainConfig field.
+README names the settings flags of synth, train, eval and gradcheck,
+each list in one sentence with a count; the flags and the count must be
+those of ``cli.build_parser()``, whose settings flags are the ones that
+set a field or parameter of the command's owner: SynthConfig,
+TrainConfig or gradcheck.run_gradient_check.
 
 README's File formats lists the keys of each field table (fields.Field),
 and of the metrics file's config echo (trainer.EVAL_SETTINGS), in one
@@ -40,8 +41,8 @@ some reader should have named.
 
 import argparse
 import ast
-import dataclasses
 import importlib
+import inspect
 import io
 import re
 import tokenize
@@ -49,7 +50,8 @@ from pathlib import Path
 
 import pytest
 
-from capdet import cli, scorenet, synthbench, textgraph, trainer
+from capdet import cli, gradcheck, scorenet, synthbench, textgraph, trainer
+from capdet.synthbench import SynthConfig
 from capdet.trainer import TrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -208,9 +210,12 @@ def test_flags_an_unresolved_reference():
 
 # the README sentence that lists a command's config flags: a count word, then the flags
 README_FLAG_LISTS = {
+    "synth": r"`synth` takes the (\w+) universe settings as flags \(([^)]*)\)",
     "train": r"`train` takes the (\w+) training settings as flags \(([^)]*)\)",
     "eval": r"`eval` takes only the (\w+) settings inference reads, ([^.]*)\.",
+    "gradcheck": r"`gradcheck` takes the (\w+) check settings ([^.]*)\.",
 }
+OWNERS = {"synth": SynthConfig, "train": TrainConfig, "eval": TrainConfig, "gradcheck": gradcheck.run_gradient_check}
 COUNTS = dict(zip("one two three four five six seven eight nine ten eleven twelve".split(), range(1, 13)))
 
 
@@ -225,12 +230,12 @@ def readme_flag_lists(text):
 
 
 def parser_flag_lists():
-    """{command: (the count, the sorted flags)} of the flags of cli.build_parser() that set a TrainConfig field."""
+    """{command: (the count, the sorted flags)} of the flags of cli.build_parser() that set a setting of its owner."""
     (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    fields = {f.name for f in dataclasses.fields(TrainConfig)}
     lists = {}
     for command in README_FLAG_LISTS:
-        flags = sorted(a.option_strings[0] for a in sub.choices[command]._actions if a.dest in fields)
+        settings = inspect.signature(OWNERS[command]).parameters
+        flags = sorted(a.option_strings[0] for a in sub.choices[command]._actions if a.dest in settings)
         lists[command] = (len(flags), flags)
     return lists
 
@@ -241,14 +246,18 @@ def test_readme_flag_lists_are_the_parsers():
 
 def test_flags_a_stale_flag_list():
     text = (
+        "`synth` takes the four universe settings as flags (`--feature-dim`, `--noise-sigma`, `--seed`). "
         "`train` takes the two training\nsettings as flags (`--seed`, `--steps`) or as a file. "
-        "`eval` takes only the three settings inference reads, `--nms-threshold` and `--score-floor`."
+        "`eval` takes only the three settings inference reads, `--nms-threshold` and `--score-floor`. "
+        "`gradcheck` takes the four check settings `--trials`, `--seed`, `--coords` and `--step`."
     )
     assert readme_flag_lists(text) == {
+        "synth": (4, ["--feature-dim", "--noise-sigma", "--seed"]),
         "train": (2, ["--seed", "--steps"]),
         "eval": (3, ["--nms-threshold", "--score-floor"]),
+        "gradcheck": (4, ["--coords", "--seed", "--step", "--trials"]),
     }
-    assert readme_flag_lists("`train` takes flags.") == {"train": None, "eval": None}
+    assert readme_flag_lists("`train` takes flags.") == dict.fromkeys(README_FLAG_LISTS)
 
 
 # the README phrase that lists each field table's keys, up to the words "with the keys"
