@@ -12,10 +12,11 @@ A command has a flag for each setting it reads and for no other: synth
 the SynthConfig fields, eval the two TrainConfig fields inference reads,
 train the others, which a key-value file (`--config`) can also give and
 its flags override, and gradcheck run_gradient_check's parameters. Each
-flag defaults to None and takes its type and choices from its owner; a
-file value is parsed by its key's flag. synth's --seed, --train, --val
-and --test and gradcheck's --coords and --tolerance are the commands'
-own. A flag matches only by its full name; an unknown one is an error.
+flag defaults to None and takes its type and choices from its owner,
+which checks its range (fields.check_settings); a file value is parsed
+by its key's flag. synth's --seed, --train, --val and --test and
+gradcheck's --coords and --tolerance are the commands' own. A flag
+matches only by its full name; an unknown one is an error.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Literal, Mapping, Sequence, get_args, get_origin, get_type_hints
+from typing import Iterator, Literal, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 from . import gradcheck, scorenet, synthbench, trainer
 from .fields import DataError, check_fields, naming
@@ -145,18 +146,19 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_parse(args: argparse.Namespace) -> int:
     vocab, registry = _load_vocab_registry(args)
     vocab = vocab or default_vocabulary()
-    stats = ParseStats()
-    out_records = []
-    for lineno, record in synthbench.read_jsonl(args.captions):
-        with naming(f"{args.captions}: line {lineno}"):
-            record = check_fields(record, CAPTION_FIELDS, "caption record")
-            labels = extract_labels(record["captions"], vocab, registry, stats)
-        out_records.append(labels.to_record(record["image_id"]))
-    synthbench.write_jsonl(args.out, out_records)
-    print(
-        f"parsed {len(out_records)} caption sets -> {args.out} "
-        f"({stats.unknown_modifiers} unknown adjectives dropped)"
-    )
+    stats, parsed = ParseStats(), 0
+
+    def label_records() -> Iterator[dict]:  # one at a time, each written before the next caption record is read
+        nonlocal parsed
+        for lineno, record in synthbench.read_jsonl(args.captions):
+            with naming(f"{args.captions}: line {lineno}"):
+                record = check_fields(record, CAPTION_FIELDS, "caption record")
+                labels = extract_labels(record["captions"], vocab, registry, stats)
+            parsed += 1
+            yield labels.to_record(record["image_id"])
+
+    synthbench.write_jsonl(args.out, label_records())
+    print(f"parsed {parsed} caption sets -> {args.out} ({stats.unknown_modifiers} unknown adjectives dropped)")
     return EXIT_OK
 
 

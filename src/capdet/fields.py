@@ -1,7 +1,8 @@
-"""How files are checked and written: field tables for JSON objects, one way to name a bad input, whole writes.
+"""How inputs are checked and files written: JSON field tables, setting rules, one way to name a bad input, whole writes.
 
 Every file reader checks each JSON object it reads with check_fields, so
 every file follows one rule: a missing, ill-typed or unknown key fails, named.
+A setting's range lives on its owner's annotation, checked by check_settings.
 Each reader reads and checks inside naming, so any failure is one DataError
 naming the file (and line or scene), whether the CLI (exit 2) or a library
 call reads it. Every output file but the streamed training log is written
@@ -11,10 +12,12 @@ through whole_file, so it holds all of its bytes or none of them.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import reprlib
+import sys
 from pathlib import Path
-from typing import IO, Callable, Iterator, Mapping, NamedTuple
+from typing import IO, Callable, Iterator, Literal, Mapping, NamedTuple, TypeVar, get_args, get_origin, get_type_hints
 
 REQUIRED = object()
 JSON_ERRORS = (ValueError, RecursionError)  # invalid UTF-8 or JSON is a ValueError, too deeply nested a RecursionError
@@ -74,6 +77,37 @@ def check_fields(obj: object, table: Mapping[str, Field], what: str) -> dict:
     if not obj.keys() <= table.keys():
         raise ValueError(f"unknown {what} key {min(obj.keys() - table.keys())!r}")
     return checked
+
+
+class Rule(NamedTuple):
+    check: Callable[[object], bool]
+    must: str  # what check asks of a value, as a failure states it: f"{name} must {must}, got {value}"
+    shown: Callable[[object], str] = str  # how a failure shows the value
+
+
+FINITE = Rule(math.isfinite, "be finite")
+POSITIVE = Rule(lambda v: v > 0, "be positive")
+NON_NEGATIVE = Rule(lambda v: v >= 0, "be non-negative")
+Owner = TypeVar("Owner")
+
+
+def settings_owner(owner: Owner) -> Owner:
+    """owner, a dataclass or function, its settings' rules resolved now: an Annotated annotation's Rules, a Literal's values."""
+    rules = []
+    # in the module's namespace, so a lambda in a class's annotation reads module names, not the class's
+    for name, hint in get_type_hints(owner, vars(sys.modules[owner.__module__]), include_extras=True).items():
+        if get_origin(hint) is Literal:
+            rules.append((name, Rule(get_args(hint).__contains__, f"be one of {get_args(hint)}", repr)))
+        rules += [(name, rule) for rule in getattr(hint, "__metadata__", ()) if isinstance(rule, Rule)]
+    owner.setting_rules = rules
+    return owner
+
+
+def check_settings(owner: object, values: Mapping[str, object]) -> None:
+    """A ValueError names the first of a settings_owner's settings, in annotation order, whose value breaks a rule."""
+    for name, (check, must, shown) in owner.setting_rules:
+        if not check(values[name]):
+            raise ValueError(f"{name} must {must}, got {shown(values[name])}")
 
 
 @contextlib.contextmanager

@@ -36,15 +36,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
 from . import oicr, scorenet, weakloss
+from .fields import NON_NEGATIVE, Rule, check_settings, settings_owner
 from .oicr import PseudoLabels
 from .scorenet import ModelParams
 from .textgraph import LabelSet
 from .trainer import SceneBatch, TrainConfig, batch_step, frozen_loss
 from .weakloss import Supervision
+
+AT_LEAST_ONE = Rule(lambda v: v >= 1, "be at least 1")
 
 
 @dataclass
@@ -175,25 +179,19 @@ def check_once(
     return float(errors[worst]), ""
 
 
+@settings_owner
 def run_gradient_check(
-    trials: int = 100,
-    seed: int = 20240601,
-    coords_per_trial: int = 80,
-    step: float = 1e-5,
+    trials: Annotated[int, AT_LEAST_ONE] = 100,
+    seed: Annotated[int, NON_NEGATIVE] = 20240601,
+    coords_per_trial: Annotated[int, AT_LEAST_ONE] = 80,
+    step: Annotated[float, Rule(lambda v: np.isfinite(v) and v > 0, "be finite and positive")] = 1e-5,
 ) -> GradCheckResult:
     """The worst relative error over trials; bad arguments are a ValueError.
 
     Overflow at a huge step surfaces as a non-finite error, not as numpy
     warnings.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    if coords_per_trial < 1:
-        raise ValueError(f"coords_per_trial must be at least 1, got {coords_per_trial}")
-    if not (np.isfinite(step) and step > 0):
-        raise ValueError(f"step must be finite and positive, got {step}")
+    check_settings(run_gradient_check, locals())
     start = time.monotonic()
     results = []
     checked = 0

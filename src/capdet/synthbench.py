@@ -52,11 +52,12 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, ClassVar, Iterable, Iterator, Sequence
+from typing import Annotated, Callable, ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .fields import JSON_ERRORS, DataError, Field, check_fields, is_positive_int, is_str_list, naming, whole_file
+from .fields import (JSON_ERRORS, DataError, Field, Rule, check_fields, check_settings, is_positive_int, is_str_list, naming,
+                     settings_owner, whole_file)
 from .geometry import check_boxes
 from .scorenet import RegionSet
 from .textgraph import CAPTIONS, AttributeRegistry, Vocabulary
@@ -94,20 +95,27 @@ GT_FIELDS = {
 
 # prenominal word order used by the caption templates
 _CATEGORY_ORDER = ("size", "shape", "color", "material")
+PROBABILITY = Rule(lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
 
+
+@settings_owner
 @dataclass(frozen=True)
 class SynthConfig:
     """The four settings `capdet synth` exposes; everything else about the universe is fixed.
 
-    The fixed part (classes, confusable pairs, attribute pools, prototype
-    geometry and scene shape) is class-level constants, readable on any
-    instance.
+    Each setting's range is a Rule on its annotation, checked by
+    fields.check_settings. The fixed part (classes, confusable pairs,
+    attribute pools, prototype geometry and scene shape) is class-level
+    constants, readable on any instance.
     """
 
-    feature_dim: int = 64
-    noise_sigma: float = 0.1
-    attr_mention_prob: float = 0.7  # rho
-    cooccur_prob: float = 0.9
+    feature_dim: Annotated[int, Rule(lambda v: v >= 8, "be at least 8")] = 64
+    # prototypes are unit vectors (confusable partners 0.025 apart): noise this
+    # large has long erased the signal, yet keeps training far from overflow
+    noise_sigma: Annotated[float, Rule(lambda v: 0 <= v <= 1000, "lie in [0, 1000] (class prototypes are unit vectors, "
+                                       "so noise hides them long before features overflow)")] = 0.1
+    attr_mention_prob: Annotated[float, PROBABILITY] = 0.7  # rho
+    cooccur_prob: Annotated[float, PROBABILITY] = 0.9
 
     class_names: ClassVar[tuple[str, ...]] = ("apple", "pear", "cup", "bowl", "cat", "dog", "chair", "stop sign")
     confusable_pairs: ClassVar[tuple[tuple[str, str], ...]] = (("apple", "pear"), ("cup", "bowl"))
@@ -131,22 +139,9 @@ class SynthConfig:
     extra_attr_prob: ClassVar[float] = 0.4
     captions_min: ClassVar[int] = 1
     captions_max: ClassVar[int] = 3
-    # prototypes are unit vectors (confusable partners 0.025 apart): noise this
-    # large has long erased the signal, yet keeps training far from overflow
-    max_noise_sigma: ClassVar[float] = 1e3
 
     def __post_init__(self) -> None:
-        if self.feature_dim < 8:
-            raise ValueError(f"feature_dim must be at least 8, got {self.feature_dim}")
-        if not 0 <= self.noise_sigma <= self.max_noise_sigma:
-            raise ValueError(
-                f"noise_sigma must lie in [0, {self.max_noise_sigma:g}] (class prototypes are unit vectors, "
-                f"so noise hides them long before features overflow), got {self.noise_sigma}"
-            )
-        for name in ("attr_mention_prob", "cooccur_prob"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        check_settings(SynthConfig, vars(self))
 
 
 @dataclass

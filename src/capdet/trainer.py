@@ -47,15 +47,14 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Literal, Mapping, Sequence, get_args
+from typing import Annotated, Callable, Literal, Mapping, Sequence
 
 import numpy as np
 
 from . import oicr, scorenet, weakloss
-from .fields import whole_file
+from .fields import FINITE, NON_NEGATIVE, POSITIVE, Rule, check_settings, settings_owner, whole_file
 from .geometry import iou_matrix, nms
 from .scorenet import ModelParams
 from .synthbench import SyntheticScene
@@ -68,7 +67,6 @@ class NumericalError(RuntimeError):
 
 
 LossMode = Literal["em", "em+sg"]
-LOSS_MODES = get_args(LossMode)
 EVAL_SETTINGS = ("nms_threshold", "score_floor")  # the TrainConfig fields inference reads
 LOGGED_LOSSES = ("l_obj", "l_entang", "l_mid", "l_total")  # LossReport fields a step logs, with l_oicr
 IOU_THRESHOLD = 0.5  # a detection localises a GT box at this IoU or more, for AP and CorLoc
@@ -77,46 +75,29 @@ IOU_THRESHOLD = 0.5  # a detection localises a GT box at this IoU or more, for A
 EVAL_CHUNK = 16
 
 
+@settings_owner
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 0.01
-    batch_size: int = 2
-    steps: int = 2000
-    seed: int = 0
-    lambda1: float = 0.5
-    lambda2: float = 0.01
+    learning_rate: Annotated[float, FINITE, POSITIVE] = 0.01
+    batch_size: Annotated[int, POSITIVE] = 2
+    steps: Annotated[int, POSITIVE] = 2000
+    seed: Annotated[int, NON_NEGATIVE] = 0
+    lambda1: Annotated[float, FINITE, NON_NEGATIVE] = 0.5
+    lambda2: Annotated[float, FINITE, NON_NEGATIVE] = 0.01
     loss_mode: LossMode = "em+sg"
-    num_heads: int = 3
-    tau: float = 0.5
-    nms_threshold: float = 0.4
-    score_floor: float = 0.05
+    num_heads: Annotated[int, POSITIVE] = 3
+    tau: Annotated[float, Rule(lambda v: 0 < v < 1, "lie in (0, 1)")] = 0.5
+    nms_threshold: Annotated[float, Rule(lambda v: 0 < v <= 1, "lie in (0, 1]")] = 0.4
+    score_floor: Annotated[float, Rule(lambda v: 0 <= v < 1, "lie in [0, 1)")] = 0.05
 
     def __post_init__(self) -> None:
-        for name in ("learning_rate", "lambda1", "lambda2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("learning_rate", "batch_size", "steps", "num_heads"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
-        if self.loss_mode not in LOSS_MODES:
-            raise ValueError(f"loss_mode must be one of {LOSS_MODES}, got {self.loss_mode!r}")
-        for name in ("lambda1", "lambda2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        check_settings(TrainConfig, vars(self))
         # the two spellings of the baseline must coincide
         if (self.lambda2 == 0) != (self.loss_mode == "em"):
             raise ValueError(
                 f"loss_mode={self.loss_mode!r} conflicts with lambda2={self.lambda2}; "
                 "the exact-match baseline is lambda2=0 and vice versa"
             )
-        if not 0 < self.nms_threshold <= 1:
-            raise ValueError(f"nms_threshold must lie in (0, 1], got {self.nms_threshold}")
-        if not 0 <= self.score_floor < 1:
-            raise ValueError(f"score_floor must lie in [0, 1), got {self.score_floor}")
 
     @property
     def attributes_enabled(self) -> bool:

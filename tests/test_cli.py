@@ -181,6 +181,23 @@ class TestParse:
         assert len(lines[0]["objects"]) == 2
         assert ["8", "color", "red"] not in lines[0]["attributes"]
 
+    def test_holds_one_caption_record_at_a_time(self, tmp_path):
+        # each label record is written before the next caption record is read, so eight times the records leave
+        # the peak about where it was; the one-record run first takes the one-time allocations of a first parse
+        record = {"captions": ["a red apple next to the pear", "the small cat on a wooden chair"]}
+        peaks = {}
+        for size in (1, 200, 1600):
+            captions, out = tmp_path / f"captions{size}.jsonl", tmp_path / f"labels{size}.jsonl"
+            captions.write_text("".join(json.dumps({"image_id": str(i)} | record) + "\n" for i in range(size)))
+            tracemalloc.start()
+            try:
+                assert cli.main(["parse", "--captions", str(captions), "--out", str(out)]) == 0
+                peaks[size] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(out.read_text().splitlines()) == size
+        assert peaks[1600] < peaks[200] + (1 << 19), peaks
+
     def test_missing_captions_file(self, tmp_path, capsys):
         code = cli.main(["parse", "--captions", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o")])
         assert code == 2

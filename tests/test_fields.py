@@ -1,16 +1,37 @@
+import dataclasses
 import json
 import math
 import os
 import struct
+import typing
+from typing import Annotated, Literal
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from capdet import synthbench
-from capdet.fields import DataError, Field, check_fields, is_positive_int, is_str_list, naming, whole_file
+from capdet import gradcheck, synthbench
+from capdet.fields import (
+    FINITE,
+    NON_NEGATIVE,
+    POSITIVE,
+    DataError,
+    Field,
+    Rule,
+    check_fields,
+    check_settings,
+    is_positive_int,
+    is_str_list,
+    naming,
+    settings_owner,
+    whole_file,
+)
 from capdet.scorenet import CHECKPOINT_MAGIC, load_checkpoint
+from capdet.synthbench import SynthConfig
 from capdet.textgraph import AttributeRegistry, Vocabulary
+from capdet.trainer import TrainConfig
 
 TABLE = {
     "count": Field(is_positive_int, "a positive integer"),
@@ -54,6 +75,97 @@ class TestCheckFields:
         with pytest.raises(ValueError, match="^unknown thing key ") as info:
             check_fields({"count": 1, "names": [], key: None}, TABLE, "thing")
         assert str(info.value) == f"unknown thing key {key!r}"
+
+
+@settings_owner
+@dataclasses.dataclass
+class Owned:
+    count: Annotated[int, POSITIVE] = 1
+    label: str = "x"  # no rule
+    mode: Literal["a", "b"] = "a"
+    weight: Annotated[float, FINITE, NON_NEGATIVE] = 0.0
+
+    def __post_init__(self) -> None:
+        check_settings(Owned, vars(self))
+
+
+@settings_owner
+@dataclasses.dataclass
+class Deferred:
+    # a string annotation, as every annotation is under `from __future__ import annotations`
+    scale: "Annotated[float, Rule(lambda v: math.isfinite(v), 'be finite')]" = 1.0
+
+    def __post_init__(self) -> None:
+        check_settings(Deferred, vars(self))
+
+
+@settings_owner
+def owning(trials: Annotated[int, Rule(lambda v: v >= 1, "be at least 1")] = 1, step: float = 0.1) -> int:
+    check_settings(owning, locals())
+    return trials
+
+
+class TestCheckSettings:
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"count": 0}, "count must be positive, got 0"),
+            ({"weight": np.float64(-1.5)}, "weight must be non-negative, got -1.5"),
+            ({"weight": math.inf}, "weight must be finite, got inf"),
+            ({"weight": math.nan}, "weight must be finite, got nan"),  # a value's rules are checked in their order
+            ({"mode": "c"}, "mode must be one of ('a', 'b'), got 'c'"),  # a Literal is its own rule, its value a repr
+            ({"mode": 3}, "mode must be one of ('a', 'b'), got 3"),
+            # the first bad setting in annotation order is named, whatever order the values come in
+            ({"weight": -1.0, "mode": "c", "count": 0}, "count must be positive, got 0"),
+        ],
+        ids=["rule", "numpy value", "infinite", "nan", "literal", "literal, not a string", "annotation order"],
+    )
+    def test_one_error_names_the_first_bad_setting(self, values, message):
+        with pytest.raises(ValueError) as info:
+            Owned(**values)
+        assert str(info.value) == message
+
+    def test_a_rule_in_a_string_annotation_reads_module_names(self):
+        with pytest.raises(ValueError, match="^scale must be finite, got inf$"):
+            Deferred(math.inf)
+
+    def test_a_function_owner(self):
+        assert owning(2) == 2 and owning(step=-1.0) == 1  # step has no rule
+        with pytest.raises(ValueError) as info:
+            owning(0)
+        assert str(info.value) == "trials must be at least 1, got 0"
+
+    def test_only_rules_and_literals_are_checked(self):
+        assert [name for name, _ in Owned.setting_rules] == ["count", "mode", "weight", "weight"]
+        assert Owned(label="") == Owned(1, "", "a", 0.0)
+
+    def test_owners_resolve_their_rules_when_defined(self):
+        # annotations are read once, at import: a construction or call reads none
+        with mock.patch("capdet.fields.get_type_hints", side_effect=AssertionError), mock.patch.object(
+            typing, "get_type_hints", side_effect=AssertionError
+        ):
+            TrainConfig()
+            SynthConfig()
+            with pytest.raises(ValueError, match="^trials must be at least 1, got 0$"):
+                gradcheck.run_gradient_check(trials=0)
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            # of several bad settings the first in field order is named, whatever kind of rule each breaks
+            ({"lambda1": math.nan, "batch_size": 0}, "batch_size must be positive, got 0"),
+            ({"loss_mode": "em", "lambda2": 0.5, "nms_threshold": 0.0}, "nms_threshold must lie in (0, 1], got 0.0"),
+            # the baseline conflict is checked after every range
+            ({"loss_mode": "em", "lambda2": 0.5}, "loss_mode='em' conflicts with lambda2=0.5; "
+             "the exact-match baseline is lambda2=0 and vice versa"),
+            ({"tau": np.float64(1.5)}, "tau must lie in (0, 1), got 1.5"),  # str, not repr: not np.float64(1.5)
+        ],
+        ids=["range before finiteness", "range before conflict", "conflict", "numpy value"],
+    )
+    def test_train_config_names_the_first_bad_setting_in_field_order(self, settings, message):
+        with pytest.raises(ValueError) as info:
+            TrainConfig(**settings)
+        assert str(info.value) == message
 
 
 class TestNaming:

@@ -7,14 +7,16 @@ An imported name counts as used when the module reads it anywhere (a bare
 name or the base of an attribute chain) or lists it in ``__all__``.
 Imports from ``__future__`` are exempt; src/ and tests/ are checked.
 
-A module-level function or class in src/, or a non-dunder method or
-property of such a class, counts as referenced when some module in src/
-or perfbench/ reads its name as a bare name or an attribute, or spells it
-in a string constant, whole or as one part of a dotted name: perfbench
-wraps functions it names by string, and ``__all__`` lists names as
-strings, so the public names of ``capdet.__all__`` count as referenced.
-Use in tests/ does not count: code only the tests call lives in tests/.
-Methods that a base class calls are exempt (BASE_CLASS_HOOKS).
+A module-level function, class or constant in src/ (a constant is a
+non-dunder name that a module-level assignment binds), or a non-dunder
+method or property of such a class, counts as referenced when some module
+in src/ or perfbench/ reads its name as a bare name or an attribute, or
+spells it in a string constant, whole or as one part of a dotted name:
+perfbench wraps functions it names by string, and ``__all__`` lists names
+as strings, so the public names of ``capdet.__all__`` count as referenced.
+Binding a name is not reading it, so a constant that is only assigned is
+dead. Use in tests/ does not count: code only the tests call lives in
+tests/. Methods that a base class calls are exempt (BASE_CLASS_HOOKS).
 
 A dotted reference is a capdet module's name, alone after ``capdet.`` or
 followed by attribute names (``trainer.SceneBatch.pack``), in a
@@ -110,6 +112,21 @@ def module_definitions(tree):
                     yield f"{node.name}.{item.name}", item.lineno
 
 
+def module_constants(tree):
+    """(name, line) for every non-dunder name that a module-level assignment binds, alone or in a tuple."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) or (isinstance(node, ast.AnnAssign) and node.value is not None):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store) and not name.id.endswith("__"):
+                        yield name.id, node.lineno
+
+
+def dead_constants(tree, referenced):
+    """{name: line} for the module constants whose name is not in referenced."""
+    return {name: line for name, line in module_constants(tree) if name not in referenced}
+
+
 def dead_definitions(tree, referenced):
     """{name: line} for the definitions whose name, or method name, is not in referenced."""
     return {
@@ -122,6 +139,8 @@ def dead_definitions(tree, referenced):
 def referenced_names(tree):
     names = set()
     for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)) and not isinstance(node.ctx, ast.Load):
+            continue  # binding a name is not reading it
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -138,7 +157,8 @@ def test_no_dead_definitions():
     dead = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        dead += [f"{path.relative_to(ROOT)}:{line}: {name}" for name, line in dead_definitions(tree, referenced).items()]
+        found = dead_definitions(tree, referenced) | dead_constants(tree, referenced)
+        dead += [f"{path.relative_to(ROOT)}:{line}: {name}" for name, line in found.items()]
     assert not dead, f"defined but referenced nowhere: {', '.join(dead)}"
 
 
@@ -155,6 +175,13 @@ def test_flags_an_unused_method():
                      "class _Parser:\n    def error(self, message): pass\n"
                      "parser = _Parser()\nNamed.build().step()\ntarget = 'Named.size'\n")
     assert set(dead_definitions(tree, referenced_names(tree))) == {"Named.gone", "Named.unread"}
+
+
+def test_flags_an_unused_constant():
+    tree = ast.parse("import os\nUSED = 1\nGONE = 2\n__all__ = ['x']\nTYPED: int = 3\nBARE: int\nREBOUND = 4\n"
+                     "REBOUND = 5\nA, B = 6, 7\nclass Named:\n    INNER = 8\ndef run():\n    LOCAL = USED\n"
+                     "print('TYPED', A)\nos.GONE = 9\n")
+    assert set(dead_constants(tree, referenced_names(tree))) == {"GONE", "REBOUND", "B"}
 
 
 CAPDET_MODULES = sorted(path.stem for path in (ROOT / "src" / "capdet").glob("*.py") if path.stem != "__init__")
@@ -208,12 +235,14 @@ def test_flags_an_unresolved_reference():
     assert [ref for ref in references if not resolves(ref)] == ["oicr.gone"]
 
 
-# the README sentence that lists a command's config flags: a count word, then the flags
+# the README sentence that lists a command's config flags: a count word, then the flags, in parentheses
+# or as one list of backticked flags joined by ", " or "and", which a later flag of the sentence does not join
+FLAG_LIST = r"((?:`--[\w-]+`(?:,? and |, )?)+)"
 README_FLAG_LISTS = {
     "synth": r"`synth` takes the (\w+) universe settings as flags \(([^)]*)\)",
     "train": r"`train` takes the (\w+) training settings as flags \(([^)]*)\)",
-    "eval": r"`eval` takes only the (\w+) settings inference reads, ([^.]*)\.",
-    "gradcheck": r"`gradcheck` takes the (\w+) check settings ([^.]*)\.",
+    "eval": r"`eval` takes only the (\w+) settings inference reads, " + FLAG_LIST,
+    "gradcheck": r"`gradcheck` takes the (\w+) check settings " + FLAG_LIST,
 }
 OWNERS = {"synth": SynthConfig, "train": TrainConfig, "eval": TrainConfig, "gradcheck": gradcheck.run_gradient_check}
 COUNTS = dict(zip("one two three four five six seven eight nine ten eleven twelve".split(), range(1, 13)))
@@ -257,6 +286,11 @@ def test_flags_a_stale_flag_list():
         "eval": (3, ["--nms-threshold", "--score-floor"]),
         "gradcheck": (4, ["--coords", "--seed", "--step", "--trials"]),
     }
+    # a flag named later in the sentence is not on the list
+    text = "`gradcheck` takes the four check settings `--trials`, `--seed` and `--coords`, and its own `--tolerance`."
+    assert readme_flag_lists(text)["gradcheck"] == (4, ["--coords", "--seed", "--trials"])
+    text = "`eval` takes only the two settings inference reads, `--nms-threshold` and `--score-floor`; so `--steps` is not."
+    assert readme_flag_lists(text)["eval"] == (2, ["--nms-threshold", "--score-floor"])
     assert readme_flag_lists("`train` takes flags.") == dict.fromkeys(README_FLAG_LISTS)
 
 
